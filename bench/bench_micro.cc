@@ -10,6 +10,7 @@
 #include "bench_util.hh"
 #include "proto/messages.hh"
 #include "rfork/cxlfork.hh"
+#include "sim/crc32.hh"
 
 namespace {
 
@@ -195,6 +196,41 @@ BM_RestoreAttach(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RestoreAttach)->Unit(benchmark::kMicrosecond)->Iterations(50);
+
+// --- Per-restore integrity cost: every restore re-CRCs its image.
+
+void
+BM_Crc32Page(benchmark::State &state)
+{
+    std::vector<uint8_t> page(mem::kPageSize);
+    for (size_t i = 0; i < page.size(); ++i)
+        page[i] = uint8_t(i * 131 + 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::crc32(page.data(), page.size()));
+    state.SetBytesProcessed(int64_t(state.iterations()) *
+                            int64_t(page.size()));
+}
+BENCHMARK(BM_Crc32Page);
+
+void
+BM_ImageVerify(benchmark::State &state)
+{
+    const auto spec = *faas::findWorkload("Json");
+    porter::Cluster cluster(bench::benchClusterConfig());
+    auto parent = bench::deployWarmParent(cluster, spec, 1);
+    rfork::CxlFork cxlf(cluster.fabric());
+    auto image = rfork::CxlFork::image(
+        cxlf.checkpoint(cluster.node(0), parent->task()));
+    for (auto _ : state) {
+        auto bad = image->verifyIntegrity();
+        benchmark::DoNotOptimize(bad);
+        if (bad) {
+            state.SkipWithError(bad->c_str());
+            break;
+        }
+    }
+}
+BENCHMARK(BM_ImageVerify)->Unit(benchmark::kMicrosecond);
 
 // --- Hot-path micro-optimizations, measured A/B (DESIGN.md Sec. 8).
 

@@ -160,6 +160,9 @@ class CoherenceDirectory final : public mem::CoherenceModel
     uint64_t trackedLines() const { return lines_.size(); }
 
   private:
+    /** Tests plant invariant violations no public call can produce. */
+    friend struct CoherenceDirectoryTestAccess;
+
     /**
      * Per-line home-agent state. HDM-D visibility model: `visible` is
      * what a fresh reader observes; `pending` holds each writer's

@@ -21,8 +21,9 @@ CheckpointImage::~CheckpointImage()
 {
     // Data frames may be shared with other images through the page
     // store; releasing through it un-indexes a frame only when the
-    // last owner lets go. Metadata frames are never content-indexed
-    // (release falls through to the plain allocator for them).
+    // last owner lets go. Metadata frames, leaf backings included, are
+    // never content-indexed (release falls through to the plain
+    // allocator for them).
     for (mem::PhysAddr f : dataFrames_) {
         if (pageStore_)
             pageStore_->release(f);
@@ -34,13 +35,6 @@ CheckpointImage::~CheckpointImage()
             pageStore_->release(f);
         else
             machine_.cxl().decRef(f);
-    }
-    for (auto &[base, leaf] : leaves_) {
-        // The leaf's backing frame is one of our metadata frames only
-        // if it was registered; images register leaf backings
-        // explicitly via addMetaFrame, so nothing more to do here.
-        (void)base;
-        (void)leaf;
     }
 }
 

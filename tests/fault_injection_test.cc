@@ -184,6 +184,99 @@ TEST(Crc32, CatchesEverySingleBitFlip)
     EXPECT_EQ(sim::crc32(data.data(), data.size()), sealed);
 }
 
+/** Bit-at-a-time CRC-32 state update: the definition, no tables. */
+uint32_t
+referenceCrcUpdate(uint32_t state, const uint8_t *p, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        state ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            state = (state & 1) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+    return state;
+}
+
+uint32_t
+referenceCrc(const uint8_t *p, size_t n)
+{
+    return referenceCrcUpdate(0xFFFFFFFFu, p, n) ^ 0xFFFFFFFFu;
+}
+
+uint64_t
+loadLe64(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int b = 0; b < 8; ++b)
+        v |= uint64_t(p[b]) << (8 * b);
+    return v;
+}
+
+std::vector<uint8_t>
+crcTestBytes(size_t n)
+{
+    std::vector<uint8_t> data(n);
+    uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (uint8_t &b : data) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = uint8_t(x);
+    }
+    return data;
+}
+
+TEST(Crc32, KnownAnswer)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(sim::crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(sim::crc32(check, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    const std::vector<uint8_t> data = crcTestBytes(300 + 8);
+    for (size_t offset = 0; offset < 8; ++offset) {
+        for (size_t len = 0; len <= 300; ++len) {
+            const uint8_t *p = data.data() + offset;
+            ASSERT_EQ(sim::crc32(p, len), referenceCrc(p, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, Update64IsLittleEndianBytes)
+{
+    const std::vector<uint8_t> data = crcTestBytes(64);
+    for (size_t i = 0; i + 8 <= data.size(); ++i) {
+        sim::Crc32 word;
+        word.update64(loadLe64(&data[i]));
+        EXPECT_EQ(word.value(), referenceCrc(&data[i], 8)) << "word " << i;
+    }
+}
+
+TEST(Crc32, MixedUpdateChainsMatchReference)
+{
+    const std::vector<uint8_t> data = crcTestBytes(2048);
+    // Alternate byte runs of awkward lengths with 64-bit words; every
+    // prefix digest must equal the reference over the same bytes.
+    const size_t runs[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64};
+    sim::Crc32 crc;
+    uint32_t ref = 0xFFFFFFFFu;
+    size_t pos = 0;
+    for (int round = 0; round < 4; ++round) {
+        for (size_t run : runs) {
+            ASSERT_LE(pos + run + 8, data.size());
+            crc.update(&data[pos], run);
+            ref = referenceCrcUpdate(ref, &data[pos], run);
+            pos += run;
+            crc.update64(loadLe64(&data[pos]));
+            ref = referenceCrcUpdate(ref, &data[pos], 8);
+            pos += 8;
+            ASSERT_EQ(crc.value(), ref ^ 0xFFFFFFFFu) << "after " << pos;
+        }
+    }
+}
+
 // --- Machine-level transients and poison.
 
 class MachineFaultTest : public ::testing::Test

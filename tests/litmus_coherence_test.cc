@@ -23,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string_view>
 
 #include "cxl/coherence.hh"
 #include "cxl/fabric_queue.hh"
@@ -31,8 +33,20 @@
 #include "porter/cluster.hh"
 #include "rfork/cxlfork.hh"
 #include "sim/clock.hh"
+#include "sim/log.hh"
 
 namespace cxlfork::cxl {
+
+struct CoherenceDirectoryTestAccess
+{
+    /** Empty an Exclusive line's sharer set: an audit violation. */
+    static void
+    dropAllSharers(CoherenceDirectory &dir, mem::PhysAddr a)
+    {
+        dir.lines_.at(dir.lineIndexOf(a)).sharers = 0;
+    }
+};
+
 namespace {
 
 using mem::kPageSize;
@@ -622,6 +636,69 @@ TEST(LitmusContention, BackInvalidationsQueueBehindDataTraffic)
         << "back-invalidations bypassed the fabric queue";
     EXPECT_GT(armed.writerElapsedNs, off.writerElapsedNs)
         << "queued control traffic must stretch the writer's clock";
+}
+
+/** Records the line address of every crash-cleanup message. */
+struct CrashCleanupRecorder final : mem::FabricQueue
+{
+    void
+    onTransaction(NodeId, PhysAddr addr, bool, uint64_t, sim::SimClock &,
+                  const char *site) override
+    {
+        if (std::string_view(site) == "coherence.crash.binv")
+            addrs.push_back(addr);
+    }
+
+    std::vector<PhysAddr> addrs;
+};
+
+TEST(LitmusWalkOrder, WalksRunInAscendingAddressOrder)
+{
+    // Touch lines highest address first from several nodes, so
+    // insertion order is the reverse of address order. Every walk
+    // whose order is observable must still come out in ascending
+    // address order, whatever container holds the lines.
+    LitmusWorld w(cfgOf(CoherenceMode::HdmD));
+    CrashCleanupRecorder rec;
+    w.machine.setFabricQueue(&rec);
+    std::vector<PhysAddr> lines;
+    for (int i = 0; i < 32; ++i)
+        lines.push_back(w.line(kOld + i));
+    std::sort(lines.begin(), lines.end());
+    for (size_t i = lines.size(); i-- > 0;) {
+        w.ld(lines[i], NodeId(1 + i % 3));
+        w.st(lines[i], 0, kNew + i); // node 0 leaves every store unflushed
+    }
+
+    EXPECT_EQ(w.dir.pendingLines(0), lines);
+    w.dir.onNodeCrash(0, w.clocks[1]);
+    EXPECT_EQ(rec.addrs, lines)
+        << "crash cleanup must charge and queue lines in address order";
+    EXPECT_EQ(w.ctr("cxl.coherence.crash_cleanups"), lines.size());
+    w.machine.setFabricQueue(nullptr);
+    w.expectClean();
+}
+
+TEST(LitmusWalkOrder, AuditReportsTheLowestBadLine)
+{
+    LitmusWorld w(cfgOf(CoherenceMode::HdmH));
+    std::vector<PhysAddr> lines;
+    for (int i = 0; i < 32; ++i)
+        lines.push_back(w.line(kOld + i));
+    std::sort(lines.begin(), lines.end());
+    for (size_t i = lines.size(); i-- > 0;)
+        w.ld(lines[i], NodeId(i % 4)); // each line Exclusive at one node
+    w.expectClean();
+
+    for (size_t bad : {size_t(29), size_t(7), size_t(18)})
+        CoherenceDirectoryTestAccess::dropAllSharers(w.dir, lines[bad]);
+    const auto report = w.dir.auditInvariants();
+    ASSERT_TRUE(report.has_value());
+    const uint64_t lowest =
+        (lines[7].raw - mem::Machine::kCxlBase) / kPageSize;
+    EXPECT_TRUE(report->starts_with(
+        sim::format("coherence line %llu ", (unsigned long long)lowest)))
+        << *report;
 }
 
 TEST(LitmusModes, NamesRoundTrip)

@@ -55,6 +55,12 @@ CXLFORK_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure -L golden
 echo "== Running golden-benchmark regression suite (CXLFORK_JOBS=8)"
 CXLFORK_JOBS=8 ctest --test-dir "$BUILD_DIR" --output-on-failure -L golden
 
+echo "== Running the benchmark's correctness self-test (perfbench --selftest)"
+# Builds perfbench into .bench_build/ and proves each of its checks
+# (restored tokens, frame leak, porter request count) fails when fed a
+# wrong expectation while the clean runs pass.
+(cd "$REPO_ROOT" && python3 perfbench/run.py --selftest)
+
 echo "== Checking host wall-clock against the checked-in baseline"
 WALLCLOCK_OUT="$BUILD_DIR/BENCH_WALLCLOCK.json"
 rm -f "$WALLCLOCK_OUT"
