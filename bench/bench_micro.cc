@@ -11,6 +11,8 @@
 #include "proto/messages.hh"
 #include "rfork/cxlfork.hh"
 #include "sim/crc32.hh"
+#include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -231,6 +233,27 @@ BM_ImageVerify(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ImageVerify)->Unit(benchmark::kMicrosecond);
+
+// --- The porter event loop's core: one schedule plus one dispatch with
+// 64k events pending (the size CXLporter's heap runs at).
+
+void
+BM_EventQueueChurn(benchmark::State &state)
+{
+    constexpr int kPending = 64 * 1024;
+    sim::EventQueue q;
+    sim::Rng rng(0xc4u);
+    uint64_t fired = 0;
+    auto delay = [&] { return sim::SimTime::us(double(rng.index(1000000))); };
+    for (int i = 0; i < kPending; ++i)
+        q.schedule(delay(), [&fired] { ++fired; });
+    for (auto _ : state) {
+        q.scheduleAfter(delay(), [&fired] { ++fired; });
+        q.step();
+    }
+    benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_EventQueueChurn);
 
 // --- Hot-path micro-optimizations, measured A/B (DESIGN.md Sec. 8).
 

@@ -62,6 +62,8 @@ PorterSim::PorterSim(PorterConfig cfg,
         if (cfg_.mechanism != Mechanism::CriuCxl)
             f.ghostsAvailable = cfg_.ghostsPerFunction;
         f.contentGroup = contentKey(functions_[i]);
+        f.idleOnNode.resize(nodes_.size());
+        fnIndex_.emplace(functions_[i].name, uint32_t(i));
     }
 }
 
@@ -91,7 +93,10 @@ PorterSim::profileFor(uint32_t fnIdx, os::TieringPolicy policy)
     // behaviour each.
     if (cfg_.mechanism != Mechanism::CxlFork)
         policy = os::TieringPolicy::MigrateOnAccess;
-    return perf_.profile(functions_[fnIdx], cfg_.mechanism, policy);
+    const PerfProfile *&prof = fnStates_[fnIdx].profiles[size_t(policy)];
+    if (!prof)
+        prof = &perf_.profile(functions_[fnIdx], cfg_.mechanism, policy);
+    return *prof;
 }
 
 double
@@ -116,11 +121,38 @@ PorterSim::keepAliveNow() const
 PorterMetrics
 PorterSim::run(const std::vector<Request> &trace)
 {
+    // Resolve every request's function before scheduling anything, so
+    // a trace naming an unknown function is an input error, not a
+    // simulator fault midway through the run.
+    traceBase_ = trace.data();
+    traceFn_.resize(trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const auto it = fnIndex_.find(trace[i].function);
+        if (it == fnIndex_.end()) {
+            sim::fatal("trace request %llu names unknown function '%s'",
+                       (unsigned long long)trace[i].id,
+                       trace[i].function.c_str());
+        }
+        traceFn_[i] = it->second;
+    }
+
     metrics_ = PorterMetrics{};
     metrics_.requests = trace.size();
+    for (FnState &f : fnStates_)
+        f.latency = nullptr;
 
-    for (const Request &req : trace)
-        events_.schedule(req.arrival, [this, req] { arrive(req); });
+    // Arrivals take the sorted lane in (arrival, trace position) order:
+    // the order the heap would dispatch them in.
+    std::vector<const Request *> arrivals(trace.size());
+    for (size_t i = 0; i < trace.size(); ++i)
+        arrivals[i] = &trace[i];
+    const auto byArrival = [](const Request *a, const Request *b) {
+        return a->arrival < b->arrival;
+    };
+    if (!std::is_sorted(arrivals.begin(), arrivals.end(), byArrival))
+        std::stable_sort(arrivals.begin(), arrivals.end(), byArrival);
+    for (const Request *req : arrivals)
+        events_.scheduleSorted(req->arrival, [this, req] { arrive(*req); });
     if (!trace.empty()) {
         events_.schedule(trace.front().arrival + cfg_.controllerPeriod,
                          [this] { controllerTick(); });
@@ -190,7 +222,11 @@ PorterSim::crashNode(uint32_t node)
         }
     }
     ns.memUsed = 0;
+    ns.idleBytes = 0;
     ns.busyCores = 0;
+    ns.idleByAge.clear();
+    for (FnState &fn : fnStates_)
+        fn.idleOnNode[node].clear();
 
     // Requests parked on the node's core queue restart elsewhere now.
     std::deque<uint64_t> waiters = std::move(ns.coreQueue);
@@ -203,7 +239,7 @@ PorterSim::crashNode(uint32_t node)
         coreWaiters_.erase(w);
         ++metrics_.restoreFailovers;
         note("failover", node);
-        dispatch(waiter.req, waiter.arrival);
+        dispatch(*waiter.req, waiter.arrival);
     }
 }
 
@@ -237,30 +273,29 @@ PorterSim::dispatch(const Request &req, SimTime arrival)
 bool
 PorterSim::tryWarmHit(const Request &req, SimTime arrival)
 {
-    const auto fnIdx = uint32_t(
-        std::find_if(functions_.begin(), functions_.end(),
-                     [&](const auto &f) { return f.name == req.function; }) -
-        functions_.begin());
-    CXLF_ASSERT(fnIdx < functions_.size());
+    const uint32_t fnIdx = fnOf(req);
 
-    // Prefer an idle instance on a node with a free core.
+    // Prefer the lowest-id idle instance on a node with a free core,
+    // else the lowest-id idle instance anywhere.
+    const FnState &fn = fnStates_[fnIdx];
     uint64_t bestId = 0;
-    int bestScore = -1;
-    for (auto &[id, inst] : instances_) {
-        if (!inst.live || inst.busy || inst.fnIdx != fnIdx)
+    bool bestCoreFree = false;
+    for (uint32_t n = 0; n < nodes_.size(); ++n) {
+        if (fn.idleOnNode[n].empty())
             continue;
-        const bool coreFree =
-            nodes_[inst.node].busyCores < cfg_.coresPerNode;
-        const int score = coreFree ? 2 : 1;
-        if (score > bestScore) {
-            bestScore = score;
+        const uint64_t id = *fn.idleOnNode[n].begin();
+        const bool coreFree = nodes_[n].busyCores < cfg_.coresPerNode;
+        if (bestId == 0 || (coreFree && !bestCoreFree) ||
+            (coreFree == bestCoreFree && id < bestId)) {
             bestId = id;
+            bestCoreFree = coreFree;
         }
     }
-    if (bestScore < 0)
+    if (bestId == 0)
         return false;
 
-    Instance &inst = instances_[bestId];
+    Instance &inst = instances_.find(bestId)->second;
+    removeIdle(bestId, inst);
     inst.busy = true;
     ++inst.generation;
     ++metrics_.warmHits;
@@ -268,20 +303,16 @@ PorterSim::tryWarmHit(const Request &req, SimTime arrival)
     const SimTime dur = profileFor(fnIdx, inst.policy).warmExecLatency;
 
     NodeState &node = nodes_[inst.node];
-    auto start = [this, bestId, req, arrival, dur] {
-        const SimTime execStart = events_.now();
-        events_.scheduleAfter(dur, [this, bestId, req, arrival, execStart] {
-            complete(bestId, req, arrival, execStart);
-        });
-    };
     if (node.busyCores < cfg_.coresPerNode) {
         ++node.busyCores;
-        start();
+        events_.scheduleAfter(dur, [this, bestId, r = &req, arrival] {
+            complete(bestId, *r, arrival);
+        });
     } else {
         ++metrics_.queuedForCores;
         // Reserve the instance; the core-release path starts us.
         node.coreQueue.push_back(bestId);
-        coreWaiters_[bestId] = {req, arrival, dur};
+        coreWaiters_[bestId] = {&req, arrival, dur};
     }
     return true;
 }
@@ -289,10 +320,7 @@ PorterSim::tryWarmHit(const Request &req, SimTime arrival)
 void
 PorterSim::spawnAndRun(const Request &req, SimTime arrival)
 {
-    const auto fnIdx = uint32_t(
-        std::find_if(functions_.begin(), functions_.end(),
-                     [&](const auto &f) { return f.name == req.function; }) -
-        functions_.begin());
+    const uint32_t fnIdx = fnOf(req);
     FnState &fn = fnStates_[fnIdx];
 
     // Policy for this restore: dynamic control falls back to the
@@ -359,7 +387,7 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
          !reclaimOnNode(node, memNeed))) {
         // No node can hold the instance right now; wait for memory.
         ++metrics_.queuedForMemory;
-        memQueue_.push_back({req, arrival});
+        memQueue_.push_back({&req, arrival});
         return;
     }
     if (viaRestore) {
@@ -396,23 +424,20 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
     NodeState &ns = nodes_[node];
     if (ns.busyCores < cfg_.coresPerNode) {
         ++ns.busyCores;
-        const SimTime execStart = events_.now();
-        events_.scheduleAfter(spawnCost,
-                              [this, id, req, arrival, execStart] {
-                                  complete(id, req, arrival, execStart);
-                              });
+        events_.scheduleAfter(spawnCost, [this, id, r = &req, arrival] {
+            complete(id, *r, arrival);
+        });
     } else {
         ++metrics_.queuedForCores;
         ns.coreQueue.push_back(id);
-        coreWaiters_[id] = {req, arrival, spawnCost};
+        coreWaiters_[id] = {&req, arrival, spawnCost};
     }
 }
 
 void
 PorterSim::complete(uint64_t instanceId, const Request &req,
-                    SimTime arrival, SimTime execStart)
+                    SimTime arrival)
 {
-    (void)execStart;
     auto it = instances_.find(instanceId);
     if (it == instances_.end()) {
         // The instance's node crashed while this request was in
@@ -430,9 +455,10 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
 
     const SimTime latency = events_.now() - arrival;
     metrics_.latency.add(latency);
-    metrics_.perFunction[req.function].add(latency);
-
     FnState &fn = fnStates_[inst.fnIdx];
+    if (!fn.latency)
+        fn.latency = &metrics_.perFunction[req.function];
+    fn.latency->add(latency);
     fn.recentLatencyMs.add(latency.toMs());
     ++fn.invocations;
     if (!fn.checkpointed &&
@@ -442,6 +468,7 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
 
     inst.busy = false;
     inst.idleSince = events_.now();
+    addIdle(instanceId, inst);
     ++inst.generation;
     scheduleEviction(instanceId);
 
@@ -457,11 +484,10 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
         const CoreWaiter waiter = w->second;
         coreWaiters_.erase(w);
         ++node.busyCores;
-        const SimTime start = events_.now();
         events_.scheduleAfter(waiter.duration,
-                              [this, waiterId, waiter, start] {
-                                  complete(waiterId, waiter.req,
-                                           waiter.arrival, start);
+                              [this, waiterId, r = waiter.req,
+                               arrival = waiter.arrival] {
+                                  complete(waiterId, *r, arrival);
                               });
         break;
     }
@@ -568,14 +594,14 @@ void
 PorterSim::scheduleEviction(uint64_t instanceId)
 {
     auto it = instances_.find(instanceId);
-    if (it == instances_.end() || !it->second.live)
+    if (it == instances_.end())
         return;
     const uint64_t gen = it->second.generation;
     const SimTime window = keepAliveNow();
     events_.scheduleAfter(window, [this, instanceId, gen] {
         auto jt = instances_.find(instanceId);
-        if (jt == instances_.end() || !jt->second.live ||
-            jt->second.busy || jt->second.generation != gen) {
+        if (jt == instances_.end() || jt->second.busy ||
+            jt->second.generation != gen) {
             return;
         }
         const SimTime idle = events_.now() - jt->second.idleSince;
@@ -591,13 +617,13 @@ void
 PorterSim::evict(uint64_t instanceId, bool drainQueue)
 {
     auto it = instances_.find(instanceId);
-    if (it == instances_.end() || !it->second.live)
+    if (it == instances_.end())
         return;
     Instance &inst = it->second;
     CXLF_ASSERT(!inst.busy);
     const uint32_t nodeIdx = inst.node;
-    nodes_[inst.node].memUsed -= inst.memBytes;
-    inst.live = false;
+    removeIdle(instanceId, inst);
+    nodes_[nodeIdx].memUsed -= inst.memBytes;
     instances_.erase(it);
     ++metrics_.evictions;
     note("evict", nodeIdx);
@@ -607,24 +633,34 @@ PorterSim::evict(uint64_t instanceId, bool drainQueue)
         drainMemQueue();
 }
 
+void
+PorterSim::addIdle(uint64_t id, const Instance &inst)
+{
+    NodeState &ns = nodes_[inst.node];
+    ns.idleBytes += inst.memBytes;
+    ns.idleByAge.emplace(inst.idleSince, id);
+    fnStates_[inst.fnIdx].idleOnNode[inst.node].insert(id);
+}
+
+void
+PorterSim::removeIdle(uint64_t id, const Instance &inst)
+{
+    NodeState &ns = nodes_[inst.node];
+    ns.idleBytes -= inst.memBytes;
+    ns.idleByAge.erase({inst.idleSince, id});
+    fnStates_[inst.fnIdx].idleOnNode[inst.node].erase(id);
+}
+
 bool
 PorterSim::reclaimOnNode(uint32_t node, uint64_t needBytes)
 {
     NodeState &ns = nodes_[node];
     while (freeBytes(ns) < needBytes) {
-        // Evict the longest-idle instance on this node.
-        uint64_t victim = 0;
-        SimTime oldest = events_.now() + SimTime::sec(1);
-        for (const auto &[id, inst] : instances_) {
-            if (inst.live && !inst.busy && inst.node == node &&
-                inst.idleSince < oldest) {
-                oldest = inst.idleSince;
-                victim = id;
-            }
-        }
-        if (victim == 0)
+        // Evict the longest-idle instance on this node (lowest id on
+        // ties).
+        if (ns.idleByAge.empty())
             return false;
-        evict(victim, /*drainQueue=*/false);
+        evict(ns.idleByAge.begin()->second, /*drainQueue=*/false);
     }
     return true;
 }
@@ -640,11 +676,7 @@ PorterSim::pickNode(uint64_t needBytes) const
             continue;
         // Free now plus what idle instances could release.
         const uint64_t freeNow = freeBytes(n);
-        uint64_t reclaimable = freeNow;
-        for (const auto &[id, inst] : instances_) {
-            if (inst.live && !inst.busy && inst.node == i)
-                reclaimable += inst.memBytes;
-        }
+        const uint64_t reclaimable = freeNow + n.idleBytes;
         if (reclaimable >= needBytes && (best == ~0u || freeNow > bestFree)) {
             best = i;
             bestFree = freeNow;
@@ -680,17 +712,18 @@ PorterSim::controllerTick()
                 const uint64_t newMem =
                     hyb.localBytesAfterExec + kShellBytes;
                 for (auto &[id, inst] : instances_) {
-                    if (!inst.live || inst.fnIdx != i ||
+                    if (inst.fnIdx != i ||
                         inst.policy == os::TieringPolicy::Hybrid) {
                         continue;
                     }
                     if (newMem > inst.memBytes) {
-                        nodes_[inst.node].memUsed +=
-                            newMem - inst.memBytes;
+                        NodeState &ns = nodes_[inst.node];
+                        ns.memUsed += newMem - inst.memBytes;
+                        if (!inst.busy)
+                            ns.idleBytes += newMem - inst.memBytes;
                         inst.memBytes = newMem;
                         metrics_.peakMemBytes =
-                            std::max(metrics_.peakMemBytes,
-                                     nodes_[inst.node].memUsed);
+                            std::max(metrics_.peakMemBytes, ns.memUsed);
                     }
                     inst.policy = os::TieringPolicy::Hybrid;
                 }
@@ -719,18 +752,13 @@ PorterSim::drainMemQueue()
     // Retry queued requests; stop at the first one that still cannot
     // be placed to preserve FIFO fairness.
     while (!memQueue_.empty()) {
-        PendingRequest pending = memQueue_.front();
-        if (tryWarmHit(pending.req, pending.enqueued)) {
+        const PendingRequest pending = memQueue_.front();
+        if (tryWarmHit(*pending.req, pending.enqueued)) {
             memQueue_.pop_front();
             continue;
         }
         // Probe placement without enqueueing again on failure.
-        const auto fnIdx = uint32_t(
-            std::find_if(functions_.begin(), functions_.end(),
-                         [&](const auto &f) {
-                             return f.name == pending.req.function;
-                         }) -
-            functions_.begin());
+        const uint32_t fnIdx = fnOf(*pending.req);
         const FnState &fn = fnStates_[fnIdx];
         const PerfProfile &prof = profileFor(fnIdx, fn.restorePolicy);
         const uint64_t memNeed =
@@ -740,7 +768,7 @@ PorterSim::drainMemQueue()
         if (pickNode(memNeed) == ~0u)
             break;
         memQueue_.pop_front();
-        spawnAndRun(pending.req, pending.enqueued);
+        spawnAndRun(*pending.req, pending.enqueued);
     }
 }
 

@@ -17,9 +17,11 @@
 
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
-#include <optional>
+#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "perf_model.hh"
@@ -152,7 +154,11 @@ class PorterSim
     PorterSim(PorterConfig cfg, std::vector<faas::FunctionSpec> functions,
               PerfModel &perf);
 
-    /** Run a trace to completion and return the metrics. */
+    /**
+     * Run a trace to completion and return the metrics. Events refer
+     * to the trace's requests, so it must not change during the run.
+     * @throws sim::FatalError if a request names an unknown function.
+     */
     PorterMetrics run(const std::vector<Request> &trace);
 
     /**
@@ -175,27 +181,34 @@ class PorterSim
         uint64_t memBytes = 0;
         os::TieringPolicy policy = os::TieringPolicy::MigrateOnWrite;
         uint64_t generation = 0; ///< Guards stale eviction timers.
-        bool live = true;
     };
+
+    static constexpr size_t kTieringPolicies =
+        size_t(os::TieringPolicy::Hybrid) + 1;
+
+    /** Idle instance on a node, ordered longest-idle first. */
+    using IdleKey = std::pair<sim::SimTime, uint64_t>; // (idleSince, id)
 
     struct NodeState
     {
         uint64_t memCapacity = 0;
         uint64_t memUsed = 0;
+        uint64_t idleBytes = 0; ///< memBytes of this node's idle instances.
         uint32_t busyCores = 0;
         bool up = true;
         std::deque<uint64_t> coreQueue; ///< request ids waiting for a core
+        std::set<IdleKey> idleByAge;    ///< reclaimOnNode's victim order
     };
 
     struct PendingRequest
     {
-        Request req;
+        const Request *req;
         sim::SimTime enqueued;
     };
 
     struct CoreWaiter
     {
-        Request req;
+        const Request *req;
         sim::SimTime arrival;
         sim::SimTime duration;
     };
@@ -215,6 +228,11 @@ class PorterSim
         os::TieringPolicy restorePolicy =
             os::TieringPolicy::MigrateOnWrite;
         sim::Summary recentLatencyMs; ///< Since the last controller tick.
+        /** Idle instance ids per node, lowest id first. */
+        std::vector<std::set<uint64_t>> idleOnNode;
+        /** Lazily cached profileFor() results, by policy. */
+        std::array<const PerfProfile *, kTieringPolicies> profiles{};
+        sim::Histogram *latency = nullptr; ///< metrics_.perFunction entry.
     };
 
     void arrive(const Request &req);
@@ -222,9 +240,15 @@ class PorterSim
     bool tryWarmHit(const Request &req, sim::SimTime arrival);
     void spawnAndRun(const Request &req, sim::SimTime arrival);
     void complete(uint64_t instanceId, const Request &req,
-                  sim::SimTime arrival, sim::SimTime execStart);
+                  sim::SimTime arrival);
     void scheduleEviction(uint64_t instanceId);
     void evict(uint64_t instanceId, bool drainQueue = true);
+    /**
+     * Enter / leave the idle indexes (idleOnNode, idleByAge, idleBytes),
+     * which hold exactly the instances with busy == false.
+     */
+    void addIdle(uint64_t id, const Instance &inst);
+    void removeIdle(uint64_t id, const Instance &inst);
     uint64_t freeBytes(const NodeState &n) const
     {
         return n.memUsed >= n.memCapacity ? 0 : n.memCapacity - n.memUsed;
@@ -245,6 +269,11 @@ class PorterSim
     sim::SimTime keepAliveNow() const;
     void note(const char *event, uint32_t track);
 
+    /** Function index of a request of the trace being run. */
+    uint32_t fnOf(const Request &req) const
+    {
+        return traceFn_[size_t(&req - traceBase_)];
+    }
     const PerfProfile &profileFor(uint32_t fnIdx, os::TieringPolicy policy);
 
     PorterConfig cfg_;
@@ -254,6 +283,10 @@ class PorterSim
     sim::EventQueue events_;
     std::vector<NodeState> nodes_;
     std::vector<FnState> fnStates_;
+    std::unordered_map<std::string, uint32_t> fnIndex_; ///< name -> index
+    /** The running trace and each of its requests' function index. */
+    const Request *traceBase_ = nullptr;
+    std::vector<uint32_t> traceFn_;
     std::map<uint64_t, Instance> instances_;
     uint64_t nextInstanceId_ = 1;
     std::deque<PendingRequest> memQueue_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -17,6 +18,20 @@ TraceGenerator::TraceGenerator(std::vector<std::string> functions,
 {
     if (functions_.empty())
         sim::fatal("trace generator needs at least one function");
+    // Each of these would make generate() loop forever, draw gaps from
+    // a zero-rate exponential, or quietly thin the requested rate.
+    if (!(cfg_.totalRps > 0 && std::isfinite(cfg_.totalRps)))
+        sim::fatal("trace rate must be finite and > 0 (got %g rps)",
+                   cfg_.totalRps);
+    if (!(cfg_.burstRateMultiplier >= 1.0))
+        sim::fatal("trace burst rate multiplier must be >= 1 (got %g)",
+                   cfg_.burstRateMultiplier);
+    if (!(cfg_.meanBurstGap > SimTime::zero()) ||
+        !(cfg_.meanBurstLength > SimTime::zero())) {
+        sim::fatal("trace mean burst gap and length must be > 0 "
+                   "(got %s, %s)", cfg_.meanBurstGap.toString().c_str(),
+                   cfg_.meanBurstLength.toString().c_str());
+    }
 }
 
 std::vector<Request>
@@ -51,12 +66,14 @@ TraceGenerator::generate() const
             bursts.push_back({t, t + len});
             t += len + fnRng.exponential(cfg_.meanBurstGap.toSec());
         }
+        // Bursts are disjoint and ordered, and candidate arrivals only
+        // move forward, so one cursor finds the burst (if any) holding
+        // each arrival.
+        size_t cursor = 0;
         auto inBurst = [&](double at) {
-            for (const Burst &b : bursts) {
-                if (at >= b.start && at < b.end)
-                    return true;
-            }
-            return false;
+            while (cursor < bursts.size() && bursts[cursor].end <= at)
+                ++cursor;
+            return cursor < bursts.size() && at >= bursts[cursor].start;
         };
 
         // Thinned non-homogeneous Poisson arrivals.

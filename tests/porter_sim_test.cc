@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "porter/autoscaler.hh"
 #include "porter/trace.hh"
+#include "sim/log.hh"
 
 namespace cxlfork::porter {
 namespace {
@@ -169,6 +172,36 @@ TEST_F(PorterSimTest, PerFunctionHistogramsPopulated)
     EXPECT_GT(m.perFunction.at("b").count(), 0u);
     EXPECT_EQ(m.perFunction.at("a").count() + m.perFunction.at("b").count(),
               m.latency.count());
+}
+
+TEST_F(PorterSimTest, UnknownFunctionIsFatalBeforeAnythingRuns)
+{
+    PorterConfig cfg;
+    PorterSim sim(cfg, {tinySpec("a")}, perf);
+    auto trace = steadyTrace({"a"}, 20, 5);
+    ASSERT_GT(trace.size(), 2u);
+    trace[trace.size() / 2].function = "nope";
+    EXPECT_THROW(sim.run(trace), sim::FatalError);
+
+    // Nothing of the rejected trace was scheduled: a good trace on the
+    // same simulator runs exactly as on a fresh one.
+    const auto good = steadyTrace({"a"}, 20, 5);
+    const auto m = sim.run(good);
+    const auto fresh = PorterSim(cfg, {tinySpec("a")}, perf).run(good);
+    EXPECT_EQ(m.latency.count(), good.size());
+    EXPECT_EQ(m.p99Ms(), fresh.p99Ms());
+    EXPECT_EQ(m.warmHits, fresh.warmHits);
+}
+
+TEST_F(PorterSimTest, UnsortedTraceCompletesEveryRequest)
+{
+    PorterConfig cfg;
+    PorterSim sim(cfg, {tinySpec("a"), tinySpec("b")}, perf);
+    auto trace = steadyTrace({"a", "b"}, 20, 10);
+    std::reverse(trace.begin(), trace.end());
+    const auto m = sim.run(trace);
+    EXPECT_EQ(m.latency.count(), trace.size());
+    EXPECT_EQ(m.warmHits + m.restores + m.coldStarts, trace.size());
 }
 
 TEST(PerfModelTest, ProfilesAreCachedAndSane)

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "porter/trace.hh"
 #include "sim/log.hh"
 
@@ -96,6 +100,65 @@ TEST(Trace, BurstsCreateHeavyTails)
 TEST(Trace, EmptyFunctionListRejected)
 {
     EXPECT_THROW(TraceGenerator({}, cfg()), sim::FatalError);
+}
+
+TEST(Trace, RejectsNonPositiveOrNonFiniteRates)
+{
+    TraceConfig c = cfg();
+    c.totalRps = -1.0;
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+    c.totalRps = 0.0;
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+    c.totalRps = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+    c.totalRps = std::nan("");
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+}
+
+TEST(Trace, RejectsBurstMultiplierBelowOne)
+{
+    TraceConfig c = cfg();
+    c.burstRateMultiplier = 0.5;
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+    c.burstRateMultiplier = 1.0; // bursts at the baseline rate: allowed
+    EXPECT_NO_THROW(TraceGenerator(fns(), c).generate());
+}
+
+TEST(Trace, RejectsNonPositiveBurstWindows)
+{
+    TraceConfig c = cfg();
+    c.meanBurstGap = SimTime::zero();
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+    c = cfg();
+    c.meanBurstLength = SimTime::zero();
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+    c = cfg();
+    c.meanBurstGap = SimTime::sec(-1);
+    EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+}
+
+/**
+ * Pins the generator's exact output: a hash of every request's
+ * (arrival bits, function) for one fixed seed and config. Any change
+ * to the draw order or the burst test moves it.
+ */
+TEST(Trace, FingerprintPinned)
+{
+    const auto reqs = TraceGenerator(fns(), cfg(150, 120, 0x5eed)).generate();
+    uint64_t h = 0xcbf29ce484222325ull; // FNV-1a
+    auto mix = [&h](uint64_t byte) {
+        h = (h ^ byte) * 0x100000001b3ull;
+    };
+    for (const Request &r : reqs) {
+        const uint64_t bits = std::bit_cast<uint64_t>(r.arrival.toNs());
+        for (int i = 0; i < 64; i += 8)
+            mix((bits >> i) & 0xff);
+        for (char c : r.function)
+            mix(uint8_t(c));
+        mix(0);
+    }
+    EXPECT_EQ(reqs.size(), 17140u);
+    EXPECT_EQ(h, 0x8c611054ef35e6b6ull);
 }
 
 TEST(Trace, ZeroDurationYieldsEmpty)
