@@ -9,6 +9,7 @@
 
 #include "bench_util.hh"
 #include "proto/messages.hh"
+#include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
 #include "sim/crc32.hh"
 #include "sim/event_queue.hh"
@@ -201,10 +202,11 @@ BENCHMARK(BM_RestoreAttach)->Unit(benchmark::kMicrosecond)->Iterations(50);
 
 // --- Per-restore integrity cost: every restore re-CRCs its image.
 
+/** One page (a leaf block's size), and 64 KiB (a CRIU image's bulk). */
 void
 BM_Crc32Page(benchmark::State &state)
 {
-    std::vector<uint8_t> page(mem::kPageSize);
+    std::vector<uint8_t> page(size_t(state.range(0)));
     for (size_t i = 0; i < page.size(); ++i)
         page[i] = uint8_t(i * 131 + 7);
     for (auto _ : state)
@@ -212,7 +214,7 @@ BM_Crc32Page(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(page.size()));
 }
-BENCHMARK(BM_Crc32Page);
+BENCHMARK(BM_Crc32Page)->Arg(4096)->Arg(64 * 1024);
 
 void
 BM_ImageVerify(benchmark::State &state)
@@ -337,6 +339,62 @@ BM_WireEncodeDecode(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) * 10000 * 16);
 }
 BENCHMARK(BM_WireEncodeDecode);
+
+/** Decode of a real Json CRIU-CXL image, as every CRIU restore does. */
+void
+BM_CriuImageDecode(benchmark::State &state)
+{
+    const auto spec = *faas::findWorkload("Json");
+    porter::Cluster cluster(bench::benchClusterConfig());
+    auto parent = bench::deployWarmParent(cluster, spec, 1);
+    rfork::CriuCxl criu(cluster.fabric());
+    auto handle = std::dynamic_pointer_cast<rfork::CriuHandle>(
+        criu.checkpoint(cluster.node(0), parent->task()));
+    const cxl::CxlFsFile *file =
+        cluster.fabric().sharedFs().open(handle->fileName());
+    size_t pages = 0;
+    for (auto _ : state) {
+        proto::Decoder d(file->data);
+        const proto::CriuImageMsg img = proto::CriuImageMsg::decode(d);
+        pages += img.pages.size();
+        benchmark::DoNotOptimize(img);
+    }
+    state.SetItemsProcessed(int64_t(pages));
+    state.SetBytesProcessed(int64_t(state.iterations()) *
+                            int64_t(file->data.size()));
+}
+BENCHMARK(BM_CriuImageDecode)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Refcount churn on a 64k-frame tier: per iteration one decRef frees
+ * a live frame and one alloc takes it back, over a half-full tier.
+ */
+void
+BM_FrameRefcount(benchmark::State &state)
+{
+    constexpr uint64_t kFrames = 64 * 1024;
+    mem::FrameAllocator tier("bm", mem::Tier::LocalDram,
+                             mem::PhysAddr{1ull << 30},
+                             kFrames * mem::kPageSize);
+    std::vector<mem::PhysAddr> live;
+    for (uint64_t i = 0; i < kFrames / 2; ++i)
+        live.push_back(tier.alloc(mem::FrameUse::Data, i));
+    sim::Rng rng(0xf4a3u);
+    std::vector<size_t> order(live.size());
+    for (size_t &o : order)
+        o = rng.index(live.size());
+    size_t i = 0;
+    for (auto _ : state) {
+        mem::PhysAddr &slot = live[order[i++ % order.size()]];
+        tier.incRef(slot);
+        tier.decRef(slot);
+        tier.decRef(slot);
+        slot = tier.alloc(mem::FrameUse::Data, i);
+        benchmark::DoNotOptimize(slot);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_FrameRefcount);
 
 /**
  * Console reporting plus one ns/op line per benchmark into

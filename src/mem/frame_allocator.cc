@@ -72,48 +72,29 @@ FrameAllocator::alloc(FrameUse use, uint64_t content)
     return PhysAddr{base_.raw + idx * kPageSize};
 }
 
-uint64_t
-FrameAllocator::indexOf(PhysAddr addr) const
+void
+FrameAllocator::badAddress(PhysAddr addr) const
 {
     if (!contains(addr))
         sim::panic("address %#llx outside tier %s",
                    (unsigned long long)addr.raw, name_.c_str());
-    const uint64_t idx = (addr.raw - base_.raw) / kPageSize;
-    if (idx >= frames_.size())
-        sim::panic("address %#llx in tier %s was never allocated",
-                   (unsigned long long)addr.raw, name_.c_str());
-    return idx;
+    sim::panic("address %#llx in tier %s was never allocated",
+               (unsigned long long)addr.raw, name_.c_str());
 }
 
 void
-FrameAllocator::incRef(PhysAddr addr)
+FrameAllocator::release(PhysAddr addr, uint64_t idx)
 {
-    Frame &f = frames_[indexOf(addr)];
-    CXLF_ASSERT(f.allocated());
-    ++f.refcount;
-    ++totalRefs_;
-}
-
-bool
-FrameAllocator::decRef(PhysAddr addr)
-{
-    Frame &f = frames_[indexOf(addr)];
-    CXLF_ASSERT(f.allocated());
-    CXLF_ASSERT(f.refcount > 0);
-    CXLF_ASSERT(totalRefs_ > 0);
-    --totalRefs_;
-    if (--f.refcount > 0)
-        return false;
+    Frame &f = frames_[idx];
     f.use = FrameUse::Free;
     f.content = 0;
     f.poisoned = false;
     --usedFrames_;
-    freeList_.push_back(indexOf(addr));
+    freeList_.push_back(idx);
     if (coherence_)
         coherence_->lineFreed(addr);
     if (codec_)
         codec_->frameFreed(addr);
-    return true;
 }
 
 FrameAudit
@@ -173,22 +154,6 @@ FrameAllocator::auditLive() const
                          (unsigned long long)totalRefs_));
     }
     return audit;
-}
-
-Frame &
-FrameAllocator::frame(PhysAddr addr)
-{
-    Frame &f = frames_[indexOf(addr)];
-    CXLF_ASSERT(f.allocated());
-    return f;
-}
-
-const Frame &
-FrameAllocator::frame(PhysAddr addr) const
-{
-    const Frame &f = frames_[indexOf(addr)];
-    CXLF_ASSERT(f.allocated());
-    return f;
 }
 
 } // namespace cxlfork::mem

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "frame.hh"
+#include "sim/log.hh"
 #include "types.hh"
 
 namespace cxlfork::sim {
@@ -93,17 +94,49 @@ class FrameAllocator
     bool canAlloc(uint64_t n = 1) const { return freeFrames() >= n; }
 
     /** Add one reference to an allocated frame. */
-    void incRef(PhysAddr addr);
+    void
+    incRef(PhysAddr addr)
+    {
+        Frame &f = frame(addr);
+        ++f.refcount;
+        ++totalRefs_;
+    }
 
     /**
      * Drop one reference; frees the frame when it reaches zero.
      * @return true if the frame was freed.
      */
-    bool decRef(PhysAddr addr);
+    bool
+    decRef(PhysAddr addr)
+    {
+        const uint64_t idx = indexOf(addr);
+        Frame &f = frames_[idx];
+        CXLF_ASSERT(f.allocated());
+        CXLF_ASSERT(f.refcount > 0);
+        CXLF_ASSERT(totalRefs_ > 0);
+        --totalRefs_;
+        if (--f.refcount > 0)
+            return false;
+        release(addr, idx);
+        return true;
+    }
 
     /** Metadata access. Address must be an allocated frame in range. */
-    Frame &frame(PhysAddr addr);
-    const Frame &frame(PhysAddr addr) const;
+    Frame &
+    frame(PhysAddr addr)
+    {
+        Frame &f = frames_[indexOf(addr)];
+        CXLF_ASSERT(f.allocated());
+        return f;
+    }
+
+    const Frame &
+    frame(PhysAddr addr) const
+    {
+        const Frame &f = frames_[indexOf(addr)];
+        CXLF_ASSERT(f.allocated());
+        return f;
+    }
 
     bool contains(PhysAddr addr) const
     {
@@ -156,7 +189,26 @@ class FrameAllocator
     }
 
   private:
-    uint64_t indexOf(PhysAddr addr) const;
+    /**
+     * Metadata index of addr. Frames past the high-water mark were
+     * never allocated, and every address outside the tier lands past
+     * it too (below base the subtraction wraps), so one compare guards
+     * both; badAddress() tells them apart.
+     */
+    uint64_t
+    indexOf(PhysAddr addr) const
+    {
+        const uint64_t idx = (addr.raw - base_.raw) / kPageSize;
+        if (idx >= frames_.size()) [[unlikely]]
+            badAddress(addr);
+        return idx;
+    }
+
+    /** Panic for an address outside the tier or never allocated. */
+    [[noreturn]] void badAddress(PhysAddr addr) const;
+
+    /** decRef's free path: return frame idx (at addr) to the free list. */
+    void release(PhysAddr addr, uint64_t idx);
 
     std::string name_;
     Tier tier_;

@@ -147,20 +147,9 @@ Machine::readFrameChecked(PhysAddr addr, sim::SimClock &clock,
     return f.content;
 }
 
-FrameAllocator &
-Machine::ownerOf(PhysAddr addr)
+void
+Machine::noOwner(PhysAddr addr)
 {
-    if (tierOf(addr) == Tier::Cxl)
-        return *cxl_;
-    // Node i's DRAM window starts at (i + 1) * kNodeStride, so the
-    // owning node index falls straight out of a divide; contains()
-    // still guards the capacity edge within the window.
-    const uint64_t slot = addr.raw / kNodeStride;
-    if (slot >= 1 && slot <= nodeDram_.size()) {
-        FrameAllocator &dram = *nodeDram_[slot - 1];
-        if (dram.contains(addr))
-            return dram;
-    }
     sim::panic("physical address %#llx belongs to no tier",
                (unsigned long long)addr.raw);
 }

@@ -469,7 +469,22 @@ class Machine
      * The allocator owning an address, derived in O(1) from the window
      * layout. Panics on addresses outside every window.
      */
-    FrameAllocator &ownerOf(PhysAddr addr);
+    FrameAllocator &
+    ownerOf(PhysAddr addr)
+    {
+        if (tierOf(addr) == Tier::Cxl)
+            return *cxl_;
+        // Node i's DRAM window starts at (i + 1) * kNodeStride, so the
+        // owning node index falls straight out of a divide; contains()
+        // still guards the capacity edge within the window.
+        const uint64_t slot = addr.raw / kNodeStride;
+        if (slot >= 1 && slot <= nodeDram_.size()) {
+            FrameAllocator &dram = *nodeDram_[slot - 1];
+            if (dram.contains(addr))
+                return dram;
+        }
+        noOwner(addr);
+    }
 
     /** Frame metadata for any allocated address. */
     Frame &frame(PhysAddr addr) { return ownerOf(addr).frame(addr); }
@@ -504,6 +519,9 @@ class Machine
     void getFrame(PhysAddr addr) { ownerOf(addr).incRef(addr); }
 
   private:
+    /** ownerOf's panic for an address in no tier's window. */
+    [[noreturn]] static void noOwner(PhysAddr addr);
+
     sim::CostParams costs_;
     sim::FaultInjector injector_;
     mutable sim::Tracer tracer_;

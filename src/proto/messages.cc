@@ -1,6 +1,16 @@
 #include "messages.hh"
 
+#include <algorithm>
+
 namespace cxlfork::proto {
+
+namespace {
+
+/** Fewest encoded bytes per record: one byte per varint field. */
+constexpr uint64_t kMinVmaBytes = 8;  ///< six varints, two string lengths
+constexpr uint64_t kMinPageBytes = 2; ///< vpn, content
+
+} // namespace
 
 void
 VmaMsg::encode(Encoder &e) const
@@ -170,10 +180,15 @@ CriuImageMsg::decode(Decoder &d)
     CriuImageMsg m;
     m.global = GlobalStateMsg::decode(d);
     m.cpu = CpuMsg::decode(d);
+    // Reserve no more records than the bytes left could encode, so a
+    // forged count still runs out of input (a FatalError) instead of
+    // asking for an impossible allocation.
     const uint64_t nv = d.getU64();
+    m.vmas.reserve(std::min<uint64_t>(nv, d.remaining() / kMinVmaBytes));
     for (uint64_t i = 0; i < nv; ++i)
         m.vmas.push_back(VmaMsg::decode(d));
     const uint64_t np = d.getU64();
+    m.pages.reserve(std::min<uint64_t>(np, d.remaining() / kMinPageBytes));
     for (uint64_t i = 0; i < np; ++i)
         m.pages.push_back(PageMsg::decode(d));
     return m;

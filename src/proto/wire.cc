@@ -29,7 +29,7 @@ Encoder::putBytes(const uint8_t *data, size_t n)
 }
 
 uint64_t
-Decoder::getVarint()
+Decoder::getVarintChecked()
 {
     uint64_t v = 0;
     int shift = 0;
@@ -42,9 +42,15 @@ Decoder::getVarint()
             break;
         shift += 7;
         if (shift > 63)
-            sim::fatal("wire: varint overflow");
+            overflow();
     }
     return v;
+}
+
+void
+Decoder::overflow()
+{
+    sim::fatal("wire: varint overflow");
 }
 
 std::string

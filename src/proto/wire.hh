@@ -11,7 +11,10 @@
 
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,7 +45,43 @@ class Decoder
   public:
     explicit Decoder(const std::vector<uint8_t> &buf) : buf_(buf) {}
 
-    uint64_t getVarint();
+    /** Longest valid varint: ten 7-bit groups cover 64 bits. */
+    static constexpr size_t kMaxVarintBytes = 10;
+
+    uint64_t
+    getVarint()
+    {
+        // With a whole varint's worth of bytes left, one bounds check
+        // covers every byte; near the end the checked loop decides.
+        if (remaining() < kMaxVarintBytes)
+            return getVarintChecked();
+        const uint8_t *p = buf_.data() + pos_;
+        uint64_t w;
+        std::memcpy(&w, p, sizeof(w));
+        if constexpr (std::endian::native == std::endian::big)
+            w = __builtin_bswap64(w);
+        // A clear top bit ends the varint. Within the first word, keep
+        // the bytes up to and including that one.
+        const uint64_t ends = ~w & 0x8080808080808080ull;
+        if (ends != 0) {
+            const int bits = std::countr_zero(ends) + 1;
+            pos_ += size_t(bits / 8);
+            return packGroups(w & (~0ull >> (64 - bits)));
+        }
+        // Nine or ten bytes: the first eight carry bits 0-55.
+        const uint64_t low = packGroups(w);
+        const uint8_t b8 = p[8];
+        if (!(b8 & 0x80)) {
+            pos_ += 9;
+            return low | uint64_t(b8) << 56;
+        }
+        const uint8_t b9 = p[9];
+        pos_ += kMaxVarintBytes;
+        if (b9 & 0x80)
+            overflow();
+        return low | uint64_t(b8 & 0x7f) << 56 | uint64_t(b9) << 63;
+    }
+
     uint64_t getU64() { return getVarint(); }
     uint32_t getU32() { return uint32_t(getVarint()); }
     bool getBool() { return getVarint() != 0; }
@@ -52,6 +91,19 @@ class Decoder
     size_t remaining() const { return buf_.size() - pos_; }
 
   private:
+    /** Join the low 7 bits of each of w's 8 bytes, low byte first. */
+    static uint64_t
+    packGroups(uint64_t w)
+    {
+        w = (w & 0x007f007f007f007full) | (w & 0x7f007f007f007f00ull) >> 1;
+        w = (w & 0x00003fff00003fffull) | (w & 0x3fff00003fff0000ull) >> 2;
+        return (w & 0x000000000fffffffull) | (w & 0x0fffffff00000000ull) >> 4;
+    }
+
+    /** Byte-at-a-time varint read with a bounds check per byte. */
+    uint64_t getVarintChecked();
+    [[noreturn]] static void overflow();
+
     const std::vector<uint8_t> &buf_;
     size_t pos_ = 0;
 };

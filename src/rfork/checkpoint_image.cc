@@ -1,6 +1,8 @@
 #include "checkpoint_image.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "cxl/rebase.hh"
 #include "sim/crc32.hh"
@@ -68,17 +70,38 @@ CheckpointImage::computeCrcs() const
     // resetAccessedBits() flips them too. Everything else is immutable.
     constexpr uint64_t kMutableBits = Pte::kAccessed | Pte::kSoftHot;
 
+    // Words are gathered into a block and CRC'd in one update() so the
+    // bulk kernel sees long runs. Each word is stored little-endian,
+    // the byte order update64() feeds, so the digests are the same as
+    // one update64() per word. A block is one leaf (its base plus its
+    // PTEs) or kEntries data tokens.
+    std::array<uint64_t, 1 + TablePage::kEntries> block{};
+    const auto le = [](uint64_t v) {
+        if constexpr (std::endian::native == std::endian::big)
+            v = __builtin_bswap64(v);
+        return v;
+    };
+
     ImageCrcs out;
     sim::Crc32 pages;
-    for (mem::PhysAddr f : dataFrames_)
-        pages.update64(machine_.cxl().frame(f).content);
+    const mem::FrameAllocator &cxl = machine_.cxl();
+    size_t n = 0;
+    for (mem::PhysAddr f : dataFrames_) {
+        block[n++] = le(cxl.frame(f).content);
+        if (n == TablePage::kEntries) {
+            pages.update(block.data(), n * sizeof(uint64_t));
+            n = 0;
+        }
+    }
+    pages.update(block.data(), n * sizeof(uint64_t));
     out.pages = pages.value();
 
     sim::Crc32 leaves;
     for (const auto &[base, leaf] : leaves_) {
-        leaves.update64(base);
+        block[0] = le(base);
         for (uint32_t i = 0; i < TablePage::kEntries; ++i)
-            leaves.update64(leaf->pte(i).raw() & ~kMutableBits);
+            block[1 + i] = le(leaf->pte(i).raw() & ~kMutableBits);
+        leaves.update(block.data(), sizeof(block));
     }
     out.leaves = leaves.value();
 

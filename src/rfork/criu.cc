@@ -188,10 +188,14 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
             clock.advance(costs.fileOpen);
     }
 
-    // Copy every checkpointed page into local memory and map it.
+    // Copy every checkpointed page into local memory and map it. The
+    // image lists pages in ascending vpn order, so the VMA found for
+    // one page usually covers the next; look up only on leaving it.
+    const os::Vma *vma = nullptr;
     for (const proto::PageMsg &pm : image.pages) {
         const mem::VirtAddr va = mem::VirtAddr::fromPageNumber(pm.vpn);
-        const os::Vma *vma = task->mm().vmas().findLocal(va);
+        if (!vma || !vma->contains(va))
+            vma = task->mm().vmas().findLocal(va);
         if (!vma)
             sim::fatal("CRIU image page outside any VMA");
         const mem::PhysAddr frame =

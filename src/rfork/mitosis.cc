@@ -49,10 +49,14 @@ MitosisHandle::checkpointPte(mem::VirtAddr va) const
     }
     const uint64_t vpn = va.pageNumber();
     const uint64_t base = vpn & ~uint64_t(TablePage::kEntries - 1);
-    auto it = leaves_.find(base);
-    if (it == leaves_.end())
-        return std::nullopt;
-    const Pte &p = it->second->pte(uint32_t(vpn - base));
+    if (!cursorLeaf_ || cursorBase_ != base) {
+        auto it = leaves_.find(base);
+        if (it == leaves_.end())
+            return std::nullopt;
+        cursorBase_ = base;
+        cursorLeaf_ = it->second.get();
+    }
+    const Pte &p = cursorLeaf_->pte(uint32_t(vpn - base));
     if (!p.present())
         return std::nullopt;
     return p;

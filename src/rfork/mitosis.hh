@@ -123,6 +123,10 @@ class MitosisHandle : public CheckpointHandle, public os::CheckpointBacking
     bool complete_ = false;
     std::string name_;
     std::map<uint64_t, std::shared_ptr<os::TablePage>> leaves_;
+    // checkpointPte's last resolved leaf. leaves_ only grows and holds
+    // each leaf by shared_ptr, so the pointer stays valid.
+    mutable uint64_t cursorBase_ = 0;
+    mutable const os::TablePage *cursorLeaf_ = nullptr;
     std::vector<mem::PhysAddr> shadowFrames_;
     std::vector<mem::PhysAddr> leafBackings_;
     std::vector<uint8_t> blob_;

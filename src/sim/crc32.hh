@@ -5,10 +5,13 @@
  * to 32 bits, which is exactly the torn-write / bit-rot failure model
  * injected on the simulated CXL device.
  *
- * Computed slicing-by-8: eight 256-entry tables fold one little-endian
- * 64-bit word per step with eight independent lookups, instead of
- * eight dependent byte steps. The digest is bit-identical to the
- * classic byte-at-a-time table CRC.
+ * Two kernels compute the same digest. Runs of kCrc32FoldMin bytes or
+ * more fold 16 bytes per carry-less multiply (PCLMULQDQ) when the host
+ * CPU has it; the choice is made once, at run time. Everything else is
+ * slicing-by-8: eight 256-entry tables fold one little-endian 64-bit
+ * word per step with eight independent lookups, instead of eight
+ * dependent byte steps. Both are bit-identical to the classic
+ * byte-at-a-time table CRC.
  */
 
 #pragma once
@@ -48,6 +51,52 @@ makeCrc32Tables()
 
 inline constexpr Crc32Tables kCrc32Tables = makeCrc32Tables();
 
+/** Shortest run the carry-less fold takes (one 4 x 128-bit block). */
+inline constexpr size_t kCrc32FoldMin = 64;
+
+/** One slicing-by-8 step: the CRC state after v's 8 LE bytes. */
+inline uint32_t
+crc32Step64(uint32_t state, uint64_t v)
+{
+    const auto &t = kCrc32Tables;
+    const uint32_t lo = uint32_t(v) ^ state;
+    const uint32_t hi = uint32_t(v >> 32);
+    return t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+           t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+           t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^
+           t[0][hi >> 24];
+}
+
+/**
+ * The portable kernel: the CRC state after feeding n bytes at p,
+ * slicing-by-8 with a byte loop for the last n % 8. Any length.
+ */
+inline uint32_t
+crc32Slice8(uint32_t state, const uint8_t *p, size_t n)
+{
+    for (; n >= 8; p += 8, n -= 8) {
+        uint64_t w = 0;
+        std::memcpy(&w, p, sizeof(w));
+        if constexpr (std::endian::native == std::endian::big)
+            w = __builtin_bswap64(w);
+        state = crc32Step64(state, w);
+    }
+    for (; n > 0; ++p, --n)
+        state = kCrc32Tables[0][(state ^ *p) & 0xFF] ^ (state >> 8);
+    return state;
+}
+
+/** True when this CPU can run crc32Clmul (x86 with PCLMULQDQ). */
+bool crc32ClmulSupported();
+
+/**
+ * The carry-less-multiply kernel: the same result as crc32Slice8 for
+ * any length. It folds the 16-byte multiple of runs of kCrc32FoldMin
+ * bytes or more and hands the rest to crc32Slice8. Call it only when
+ * crc32ClmulSupported() holds.
+ */
+uint32_t crc32Clmul(uint32_t state, const uint8_t *p, size_t n);
+
 } // namespace detail
 
 /** Incremental CRC-32 over heterogeneous fields. */
@@ -58,30 +107,14 @@ class Crc32
     update(const void *data, size_t n)
     {
         const auto *p = static_cast<const uint8_t *>(data);
-        for (; n >= 8; p += 8, n -= 8) {
-            uint64_t w = 0;
-            std::memcpy(&w, p, sizeof(w));
-            if constexpr (std::endian::native == std::endian::big)
-                w = __builtin_bswap64(w);
-            update64(w);
-        }
-        for (; n > 0; ++p, --n)
-            state_ = detail::kCrc32Tables[0][(state_ ^ *p) & 0xFF] ^
-                     (state_ >> 8);
+        if (n >= detail::kCrc32FoldMin && detail::crc32ClmulSupported())
+            state_ = detail::crc32Clmul(state_, p, n);
+        else
+            state_ = detail::crc32Slice8(state_, p, n);
     }
 
     /** CRC of v's 8 bytes in little-endian order: one slicing step. */
-    void
-    update64(uint64_t v)
-    {
-        const auto &t = detail::kCrc32Tables;
-        const uint32_t lo = uint32_t(v) ^ state_;
-        const uint32_t hi = uint32_t(v >> 32);
-        state_ = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
-                 t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
-                 t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
-                 t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
-    }
+    void update64(uint64_t v) { state_ = detail::crc32Step64(state_, v); }
 
     /** Finalized digest; the accumulator keeps running. */
     uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }

@@ -277,6 +277,65 @@ TEST(Crc32, MixedUpdateChainsMatchReference)
     }
 }
 
+/**
+ * Both bulk kernels against the bitwise reference at every length
+ * 0-4160 (one leaf block is 4104 bytes) and every offset 0-15, so the
+ * portable path keeps its coverage above the fold threshold on hosts
+ * where update() would take the carry-less fold.
+ */
+void
+expectKernelMatchesReference(uint32_t (*kernel)(uint32_t, const uint8_t *,
+                                                size_t))
+{
+    constexpr size_t kMaxLen = 4160;
+    const std::vector<uint8_t> data = crcTestBytes(kMaxLen + 16);
+    for (size_t offset = 0; offset < 16; ++offset) {
+        const uint8_t *p = data.data() + offset;
+        uint32_t ref = 0xFFFFFFFFu; // reference state over p[0, len)
+        for (size_t len = 0; len <= kMaxLen; ++len) {
+            ASSERT_EQ(kernel(0xFFFFFFFFu, p, len), ref)
+                << "offset " << offset << " length " << len;
+            ref = referenceCrcUpdate(ref, p + len, 1);
+        }
+    }
+}
+
+TEST(Crc32, PortableKernelMatchesReference)
+{
+    expectKernelMatchesReference(&sim::detail::crc32Slice8);
+}
+
+TEST(Crc32, ClmulKernelMatchesReference)
+{
+    if (!sim::detail::crc32ClmulSupported())
+        GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+    expectKernelMatchesReference(&sim::detail::crc32Clmul);
+}
+
+TEST(Crc32, ChainsAcrossTheFoldThresholdMatchReference)
+{
+    const std::vector<uint8_t> data = crcTestBytes(8192);
+    // Runs just under, at and over the fold threshold (and its 16-byte
+    // multiples), interleaved with 64-bit words and short runs, so the
+    // state handed between kernels is checked in both directions.
+    const size_t runs[] = {63, 64, 65, 8,  127, 128, 129, 1,  79,
+                           80, 81, 0,  200, 15, 1000, 7, 4104, 3};
+    sim::Crc32 crc;
+    uint32_t ref = 0xFFFFFFFFu;
+    size_t pos = 0;
+    for (size_t run : runs) {
+        ASSERT_LE(pos + run + 8, data.size());
+        crc.update(&data[pos], run);
+        ref = referenceCrcUpdate(ref, &data[pos], run);
+        pos += run;
+        ASSERT_EQ(crc.value(), ref ^ 0xFFFFFFFFu) << "run " << run;
+        crc.update64(loadLe64(&data[pos]));
+        ref = referenceCrcUpdate(ref, &data[pos], 8);
+        pos += 8;
+        ASSERT_EQ(crc.value(), ref ^ 0xFFFFFFFFu) << "word after " << run;
+    }
+}
+
 // --- Machine-level transients and poison.
 
 class MachineFaultTest : public ::testing::Test

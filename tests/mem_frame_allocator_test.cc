@@ -98,5 +98,26 @@ TEST(FrameAllocator, OutOfRangeAccessPanics)
     EXPECT_DEATH(a.frame(PhysAddr{42}), "outside tier");
 }
 
+TEST(FrameAllocator, BadAddressesPanicOnEveryInlineAccessor)
+{
+    auto a = makeAlloc();
+    const PhysAddr first = a.alloc(FrameUse::Data);
+    a.alloc(FrameUse::Data);
+    // In range but past the high-water mark of two frames.
+    const PhysAddr past{first.raw + 2 * kPageSize};
+    const PhysAddr last{first.raw + 15 * kPageSize};
+    EXPECT_DEATH(a.frame(past), "was never allocated");
+    EXPECT_DEATH(a.decRef(past), "was never allocated");
+    EXPECT_DEATH(a.incRef(last), "was never allocated");
+    // Below the base (the index wraps) and at or past the end.
+    const PhysAddr below{first.raw - kPageSize};
+    const PhysAddr end{first.raw + a.capacityBytes()};
+    EXPECT_DEATH(a.frame(below), "outside tier");
+    EXPECT_DEATH(a.decRef(below), "outside tier");
+    EXPECT_DEATH(a.frame(end), "outside tier");
+    EXPECT_DEATH(a.decRef(end), "outside tier");
+    EXPECT_DEATH(a.incRef(PhysAddr{42}), "outside tier");
+}
+
 } // namespace
 } // namespace cxlfork::mem

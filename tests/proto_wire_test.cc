@@ -57,6 +57,65 @@ TEST(Wire, OverlongVarintThrows)
     EXPECT_THROW(d.getVarint(), sim::FatalError);
 }
 
+/** The FatalError message fn raises, or "" when it returns normally. */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Wire, OverlongVarintReportsOverflow)
+{
+    // Ten continuation bytes overflow whether or not more input follows.
+    for (size_t n : {10, 11, 20}) {
+        std::vector<uint8_t> bad(n, 0x80);
+        Decoder d(bad);
+        EXPECT_NE(fatalMessage([&] { d.getVarint(); }).find("overflow"),
+                  std::string::npos)
+            << n << " bytes";
+    }
+}
+
+TEST(Wire, VarintOfEveryLengthDecodesWithAnyTailLeft)
+{
+    // The inline fast path needs ten bytes left; the checked loop takes
+    // the rest. Each varint length meets every side of that split.
+    for (size_t len = 1; len <= Decoder::kMaxVarintBytes; ++len) {
+        const uint64_t v = (1ull << (7 * (len - 1))) | 0x55;
+        for (size_t tail : {0, 1, 9, 10, 11}) {
+            Encoder e;
+            e.putVarint(v);
+            ASSERT_EQ(e.size(), len);
+            for (size_t i = 0; i < tail; ++i)
+                e.putVarint(1);
+            Decoder d(e.buffer());
+            EXPECT_EQ(d.getVarint(), v) << len << " bytes, tail " << tail;
+            EXPECT_EQ(d.remaining(), tail) << len << " bytes, tail " << tail;
+        }
+    }
+}
+
+TEST(Wire, CutTenByteVarintReportsTruncated)
+{
+    Encoder e;
+    e.putVarint(~0ull);
+    ASSERT_EQ(e.size(), Decoder::kMaxVarintBytes);
+    for (size_t keep = 1; keep < e.size(); ++keep) {
+        std::vector<uint8_t> cut(e.buffer().begin(),
+                                 e.buffer().begin() + long(keep));
+        Decoder d(cut);
+        EXPECT_NE(fatalMessage([&] { d.getVarint(); }).find("truncated"),
+                  std::string::npos)
+            << keep << " bytes kept";
+    }
+}
+
 GlobalStateMsg
 sampleGlobal()
 {
@@ -114,6 +173,52 @@ TEST(Messages, RecordCountCoversAllPieces)
     img.vmas.resize(10);
     img.pages.resize(20);
     EXPECT_EQ(img.recordCount(), img.global.recordCount() + 1 + 10 + 20);
+}
+
+/**
+ * A small image encoded with its VMA or page count replaced by a
+ * forged one. The records that follow stay as they were, so decoding
+ * runs out of input long before the forged count is reached.
+ */
+std::vector<uint8_t>
+forgedCountImage(bool forgeVmas, uint64_t count)
+{
+    CriuImageMsg img;
+    img.global = sampleGlobal();
+    img.vmas = {{0x1000, 0x5000, 3, 0, 1, 0, "", "[heap]"}};
+    for (uint64_t i = 0; i < 64; ++i)
+        img.pages.push_back({i + 1, i * 31});
+    Encoder e;
+    img.global.encode(e);
+    img.cpu.encode(e);
+    e.putU64(forgeVmas ? count : img.vmas.size());
+    for (const VmaMsg &v : img.vmas)
+        v.encode(e);
+    e.putU64(forgeVmas ? img.pages.size() : count);
+    for (const PageMsg &p : img.pages)
+        p.encode(e);
+    return e.take();
+}
+
+TEST(Messages, ForgedRecordCountsRaiseFatalError)
+{
+    for (bool forgeVmas : {true, false}) {
+        const std::vector<uint8_t> buf =
+            forgedCountImage(forgeVmas, 1ull << 62);
+        Decoder d(buf);
+        // Only FatalError: a length_error or bad_alloc from sizing a
+        // vector by the forged count fails the expectation.
+        EXPECT_THROW(CriuImageMsg::decode(d), sim::FatalError)
+            << (forgeVmas ? "vma" : "page") << " count";
+    }
+    // The same builder with honest counts decodes cleanly.
+    for (bool forgeVmas : {true, false}) {
+        const std::vector<uint8_t> buf =
+            forgedCountImage(forgeVmas, forgeVmas ? 1 : 64);
+        Decoder d(buf);
+        EXPECT_NO_THROW(CriuImageMsg::decode(d));
+        EXPECT_TRUE(d.atEnd());
+    }
 }
 
 /** Property: random messages always round-trip bit-exactly. */

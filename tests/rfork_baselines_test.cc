@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 #include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
 #include "rfork/localfork.hh"
@@ -241,6 +244,73 @@ TEST_F(BaselineTest, LocalMemoryOrderingAfterFullRead)
               mitoChild->mm().localFootprintBytes());
     EXPECT_GT(mitoChild->mm().localFootprintBytes(),
               cxlfChild->mm().localFootprintBytes());
+}
+
+/**
+ * checkpointPte caches the last leaf it resolved. A seeded stream of
+ * lookups that jumps between leaves, lands in holes and misses whole
+ * leaves, with leaves added midway, must answer exactly like a plain
+ * map lookup over the same leaves.
+ */
+TEST(MitosisPteCursor, MatchesPlainLeafLookup)
+{
+    World world(test::smallConfig());
+    MitosisHandle handle(*world.machine, 0, "cursor");
+    std::map<uint64_t, std::shared_ptr<os::TablePage>> ref;
+    std::mt19937_64 rng(0x3170515);
+    constexpr uint64_t kSlots = 64; // candidate leaf bases; half get leaves
+    const auto addLeaf = [&](uint64_t slot) {
+        const uint64_t base = slot * os::TablePage::kEntries;
+        if (ref.count(base))
+            return;
+        auto leaf = std::make_shared<os::TablePage>(
+            0, world.machine->nodeDram(0).alloc(mem::FrameUse::PageTable),
+            false);
+        for (uint32_t i = 0; i < os::TablePage::kEntries; ++i) {
+            if (rng() % 4 != 0) // one PTE in four is a hole
+                leaf->pte(i) = os::Pte::make(
+                    mem::PhysAddr{(rng() % 4096 + 1) * kPageSize}, i % 2);
+        }
+        ref.emplace(base, leaf);
+        handle.addLeaf(base, leaf);
+    };
+    for (uint64_t slot = 0; slot < kSlots; slot += 2)
+        addLeaf(slot);
+
+    uint64_t vpn = 0, hits = 0, holes = 0, missingLeaves = 0;
+    for (int i = 0; i < 10000; ++i) {
+        if (i == 5000) {
+            for (uint64_t slot = 1; slot < kSlots; slot += 4)
+                addLeaf(slot);
+        }
+        // Mostly walk forward inside a leaf; sometimes jump anywhere.
+        vpn = rng() % 4 == 0 ? rng() % (kSlots * os::TablePage::kEntries)
+                             : (vpn + 1 + rng() % 3) %
+                                   (kSlots * os::TablePage::kEntries);
+        const uint64_t base = vpn & ~uint64_t(os::TablePage::kEntries - 1);
+        std::optional<os::Pte> want;
+        auto it = ref.find(base);
+        if (it == ref.end()) {
+            ++missingLeaves;
+        } else {
+            const os::Pte &p = it->second->pte(uint32_t(vpn - base));
+            if (p.present()) {
+                want = p;
+                ++hits;
+            } else {
+                ++holes;
+            }
+        }
+        const std::optional<os::Pte> got =
+            handle.checkpointPte(VirtAddr::fromPageNumber(vpn));
+        ASSERT_EQ(got.has_value(), want.has_value()) << "lookup " << i;
+        if (want) {
+            ASSERT_EQ(got->raw(), want->raw()) << "lookup " << i;
+        }
+    }
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(holes, 1000u);
+    EXPECT_GT(missingLeaves, 1000u);
 }
 
 } // namespace

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "cxl/rebase.hh"
+#include "faas/container.hh"
+#include "faas/workloads.hh"
+#include "porter/cluster.hh"
 #include "rfork/checkpoint_image.hh"
 #include "rfork/cxlfork.hh"
 #include "rfork/state_capture.hh"
@@ -208,6 +211,34 @@ TEST_F(ImageTest, ForkChurnWithCowLeavesNoFrameBehind)
         node.exitTask(parent);
     }
     EXPECT_EQ(node.localDram().usedFrames(), before);
+}
+
+/**
+ * The four sealed CRCs of a Json checkpoint, recorded before the CRC
+ * kernels and the computeCrcs block gathering changed: any change to
+ * the byte stream an image seals (or to a kernel's result) moves them.
+ */
+TEST(ImageCrc, FingerprintPinned)
+{
+    porter::ClusterConfig cfg;
+    cfg.machine.numNodes = 2;
+    cfg.machine.dramPerNodeBytes = mem::gib(1);
+    cfg.machine.cxlCapacityBytes = mem::gib(1);
+    porter::Cluster cluster(cfg);
+    auto parent = faas::FunctionInstance::deployCold(
+        cluster.node(0), *faas::findWorkload("Json"));
+    for (int i = 0; i < 3; ++i)
+        parent->invoke();
+    CxlFork fork(cluster.fabric());
+    auto image = CxlFork::image(fork.checkpoint(cluster.node(0),
+                                                parent->task()));
+    const ImageCrcs &crcs = image->crcs();
+    ASSERT_TRUE(crcs.sealed);
+    EXPECT_EQ(crcs.pages, 0xdbdc7852u);
+    EXPECT_EQ(crcs.leaves, 0xfd9ec5e6u);
+    EXPECT_EQ(crcs.vmas, 0x628815e2u);
+    EXPECT_EQ(crcs.global, 0xbbcc3921u);
+    EXPECT_EQ(image->verifyIntegrity(), std::nullopt);
 }
 
 } // namespace
