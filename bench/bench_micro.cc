@@ -8,6 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hh"
+#include "cxl/coherence.hh"
+#include "cxl/page_store.hh"
 #include "proto/messages.hh"
 #include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
@@ -395,6 +397,93 @@ BM_FrameRefcount(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_FrameRefcount);
+
+/** A machine whose CXL device holds at least `frames` frames. */
+mem::MachineConfig
+deviceConfig(uint64_t frames)
+{
+    mem::MachineConfig cfg;
+    cfg.numNodes = 2;
+    cfg.dramPerNodeBytes = mem::mib(16);
+    cfg.cxlCapacityBytes = 2 * frames * mem::kPageSize;
+    cfg.llcBytes = mem::mib(1);
+    return cfg;
+}
+
+/**
+ * The HDM-H directory's restore/teardown cycle over 16k lines: per
+ * iteration two nodes read a line (Exclusive, then Shared), one evicts
+ * it (back to Exclusive) and the frame's free resets the line.
+ */
+void
+BM_CoherenceEvictCycle(benchmark::State &state)
+{
+    constexpr uint64_t kLines = 16 * 1024;
+    mem::Machine machine(deviceConfig(kLines));
+    cxl::CoherenceConfig cfg;
+    cfg.mode = cxl::CoherenceMode::HdmH;
+    cxl::CoherenceDirectory dir(machine, cfg);
+    std::vector<mem::PhysAddr> lines;
+    for (uint64_t i = 0; i < kLines; ++i)
+        lines.push_back(machine.cxl().alloc(mem::FrameUse::Data, i));
+    sim::Rng rng(0xc0e4u);
+    rng.shuffle(lines);
+    sim::SimClock clock;
+    size_t i = 0;
+    for (auto _ : state) {
+        const mem::PhysAddr a = lines[i++ % kLines];
+        benchmark::DoNotOptimize(dir.read(a, 0, i, clock, "bm"));
+        benchmark::DoNotOptimize(dir.read(a, 1, i, clock, "bm"));
+        dir.evict(a, 0, clock);
+        dir.lineFreed(a);
+    }
+    benchmark::DoNotOptimize(dir.trackedLines());
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_CoherenceEvictCycle);
+
+/**
+ * Dedup + codec intern/release churn at a 50% hit rate: even
+ * iterations intern the bytes of one of 4k resident pages (a hit),
+ * odd ones a never-seen page that is indexed, compressed and then
+ * freed again by its release.
+ */
+void
+BM_PageStoreInternRelease(benchmark::State &state)
+{
+    constexpr uint64_t kResident = 4 * 1024;
+    mem::Machine machine(deviceConfig(4 * kResident));
+    cxl::PageStoreConfig cfg;
+    cfg.dedup = true;
+    cfg.compress = true;
+    cxl::PageStore store(machine, cfg);
+    sim::SimClock clock;
+    sim::Rng rng(0x5107u);
+    std::vector<uint64_t> resident;
+    std::vector<mem::PhysAddr> held;
+    for (uint64_t i = 0; i < kResident; ++i) {
+        // Odd tokens; the misses below use even ones.
+        resident.push_back(rng.index(uint64_t(1) << 62) << 1 | 1);
+        held.push_back(
+            store.intern(resident.back(), mem::FrameUse::Data, clock).addr);
+    }
+    rng.shuffle(resident);
+    uint64_t fresh = uint64_t(1) << 63;
+    size_t i = 0;
+    for (auto _ : state) {
+        const uint64_t content =
+            i % 2 ? (fresh += 2) : resident[(i / 2) % kResident];
+        ++i;
+        const cxl::InternResult r =
+            store.intern(content, mem::FrameUse::Data, clock);
+        benchmark::DoNotOptimize(r);
+        store.release(r.addr);
+    }
+    for (mem::PhysAddr a : held)
+        store.release(a);
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_PageStoreInternRelease);
 
 /**
  * Console reporting plus one ns/op line per benchmark into

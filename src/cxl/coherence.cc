@@ -88,18 +88,72 @@ CoherenceDirectory::~CoherenceDirectory()
 uint64_t
 CoherenceDirectory::lineIndexOf(mem::PhysAddr addr) const
 {
-    return (addr.raw - mem::Machine::kCxlBase) / mem::kPageSize;
+    return machine_.cxl().frameNumber(addr);
+}
+
+CoherenceDirectory::Line *
+CoherenceDirectory::liveLine(uint64_t idx)
+{
+    Line *line = lines_.find(idx);
+    return line && line->live ? line : nullptr;
+}
+
+const CoherenceDirectory::Line *
+CoherenceDirectory::liveLine(uint64_t idx) const
+{
+    const Line *line = lines_.find(idx);
+    return line && line->live ? line : nullptr;
 }
 
 CoherenceDirectory::Line &
-CoherenceDirectory::lineAt(mem::PhysAddr addr, uint64_t initialVisible)
+CoherenceDirectory::lineAt(uint64_t idx, uint64_t initialVisible)
 {
-    auto [it, fresh] = lines_.try_emplace(lineIndexOf(addr));
-    if (fresh) {
-        it->second.visible = initialVisible;
-        it->second.device = initialVisible;
+    Line &line = lines_.at(idx);
+    if (!line.live) {
+        line.live = true;
+        line.visible = initialVisible;
+        line.device = initialVisible;
+        ++tracked_;
     }
-    return it->second;
+    return line;
+}
+
+void
+CoherenceDirectory::forgetLine(uint64_t idx, Line &line)
+{
+    for (TokenKind k : {TokenKind::Pending, TokenKind::Cached}) {
+        for (uint64_t m = maskOf(line, k); m; m &= m - 1)
+            tokens_.erase(tokenKey(idx, mem::NodeId(std::countr_zero(m)), k));
+    }
+    line = Line{};
+    --tracked_;
+}
+
+void
+CoherenceDirectory::setToken(uint64_t idx, Line &line, mem::NodeId n,
+                             TokenKind k, uint64_t value)
+{
+    tokens_[tokenKey(idx, n, k)] = value;
+    (k == TokenKind::Pending ? line.pendingMask : line.cachedMask) |=
+        1ull << n;
+}
+
+uint64_t
+CoherenceDirectory::tokenOf(uint64_t idx, mem::NodeId n, TokenKind k) const
+{
+    return tokens_.at(tokenKey(idx, n, k));
+}
+
+void
+CoherenceDirectory::dropToken(uint64_t idx, Line &line, mem::NodeId n,
+                              TokenKind k)
+{
+    uint64_t &mask =
+        k == TokenKind::Pending ? line.pendingMask : line.cachedMask;
+    if (mask >> n & 1) {
+        mask &= ~(1ull << n);
+        tokens_.erase(tokenKey(idx, n, k));
+    }
 }
 
 void
@@ -120,11 +174,11 @@ CoherenceDirectory::queueFabric(mem::PhysAddr addr, mem::NodeId issuer,
 }
 
 void
-CoherenceDirectory::dropSharer(Line &line, mem::NodeId n)
+CoherenceDirectory::dropSharer(uint64_t idx, Line &line, mem::NodeId n)
 {
     line.sharers &= ~(1ull << n);
-    line.cached.erase(n);
-    line.pending.erase(n);
+    dropToken(idx, line, n, TokenKind::Cached);
+    dropToken(idx, line, n, TokenKind::Pending);
     if (line.owner == int(n))
         line.owner = -1;
     settle(line);
@@ -133,12 +187,12 @@ CoherenceDirectory::dropSharer(Line &line, mem::NodeId n)
 void
 CoherenceDirectory::settle(Line &line)
 {
-    if (!line.pending.empty()) {
+    if (line.pendingMask) {
         // HDM-D: unflushed data keeps the line dirty. The owner is the
-        // (deterministically) first pending writer still present.
+        // (deterministically) lowest-numbered pending writer.
         line.state = MesiState::Modified;
-        if (line.owner < 0 || !line.pending.count(mem::NodeId(line.owner)))
-            line.owner = int(line.pending.begin()->first);
+        if (line.owner < 0 || !(line.pendingMask >> line.owner & 1))
+            line.owner = std::countr_zero(line.pendingMask);
         return;
     }
     if (line.sharers == 0) {
@@ -169,7 +223,8 @@ CoherenceDirectory::read(mem::PhysAddr addr, mem::NodeId n,
     lookups_->inc();
     charge(clock, c.cohLookup);
     machine_.faults().crashPoint("coherence.read");
-    Line &line = lineAt(addr, deviceContent);
+    const uint64_t idx = lineIndexOf(addr);
+    Line &line = lineAt(idx, deviceContent);
     line.device = deviceContent;
     const uint64_t bit = 1ull << n;
 
@@ -214,15 +269,15 @@ CoherenceDirectory::read(mem::PhysAddr addr, mem::NodeId n,
     line.sharers |= bit;
     settle(line);
     uint64_t observed;
-    if (auto it = line.pending.find(n); it != line.pending.end()) {
-        observed = it->second;
-    } else if (auto it2 = line.cached.find(n); it2 != line.cached.end()) {
+    if (line.pendingMask & bit) {
+        observed = tokenOf(idx, n, TokenKind::Pending);
+    } else if (line.cachedMask & bit) {
         // The reader already holds a copy; without an invalidate it
         // keeps observing it, however stale.
-        observed = it2->second;
+        observed = tokenOf(idx, n, TokenKind::Cached);
     } else {
         observed = line.visible;
-        line.cached.emplace(n, observed);
+        setToken(idx, line, n, TokenKind::Cached, observed);
     }
     if (observed != deviceContent) {
         staleReads_->inc();
@@ -243,7 +298,8 @@ CoherenceDirectory::write(mem::PhysAddr addr, mem::NodeId n,
     lookups_->inc();
     charge(clock, c.cohLookup);
     machine_.faults().crashPoint("coherence.write");
-    Line &line = lineAt(addr, oldContent);
+    const uint64_t idx = lineIndexOf(addr);
+    Line &line = lineAt(idx, oldContent);
     line.device = newContent;
     const uint64_t bit = 1ull << n;
 
@@ -267,19 +323,19 @@ CoherenceDirectory::write(mem::PhysAddr addr, mem::NodeId n,
                 queueFabric(addr, n, c.cachelineSize, clock,
                             "coherence.write.binv");
         }
+        // HDM-H never holds tokens (the audit checks it), so the line
+        // has no pending or cached state to discard here.
         line.state = MesiState::Modified;
         line.owner = int(n);
         line.sharers = bit;
         line.visible = newContent;
-        line.pending.clear();
-        line.cached.clear();
         return;
     }
 
     // HDM-D: the store sits in the writer's buffer until flushed.
     // Other nodes' cached copies are untouched — invalidating them is
     // software's job.
-    line.pending[n] = newContent;
+    setToken(idx, line, n, TokenKind::Pending, newContent);
     line.sharers |= bit;
     line.state = MesiState::Modified;
     line.owner = int(n);
@@ -295,35 +351,36 @@ CoherenceDirectory::flush(mem::PhysAddr addr, mem::NodeId n,
     flushes_->inc();
     charge(clock, c.cohFlush);
     machine_.faults().crashPoint("coherence.flush");
-    auto it = lines_.find(lineIndexOf(addr));
-    if (it == lines_.end())
+    const uint64_t idx = lineIndexOf(addr);
+    Line *line = liveLine(idx);
+    if (!line)
         return;
-    Line &line = it->second;
     if (cfg_.mode == CoherenceMode::HdmH) {
         // Flush of a hardware-coherent line: a dirty owner writes back
         // and keeps the line Exclusive-clean.
-        if (line.state == MesiState::Modified && line.owner == int(n)) {
+        if (line->state == MesiState::Modified && line->owner == int(n)) {
             writebacks_->inc();
             charge(clock, c.cohWriteback);
             queueFabric(addr, n, c.pageSize, clock, "coherence.flush.wb");
-            line.state = MesiState::Exclusive;
+            line->state = MesiState::Exclusive;
         }
         return;
     }
-    if (auto p = line.pending.find(n); p != line.pending.end()) {
+    if (line->pendingMask >> n & 1) {
         writebacks_->inc();
         charge(clock, c.cohWriteback);
         queueFabric(addr, n, c.pageSize, clock, "coherence.flush.wb");
-        line.visible = p->second;
+        const uint64_t stored = tokenOf(idx, n, TokenKind::Pending);
+        line->visible = stored;
         // The flusher's own cached view tracks what it just published.
-        line.cached[n] = p->second;
-        line.pending.erase(p);
+        setToken(idx, *line, n, TokenKind::Cached, stored);
+        dropToken(idx, *line, n, TokenKind::Pending);
         // The flusher surrenders dirty ownership; settle() re-derives
         // E/S from the remaining sharers (or M if other writers still
         // hold pending stores).
-        if (line.owner == int(n))
-            line.owner = -1;
-        settle(line);
+        if (line->owner == int(n))
+            line->owner = -1;
+        settle(*line);
     }
 }
 
@@ -334,12 +391,11 @@ CoherenceDirectory::invalidate(mem::PhysAddr addr, mem::NodeId n,
     const sim::CostParams &c = machine_.costs();
     swInvalidates_->inc();
     charge(clock, c.cohFlush);
-    auto it = lines_.find(lineIndexOf(addr));
-    if (it == lines_.end())
-        return;
+    const uint64_t idx = lineIndexOf(addr);
     // Drop the node's clean cached copy; its own unflushed store (if
     // any) survives — invalidation is not a discard of dirty data.
-    it->second.cached.erase(n);
+    if (Line *line = liveLine(idx))
+        dropToken(idx, *line, n, TokenKind::Cached);
 }
 
 void
@@ -349,12 +405,12 @@ CoherenceDirectory::evict(mem::PhysAddr addr, mem::NodeId n,
     const sim::CostParams &c = machine_.costs();
     evictions_->inc();
     charge(clock, c.cohLookup);
-    auto it = lines_.find(lineIndexOf(addr));
-    if (it == lines_.end())
+    const uint64_t idx = lineIndexOf(addr);
+    Line *line = liveLine(idx);
+    if (!line)
         return;
-    Line &line = it->second;
     if (cfg_.mode == CoherenceMode::HdmH &&
-        line.state == MesiState::Modified && line.owner == int(n)) {
+        line->state == MesiState::Modified && line->owner == int(n)) {
         // Evicting a dirty line writes it back first.
         writebacks_->inc();
         charge(clock, c.cohWriteback);
@@ -365,10 +421,10 @@ CoherenceDirectory::evict(mem::PhysAddr addr, mem::NodeId n,
     // the device copy already holds the never-flushed bytes
     // (Frame::content is eagerly updated), and only the line's
     // `visible` token keeps masking them from readers. droppable()
-    // permits the erase only once visible and device agree again.
-    dropSharer(line, n);
-    if (line.droppable())
-        lines_.erase(it);
+    // permits forgetting it only once visible and device agree again.
+    dropSharer(idx, *line, n);
+    if (line->droppable())
+        forgetLine(idx, *line);
 }
 
 void
@@ -376,52 +432,49 @@ CoherenceDirectory::lineFreed(mem::PhysAddr addr)
 {
     if (cfg_.elideResetOnFree)
         return;
-    if (lines_.erase(lineIndexOf(addr)))
+    const uint64_t idx = lineIndexOf(addr);
+    if (Line *line = liveLine(idx)) {
+        forgetLine(idx, *line);
         lineResets_->inc();
+    }
 }
 
 void
 CoherenceDirectory::onNodeCrash(mem::NodeId n, sim::SimClock &clock)
 {
     const sim::CostParams &c = machine_.costs();
-    for (auto it = lines_.begin(); it != lines_.end();) {
-        Line &line = it->second;
-        const bool involved = (line.sharers >> n & 1) ||
-                              line.pending.count(n) || line.cached.count(n);
-        if (involved) {
+    const uint64_t bit = 1ull << n;
+    lines_.forEach([&](uint64_t idx, Line &line) {
+        if (!line.live)
+            return;
+        if ((line.sharers | line.pendingMask | line.cachedMask) & bit) {
             crashCleanups_->inc();
             // One back-invalidation round per line the crashed node
             // touched: survivors' caches of lines it owned must drop.
             charge(clock, c.cohBackInvalidate);
             // Home-agent-issued cleanup traffic (the dead node cannot
             // issue); rides the device pseudo-issuer on the queue.
-            queueFabric(mem::PhysAddr{mem::Machine::kCxlBase +
-                                      it->first * mem::kPageSize},
-                        mem::kInvalidNode, c.cachelineSize, clock,
-                        "coherence.crash.binv");
-            dropSharer(line, n);
+            queueFabric(machine_.cxl().frameAddress(idx), mem::kInvalidNode,
+                        c.cachelineSize, clock, "coherence.crash.binv");
+            dropSharer(idx, line, n);
         }
         // Same retention rule as evict(): while a discarded store
         // leaves visible != device, the line must stay tracked so
         // `visible` keeps masking the dead node's bytes from
         // survivors.
         if (line.droppable())
-            it = lines_.erase(it);
-        else
-            ++it;
-    }
+            forgetLine(idx, line);
+    });
 }
 
 std::vector<mem::PhysAddr>
 CoherenceDirectory::pendingLines(mem::NodeId n) const
 {
     std::vector<mem::PhysAddr> out;
-    for (const auto &[idx, line] : lines_) {
-        if (line.pending.count(n)) {
-            out.push_back(mem::PhysAddr{mem::Machine::kCxlBase +
-                                        idx * mem::kPageSize});
-        }
-    }
+    lines_.forEach([&](uint64_t idx, const Line &line) {
+        if (line.live && (line.pendingMask >> n & 1))
+            out.push_back(machine_.cxl().frameAddress(idx));
+    });
     return out;
 }
 
@@ -429,27 +482,30 @@ LineInfo
 CoherenceDirectory::lineInfo(mem::PhysAddr addr) const
 {
     LineInfo info;
-    auto it = lines_.find(lineIndexOf(addr));
-    if (it == lines_.end())
+    const Line *line = liveLine(lineIndexOf(addr));
+    if (!line)
         return info;
-    const Line &line = it->second;
-    info.state = line.state;
-    info.owner = line.owner;
-    info.sharers = line.sharers;
-    info.pendingStore = !line.pending.empty();
+    info.state = line->state;
+    info.owner = line->owner;
+    info.sharers = line->sharers;
+    info.pendingStore = line->pendingMask != 0;
     return info;
 }
 
 std::optional<std::string>
 CoherenceDirectory::auditInvariants() const
 {
-    for (const auto &[idx, line] : lines_) {
+    std::optional<std::string> bad;
+    uint64_t maskBits = 0;
+    lines_.forEach([&](uint64_t idx, const Line &line) {
+        if (bad || !line.live)
+            return;
         auto fail = [&](const char *why) {
-            return sim::format("coherence line %llu (%s, owner %d, "
-                               "sharers %#llx): %s",
-                               (unsigned long long)idx,
-                               mesiStateName(line.state), line.owner,
-                               (unsigned long long)line.sharers, why);
+            bad = sim::format("coherence line %llu (%s, owner %d, "
+                              "sharers %#llx): %s",
+                              (unsigned long long)idx,
+                              mesiStateName(line.state), line.owner,
+                              (unsigned long long)line.sharers, why);
         };
         switch (line.state) {
           case MesiState::Invalid:
@@ -457,7 +513,7 @@ CoherenceDirectory::auditInvariants() const
                 return fail("Invalid line has sharers");
             if (line.owner != -1)
                 return fail("Invalid line has an owner");
-            if (!line.pending.empty())
+            if (line.pendingMask)
                 return fail("Invalid line has pending stores");
             break;
           case MesiState::Shared:
@@ -482,13 +538,39 @@ CoherenceDirectory::auditInvariants() const
             break;
         }
         if (cfg_.mode == CoherenceMode::HdmH) {
-            if (!line.pending.empty())
+            if (line.pendingMask)
                 return fail("HDM-H line has pending stores");
-            if (!line.cached.empty())
+            if (line.cachedMask)
                 return fail("HDM-H line has cached copies");
         }
+        for (TokenKind k : {TokenKind::Pending, TokenKind::Cached}) {
+            for (uint64_t m = maskOf(line, k); m; m &= m - 1) {
+                ++maskBits;
+                const auto n = mem::NodeId(std::countr_zero(m));
+                if (!tokens_.count(tokenKey(idx, n, k)))
+                    return fail(k == TokenKind::Pending
+                                    ? "pending node has no token"
+                                    : "caching node has no token");
+            }
+        }
+    });
+    if (bad || tokens_.size() == maskBits)
+        return bad;
+    // Every mask bit has its token, so the surplus is stray tokens:
+    // report the lowest-keyed one, independent of hash order.
+    uint64_t stray = ~uint64_t(0);
+    for (const auto &kv : tokens_) {
+        const uint64_t key = kv.first;
+        const Line *line = liveLine(key >> 7);
+        const auto k = TokenKind(key & 1);
+        if ((!line || !(maskOf(*line, k) >> (key >> 1 & 63) & 1)) &&
+            key < stray)
+            stray = key;
     }
-    return std::nullopt;
+    return sim::format("coherence line %llu: stray %s token for node %llu",
+                       (unsigned long long)(stray >> 7),
+                       (stray & 1) ? "cached" : "pending",
+                       (unsigned long long)(stray >> 1 & 63));
 }
 
 } // namespace cxlfork::cxl

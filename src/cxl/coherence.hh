@@ -34,11 +34,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "mem/frame_table.hh"
 #include "mem/machine.hh"
 #include "sim/clock.hh"
 
@@ -150,14 +151,15 @@ class CoherenceDirectory final : public mem::CoherenceModel
     /**
      * Check every MESI invariant over every tracked line: owner set
      * and a member of the sharer set in E/M, exactly one sharer in E
-     * (and in M under HDM-H), empty sharer set in I, and no pending
-     * stores or cached copies at all under HDM-H. @return the first
-     * violation, or nullopt when clean.
+     * (and in M under HDM-H), empty sharer set in I, no pending
+     * stores or cached copies at all under HDM-H, and exactly one
+     * HDM-D token per pending/cached node with no stray tokens.
+     * @return the first violation, or nullopt when clean.
      */
     std::optional<std::string> auditInvariants() const;
 
     /** Lines with live directory state (diagnostics). */
-    uint64_t trackedLines() const { return lines_.size(); }
+    uint64_t trackedLines() const { return tracked_; }
 
   private:
     /** Tests plant invariant violations no public call can produce. */
@@ -165,16 +167,17 @@ class CoherenceDirectory final : public mem::CoherenceModel
 
     /**
      * Per-line home-agent state. HDM-D visibility model: `visible` is
-     * what a fresh reader observes; `pending` holds each writer's
+     * what a fresh reader observes; each node in `pendingMask` holds an
      * unflushed store (the writer reads its own pending — store
-     * forwarding); `cached` pins the token each reader first observed
-     * until that reader invalidates.
+     * forwarding); each node in `cachedMask` pins the token it first
+     * observed until it invalidates. The tokens themselves live in
+     * tokens_, which only HDM-D touches.
      */
     struct Line
     {
-        MesiState state = MesiState::Invalid;
-        int owner = -1;
         uint64_t sharers = 0;
+        uint64_t pendingMask = 0;
+        uint64_t cachedMask = 0;
         uint64_t visible = 0;
         /**
          * Mirror of the device token (Frame::content, eagerly updated
@@ -186,19 +189,46 @@ class CoherenceDirectory final : public mem::CoherenceModel
          * the device and would unmask them).
          */
         uint64_t device = 0;
-        std::map<mem::NodeId, uint64_t> pending;
-        std::map<mem::NodeId, uint64_t> cached;
+        int32_t owner = -1;
+        MesiState state = MesiState::Invalid;
+        bool live = false; ///< Tracked: the line holds directory state.
 
         /** Safe to forget: no state and nothing left to mask. */
         bool droppable() const
         {
-            return state == MesiState::Invalid && pending.empty() &&
-                   cached.empty() && visible == device;
+            return state == MesiState::Invalid && pendingMask == 0 &&
+                   cachedMask == 0 && visible == device;
         }
     };
+    static_assert(sizeof(Line) <= 48, "a directory line must stay small");
+
+    /** Which of a node's two HDM-D tokens on a line. */
+    enum class TokenKind : uint64_t { Pending = 0, Cached = 1 };
+
+    /** tokens_ key: (line, node, kind); nodes are < 64. */
+    static uint64_t
+    tokenKey(uint64_t idx, mem::NodeId n, TokenKind k)
+    {
+        return idx << 7 | uint64_t(n) << 1 | uint64_t(k);
+    }
+
+    static uint64_t
+    maskOf(const Line &line, TokenKind k)
+    {
+        return k == TokenKind::Pending ? line.pendingMask : line.cachedMask;
+    }
 
     uint64_t lineIndexOf(mem::PhysAddr addr) const;
-    Line &lineAt(mem::PhysAddr addr, uint64_t initialVisible);
+    /** The tracked line at idx, or null. */
+    Line *liveLine(uint64_t idx);
+    const Line *liveLine(uint64_t idx) const;
+    Line &lineAt(uint64_t idx, uint64_t initialVisible);
+    /** Stop tracking a line, dropping every token it holds. */
+    void forgetLine(uint64_t idx, Line &line);
+    void setToken(uint64_t idx, Line &line, mem::NodeId n, TokenKind k,
+                  uint64_t value);
+    uint64_t tokenOf(uint64_t idx, mem::NodeId n, TokenKind k) const;
+    void dropToken(uint64_t idx, Line &line, mem::NodeId n, TokenKind k);
     void charge(sim::SimClock &clock, sim::SimTime t);
 
     /**
@@ -212,18 +242,22 @@ class CoherenceDirectory final : public mem::CoherenceModel
     void queueFabric(mem::PhysAddr addr, mem::NodeId issuer,
                      uint64_t bytes, sim::SimClock &clock,
                      const char *site);
-    void dropSharer(Line &line, mem::NodeId n);
+    void dropSharer(uint64_t idx, Line &line, mem::NodeId n);
     /** Recompute state/owner after sharer-set shrink. */
     void settle(Line &line);
 
     mem::Machine &machine_;
     CoherenceConfig cfg_;
     /**
-     * Keyed by line index; std::map for deterministic iteration order
-     * in onNodeCrash/auditInvariants walks (determinism is asserted by
-     * the golden and parallel-sweep suites).
+     * Indexed by line (CXL frame number). The table walks in ascending
+     * line order, which keeps the onNodeCrash/pendingLines/audit walks
+     * deterministic (asserted by LitmusWalkOrder and the golden and
+     * parallel-sweep suites).
      */
-    std::map<uint64_t, Line> lines_;
+    mem::FrameTable<Line> lines_;
+    uint64_t tracked_ = 0;
+    /** HDM-D tokens: one per pendingMask/cachedMask bit, by tokenKey. */
+    std::unordered_map<uint64_t, uint64_t> tokens_;
 
     sim::Counter *lookups_ = nullptr;
     sim::Counter *invalidations_ = nullptr;

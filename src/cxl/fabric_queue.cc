@@ -70,9 +70,26 @@ FabricQueueModel::retire(Lane &lane, sim::SimTime now)
     // simulated time has caught up with its departure. FIFO order
     // guarantees the front departs first.
     while (!lane.inflight.empty() && lane.inflight.front().depart <= now) {
+        const mem::NodeId issuer = lane.inflight.front().issuer;
+        if (issuer != mem::kInvalidNode) {
+            --lane.attributed;
+            --lane.perIssuer[issuer];
+        }
         lane.inflight.pop_front();
         ++departed_;
     }
+}
+
+void
+FabricQueueModel::push(Lane &lane, Txn t)
+{
+    if (t.issuer != mem::kInvalidNode) {
+        if (t.issuer >= lane.perIssuer.size())
+            lane.perIssuer.resize(size_t(t.issuer) + 1, 0);
+        ++lane.attributed;
+        ++lane.perIssuer[t.issuer];
+    }
+    lane.inflight.push_back(t);
 }
 
 void
@@ -81,6 +98,8 @@ FabricQueueModel::drain()
     for (Lane &lane : lanes_) {
         departed_ += lane.inflight.size();
         lane.inflight.clear();
+        lane.attributed = 0;
+        std::fill(lane.perIssuer.begin(), lane.perIssuer.end(), 0);
     }
 }
 
@@ -121,15 +140,7 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
     // single-node run diverge from the model-off baseline. Device
     // occupancy still lengthens the horizon, so it inflates the waits
     // attributed cross-streams do pay.
-    bool foreign = false;
-    if (n != mem::kInvalidNode) {
-        for (const Txn &t : lane.inflight) {
-            if (t.issuer != n && t.issuer != mem::kInvalidNode) {
-                foreign = true;
-                break;
-            }
-        }
-    }
+    const bool foreign = n != mem::kInvalidNode && lane.hasForeign(n);
 
     const sim::SimTime start = std::max(now, lane.busyUntil);
     sim::SimTime charged = sim::SimTime::zero();
@@ -155,7 +166,7 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
 
     // Commit the occupancy. start >= busyUntil keeps the lane horizon
     // monotone: simulated time never runs backward on a lane.
-    lane.inflight.push_back(Txn{start + serviceTime(isRead, bytes), n});
+    push(lane, Txn{start + serviceTime(isRead, bytes), n});
     lane.busyUntil = lane.inflight.back().depart;
     ++enqueued_;
     const uint64_t inflightNow = enqueued_ - departed_;

@@ -170,6 +170,18 @@ class FabricQueueModel : public mem::FabricQueue
     {
         std::deque<Txn> inflight;
         sim::SimTime busyUntil; ///< Last committed departure; monotone.
+        /** In-flight transactions with an attributed issuer. */
+        uint64_t attributed = 0;
+        /** In-flight transactions per attributed issuer, by NodeId. */
+        std::vector<uint32_t> perIssuer;
+
+        /** Some in-flight transaction belongs to another attributed
+         *  issuer than n (n itself attributed). */
+        bool
+        hasForeign(mem::NodeId n) const
+        {
+            return attributed > (n < perIssuer.size() ? perIssuer[n] : 0);
+        }
     };
 
     Lane &laneFor(uint32_t domain, bool isRead);
@@ -177,6 +189,9 @@ class FabricQueueModel : public mem::FabricQueue
 
     /** Retire every transaction in `lane` that departed by `now`. */
     void retire(Lane &lane, sim::SimTime now);
+
+    /** Append a transaction to `lane`, keeping its issuer counts. */
+    static void push(Lane &lane, Txn t);
 
     /** Residual service of the periodic background stream at `now`. */
     sim::SimTime backgroundResidual(bool isRead, sim::SimTime now) const;

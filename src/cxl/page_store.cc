@@ -1,7 +1,5 @@
 #include "page_store.hh"
 
-#include <algorithm>
-
 #include "ras.hh"
 #include "sim/fault_injector.hh"
 #include "sim/log.hh"
@@ -32,6 +30,8 @@ PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
         sim::fatal("PageStore: deltaFrac/rleFrac must be nonnegative and "
                    "sum to at most 1");
     }
+    if (machine_.cxl().capacityBytes() / mem::kPageSize > kNoFrame)
+        sim::fatal("PageStore: slot links hold 32-bit frame numbers");
     // Armed codec ⟺ installed hook: the machine then routes checked
     // CXL reads and frame frees back through this store, so decompress
     // charging and metadata cleanup cannot be forgotten by a caller.
@@ -74,17 +74,18 @@ PageStore::hashContent(uint64_t content) const
     return cfg_.hashBits >= 64 ? h : h & ((uint64_t(1) << cfg_.hashBits) - 1);
 }
 
-PageStore::CodecMeta
-PageStore::classify(uint64_t content) const
+void
+PageStore::classify(uint64_t content, Slot &slot) const
 {
     const sim::CostParams &costs = machine_.costs();
-    CodecMeta meta;
+    slot.codec = true;
+    slot.parent = kNoFrame;
     if (content == 0) {
         // Zero-page elision: only a manifest note is stored.
-        meta.cls = CodecClass::Zero;
-        meta.storedBytes = 0;
-        meta.pendingDecompress = true;
-        return meta;
+        slot.cls = CodecClass::Zero;
+        slot.storedBytes = 0;
+        slot.pendingDecompress = true;
+        return;
     }
     // The simulator carries 64-bit content tokens, not page bytes, so
     // compressibility is modeled: a deterministic draw on the content
@@ -96,22 +97,21 @@ PageStore::classify(uint64_t content) const
     const double u =
         double(mix64(content ^ kCodecSalt) >> 11) * 0x1.0p-53;
     if (u < cfg_.deltaFrac && deltaAnchor_.raw != 0) {
-        meta.cls = CodecClass::Delta;
-        meta.storedBytes =
-            uint64_t(double(mem::kPageSize) * costs.deltaRatio);
-        meta.parent = deltaAnchor_;
-        meta.pendingDecompress = true;
+        slot.cls = CodecClass::Delta;
+        slot.storedBytes =
+            uint32_t(double(mem::kPageSize) * costs.deltaRatio);
+        slot.parent = uint32_t(slotIndexOf(deltaAnchor_));
+        slot.pendingDecompress = true;
     } else if (u < cfg_.deltaFrac + cfg_.rleFrac) {
-        meta.cls = CodecClass::Rle;
-        meta.storedBytes =
-            uint64_t(double(mem::kPageSize) * costs.rleRatio);
-        meta.pendingDecompress = true;
+        slot.cls = CodecClass::Rle;
+        slot.storedBytes =
+            uint32_t(double(mem::kPageSize) * costs.rleRatio);
+        slot.pendingDecompress = true;
     } else {
-        meta.cls = CodecClass::Raw;
-        meta.storedBytes = mem::kPageSize;
-        meta.pendingDecompress = false; // stored uncompressed
+        slot.cls = CodecClass::Raw;
+        slot.storedBytes = mem::kPageSize;
+        slot.pendingDecompress = false; // stored uncompressed
     }
-    return meta;
 }
 
 uint64_t
@@ -121,15 +121,18 @@ PageStore::recordCompressed(mem::PhysAddr addr, uint64_t content,
     // The compressor scans the full page whatever class it lands in —
     // finding a page incompressible costs the same pass.
     clock.advance(machine_.costs().compressCost(mem::kPageSize));
-    CodecMeta meta = classify(content);
-    switch (meta.cls) {
+    Slot &slot = slots_.at(slotIndexOf(addr));
+    CXLF_ASSERT(!slot.codec);
+    classify(content, slot);
+    ++codecPages_;
+    switch (slot.cls) {
       case CodecClass::Zero:
         compressZeroCounter_->inc();
         break;
       case CodecClass::Delta:
         // The delta references its parent page: the parent must stay
         // live (undecayed) for as long as this page needs it.
-        machine_.cxl().incRef(meta.parent);
+        machine_.cxl().incRef(deltaAnchor_);
         compressDeltaCounter_->inc();
         break;
       case CodecClass::Rle:
@@ -139,43 +142,42 @@ PageStore::recordCompressed(mem::PhysAddr addr, uint64_t content,
         compressRawCounter_->inc();
         break;
     }
-    if (meta.cls == CodecClass::Raw || meta.cls == CodecClass::Rle)
+    if (slot.cls == CodecClass::Raw || slot.cls == CodecClass::Rle)
         deltaAnchor_ = addr;
     compressPagesCounter_->inc();
-    compressStoredCounter_->inc(meta.storedBytes);
-    compressSavedCounter_->inc(mem::kPageSize - meta.storedBytes);
-    const uint64_t stored = meta.storedBytes;
-    codecMeta_[addr.raw] = meta;
-    return stored;
+    compressStoredCounter_->inc(slot.storedBytes);
+    compressSavedCounter_->inc(mem::kPageSize - slot.storedBytes);
+    return slot.storedBytes;
 }
 
 CodecClass
 PageStore::codecClassOf(mem::PhysAddr addr) const
 {
-    auto it = codecMeta_.find(addr.raw);
-    return it == codecMeta_.end() ? CodecClass::Raw : it->second.cls;
+    const Slot *slot = slots_.find(slotIndexOf(addr));
+    return slot && slot->codec ? slot->cls : CodecClass::Raw;
 }
 
 void
 PageStore::onMaterialize(mem::PhysAddr addr, sim::SimClock &clock)
 {
-    auto it = codecMeta_.find(addr.raw);
-    if (it == codecMeta_.end() || !it->second.pendingDecompress)
+    Slot *slot = slots_.find(slotIndexOf(addr));
+    if (!slot || !slot->pendingDecompress)
         return;
     // Charge the one-time decompress before any recursive parent read:
     // the parent fetch re-enters this hook, and clearing the flag first
     // keeps a (hypothetical) cycle from recursing forever.
-    it->second.pendingDecompress = false;
+    slot->pendingDecompress = false;
     const sim::CostParams &costs = machine_.costs();
-    sim::SimTime cost = costs.decompressCost(it->second.storedBytes);
-    const mem::PhysAddr parent = it->second.parent;
+    sim::SimTime cost = costs.decompressCost(slot->storedBytes);
+    const uint32_t parent = slot->parent;
     const sim::SimTime before = clock.now();
     clock.advance(cost);
-    if (parent.raw != 0) {
+    if (parent != kNoFrame) {
         // Delta decode needs the parent bytes: a full checked read, so
         // a compressed or poisoned parent charges (or throws) exactly
         // as any other materialization would.
-        machine_.readFrameChecked(parent, clock, "codec delta parent");
+        machine_.readFrameChecked(machine_.cxl().frameAddress(parent),
+                                  clock, "codec delta parent");
         clock.advance(costs.cxlRead(mem::kPageSize));
     }
     decompressCounter_->inc();
@@ -187,17 +189,69 @@ PageStore::frameFreed(mem::PhysAddr addr)
 {
     if (deltaAnchor_.raw == addr.raw)
         deltaAnchor_ = mem::PhysAddr{0};
-    auto it = codecMeta_.find(addr.raw);
-    if (it == codecMeta_.end())
+    Slot *slot = slots_.find(slotIndexOf(addr));
+    if (!slot || !slot->codec)
         return;
-    const mem::PhysAddr parent = it->second.parent;
-    codecMeta_.erase(it);
+    const uint32_t parent = slot->parent;
+    slot->codec = false;
+    slot->cls = CodecClass::Raw;
+    slot->storedBytes = 0;
+    slot->parent = kNoFrame;
+    slot->pendingDecompress = false;
+    --codecPages_;
     // Dropping the delta's parent reference may free the parent in
     // turn, re-entering this hook; the allocator's decRef bookkeeping
     // is complete before it notifies, so the recursion is safe (and at
     // most one level deep — parents are never deltas).
-    if (parent.raw != 0)
-        release(parent);
+    if (parent != kNoFrame)
+        release(machine_.cxl().frameAddress(parent));
+}
+
+void
+PageStore::index(mem::PhysAddr addr, uint64_t hash)
+{
+    const auto idx = uint32_t(slotIndexOf(addr));
+    Slot &slot = slots_.at(idx);
+    CXLF_ASSERT(!slot.indexed);
+    slot.hash = hash;
+    slot.next = kNoFrame;
+    slot.indexed = true;
+    ++uniquePages_;
+    auto [head, fresh] = index_.try_emplace(hash, idx);
+    if (fresh)
+        return;
+    uint32_t tail = head->second;
+    while (slots_.at(tail).next != kNoFrame)
+        tail = slots_.at(tail).next;
+    slots_.at(tail).next = idx;
+}
+
+void
+PageStore::unindex(mem::PhysAddr addr)
+{
+    const auto idx = uint32_t(slotIndexOf(addr));
+    Slot *slot = slots_.find(idx);
+    if (!slot || !slot->indexed)
+        return;
+    auto head = index_.find(slot->hash);
+    CXLF_ASSERT(head != index_.end());
+    if (head->second == idx) {
+        if (slot->next == kNoFrame)
+            index_.erase(head);
+        else
+            head->second = slot->next;
+    } else {
+        uint32_t prev = head->second;
+        while (slots_.at(prev).next != idx) {
+            prev = slots_.at(prev).next;
+            CXLF_ASSERT(prev != kNoFrame);
+        }
+        slots_.at(prev).next = slot->next;
+    }
+    slot->hash = 0;
+    slot->next = kNoFrame;
+    slot->indexed = false;
+    --uniquePages_;
 }
 
 InternResult
@@ -236,22 +290,21 @@ PageStore::intern(uint64_t content, mem::FrameUse use, sim::SimClock &clock,
         // The hash only nominates candidates; the byte compare (one
         // mapped read of the candidate frame) decides. A same-hash,
         // different-bytes candidate is a recorded collision, never a
-        // false share.
-        bool comparedAny = false;
+        // false share. Candidates compare oldest first, and the
+        // collision-check read targets the oldest.
+        const mem::PhysAddr oldest = cxl.frameAddress(bucket->second);
         mem::PhysAddr match{0};
-        for (mem::PhysAddr cand : bucket->second) {
-            comparedAny = true;
+        for (uint32_t i = bucket->second; i != kNoFrame;
+             i = slots_.at(i).next) {
+            const mem::PhysAddr cand = cxl.frameAddress(i);
             if (cxl.frame(cand).content == content) {
                 match = cand;
                 break;
             }
         }
-        if (comparedAny) {
-            machine_.cxlTransaction(clock, "pagestore collision check",
-                                    node, bucket->second.front(),
-                                    /*isRead=*/true);
-            clock.advance(machine_.costs().cxlRead(mem::kPageSize));
-        }
+        machine_.cxlTransaction(clock, "pagestore collision check", node,
+                                oldest, /*isRead=*/true);
+        clock.advance(machine_.costs().cxlRead(mem::kPageSize));
         if (match.raw != 0) {
             // Crash site before the only mutation (the extra ref): a
             // crash here changes no refcount and can leak nothing.
@@ -298,8 +351,7 @@ PageStore::intern(uint64_t content, mem::FrameUse use, sim::SimClock &clock,
             throw;
         }
     }
-    index_[h].push_back(addr);
-    pages_[addr.raw] = h;
+    index(addr, h);
     uniqueCounter_->inc();
     uint64_t stored = mem::kPageSize;
     if (cfg_.compress)
@@ -316,18 +368,11 @@ PageStore::ref(mem::PhysAddr addr)
 bool
 PageStore::release(mem::PhysAddr addr)
 {
-    auto it = pages_.find(addr.raw);
     const bool freed = machine_.cxl().decRef(addr);
-    if (freed && it != pages_.end()) {
-        auto bucket = index_.find(it->second);
-        CXLF_ASSERT(bucket != index_.end());
-        auto &frames = bucket->second;
-        frames.erase(std::remove(frames.begin(), frames.end(), addr),
-                     frames.end());
-        if (frames.empty())
-            index_.erase(bucket);
-        pages_.erase(it);
-    }
+    // Only dedup indexes frames: the pass-through store never touches
+    // the slots here.
+    if (freed && cfg_.dedup)
+        unindex(addr);
     if (freed && ras_)
         ras_->notePrimaryFreed(addr);
     return freed;
@@ -336,37 +381,41 @@ PageStore::release(mem::PhysAddr addr)
 PageStoreAudit
 PageStore::audit() const
 {
+    const mem::FrameAllocator &cxl = machine_.cxl();
     PageStoreAudit out;
-    out.uniquePages = pages_.size();
+    out.uniquePages = uniquePages_;
+    out.codecPages = codecPages_;
     auto fail = [&](std::string why) {
         if (out.consistent) {
             out.consistent = false;
             out.detail = "pagestore: " + why;
         }
     };
-    uint64_t indexed = 0;
-    for (const auto &[h, frames] : index_) {
-        if (frames.empty())
+    uint64_t chained = 0;
+    for (const auto &[h, head] : index_) {
+        if (head == kNoFrame)
             fail(sim::format("empty bucket %#llx retained",
                              (unsigned long long)h));
-        for (mem::PhysAddr f : frames) {
-            ++indexed;
-            auto it = pages_.find(f.raw);
-            if (it == pages_.end()) {
-                fail(sim::format("frame %#llx indexed but not owned",
+        // A chain longer than the census has a cycle: stop there.
+        for (uint32_t i = head; i != kNoFrame && chained <= uniquePages_;) {
+            ++chained;
+            const mem::PhysAddr f = cxl.frameAddress(i);
+            const Slot *slot = slots_.find(i);
+            if (!slot || !slot->indexed) {
+                fail(sim::format("frame %#llx chained but not indexed",
                                  (unsigned long long)f.raw));
-                continue;
+                break;
             }
-            if (it->second != h) {
+            if (slot->hash != h) {
                 fail(sim::format("frame %#llx filed under hash %#llx, "
                                  "owns %#llx",
                                  (unsigned long long)f.raw,
                                  (unsigned long long)h,
-                                 (unsigned long long)it->second));
+                                 (unsigned long long)slot->hash));
             }
             // Every indexed frame must still be live, hash to its
             // bucket, and carry at least one reference.
-            const mem::Frame &frame = machine_.cxl().frame(f);
+            const mem::Frame &frame = cxl.frame(f);
             if (hashContent(frame.content) != h) {
                 fail(sim::format("frame %#llx content no longer hashes "
                                  "to its bucket",
@@ -375,26 +424,42 @@ PageStore::audit() const
             if (frame.refcount == 0)
                 fail(sim::format("indexed frame %#llx has refcount 0",
                                  (unsigned long long)f.raw));
+            i = slot->next;
         }
     }
-    if (indexed != pages_.size()) {
-        fail(sim::format("index holds %llu frames, ownership map %zu",
-                         (unsigned long long)indexed, pages_.size()));
-    }
-    out.codecPages = codecMeta_.size();
-    for (const auto &[raw, meta] : codecMeta_) {
-        const mem::Frame &frame = machine_.cxl().frame(mem::PhysAddr{raw});
-        if (frame.refcount == 0) {
+    uint64_t indexed = 0;
+    uint64_t codec = 0;
+    slots_.forEach([&](uint64_t idx, const Slot &slot) {
+        indexed += slot.indexed;
+        if (!slot.codec)
+            return;
+        ++codec;
+        const mem::PhysAddr f = cxl.frameAddress(idx);
+        if (cxl.frame(f).refcount == 0) {
             fail(sim::format("codec-tracked frame %#llx has refcount 0",
-                             (unsigned long long)raw));
+                             (unsigned long long)f.raw));
         }
-        if (meta.parent.raw != 0 &&
-            machine_.cxl().frame(meta.parent).refcount == 0) {
+        if (slot.parent == kNoFrame)
+            return;
+        const mem::PhysAddr parent = cxl.frameAddress(slot.parent);
+        if (cxl.frame(parent).refcount == 0) {
             fail(sim::format("delta frame %#llx references freed parent "
                              "%#llx",
-                             (unsigned long long)raw,
-                             (unsigned long long)meta.parent.raw));
+                             (unsigned long long)f.raw,
+                             (unsigned long long)parent.raw));
         }
+    });
+    if (chained != indexed || indexed != uniquePages_) {
+        fail(sim::format("chains hold %llu frames, %llu slots indexed, "
+                         "census %llu",
+                         (unsigned long long)chained,
+                         (unsigned long long)indexed,
+                         (unsigned long long)uniquePages_));
+    }
+    if (codec != codecPages_) {
+        fail(sim::format("%llu slots hold codec metadata, census %llu",
+                         (unsigned long long)codec,
+                         (unsigned long long)codecPages_));
     }
     return out;
 }

@@ -26,8 +26,8 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
+#include "mem/frame_table.hh"
 #include "mem/machine.hh"
 #include "sim/clock.hh"
 
@@ -170,11 +170,12 @@ class PageStore : public mem::PageCodec
     /** True if the store's content index owns this frame. */
     bool owns(mem::PhysAddr addr) const
     {
-        return pages_.find(addr.raw) != pages_.end();
+        const Slot *slot = slots_.find(slotIndexOf(addr));
+        return slot && slot->indexed;
     }
 
     /** Live content-indexed pages (the deduplicated census). */
-    uint64_t uniquePages() const { return pages_.size(); }
+    uint64_t uniquePages() const { return uniquePages_; }
 
     /** Cross-check the content index against the frame allocator. */
     PageStoreAudit audit() const;
@@ -183,7 +184,7 @@ class PageStore : public mem::PageCodec
     CodecClass codecClassOf(mem::PhysAddr addr) const;
 
     /** Live codec-tracked pages (drains to zero with the refcounts). */
-    uint64_t codecPages() const { return codecMeta_.size(); }
+    uint64_t codecPages() const { return codecPages_; }
 
     // mem::PageCodec — the machine calls these on checked CXL reads
     // and on frame frees; both are no-ops for untracked frames.
@@ -191,31 +192,57 @@ class PageStore : public mem::PageCodec
     void frameFreed(mem::PhysAddr addr) override;
 
   private:
-    /** Per-frame codec bookkeeping, erased when the frame frees. */
-    struct CodecMeta
+    /** Slot link/parent value meaning "no frame". */
+    static constexpr uint32_t kNoFrame = ~uint32_t(0);
+
+    /**
+     * Per-frame store state, indexed by CXL frame number. The content
+     * index half (`indexed`, `hash`, `next`) is live while the frame is
+     * store-owned; the codec half (`codec` onwards) while the frame
+     * holds a compressed page. Both halves clear when the frame frees.
+     */
+    struct Slot
     {
+        uint64_t hash = 0;          ///< Content hash, while indexed.
+        uint32_t next = kNoFrame;   ///< Next (younger) frame in chain.
+        uint32_t parent = kNoFrame; ///< Delta parent (one ref held).
+        uint32_t storedBytes = 0;
         CodecClass cls = CodecClass::Raw;
-        uint64_t storedBytes = 0;
-        mem::PhysAddr parent{0};   ///< Delta parent (one ref held).
+        bool indexed = false;
+        bool codec = false;         ///< Codec metadata below is live.
         bool pendingDecompress = false;
     };
+    static_assert(sizeof(Slot) <= 24, "a page-store slot must stay small");
+
+    uint64_t slotIndexOf(mem::PhysAddr addr) const
+    {
+        return machine_.cxl().frameNumber(addr);
+    }
 
     uint64_t hashContent(uint64_t content) const;
-    CodecMeta classify(uint64_t content) const;
+    /** Fill the codec half of `slot` for a page holding `content`. */
+    void classify(uint64_t content, Slot &slot) const;
     uint64_t recordCompressed(mem::PhysAddr addr, uint64_t content,
                               sim::SimClock &clock);
+    /** Append a freshly allocated frame to its hash chain's tail. */
+    void index(mem::PhysAddr addr, uint64_t hash);
+    /** Unlink a freed frame from its hash chain (no-op if unindexed). */
+    void unindex(mem::PhysAddr addr);
 
     mem::Machine &machine_;
     PageStoreConfig cfg_;
     RasManager *ras_ = nullptr;
 
-    /** Content hash -> live frames whose contents hash there. */
-    std::unordered_map<uint64_t, std::vector<mem::PhysAddr>> index_;
-    /** Live store-owned frame -> its content hash (for un-indexing). */
-    std::unordered_map<uint64_t, uint64_t> pages_;
-
-    /** Live compressed frame -> codec bookkeeping. */
-    std::unordered_map<uint64_t, CodecMeta> codecMeta_;
+    /**
+     * Content hash -> the oldest live frame whose contents hash there;
+     * younger ones follow through Slot::next, so candidates compare
+     * oldest first.
+     */
+    std::unordered_map<uint64_t, uint32_t> index_;
+    /** Per-frame slots. The pass-through store never touches them. */
+    mem::FrameTable<Slot> slots_;
+    uint64_t uniquePages_ = 0;
+    uint64_t codecPages_ = 0;
 
     /**
      * The most recent standalone (raw/RLE) stored page: the parent the

@@ -143,6 +143,29 @@ class FrameAllocator
         return addr.raw >= base_.raw && addr.raw < base_.raw + capacity_;
     }
 
+    /**
+     * Frame number of addr within this tier: the index per-frame side
+     * tables (mem::FrameTable) key their state by. Panics, naming the
+     * address and the tier, for an address outside the tier (below
+     * base the subtraction wraps past the capacity, so one compare
+     * guards both ends).
+     */
+    uint64_t
+    frameNumber(PhysAddr addr) const
+    {
+        const uint64_t offset = addr.raw - base_.raw;
+        if (offset >= capacity_) [[unlikely]]
+            badAddress(addr);
+        return offset / kPageSize;
+    }
+
+    /** Address of frame number i: the inverse of frameNumber(). */
+    PhysAddr
+    frameAddress(uint64_t i) const
+    {
+        return PhysAddr{base_.raw + i * kPageSize};
+    }
+
     Tier tier() const { return tier_; }
     PhysAddr base() const { return base_; }
     uint64_t capacityBytes() const { return capacity_; }
@@ -184,7 +207,7 @@ class FrameAllocator
     {
         for (uint64_t i = 0; i < frames_.size(); ++i) {
             if (frames_[i].allocated())
-                fn(PhysAddr{base_.raw + i * kPageSize}, frames_[i]);
+                fn(frameAddress(i), frames_[i]);
         }
     }
 

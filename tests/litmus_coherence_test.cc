@@ -45,6 +45,22 @@ struct CoherenceDirectoryTestAccess
     {
         dir.lines_.at(dir.lineIndexOf(a)).sharers = 0;
     }
+
+    /** Give node n an HDM-D cached token the line's mask lacks. */
+    static void
+    plantStrayToken(CoherenceDirectory &dir, mem::PhysAddr a, mem::NodeId n)
+    {
+        dir.tokens_[CoherenceDirectory::tokenKey(
+            dir.lineIndexOf(a), n, CoherenceDirectory::TokenKind::Cached)] = 1;
+    }
+
+    /** Drop node n's pending token but keep its pendingMask bit. */
+    static void
+    dropPendingToken(CoherenceDirectory &dir, mem::PhysAddr a, mem::NodeId n)
+    {
+        dir.tokens_.erase(CoherenceDirectory::tokenKey(
+            dir.lineIndexOf(a), n, CoherenceDirectory::TokenKind::Pending));
+    }
 };
 
 namespace {
@@ -699,6 +715,68 @@ TEST(LitmusWalkOrder, AuditReportsTheLowestBadLine)
     EXPECT_TRUE(report->starts_with(
         sim::format("coherence line %llu ", (unsigned long long)lowest)))
         << *report;
+}
+
+TEST(LitmusAudit, TokensMatchTheMasksExactly)
+{
+    // Under HDM-D every pending/cached node holds exactly one token in
+    // the side map. The audit must catch a mask bit without its token
+    // and a token without its mask bit.
+    {
+        LitmusWorld w(cfgOf(CoherenceMode::HdmD));
+        const PhysAddr a = w.line(kOld);
+        w.st(a, 0, kNew);
+        w.expectClean();
+        CoherenceDirectoryTestAccess::dropPendingToken(w.dir, a, 0);
+        const auto report = w.dir.auditInvariants();
+        ASSERT_TRUE(report.has_value());
+        EXPECT_NE(report->find("pending node has no token"),
+                  std::string::npos)
+            << *report;
+    }
+    {
+        LitmusWorld w(cfgOf(CoherenceMode::HdmD));
+        const PhysAddr a = w.line(kOld);
+        const PhysAddr b = w.line(kOld + 1);
+        w.ld(a, 1);
+        w.ld(b, 1);
+        w.expectClean();
+        CoherenceDirectoryTestAccess::plantStrayToken(w.dir, b, 2);
+        const auto report = w.dir.auditInvariants();
+        ASSERT_TRUE(report.has_value());
+        const uint64_t line = (b.raw - mem::Machine::kCxlBase) / kPageSize;
+        EXPECT_EQ(*report,
+                  sim::format("coherence line %llu: stray cached token for "
+                              "node 2",
+                              (unsigned long long)line));
+    }
+}
+
+TEST(LitmusAudit, FreedLinesLeaveNoTokens)
+{
+    // Forgetting a line (free or droppable evict) must drop its tokens
+    // with it, or they would resurface on the frame's next tenant.
+    LitmusWorld w(cfgOf(CoherenceMode::HdmD));
+    const PhysAddr a = w.line(kOld);
+    w.ld(a, 1);
+    w.st(a, 0, kNew);
+    w.ld(a, 2);
+    EXPECT_EQ(w.dir.trackedLines(), 1u);
+    w.machine.cxl().decRef(a);
+    EXPECT_EQ(w.dir.trackedLines(), 0u);
+    w.expectClean();
+}
+
+TEST(LitmusAuditDeathTest, AddressesOutsideTheDevicePanic)
+{
+    LitmusWorld w(cfgOf(CoherenceMode::HdmH));
+    const PhysAddr dram = w.machine.nodeDram(1).base();
+    const PhysAddr past{w.machine.cxl().base().raw +
+                        w.machine.cxl().capacityBytes()};
+    EXPECT_DEATH(w.dir.lineInfo(dram),
+                 "address 0x[0-9a-f]+ outside tier cxl-device");
+    EXPECT_DEATH(w.dir.evict(past, 0, w.clocks[0]),
+                 "outside tier cxl-device");
 }
 
 TEST(LitmusModes, NamesRoundTrip)

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "cxl/page_store.hh"
@@ -235,6 +236,141 @@ TEST(PageStoreCollision, ByteCompareRejectsHashAliases)
     for (const InternResult &r : results)
         store.release(r.addr);
     EXPECT_EQ(store.uniquePages(), 0u);
+}
+
+/** Records the target of every page-store collision-check read. */
+struct CollisionCheckRecorder final : mem::FabricQueue
+{
+    void
+    onTransaction(mem::NodeId, mem::PhysAddr addr, bool, uint64_t,
+                  sim::SimClock &, const char *site) override
+    {
+        if (std::string_view(site) == "pagestore collision check")
+            targets.push_back(addr);
+    }
+
+    std::vector<mem::PhysAddr> targets;
+};
+
+/**
+ * Hash chains: candidates compare oldest first, the collision check
+ * reads the oldest frame, and unlinking the head, a middle frame or
+ * the tail keeps the index consistent until the bucket empties.
+ */
+TEST(PageStoreChain, OldestFirstAndUnlinkAnywhere)
+{
+    mem::Machine machine(test::smallConfig());
+    CollisionCheckRecorder rec;
+    machine.setFabricQueue(&rec);
+    PageStoreConfig cfg;
+    cfg.dedup = true;
+    cfg.hashBits = 4; // 16 buckets
+    PageStore store(machine, cfg);
+    sim::SimClock clock;
+    auto intern = [&](uint64_t content) {
+        return store.intern(content, mem::FrameUse::Data, clock);
+    };
+    auto expectClean = [&] {
+        const PageStoreAudit a = store.audit();
+        EXPECT_TRUE(a.consistent) << a.detail;
+    };
+
+    // Sort 64 distinct contents into buckets by the frame each intern's
+    // collision check reads. An intern into an existing bucket must
+    // read that bucket's oldest frame, which keys `chains` here.
+    std::map<uint64_t, std::vector<mem::PhysAddr>> chains;
+    std::map<uint64_t, uint64_t> contentOf;
+    for (uint64_t c = 1; c <= 64; ++c) {
+        const size_t checks = rec.targets.size();
+        const InternResult r = intern(0xc4a1'0000 + c);
+        ASSERT_FALSE(r.shared);
+        contentOf[r.addr.raw] = 0xc4a1'0000 + c;
+        if (rec.targets.size() == checks) {
+            chains[r.addr.raw] = {r.addr};
+            continue;
+        }
+        ASSERT_EQ(rec.targets.size(), checks + 1);
+        auto it = chains.find(rec.targets.back().raw);
+        ASSERT_NE(it, chains.end())
+            << "the collision check must read the bucket's oldest frame";
+        it->second.push_back(r.addr);
+    }
+    EXPECT_LE(chains.size(), 16u);
+    std::vector<mem::PhysAddr> chain;
+    for (const auto &[head, frames] : chains) {
+        if (frames.size() > chain.size())
+            chain = frames;
+    }
+    ASSERT_GE(chain.size(), 4u);
+    expectClean();
+    const uint64_t unique = store.uniquePages();
+
+    // Oldest first: give chain[2] chain[3]'s bytes; the older of the
+    // two identical frames must win.
+    const uint64_t c2 = contentOf[chain[2].raw];
+    const uint64_t c3 = contentOf[chain[3].raw];
+    machine.cxl().frame(chain[2]).content = c3;
+    InternResult hit = intern(c3);
+    EXPECT_TRUE(hit.shared);
+    EXPECT_EQ(hit.addr, chain[2]);
+    EXPECT_EQ(rec.targets.back(), chain[0]);
+    store.release(hit.addr);
+    machine.cxl().frame(chain[2]).content = c2;
+    expectClean();
+
+    // Unlink a middle frame: later frames stay reachable.
+    EXPECT_TRUE(store.release(chain[1]));
+    expectClean();
+    hit = intern(c3);
+    EXPECT_TRUE(hit.shared);
+    EXPECT_EQ(hit.addr, chain[3]);
+    store.release(hit.addr);
+
+    // Unlink the head: the next-oldest frame becomes the check target.
+    EXPECT_TRUE(store.release(chain[0]));
+    expectClean();
+    hit = intern(c3);
+    EXPECT_TRUE(hit.shared);
+    EXPECT_EQ(rec.targets.back(), chain[2]);
+    store.release(hit.addr);
+
+    // Unlink the tail, then re-intern its bytes: a miss that appends.
+    const mem::PhysAddr tail = chain.back();
+    const uint64_t tailContent = contentOf[tail.raw];
+    EXPECT_TRUE(store.release(tail));
+    expectClean();
+    const InternResult again = intern(tailContent);
+    EXPECT_FALSE(again.shared);
+    EXPECT_EQ(rec.targets.back(), chain[2]);
+    expectClean();
+    EXPECT_EQ(store.uniquePages(), unique - 2);
+
+    // Free the rest of the chain: the bucket disappears with its last
+    // frame, so the next intern hashing there checks nothing.
+    for (size_t i = 2; i + 1 < chain.size(); ++i)
+        EXPECT_TRUE(store.release(chain[i]));
+    EXPECT_TRUE(store.release(again.addr));
+    expectClean();
+    const size_t checks = rec.targets.size();
+    const InternResult fresh = intern(c3);
+    EXPECT_FALSE(fresh.shared);
+    EXPECT_EQ(rec.targets.size(), checks);
+    store.release(fresh.addr);
+    machine.setFabricQueue(nullptr);
+}
+
+TEST(PageStoreSlotsDeathTest, AddressesOutsideTheDevicePanic)
+{
+    mem::Machine machine(test::smallConfig());
+    PageStoreConfig cfg;
+    cfg.dedup = true;
+    PageStore store(machine, cfg);
+    const mem::PhysAddr dram = machine.nodeDram(0).base();
+    const mem::PhysAddr past{machine.cxl().base().raw +
+                             machine.cxl().capacityBytes()};
+    EXPECT_DEATH(store.owns(dram), "address 0x[0-9a-f]+ outside tier "
+                                   "cxl-device");
+    EXPECT_DEATH(store.codecClassOf(past), "outside tier cxl-device");
 }
 
 } // namespace

@@ -61,6 +61,38 @@ echo "== Running the benchmark's correctness self-test (perfbench --selftest)"
 # wrong expectation while the clean runs pass.
 (cd "$REPO_ROOT" && python3 perfbench/run.py --selftest)
 
+echo "== Checking perfbench sim-identity digests (seed 1, every workload)"
+# Host-only changes must leave simulated results bit-identical. Each
+# workload's seed-1 digest must equal the "seed 1" column of the digest
+# table in perfbench/README.md, read from the table itself so the
+# README stays the one place the expected values live.
+readme_digest() {
+    awk -F'|' -v want="$1" '
+        /^## / { inTable = /Sim-identity digest/; col = 0 }
+        function cell(i,  s) { s = $i; gsub(/[ `]/, "", s); return s }
+        inTable && !col && cell(2) == "workload" {
+            for (i = 3; i < NF; ++i) if (cell(i) == "seed1") col = i
+        }
+        inTable && col && cell(2) == want { print cell(col); exit }
+    ' "$REPO_ROOT/perfbench/README.md"
+}
+for workload in restore_burst checkpoint_churn porter_trace; do
+    want=$(readme_digest "$workload")
+    if [ -z "$want" ]; then
+        echo "ci: no seed-1 digest for $workload in perfbench/README.md" >&2
+        exit 1
+    fi
+    got=$(cd "$REPO_ROOT" && python3 perfbench/run.py --workload "$workload" \
+              --seed 1 --seconds 10 --trace 0 |
+          awk '$1 == "digest" { print $4 }')
+    if [ "$got" != "$want" ]; then
+        echo "ci: $workload seed-1 digest '$got' != '$want'" \
+             "(perfbench/README.md)" >&2
+        exit 1
+    fi
+    echo "   $workload seed=1 digest $got matches"
+done
+
 echo "== Checking host wall-clock against the checked-in baseline"
 WALLCLOCK_OUT="$BUILD_DIR/BENCH_WALLCLOCK.json"
 rm -f "$WALLCLOCK_OUT"
