@@ -24,6 +24,7 @@
 #include <numeric>
 
 #include "cxl/fabric_queue.hh"
+#include "rfork/mechanism.hh"
 #include "sim/log.hh"
 
 #include "bench_util.hh"
@@ -37,26 +38,19 @@ main()
 
     struct Point
     {
-        const char *mech;
+        rfork::MechanismKind mech;
         uint32_t nodes;
         double serviceGBs;
         bool staggered;
     };
     std::vector<Point> points;
-    for (const char *mech : {"cxlfork", "criu", "mitosis"})
+    for (rfork::MechanismKind mech :
+         {rfork::MechanismKind::CxlFork, rfork::MechanismKind::CriuCxl,
+          rfork::MechanismKind::MitosisCxl})
         for (uint32_t nodes : {2u, 8u, 16u})
             for (double svc : {16.0, 4.0})
                 for (bool staggered : {false, true})
                     points.push_back({mech, nodes, svc, staggered});
-
-    auto makeMech = [](porter::Cluster &cluster, const std::string &name)
-        -> std::unique_ptr<rfork::RemoteForkMechanism> {
-        if (name == "criu")
-            return std::make_unique<rfork::CriuCxl>(cluster.fabric());
-        if (name == "mitosis")
-            return std::make_unique<rfork::MitosisCxl>(cluster.fabric());
-        return std::make_unique<rfork::CxlFork>(cluster.fabric());
-    };
 
     struct Row
     {
@@ -81,7 +75,7 @@ main()
         porter::Cluster cluster(cc);
 
         auto parent = bench::deployWarmParent(cluster, spec);
-        auto mech = makeMech(cluster, p.mech);
+        auto mech = rfork::makeMechanism(p.mech, cluster.fabric());
         auto handle = mech->checkpoint(cluster.node(0), parent->task());
 
         const sim::MetricsRegistry &m = cluster.machine().metrics();
@@ -126,8 +120,9 @@ main()
             m.counterValue("cxl.contention.hol_blocks") - hol0;
 
         const std::string tag =
-            sim::format("contention.%s.n%02u.s%02.0f.%s", p.mech, p.nodes,
-                        p.serviceGBs, p.staggered ? "stag" : "burst");
+            sim::format("contention.%s.n%02u.s%02.0f.%s",
+                        rfork::mechanismKey(p.mech), p.nodes, p.serviceGBs,
+                        p.staggered ? "stag" : "burst");
         bench::recordValue(tag + ".win", row.win);
         bench::recordValue(tag + ".mean_ms", row.meanMs);
         bench::recordValue(tag + ".max_ms", row.maxMs);
@@ -144,7 +139,7 @@ main()
     for (size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
         const Row &r = rows[i];
-        t.addRow({p.mech, std::to_string(p.nodes),
+        t.addRow({rfork::mechanismKey(p.mech), std::to_string(p.nodes),
                   sim::Table::num(p.serviceGBs, 0),
                   p.staggered ? "stag" : "burst",
                   sim::Table::num(r.meanMs, 2), sim::Table::num(r.maxMs, 2),

@@ -138,13 +138,13 @@ main()
     // late in the publication protocol, across checkpoint footprints.
     struct CrashPoint
     {
-        porter::CrashMechanism mech;
+        rfork::MechanismKind mech;
         double frac;
         uint64_t pages;
     };
     std::vector<CrashPoint> crashPoints;
-    for (porter::CrashMechanism mech : {porter::CrashMechanism::CxlFork,
-                                        porter::CrashMechanism::Criu}) {
+    for (rfork::MechanismKind mech :
+         {rfork::MechanismKind::CxlFork, rfork::MechanismKind::CriuCxl}) {
         for (double frac : {0.1, 0.5, 0.9}) {
             for (uint64_t pages : {uint64_t(16), uint64_t(64),
                                    uint64_t(256)})
@@ -167,12 +167,12 @@ main()
         crashRows[i].res = porter::runCrashAtSite(cc, site);
         bench::recordValue(
             sim::format("crash_recovery.%s.f%02.0f.p%llu.recovery_us",
-                        porter::crashMechanismName(p.mech), p.frac * 100,
+                        rfork::mechanismName(p.mech), p.frac * 100,
                         (unsigned long long)p.pages),
             crashRows[i].res.recoveryTime.toUs());
         bench::recordValue(
             sim::format("crash_recovery.%s.f%02.0f.p%llu.frames",
-                        porter::crashMechanismName(p.mech), p.frac * 100,
+                        rfork::mechanismName(p.mech), p.frac * 100,
                         (unsigned long long)p.pages),
             double(crashRows[i].res.framesReclaimed));
     });
@@ -187,7 +187,7 @@ main()
         const CrashPoint &p = crashPoints[i];
         const CrashRow &r = crashRows[i];
         crashViolation |= r.res.violation;
-        t3.addRow({porter::crashMechanismName(p.mech),
+        t3.addRow({rfork::mechanismName(p.mech),
                    sim::Table::num(p.frac, 1),
                    std::to_string(p.pages),
                    std::to_string(r.res.site),
@@ -222,7 +222,7 @@ main()
     std::vector<porter::ChaosReport> rasRows(rasPoints.size());
     bench::runSweep(rasPoints, [&](const RasPoint &p, size_t i) {
         porter::ChaosConfig cc;
-        cc.mechanism = porter::CrashMechanism::CxlFork;
+        cc.mechanism = rfork::MechanismKind::CxlFork;
         cc.rounds = 60;
         cc.poisonRate = p.poison;
         cc.replicas = p.replicas;

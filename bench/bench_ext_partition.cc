@@ -25,14 +25,14 @@ main()
 
     struct Point
     {
-        porter::CrashMechanism mech;
+        rfork::MechanismKind mech;
         double severRate;
         uint32_t replicas;
     };
     std::vector<Point> points;
-    for (porter::CrashMechanism mech : {porter::CrashMechanism::CxlFork,
-                                        porter::CrashMechanism::Criu,
-                                        porter::CrashMechanism::Mitosis}) {
+    for (rfork::MechanismKind mech : {rfork::MechanismKind::CxlFork,
+                                      rfork::MechanismKind::CriuCxl,
+                                      rfork::MechanismKind::MitosisCxl}) {
         for (double rate : {0.0, 0.01, 0.05})
             for (uint32_t k : {0u, 2u})
                 points.push_back({mech, rate, k});
@@ -64,7 +64,7 @@ main()
         const porter::PartitionReport &r = rows[i];
         const std::string tag =
             sim::format("partition.%s.r%03.0f.k%u",
-                        porter::crashMechanismName(p.mech),
+                        rfork::mechanismName(p.mech),
                         p.severRate * 1000, p.replicas);
         bench::recordValue(tag + ".survival", r.survivalFraction());
         bench::recordValue(tag + ".p50_us",
@@ -89,7 +89,7 @@ main()
         const Point &p = points[i];
         const porter::PartitionReport &r = rows[i];
         violation |= !r.pass;
-        t.addRow({porter::crashMechanismName(p.mech),
+        t.addRow({rfork::mechanismName(p.mech),
                   sim::Table::num(p.severRate, 2),
                   std::to_string(p.replicas),
                   std::to_string(r.invocations),

@@ -25,49 +25,21 @@
  * CXLFORK_JOBS; the exported metrics are the golden surface.
  */
 
+#include "rfork/mechanism.hh"
+
 #include "bench_util.hh"
 
 namespace {
 
 using namespace cxlfork;
 
-enum class Mech
-{
-    Local,
-    Criu,
-    Mitosis,
-    Cxlf
-};
-
-const char *
-mechName(Mech m)
-{
-    switch (m) {
-    case Mech::Local: return "localfork";
-    case Mech::Criu: return "criu";
-    case Mech::Mitosis: return "mitosis";
-    case Mech::Cxlf: return "cxlfork";
-    }
-    return "?";
-}
-
-std::unique_ptr<rfork::RemoteForkMechanism>
-makeMech(Mech m, cxl::CxlFabric &fabric)
-{
-    switch (m) {
-    case Mech::Local: return std::make_unique<rfork::LocalFork>();
-    case Mech::Criu: return std::make_unique<rfork::CriuCxl>(fabric);
-    case Mech::Mitosis: return std::make_unique<rfork::MitosisCxl>(fabric);
-    case Mech::Cxlf: return std::make_unique<rfork::CxlFork>(fabric);
-    }
-    return nullptr;
-}
+using rfork::MechanismKind;
 
 /** LocalFork restores on the parent's node; the rest cross to node 1. */
 mem::NodeId
-targetNode(Mech m)
+targetNode(MechanismKind m)
 {
-    return m == Mech::Local ? 0 : 1;
+    return m == MechanismKind::LocalFork ? 0 : 1;
 }
 
 /**
@@ -96,19 +68,20 @@ main()
 {
     const std::vector<faas::FunctionSpec> workloads =
         faas::representativeWorkloads();
-    const std::vector<Mech> mechs = {Mech::Local, Mech::Criu, Mech::Mitosis,
-                                     Mech::Cxlf};
+    const std::vector<MechanismKind> mechs = {
+        MechanismKind::LocalFork, MechanismKind::CriuCxl,
+        MechanismKind::MitosisCxl, MechanismKind::CxlFork};
     const std::vector<unsigned> accuracies = {0, 50, 90, 100};
 
     // --- Ablation 1: restore latency vs. predictor accuracy.
     struct AccPoint
     {
         faas::FunctionSpec spec;
-        Mech mech;
+        MechanismKind mech;
     };
     std::vector<AccPoint> accPoints;
     for (const auto &spec : workloads)
-        for (Mech m : mechs)
+        for (MechanismKind m : mechs)
             accPoints.push_back({spec, m});
 
     struct AccRow
@@ -122,12 +95,12 @@ main()
     bench::runSweep(accPoints, [&](const AccPoint &p, size_t i) {
         porter::Cluster cluster(bench::benchClusterConfig());
         auto parent = bench::deployWarmParent(cluster, p.spec);
-        auto mech = makeMech(p.mech, cluster.fabric());
+        auto mech = rfork::makeMechanism(p.mech, cluster.fabric());
         auto handle =
             mech->checkpoint(cluster.node(0), parent->task());
         const mem::NodeId tgt = targetNode(p.mech);
         const std::string name = sim::format("spec.acc.%s.%s",
-                                             mechName(p.mech),
+                                             rfork::mechanismKey(p.mech),
                                              p.spec.name.c_str());
 
         const rfork::PrefetchSchedule trained =
@@ -181,7 +154,8 @@ main()
                    "100%", "Hit% @90", "Speedup @90"});
     for (size_t i = 0; i < accPoints.size(); ++i) {
         const AccRow &r = accRows[i];
-        acc.addRow({mechName(accPoints[i].mech), accPoints[i].spec.name,
+        acc.addRow({rfork::mechanismKey(accPoints[i].mech),
+                    accPoints[i].spec.name,
                     sim::Table::num(r.lazyMs, 2),
                     sim::Table::num(r.accMs[0], 2),
                     sim::Table::num(r.accMs[1], 2),
@@ -200,11 +174,12 @@ main()
     struct CompPoint
     {
         faas::FunctionSpec spec;
-        Mech mech;
+        MechanismKind mech;
     };
     std::vector<CompPoint> compPoints;
     for (const auto &spec : workloads)
-        for (Mech m : {Mech::Criu, Mech::Cxlf})
+        for (MechanismKind m :
+             {MechanismKind::CriuCxl, MechanismKind::CxlFork})
             compPoints.push_back({spec, m});
 
     struct CompRow
@@ -217,7 +192,7 @@ main()
 
     bench::runSweep(compPoints, [&](const CompPoint &p, size_t i) {
         const std::string name = sim::format("spec.comp.%s.%s",
-                                             mechName(p.mech),
+                                             rfork::mechanismKey(p.mech),
                                              p.spec.name.c_str());
         CompRow row;
         rfork::PrefetchSchedule trained;
@@ -232,7 +207,7 @@ main()
             cfg.pageStore.dedup = true;
             porter::Cluster cluster(cfg);
             auto parent = bench::deployWarmParent(cluster, p.spec);
-            auto mech = makeMech(p.mech, cluster.fabric());
+            auto mech = rfork::makeMechanism(p.mech, cluster.fabric());
             auto handle = mech->checkpoint(cluster.node(0), parent->task());
             const mem::NodeId tgt = targetNode(p.mech);
             trained =
@@ -250,7 +225,7 @@ main()
             cfg.pageStore.compress = true;
             porter::Cluster cluster(cfg);
             auto parent = bench::deployWarmParent(cluster, p.spec);
-            auto mech = makeMech(p.mech, cluster.fabric());
+            auto mech = rfork::makeMechanism(p.mech, cluster.fabric());
             auto handle = mech->checkpoint(cluster.node(0), parent->task());
             const mem::NodeId tgt = targetNode(p.mech);
 
@@ -281,7 +256,7 @@ main()
             cfg.pageStore.compress = true;
             porter::Cluster cluster(cfg);
             auto parent = bench::deployWarmParent(cluster, p.spec);
-            auto mech = makeMech(p.mech, cluster.fabric());
+            auto mech = rfork::makeMechanism(p.mech, cluster.fabric());
             auto handle = mech->checkpoint(cluster.node(0), parent->task());
             const mem::NodeId tgt = targetNode(p.mech);
 
@@ -306,7 +281,8 @@ main()
                     "Compressed", "Decompress", "Both"});
     for (size_t i = 0; i < compPoints.size(); ++i) {
         const CompRow &r = compRows[i];
-        comp.addRow({mechName(compPoints[i].mech), compPoints[i].spec.name,
+        comp.addRow({rfork::mechanismKey(compPoints[i].mech),
+                     compPoints[i].spec.name,
                      sim::Table::num(r.storedRatio, 3),
                      sim::Table::num(r.dedupMs, 2),
                      sim::Table::num(r.compMs, 2),

@@ -7,6 +7,8 @@
  * memory; Mitosis 2.6x total latency and 24x memory.
  */
 
+#include "rfork/mechanism.hh"
+
 #include "bench_util.hh"
 
 int
@@ -23,26 +25,21 @@ main()
     const RforkRun localRun =
         bench::runLocalForkScenario(lfCluster, *lfParent);
 
-    // CRIU-CXL.
-    porter::Cluster criuCluster(bench::benchClusterConfig());
-    auto criuParent = bench::deployWarmParent(criuCluster, bert);
-    rfork::CriuCxl criu(criuCluster.fabric());
-    auto criuHandle =
-        criu.checkpoint(criuCluster.node(0), criuParent->task());
-    const RforkRun criuRun = bench::runRestoreScenario(
-        criuCluster, criu, criuHandle, bert, 1);
-    bench::collectRestorePhases(criuCluster.machine(), "fig3.phase.criu");
-
-    // Mitosis-CXL.
-    porter::Cluster mitoCluster(bench::benchClusterConfig());
-    auto mitoParent = bench::deployWarmParent(mitoCluster, bert);
-    rfork::MitosisCxl mito(mitoCluster.fabric());
-    auto mitoHandle =
-        mito.checkpoint(mitoCluster.node(0), mitoParent->task());
-    const RforkRun mitoRun = bench::runRestoreScenario(
-        mitoCluster, mito, mitoHandle, bert, 1);
-    bench::collectRestorePhases(mitoCluster.machine(),
-                                "fig3.phase.mitosis");
+    // CRIU-CXL and Mitosis-CXL, each on its own cluster.
+    auto remote = [&](rfork::MechanismKind kind) {
+        porter::Cluster cluster(bench::benchClusterConfig());
+        auto parent = bench::deployWarmParent(cluster, bert);
+        auto mech = rfork::makeMechanism(kind, cluster.fabric());
+        auto handle = mech->checkpoint(cluster.node(0), parent->task());
+        const RforkRun run =
+            bench::runRestoreScenario(cluster, *mech, handle, bert, 1);
+        bench::collectRestorePhases(
+            cluster.machine(),
+            std::string("fig3.phase.") + rfork::mechanismKey(kind));
+        return run;
+    };
+    const RforkRun criuRun = remote(rfork::MechanismKind::CriuCxl);
+    const RforkRun mitoRun = remote(rfork::MechanismKind::MitosisCxl);
 
     bench::recordRun("fig3.localfork", localRun);
     bench::recordRun("fig3.criu", criuRun);

@@ -11,6 +11,8 @@
  * Memory: CXLfork needs ~13% of Cold; -87% vs CRIU, -61% vs Mitosis.
  */
 
+#include "rfork/mechanism.hh"
+
 #include "bench_util.hh"
 
 int
@@ -47,53 +49,31 @@ main()
         rfork::RestoreOptions opts;
         rfork::PrefetchSchedule sched;
 
-        // CRIU-CXL.
-        {
+        // The remote mechanisms; CXLfork runs its default
+        // migrate-on-write + dirty prefetch.
+        auto remote = [&](rfork::MechanismKind kind) {
             porter::Cluster cluster(bench::benchClusterConfig());
             auto parent = bench::deployWarmParent(cluster, w.spec);
-            rfork::CriuCxl criu(cluster.fabric());
-            auto h = criu.checkpoint(cluster.node(0), parent->task());
+            auto mech = rfork::makeMechanism(kind, cluster.fabric());
+            auto h = mech->checkpoint(cluster.node(0), parent->task());
             if (bench::prefetchEnabled()) {
-                sched = bench::trainSchedule(cluster, criu, h, w.spec, 1);
+                sched = bench::trainSchedule(cluster, *mech, h, w.spec, 1);
                 opts.prefetch = &sched;
             }
-            row.criu = bench::runRestoreScenario(cluster, criu, h, w.spec, 1,
-                                                 opts);
+            const RforkRun run =
+                bench::runRestoreScenario(cluster, *mech, h, w.spec, 1, opts);
+            const std::string key = rfork::mechanismKey(kind);
             bench::collectRestorePhases(cluster.machine(),
-                                        "fig7.phase.criu");
-        }
-        // Mitosis-CXL.
-        {
-            porter::Cluster cluster(bench::benchClusterConfig());
-            auto parent = bench::deployWarmParent(cluster, w.spec);
-            rfork::MitosisCxl mito(cluster.fabric());
-            auto h = mito.checkpoint(cluster.node(0), parent->task());
-            if (bench::prefetchEnabled()) {
-                sched = bench::trainSchedule(cluster, mito, h, w.spec, 1);
-                opts.prefetch = &sched;
+                                        "fig7.phase." + key);
+            if (kind == rfork::MechanismKind::CxlFork) {
+                bench::maybeWriteChromeTrace(cluster.machine(),
+                                             "fig7_cxlfork_" + w.spec.name);
             }
-            row.mito = bench::runRestoreScenario(cluster, mito, h, w.spec, 1,
-                                                 opts);
-            bench::collectRestorePhases(cluster.machine(),
-                                        "fig7.phase.mitosis");
-        }
-        // CXLfork (default migrate-on-write + dirty prefetch).
-        {
-            porter::Cluster cluster(bench::benchClusterConfig());
-            auto parent = bench::deployWarmParent(cluster, w.spec);
-            rfork::CxlFork cxlf(cluster.fabric());
-            auto h = cxlf.checkpoint(cluster.node(0), parent->task());
-            if (bench::prefetchEnabled()) {
-                sched = bench::trainSchedule(cluster, cxlf, h, w.spec, 1);
-                opts.prefetch = &sched;
-            }
-            row.cxlf = bench::runRestoreScenario(cluster, cxlf, h, w.spec, 1,
-                                                 opts);
-            bench::collectRestorePhases(cluster.machine(),
-                                        "fig7.phase.cxlfork");
-            bench::maybeWriteChromeTrace(cluster.machine(),
-                                         "fig7_cxlfork_" + w.spec.name);
-        }
+            return run;
+        };
+        row.criu = remote(rfork::MechanismKind::CriuCxl);
+        row.mito = remote(rfork::MechanismKind::MitosisCxl);
+        row.cxlf = remote(rfork::MechanismKind::CxlFork);
         bench::recordRun("fig7.cold", row.cold);
         bench::recordRun("fig7.localfork", row.local);
         bench::recordRun("fig7.criu", row.criu);

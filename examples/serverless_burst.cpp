@@ -44,7 +44,7 @@ main()
         porter::PorterSim sim(cfg, functions, perf);
         const auto m = sim.run(trace);
 
-        std::printf("--- %s ---\n", porter::mechanismName(mech));
+        std::printf("--- %s ---\n", rfork::mechanismName(porter::kindOf(mech)));
         std::printf("  P50 %.1f ms, P99 %.1f ms\n", m.p50Ms(), m.p99Ms());
         std::printf("  warm hits %llu, restores %llu (ghost %llu), cold "
                     "starts %llu\n",

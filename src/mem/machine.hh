@@ -240,6 +240,16 @@ class Machine
     FrameAllocator &cxl() { return *cxl_; }
     const FrameAllocator &cxl() const { return *cxl_; }
 
+    /** Frames in use on the CXL device plus every node's DRAM. */
+    uint64_t
+    usedFrames() const
+    {
+        uint64_t used = cxl_->usedFrames();
+        for (const auto &dram : nodeDram_)
+            used += dram->usedFrames();
+        return used;
+    }
+
     CacheModel &llc(NodeId n) { return llc_.at(n); }
     const CacheModel &llc(NodeId n) const { return llc_.at(n); }
 

@@ -1,50 +1,23 @@
 #include "chaos_harness.hh"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <optional>
 
 #include "cxl/ras.hh"
-#include "rfork/criu.hh"
-#include "rfork/cxlfork.hh"
-#include "rfork/localfork.hh"
-#include "rfork/mitosis.hh"
+#include "porter/harness_core.hh"
 #include "sim/error.hh"
 #include "sim/log.hh"
-#include "sim/rng.hh"
 
 namespace cxlfork::porter {
 
 namespace {
 
-constexpr const char *kUser = "tenant0";
+using harness::kUser;
 constexpr const char *kFunction = "chaosfn";
-
-/** Per-generation page token: deterministic, distinct across gens. */
-uint64_t
-chaosToken(uint64_t gen, uint64_t i, uint64_t period)
-{
-    const uint64_t j = period ? i % period : i;
-    return 0x9e3779b97f4a7c15ull * (j + 1) ^
-           (0xc0ffeeull + gen * 0x0100'0193ull);
-}
-
-/** What a published CID must reproduce on restore. */
-struct Expected
-{
-    uint64_t generation = 0;
-    mem::VirtAddr heapStart{0};
-};
 
 ClusterConfig
 soakCluster(const ChaosConfig &cfg)
 {
-    ClusterConfig cc;
-    cc.machine.numNodes = 2;
-    cc.machine.dramPerNodeBytes = mem::mib(128);
-    cc.machine.cxlCapacityBytes = mem::mib(256);
-    cc.machine.llcBytes = mem::mib(8);
+    ClusterConfig cc = harness::smallCluster(2);
     cc.pageStore.dedup = cfg.dedup;
     // replicas == 0 runs the negative control: the RAS layer entirely
     // off, so poison losses reach restores unrepaired.
@@ -55,33 +28,16 @@ soakCluster(const ChaosConfig &cfg)
     return cc;
 }
 
-uint64_t
-totalUsedFrames(mem::Machine &m)
-{
-    uint64_t used = m.cxl().usedFrames();
-    for (uint32_t i = 0; i < m.numNodes(); ++i)
-        used += m.nodeDram(i).usedFrames();
-    return used;
-}
-
 /** The long-lived soak state (one cluster across every round). */
-struct Soak
+struct ChaosSoak : harness::Soak
 {
     const ChaosConfig &cfg;
-    Cluster cluster;
-    std::unique_ptr<rfork::RemoteForkMechanism> mech;
-    sim::Rng rng;
     ChaosReport rep;
 
-    std::shared_ptr<os::Task> parent;
-    mem::VirtAddr heapStart{0};
-    uint64_t parentGen = ~uint64_t(0); ///< Generation the heap holds.
-    std::map<cxl::Cid, Expected> published;
-    uint64_t baselineFrames = 0;
-
-    explicit Soak(const ChaosConfig &c)
-        : cfg(c), cluster(soakCluster(c)),
-          mech(nullptr), rng(c.seed)
+    explicit ChaosSoak(const ChaosConfig &c)
+        : Soak(soakCluster(c), c.mechanism, kFunction, c.heapPages,
+               {0xc0ffee, c.tokenPeriod}, c.seed),
+          cfg(c)
     {
         // Injection on from the start: every checkpoint page drawn
         // below lives under birth poison and transient transactions.
@@ -92,68 +48,6 @@ struct Soak
         fc.maxRetries = 4;
         fc.backoffJitter = 0.25; // exercise the seeded-jitter path
         cluster.machine().setFaultConfig(fc);
-        mech = [&]() -> std::unique_ptr<rfork::RemoteForkMechanism> {
-            switch (c.mechanism) {
-              case CrashMechanism::CxlFork:
-                return std::make_unique<rfork::CxlFork>(cluster.fabric());
-              case CrashMechanism::Criu:
-                return std::make_unique<rfork::CriuCxl>(cluster.fabric());
-              case CrashMechanism::Mitosis:
-                return std::make_unique<rfork::MitosisCxl>(cluster.fabric());
-              case CrashMechanism::LocalFork:
-                return std::make_unique<rfork::LocalFork>();
-            }
-            sim::panic("unknown chaos mechanism %u", unsigned(c.mechanism));
-        }();
-        baselineFrames = totalUsedFrames(cluster.machine());
-    }
-
-    void
-    fail(std::string why)
-    {
-        if (rep.pass) {
-            rep.pass = false;
-            rep.firstViolation = sim::format(
-                "%s: %s", crashMechanismName(cfg.mechanism), why.c_str());
-        }
-    }
-
-    os::NodeOs &
-    restoreNode()
-    {
-        return cfg.mechanism == CrashMechanism::LocalFork ? cluster.node(0)
-                                                          : cluster.node(1);
-    }
-
-    /** (Re)build the parent and write generation `gen`'s tokens. */
-    void
-    buildParent(uint64_t gen)
-    {
-        os::NodeOs &node0 = cluster.node(0);
-        if (!parent) {
-            parent = node0.createTask(kFunction);
-            os::Vma &heap = node0.mapAnon(
-                *parent, cfg.heapPages * mem::kPageSize,
-                os::kVmaRead | os::kVmaWrite, "heap");
-            heapStart = heap.start;
-        }
-        for (uint64_t i = 0; i < cfg.heapPages; ++i) {
-            node0.write(*parent, heapStart.plus(i * mem::kPageSize),
-                        chaosToken(gen, i, cfg.tokenPeriod));
-        }
-        parentGen = gen;
-    }
-
-    /** Drop every published record the store no longer holds. */
-    void
-    pruneReclaimed()
-    {
-        for (auto it = published.begin(); it != published.end();) {
-            if (!cluster.checkpoints().get(it->first))
-                it = published.erase(it);
-            else
-                ++it;
-        }
     }
 
     /**
@@ -213,31 +107,20 @@ struct Soak
     void
     recover(bool nodeDied, uint64_t pendingGen)
     {
-        rfork::CheckpointStore &store = cluster.checkpoints();
-        if (nodeDied && parent) {
-            cluster.node(0).exitTask(parent);
-            parent.reset();
-        }
+        if (nodeDied)
+            parent.exit();
         cluster.recoverNode(0);
         ++rep.recoveries;
-        if (store.stagedCount() != 0)
-            fail("STAGED journal record survived recovery");
-        // Recovery may have completed the interrupted generation's
-        // orphan: a lookup hit we never recorded is that checkpoint.
-        if (auto cid = store.lookup(kUser, kFunction)) {
-            if (!published.count(*cid))
-                published[*cid] = {pendingGen, heapStart};
-        }
-        pruneReclaimed();
+        afterRecovery(pendingGen);
         if (nodeDied)
-            buildParent(pendingGen);
+            parent.fill(pendingGen);
     }
 
     /** Publish generation `gen`, possibly with a crash armed. */
     void
     publishGeneration(uint64_t gen)
     {
-        buildParent(gen);
+        parent.fill(gen);
         rfork::CheckpointStore &store = cluster.checkpoints();
         sim::FaultInjector &faults = cluster.machine().faults();
         const bool armCrash = rng.chance(cfg.crashProb);
@@ -251,7 +134,7 @@ struct Soak
         cxl::Cid newCid = 0;
         try {
             const rfork::PublishedCheckpoint pub = mech->checkpointPublished(
-                store, {kUser, kFunction}, cluster.node(0), *parent);
+                store, {kUser, kFunction}, cluster.node(0), *parent.task);
             newCid = pub.cid;
         } catch (const sim::NodeCrashError &) {
             crashed = true;
@@ -274,52 +157,28 @@ struct Soak
         }
 
         ++rep.checkpointsPublished;
-        published[newCid] = {gen, heapStart};
-        // Retire superseded generations so the store holds at most the
-        // latest — exercising release/replica-drop under injection.
-        for (auto it = published.begin(); it != published.end();) {
-            if (it->first != newCid && store.get(it->first)) {
-                store.reclaim(it->first);
-                it = published.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        pruneReclaimed();
+        // Retiring superseded generations exercises release and
+        // replica drop under injection.
+        supersede(newCid);
     }
 
     /** One restore invocation, fully audited. */
     void
     invokeOnce()
     {
-        rfork::CheckpointStore &store = cluster.checkpoints();
-        const std::optional<cxl::Cid> cid = store.lookup(kUser, kFunction);
-        if (!cid) {
-            ++rep.coldStarts;
+        const std::optional<Hit> hit = lookupPublished(&rep.coldStarts);
+        if (!hit)
             return;
-        }
-        auto handle = store.get(*cid);
-        if (!handle) {
-            fail("lookup returned a CID with no stored object");
-            return;
-        }
-        auto expIt = published.find(*cid);
-        if (expIt == published.end()) {
-            fail(sim::format("lookup returned unrecorded cid=%llu",
-                             (unsigned long long)*cid));
-            return;
-        }
-        const Expected exp = expIt->second;
         os::NodeOs &target = restoreNode();
         ++rep.invocations;
-        rfork::RestoreOutcome outcome = mech->tryRestore(handle, target);
+        rfork::RestoreOutcome outcome = mech->tryRestore(hit->handle, target);
         if (!outcome) {
             switch (outcome.error) {
               case rfork::RestoreError::TransientFault:
                 ++rep.transientFailures;
                 return;
               case rfork::RestoreError::PoisonedFrame:
-                handleLoss(outcome.origin, *cid);
+                handleLoss(outcome.origin, hit->cid);
                 return;
               default:
                 fail(sim::format("restore failed (%s): %s",
@@ -333,24 +192,17 @@ struct Soak
         // poisoned read here is the same loss path as during restore.
         bool verified = true;
         try {
-            for (uint64_t i = 0; i < cfg.heapPages; ++i) {
-                const uint64_t want =
-                    chaosToken(exp.generation, i, cfg.tokenPeriod);
-                const uint64_t got = target.read(
-                    *outcome.task,
-                    exp.heapStart.plus(i * mem::kPageSize));
-                if (got != want) {
-                    fail(sim::format(
-                        "restored page %llu reads %#llx, want %#llx "
-                        "(silent corruption)",
-                        (unsigned long long)i, (unsigned long long)got,
-                        (unsigned long long)want));
-                    verified = false;
-                    break;
-                }
+            if (auto bad = parent.verify(target, *outcome.task,
+                                         hit->expected)) {
+                fail(sim::format("restored page %llu reads %#llx, want "
+                                 "%#llx (silent corruption)",
+                                 (unsigned long long)bad->page,
+                                 (unsigned long long)bad->got,
+                                 (unsigned long long)bad->want));
+                verified = false;
             }
         } catch (const sim::PoisonedFrameError &e) {
-            handleLoss(e.origin(), *cid);
+            handleLoss(e.origin(), hit->cid);
             verified = false;
         } catch (const sim::TransientFaultError &) {
             ++rep.transientFailures;
@@ -367,65 +219,19 @@ struct Soak
     void
     finalAudit()
     {
-        rfork::CheckpointStore &store = cluster.checkpoints();
-        for (auto &[cid, exp] : published) {
-            if (store.get(cid))
-                store.reclaim(cid);
-        }
-        published.clear();
-        if (parent) {
-            cluster.node(0).exitTask(parent);
-            parent.reset();
-        }
-
+        rep.framesLeaked = teardown();
         cxl::RasManager &ras = cluster.fabric().ras();
         rep.repairs = ras.repairs();
         rep.peakReplicaBytes = ras.peakReplicaFrames() * mem::kPageSize;
         if (ras.enabled()) {
-            sim::MetricsRegistry &m = cluster.machine().metrics();
-            rep.replicasWritten =
-                m.counter("cxl.ras.replicas_written").value();
+            rep.replicasWritten = cluster.machine()
+                                      .metrics()
+                                      .counter("cxl.ras.replicas_written")
+                                      .value();
             rep.scrubRepairs = 0; // folded into repairs via the counter
-            const cxl::RasAudit ra = ras.audit();
-            if (!ra.consistent)
-                fail("RAS audit failed: " + ra.detail);
-            if (ras.replicaFrames() != 0) {
-                fail(sim::format("%llu replica frames survived teardown",
-                                 (unsigned long long)ras.replicaFrames()));
-            }
         }
-
-        const uint64_t usedNow = totalUsedFrames(cluster.machine());
-        if (usedNow > baselineFrames) {
-            rep.framesLeaked = usedNow - baselineFrames;
-            fail(sim::format("%llu frames leaked",
-                             (unsigned long long)rep.framesLeaked));
-        } else if (usedNow < baselineFrames) {
-            fail("frame usage fell below baseline (double free)");
-        }
-
-        const mem::FrameAudit cxlAudit =
-            cluster.machine().cxl().auditLive();
-        if (!cxlAudit.consistent)
-            fail("CXL allocator audit failed: " + cxlAudit.detail);
-        for (uint32_t i = 0; i < cluster.machine().numNodes(); ++i) {
-            const mem::FrameAudit a =
-                cluster.machine().nodeDram(i).auditLive();
-            if (!a.consistent)
-                fail("DRAM allocator audit failed: " + a.detail);
-        }
-        const cxl::PageStoreAudit ps = cluster.fabric().pageStore().audit();
-        if (!ps.consistent)
-            fail("page-store audit failed: " + ps.detail);
-
-        // Coherence-enabled soaks also audit the directory: every MESI
-        // invariant must hold after hundreds of crash/recover rounds,
-        // and the line-reset hook must have kept directory state from
-        // outliving freed frames.
-        if (cxl::CoherenceDirectory *dir = cluster.fabric().coherence()) {
-            if (auto bad = dir->auditInvariants())
-                fail("coherence audit failed: " + *bad);
-        }
+        rep.pass = !verdict.failed;
+        rep.firstViolation = verdict.detail;
     }
 };
 
@@ -434,7 +240,7 @@ struct Soak
 ChaosReport
 runChaosSoak(const ChaosConfig &cfg)
 {
-    Soak soak(cfg);
+    ChaosSoak soak(cfg);
     cxl::RasManager &ras = soak.cluster.fabric().ras();
 
     for (uint64_t round = 0; round < cfg.rounds; ++round) {

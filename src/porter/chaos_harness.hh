@@ -16,9 +16,9 @@
  *     damaged from lookup();
  *   - no other failure mode exists (a corrupt restore that "succeeds"
  *     is the violation the layer exists to prevent);
- *   - at teardown the frame census balances to the pre-workload
- *     baseline: zero leaks, zero double frees, and every allocator,
- *     page-store, and RAS audit passes.
+ *   - at teardown the audit of harness_core.hh passes: the frame
+ *     census balances to the pre-workload baseline, and every
+ *     allocator, page-store, RAS and directory audit holds.
  *
  * With replication on, write-verify plus the repair ladder keep the
  * survival fraction near one; the same soak with replicas == 0 (RAS
@@ -32,15 +32,14 @@
 #include <string>
 
 #include "porter/cluster.hh"
-#include "porter/crash_harness.hh"
-#include "rfork/rfork.hh"
+#include "rfork/mechanism.hh"
 
 namespace cxlfork::porter {
 
 /** One soak campaign. */
 struct ChaosConfig
 {
-    CrashMechanism mechanism = CrashMechanism::CxlFork;
+    rfork::MechanismKind mechanism = rfork::MechanismKind::CxlFork;
     uint64_t heapPages = 12;   ///< Parent heap footprint, in pages.
     uint64_t rounds = 250;     ///< Soak rounds (restores per round below).
     uint64_t seed = 0xc4a0'5011ULL; ///< Drives every random choice.

@@ -38,9 +38,7 @@ Cluster::recoverNode(mem::NodeId n)
     const sim::SimTime start = clock.now();
     NodeRecovery out;
 
-    uint64_t usedBefore = machine_->cxl().usedFrames();
-    for (uint32_t i = 0; i < machine_->numNodes(); ++i)
-        usedBefore += machine_->nodeDram(i).usedFrames();
+    const uint64_t usedBefore = machine_->usedFrames();
 
     sim::SpanScope span = machine_->tracer().span(
         clock, n, "porter.recover_node", "porter.recovery");
@@ -112,9 +110,7 @@ Cluster::recoverNode(mem::NodeId n)
     if (cxl::CoherenceDirectory *dir = fabric_->coherence())
         dir->onNodeCrash(n, clock);
 
-    uint64_t usedAfter = machine_->cxl().usedFrames();
-    for (uint32_t i = 0; i < machine_->numNodes(); ++i)
-        usedAfter += machine_->nodeDram(i).usedFrames();
+    const uint64_t usedAfter = machine_->usedFrames();
     out.framesReclaimed =
         usedBefore > usedAfter ? usedBefore - usedAfter : 0;
     // Returning a frame updates its allocator free list on the device.

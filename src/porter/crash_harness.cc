@@ -1,9 +1,5 @@
 #include "crash_harness.hh"
 
-#include "rfork/criu.hh"
-#include "rfork/cxlfork.hh"
-#include "rfork/localfork.hh"
-#include "rfork/mitosis.hh"
 #include "sim/error.hh"
 #include "sim/log.hh"
 
@@ -11,141 +7,41 @@ namespace cxlfork::porter {
 
 namespace {
 
-constexpr const char *kUser = "tenant0";
+using harness::kUser;
 constexpr const char *kFunction = "crashfn";
 
-/**
- * A deliberately small machine: each run builds a fresh cluster, and
- * the frame allocators reserve metadata proportional to capacity.
- */
 ClusterConfig
-smallCluster(const CrashEnumConfig &cfg)
+crashCluster(const CrashEnumConfig &cfg)
 {
-    ClusterConfig cc;
-    cc.machine.numNodes = 2;
-    cc.machine.dramPerNodeBytes = mem::mib(128);
-    cc.machine.cxlCapacityBytes = mem::mib(256);
-    cc.machine.llcBytes = mem::mib(8);
+    ClusterConfig cc = harness::smallCluster(2);
     cc.pageStore = cfg.pageStore;
     cc.coherence.mode = cfg.coherence;
     cc.contention = cfg.contention;
     return cc;
 }
 
-std::unique_ptr<rfork::RemoteForkMechanism>
-makeMechanism(Cluster &cluster, CrashMechanism m)
+/** A fresh rig whose parent holds generation 0's tokens. */
+struct CrashRig : harness::Rig
 {
-    switch (m) {
-      case CrashMechanism::CxlFork:
-        return std::make_unique<rfork::CxlFork>(cluster.fabric());
-      case CrashMechanism::Criu:
-        return std::make_unique<rfork::CriuCxl>(cluster.fabric());
-      case CrashMechanism::Mitosis:
-        return std::make_unique<rfork::MitosisCxl>(cluster.fabric());
-      case CrashMechanism::LocalFork:
-        return std::make_unique<rfork::LocalFork>();
+    explicit CrashRig(const CrashEnumConfig &cfg)
+        : Rig(crashCluster(cfg), cfg.mechanism, kFunction, cfg.heapPages,
+              {0xc0ffee, cfg.tokenPeriod})
+    {
+        parent.fill(0);
     }
-    sim::panic("unknown crash mechanism %u", unsigned(m));
-}
-
-/**
- * Deterministic per-page content token. A nonzero period makes tokens
- * repeat, so a dedup-enabled checkpoint shares frames between its own
- * pages.
- */
-uint64_t
-tokenFor(uint64_t i, uint64_t period)
-{
-    const uint64_t j = period ? i % period : i;
-    return 0x9e3779b97f4a7c15ull * (j + 1) ^ 0xc0ffee;
-}
-
-struct ParentProc
-{
-    std::shared_ptr<os::Task> task;
-    mem::VirtAddr heapStart;
 };
 
-ParentProc
-buildParent(Cluster &c, const CrashEnumConfig &cfg)
-{
-    os::NodeOs &node0 = c.node(0);
-    ParentProc p;
-    p.task = node0.createTask(kFunction);
-    os::Vma &heap =
-        node0.mapAnon(*p.task, cfg.heapPages * mem::kPageSize,
-                      os::kVmaRead | os::kVmaWrite, "heap");
-    p.heapStart = heap.start;
-    for (uint64_t i = 0; i < cfg.heapPages; ++i)
-        node0.write(*p.task, p.heapStart.plus(i * mem::kPageSize),
-                    tokenFor(i, cfg.tokenPeriod));
-    return p;
-}
-
-uint64_t
-totalUsedFrames(mem::Machine &m)
-{
-    uint64_t used = m.cxl().usedFrames();
-    for (uint32_t i = 0; i < m.numNodes(); ++i)
-        used += m.nodeDram(i).usedFrames();
-    return used;
-}
-
-bool
-auditAll(Cluster &c, std::string *detail)
-{
-    mem::Machine &m = c.machine();
-    const mem::FrameAudit cxlAudit = m.cxl().auditLive();
-    if (!cxlAudit.consistent) {
-        *detail = cxlAudit.detail;
-        return false;
-    }
-    for (uint32_t i = 0; i < m.numNodes(); ++i) {
-        const mem::FrameAudit a = m.nodeDram(i).auditLive();
-        if (!a.consistent) {
-            *detail = a.detail;
-            return false;
-        }
-    }
-    // The content index is bookkeeping over the same frames: a crash
-    // must never strand an index entry for a freed frame or vice versa.
-    const cxl::PageStoreAudit ps = c.fabric().pageStore().audit();
-    if (!ps.consistent) {
-        *detail = ps.detail;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
-
-const char *
-crashMechanismName(CrashMechanism m)
-{
-    switch (m) {
-      case CrashMechanism::CxlFork:
-        return "CXLfork";
-      case CrashMechanism::Criu:
-        return "CRIU-CXL";
-      case CrashMechanism::Mitosis:
-        return "Mitosis-CXL";
-      case CrashMechanism::LocalFork:
-        return "LocalFork";
-    }
-    return "?";
-}
 
 uint64_t
 countCrashSites(const CrashEnumConfig &cfg)
 {
-    Cluster cluster(smallCluster(cfg));
-    auto mech = makeMechanism(cluster, cfg.mechanism);
-    ParentProc parent = buildParent(cluster, cfg);
-    sim::FaultInjector &faults = cluster.machine().faults();
+    CrashRig rig(cfg);
+    sim::FaultInjector &faults = rig.cluster.machine().faults();
     faults.beginCrashCount();
-    mech->checkpointPublished(cluster.checkpoints(), {kUser, kFunction},
-                              cluster.node(0), *parent.task, nullptr,
-                              cfg.policy);
+    rig.mech->checkpointPublished(rig.cluster.checkpoints(),
+                                  {kUser, kFunction}, rig.cluster.node(0),
+                                  *rig.parent.task, nullptr, cfg.policy);
     const uint64_t sites = faults.crashSitesSeen();
     faults.disarmCrash();
     return sites;
@@ -157,25 +53,18 @@ runCrashAtSite(const CrashEnumConfig &cfg, uint64_t site)
     CrashSiteResult r;
     r.site = site;
 
-    Cluster cluster(smallCluster(cfg));
+    CrashRig rig(cfg);
+    Cluster &cluster = rig.cluster;
     mem::Machine &machine = cluster.machine();
-    auto mech = makeMechanism(cluster, cfg.mechanism);
-    const uint64_t baseline = totalUsedFrames(machine);
-    ParentProc parent = buildParent(cluster, cfg);
+    harness::TokenHeap &parent = rig.parent;
     rfork::CheckpointStore &store = cluster.checkpoints();
-    const rfork::PublishIdentity id{kUser, kFunction};
-
-    auto fail = [&](std::string why) {
-        if (!r.violation) {
-            r.violation = true;
-            r.detail = std::move(why);
-        }
-    };
+    harness::Verdict v;
 
     machine.faults().armCrashSite(site);
     try {
-        mech->checkpointPublished(store, id, cluster.node(0), *parent.task,
-                                  nullptr, cfg.policy);
+        rig.mech->checkpointPublished(store, {kUser, kFunction},
+                                      cluster.node(0), *parent.task,
+                                      nullptr, cfg.policy);
     } catch (const sim::NodeCrashError &) {
         r.crashed = true;
     }
@@ -189,18 +78,17 @@ runCrashAtSite(const CrashEnumConfig &cfg, uint64_t site)
         if (auto cid = store.lookup(kUser, kFunction)) {
             auto h = store.get(*cid);
             if (!h || !h->complete())
-                fail("lookup exposes a half-built image before recovery");
+                v.fail("lookup exposes a half-built image before recovery");
         }
 
         // The node dies: its processes go with it, then it restarts and
         // runs the journal recovery pass.
-        cluster.node(0).exitTask(parent.task);
-        parent.task.reset();
+        parent.exit();
         const NodeRecovery rec = cluster.recoverNode(0);
         r.framesReclaimed = rec.framesReclaimed;
         r.recoveryTime = rec.recoveryTime;
         if (store.stagedCount() != 0)
-            fail("STAGED journal record survived recovery");
+            v.fail("STAGED journal record survived recovery");
     }
 
     // Restorable-or-absent: whatever lookup() returns now must restore
@@ -208,88 +96,47 @@ runCrashAtSite(const CrashEnumConfig &cfg, uint64_t site)
     std::optional<cxl::Cid> cid = store.lookup(kUser, kFunction);
     r.imageAvailable = cid.has_value();
     if (!r.crashed && !r.imageAvailable)
-        fail("completed checkpoint was never published");
+        v.fail("completed checkpoint was never published");
     if (cid) {
         auto handle = store.get(*cid);
         if (!handle) {
-            fail("published CID has no stored object");
+            v.fail("published CID has no stored object");
         } else {
-            os::NodeOs &target = cfg.mechanism == CrashMechanism::LocalFork
-                                     ? cluster.node(0)
-                                     : cluster.node(1);
+            os::NodeOs &target = rig.restoreNode();
             try {
-                auto child = mech->restore(handle, target);
+                auto child = rig.mech->restore(handle, target);
                 r.restored = true;
-                for (uint64_t i = 0; i < cfg.heapPages; ++i) {
-                    const uint64_t want = tokenFor(i, cfg.tokenPeriod);
-                    const uint64_t got = target.read(
-                        *child,
-                        parent.heapStart.plus(i * mem::kPageSize));
-                    if (got != want) {
-                        fail(sim::format(
-                            "restored page %llu has token %#llx, want "
-                            "%#llx",
-                            (unsigned long long)i,
-                            (unsigned long long)got,
-                            (unsigned long long)want));
-                        break;
-                    }
+                auto bad = parent.verify(target, *child, parent.image());
+                if (bad) {
+                    v.fail(sim::format(
+                        "restored page %llu has token %#llx, want %#llx",
+                        (unsigned long long)bad->page,
+                        (unsigned long long)bad->got,
+                        (unsigned long long)bad->want));
                 }
                 target.exitTask(child);
             } catch (const sim::SimError &e) {
-                fail(std::string("published image failed to restore: ") +
-                     e.what());
+                v.fail(std::string("published image failed to restore: ") +
+                       e.what());
             }
         }
         store.reclaim(*cid);
     }
 
-    if (parent.task) {
-        cluster.node(0).exitTask(parent.task);
-        parent.task.reset();
-    }
-
-    const uint64_t usedNow = totalUsedFrames(machine);
-    if (usedNow > baseline) {
-        r.framesLeaked = usedNow - baseline;
-        fail(sim::format("%llu frames leaked",
-                         (unsigned long long)r.framesLeaked));
-    } else if (usedNow < baseline) {
-        fail("frame usage fell below baseline (double free)");
-    }
-    std::string auditDetail;
-    if (!auditAll(cluster, &auditDetail))
-        fail("allocator audit failed: " + auditDetail);
+    parent.exit();
+    r.framesLeaked = rig.audit(v);
+    r.violation = v.failed;
+    r.detail = v.detail;
     return r;
 }
 
 CrashEnumReport
 enumerateCrashSites(const CrashEnumConfig &cfg)
 {
-    CrashEnumReport rep;
-    rep.sites = countCrashSites(cfg);
-    rep.results.reserve(rep.sites + 1);
-    for (uint64_t k = 0; k <= rep.sites; ++k) {
-        CrashSiteResult r = runCrashAtSite(cfg, k);
-        // The dry-run count must agree with the armed replay: every
-        // k below it crashes, the control above it does not.
-        if (k < rep.sites && !r.crashed && !r.violation) {
-            r.violation = true;
-            r.detail = "armed crash site never fired (count drift)";
-        }
-        if (k >= rep.sites && r.crashed && !r.violation) {
-            r.violation = true;
-            r.detail = "crash fired past the counted site range";
-        }
-        if (r.violation && rep.pass) {
-            rep.pass = false;
-            rep.firstViolation = sim::format(
-                "%s site %llu: %s", crashMechanismName(cfg.mechanism),
-                (unsigned long long)r.site, r.detail.c_str());
-        }
-        rep.results.push_back(std::move(r));
-    }
-    return rep;
+    return harness::sweepSites(
+        cfg.mechanism, countCrashSites(cfg), "crash",
+        &CrashSiteResult::crashed,
+        [&](uint64_t k) { return runCrashAtSite(cfg, k); });
 }
 
 } // namespace cxlfork::porter

@@ -6,14 +6,14 @@
  * the crash sites a published checkpoint passes through (dry run in
  * FaultInjector count mode), then replays the checkpoint once per site
  * k on a fresh cluster with the injector armed to crash exactly at k.
- * After each crash it runs the node-restart recovery pass and audits
- * the machine-wide invariants:
+ * After each crash it runs the node-restart recovery pass and checks:
  *
- *   - no frame from the interrupted checkpoint remains allocated,
- *   - every frame allocator passes its refcount/free-list audit,
+ *   - no STAGED journal record survives recovery,
  *   - lookup() either misses or returns an image that restores and
  *     reproduces every page token,
- *   - no STAGED journal record survives recovery.
+ *   - the teardown audit of harness_core.hh passes: no frame from the
+ *     interrupted checkpoint remains allocated, and every allocator,
+ *     store and directory audit holds.
  *
  * Running the same enumeration with PublishPolicy::DirectPutUnsafe
  * demonstrably fails: mid-build crashes leave a half-built image
@@ -27,25 +27,16 @@
 #include <vector>
 
 #include "porter/cluster.hh"
+#include "porter/harness_core.hh"
+#include "rfork/mechanism.hh"
 #include "rfork/rfork.hh"
 
 namespace cxlfork::porter {
 
-/** Which remote-fork mechanism the enumeration drives. */
-enum class CrashMechanism : uint8_t
-{
-    CxlFork,
-    Criu,
-    Mitosis,
-    LocalFork,
-};
-
-const char *crashMechanismName(CrashMechanism m);
-
 /** One enumeration campaign. */
 struct CrashEnumConfig
 {
-    CrashMechanism mechanism = CrashMechanism::CxlFork;
+    rfork::MechanismKind mechanism = rfork::MechanismKind::CxlFork;
     uint64_t heapPages = 16; ///< Parent heap footprint, in pages.
     rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase;
 
@@ -94,14 +85,7 @@ struct CrashSiteResult
 };
 
 /** The full site sweep for one config. */
-struct CrashEnumReport
-{
-    uint64_t sites = 0; ///< Crash sites counted in the dry run.
-    /** One entry per k in [0, sites]; k == sites is the crash-free control. */
-    std::vector<CrashSiteResult> results;
-    bool pass = true;
-    std::string firstViolation;
-};
+using CrashEnumReport = harness::SiteSweepReport<CrashSiteResult>;
 
 /**
  * Dry-run the published checkpoint in count mode.

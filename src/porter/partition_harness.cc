@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
-#include <optional>
 
 #include "cxl/link_health.hh"
-#include "rfork/criu.hh"
-#include "rfork/cxlfork.hh"
-#include "rfork/localfork.hh"
-#include "rfork/mitosis.hh"
+#include "porter/harness_core.hh"
 #include "sim/error.hh"
 #include "sim/log.hh"
-#include "sim/rng.hh"
 
 namespace cxlfork::porter {
 
@@ -77,36 +71,22 @@ restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
 
 namespace {
 
-constexpr const char *kUser = "tenant0";
+using harness::kUser;
 constexpr const char *kFunction = "partfn";
 
-/** Per-generation page token: deterministic, distinct across gens. */
-uint64_t
-partToken(uint64_t gen, uint64_t i, uint64_t period)
+harness::PageTokens
+tokens(const PartitionConfig &cfg)
 {
-    const uint64_t j = period ? i % period : i;
-    return 0x9e3779b97f4a7c15ull * (j + 1) ^
-           (0x5eaful + gen * 0x0100'0193ull);
+    return {0x5eaf, cfg.tokenPeriod};
 }
-
-/** What a published CID must reproduce on restore. */
-struct Expected
-{
-    uint64_t generation = 0;
-    mem::VirtAddr heapStart{0};
-};
 
 ClusterConfig
 partitionCluster(const PartitionConfig &cfg)
 {
-    ClusterConfig cc;
     // Three nodes: publisher (0), preferred restorer (1), warm
     // failover (2) — the minimum where a partitioned restorer leaves
     // a genuinely different node to fail over to.
-    cc.machine.numNodes = 3;
-    cc.machine.dramPerNodeBytes = mem::mib(128);
-    cc.machine.cxlCapacityBytes = mem::mib(256);
-    cc.machine.llcBytes = mem::mib(8);
+    ClusterConfig cc = harness::smallCluster(3);
     cc.machine.faults.linkSeverRate = cfg.severRate;
     cc.machine.faults.linkDegradeRate = cfg.degradeRate;
     cc.machine.faults.seed = cfg.seed ^ 0x11aa'dead'1144ULL;
@@ -122,54 +102,21 @@ partitionCluster(const PartitionConfig &cfg)
     return cc;
 }
 
-uint64_t
-totalUsedFrames(mem::Machine &m)
-{
-    uint64_t used = m.cxl().usedFrames();
-    for (uint32_t i = 0; i < m.numNodes(); ++i)
-        used += m.nodeDram(i).usedFrames();
-    return used;
-}
-
-std::unique_ptr<rfork::RemoteForkMechanism>
-makeMechanism(CrashMechanism m, Cluster &cluster)
-{
-    switch (m) {
-      case CrashMechanism::CxlFork:
-        return std::make_unique<rfork::CxlFork>(cluster.fabric());
-      case CrashMechanism::Criu:
-        return std::make_unique<rfork::CriuCxl>(cluster.fabric());
-      case CrashMechanism::Mitosis:
-        return std::make_unique<rfork::MitosisCxl>(cluster.fabric());
-      case CrashMechanism::LocalFork:
-        return std::make_unique<rfork::LocalFork>();
-    }
-    sim::panic("unknown partition mechanism %u", unsigned(m));
-}
-
 /** The long-lived soak state (one cluster across every round). */
-struct PartitionSoak
+struct PartitionSoak : harness::Soak
 {
     const PartitionConfig &cfg;
-    Cluster cluster;
-    std::unique_ptr<rfork::RemoteForkMechanism> mech;
-    sim::Rng rng;
     PartitionReport rep;
 
-    std::shared_ptr<os::Task> parent;
-    mem::VirtAddr heapStart{0};
-    uint64_t parentGen = ~uint64_t(0);
-    std::map<cxl::Cid, Expected> published;
     /** Scheduled whole-node cutoffs: node -> round the link heals. */
     std::map<mem::NodeId, uint64_t> severedUntil;
-    uint64_t baselineFrames = 0;
 
     explicit PartitionSoak(const PartitionConfig &c)
-        : cfg(c), cluster(partitionCluster(c)),
-          mech(makeMechanism(c.mechanism, cluster)), rng(c.seed)
+        : Soak(partitionCluster(c), c.mechanism, kFunction, c.heapPages,
+               tokens(c), c.seed),
+          cfg(c)
     {
         cluster.checkpoints().setEpochFencing(c.epochFencing);
-        baselineFrames = totalUsedFrames(cluster.machine());
     }
 
     cxl::LinkHealth &
@@ -180,51 +127,10 @@ struct PartitionSoak
         return *lh;
     }
 
-    void
-    fail(std::string why)
-    {
-        if (rep.pass) {
-            rep.pass = false;
-            rep.firstViolation = sim::format(
-                "%s: %s", crashMechanismName(cfg.mechanism), why.c_str());
-        }
-    }
-
     bool
     fabricMech() const
     {
-        return cfg.mechanism != CrashMechanism::LocalFork;
-    }
-
-    /** (Re)build the parent and write generation `gen`'s tokens. */
-    void
-    buildParent(uint64_t gen)
-    {
-        os::NodeOs &node0 = cluster.node(0);
-        if (!parent) {
-            parent = node0.createTask(kFunction);
-            os::Vma &heap = node0.mapAnon(
-                *parent, cfg.heapPages * mem::kPageSize,
-                os::kVmaRead | os::kVmaWrite, "heap");
-            heapStart = heap.start;
-        }
-        for (uint64_t i = 0; i < cfg.heapPages; ++i) {
-            node0.write(*parent, heapStart.plus(i * mem::kPageSize),
-                        partToken(gen, i, cfg.tokenPeriod));
-        }
-        parentGen = gen;
-    }
-
-    /** Drop every published record the store no longer holds. */
-    void
-    pruneReclaimed()
-    {
-        for (auto it = published.begin(); it != published.end();) {
-            if (!cluster.checkpoints().get(it->first))
-                it = published.erase(it);
-            else
-                ++it;
-        }
+        return kind != rfork::MechanismKind::LocalFork;
     }
 
     /**
@@ -261,21 +167,6 @@ struct PartitionSoak
                     *clean = false;
             }
         }
-    }
-
-    /** Post-failure recovery on node 0 (interrupted publish). */
-    void
-    recoverPublish(uint64_t pendingGen)
-    {
-        rfork::CheckpointStore &store = cluster.checkpoints();
-        recoverDespiteWeather(0);
-        if (store.stagedCount() != 0)
-            fail("STAGED journal record survived recovery");
-        if (auto cid = store.lookup(kUser, kFunction)) {
-            if (!published.count(*cid))
-                published[*cid] = {pendingGen, heapStart};
-        }
-        pruneReclaimed();
     }
 
     /**
@@ -322,7 +213,7 @@ struct PartitionSoak
     {
         if (cluster.quarantined(0))
             return; // a fenced node must not publish; wait for rejoin
-        buildParent(gen);
+        parent.fill(gen);
         rfork::CheckpointStore &store = cluster.checkpoints();
         sim::FaultInjector &faults = cluster.machine().faults();
         const bool armSever = rng.chance(cfg.midPublishSeverProb);
@@ -335,7 +226,7 @@ struct PartitionSoak
         cxl::Cid newCid = 0;
         try {
             const rfork::PublishedCheckpoint pub = mech->checkpointPublished(
-                store, {kUser, kFunction}, cluster.node(0), *parent);
+                store, {kUser, kFunction}, cluster.node(0), *parent.task);
             newCid = pub.cid;
         } catch (const sim::FabricPartitionError &) {
             partitioned = true;
@@ -343,7 +234,8 @@ struct PartitionSoak
             fail("publish from a never-quarantined node was fenced");
             faults.disarmCrash();
             link().heal(0);
-            recoverPublish(gen);
+            recoverDespiteWeather(0);
+            afterRecovery(gen);
             return;
         }
         faults.disarmCrash(); // clears an unfired severAtSite hook
@@ -355,23 +247,13 @@ struct PartitionSoak
 
         if (partitioned) {
             ++rep.publishPartitioned;
-            recoverPublish(gen);
+            recoverDespiteWeather(0);
+            afterRecovery(gen);
             return;
         }
 
         ++rep.checkpointsPublished;
-        published[newCid] = {gen, heapStart};
-        // Retire superseded generations so the store holds at most
-        // the latest.
-        for (auto it = published.begin(); it != published.end();) {
-            if (it->first != newCid && store.get(it->first)) {
-                store.reclaim(it->first);
-                it = published.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        pruneReclaimed();
+        supersede(newCid);
     }
 
     /** Scheduled whole-node cutoff of one restore-side node. */
@@ -406,24 +288,9 @@ struct PartitionSoak
     void
     invokeOnce()
     {
-        rfork::CheckpointStore &store = cluster.checkpoints();
-        const std::optional<cxl::Cid> cid = store.lookup(kUser, kFunction);
-        if (!cid) {
-            ++rep.coldStarts;
+        const std::optional<Hit> hit = lookupPublished(&rep.coldStarts);
+        if (!hit)
             return;
-        }
-        auto handle = store.get(*cid);
-        if (!handle) {
-            fail("lookup returned a CID with no stored object");
-            return;
-        }
-        auto expIt = published.find(*cid);
-        if (expIt == published.end()) {
-            fail(sim::format("lookup returned unrecorded cid=%llu",
-                             (unsigned long long)*cid));
-            return;
-        }
-        const Expected exp = expIt->second;
 
         std::vector<mem::NodeId> targets;
         if (fabricMech()) {
@@ -443,7 +310,7 @@ struct PartitionSoak
 
         ++rep.invocations;
         FailoverOutcome fo =
-            restoreWithFailover(cluster, *mech, handle, targets);
+            restoreWithFailover(cluster, *mech, hit->handle, targets);
         if (!fo.outcome) {
             switch (fo.outcome.error) {
               case rfork::RestoreError::FabricPartition:
@@ -481,21 +348,15 @@ struct PartitionSoak
         os::NodeOs &target = cluster.node(fo.servedBy);
         bool verified = true;
         try {
-            for (uint64_t i = 0; i < cfg.heapPages; ++i) {
-                const uint64_t want =
-                    partToken(exp.generation, i, cfg.tokenPeriod);
-                const uint64_t got = target.read(
-                    *fo.outcome.task,
-                    exp.heapStart.plus(i * mem::kPageSize));
-                if (got != want) {
-                    fail(sim::format(
-                        "restored page %llu reads %#llx, want %#llx "
-                        "(silent corruption past rung %s)",
-                        (unsigned long long)i, (unsigned long long)got,
-                        (unsigned long long)want, ladderRungName(fo.rung)));
-                    verified = false;
-                    break;
-                }
+            if (auto bad = parent.verify(target, *fo.outcome.task,
+                                         hit->expected)) {
+                fail(sim::format("restored page %llu reads %#llx, want "
+                                 "%#llx (silent corruption past rung %s)",
+                                 (unsigned long long)bad->page,
+                                 (unsigned long long)bad->got,
+                                 (unsigned long long)bad->want,
+                                 ladderRungName(fo.rung)));
+                verified = false;
             }
         } catch (const sim::FabricPartitionError &) {
             ++rep.transientFailures; // the flap heals; retryable
@@ -533,13 +394,13 @@ struct PartitionSoak
             return; // need both protagonists healthy to start
 
         rfork::CheckpointStore &store = cluster.checkpoints();
-        buildParent(parentGen == ~uint64_t(0) ? 0 : parentGen);
+        parent.fill(parent.generation == ~uint64_t(0) ? 0 : parent.generation);
 
         // 1. The zombie-to-be stages (but does not publish) on node 0
         //    at its current epoch.
         std::shared_ptr<rfork::CheckpointHandle> zombieHandle;
         try {
-            zombieHandle = mech->checkpoint(cluster.node(0), *parent);
+            zombieHandle = mech->checkpoint(cluster.node(0), *parent.task);
         } catch (const sim::SimError &) {
             link().heal(0);
             return; // link weather spoiled the setup; try next time
@@ -568,24 +429,17 @@ struct PartitionSoak
 
         // 3. The survivors move on: node 1 publishes a fresh
         //    checkpoint for the same function.
-        os::NodeOs &node1 = cluster.node(1);
-        auto survivor = node1.createTask(kFunction);
-        os::Vma &heap = node1.mapAnon(*survivor,
-                                      cfg.heapPages * mem::kPageSize,
-                                      os::kVmaRead | os::kVmaWrite, "heap");
-        const uint64_t survivorGen = 0x5b00 + round;
-        for (uint64_t i = 0; i < cfg.heapPages; ++i) {
-            node1.write(*survivor, heap.start.plus(i * mem::kPageSize),
-                        partToken(survivorGen, i, cfg.tokenPeriod));
-        }
+        harness::TokenHeap survivor{cluster.node(1), kFunction,
+                                    cfg.heapPages, tokens(cfg)};
+        survivor.fill(0x5b00 + round);
         cxl::Cid cidB = 0;
         try {
             const rfork::PublishedCheckpoint pub = mech->checkpointPublished(
-                store, {kUser, kFunction}, node1, *survivor);
+                store, {kUser, kFunction}, cluster.node(1), *survivor.task);
             cidB = pub.cid;
         } catch (const sim::SimError &) {
             // Link weather hit the survivor's publish; unwind cleanly.
-            node1.exitTask(survivor);
+            survivor.exit();
             store.reclaim(cidA);
             link().heal(0);
             recoverDespiteWeather(1);
@@ -594,8 +448,8 @@ struct PartitionSoak
             return;
         }
         ++rep.checkpointsPublished;
-        published[cidB] = {survivorGen, heap.start};
-        node1.exitTask(survivor);
+        published[cidB] = survivor.image();
+        survivor.exit();
 
         // 4. The link heals and the zombie's pre-partition publish
         //    finally arrives.
@@ -626,7 +480,7 @@ struct PartitionSoak
             if (pr == cxl::PublishResult::Published && now &&
                 *now == cidA) {
                 ++rep.doublePublishes;
-                published[cidA] = {parentGen, heapStart};
+                published[cidA] = parent.image();
             }
             recoverDespiteWeather(0);
         }
@@ -649,53 +503,13 @@ struct PartitionSoak
         severedUntil.clear();
         rejoinProbe();
 
-        rfork::CheckpointStore &store = cluster.checkpoints();
-        for (auto &[cid, exp] : published) {
-            if (store.get(cid))
-                store.reclaim(cid);
-        }
-        published.clear();
-        if (parent) {
-            cluster.node(0).exitTask(parent);
-            parent.reset();
-        }
-
+        rep.framesLeaked = teardown();
         sim::MetricsRegistry &m = cluster.machine().metrics();
         rep.reroutes = m.counter("cxl.partition.reroutes").value();
         rep.severedTxns = m.counter("cxl.partition.severed_txns").value();
         rep.degradedTxns = m.counter("cxl.partition.degraded_txns").value();
-
-        const uint64_t usedNow = totalUsedFrames(cluster.machine());
-        if (usedNow > baselineFrames) {
-            rep.framesLeaked = usedNow - baselineFrames;
-            fail(sim::format("%llu frames leaked",
-                             (unsigned long long)rep.framesLeaked));
-        } else if (usedNow < baselineFrames) {
-            fail("frame usage fell below baseline (double free)");
-        }
-
-        const mem::FrameAudit cxlAudit =
-            cluster.machine().cxl().auditLive();
-        if (!cxlAudit.consistent)
-            fail("CXL allocator audit failed: " + cxlAudit.detail);
-        for (uint32_t i = 0; i < cluster.machine().numNodes(); ++i) {
-            const mem::FrameAudit a =
-                cluster.machine().nodeDram(i).auditLive();
-            if (!a.consistent)
-                fail("DRAM allocator audit failed: " + a.detail);
-        }
-        const cxl::PageStoreAudit ps = cluster.fabric().pageStore().audit();
-        if (!ps.consistent)
-            fail("page-store audit failed: " + ps.detail);
-        cxl::RasManager &ras = cluster.fabric().ras();
-        if (ras.enabled()) {
-            const cxl::RasAudit ra = ras.audit();
-            if (!ra.consistent)
-                fail("RAS audit failed: " + ra.detail);
-        }
-        if (store.stagedCount() != 0)
-            fail("STAGED journal record survived the final audit");
-
+        rep.pass = !verdict.failed;
+        rep.firstViolation = verdict.detail;
         std::sort(rep.restoreLatenciesUs.begin(),
                   rep.restoreLatenciesUs.end());
     }
@@ -749,47 +563,27 @@ enumConfig(const PartitionConfig &cfg)
 }
 
 /** One published checkpoint on a fresh cluster, ready to restore. */
-struct EnumEpisode
+struct EnumEpisode : harness::Rig
 {
-    Cluster cluster;
-    std::unique_ptr<rfork::RemoteForkMechanism> mech;
-    std::shared_ptr<os::Task> parent;
-    mem::VirtAddr heapStart{0};
     cxl::Cid cid = 0;
-    uint64_t baselineFrames = 0;
 
     explicit EnumEpisode(const PartitionConfig &cfg)
-        : cluster(partitionCluster(enumConfig(cfg))),
-          mech(makeMechanism(cfg.mechanism, cluster))
+        : Rig(partitionCluster(enumConfig(cfg)), cfg.mechanism, kFunction,
+              cfg.heapPages, tokens(cfg))
     {
-        baselineFrames = totalUsedFrames(cluster.machine());
-        os::NodeOs &node0 = cluster.node(0);
-        parent = node0.createTask(kFunction);
-        os::Vma &heap = node0.mapAnon(*parent,
-                                      cfg.heapPages * mem::kPageSize,
-                                      os::kVmaRead | os::kVmaWrite, "heap");
-        heapStart = heap.start;
-        for (uint64_t i = 0; i < cfg.heapPages; ++i) {
-            node0.write(*parent, heapStart.plus(i * mem::kPageSize),
-                        partToken(0, i, cfg.tokenPeriod));
-        }
-        const rfork::PublishedCheckpoint pub = mech->checkpointPublished(
-            cluster.checkpoints(), {kUser, kFunction}, node0, *parent);
-        cid = pub.cid;
+        parent.fill(0);
+        cid = mech->checkpointPublished(cluster.checkpoints(),
+                                        {kUser, kFunction}, cluster.node(0),
+                                        *parent.task)
+                  .cid;
     }
 
     std::vector<mem::NodeId>
     targets() const
     {
-        if (mechIsLocal())
+        if (kind == rfork::MechanismKind::LocalFork)
             return {mem::NodeId(0)};
         return {mem::NodeId(1), mem::NodeId(2)};
-    }
-
-    bool
-    mechIsLocal() const
-    {
-        return dynamic_cast<rfork::LocalFork *>(mech.get()) != nullptr;
     }
 };
 
@@ -834,39 +628,31 @@ runPartitionAtSite(const PartitionConfig &cfg, uint64_t site)
     faults.disarmCrash();
     res.rung = fo.rung;
 
+    harness::Verdict v;
     if (fo.outcome) {
         // The ladder served it: every byte must reproduce.
         os::NodeOs &target = ep.cluster.node(fo.servedBy);
         res.restored = true;
-        for (uint64_t i = 0; i < cfg.heapPages && !res.violation; ++i) {
-            const uint64_t want = partToken(0, i, cfg.tokenPeriod);
-            uint64_t got = 0;
-            try {
-                got = target.read(*fo.outcome.task,
-                                  ep.heapStart.plus(i * mem::kPageSize));
-            } catch (const sim::SimError &e) {
-                res.violation = true;
-                res.detail = sim::format("verify read failed at page "
-                                         "%llu: %s",
-                                         (unsigned long long)i, e.what());
-                break;
-            }
-            if (got != want) {
-                res.violation = true;
-                res.detail = sim::format(
+        uint64_t page = 0;
+        try {
+            if (auto bad = ep.parent.verify(target, *fo.outcome.task,
+                                            ep.parent.image(), &page)) {
+                v.fail(sim::format(
                     "page %llu reads %#llx, want %#llx past rung %s",
-                    (unsigned long long)i, (unsigned long long)got,
-                    (unsigned long long)want, ladderRungName(fo.rung));
+                    (unsigned long long)bad->page,
+                    (unsigned long long)bad->got,
+                    (unsigned long long)bad->want, ladderRungName(fo.rung)));
             }
+        } catch (const sim::SimError &e) {
+            v.fail(sim::format("verify read failed at page %llu: %s",
+                               (unsigned long long)page, e.what()));
         }
         target.exitTask(fo.outcome.task);
         fo.outcome.task.reset(); // drop our pin before the census
     } else if (fo.outcome.error != rfork::RestoreError::FabricPartition) {
-        res.violation = true;
-        res.detail = sim::format(
-            "restore failed (%s), not a partition: %s",
-            rfork::restoreErrorName(fo.outcome.error),
-            fo.outcome.message.c_str());
+        v.fail(sim::format("restore failed (%s), not a partition: %s",
+                           rfork::restoreErrorName(fo.outcome.error),
+                           fo.outcome.message.c_str()));
     }
     // else: the whole ladder exhausted — an honest cold start.
 
@@ -877,52 +663,30 @@ runPartitionAtSite(const PartitionConfig &cfg, uint64_t site)
     res.imageAvailable = store.lookup(kUser, kFunction).has_value();
     try {
         const rfork::PublishedCheckpoint pub = ep.mech->checkpointPublished(
-            store, {kUser, kFunction}, ep.cluster.node(0), *ep.parent);
+            store, {kUser, kFunction}, ep.cluster.node(0), *ep.parent.task);
         store.reclaim(pub.cid);
     } catch (const sim::StaleEpochError &e) {
-        res.violation = true;
-        res.detail = std::string("post-episode publish was fenced "
-                                 "without any quarantine: ") +
-                     e.what();
+        v.fail(std::string("post-episode publish was fenced without any "
+                           "quarantine: ") +
+               e.what());
     }
 
-    // Teardown census: nothing the severed restore touched may leak.
+    // Teardown: nothing the severed restore touched may leak.
     store.reclaim(ep.cid);
-    ep.cluster.node(0).exitTask(ep.parent);
-    ep.parent.reset();
-    const uint64_t usedNow = totalUsedFrames(ep.cluster.machine());
-    if (usedNow > ep.baselineFrames) {
-        res.framesLeaked = usedNow - ep.baselineFrames;
-        res.violation = true;
-        if (res.detail.empty()) {
-            res.detail = sim::format("%llu frames leaked",
-                                     (unsigned long long)res.framesLeaked);
-        }
-    }
-    if (store.stagedCount() != 0) {
-        res.violation = true;
-        if (res.detail.empty())
-            res.detail = "STAGED record survived the episode";
-    }
+    ep.parent.exit();
+    res.framesLeaked = ep.audit(v);
+    res.violation = v.failed;
+    res.detail = v.detail;
     return res;
 }
 
 PartitionEnumReport
 enumeratePartitionSites(const PartitionConfig &cfg)
 {
-    PartitionEnumReport rep;
-    rep.sites = countPartitionSites(cfg);
-    for (uint64_t k = 0; k <= rep.sites; ++k) {
-        PartitionSiteResult r = runPartitionAtSite(cfg, k);
-        if (r.violation && rep.pass) {
-            rep.pass = false;
-            rep.firstViolation = sim::format(
-                "%s site %llu: %s", crashMechanismName(cfg.mechanism),
-                (unsigned long long)k, r.detail.c_str());
-        }
-        rep.results.push_back(std::move(r));
-    }
-    return rep;
+    return harness::sweepSites(
+        cfg.mechanism, countPartitionSites(cfg), "severance",
+        &PartitionSiteResult::severed,
+        [&](uint64_t k) { return runPartitionAtSite(cfg, k); });
 }
 
 } // namespace cxlfork::porter

@@ -23,8 +23,9 @@
  *     deterministically every few rounds and must be rejected;
  *   - rejoin runs the full recovery pass and reclaims every
  *     stale-epoch orphan;
- *   - at teardown the frame census balances to the baseline: zero
- *     leaks, zero double frees, all allocator and store audits pass.
+ *   - at teardown the audit of harness_core.hh passes: the frame
+ *     census balances to the baseline, and every allocator, store,
+ *     RAS and directory audit holds.
  *
  * Running the same soak with epoch fencing off is the negative
  * control: the returning zombie's publish *succeeds*, demonstrably
@@ -40,7 +41,8 @@
 #include <vector>
 
 #include "porter/cluster.hh"
-#include "porter/crash_harness.hh"
+#include "porter/harness_core.hh"
+#include "rfork/mechanism.hh"
 #include "rfork/rfork.hh"
 
 namespace cxlfork::porter {
@@ -83,7 +85,7 @@ restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
 /** One partition soak campaign. */
 struct PartitionConfig
 {
-    CrashMechanism mechanism = CrashMechanism::CxlFork;
+    rfork::MechanismKind mechanism = rfork::MechanismKind::CxlFork;
     uint64_t heapPages = 12;   ///< Parent heap footprint, in pages.
     uint64_t rounds = 200;     ///< Soak rounds (restores per round below).
     uint64_t seed = 0x11aa'facab1eULL; ///< Drives every random choice.
@@ -186,13 +188,7 @@ struct PartitionSiteResult
 };
 
 /** The full partition-site sweep for one config. */
-struct PartitionEnumReport
-{
-    uint64_t sites = 0;
-    std::vector<PartitionSiteResult> results;
-    bool pass = true;
-    std::string firstViolation;
-};
+using PartitionEnumReport = harness::SiteSweepReport<PartitionSiteResult>;
 
 /**
  * Dry-run one publish + restore to count the transaction sites a
@@ -204,8 +200,9 @@ uint64_t countPartitionSites(const PartitionConfig &cfg);
  * Publish on a fresh cluster, then restore with the restoring node's
  * links armed to sever at exactly transaction site k. Audits
  * restorable-or-absent (the ladder serves it or the function degrades
- * to an honest cold start), no stale-epoch publication, and a clean
- * frame census. site >= the counted total runs the sever-free control.
+ * to an honest cold start), no stale-epoch publication, and the
+ * teardown audit of harness_core.hh. site >= the counted total runs
+ * the sever-free control.
  */
 PartitionSiteResult runPartitionAtSite(const PartitionConfig &cfg,
                                        uint64_t site);

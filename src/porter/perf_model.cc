@@ -1,30 +1,12 @@
 #include "perf_model.hh"
 
 #include "cluster.hh"
-#include "rfork/criu.hh"
-#include "rfork/cxlfork.hh"
-#include "rfork/mitosis.hh"
-#include "sim/log.hh"
 
 namespace cxlfork::porter {
 
 using faas::FunctionInstance;
 using faas::FunctionSpec;
 using sim::SimTime;
-
-const char *
-mechanismName(Mechanism m)
-{
-    switch (m) {
-      case Mechanism::CriuCxl:
-        return "CRIU-CXL";
-      case Mechanism::MitosisCxl:
-        return "Mitosis-CXL";
-      case Mechanism::CxlFork:
-        return "CXLfork";
-    }
-    return "?";
-}
 
 const PerfProfile &
 PerfModel::profile(const FunctionSpec &spec, Mechanism mech,
@@ -77,18 +59,8 @@ PerfModel::measure(const FunctionSpec &spec, Mechanism mech,
     parent->task().mm().pageTable().clearAccessedBits(/*alsoDirty=*/true);
     parent->invoke();
 
-    std::unique_ptr<rfork::RemoteForkMechanism> rf;
-    switch (mech) {
-      case Mechanism::CriuCxl:
-        rf = std::make_unique<rfork::CriuCxl>(cluster.fabric());
-        break;
-      case Mechanism::MitosisCxl:
-        rf = std::make_unique<rfork::MitosisCxl>(cluster.fabric());
-        break;
-      case Mechanism::CxlFork:
-        rf = std::make_unique<rfork::CxlFork>(cluster.fabric());
-        break;
-    }
+    std::unique_ptr<rfork::RemoteForkMechanism> rf =
+        rfork::makeMechanism(kindOf(mech), cluster.fabric());
 
     rfork::CheckpointStats cs;
     auto handle = rf->checkpoint(node0, parent->task(), &cs);
@@ -134,11 +106,8 @@ PerfModel::measureSharedCxlBytes(const FunctionSpec &spec,
     Cluster cluster(cfg);
     os::NodeOs &node0 = cluster.node(0);
 
-    std::unique_ptr<rfork::RemoteForkMechanism> rf;
-    if (mech == Mechanism::CriuCxl)
-        rf = std::make_unique<rfork::CriuCxl>(cluster.fabric());
-    else
-        rf = std::make_unique<rfork::CxlFork>(cluster.fabric());
+    std::unique_ptr<rfork::RemoteForkMechanism> rf =
+        rfork::makeMechanism(kindOf(mech), cluster.fabric());
 
     // Both tenants follow measure()'s exact pre-checkpoint sequence so
     // the checkpointed content matches the profiled checkpoint.

@@ -13,23 +13,43 @@
 
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "faas/function.hh"
 #include "os/mm.hh"
+#include "rfork/mechanism.hh"
 #include "sim/cost_model.hh"
 #include "sim/time.hh"
 
 namespace cxlfork::porter {
 
-/** Which remote-fork design a porter variant uses. */
+/**
+ * Which remote-fork design a porter variant uses: the three
+ * rfork::MechanismKind values that restore across nodes (the porter
+ * cannot run LocalFork). Each value is its kind's value.
+ */
 enum class Mechanism : uint8_t {
-    CriuCxl,
-    MitosisCxl,
-    CxlFork, ///< Tiering policy chosen per restore.
+    CriuCxl = uint8_t(rfork::MechanismKind::CriuCxl),
+    MitosisCxl = uint8_t(rfork::MechanismKind::MitosisCxl),
+    CxlFork = uint8_t(rfork::MechanismKind::CxlFork), ///< Tiering policy
+                                                      ///< chosen per restore.
 };
 
-const char *mechanismName(Mechanism m);
+constexpr rfork::MechanismKind
+kindOf(Mechanism m)
+{
+    return rfork::MechanismKind(uint8_t(m));
+}
+
+/** The porter mechanism of `kind`; none for LocalFork. */
+constexpr std::optional<Mechanism>
+porterMechanism(rfork::MechanismKind kind)
+{
+    if (kind == rfork::MechanismKind::LocalFork)
+        return std::nullopt;
+    return Mechanism(uint8_t(kind));
+}
 
 /** Measured behaviour of one (function, mechanism, policy) combo. */
 struct PerfProfile

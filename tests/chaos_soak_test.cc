@@ -19,10 +19,10 @@ namespace {
 
 using porter::ChaosConfig;
 using porter::ChaosReport;
-using porter::CrashMechanism;
+using rfork::MechanismKind;
 
 ChaosConfig
-soakConfig(CrashMechanism mech, uint64_t rounds = 600)
+soakConfig(MechanismKind mech, uint64_t rounds = 600)
 {
     ChaosConfig cfg;
     cfg.mechanism = mech;
@@ -31,7 +31,7 @@ soakConfig(CrashMechanism mech, uint64_t rounds = 600)
 }
 
 class ChaosSoakAllMechanisms
-    : public ::testing::TestWithParam<CrashMechanism>
+    : public ::testing::TestWithParam<MechanismKind>
 {
 };
 
@@ -49,12 +49,12 @@ TEST_P(ChaosSoakAllMechanisms, HoldsEveryInvariant)
 
 INSTANTIATE_TEST_SUITE_P(
     Mechanisms, ChaosSoakAllMechanisms,
-    ::testing::Values(CrashMechanism::CxlFork, CrashMechanism::Criu,
-                      CrashMechanism::Mitosis, CrashMechanism::LocalFork),
-    [](const ::testing::TestParamInfo<CrashMechanism> &info) {
+    ::testing::Values(MechanismKind::CxlFork, MechanismKind::CriuCxl,
+                      MechanismKind::MitosisCxl, MechanismKind::LocalFork),
+    [](const ::testing::TestParamInfo<MechanismKind> &info) {
         // Param names must be alphanumeric: strip the dashes out of
         // display names like "CRIU-CXL".
-        std::string name = porter::crashMechanismName(info.param);
+        std::string name = rfork::mechanismName(info.param);
         name.erase(std::remove_if(name.begin(), name.end(),
                                   [](char c) { return !std::isalnum(c); }),
                    name.end());
@@ -67,7 +67,7 @@ TEST(ChaosSoak, RepairLadderActuallyExercised)
     // injector must hit live frames and the ladder must repair them —
     // a soak where nothing ever breaks proves nothing.
     const ChaosReport rep =
-        porter::runChaosSoak(soakConfig(CrashMechanism::CxlFork));
+        porter::runChaosSoak(soakConfig(MechanismKind::CxlFork));
     EXPECT_GT(rep.strikes, 0u);
     EXPECT_GT(rep.repairs, 0u);
     EXPECT_GT(rep.replicasWritten, 0u);
@@ -79,7 +79,7 @@ TEST(ChaosSoak, NegativeControlLosesCheckpoints)
 {
     // Replication off: the same storm must now destroy checkpoints —
     // and every loss must still be provable (reclaimed, not corrupt).
-    ChaosConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    ChaosConfig cfg = soakConfig(MechanismKind::CxlFork);
     cfg.replicas = 0;
     const ChaosReport rep = porter::runChaosSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
@@ -92,7 +92,7 @@ TEST(ChaosSoak, NegativeControlLosesCheckpoints)
 
 TEST(ChaosSoak, ReplicationBeatsNoReplication)
 {
-    ChaosConfig with = soakConfig(CrashMechanism::CxlFork);
+    ChaosConfig with = soakConfig(MechanismKind::CxlFork);
     ChaosConfig without = with;
     without.replicas = 0;
     const ChaosReport r2 = porter::runChaosSoak(with);
@@ -102,7 +102,7 @@ TEST(ChaosSoak, ReplicationBeatsNoReplication)
 
 TEST(ChaosSoak, ReportIsDeterministic)
 {
-    const ChaosConfig cfg = soakConfig(CrashMechanism::Criu, 200);
+    const ChaosConfig cfg = soakConfig(MechanismKind::CriuCxl, 200);
     const ChaosReport a = porter::runChaosSoak(cfg);
     const ChaosReport b = porter::runChaosSoak(cfg);
     EXPECT_EQ(a.invocations, b.invocations);
@@ -137,7 +137,7 @@ class ChaosSoakCoherence
 
 TEST_P(ChaosSoakCoherence, HoldsEveryInvariantWithDirectoryArmed)
 {
-    ChaosConfig cfg = soakConfig(CrashMechanism::CxlFork, 250);
+    ChaosConfig cfg = soakConfig(MechanismKind::CxlFork, 250);
     cfg.coherence = GetParam();
     const ChaosReport rep = porter::runChaosSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
@@ -161,7 +161,7 @@ TEST(ChaosSoakCoherence, DirectoryOffReportMatchesPreCoherenceSoak)
     // The coherence knob at Off must reproduce the directory-free soak
     // bit-identically — same storm, same counts, no directory in the
     // loop.
-    const ChaosConfig off = soakConfig(CrashMechanism::Criu, 200);
+    const ChaosConfig off = soakConfig(MechanismKind::CriuCxl, 200);
     ChaosConfig offExplicit = off;
     offExplicit.coherence = cxl::CoherenceMode::Off;
     const ChaosReport a = porter::runChaosSoak(off);
@@ -176,7 +176,7 @@ TEST(ChaosSoakCoherence, DirectoryOffReportMatchesPreCoherenceSoak)
 
 TEST(ChaosSoak, SeedChangesTheStorm)
 {
-    ChaosConfig cfg = soakConfig(CrashMechanism::CxlFork, 200);
+    ChaosConfig cfg = soakConfig(MechanismKind::CxlFork, 200);
     const ChaosReport a = porter::runChaosSoak(cfg);
     cfg.seed ^= 0x5eedULL;
     const ChaosReport b = porter::runChaosSoak(cfg);

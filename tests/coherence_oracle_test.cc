@@ -23,9 +23,7 @@
 #include "faas/function.hh"
 #include "faas/workloads.hh"
 #include "porter/cluster.hh"
-#include "rfork/criu.hh"
-#include "rfork/cxlfork.hh"
-#include "rfork/mitosis.hh"
+#include "rfork/mechanism.hh"
 
 namespace cxlfork::cxl {
 namespace {
@@ -56,16 +54,6 @@ struct Observation
     std::map<std::string, uint64_t> counters; ///< Sans cxl.coherence.*.
 };
 
-std::unique_ptr<rfork::RemoteForkMechanism>
-makeMech(porter::Cluster &cluster, const std::string &name)
-{
-    if (name == "criu")
-        return std::make_unique<rfork::CriuCxl>(cluster.fabric());
-    if (name == "mitosis")
-        return std::make_unique<rfork::MitosisCxl>(cluster.fabric());
-    return std::make_unique<rfork::CxlFork>(cluster.fabric());
-}
-
 Observation
 runScenario(const faas::FunctionSpec &spec, CoherenceMode mode,
             const std::string &mech)
@@ -75,7 +63,8 @@ runScenario(const faas::FunctionSpec &spec, CoherenceMode mode,
 
     auto parent =
         faas::FunctionInstance::deployCold(cluster.node(0), spec);
-    auto mechanism = makeMech(cluster, mech);
+    auto mechanism =
+        rfork::makeMechanism(*rfork::parseMechanism(mech), cluster.fabric());
     mechanism->checkpointPublished(cluster.checkpoints(),
                                    {spec.user, spec.name}, cluster.node(0),
                                    parent->task(), nullptr,

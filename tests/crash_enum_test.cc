@@ -16,11 +16,13 @@
 namespace cxlfork::porter {
 namespace {
 
+using rfork::MechanismKind;
+
 /** Small footprint keeps the per-site cluster rebuild cheap. */
 constexpr uint64_t kHeapPages = 8;
 
 CrashEnumConfig
-configFor(CrashMechanism m,
+configFor(MechanismKind m,
           rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase)
 {
     CrashEnumConfig cfg;
@@ -40,7 +42,7 @@ describe(const CrashEnumReport &rep)
 
 TEST(CrashEnum, SiteCountIsDeterministic)
 {
-    const CrashEnumConfig cfg = configFor(CrashMechanism::CxlFork);
+    const CrashEnumConfig cfg = configFor(MechanismKind::CxlFork);
     const uint64_t a = countCrashSites(cfg);
     const uint64_t b = countCrashSites(cfg);
     EXPECT_EQ(a, b);
@@ -53,7 +55,7 @@ TEST(CrashEnum, SiteCountIsDeterministic)
 TEST(CrashEnum, EverySiteRecoversCxlFork)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::CxlFork));
+        enumerateCrashSites(configFor(MechanismKind::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     // The crash-free control must publish a restorable image.
@@ -66,7 +68,7 @@ TEST(CrashEnum, EverySiteRecoversCxlFork)
 TEST(CrashEnum, EverySiteRecoversCriu)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::Criu));
+        enumerateCrashSites(configFor(MechanismKind::CriuCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -74,7 +76,7 @@ TEST(CrashEnum, EverySiteRecoversCriu)
 TEST(CrashEnum, EverySiteRecoversMitosis)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::Mitosis));
+        enumerateCrashSites(configFor(MechanismKind::MitosisCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     // A Mitosis checkpoint dies with its node: no crashed run may
@@ -87,7 +89,7 @@ TEST(CrashEnum, EverySiteRecoversMitosis)
 TEST(CrashEnum, EverySiteRecoversLocalFork)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::LocalFork));
+        enumerateCrashSites(configFor(MechanismKind::LocalFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     for (uint64_t k = 0; k < rep.sites; ++k)
@@ -100,17 +102,17 @@ TEST(CrashEnum, LatePublishCrashesLeaveRestorableImage)
     // For decoupled mechanisms, a crash at the post-publish site must
     // leave the already-published image restorable from another node —
     // the CXL-persistence property the paper's Sec. 5 store relies on.
-    for (CrashMechanism m :
-         {CrashMechanism::CxlFork, CrashMechanism::Criu}) {
+    for (MechanismKind m :
+         {MechanismKind::CxlFork, MechanismKind::CriuCxl}) {
         const CrashEnumConfig cfg = configFor(m);
         const uint64_t sites = countCrashSites(cfg);
         ASSERT_GT(sites, 0u);
         const CrashSiteResult last = runCrashAtSite(cfg, sites - 1);
-        EXPECT_TRUE(last.crashed) << crashMechanismName(m);
+        EXPECT_TRUE(last.crashed) << rfork::mechanismName(m);
         EXPECT_FALSE(last.violation)
-            << crashMechanismName(m) << ": " << last.detail;
-        EXPECT_TRUE(last.imageAvailable) << crashMechanismName(m);
-        EXPECT_TRUE(last.restored) << crashMechanismName(m);
+            << rfork::mechanismName(m) << ": " << last.detail;
+        EXPECT_TRUE(last.imageAvailable) << rfork::mechanismName(m);
+        EXPECT_TRUE(last.restored) << rfork::mechanismName(m);
     }
 }
 
@@ -120,7 +122,7 @@ TEST(CrashEnum, SomeMidBuildCrashIsCompletedOrReclaimed)
     // CXLfork: early crashes reclaim (incomplete image), while the
     // crash at the publish-step site completes the fully-built orphan.
     const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::CxlFork));
+        enumerateCrashSites(configFor(MechanismKind::CxlFork));
     ASSERT_TRUE(rep.pass) << describe(rep);
     bool sawReclaimed = false;
     bool sawCompleted = false;
@@ -143,7 +145,7 @@ TEST(CrashEnum, DirectPutUnsafeFailsTheEnumeration)
     // catch at least one site. If this test ever "passes" the sweep,
     // the harness lost its teeth.
     const CrashEnumReport rep = enumerateCrashSites(configFor(
-        CrashMechanism::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
+        MechanismKind::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
     EXPECT_FALSE(rep.pass);
     uint64_t violations = 0;
     bool sawTornExposure = false;
@@ -167,7 +169,7 @@ TEST(CrashEnum, DirectPutUnsafeFailsTheEnumeration)
 // auditAll() additionally cross-checks the store's content index.
 
 CrashEnumConfig
-dedupConfigFor(CrashMechanism m,
+dedupConfigFor(MechanismKind m,
                rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase)
 {
     CrashEnumConfig cfg = configFor(m, policy);
@@ -178,7 +180,7 @@ dedupConfigFor(CrashMechanism m,
 
 TEST(CrashEnumDedup, SiteCountIsDeterministic)
 {
-    const CrashEnumConfig cfg = dedupConfigFor(CrashMechanism::CxlFork);
+    const CrashEnumConfig cfg = dedupConfigFor(MechanismKind::CxlFork);
     const uint64_t a = countCrashSites(cfg);
     EXPECT_EQ(a, countCrashSites(cfg));
     EXPECT_GE(a, kHeapPages + 4);
@@ -187,7 +189,7 @@ TEST(CrashEnumDedup, SiteCountIsDeterministic)
 TEST(CrashEnumDedup, EverySiteRecoversCxlFork)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(dedupConfigFor(CrashMechanism::CxlFork));
+        enumerateCrashSites(dedupConfigFor(MechanismKind::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     const CrashSiteResult &control = rep.results.back();
@@ -199,7 +201,7 @@ TEST(CrashEnumDedup, EverySiteRecoversCxlFork)
 TEST(CrashEnumDedup, EverySiteRecoversCriu)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(dedupConfigFor(CrashMechanism::Criu));
+        enumerateCrashSites(dedupConfigFor(MechanismKind::CriuCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -208,7 +210,7 @@ TEST(CrashEnumDedup, SharedHeapStillRecoversWithoutDedup)
 {
     // Control: the same folded heap without the content index. Proves
     // any dedup-sweep failure is the store's, not the workload's.
-    CrashEnumConfig cfg = configFor(CrashMechanism::CxlFork);
+    CrashEnumConfig cfg = configFor(MechanismKind::CxlFork);
     cfg.tokenPeriod = 4;
     const CrashEnumReport rep = enumerateCrashSites(cfg);
     EXPECT_TRUE(rep.pass) << describe(rep);
@@ -219,7 +221,7 @@ TEST(CrashEnumDedup, DirectPutUnsafeStillFailsTheEnumeration)
     // The harness keeps its teeth with dedup on: reverting two-phase
     // publication must still be caught.
     const CrashEnumReport rep = enumerateCrashSites(dedupConfigFor(
-        CrashMechanism::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
+        MechanismKind::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
     EXPECT_FALSE(rep.pass);
 }
 
@@ -232,7 +234,7 @@ TEST(CrashEnumDedup, DirectPutUnsafeStillFailsTheEnumeration)
 // leaked frames, no stale visibility, restorable-or-absent lookup.
 
 CrashEnumConfig
-coherenceConfigFor(CrashMechanism m, cxl::CoherenceMode mode)
+coherenceConfigFor(MechanismKind m, cxl::CoherenceMode mode)
 {
     CrashEnumConfig cfg = configFor(m);
     cfg.coherence = mode;
@@ -241,19 +243,19 @@ coherenceConfigFor(CrashMechanism m, cxl::CoherenceMode mode)
 
 TEST(CrashEnumCoherence, DirectoryAddsCrashSites)
 {
-    const uint64_t off = countCrashSites(configFor(CrashMechanism::CxlFork));
+    const uint64_t off = countCrashSites(configFor(MechanismKind::CxlFork));
     const uint64_t hdmh = countCrashSites(
-        coherenceConfigFor(CrashMechanism::CxlFork, cxl::CoherenceMode::HdmH));
+        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH));
     EXPECT_GT(hdmh, off)
         << "an armed directory must walk its own crash sites";
     // And the directory-off sweep is exactly the pre-coherence one.
-    EXPECT_EQ(off, countCrashSites(configFor(CrashMechanism::CxlFork)));
+    EXPECT_EQ(off, countCrashSites(configFor(MechanismKind::CxlFork)));
 }
 
 TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmH)
 {
     const CrashEnumReport rep = enumerateCrashSites(
-        coherenceConfigFor(CrashMechanism::CxlFork, cxl::CoherenceMode::HdmH));
+        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH));
     EXPECT_TRUE(rep.pass) << describe(rep);
     const CrashSiteResult &control = rep.results.back();
     EXPECT_TRUE(control.restored);
@@ -266,7 +268,7 @@ TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmD)
     // discard — a restore that *succeeds with stale bytes* would fail
     // the page-token verification inside the harness.
     const CrashEnumReport rep = enumerateCrashSites(
-        coherenceConfigFor(CrashMechanism::CxlFork, cxl::CoherenceMode::HdmD));
+        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmD));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -274,7 +276,7 @@ TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmD)
 TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 {
     const CrashEnumReport rep = enumerateCrashSites(
-        coherenceConfigFor(CrashMechanism::Criu, cxl::CoherenceMode::HdmD));
+        coherenceConfigFor(MechanismKind::CriuCxl, cxl::CoherenceMode::HdmD));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -288,7 +290,7 @@ TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 // leaks while contention delays stretch the simulated timeline.
 
 CrashEnumConfig
-contentionConfigFor(CrashMechanism m)
+contentionConfigFor(MechanismKind m)
 {
     CrashEnumConfig cfg = configFor(m);
     cfg.contention.enabled = true;
@@ -297,9 +299,9 @@ contentionConfigFor(CrashMechanism m)
 
 TEST(CrashEnumContention, QueueAddsNoCrashSites)
 {
-    const uint64_t off = countCrashSites(configFor(CrashMechanism::CxlFork));
+    const uint64_t off = countCrashSites(configFor(MechanismKind::CxlFork));
     const uint64_t armed =
-        countCrashSites(contentionConfigFor(CrashMechanism::CxlFork));
+        countCrashSites(contentionConfigFor(MechanismKind::CxlFork));
     EXPECT_EQ(armed, off)
         << "the queue model is a latency hook, not a failure domain: "
            "arming it must not shift the deterministic site enumeration";
@@ -308,7 +310,7 @@ TEST(CrashEnumContention, QueueAddsNoCrashSites)
 TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(contentionConfigFor(CrashMechanism::CxlFork));
+        enumerateCrashSites(contentionConfigFor(MechanismKind::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     EXPECT_TRUE(rep.results.back().restored);
@@ -317,7 +319,7 @@ TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 TEST(CrashEnumContention, EverySiteRecoversCriuQueued)
 {
     const CrashEnumReport rep =
-        enumerateCrashSites(contentionConfigFor(CrashMechanism::Criu));
+        enumerateCrashSites(contentionConfigFor(MechanismKind::CriuCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }

@@ -15,6 +15,7 @@
 #include "porter/trace.hh"
 #include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
+#include "rfork/mechanism.hh"
 #include "rfork/mitosis.hh"
 
 namespace cxlfork {
@@ -33,16 +34,6 @@ integrationConfig()
 class FaasIntegration
     : public ::testing::TestWithParam<std::tuple<const char *, const char *>>
 {
-  protected:
-    std::unique_ptr<rfork::RemoteForkMechanism>
-    makeMech(porter::Cluster &cluster, const std::string &name)
-    {
-        if (name == "cxlfork")
-            return std::make_unique<rfork::CxlFork>(cluster.fabric());
-        if (name == "criu")
-            return std::make_unique<rfork::CriuCxl>(cluster.fabric());
-        return std::make_unique<rfork::MitosisCxl>(cluster.fabric());
-    }
 };
 
 TEST_P(FaasIntegration, FullPipelineProducesCorrectClone)
@@ -62,7 +53,8 @@ TEST_P(FaasIntegration, FullPipelineProducesCorrectClone)
     const auto parentResult = parent->invoke();
 
     // Checkpoint.
-    auto mech = makeMech(cluster, mechName);
+    auto mech = rfork::makeMechanism(*rfork::parseMechanism(mechName),
+                                     cluster.fabric());
     rfork::CheckpointStats cs;
     auto handle = mech->checkpoint(node0, parent->task(), &cs);
     EXPECT_GT(cs.pages, spec.footprintBytes / mem::kPageSize * 9 / 10);

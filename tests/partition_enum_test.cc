@@ -20,12 +20,12 @@
 namespace cxlfork {
 namespace {
 
-using porter::CrashMechanism;
+using rfork::MechanismKind;
 using porter::PartitionConfig;
 using porter::PartitionEnumReport;
 
 PartitionConfig
-enumBaseConfig(CrashMechanism mech)
+enumBaseConfig(MechanismKind mech)
 {
     PartitionConfig cfg;
     cfg.mechanism = mech;
@@ -34,7 +34,7 @@ enumBaseConfig(CrashMechanism mech)
 }
 
 class PartitionEnumAllMechanisms
-    : public ::testing::TestWithParam<CrashMechanism>
+    : public ::testing::TestWithParam<MechanismKind>
 {
 };
 
@@ -61,9 +61,10 @@ TEST_P(PartitionEnumAllMechanisms, RestorableOrAbsentAtEverySite)
 
 INSTANTIATE_TEST_SUITE_P(
     Mechanisms, PartitionEnumAllMechanisms,
-    ::testing::Values(CrashMechanism::CxlFork, CrashMechanism::Criu),
-    [](const ::testing::TestParamInfo<CrashMechanism> &info) {
-        std::string name = porter::crashMechanismName(info.param);
+    ::testing::Values(MechanismKind::CxlFork, MechanismKind::CriuCxl,
+                      MechanismKind::MitosisCxl, MechanismKind::LocalFork),
+    [](const ::testing::TestParamInfo<MechanismKind> &info) {
+        std::string name = rfork::mechanismName(info.param);
         name.erase(std::remove_if(name.begin(), name.end(),
                                   [](char c) { return !std::isalnum(c); }),
                    name.end());
@@ -75,7 +76,7 @@ TEST(PartitionEnum, SeveranceActuallyLandsSomewhere)
     // The sweep is vacuous if no armed site ever fires or the ladder
     // never gets pushed off the direct rung.
     const PartitionEnumReport rep = porter::enumeratePartitionSites(
-        enumBaseConfig(CrashMechanism::CxlFork));
+        enumBaseConfig(MechanismKind::CxlFork));
     uint64_t fired = 0, offDirect = 0;
     for (const auto &r : rep.results) {
         fired += r.severed;
@@ -88,7 +89,7 @@ TEST(PartitionEnum, SeveranceActuallyLandsSomewhere)
 
 TEST(PartitionEnum, SweepIsDeterministic)
 {
-    const PartitionConfig cfg = enumBaseConfig(CrashMechanism::Criu);
+    const PartitionConfig cfg = enumBaseConfig(MechanismKind::CriuCxl);
     const PartitionEnumReport a = porter::enumeratePartitionSites(cfg);
     const PartitionEnumReport b = porter::enumeratePartitionSites(cfg);
     ASSERT_EQ(a.results.size(), b.results.size());

@@ -18,12 +18,12 @@
 namespace cxlfork {
 namespace {
 
-using porter::CrashMechanism;
+using rfork::MechanismKind;
 using porter::PartitionConfig;
 using porter::PartitionReport;
 
 PartitionConfig
-soakConfig(CrashMechanism mech, uint64_t rounds = 200)
+soakConfig(MechanismKind mech, uint64_t rounds = 200)
 {
     PartitionConfig cfg;
     cfg.mechanism = mech;
@@ -32,7 +32,7 @@ soakConfig(CrashMechanism mech, uint64_t rounds = 200)
 }
 
 class PartitionSoakAllMechanisms
-    : public ::testing::TestWithParam<CrashMechanism>
+    : public ::testing::TestWithParam<MechanismKind>
 {
 };
 
@@ -52,10 +52,10 @@ TEST_P(PartitionSoakAllMechanisms, HoldsEveryInvariant)
 
 INSTANTIATE_TEST_SUITE_P(
     Mechanisms, PartitionSoakAllMechanisms,
-    ::testing::Values(CrashMechanism::CxlFork, CrashMechanism::Criu,
-                      CrashMechanism::Mitosis, CrashMechanism::LocalFork),
-    [](const ::testing::TestParamInfo<CrashMechanism> &info) {
-        std::string name = porter::crashMechanismName(info.param);
+    ::testing::Values(MechanismKind::CxlFork, MechanismKind::CriuCxl,
+                      MechanismKind::MitosisCxl, MechanismKind::LocalFork),
+    [](const ::testing::TestParamInfo<MechanismKind> &info) {
+        std::string name = rfork::mechanismName(info.param);
         name.erase(std::remove_if(name.begin(), name.end(),
                                   [](char c) { return !std::isalnum(c); }),
                    name.end());
@@ -68,7 +68,7 @@ TEST(PartitionSoak, LadderAndFenceActuallyExercised)
     // push restores off the direct rung, the heartbeat must quarantine
     // cut-off nodes, and the replayed zombie must be fenced.
     const PartitionReport rep =
-        porter::runPartitionSoak(soakConfig(CrashMechanism::CxlFork));
+        porter::runPartitionSoak(soakConfig(MechanismKind::CxlFork));
     EXPECT_GT(rep.severedTxns, 0u);
     EXPECT_GT(rep.degradedTxns, 0u);
     EXPECT_GT(rep.retriedRestores, 0u);
@@ -89,7 +89,7 @@ TEST(PartitionSoak, NegativeControlDoublePublishes)
     // once, flipping the tuple the survivors published — the split
     // brain the fence exists to prevent. Every other invariant still
     // holds (the harness knows the flip was "allowed").
-    PartitionConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    PartitionConfig cfg = soakConfig(MechanismKind::CxlFork);
     cfg.epochFencing = false;
     const PartitionReport rep = porter::runPartitionSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
@@ -104,7 +104,7 @@ TEST(PartitionSoak, ReplicasFeedTheRerouteRung)
 {
     // Same weather, with and without RAS replicas: the reroute rung
     // only exists with replicas, and it must buy survival.
-    PartitionConfig with = soakConfig(CrashMechanism::CxlFork, 120);
+    PartitionConfig with = soakConfig(MechanismKind::CxlFork, 120);
     with.scheduledSeverProb = 0.0;
     with.midPublishSeverProb = 0.0;
     with.splitBrainEvery = 0;
@@ -123,7 +123,7 @@ TEST(PartitionSoak, ReplicasFeedTheRerouteRung)
 
 TEST(PartitionSoak, CalmWeatherIsAllDirect)
 {
-    PartitionConfig cfg = soakConfig(CrashMechanism::Criu, 60);
+    PartitionConfig cfg = soakConfig(MechanismKind::CriuCxl, 60);
     cfg.severRate = 0.0;
     cfg.degradeRate = 0.0;
     cfg.scheduledSeverProb = 0.0;
@@ -140,7 +140,7 @@ TEST(PartitionSoak, CalmWeatherIsAllDirect)
 
 TEST(PartitionSoak, ReportIsDeterministic)
 {
-    const PartitionConfig cfg = soakConfig(CrashMechanism::Mitosis, 120);
+    const PartitionConfig cfg = soakConfig(MechanismKind::MitosisCxl, 120);
     const PartitionReport a = porter::runPartitionSoak(cfg);
     const PartitionReport b = porter::runPartitionSoak(cfg);
     EXPECT_EQ(a.invocations, b.invocations);
@@ -171,7 +171,7 @@ TEST(PartitionSoak, QueueArmedSoakHoldsEveryInvariant)
     // correctness (leaks, fencing, byte-identical survivors) must be
     // exactly as solid as the queue-off soak, and the contention must
     // actually have been exercised, not silently disabled.
-    PartitionConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    PartitionConfig cfg = soakConfig(MechanismKind::CxlFork);
     cfg.contention.enabled = true;
     const PartitionReport rep = porter::runPartitionSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
@@ -183,7 +183,7 @@ TEST(PartitionSoak, QueueArmedSoakHoldsEveryInvariant)
 
 TEST(PartitionSoak, SeedChangesTheWeather)
 {
-    PartitionConfig cfg = soakConfig(CrashMechanism::CxlFork, 120);
+    PartitionConfig cfg = soakConfig(MechanismKind::CxlFork, 120);
     const PartitionReport a = porter::runPartitionSoak(cfg);
     cfg.seed ^= 0x5eedULL;
     const PartitionReport b = porter::runPartitionSoak(cfg);

@@ -10,9 +10,8 @@
 
 #include <set>
 
-#include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
-#include "rfork/mitosis.hh"
+#include "rfork/mechanism.hh"
 #include "sim/error.hh"
 #include "sim/fault_injector.hh"
 #include "sim/rng.hh"
@@ -94,16 +93,6 @@ struct Combo
 
 class RforkFuzz : public ::testing::TestWithParam<Combo>
 {
-  protected:
-    std::unique_ptr<RemoteForkMechanism>
-    makeMech(World &world, const std::string &name)
-    {
-        if (name == "cxlfork")
-            return std::make_unique<CxlFork>(*world.fabric);
-        if (name == "criu")
-            return std::make_unique<CriuCxl>(*world.fabric);
-        return std::make_unique<MitosisCxl>(*world.fabric);
-    }
 };
 
 TEST_P(RforkFuzz, CloneObservesParentImageExactly)
@@ -112,7 +101,7 @@ TEST_P(RforkFuzz, CloneObservesParentImageExactly)
     World world(test::smallConfig());
     sim::Rng rng(combo.seed);
     RandomProcess parent = makeRandomProcess(world, rng);
-    auto mech = makeMech(world, combo.mech);
+    auto mech = makeMechanism(*parseMechanism(combo.mech), *world.fabric);
 
     auto handle = mech->checkpoint(world.node(0), *parent.task);
     RestoreOptions opts;

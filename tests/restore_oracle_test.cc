@@ -13,9 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "cxl/page_store.hh"
-#include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
-#include "rfork/mitosis.hh"
+#include "rfork/mechanism.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 #include "test_util.hh"
@@ -99,16 +98,6 @@ makeRandomProcess(World &world, sim::Rng &rng)
     return proc;
 }
 
-std::unique_ptr<RemoteForkMechanism>
-makeMech(World &world, const std::string &name)
-{
-    if (name == "cxlfork")
-        return std::make_unique<CxlFork>(*world.fabric);
-    if (name == "criu")
-        return std::make_unique<CriuCxl>(*world.fabric);
-    return std::make_unique<MitosisCxl>(*world.fabric);
-}
-
 struct Combo
 {
     const char *mech;
@@ -140,8 +129,9 @@ TEST_P(RestoreOracle, DedupChildByteIdenticalToBaseline)
     RandomProcess pDedup = makeRandomProcess(dedup, rngDedup);
     ASSERT_EQ(pBase.pages.size(), pDedup.pages.size());
 
-    auto mBase = makeMech(base, combo.mech);
-    auto mDedup = makeMech(dedup, combo.mech);
+    const MechanismKind kind = *parseMechanism(combo.mech);
+    auto mBase = makeMechanism(kind, *base.fabric);
+    auto mDedup = makeMechanism(kind, *dedup.fabric);
     auto hBase = mBase->checkpoint(base.node(0), *pBase.task);
     auto hDedup = mDedup->checkpoint(dedup.node(0), *pDedup.task);
 

@@ -23,10 +23,7 @@
 #include "cxl/page_store.hh"
 #include "faas/workloads.hh"
 #include "porter/cluster.hh"
-#include "rfork/criu.hh"
-#include "rfork/cxlfork.hh"
-#include "rfork/localfork.hh"
-#include "rfork/mitosis.hh"
+#include "rfork/mechanism.hh"
 #include "rfork/prefetch.hh"
 #include "sim/rng.hh"
 #include "test_util.hh"
@@ -49,18 +46,6 @@ oracleConfig(bool compress)
         cfg.pageStore.compress = true;
     }
     return cfg;
-}
-
-std::unique_ptr<rfork::RemoteForkMechanism>
-makeMech(porter::Cluster &cluster, const std::string &name)
-{
-    if (name == "localfork")
-        return std::make_unique<rfork::LocalFork>();
-    if (name == "cxlfork")
-        return std::make_unique<rfork::CxlFork>(cluster.fabric());
-    if (name == "criu")
-        return std::make_unique<rfork::CriuCxl>(cluster.fabric());
-    return std::make_unique<rfork::MitosisCxl>(cluster.fabric());
 }
 
 mem::NodeId
@@ -164,7 +149,8 @@ TEST_P(SpeculativeOracle, RestoredBytesMatchLazyUncompressed)
         w.cluster =
             std::make_unique<porter::Cluster>(oracleConfig(w.compress));
         w.parent = warmParent(*w.cluster, spec);
-        w.mech = makeMech(*w.cluster, combo.mech);
+        w.mech = rfork::makeMechanism(*rfork::parseMechanism(combo.mech),
+                                      w.cluster->fabric());
         w.handle = w.mech->checkpoint(w.cluster->node(0), w.parent->task());
 
         rfork::PrefetchSchedule sched;

@@ -9,9 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
-#include "rfork/localfork.hh"
+#include "rfork/mechanism.hh"
 #include "rfork/mitosis.hh"
 #include "sim/trace.hh"
 #include "test_util.hh"
@@ -135,15 +134,8 @@ TEST(TraceInvariant, RestorePhasesSumToTotalForEveryMechanism)
         World world = tracedWorld();
         Parent parent = makeParent(world, 24, 8);
 
-        std::unique_ptr<RemoteForkMechanism> mech;
-        if (std::string(m.name) == "cxlfork")
-            mech = std::make_unique<CxlFork>(*world.fabric);
-        else if (std::string(m.name) == "criu")
-            mech = std::make_unique<CriuCxl>(*world.fabric);
-        else if (std::string(m.name) == "mitosis")
-            mech = std::make_unique<MitosisCxl>(*world.fabric);
-        else
-            mech = std::make_unique<LocalFork>();
+        std::unique_ptr<RemoteForkMechanism> mech =
+            makeMechanism(*parseMechanism(m.name), *world.fabric);
 
         os::NodeOs &target =
             std::string(m.name) == "localfork" ? world.node(0)

@@ -5,10 +5,11 @@
  * Runs the long-lived soak harness (porter/chaos_harness.hh) for each
  * mechanism: hundreds of rounds of publish / restore / scrub under
  * combined birth poison, post-birth poison strikes, transient
- * transaction errors, and seeded mid-publish node crashes. Exits
- * nonzero if any audited invariant is violated — a restore that is
- * neither byte-identical nor provably reclaimed, a leaked frame, or a
- * failed allocator/page-store/RAS audit.
+ * transaction errors, and seeded mid-publish node crashes. Exits 1
+ * if any audited invariant is violated — a restore that is neither
+ * byte-identical nor provably reclaimed, a leaked frame, or a failed
+ * teardown audit. A malformed flag or CXLFORK_CHAOS_ROUNDS prints the
+ * usage line and exits 2.
  *
  * Usage:
  *   chaos_soak [--mechanism cxlfork|criu|mitosis|localfork]
@@ -28,92 +29,22 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
+#include "flags.hh"
 #include "porter/chaos_harness.hh"
 #include "sim/table.hh"
 
 using namespace cxlfork;
 
-namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--mechanism cxlfork|criu|mitosis|localfork] "
-                 "[--rounds N] [--replicas K] [--seed S] [--negative] "
-                 "[--min-survival F]\n",
-                 argv0);
-    return 2;
-}
-
-bool
-parseMechanism(const std::string &s, porter::CrashMechanism &out)
-{
-    if (s == "cxlfork")
-        out = porter::CrashMechanism::CxlFork;
-    else if (s == "criu")
-        out = porter::CrashMechanism::Criu;
-    else if (s == "mitosis")
-        out = porter::CrashMechanism::Mitosis;
-    else if (s == "localfork")
-        out = porter::CrashMechanism::LocalFork;
-    else
-        return false;
-    return true;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::vector<porter::CrashMechanism> mechanisms = {
-        porter::CrashMechanism::CxlFork, porter::CrashMechanism::Criu,
-        porter::CrashMechanism::Mitosis, porter::CrashMechanism::LocalFork};
-    uint64_t rounds = 250;
-    uint32_t replicas = 2;
-    uint64_t seed = 0xc4a0'5011ULL;
-    bool negative = false;
-    double minSurvival = 0.9;
+    const tools::SoakFlags f = tools::parseSoakFlags(
+        argc, argv, {.rounds = 250, .seed = 0xc4a0'5011ULL},
+        "CXLFORK_CHAOS_ROUNDS", /*negativeZeroesReplicas=*/true);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--mechanism" && i + 1 < argc) {
-            porter::CrashMechanism m;
-            if (!parseMechanism(argv[++i], m))
-                return usage(argv[0]);
-            mechanisms = {m};
-        } else if (arg == "--rounds" && i + 1 < argc) {
-            rounds = std::strtoull(argv[++i], nullptr, 10);
-            if (rounds == 0)
-                return usage(argv[0]);
-        } else if (arg == "--replicas" && i + 1 < argc) {
-            replicas = uint32_t(std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--negative") {
-            negative = true;
-            replicas = 0;
-        } else if (arg == "--min-survival" && i + 1 < argc) {
-            minSurvival = std::strtod(argv[++i], nullptr);
-            if (minSurvival < 0.0 || minSurvival > 1.0)
-                return usage(argv[0]);
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    if (const char *env = std::getenv("CXLFORK_CHAOS_ROUNDS")) {
-        const uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            rounds = v;
-    }
-
-    sim::Table t(negative
+    sim::Table t(f.negative
                      ? "Chaos soak, negative control (replicas=0): losses "
                        "expected, invariants still audited"
                      : "Chaos soak: publish/restore/scrub under poison + "
@@ -125,17 +56,17 @@ main(int argc, char **argv)
     bool violated = false;
     bool anyLost = false;
     bool belowThreshold = false;
-    for (porter::CrashMechanism mech : mechanisms) {
+    for (rfork::MechanismKind mech : f.mechanisms) {
         porter::ChaosConfig cfg;
         cfg.mechanism = mech;
-        cfg.rounds = rounds;
-        cfg.replicas = replicas;
-        cfg.seed = seed;
+        cfg.rounds = f.rounds;
+        cfg.replicas = f.replicas;
+        cfg.seed = f.seed;
         const porter::ChaosReport rep = porter::runChaosSoak(cfg);
         violated |= !rep.pass;
         anyLost |= rep.checkpointsLost > 0;
-        belowThreshold |= rep.survivalFraction() < minSurvival;
-        t.addRow({porter::crashMechanismName(mech),
+        belowThreshold |= rep.survivalFraction() < f.minSurvival;
+        t.addRow({rfork::mechanismName(mech),
                   std::to_string(rep.rounds),
                   std::to_string(rep.invocations),
                   std::to_string(rep.checkpointsPublished),
@@ -156,17 +87,17 @@ main(int argc, char **argv)
         std::printf("FAIL: chaos soak invariant violated\n");
         return 1;
     }
-    if (negative && !anyLost) {
+    if (f.negative && !anyLost) {
         std::printf("FAIL: negative control lost no checkpoints (the "
                     "harness cannot see losses)\n");
         return 1;
     }
-    if (!negative && belowThreshold) {
+    if (!f.negative && belowThreshold) {
         std::printf("FAIL: checkpoint survival fell below %.4f\n",
-                    minSurvival);
+                    f.minSurvival);
         return 1;
     }
-    std::printf(negative ? "PASS: losses observed and provably reclaimed\n"
+    std::printf(f.negative ? "PASS: losses observed and provably reclaimed\n"
                          : "PASS: chaos soak held every invariant\n");
     return 0;
 }

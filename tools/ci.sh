@@ -18,6 +18,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 echo "== Running crash-point enumeration sweep (ctest -L crash)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L crash
 "$BUILD_DIR/tools/crash_sweep"
+# Negative control: publishing without the two-phase journal must make
+# the shared verdict path fail (exit 1; 0 would mean the sweep cannot
+# see a torn image, 2 a rejected invocation).
+unsafe_rc=0
+"$BUILD_DIR/tools/crash_sweep" --mechanism cxlfork --unsafe > /dev/null ||
+    unsafe_rc=$?
+if [ "$unsafe_rc" -ne 1 ]; then
+    echo "ci: crash_sweep --unsafe exited $unsafe_rc, want 1" >&2
+    exit 1
+fi
 
 echo "== Running content-dedup suite (ctest -L dedup)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L dedup

@@ -5,7 +5,9 @@
  * Enumerates every injected crash site of a published checkpoint for
  * each mechanism, crashes there, recovers, and audits the machine-wide
  * invariants (no leaked frames, no torn image visible, no surviving
- * STAGED journal record). Exits nonzero if any site violates them.
+ * STAGED journal record). Exits 1 if any site violates them; a
+ * malformed flag or CXLFORK_CRASH_SITE prints the usage line and
+ * exits 2.
  *
  * Usage:
  *   crash_sweep [--mechanism cxlfork|criu|mitosis|localfork]
@@ -25,10 +27,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "flags.hh"
 #include "porter/crash_harness.hh"
 #include "sim/table.hh"
 
@@ -36,37 +38,11 @@ using namespace cxlfork;
 
 namespace {
 
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--mechanism cxlfork|criu|mitosis|localfork] "
-                 "[--pages N] [--unsafe]\n",
-                 argv0);
-    return 2;
-}
-
-bool
-parseMechanism(const std::string &s, porter::CrashMechanism &out)
-{
-    if (s == "cxlfork")
-        out = porter::CrashMechanism::CxlFork;
-    else if (s == "criu")
-        out = porter::CrashMechanism::Criu;
-    else if (s == "mitosis")
-        out = porter::CrashMechanism::Mitosis;
-    else if (s == "localfork")
-        out = porter::CrashMechanism::LocalFork;
-    else
-        return false;
-    return true;
-}
-
 void
-addSiteRow(sim::Table &t, porter::CrashMechanism mech,
+addSiteRow(sim::Table &t, rfork::MechanismKind mech,
            const porter::CrashSiteResult &r)
 {
-    t.addRow({porter::crashMechanismName(mech), std::to_string(r.site),
+    t.addRow({rfork::mechanismName(mech), std::to_string(r.site),
               r.crashed ? "yes" : "no", r.imageAvailable ? "yes" : "no",
               r.restored ? "yes" : "no",
               std::to_string(r.framesReclaimed),
@@ -79,27 +55,24 @@ addSiteRow(sim::Table &t, porter::CrashMechanism mech,
 int
 main(int argc, char **argv)
 {
-    std::vector<porter::CrashMechanism> mechanisms = {
-        porter::CrashMechanism::CxlFork, porter::CrashMechanism::Criu,
-        porter::CrashMechanism::Mitosis, porter::CrashMechanism::LocalFork};
+    const tools::Flags flags(
+        argv[0], "[--mechanism cxlfork|criu|mitosis|localfork] "
+                 "[--pages N] [--unsafe]");
+    std::vector<rfork::MechanismKind> mechanisms(rfork::kAllMechanisms.begin(),
+                                                 rfork::kAllMechanisms.end());
     uint64_t pages = 16;
     rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--mechanism" && i + 1 < argc) {
-            porter::CrashMechanism m;
-            if (!parseMechanism(argv[++i], m))
-                return usage(argv[0]);
-            mechanisms = {m};
+            mechanisms = {flags.mechanism(argv[++i])};
         } else if (arg == "--pages" && i + 1 < argc) {
-            pages = std::strtoull(argv[++i], nullptr, 10);
-            if (pages == 0)
-                return usage(argv[0]);
+            pages = flags.count(argv[++i], 1, UINT64_MAX / mem::kPageSize);
         } else if (arg == "--unsafe") {
             policy = rfork::PublishPolicy::DirectPutUnsafe;
         } else {
-            return usage(argv[0]);
+            flags.usage();
         }
     }
 
@@ -109,12 +82,12 @@ main(int argc, char **argv)
     bool violated = false;
 
     if (siteEnv) {
-        const uint64_t site = std::strtoull(siteEnv, nullptr, 10);
+        const uint64_t site = flags.count(siteEnv);
         sim::Table t("Single crash site (CXLFORK_CRASH_SITE=" +
                      std::string(siteEnv) + ")");
         t.setHeader({"Mechanism", "Site", "Crashed", "Image", "Restored",
                      "Frames recl", "Recovery (us)", "Verdict"});
-        for (porter::CrashMechanism mech : mechanisms) {
+        for (rfork::MechanismKind mech : mechanisms) {
             porter::CrashEnumConfig cfg;
             cfg.mechanism = mech;
             cfg.heapPages = pages;
@@ -133,7 +106,7 @@ main(int argc, char **argv)
     summary.setHeader({"Mechanism", "Sites", "Crashed runs", "Images kept",
                        "Violations", "First violation"});
 
-    for (porter::CrashMechanism mech : mechanisms) {
+    for (rfork::MechanismKind mech : mechanisms) {
         porter::CrashEnumConfig cfg;
         cfg.mechanism = mech;
         cfg.heapPages = pages;
@@ -149,7 +122,7 @@ main(int argc, char **argv)
         }
         violated |= !rep.pass;
 
-        summary.addRow({porter::crashMechanismName(mech),
+        summary.addRow({rfork::mechanismName(mech),
                         std::to_string(rep.sites),
                         std::to_string(crashed), std::to_string(kept),
                         std::to_string(violations),
@@ -157,7 +130,7 @@ main(int argc, char **argv)
 
         if (!rep.pass) {
             sim::Table detail(std::string("Violating sites: ") +
-                              porter::crashMechanismName(mech));
+                              rfork::mechanismName(mech));
             detail.setHeader({"Mechanism", "Site", "Crashed", "Image",
                               "Restored", "Frames recl", "Recovery (us)",
                               "Verdict"});

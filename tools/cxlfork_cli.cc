@@ -32,15 +32,14 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "faas/workloads.hh"
 #include "porter/autoscaler.hh"
 #include "porter/cluster.hh"
 #include "porter/trace.hh"
-#include "rfork/criu.hh"
-#include "rfork/cxlfork.hh"
-#include "rfork/mitosis.hh"
+#include "rfork/mechanism.hh"
 #include "sim/log.hh"
 
 namespace {
@@ -102,28 +101,17 @@ policyOf(const std::string &p)
     sim::fatal("unknown policy %s (mow|moa|hybrid)", p.c_str());
 }
 
-std::unique_ptr<rfork::RemoteForkMechanism>
-mechanismOf(const std::string &m, cxl::CxlFabric &fabric)
-{
-    if (m == "cxlfork")
-        return std::make_unique<rfork::CxlFork>(fabric);
-    if (m == "criu")
-        return std::make_unique<rfork::CriuCxl>(fabric);
-    if (m == "mitosis")
-        return std::make_unique<rfork::MitosisCxl>(fabric);
-    sim::fatal("unknown mechanism %s (cxlfork|criu|mitosis)", m.c_str());
-}
-
+/** The --mechanism flag: one of the porter's three mechanisms. */
 porter::Mechanism
-porterMechanismOf(const std::string &m)
+mechanismArg(const Args &args)
 {
-    if (m == "cxlfork")
-        return porter::Mechanism::CxlFork;
-    if (m == "criu")
-        return porter::Mechanism::CriuCxl;
-    if (m == "mitosis")
-        return porter::Mechanism::MitosisCxl;
-    sim::fatal("unknown mechanism %s (cxlfork|criu|mitosis)", m.c_str());
+    const std::string m = args.get("mechanism", "cxlfork");
+    const std::optional<rfork::MechanismKind> kind = rfork::parseMechanism(m);
+    const std::optional<porter::Mechanism> mech =
+        kind ? porter::porterMechanism(*kind) : std::nullopt;
+    if (!mech)
+        sim::fatal("unknown mechanism %s (cxlfork|criu|mitosis)", m.c_str());
+    return *mech;
 }
 
 int
@@ -163,8 +151,8 @@ cmdRfork(const Args &args)
     parent->task().mm().pageTable().clearAccessedBits(true);
     parent->invoke();
 
-    auto mech = mechanismOf(args.get("mechanism", "cxlfork"),
-                            cluster.fabric());
+    auto mech = rfork::makeMechanism(porter::kindOf(mechanismArg(args)),
+                                     cluster.fabric());
     rfork::CheckpointStats cs;
     auto handle = mech->checkpoint(cluster.node(0), parent->task(), &cs);
     std::printf("checkpoint: %s  (%llu pages, %.1f MB to CXL, %.1f MB "
@@ -231,7 +219,7 @@ cmdPorter(const Args &args)
     }
 
     porter::PorterConfig cfg;
-    cfg.mechanism = porterMechanismOf(args.get("mechanism", "cxlfork"));
+    cfg.mechanism = mechanismArg(args);
     cfg.dynamicTiering = !args.has("static-mow");
     cfg.memPerNodeBytes = mem::gib(uint64_t(args.num("mem-gb", 8)));
     cfg.memoryScale = args.num("mem-scale", 1.0);
@@ -245,7 +233,7 @@ cmdPorter(const Args &args)
                 porter::TraceGenerator::measuredRps(
                     trace, trace.empty() ? sim::SimTime::zero()
                                          : trace.back().arrival),
-                porter::mechanismName(cfg.mechanism));
+                rfork::mechanismName(porter::kindOf(cfg.mechanism)));
     const auto m = sim.run(trace);
     std::printf("P50 %.1f ms   P99 %.1f ms   throughput %.1f rps\n",
                 m.p50Ms(), m.p99Ms(), m.completedRps);

@@ -7,10 +7,11 @@
  * for each mechanism: hundreds of rounds of publish / restore while
  * links flap, whole nodes are cut off and quarantined, publishes are
  * severed mid-flight, and the split-brain zombie scenario is replayed
- * every few rounds. Exits nonzero if any audited invariant is
- * violated — a restore that is neither byte-identical nor provably
- * degraded, a zombie publish the fence let through, a leaked frame,
- * or a survival fraction below the threshold.
+ * every few rounds. Exits 1 if any audited invariant is violated — a
+ * restore that is neither byte-identical nor provably degraded, a
+ * zombie publish the fence let through, a leaked frame, or a survival
+ * fraction below the threshold. A malformed flag or
+ * CXLFORK_PARTITION_ROUNDS prints the usage line and exits 2.
  *
  * Usage:
  *   partition_soak [--mechanism cxlfork|criu|mitosis|localfork]
@@ -31,91 +32,22 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
+#include "flags.hh"
 #include "porter/partition_harness.hh"
 #include "sim/table.hh"
 
 using namespace cxlfork;
 
-namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--mechanism cxlfork|criu|mitosis|localfork] "
-                 "[--rounds N] [--replicas K] [--seed S] [--negative] "
-                 "[--min-survival F]\n",
-                 argv0);
-    return 2;
-}
-
-bool
-parseMechanism(const std::string &s, porter::CrashMechanism &out)
-{
-    if (s == "cxlfork")
-        out = porter::CrashMechanism::CxlFork;
-    else if (s == "criu")
-        out = porter::CrashMechanism::Criu;
-    else if (s == "mitosis")
-        out = porter::CrashMechanism::Mitosis;
-    else if (s == "localfork")
-        out = porter::CrashMechanism::LocalFork;
-    else
-        return false;
-    return true;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::vector<porter::CrashMechanism> mechanisms = {
-        porter::CrashMechanism::CxlFork, porter::CrashMechanism::Criu,
-        porter::CrashMechanism::Mitosis, porter::CrashMechanism::LocalFork};
-    uint64_t rounds = 200;
-    uint32_t replicas = 2;
-    uint64_t seed = 0x11aa'facab1eULL;
-    bool negative = false;
-    double minSurvival = 0.9;
+    const tools::SoakFlags f = tools::parseSoakFlags(
+        argc, argv, {.rounds = 200, .seed = 0x11aa'facab1eULL},
+        "CXLFORK_PARTITION_ROUNDS", /*negativeZeroesReplicas=*/false);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--mechanism" && i + 1 < argc) {
-            porter::CrashMechanism m;
-            if (!parseMechanism(argv[++i], m))
-                return usage(argv[0]);
-            mechanisms = {m};
-        } else if (arg == "--rounds" && i + 1 < argc) {
-            rounds = std::strtoull(argv[++i], nullptr, 10);
-            if (rounds == 0)
-                return usage(argv[0]);
-        } else if (arg == "--replicas" && i + 1 < argc) {
-            replicas = uint32_t(std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--negative") {
-            negative = true;
-        } else if (arg == "--min-survival" && i + 1 < argc) {
-            minSurvival = std::strtod(argv[++i], nullptr);
-            if (minSurvival < 0.0 || minSurvival > 1.0)
-                return usage(argv[0]);
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    if (const char *env = std::getenv("CXLFORK_PARTITION_ROUNDS")) {
-        const uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            rounds = v;
-    }
-
-    sim::Table t(negative
+    sim::Table t(f.negative
                      ? "Partition soak, negative control (epoch fence "
                        "off): the zombie double-publish must appear"
                      : "Partition soak: publish/restore under link flaps, "
@@ -127,18 +59,18 @@ main(int argc, char **argv)
     bool violated = false;
     bool anyDouble = false;
     bool belowThreshold = false;
-    for (porter::CrashMechanism mech : mechanisms) {
+    for (rfork::MechanismKind mech : f.mechanisms) {
         porter::PartitionConfig cfg;
         cfg.mechanism = mech;
-        cfg.rounds = rounds;
-        cfg.replicas = replicas;
-        cfg.seed = seed;
-        cfg.epochFencing = !negative;
+        cfg.rounds = f.rounds;
+        cfg.replicas = f.replicas;
+        cfg.seed = f.seed;
+        cfg.epochFencing = !f.negative;
         const porter::PartitionReport rep = porter::runPartitionSoak(cfg);
         violated |= !rep.pass;
         anyDouble |= rep.doublePublishes > 0;
-        belowThreshold |= rep.survivalFraction() < minSurvival;
-        t.addRow({porter::crashMechanismName(mech),
+        belowThreshold |= rep.survivalFraction() < f.minSurvival;
+        t.addRow({rfork::mechanismName(mech),
                   std::to_string(rep.rounds),
                   std::to_string(rep.invocations),
                   std::to_string(rep.restoresOk),
@@ -162,17 +94,17 @@ main(int argc, char **argv)
         std::printf("FAIL: partition soak invariant violated\n");
         return 1;
     }
-    if (negative && !anyDouble) {
+    if (f.negative && !anyDouble) {
         std::printf("FAIL: negative control never double-published (the "
                     "epoch fence is not load-bearing)\n");
         return 1;
     }
-    if (!negative && belowThreshold) {
+    if (!f.negative && belowThreshold) {
         std::printf("FAIL: restore survival fell below %.4f\n",
-                    minSurvival);
+                    f.minSurvival);
         return 1;
     }
-    std::printf(negative
+    std::printf(f.negative
                     ? "PASS: split-brain double-publish demonstrated "
                       "without the fence\n"
                     : "PASS: partition soak held every invariant\n");
