@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "sim/log.hh"
 
@@ -121,6 +122,11 @@ PorterSim::keepAliveNow() const
 PorterMetrics
 PorterSim::run(const std::vector<Request> &trace)
 {
+    // The cluster state, the clock and the metrics carry over from a
+    // finished run; a second trace would be scheduled in its past.
+    if (ran_)
+        sim::fatal("PorterSim::run called twice; use a fresh PorterSim "
+                   "per trace");
     // Resolve every request's function before scheduling anything, so
     // a trace naming an unknown function is an input error, not a
     // simulator fault midway through the run.
@@ -135,6 +141,7 @@ PorterSim::run(const std::vector<Request> &trace)
         }
         traceFn_[i] = it->second;
     }
+    ran_ = true;
 
     metrics_ = PorterMetrics{};
     metrics_.requests = trace.size();
@@ -151,11 +158,15 @@ PorterSim::run(const std::vector<Request> &trace)
     };
     if (!std::is_sorted(arrivals.begin(), arrivals.end(), byArrival))
         std::stable_sort(arrivals.begin(), arrivals.end(), byArrival);
-    for (const Request *req : arrivals)
-        events_.scheduleSorted(req->arrival, [this, req] { arrive(*req); });
+    events_.reserveSorted(kArrivalLane, arrivals.size());
+    for (const Request *req : arrivals) {
+        events_.scheduleSorted(req->arrival, [this, req] { arrive(*req); },
+                               kArrivalLane);
+    }
     if (!trace.empty()) {
-        events_.schedule(trace.front().arrival + cfg_.controllerPeriod,
-                         [this] { controllerTick(); });
+        events_.scheduleSorted(trace.front().arrival + cfg_.controllerPeriod,
+                               [this] { controllerTick(); },
+                               kControllerLane);
     }
     scheduleCrashes(trace);
     events_.run();
@@ -210,15 +221,22 @@ PorterSim::crashNode(uint32_t node)
     ++metrics_.nodeCrashes;
     note("node_crash", node);
 
+    // Mitosis keeps checkpoint page content in the parent's DRAM, so
+    // a checkpoint pinned here is lost with the node.
+    for (FnState &fn : fnStates_) {
+        if (fn.checkpointed && fn.shadowBytes > 0 && fn.shadowNode == node) {
+            releaseCheckpoint(fn);
+            note("checkpoint_lost", node);
+        }
+    }
+
     // Every container on the node dies with it. In-flight work is not
     // cancelled here: its completion event fires at the original time,
     // finds the instance gone, and fails over (detection by timeout).
-    for (auto it = instances_.begin(); it != instances_.end();) {
-        if (it->second.node == node) {
+    for (Instance &inst : instances_) {
+        if (inst.live && inst.node == node) {
             ++metrics_.lostInstances;
-            it = instances_.erase(it);
-        } else {
-            ++it;
+            inst.live = false;
         }
     }
     ns.memUsed = 0;
@@ -232,11 +250,10 @@ PorterSim::crashNode(uint32_t node)
     std::deque<uint64_t> waiters = std::move(ns.coreQueue);
     ns.coreQueue.clear();
     for (uint64_t waiterId : waiters) {
-        auto w = coreWaiters_.find(waiterId);
-        if (w == coreWaiters_.end())
+        Instance &waiter = instances_[waiterId];
+        if (!waiter.waiting)
             continue;
-        const CoreWaiter waiter = w->second;
-        coreWaiters_.erase(w);
+        waiter.waiting = false;
         ++metrics_.restoreFailovers;
         note("failover", node);
         dispatch(*waiter.req, waiter.arrival);
@@ -283,7 +300,7 @@ PorterSim::tryWarmHit(const Request &req, SimTime arrival)
     for (uint32_t n = 0; n < nodes_.size(); ++n) {
         if (fn.idleOnNode[n].empty())
             continue;
-        const uint64_t id = *fn.idleOnNode[n].begin();
+        const uint64_t id = fn.idleOnNode[n].back();
         const bool coreFree = nodes_[n].busyCores < cfg_.coresPerNode;
         if (bestId == 0 || (coreFree && !bestCoreFree) ||
             (coreFree == bestCoreFree && id < bestId)) {
@@ -294,27 +311,47 @@ PorterSim::tryWarmHit(const Request &req, SimTime arrival)
     if (bestId == 0)
         return false;
 
-    Instance &inst = instances_.find(bestId)->second;
+    Instance &inst = instances_[bestId];
     removeIdle(bestId, inst);
     inst.busy = true;
     ++inst.generation;
     ++metrics_.warmHits;
     note("warm_hit", inst.node);
-    const SimTime dur = profileFor(fnIdx, inst.policy).warmExecLatency;
+    runOrQueue(bestId, req, arrival,
+               profileFor(fnIdx, inst.policy).warmExecLatency);
+    return true;
+}
 
-    NodeState &node = nodes_[inst.node];
-    if (node.busyCores < cfg_.coresPerNode) {
-        ++node.busyCores;
-        events_.scheduleAfter(dur, [this, bestId, r = &req, arrival] {
-            complete(bestId, *r, arrival);
-        });
+void
+PorterSim::runOrQueue(uint64_t id, const Request &req, SimTime arrival,
+                      SimTime duration)
+{
+    Instance &inst = instances_[id];
+    inst.req = &req;
+    inst.arrival = arrival;
+    inst.duration = duration;
+    NodeState &ns = nodes_[inst.node];
+    if (ns.busyCores < cfg_.coresPerNode) {
+        startOnCore(id);
     } else {
         ++metrics_.queuedForCores;
-        // Reserve the instance; the core-release path starts us.
-        node.coreQueue.push_back(bestId);
-        coreWaiters_[bestId] = {&req, arrival, dur};
+        // Reserve the instance; the core-release path starts it.
+        inst.waiting = true;
+        ns.coreQueue.push_back(id);
     }
-    return true;
+}
+
+void
+PorterSim::startOnCore(uint64_t instanceId)
+{
+    Instance &inst = instances_[instanceId];
+    inst.waiting = false;
+    ++nodes_[inst.node].busyCores;
+    // The request lives in the slot, so the closure stays small enough
+    // for std::function to store inline: no allocation per event.
+    auto done = [this, instanceId] { complete(instanceId); };
+    static_assert(sizeof(done) <= 16);
+    events_.scheduleAfter(inst.duration, done);
 }
 
 void
@@ -400,46 +437,40 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
             note("ghost_hit", node);
             // Background re-provisioning refills the pool off the
             // critical path.
-            events_.scheduleAfter(cfg_.containerCreate, [this, fnIdx] {
-                ++fnStates_[fnIdx].ghostsAvailable;
-            });
+            events_.scheduleSorted(
+                events_.now() + cfg_.containerCreate,
+                [this, fnIdx] { ++fnStates_[fnIdx].ghostsAvailable; },
+                kGhostRefillLane);
         }
     } else {
         ++metrics_.coldStarts;
         note("cold_start", node);
     }
 
-    const uint64_t id = nextInstanceId_++;
-    Instance inst;
+    // Eviction timers carry the id in 32 bits.
+    const uint64_t id = instances_.size();
+    if (id > UINT32_MAX)
+        sim::fatal("PorterSim: more than 2^32 instances in one run");
+    Instance &inst = instances_.emplace_back();
     inst.fnIdx = fnIdx;
     inst.node = node;
+    inst.live = true;
     inst.busy = true;
     inst.memBytes = memNeed;
     inst.policy = policy;
-    instances_[id] = inst;
     nodes_[node].memUsed += memNeed;
     metrics_.peakMemBytes =
         std::max(metrics_.peakMemBytes, nodes_[node].memUsed);
-
-    NodeState &ns = nodes_[node];
-    if (ns.busyCores < cfg_.coresPerNode) {
-        ++ns.busyCores;
-        events_.scheduleAfter(spawnCost, [this, id, r = &req, arrival] {
-            complete(id, *r, arrival);
-        });
-    } else {
-        ++metrics_.queuedForCores;
-        ns.coreQueue.push_back(id);
-        coreWaiters_[id] = {&req, arrival, spawnCost};
-    }
+    runOrQueue(id, req, arrival, spawnCost);
 }
 
 void
-PorterSim::complete(uint64_t instanceId, const Request &req,
-                    SimTime arrival)
+PorterSim::complete(uint64_t instanceId)
 {
-    auto it = instances_.find(instanceId);
-    if (it == instances_.end()) {
+    Instance &inst = instances_[instanceId];
+    const Request &req = *inst.req;
+    const SimTime arrival = inst.arrival;
+    if (!inst.live) {
         // The instance's node crashed while this request was in
         // flight. The crash already zeroed that node's accounting;
         // fail the request over — re-dispatch against the surviving
@@ -450,7 +481,6 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
         dispatch(req, arrival);
         return;
     }
-    Instance &inst = it->second;
     NodeState &node = nodes_[inst.node];
 
     const SimTime latency = events_.now() - arrival;
@@ -478,17 +508,9 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
     while (!node.coreQueue.empty()) {
         const uint64_t waiterId = node.coreQueue.front();
         node.coreQueue.pop_front();
-        auto w = coreWaiters_.find(waiterId);
-        if (w == coreWaiters_.end())
-            continue; // instance evicted meanwhile
-        const CoreWaiter waiter = w->second;
-        coreWaiters_.erase(w);
-        ++node.busyCores;
-        events_.scheduleAfter(waiter.duration,
-                              [this, waiterId, r = waiter.req,
-                               arrival = waiter.arrival] {
-                                  complete(waiterId, *r, arrival);
-                              });
+        if (!instances_[waiterId].waiting)
+            continue;
+        startOnCore(waiterId);
         break;
     }
 
@@ -533,6 +555,8 @@ PorterSim::chargeCheckpoint(FnState &fn, const PerfProfile &prof)
 void
 PorterSim::releaseCheckpoint(FnState &fn)
 {
+    nodes_[fn.shadowNode].memUsed -= fn.shadowBytes;
+    fn.shadowBytes = 0;
     cxlUsed_ -= fn.checkpointBytes;
     fn.checkpointed = false;
     fn.checkpointBytes = 0;
@@ -584,6 +608,8 @@ PorterSim::takeCheckpoint(uint32_t fnIdx, uint32_t node)
     ++metrics_.checkpointsTaken;
     note("checkpoint", node);
     if (prof.checkpointLocalBytes > 0) {
+        fn.shadowBytes = prof.checkpointLocalBytes;
+        fn.shadowNode = node;
         nodes_[node].memUsed += prof.checkpointLocalBytes;
         metrics_.peakMemBytes =
             std::max(metrics_.peakMemBytes, nodes_[node].memUsed);
@@ -593,38 +619,44 @@ PorterSim::takeCheckpoint(uint32_t fnIdx, uint32_t node)
 void
 PorterSim::scheduleEviction(uint64_t instanceId)
 {
-    auto it = instances_.find(instanceId);
-    if (it == instances_.end())
-        return;
-    const uint64_t gen = it->second.generation;
+    // Each window has its own lane: a timer is due at now + window and
+    // now never decreases, so every lane stays sorted.
     const SimTime window = keepAliveNow();
-    events_.scheduleAfter(window, [this, instanceId, gen] {
-        auto jt = instances_.find(instanceId);
-        if (jt == instances_.end() || jt->second.busy ||
-            jt->second.generation != gen) {
-            return;
-        }
-        const SimTime idle = events_.now() - jt->second.idleSince;
-        if (idle >= keepAliveNow()) {
-            evict(instanceId);
-        } else {
-            scheduleEviction(instanceId);
-        }
-    });
+    const size_t lane = window == cfg_.keepAlivePressured
+                            ? kPressuredKeepAliveLane
+                            : kKeepAliveLane;
+    // The id and generation take 32 bits each, so the closure is as
+    // small as completion's and std::function stores it inline.
+    const auto id = uint32_t(instanceId);
+    const uint32_t gen = instances_[instanceId].generation;
+    auto timer = [this, id, gen] { evictIfIdle(id, gen); };
+    static_assert(sizeof(timer) <= 16);
+    events_.scheduleSorted(events_.now() + window, timer, lane);
+}
+
+void
+PorterSim::evictIfIdle(uint64_t instanceId, uint32_t generation)
+{
+    // A stale timer (the instance has run since, or is gone) does
+    // nothing; it still keeps the queue non-empty until it fires.
+    const Instance &inst = instances_[instanceId];
+    if (!inst.live || inst.busy || inst.generation != generation)
+        return;
+    if (events_.now() - inst.idleSince >= keepAliveNow())
+        evict(instanceId);
+    else
+        scheduleEviction(instanceId);
 }
 
 void
 PorterSim::evict(uint64_t instanceId, bool drainQueue)
 {
-    auto it = instances_.find(instanceId);
-    if (it == instances_.end())
-        return;
-    Instance &inst = it->second;
-    CXLF_ASSERT(!inst.busy);
+    Instance &inst = instances_[instanceId];
+    CXLF_ASSERT(inst.live && !inst.busy);
     const uint32_t nodeIdx = inst.node;
     removeIdle(instanceId, inst);
     nodes_[nodeIdx].memUsed -= inst.memBytes;
-    instances_.erase(it);
+    inst.live = false;
     ++metrics_.evictions;
     note("evict", nodeIdx);
     // Reclaim paths must not re-enter the spawn logic mid-reclaim, or
@@ -633,13 +665,24 @@ PorterSim::evict(uint64_t instanceId, bool drainQueue)
         drainMemQueue();
 }
 
+// The idle indexes are sorted vectors. An instance goes idle at now,
+// which is the latest idleSince, so it usually lands at the end of
+// idleByAge; warm hits take the lowest id, kept at the end of
+// idleOnNode.
+
 void
 PorterSim::addIdle(uint64_t id, const Instance &inst)
 {
     NodeState &ns = nodes_[inst.node];
     ns.idleBytes += inst.memBytes;
-    ns.idleByAge.emplace(inst.idleSince, id);
-    fnStates_[inst.fnIdx].idleOnNode[inst.node].insert(id);
+    const IdleKey key{inst.idleSince, id};
+    ns.idleByAge.insert(
+        std::upper_bound(ns.idleByAge.begin(), ns.idleByAge.end(), key),
+        key);
+    IdleIds &ids = fnStates_[inst.fnIdx].idleOnNode[inst.node];
+    ids.insert(std::upper_bound(ids.begin(), ids.end(), id,
+                                std::greater<>()),
+               id);
 }
 
 void
@@ -647,8 +690,12 @@ PorterSim::removeIdle(uint64_t id, const Instance &inst)
 {
     NodeState &ns = nodes_[inst.node];
     ns.idleBytes -= inst.memBytes;
-    ns.idleByAge.erase({inst.idleSince, id});
-    fnStates_[inst.fnIdx].idleOnNode[inst.node].erase(id);
+    ns.idleByAge.erase(std::lower_bound(ns.idleByAge.begin(),
+                                        ns.idleByAge.end(),
+                                        IdleKey{inst.idleSince, id}));
+    IdleIds &ids = fnStates_[inst.fnIdx].idleOnNode[inst.node];
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), id,
+                               std::greater<>()));
 }
 
 bool
@@ -660,7 +707,7 @@ PorterSim::reclaimOnNode(uint32_t node, uint64_t needBytes)
         // ties).
         if (ns.idleByAge.empty())
             return false;
-        evict(ns.idleByAge.begin()->second, /*drainQueue=*/false);
+        evict(ns.idleByAge.front().second, /*drainQueue=*/false);
     }
     return true;
 }
@@ -711,8 +758,8 @@ PorterSim::controllerTick()
                     profileFor(i, os::TieringPolicy::Hybrid);
                 const uint64_t newMem =
                     hyb.localBytesAfterExec + kShellBytes;
-                for (auto &[id, inst] : instances_) {
-                    if (inst.fnIdx != i ||
+                for (Instance &inst : instances_) {
+                    if (!inst.live || inst.fnIdx != i ||
                         inst.policy == os::TieringPolicy::Hybrid) {
                         continue;
                     }
@@ -741,8 +788,9 @@ PorterSim::controllerTick()
 
     // Keep ticking while there is work left.
     if (!events_.empty()) {
-        events_.scheduleAfter(cfg_.controllerPeriod,
-                              [this] { controllerTick(); });
+        events_.scheduleSorted(events_.now() + cfg_.controllerPeriod,
+                               [this] { controllerTick(); },
+                               kControllerLane);
     }
 }
 
@@ -770,6 +818,104 @@ PorterSim::drainMemQueue()
         memQueue_.pop_front();
         spawnAndRun(*pending.req, pending.enqueued);
     }
+}
+
+std::string
+PorterSim::auditAccounting() const
+{
+    auto fail = [](const char *what, uint64_t where, uint64_t got,
+                   uint64_t want) {
+        return std::string(what) + " on " + std::to_string(where) +
+               ": " + std::to_string(got) + ", want " +
+               std::to_string(want);
+    };
+
+    // Recount every node from the instance table and the shadows.
+    struct Tally
+    {
+        uint64_t mem = 0, idleBytes = 0, idle = 0, running = 0;
+    };
+    std::vector<Tally> tally(nodes_.size());
+    std::vector<uint64_t> idlePerFnNode(fnStates_.size() * nodes_.size());
+    for (uint64_t id = 1; id < instances_.size(); ++id) {
+        const Instance &inst = instances_[id];
+        if (!inst.live)
+            continue;
+        Tally &t = tally[inst.node];
+        t.mem += inst.memBytes;
+        if (inst.busy) {
+            t.running += !inst.waiting;
+            continue;
+        }
+        t.idleBytes += inst.memBytes;
+        ++t.idle;
+        ++idlePerFnNode[inst.fnIdx * nodes_.size() + inst.node];
+        const std::vector<IdleKey> &age = nodes_[inst.node].idleByAge;
+        if (!std::binary_search(age.begin(), age.end(),
+                                IdleKey{inst.idleSince, id})) {
+            return fail("idle instance missing from idleByAge", id, 0, 1);
+        }
+        const IdleIds &ids = fnStates_[inst.fnIdx].idleOnNode[inst.node];
+        if (!std::binary_search(ids.begin(), ids.end(), id,
+                                std::greater<>())) {
+            return fail("idle instance missing from idleOnNode", id, 0, 1);
+        }
+    }
+    for (const FnState &fn : fnStates_) {
+        if (fn.checkpointed)
+            tally[fn.shadowNode].mem += fn.shadowBytes;
+        else if (fn.shadowBytes > 0)
+            return fail("shadow of a released checkpoint on node",
+                        fn.shadowNode, fn.shadowBytes, 0);
+    }
+    for (uint32_t n = 0; n < nodes_.size(); ++n) {
+        const NodeState &ns = nodes_[n];
+        const Tally &t = tally[n];
+        if (ns.memUsed != t.mem)
+            return fail("memUsed", n, ns.memUsed, t.mem);
+        if (ns.idleBytes != t.idleBytes)
+            return fail("idleBytes", n, ns.idleBytes, t.idleBytes);
+        if (ns.idleByAge.size() != t.idle)
+            return fail("idleByAge size", n, ns.idleByAge.size(), t.idle);
+        if (ns.busyCores != t.running || ns.busyCores > cfg_.coresPerNode)
+            return fail("busyCores", n, ns.busyCores, t.running);
+        for (uint32_t f = 0; f < fnStates_.size(); ++f) {
+            const uint64_t want = idlePerFnNode[f * nodes_.size() + n];
+            if (fnStates_[f].idleOnNode[n].size() != want) {
+                return fail("idleOnNode size", n,
+                            fnStates_[f].idleOnNode[n].size(), want);
+            }
+        }
+    }
+
+    // The device: every resident checkpoint's charged bytes, plus each
+    // referenced content group's shared layer once.
+    uint64_t cxl = 0;
+    std::map<uint64_t, std::pair<uint32_t, uint64_t>> groups;
+    for (const FnState &fn : fnStates_) {
+        if (!fn.checkpointed)
+            continue;
+        cxl += fn.checkpointBytes;
+        if (fn.sharedBytes > 0) {
+            auto &[refs, shared] = groups[fn.contentGroup];
+            ++refs;
+            shared = fn.sharedBytes;
+        }
+    }
+    for (const auto &[group, refsShared] : groups) {
+        cxl += refsShared.second;
+        const auto it = groupRefs_.find(group);
+        const uint32_t refs = it == groupRefs_.end() ? 0 : it->second;
+        if (refs != refsShared.first)
+            return fail("groupRefs of group", group, refs, refsShared.first);
+    }
+    for (const auto &[group, refs] : groupRefs_) {
+        if (refs > 0 && !groups.contains(group))
+            return fail("groupRefs of group", group, refs, 0);
+    }
+    if (cxlUsed_ != cxl)
+        return fail("cxlUsed", 0, cxlUsed_, cxl);
+    return "";
 }
 
 } // namespace cxlfork::porter

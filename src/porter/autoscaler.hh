@@ -20,7 +20,7 @@
 #include <array>
 #include <deque>
 #include <map>
-#include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -155,11 +155,44 @@ class PorterSim
               PerfModel &perf);
 
     /**
+     * The event queue's sorted lanes. Each carries one stream whose
+     * times never decrease: the trace's arrivals, and timers whose
+     * delay is one fixed config value.
+     */
+    enum Lane : size_t {
+        kArrivalLane,
+        kKeepAliveLane,          ///< Timers of cfg.keepAlive.
+        kPressuredKeepAliveLane, ///< Of cfg.keepAlivePressured, if it
+                                 ///< differs from cfg.keepAlive.
+        kControllerLane,         ///< The controller tick.
+        kGhostRefillLane,        ///< Ghost-pool refills.
+    };
+
+    /**
      * Run a trace to completion and return the metrics. Events refer
      * to the trace's requests, so it must not change during the run.
-     * @throws sim::FatalError if a request names an unknown function.
+     * A PorterSim runs one trace.
+     * @throws sim::FatalError if a request names an unknown function,
+     *         or if an earlier run() got past that check.
      */
     PorterMetrics run(const std::vector<Request> &trace);
+
+    /**
+     * Check the cluster's bookkeeping against its instances and
+     * checkpoints: per node, memUsed is the live instances plus the
+     * pinned Mitosis shadows, idleBytes and the idle indexes hold
+     * exactly the idle live instances, and busyCores counts the
+     * running ones (at most coresPerNode); cxlUsed is the charged
+     * checkpoint bytes plus the group-shared layers.
+     * @return The first violation, or "" if there is none.
+     */
+    std::string auditAccounting() const;
+
+    /** The event queue's work counts (pinned by the porter tests). */
+    const sim::EventQueue::Counters &eventCounters() const
+    {
+        return events_.counters();
+    }
 
     /**
      * Observe scaling decisions and the failover ladder through an
@@ -172,15 +205,29 @@ class PorterSim
                              sim::MetricsRegistry *metrics);
 
   private:
+    /**
+     * One slot of the dense instance table, indexed by instance id.
+     * Ids run from 1 and are never reused, so a dead instance's slot
+     * keeps the request it was serving for the completion event that
+     * finds it gone.
+     */
     struct Instance
     {
-        uint32_t fnIdx = 0;
-        uint32_t node = 0;
-        bool busy = false;
+        /** The request being served, or waited for (`waiting`). */
+        const Request *req = nullptr;
+        sim::SimTime arrival;  ///< That request's arrival.
+        sim::SimTime duration; ///< Its run time once a core frees.
         sim::SimTime idleSince;
         uint64_t memBytes = 0;
+        uint32_t fnIdx = 0;
+        uint32_t node = 0;
+        uint32_t generation = 0; ///< Guards stale eviction timers.
+                                 ///< (2^32 runs to wrap, not one
+                                 ///< keep-alive window.)
         os::TieringPolicy policy = os::TieringPolicy::MigrateOnWrite;
-        uint64_t generation = 0; ///< Guards stale eviction timers.
+        bool live = false;
+        bool busy = false;
+        bool waiting = false; ///< Reserved, in its node's coreQueue.
     };
 
     static constexpr size_t kTieringPolicies =
@@ -188,6 +235,8 @@ class PorterSim
 
     /** Idle instance on a node, ordered longest-idle first. */
     using IdleKey = std::pair<sim::SimTime, uint64_t>; // (idleSince, id)
+    /** Idle instance ids, highest first: the lowest is at back(). */
+    using IdleIds = std::vector<uint64_t>;
 
     struct NodeState
     {
@@ -196,21 +245,15 @@ class PorterSim
         uint64_t idleBytes = 0; ///< memBytes of this node's idle instances.
         uint32_t busyCores = 0;
         bool up = true;
-        std::deque<uint64_t> coreQueue; ///< request ids waiting for a core
-        std::set<IdleKey> idleByAge;    ///< reclaimOnNode's victim order
+        std::deque<uint64_t> coreQueue; ///< reserved instance ids
+        /** reclaimOnNode's victim order; sorted ascending. */
+        std::vector<IdleKey> idleByAge;
     };
 
     struct PendingRequest
     {
         const Request *req;
         sim::SimTime enqueued;
-    };
-
-    struct CoreWaiter
-    {
-        const Request *req;
-        sim::SimTime arrival;
-        sim::SimTime duration;
     };
 
     struct FnState
@@ -223,13 +266,16 @@ class PorterSim
                                         ///< share checkpoint content.
         uint64_t sharedBytes = 0;       ///< Group-shared portion this
                                         ///< checkpoint references.
+        uint64_t shadowBytes = 0;       ///< Pinned on shadowNode
+                                        ///< (Mitosis shadow copies).
+        uint32_t shadowNode = 0;
         sim::SimTime lastRestore;       ///< For LRU reclamation.
         uint32_t ghostsAvailable = 0;
         os::TieringPolicy restorePolicy =
             os::TieringPolicy::MigrateOnWrite;
         sim::Summary recentLatencyMs; ///< Since the last controller tick.
-        /** Idle instance ids per node, lowest id first. */
-        std::vector<std::set<uint64_t>> idleOnNode;
+        /** Idle instance ids per node. */
+        std::vector<IdleIds> idleOnNode;
         /** Lazily cached profileFor() results, by policy. */
         std::array<const PerfProfile *, kTieringPolicies> profiles{};
         sim::Histogram *latency = nullptr; ///< metrics_.perFunction entry.
@@ -239,9 +285,11 @@ class PorterSim
     void dispatch(const Request &req, sim::SimTime arrival);
     bool tryWarmHit(const Request &req, sim::SimTime arrival);
     void spawnAndRun(const Request &req, sim::SimTime arrival);
-    void complete(uint64_t instanceId, const Request &req,
-                  sim::SimTime arrival);
+    /** Start instanceId's request on a core of its node. */
+    void startOnCore(uint64_t instanceId);
+    void complete(uint64_t instanceId);
     void scheduleEviction(uint64_t instanceId);
+    void evictIfIdle(uint64_t instanceId, uint32_t generation);
     void evict(uint64_t instanceId, bool drainQueue = true);
     /**
      * Enter / leave the idle indexes (idleOnNode, idleByAge, idleBytes),
@@ -249,6 +297,9 @@ class PorterSim
      */
     void addIdle(uint64_t id, const Instance &inst);
     void removeIdle(uint64_t id, const Instance &inst);
+    /** Reserve id for the request, or start it if a core is free. */
+    void runOrQueue(uint64_t id, const Request &req, sim::SimTime arrival,
+                    sim::SimTime duration);
     uint64_t freeBytes(const NodeState &n) const
     {
         return n.memUsed >= n.memCapacity ? 0 : n.memCapacity - n.memUsed;
@@ -287,10 +338,10 @@ class PorterSim
     /** The running trace and each of its requests' function index. */
     const Request *traceBase_ = nullptr;
     std::vector<uint32_t> traceFn_;
-    std::map<uint64_t, Instance> instances_;
-    uint64_t nextInstanceId_ = 1;
+    /** Dense instance table; slot 0 is never live. */
+    std::vector<Instance> instances_{1};
     std::deque<PendingRequest> memQueue_;
-    std::map<uint64_t, CoreWaiter> coreWaiters_;
+    bool ran_ = false; ///< run() got past its input checks.
     sim::SimTime abitAccum_;
     uint64_t cxlUsed_ = 0;
     /** Resident checkpoints per content group (dedupCapacity only). */

@@ -29,7 +29,7 @@ PerfModel::profile(const FunctionSpec &spec, Mechanism mech,
 
 PerfProfile
 PerfModel::measure(const FunctionSpec &spec, Mechanism mech,
-                   os::TieringPolicy policy) const
+                   os::TieringPolicy policy)
 {
     // A scratch world big enough for the largest Table-1 function.
     ClusterConfig cfg;
@@ -79,9 +79,25 @@ PerfModel::measure(const FunctionSpec &spec, Mechanism mech,
     p.localBytesAfterExec = child->localBytes();
     p.warmExecLatency = child->invoke().latency;
 
-    p.checkpointSharedCxlBytes = measureSharedCxlBytes(spec, mech);
+    p.checkpointSharedCxlBytes = sharedCxlBytes(spec, mech);
 
     return p;
+}
+
+uint64_t
+PerfModel::sharedCxlBytes(const FunctionSpec &spec, Mechanism mech)
+{
+    const std::pair<std::string, Mechanism> key{spec.name, mech};
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto it = sharedCache_.find(key);
+        if (it != sharedCache_.end())
+            return it->second;
+    }
+    // Measured outside the lock, as in profile().
+    const uint64_t bytes = measureSharedCxlBytes(spec, mech);
+    std::lock_guard<std::mutex> lock(mu_);
+    return sharedCache_.emplace(key, bytes).first->second;
 }
 
 uint64_t

@@ -106,13 +106,16 @@ class PerfModel
 
   private:
     PerfProfile measure(const faas::FunctionSpec &spec, Mechanism mech,
-                        os::TieringPolicy policy) const;
+                        os::TieringPolicy policy);
+    /** measureSharedCxlBytes(), cached: it ignores the policy. */
+    uint64_t sharedCxlBytes(const faas::FunctionSpec &spec, Mechanism mech);
     uint64_t measureSharedCxlBytes(const faas::FunctionSpec &spec,
                                    Mechanism mech) const;
 
     sim::CostParams costs_;
     std::mutex mu_;
     std::map<ProfileKey, PerfProfile> cache_;
+    std::map<std::pair<std::string, Mechanism>, uint64_t> sharedCache_;
 };
 
 } // namespace cxlfork::porter

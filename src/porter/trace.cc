@@ -38,7 +38,8 @@ std::vector<Request>
 TraceGenerator::generate() const
 {
     sim::Rng rng(cfg_.seed);
-    std::vector<Request> out;
+    // One arrival stream per function, each in arrival order.
+    std::vector<std::vector<Request>> streams(functions_.size());
     // Scale the baseline so the burst-inflated expectation matches the
     // requested aggregate rate.
     const double burstFrac =
@@ -49,7 +50,8 @@ TraceGenerator::generate() const
     const double perFnRps =
         cfg_.totalRps / (double(functions_.size()) * inflation);
 
-    for (const std::string &fn : functions_) {
+    for (size_t s = 0; s < functions_.size(); ++s) {
+        const std::string &fn = functions_[s];
         sim::Rng fnRng = rng.split();
 
         // Burst schedule for this function: alternating quiet/burst
@@ -89,19 +91,55 @@ TraceGenerator::generate() const
                 Request r;
                 r.arrival = SimTime::sec(at);
                 r.function = fn;
-                out.push_back(std::move(r));
+                streams[s].push_back(std::move(r));
             }
         }
     }
 
-    std::sort(out.begin(), out.end(),
-              [](const Request &a, const Request &b) {
-                  if (a.arrival != b.arrival)
-                      return a.arrival < b.arrival;
-                  return a.function < b.function;
-              });
-    for (uint64_t i = 0; i < out.size(); ++i)
-        out[i].id = i;
+    // k-way merge by (arrival, function), the order a sort of the
+    // whole trace gives. Each head carries its stream's rank among the
+    // function names, so ties compare two integers. Two streams of one
+    // name tie only on equal requests, so which goes first changes
+    // nothing.
+    struct Head
+    {
+        SimTime arrival;
+        size_t rank;
+        size_t stream;
+    };
+    auto after = [](const Head &a, const Head &b) {
+        if (a.arrival != b.arrival)
+            return b.arrival < a.arrival;
+        return b.rank < a.rank;
+    };
+    std::vector<Head> heads; // min-heap by (arrival, rank)
+    size_t total = 0;
+    for (size_t s = 0; s < streams.size(); ++s) {
+        total += streams[s].size();
+        if (streams[s].empty())
+            continue;
+        size_t rank = 0;
+        for (const std::string &other : functions_)
+            rank += other < functions_[s];
+        heads.push_back({streams[s].front().arrival, rank, s});
+    }
+    std::make_heap(heads.begin(), heads.end(), after);
+    std::vector<size_t> cursor(streams.size());
+    std::vector<Request> out;
+    out.reserve(total);
+    while (!heads.empty()) {
+        std::pop_heap(heads.begin(), heads.end(), after);
+        Head &h = heads.back();
+        std::vector<Request> &st = streams[h.stream];
+        out.push_back(std::move(st[cursor[h.stream]]));
+        out.back().id = out.size() - 1;
+        if (++cursor[h.stream] < st.size()) {
+            h.arrival = st[cursor[h.stream]].arrival;
+            std::push_heap(heads.begin(), heads.end(), after);
+        } else {
+            heads.pop_back();
+        }
+    }
     return out;
 }
 

@@ -63,6 +63,8 @@ class Histogram
     void add(SimTime t) { add(t.toNs()); }
 
     uint64_t count() const { return samples_.size(); }
+    /** Every sample, in the order add() saw them. */
+    const std::vector<double> &samples() const { return samples_; }
     double mean() const;
     double min() const;
     double max() const;

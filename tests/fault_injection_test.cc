@@ -16,6 +16,8 @@
 #include "sim/fault_injector.hh"
 #include "test_util.hh"
 
+#include "porter_test_util.hh"
+
 namespace cxlfork {
 namespace {
 
@@ -642,7 +644,7 @@ TEST(PorterFaults, InjectedFaultsRunToCompletionWithRecovery)
 
     porter::PorterSim sim(cfg, {tinySpec("a"), tinySpec("b")}, perf);
     const auto trace = steadyTrace(40, 30);
-    const auto m = sim.run(trace);
+    const auto m = runAudited(sim, trace);
 
     // Every request completes despite crashes; the recovery machinery
     // actually exercised all three rungs of the degradation ladder.
@@ -668,10 +670,10 @@ TEST(PorterFaults, FixedSeedIsDeterministic)
 
     porter::PerfModel perfA;
     porter::PorterSim simA(cfg, {tinySpec("a"), tinySpec("b")}, perfA);
-    const auto a = simA.run(trace);
+    const auto a = runAudited(simA, trace);
     porter::PerfModel perfB;
     porter::PorterSim simB(cfg, {tinySpec("a"), tinySpec("b")}, perfB);
-    const auto b = simB.run(trace);
+    const auto b = runAudited(simB, trace);
 
     EXPECT_EQ(a.nodeCrashes, b.nodeCrashes);
     EXPECT_EQ(a.lostInstances, b.lostInstances);
@@ -690,13 +692,13 @@ TEST(PorterFaults, DisabledInjectionMatchesBaselineExactly)
 
     porter::PerfModel perfA;
     porter::PorterSim plain(cfg, {tinySpec("a"), tinySpec("b")}, perfA);
-    const auto a = plain.run(trace);
+    const auto a = runAudited(plain, trace);
 
     porter::PorterConfig cfg2 = cfg;
     cfg2.faults.seed = 123456; // different seed but all rates zero
     porter::PerfModel perfB;
     porter::PorterSim seeded(cfg2, {tinySpec("a"), tinySpec("b")}, perfB);
-    const auto b = seeded.run(trace);
+    const auto b = runAudited(seeded, trace);
 
     EXPECT_EQ(a.nodeCrashes, 0u);
     EXPECT_EQ(a.degradedColdStarts, 0u);

@@ -18,6 +18,8 @@
 #include "rfork/mechanism.hh"
 #include "rfork/mitosis.hh"
 
+#include "porter_test_util.hh"
+
 namespace cxlfork {
 namespace {
 
@@ -147,7 +149,7 @@ TEST(PorterIntegration, SmokeRunOnRealWorkloads)
     porter::PorterConfig cfg;
     cfg.mechanism = porter::Mechanism::CxlFork;
     porter::PorterSim sim(cfg, functions, perf);
-    const auto m = sim.run(trace);
+    const auto m = runAudited(sim, trace);
     EXPECT_EQ(m.latency.count(), trace.size());
     EXPECT_GT(m.warmHits + m.restores + m.coldStarts, 0u);
     EXPECT_GT(m.p99Ms(), m.p50Ms() * 0.99);

@@ -11,6 +11,8 @@
 #include "porter/autoscaler.hh"
 #include "porter/trace.hh"
 
+#include "porter_test_util.hh"
+
 namespace cxlfork::porter {
 namespace {
 
@@ -59,7 +61,7 @@ TEST_F(PorterFeatureTest, CheckpointReclamationUnderCxlPressure)
     cfg.cxlCapacityBytes = mem::mib(40);
     PorterSim sim(cfg, {spec("a", 24), spec("b", 24), spec("c", 24)},
                   perf);
-    const auto m = sim.run(trace({"a", "b", "c"}, 30, 15));
+    const auto m = runAudited(sim, trace({"a", "b", "c"}, 30, 15));
     EXPECT_GT(m.checkpointsTaken, 3u)
         << "reclaimed functions must re-checkpoint";
     EXPECT_GT(m.checkpointsReclaimed, 0u);
@@ -73,7 +75,7 @@ TEST_F(PorterFeatureTest, NoReclamationWithAmpleCxl)
     cfg.mechanism = Mechanism::CxlFork;
     cfg.checkpointAfterInvocations = 2;
     PorterSim sim(cfg, {spec("a", 24), spec("b", 24)}, perf);
-    const auto m = sim.run(trace({"a", "b"}, 20, 10));
+    const auto m = runAudited(sim, trace({"a", "b"}, 20, 10));
     EXPECT_EQ(m.checkpointsReclaimed, 0u);
     EXPECT_EQ(m.checkpointsTaken, 2u);
 }
@@ -95,7 +97,8 @@ TEST_F(PorterFeatureTest, DedupCapacityChargesSharedLayersOnce)
         FunctionSpec c = a;
         c.name = "tenant2";
         PorterSim sim(cfg, {a, b, c}, perf);
-        return sim.run(trace({"tenant0", "tenant1", "tenant2"}, 30, 15));
+        return runAudited(sim,
+                          trace({"tenant0", "tenant1", "tenant2"}, 30, 15));
     };
     const auto off = run(false);
     const auto on = run(true);
@@ -128,7 +131,8 @@ TEST_F(PorterFeatureTest, DedupCapacityReleaseIsBalanced)
     b.name = "tenant1";
     FunctionSpec d = spec("other", 24); // different seed: its own group
     PorterSim sim(cfg, {a, b, d}, perf);
-    const auto m = sim.run(trace({"tenant0", "tenant1", "other"}, 30, 15));
+    const auto m =
+        runAudited(sim, trace({"tenant0", "tenant1", "other"}, 30, 15));
     EXPECT_GT(m.checkpointsTaken, 0u);
     EXPECT_LE(m.peakCxlBytes, mem::mib(40));
     EXPECT_EQ(m.latency.count(), m.requests);
@@ -150,7 +154,7 @@ TEST_F(PorterFeatureTest, DynamicTieringPromotesSlowFunctions)
     cfg.controllerPeriod = SimTime::sec(1);
     cfg.sloFactor = 1.1;
     PorterSim sim(cfg, {heavy}, perf);
-    const auto m = sim.run(trace({"heavy"}, 15, 12));
+    const auto m = runAudited(sim, trace({"heavy"}, 15, 12));
     EXPECT_GT(m.tieringPromotions, 0u);
 }
 
@@ -162,7 +166,7 @@ TEST_F(PorterFeatureTest, StaticMoWNeverPromotes)
     cfg.dynamicTiering = false;
     cfg.sloFactor = 1.0;
     PorterSim sim(cfg, {heavy}, perf);
-    const auto m = sim.run(trace({"heavy"}, 10, 8));
+    const auto m = runAudited(sim, trace({"heavy"}, 10, 8));
     EXPECT_EQ(m.tieringPromotions, 0u);
 }
 
@@ -174,7 +178,7 @@ TEST_F(PorterFeatureTest, GhostPoolRefillsInBackground)
     cfg.ghostsPerFunction = 1;
     cfg.keepAlive = SimTime::sec(1); // force repeated restores
     PorterSim sim(cfg, {spec("a", 16)}, perf);
-    const auto m = sim.run(trace({"a"}, 15, 20));
+    const auto m = runAudited(sim, trace({"a"}, 15, 20));
     EXPECT_GT(m.ghostHits, 1u)
         << "a refilled pool must serve more hits than its initial size";
 }
@@ -185,7 +189,7 @@ TEST_F(PorterFeatureTest, BaselinesNeverPromoteOrReclaimGhosts)
     cfg.mechanism = Mechanism::CriuCxl;
     cfg.checkpointAfterInvocations = 2;
     PorterSim sim(cfg, {spec("a", 24)}, perf);
-    const auto m = sim.run(trace({"a"}, 20, 10));
+    const auto m = runAudited(sim, trace({"a"}, 20, 10));
     EXPECT_EQ(m.tieringPromotions, 0u);
     EXPECT_EQ(m.ghostHits, 0u);
 }
@@ -199,7 +203,7 @@ TEST_F(PorterFeatureTest, QueueingCountersPopulateUnderOverload)
     cfg.memPerNodeBytes = mem::mib(96);
     cfg.checkpointAfterInvocations = 2;
     PorterSim sim(cfg, {spec("a", 24, 50), spec("b", 24, 50)}, perf);
-    const auto m = sim.run(trace({"a", "b"}, 30, 8));
+    const auto m = runAudited(sim, trace({"a", "b"}, 30, 8));
     EXPECT_GT(m.queuedForCores, 0u);
     EXPECT_EQ(m.latency.count(), m.requests)
         << "queued requests must still complete";

@@ -6,6 +6,8 @@
 #include "porter/trace.hh"
 #include "sim/log.hh"
 
+#include "porter_test_util.hh"
+
 namespace cxlfork::porter {
 namespace {
 
@@ -50,7 +52,7 @@ TEST_F(PorterSimTest, CompletesEveryRequest)
     cfg.mechanism = Mechanism::CxlFork;
     PorterSim sim(cfg, {tinySpec("a"), tinySpec("b")}, perf);
     const auto trace = steadyTrace({"a", "b"}, 20, 10);
-    const auto m = sim.run(trace);
+    const auto m = runAudited(sim, trace);
     EXPECT_EQ(m.requests, trace.size());
     EXPECT_EQ(m.latency.count(), trace.size());
     EXPECT_GT(m.completedRps, 0.0);
@@ -62,7 +64,7 @@ TEST_F(PorterSimTest, FirstRequestsColdStartThenCheckpoint)
     cfg.mechanism = Mechanism::CxlFork;
     cfg.checkpointAfterInvocations = 4;
     PorterSim sim(cfg, {tinySpec("a")}, perf);
-    const auto m = sim.run(steadyTrace({"a"}, 15, 10));
+    const auto m = runAudited(sim, steadyTrace({"a"}, 15, 10));
     EXPECT_GT(m.coldStarts, 0u);
     EXPECT_GT(m.restores + m.warmHits, 0u)
         << "after the checkpoint threshold restores must take over";
@@ -73,7 +75,7 @@ TEST_F(PorterSimTest, WarmHitsDominateSteadyLoad)
     PorterConfig cfg;
     cfg.mechanism = Mechanism::CxlFork;
     PorterSim sim(cfg, {tinySpec("a")}, perf);
-    const auto m = sim.run(steadyTrace({"a"}, 30, 20));
+    const auto m = runAudited(sim, steadyTrace({"a"}, 30, 20));
     EXPECT_GT(m.warmHits, m.requests / 2);
 }
 
@@ -83,13 +85,15 @@ TEST_F(PorterSimTest, GhostContainersUsedByCxlForkNotCriu)
     PorterConfig gcfg;
     gcfg.mechanism = Mechanism::CxlFork;
     gcfg.checkpointAfterInvocations = 2;
-    const auto gm = PorterSim(gcfg, {tinySpec("a")}, perf).run(trace);
+    const auto gm =
+        runAudited(PorterSim(gcfg, {tinySpec("a")}, perf), trace);
     EXPECT_GT(gm.ghostHits, 0u);
 
     PorterConfig ccfg;
     ccfg.mechanism = Mechanism::CriuCxl;
     ccfg.checkpointAfterInvocations = 2;
-    const auto cm = PorterSim(ccfg, {tinySpec("a")}, perf).run(trace);
+    const auto cm =
+        runAudited(PorterSim(ccfg, {tinySpec("a")}, perf), trace);
     EXPECT_EQ(cm.ghostHits, 0u) << "CRIU is incompatible with ghosts";
 }
 
@@ -106,7 +110,7 @@ TEST_F(PorterSimTest, P99OrderingMatchesPaper)
         cfg.mechanism = mech;
         cfg.checkpointAfterInvocations = 4;
         cfg.keepAlive = SimTime::sec(1);
-        return PorterSim(cfg, fns, perf).run(trace);
+        return runAudited(PorterSim(cfg, fns, perf), trace);
     };
     const auto criu = runWith(Mechanism::CriuCxl);
     const auto mito = runWith(Mechanism::MitosisCxl);
@@ -124,7 +128,7 @@ TEST_F(PorterSimTest, MemoryPressureForcesEvictions)
     cfg.memPerNodeBytes = mem::mib(64);
     cfg.checkpointAfterInvocations = 2;
     PorterSim sim(cfg, {tinySpec("a", 24), tinySpec("b", 24)}, perf);
-    const auto m = sim.run(steadyTrace({"a", "b"}, 40, 15));
+    const auto m = runAudited(sim, steadyTrace({"a", "b"}, 40, 15));
     EXPECT_GT(m.evictions, 0u);
     EXPECT_LE(m.peakMemBytes, mem::mib(64));
     EXPECT_EQ(m.latency.count(), m.requests);
@@ -142,7 +146,7 @@ TEST_F(PorterSimTest, ConstrainedMemoryHurtsCriuMoreThanCxlFork)
         cfg.memPerNodeBytes = mem::mib(256);
         cfg.memoryScale = scale;
         cfg.checkpointAfterInvocations = 2;
-        return PorterSim(cfg, fns, perf).run(trace).p99Ms();
+        return runAudited(PorterSim(cfg, fns, perf), trace).p99Ms();
     };
     const double criuDegradation =
         p99At(Mechanism::CriuCxl, 0.25) / p99At(Mechanism::CriuCxl, 1.0);
@@ -159,7 +163,7 @@ TEST_F(PorterSimTest, ControllerCountsAbitResets)
     cfg.abitResetPeriod = SimTime::sec(2);
     cfg.controllerPeriod = SimTime::sec(1);
     PorterSim sim(cfg, {tinySpec("a")}, perf);
-    const auto m = sim.run(steadyTrace({"a"}, 10, 10));
+    const auto m = runAudited(sim, steadyTrace({"a"}, 10, 10));
     EXPECT_GT(m.abitResets, 1u);
 }
 
@@ -167,7 +171,7 @@ TEST_F(PorterSimTest, PerFunctionHistogramsPopulated)
 {
     PorterConfig cfg;
     PorterSim sim(cfg, {tinySpec("a"), tinySpec("b")}, perf);
-    const auto m = sim.run(steadyTrace({"a", "b"}, 20, 10));
+    const auto m = runAudited(sim, steadyTrace({"a", "b"}, 20, 10));
     EXPECT_GT(m.perFunction.at("a").count(), 0u);
     EXPECT_GT(m.perFunction.at("b").count(), 0u);
     EXPECT_EQ(m.perFunction.at("a").count() + m.perFunction.at("b").count(),
@@ -186,8 +190,9 @@ TEST_F(PorterSimTest, UnknownFunctionIsFatalBeforeAnythingRuns)
     // Nothing of the rejected trace was scheduled: a good trace on the
     // same simulator runs exactly as on a fresh one.
     const auto good = steadyTrace({"a"}, 20, 5);
-    const auto m = sim.run(good);
-    const auto fresh = PorterSim(cfg, {tinySpec("a")}, perf).run(good);
+    const auto m = runAudited(sim, good);
+    const auto fresh =
+        runAudited(PorterSim(cfg, {tinySpec("a")}, perf), good);
     EXPECT_EQ(m.latency.count(), good.size());
     EXPECT_EQ(m.p99Ms(), fresh.p99Ms());
     EXPECT_EQ(m.warmHits, fresh.warmHits);
@@ -199,9 +204,80 @@ TEST_F(PorterSimTest, UnsortedTraceCompletesEveryRequest)
     PorterSim sim(cfg, {tinySpec("a"), tinySpec("b")}, perf);
     auto trace = steadyTrace({"a", "b"}, 20, 10);
     std::reverse(trace.begin(), trace.end());
-    const auto m = sim.run(trace);
+    const auto m = runAudited(sim, trace);
     EXPECT_EQ(m.latency.count(), trace.size());
     EXPECT_EQ(m.warmHits + m.restores + m.coldStarts, trace.size());
+}
+
+TEST_F(PorterSimTest, SecondRunIsFatal)
+{
+    PorterConfig cfg;
+    PorterSim sim(cfg, {tinySpec("a")}, perf);
+    const auto trace = steadyTrace({"a"}, 20, 5);
+    runAudited(sim, trace);
+    EXPECT_THROW(sim.run(trace), sim::FatalError);
+}
+
+/**
+ * The event loop's work, counted by the queue in plain integers, for
+ * one fixed trace. Every count is exact on any host, so moving work
+ * back onto the heap fails here: each request's completion is the only
+ * heap event (no faults, so no crash events), and every keep-alive
+ * timer, controller tick and ghost refill takes its lane.
+ */
+TEST_F(PorterSimTest, EventCountersPinned)
+{
+    PorterConfig cfg;
+    cfg.mechanism = Mechanism::CxlFork;
+    cfg.coresPerNode = 2;
+    cfg.memPerNodeBytes = mem::mib(96);
+    cfg.checkpointAfterInvocations = 4;
+    cfg.keepAlivePressured = SimTime::sec(2);
+    PorterSim sim(cfg, {tinySpec("a", 16), tinySpec("b", 24)}, perf);
+    const auto trace = steadyTrace({"a", "b"}, 30, 20);
+    const auto m = runAudited(sim, trace);
+
+    const sim::EventQueue::Counters &c = sim.eventCounters();
+    EXPECT_EQ(c.heapPushes, trace.size());
+    EXPECT_EQ(c.lanePushes[PorterSim::kArrivalLane], trace.size());
+    EXPECT_EQ(c.lanePushes[PorterSim::kGhostRefillLane], m.ghostHits);
+    uint64_t pushes = c.heapPushes;
+    for (uint64_t n : c.lanePushes)
+        pushes += n;
+    EXPECT_EQ(c.dispatches, pushes);
+
+    // Both keep-alive windows run: memory pressure shortens some.
+    EXPECT_EQ(c.heapPushes, 1100u);
+    EXPECT_EQ(c.lanePushes[PorterSim::kKeepAliveLane], 634u);
+    EXPECT_EQ(c.lanePushes[PorterSim::kPressuredKeepAliveLane], 474u);
+    EXPECT_EQ(c.lanePushes[PorterSim::kControllerLane], 124u);
+    EXPECT_EQ(c.lanePushes[PorterSim::kGhostRefillLane], 6u);
+    EXPECT_EQ(c.dispatches, 3438u);
+    EXPECT_GT(m.evictions, 0u);
+}
+
+/**
+ * Mitosis pins each checkpoint's shadow copy in its parent node's
+ * DRAM. A torn restore releases the checkpoint, and with it the
+ * shadow; the node's memory must come back, or the leaked bytes pile
+ * up until requests wait for memory that never frees.
+ */
+TEST_F(PorterSimTest, MitosisShadowsReturnToTheirNode)
+{
+    PorterConfig cfg;
+    cfg.mechanism = Mechanism::MitosisCxl;
+    cfg.keepAlive = SimTime::sec(5);
+    cfg.memPerNodeBytes = mem::mib(512);
+    cfg.faults.corruptRestoreRate = 0.2;
+    PorterSim sim(cfg,
+                  {tinySpec("a", 24), tinySpec("b", 32), tinySpec("c", 16),
+                   tinySpec("d", 40)},
+                  perf);
+    const auto trace = steadyTrace({"a", "b", "c", "d"}, 100, 120);
+    const auto m = runAudited(sim, trace);
+    EXPECT_GT(m.corruptRestores, 0u);
+    EXPECT_GT(m.checkpointsTaken, 4u) << "torn checkpoints are retaken";
+    EXPECT_EQ(m.latency.count(), trace.size());
 }
 
 TEST(PerfModelTest, ProfilesAreCachedAndSane)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <map>
 #include <utility>
@@ -202,6 +203,120 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomOps)
         ref.erase(ref.begin());
     }
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, LanesAreSortedIndependently)
+{
+    EventQueue q;
+    std::vector<int> order;
+    q.scheduleSorted(5_ms, [&] { order.push_back(3); }, 1);
+    q.scheduleSorted(1_ms, [&] { order.push_back(0); }, 2);
+    q.scheduleSorted(5_ms, [&] { order.push_back(4); }, 2);
+    q.scheduleSorted(2_ms, [&] { order.push_back(1); }, 0);
+    q.schedule(3_ms, [&] { order.push_back(2); });
+    EXPECT_DEATH(q.scheduleSorted(4_ms, [] {}, 1), "out of order on lane 1");
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, ReservedLaneKeepsOrderAcrossItsWrap)
+{
+    EventQueue q;
+    std::vector<int> order;
+    auto add = [&](int i) {
+        q.scheduleSorted(SimTime::ms(i), [&order, i] { order.push_back(i); },
+                         2);
+    };
+    q.reserveSorted(2, 20);
+    for (int i = 0; i < 12; ++i)
+        add(i);
+    q.run(5_ms); // the ring's head moves to slot 6
+    for (int i = 12; i < 40; ++i)
+        add(i);
+    q.run();
+    ASSERT_EQ(order.size(), 40u);
+    for (int i = 0; i < 40; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(EventQueue, LaneOutOfRangePanics)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.scheduleSorted(1_ms, [] {}, EventQueue::kLanes), "lane");
+}
+
+TEST(EventQueue, CountersCountPushesPerLaneAndDispatches)
+{
+    EventQueue q;
+    q.schedule(1_ms, [&] { q.scheduleAfter(1_ms, [] {}); });
+    q.scheduleSorted(1_ms, [] {}, 0);
+    q.scheduleSorted(2_ms, [] {}, 3);
+    q.scheduleSorted(3_ms, [] {}, 3);
+    EXPECT_EQ(q.counters().heapPushes, 1u);
+    EXPECT_EQ(q.counters().dispatches, 0u);
+    q.run();
+    const EventQueue::Counters &c = q.counters();
+    EXPECT_EQ(c.heapPushes, 2u);
+    EXPECT_EQ(c.lanePushes[0], 1u);
+    EXPECT_EQ(c.lanePushes[1], 0u);
+    EXPECT_EQ(c.lanePushes[3], 2u);
+    EXPECT_EQ(c.dispatches, 5u);
+}
+
+/**
+ * MatchesReferenceOrderUnderRandomOps with the sorted events spread
+ * over several lanes, each with its own non-decreasing clock, and a
+ * lane ring that wraps and grows while events are pending.
+ */
+TEST(EventQueue, MultiLaneMatchesReferenceOrder)
+{
+    constexpr size_t kUsed = 4;
+    EventQueue q;
+    Rng rng(0x1a9e5);
+    using RefKey = std::pair<double, uint64_t>; // (when ns, seq)
+    std::multimap<RefKey, uint64_t> ref;        // -> event id
+    uint64_t seq = 0;
+    uint64_t nextId = 0;
+    std::array<double, kUsed> laneLast{};
+    std::vector<uint64_t> fired;
+
+    auto drawWhen = [&](double floor) {
+        return floor + double(rng.index(8)) * 250.0;
+    };
+    auto add = [&](size_t lane, double when) {
+        const uint64_t id = nextId++;
+        ref.emplace(RefKey{when, seq++}, id);
+        auto cb = [&fired, id] { fired.push_back(id); };
+        if (lane == kUsed)
+            q.schedule(SimTime::ns(when), cb);
+        else
+            q.scheduleSorted(SimTime::ns(when), cb, lane);
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+        const size_t kind = rng.index(kUsed + 2);
+        const double now = q.now().toNs();
+        if (kind == kUsed) {
+            add(kUsed, drawWhen(now));
+        } else if (kind < kUsed) {
+            laneLast[kind] = drawWhen(std::max(laneLast[kind], now));
+            add(kind, laneLast[kind]);
+        } else if (!ref.empty()) {
+            ASSERT_TRUE(q.step());
+            const auto head = ref.begin();
+            ASSERT_EQ(fired.back(), head->second) << "op " << op;
+            ASSERT_EQ(q.now().toNs(), head->first.first);
+            ref.erase(head);
+        }
+        ASSERT_EQ(q.pending(), ref.size());
+    }
+    while (!ref.empty()) {
+        ASSERT_TRUE(q.step());
+        ASSERT_EQ(fired.back(), ref.begin()->second);
+        ref.erase(ref.begin());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.counters().dispatches, nextId);
 }
 
 } // namespace

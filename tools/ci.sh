@@ -51,6 +51,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L partition
 "$BUILD_DIR/tools/partition_soak"
 "$BUILD_DIR/tools/partition_soak" --mechanism cxlfork --negative
 
+echo "== Running CXLporter suite (ctest -L porter)"
+# Includes the pinned PorterMetrics fingerprints and the event loop's
+# exact work counts (PorterSimTest.EventCountersPinned), which fail on
+# any host if a keep-alive timer moves back onto the event heap.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L porter
+
 echo "== Running fabric-contention suite (ctest -L contention)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L contention
 # The analytical anchor, run explicitly: the queue's measured mean wait
