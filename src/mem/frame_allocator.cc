@@ -68,6 +68,7 @@ FrameAllocator::alloc(FrameUse use, uint64_t content)
     f.poisoned = tier_ == Tier::Cxl && injector_ && injector_->drawPoison();
     ++usedFrames_;
     ++totalRefs_;
+    ++allocCount_;
     peakUsedFrames_ = std::max(peakUsedFrames_, usedFrames_);
     return PhysAddr{base_.raw + idx * kPageSize};
 }
@@ -90,6 +91,7 @@ FrameAllocator::release(PhysAddr addr, uint64_t idx)
     f.content = 0;
     f.poisoned = false;
     --usedFrames_;
+    ++freeCount_;
     freeList_.push_back(idx);
     if (coherence_)
         coherence_->lineFreed(addr);

@@ -184,6 +184,13 @@ class FrameAllocator
     uint64_t totalRefs() const { return totalRefs_; }
     const std::string &name() const { return name_; }
 
+    /**
+     * Frames handed out and freed since construction: host-work counts
+     * for pinning, never read by a clock, metric or span.
+     */
+    uint64_t allocCount() const { return allocCount_; }
+    uint64_t freeCount() const { return freeCount_; }
+
     /** Peak concurrent usage since construction/reset, in bytes. */
     uint64_t peakUsedBytes() const { return peakUsedFrames_ * kPageSize; }
     void resetPeak() { peakUsedFrames_ = usedFrames_; }
@@ -241,6 +248,8 @@ class FrameAllocator
     uint64_t usedFrames_ = 0;
     uint64_t totalRefs_ = 0;
     uint64_t peakUsedFrames_ = 0;
+    uint64_t allocCount_ = 0;
+    uint64_t freeCount_ = 0;
     std::vector<Frame> frames_;
     std::vector<uint64_t> freeList_;
     sim::FaultInjector *injector_ = nullptr;

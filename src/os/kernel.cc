@@ -140,12 +140,27 @@ NodeOs::NodeOs(mem::NodeId id, mem::Machine &machine,
         &machine_.metrics().counter("cxl.prefetch.bytes_copied");
 }
 
+NodeWorkCounts
+NodeOs::workCounts() const
+{
+    NodeWorkCounts c;
+    c.os = work_;
+    const mem::FrameAllocator &dram = machine_.nodeDram(id_);
+    const mem::FrameAllocator &cxl = machine_.cxl();
+    c.framesAllocated[size_t(mem::Tier::LocalDram)] = dram.allocCount();
+    c.framesFreed[size_t(mem::Tier::LocalDram)] = dram.freeCount();
+    c.framesAllocated[size_t(mem::Tier::Cxl)] = cxl.allocCount();
+    c.framesFreed[size_t(mem::Tier::Cxl)] = cxl.freeCount();
+    return c;
+}
+
 std::shared_ptr<Task>
 NodeOs::createTask(const std::string &name, const NamespaceSet *ns)
 {
     const NamespaceSet &set = ns ? *ns : hostNs_;
     const int pid = set.pid->allocPid();
-    auto mm = std::make_unique<MemoryDescriptor>(machine_, localDram(), clock_);
+    auto mm = std::make_unique<MemoryDescriptor>(machine_, localDram(), clock_,
+                                                 &work_);
     auto task = std::make_shared<Task>(pid, name, id_, std::move(mm), set);
     tasks_[pid] = task;
     clock_.advance(machine_.costs().taskCreate);

@@ -24,6 +24,7 @@
 #include "sim/stats.hh"
 #include "task.hh"
 #include "vfs.hh"
+#include "work.hh"
 
 namespace cxlfork::os {
 
@@ -81,6 +82,20 @@ struct PrefetchResult
     uint64_t bytesCopied = 0; ///< Data bytes the copies moved.
 };
 
+/**
+ * A node's work counts plus the frame traffic of each tier, indexed by
+ * mem::Tier: this node's DRAM and the shared CXL device (the device's
+ * counts are machine-wide; take deltas around single-node work).
+ */
+struct NodeWorkCounts
+{
+    WorkCounters os;
+    std::array<uint64_t, 2> framesAllocated{};
+    std::array<uint64_t, 2> framesFreed{};
+
+    bool operator==(const NodeWorkCounts &) const = default;
+};
+
 /** One OS instance. */
 class NodeOs
 {
@@ -99,6 +114,16 @@ class NodeOs
     NamespaceRegistry &nsRegistry() { return nsRegistry_; }
 
     mem::FrameAllocator &localDram() { return machine_.nodeDram(id_); }
+
+    /**
+     * Host-work counts of this node's address spaces (os/work.hh).
+     * Mutable so the restore paths above the OS can count their own
+     * per-page work here too.
+     */
+    WorkCounters &work() { return work_; }
+
+    /** work() plus the frames each tier allocated and freed so far. */
+    NodeWorkCounts workCounts() const;
 
     /** Create a task in the given (or host) namespaces. */
     std::shared_ptr<Task> createTask(const std::string &name,
@@ -214,6 +239,7 @@ class NodeOs
     NamespaceSet hostNs_;
     sim::StatSet stats_;
     sim::SimTime faultTime_;
+    WorkCounters work_;
     std::map<int, std::shared_ptr<Task>> tasks_;
 
     // Fault-path metric handles, resolved once at construction so each

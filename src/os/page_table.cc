@@ -30,8 +30,9 @@ TablePage::cloneLeaf(mem::PhysAddr newBacking, bool owned) const
 }
 
 PageTable::PageTable(mem::Machine &machine, mem::FrameAllocator &tableFrames,
-                     sim::SimClock &clock)
-    : machine_(machine), tableFrames_(tableFrames), clock_(clock)
+                     sim::SimClock &clock, WorkCounters *work)
+    : machine_(machine), tableFrames_(tableFrames), clock_(clock),
+      work_(work ? work : &ownWork_)
 {
     // Table frames live in the owning node's DRAM window, so the node
     // index falls out of the window arithmetic (0 for the off-node
@@ -78,8 +79,11 @@ TablePage *
 PageTable::walkToParentOfLeaf(uint64_t vpn, bool create)
 {
     const uint64_t leafIdx = leafIndexOf(vpn);
-    if (cachedParent_ && cachedLeafIdx_ == leafIdx)
+    if (cachedParent_ && cachedLeafIdx_ == leafIdx) {
+        ++work_->ptWalksCached;
         return cachedParent_;
+    }
+    ++work_->ptWalksRoot;
     TablePage *node = root_.get();
     for (int level = 3; level >= 2; --level) {
         const uint32_t idx = indexAt(vpn, level);
@@ -101,6 +105,7 @@ PageTable::walk(uint64_t vpn, bool create)
     const uint64_t leafIdx = leafIndexOf(vpn);
     if (cachedParent_ && cachedLeafIdx_ == leafIdx &&
         (cachedLeaf_ || !create)) {
+        ++work_->ptWalksCached;
         return cachedLeaf_;
     }
     TablePage *parent = walkToParentOfLeaf(vpn, create);
@@ -170,6 +175,7 @@ PageTable::setPte(mem::VirtAddr va, Pte pte)
     if (cachedParent_ && cachedLeafIdx_ == leafIdx && cachedLeaf_ &&
         !cachedLeaf_->sealed()) {
         // Sequential stores into one 2 MB leaf skip the root walk.
+        ++work_->ptWalksCached;
         leaf = cachedLeaf_;
     } else {
         const uint64_t before = ownedTablePages_;

@@ -23,6 +23,7 @@
 #include "mem/types.hh"
 #include "pte.hh"
 #include "sim/clock.hh"
+#include "work.hh"
 
 namespace cxlfork::os {
 
@@ -92,9 +93,11 @@ class PageTable
      *        (normally the owning node's DRAM).
      * @param clock Clock charged for table-page allocation and PTE
      *        writes; fault-path costs are charged by the fault handler.
+     * @param work Counts this table's leaf walks (normally the owning
+     *        node's); nullptr counts into a private tally.
      */
     PageTable(mem::Machine &machine, mem::FrameAllocator &tableFrames,
-              sim::SimClock &clock);
+              sim::SimClock &clock, WorkCounters *work = nullptr);
     ~PageTable();
 
     PageTable(const PageTable &) = delete;
@@ -218,6 +221,8 @@ class PageTable
      * node identity and the PageTable predates per-node plumbing).
      */
     mem::NodeId nodeId_ = 0;
+    WorkCounters ownWork_;
+    WorkCounters *work_;
     std::shared_ptr<TablePage> root_;
     uint64_t ownedTablePages_ = 0;
     uint64_t leafCowCount_ = 0;

@@ -72,6 +72,7 @@ VmaTree::overlapsLocal(mem::VirtAddr lo, mem::VirtAddr hi) const
 Vma *
 VmaTree::findLocal(mem::VirtAddr va)
 {
+    ++work_->vmaDescents;
     auto it = local_.upper_bound(va.raw);
     if (it == local_.begin())
         return nullptr;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mem/types.hh"
+#include "work.hh"
 
 namespace cxlfork::os {
 
@@ -98,6 +99,17 @@ class SharedVmaSet
 class VmaTree
 {
   public:
+    /**
+     * @param work Counts findLocal's lookups (normally the owning
+     *        node's); nullptr counts into a private tally.
+     */
+    explicit VmaTree(WorkCounters *work = nullptr)
+        : work_(work ? work : &ownWork_)
+    {}
+
+    VmaTree(const VmaTree &) = delete;
+    VmaTree &operator=(const VmaTree &) = delete;
+
     /** Insert a record; ranges must not overlap live records. */
     Vma &insert(Vma vma);
 
@@ -140,6 +152,8 @@ class VmaTree
     std::shared_ptr<const SharedVmaSet> shared_;
     std::vector<bool> sharedDead_;        ///< tombstones
     std::vector<bool> sharedMaterialized_;
+    WorkCounters ownWork_;
+    WorkCounters *work_;
 };
 
 } // namespace cxlfork::os

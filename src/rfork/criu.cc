@@ -165,6 +165,7 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     // pass CRIU performs.
     proto::Decoder dec(file->data);
     proto::CriuImageMsg image = proto::CriuImageMsg::decode(dec);
+    target.work().criuPagesDecoded += image.pages.size();
     clock.advance(costs.deserializeCost(h->simulatedBytes()) +
                   costs.serializeRecord * double(h->records()));
     readSpan.attr("bytes", h->simulatedBytes()).finish();

@@ -122,6 +122,23 @@ TEST(VmaTree, RemoveRangeDropsLocal)
     EXPECT_EQ(t.localCount(), 0u);
 }
 
+TEST(VmaTree, FindLocalMissesAJustRemovedVma)
+{
+    VmaTree t;
+    t.insert(makeVma(0x10000, 2, "a"));
+    t.insert(makeVma(0x20000, 2, "b"));
+    // The last lookup found "a", so a lookup cursor would point at it.
+    ASSERT_NE(t.findLocal(VirtAddr{0x11000}), nullptr);
+    t.removeRange(VirtAddr{0x10000}, VirtAddr{0x10000 + 2 * kPageSize});
+    EXPECT_EQ(t.findLocal(VirtAddr{0x11000}), nullptr);
+    EXPECT_EQ(t.findLocal(VirtAddr{0x10000}), nullptr);
+    EXPECT_EQ(t.findLocal(VirtAddr{0x21000})->name, "b");
+    // A new record over the same range is found, not the old one.
+    t.insert(makeVma(0x10000, 2, "c"));
+    ASSERT_NE(t.findLocal(VirtAddr{0x11000}), nullptr);
+    EXPECT_EQ(t.findLocal(VirtAddr{0x11000})->name, "c");
+}
+
 TEST(VmaTree, ForEachSeesLiveView)
 {
     auto set = std::make_shared<SharedVmaSet>(

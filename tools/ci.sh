@@ -57,6 +57,13 @@ echo "== Running CXLporter suite (ctest -L porter)"
 # any host if a keep-alive timer moves back onto the event heap.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L porter
 
+echo "== Running restore-path work counters (ctest -L restore)"
+# Pins the exact page-table walks, VMA lookups, CRIU records decoded
+# and frames per tier of one restore, invoke and destroy under every
+# mechanism: a second walk on the translation-hit path fails it on any
+# host.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L restore
+
 echo "== Running fabric-contention suite (ctest -L contention)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L contention
 # The analytical anchor, run explicitly: the queue's measured mean wait
