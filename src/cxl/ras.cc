@@ -255,9 +255,8 @@ RasManager::repairPoisoned(mem::PhysAddr addr, sim::SimClock &clock,
     const sim::CostParams &costs = machine_.costs();
     machine_.cxlTransaction(clock, "ras repair");
     clock.advance(costs.cxlRead(kPageSize) + costs.cxlWrite(kPageSize));
-    mem::Frame &f = machine_.cxl().frame(addr);
-    f.poisoned = false;
-    f.content = rec.content;
+    machine_.cxl().clearPoison(addr);
+    machine_.cxl().frame(addr).content = rec.content;
     ++repairs_;
     if (repairsCounter_)
         repairsCounter_->inc();
@@ -312,7 +311,7 @@ RasManager::scrubStep(sim::SimClock &clock, uint64_t maxPages)
                 machine_.cxlTransaction(clock, "ras scrub repair");
                 clock.advance(costs.cxlRead(kPageSize) +
                               costs.cxlWrite(kPageSize));
-                f.poisoned = false;
+                machine_.cxl().clearPoison(primary);
                 f.content = rec.content;
                 ++repairs_;
                 ++rep.repaired;

@@ -86,9 +86,19 @@ class FrameAllocator
     void setCodec(PageCodec *c) { codec_ = c; }
 
     /** Mark an allocated frame poisoned (tests / targeted injection). */
-    void poison(PhysAddr addr) { frame(addr).poisoned = true; }
+    void poison(PhysAddr addr) { setPoisoned(frame(addr), true); }
+
+    /** Clear an allocated frame's poison once its content is rebuilt. */
+    void clearPoison(PhysAddr addr) { setPoisoned(frame(addr), false); }
 
     bool isPoisoned(PhysAddr addr) const { return frame(addr).poisoned; }
+
+    /**
+     * Allocated frames now poisoned. Exact while every change of a
+     * frame's poison bit goes through alloc, poison, clearPoison and
+     * the free path; auditLive() recounts it.
+     */
+    uint64_t poisonedFrames() const { return poisonedFrames_; }
 
     /** True if at least n more frames can be allocated. */
     bool canAlloc(uint64_t n = 1) const { return freeFrames() >= n; }
@@ -185,8 +195,9 @@ class FrameAllocator
     const std::string &name() const { return name_; }
 
     /**
-     * Frames handed out and freed since construction: host-work counts
-     * for pinning, never read by a clock, metric or span.
+     * Frames handed out and freed since construction. No clock, metric
+     * or span reads them: they pin host work, and an unchanged
+     * freeCount() proves every frame allocated then still is.
      */
     uint64_t allocCount() const { return allocCount_; }
     uint64_t freeCount() const { return freeCount_; }
@@ -240,6 +251,13 @@ class FrameAllocator
     /** decRef's free path: return frame idx (at addr) to the free list. */
     void release(PhysAddr addr, uint64_t idx);
 
+    void
+    setPoisoned(Frame &f, bool on)
+    {
+        poisonedFrames_ += uint64_t(on) - uint64_t(f.poisoned);
+        f.poisoned = on;
+    }
+
     std::string name_;
     Tier tier_;
     PhysAddr base_;
@@ -250,6 +268,7 @@ class FrameAllocator
     uint64_t peakUsedFrames_ = 0;
     uint64_t allocCount_ = 0;
     uint64_t freeCount_ = 0;
+    uint64_t poisonedFrames_ = 0;
     std::vector<Frame> frames_;
     std::vector<uint64_t> freeList_;
     sim::FaultInjector *injector_ = nullptr;

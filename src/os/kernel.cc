@@ -160,7 +160,7 @@ NodeOs::createTask(const std::string &name, const NamespaceSet *ns)
     const NamespaceSet &set = ns ? *ns : hostNs_;
     const int pid = set.pid->allocPid();
     auto mm = std::make_unique<MemoryDescriptor>(machine_, localDram(), clock_,
-                                                 &work_);
+                                                 work_);
     auto task = std::make_shared<Task>(pid, name, id_, std::move(mm), set);
     tasks_[pid] = task;
     clock_.advance(machine_.costs().taskCreate);
@@ -334,20 +334,19 @@ NodeOs::access(Task &task, mem::VirtAddr va, bool isWrite,
                uint64_t contentOnWrite)
 {
     PageTable &pt = task.mm().pageTable();
-    const Pte pte = pt.lookup(va);
-
     AccessResult res;
-    if (pte.present() && (!isWrite || pte.writable())) {
+    if (Pte *pte = pt.findPte(va);
+        pte && pte->present() && (!isWrite || pte->writable())) {
         // Translation hit: no fault. Record the serving tier and let
-        // the hardware walker maintain A/D.
-        res.tier = machine_.tierOf(pte.frame());
+        // the hardware walker maintain A/D, through the same walk.
+        res.tier = machine_.tierOf(pte->frame());
         if (isWrite) {
-            machine_.writeFrame(pte.frame(), id_, contentOnWrite, clock_);
+            machine_.writeFrame(pte->frame(), id_, contentOnWrite, clock_);
             // A write that hits a writable translation of a sealed
             // (checkpointed) frame is impossible by construction:
             // checkpointed PTEs are always read-only.
         }
-        pt.hwSetAccessedDirty(va, isWrite);
+        pte->set(isWrite ? Pte::kAccessed | Pte::kDirty : Pte::kAccessed);
         return res;
     }
     const sim::SimTime faultStart = clock_.now();
@@ -386,7 +385,6 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
     // Copy the checkpointed page into a fresh local frame. The source
     // read is checked first (poison / transient CXL faults throw before
     // anything is allocated or installed).
-    AccessResult res;
     const uint64_t content =
         machine_.readFrame(ckptPte.frame(), id_, clock_,
                            "checkpoint migrate");
@@ -413,9 +411,6 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
     // the device page.
     machine_.evictFrame(ckptPte.frame(), id_, clock_);
     clock_.advance(task.mm().backing()->migrateCost(machine_.costs()));
-    res.fault = FaultKind::CxlMigrate;
-    res.tier = mem::Tier::LocalDram;
-    res.leafCow = setRes.leafCow;
     faultKindStats_[size_t(FaultKind::CxlMigrate)]->inc();
     pagesFromCxlCounter_->inc();
     if (machine_.tracer().enabled()) {
@@ -424,14 +419,16 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
             {{"vpn", sim::TraceValue::of(va.pageNumber())},
              {"reason", sim::TraceValue::of("migrate")}});
     }
-    return res;
+    return {FaultKind::CxlMigrate, mem::Tier::LocalDram, setRes.leafCow};
 }
 
 AccessResult
 NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
                     uint64_t contentOnWrite)
 {
-    AccessResult res;
+    // Each return builds its result right there: a result kept in a
+    // local across the calls below is spilled byte by byte and read
+    // back wider, a store-forwarding stall on every fault.
     Vma *vma = resolveVma(task, va);
     if (!vma) {
         sim::fatal("segfault: task %s (pid %d) at %#llx",
@@ -471,14 +468,12 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
                     const auto setRes = pt.setPte(va, mapped);
                     clock_.advance(costs.faultTrap);
                     faultKindStats_[size_t(FaultKind::CxlMapThrough)]->inc();
-                    res.fault = FaultKind::CxlMapThrough;
-                    res.tier = mem::Tier::Cxl;
-                    res.leafCow = setRes.leafCow;
-                    if (isWrite) {
-                        // Immediately take the CoW path below.
-                        break;
+                    if (!isWrite) {
+                        return {FaultKind::CxlMapThrough, mem::Tier::Cxl,
+                                setRes.leafCow};
                     }
-                    return res;
+                    // A write immediately takes the CoW path below.
+                    break;
                   }
                 }
             }
@@ -497,9 +492,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             guard.release();
             clock_.advance(costs.minorFault);
             faultKindStats_[size_t(FaultKind::Minor)]->inc();
-            res.fault = FaultKind::Minor;
-            res.tier = mem::Tier::LocalDram;
-            return res;
+            return {FaultKind::Minor, mem::Tier::LocalDram};
         } else {
             // Private file mapping: read the page through the FS into
             // the page cache, map read-only; a write CoWs it next.
@@ -520,19 +513,18 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             guard.release();
             clock_.advance(costs.majorFaultFs);
             faultKindStats_[size_t(FaultKind::Major)]->inc();
-            res.fault = FaultKind::Major;
-            res.tier = mem::Tier::LocalDram;
             if (!isWrite)
-                return res;
+                return {FaultKind::Major, mem::Tier::LocalDram};
             // Write to a fresh file page: CoW it right away (below).
         }
     }
 
-    // Write to a present but non-writable translation: CoW.
+    // Write to a present but non-writable translation: CoW. Every path
+    // above that did not return left exactly that: access() faults on a
+    // present page only for a write it does not allow, and the map-in-
+    // place and file paths install read-only translations.
     const Pte cur = pt.lookup(va);
-    CXLF_ASSERT(cur.present());
-    if (!isWrite || cur.writable())
-        return res; // resolved by the not-present path above
+    CXLF_ASSERT(cur.present() && isWrite && !cur.writable());
 
     if (cur.cxlCheckpoint()) {
         // CoW from the CXL tier (paper Sec. 4.2): copy to local memory,
@@ -563,10 +555,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
         }
         if (setRes.leafCow)
             leafCowStat_->inc();
-        res.fault = FaultKind::CowCxl;
-        res.tier = mem::Tier::LocalDram;
-        res.leafCow = setRes.leafCow;
-        return res;
+        return {FaultKind::CowCxl, mem::Tier::LocalDram, setRes.leafCow};
     }
 
     if (cur.cow() || cur.fileBacked()) {
@@ -593,9 +582,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             tlbShootdownCounter_->inc();
         }
         faultKindStats_[size_t(FaultKind::CowLocal)]->inc();
-        res.fault = FaultKind::CowLocal;
-        res.tier = mem::Tier::LocalDram;
-        return res;
+        return {FaultKind::CowLocal, mem::Tier::LocalDram};
     }
 
     sim::fatal("protection fault: write at %#llx in task %s",

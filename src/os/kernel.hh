@@ -49,7 +49,14 @@ struct AccessResult
     FaultKind fault = FaultKind::None;
     mem::Tier tier = mem::Tier::LocalDram; ///< Tier finally serving the page.
     bool leafCow = false;                  ///< A sealed PT leaf was cloned.
+    /**
+     * Pads the result to one 32-bit register. At three bytes the
+     * compiler builds it byte by byte on the stack and returns it with
+     * a wider load, which stalls on store forwarding at every access.
+     */
+    uint8_t pad = 0;
 };
+static_assert(sizeof(AccessResult) == 4);
 
 /**
  * Observer of the node's page-fault stream. Installed per NodeOs while

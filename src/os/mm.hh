@@ -74,9 +74,9 @@ class MemoryDescriptor
 {
   public:
     MemoryDescriptor(mem::Machine &machine, mem::FrameAllocator &localDram,
-                     sim::SimClock &clock, WorkCounters *work = nullptr)
-        : machine_(machine), localDram_(localDram), vmas_(work),
-          pageTable_(machine, localDram, clock, work)
+                     sim::SimClock &clock, WorkCounters &work)
+        : machine_(machine), localDram_(localDram), vmas_(&work),
+          pageTable_(machine, localDram, clock, &work)
     {}
 
     VmaTree &vmas() { return vmas_; }

@@ -122,14 +122,18 @@ PageTable::walk(uint64_t vpn, bool create)
     return slot.get();
 }
 
+Pte *
+PageTable::findPte(mem::VirtAddr va)
+{
+    TablePage *leaf = walk(va.pageNumber(), false);
+    return leaf ? &leaf->pte(indexAt(va.pageNumber(), 0)) : nullptr;
+}
+
 Pte
 PageTable::lookup(mem::VirtAddr va) const
 {
-    auto *self = const_cast<PageTable *>(this);
-    TablePage *leaf = self->walk(va.pageNumber(), false);
-    if (!leaf)
-        return Pte();
-    return leaf->pte(indexAt(va.pageNumber(), 0));
+    const Pte *p = const_cast<PageTable *>(this)->findPte(va);
+    return p ? *p : Pte();
 }
 
 std::shared_ptr<TablePage>
@@ -165,35 +169,10 @@ PageTable::cowSealedLeaf(TablePage *parent, uint32_t idx)
     return copy;
 }
 
-SetPteResult
-PageTable::setPte(mem::VirtAddr va, Pte pte)
+void
+PageTable::storePte(TablePage &leaf, uint64_t vpn, Pte pte)
 {
-    SetPteResult res;
-    const uint64_t vpn = va.pageNumber();
-    TablePage *leaf;
-    const uint64_t leafIdx = leafIndexOf(vpn);
-    if (cachedParent_ && cachedLeafIdx_ == leafIdx && cachedLeaf_ &&
-        !cachedLeaf_->sealed()) {
-        // Sequential stores into one 2 MB leaf skip the root walk.
-        ++work_->ptWalksCached;
-        leaf = cachedLeaf_;
-    } else {
-        const uint64_t before = ownedTablePages_;
-        TablePage *parent = walkToParentOfLeaf(vpn, true);
-        const uint32_t leafSlot = indexAt(vpn, 1);
-        std::shared_ptr<TablePage> leafSp = parent->child(leafSlot);
-        if (!leafSp) {
-            parent->child(leafSlot) = makeTablePage(0);
-            leafSp = parent->child(leafSlot);
-        } else if (leafSp->sealed()) {
-            leafSp = cowSealedLeaf(parent, leafSlot);
-            res.leafCow = true;
-        }
-        res.created = ownedTablePages_ != before;
-        leaf = leafSp.get();
-        rememberWalk(leafIdx, parent, leaf);
-    }
-    Pte &slot = leaf->pte(indexAt(vpn, 0));
+    Pte &slot = leaf.pte(indexAt(vpn, 0));
     // Overwriting a live translation releases the process-owned frame
     // it mapped (checkpoint-owned frames belong to their image).
     if (slot.present() && !slot.cxlCheckpoint() &&
@@ -202,6 +181,38 @@ PageTable::setPte(mem::VirtAddr va, Pte pte)
     }
     slot = pte;
     clock_.advance(machine_.costs().pteWrite);
+}
+
+SetPteResult
+PageTable::setPte(mem::VirtAddr va, Pte pte)
+{
+    const uint64_t vpn = va.pageNumber();
+    const uint64_t leafIdx = leafIndexOf(vpn);
+    if (cachedParent_ && cachedLeafIdx_ == leafIdx && cachedLeaf_ &&
+        !cachedLeaf_->sealed()) {
+        // Sequential stores into one 2 MB leaf skip the root walk. The
+        // result is a constant here: a result variable shared with the
+        // slow path below gets spilled byte by byte and reloaded wider,
+        // a store-forwarding stall on every PTE store.
+        ++work_->ptWalksCached;
+        storePte(*cachedLeaf_, vpn, pte);
+        return {};
+    }
+    SetPteResult res;
+    const uint64_t before = ownedTablePages_;
+    TablePage *parent = walkToParentOfLeaf(vpn, true);
+    const uint32_t leafSlot = indexAt(vpn, 1);
+    std::shared_ptr<TablePage> leafSp = parent->child(leafSlot);
+    if (!leafSp) {
+        parent->child(leafSlot) = makeTablePage(0);
+        leafSp = parent->child(leafSlot);
+    } else if (leafSp->sealed()) {
+        leafSp = cowSealedLeaf(parent, leafSlot);
+        res.leafCow = true;
+    }
+    res.created = ownedTablePages_ != before;
+    rememberWalk(leafIdx, parent, leafSp.get());
+    storePte(*leafSp, vpn, pte);
     return res;
 }
 
@@ -347,15 +358,12 @@ PageTable::clearAccessedBits(bool alsoDirty)
 void
 PageTable::hwSetAccessedDirty(mem::VirtAddr va, bool write)
 {
-    TablePage *leaf = walk(va.pageNumber(), false);
-    if (!leaf)
+    Pte *p = findPte(va);
+    if (!p || !p->present())
         return;
-    Pte &p = leaf->pte(indexAt(va.pageNumber(), 0));
-    if (!p.present())
-        return;
-    p.set(Pte::kAccessed);
+    p->set(Pte::kAccessed);
     if (write)
-        p.set(Pte::kDirty);
+        p->set(Pte::kDirty);
 }
 
 PageTable::Residency

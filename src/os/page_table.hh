@@ -107,6 +107,15 @@ class PageTable
     Pte lookup(mem::VirtAddr va) const;
 
     /**
+     * The PTE slot for va, or nullptr when no leaf covers it. One walk
+     * serves both a read and a hardware A/D update through the pointer
+     * (legal on sealed leaves, as in hwSetAccessedDirty). The pointer
+     * is void after the next setPte, attachLeaf or unmapRange, any of
+     * which may clone or detach the leaf.
+     */
+    Pte *findPte(mem::VirtAddr va);
+
+    /**
      * OS-level PTE store. Creates intermediate levels on demand;
      * clones sealed leaves (leaf CoW) before modifying them.
      */
@@ -191,6 +200,8 @@ class PageTable
     TablePage *walkToParentOfLeaf(uint64_t vpn, bool create);
 
     std::unique_ptr<TablePage> makeTablePage(int level);
+    /** Store pte into its slot of leaf, releasing the frame it replaces. */
+    void storePte(TablePage &leaf, uint64_t vpn, Pte pte);
     std::shared_ptr<TablePage> cowSealedLeaf(TablePage *parent, uint32_t idx);
     void releaseSubtree(TablePage &page);
 

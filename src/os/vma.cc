@@ -72,12 +72,22 @@ VmaTree::overlapsLocal(mem::VirtAddr lo, mem::VirtAddr hi) const
 Vma *
 VmaTree::findLocal(mem::VirtAddr va)
 {
+    // Faults walk an address space mostly in order, so the record
+    // found last usually covers the next address too. Records never
+    // overlap: a cursor that covers va is the only answer.
+    if (cursor_ && cursor_->contains(va)) {
+        ++work_->vmaCursorHits;
+        return cursor_;
+    }
     ++work_->vmaDescents;
     auto it = local_.upper_bound(va.raw);
     if (it == local_.begin())
         return nullptr;
     --it;
-    return it->second.contains(va) ? &it->second : nullptr;
+    if (!it->second.contains(va))
+        return nullptr;
+    cursor_ = &it->second;
+    return cursor_;
 }
 
 const Vma *
@@ -132,6 +142,8 @@ VmaTree::removeRange(mem::VirtAddr lo, mem::VirtAddr hi)
         }
         if (v.start < lo || v.end > hi)
             sim::fatal("VmaTree::removeRange: partial VMA unmap unsupported");
+        if (cursor_ == &v)
+            cursor_ = nullptr;
         it = local_.erase(it);
     }
     if (shared_) {

@@ -107,6 +107,8 @@ class VmaTree
         : work_(work ? work : &ownWork_)
     {}
 
+    // Not copyable: a copy would share the lookup cursor, a pointer
+    // into this tree's records.
     VmaTree(const VmaTree &) = delete;
     VmaTree &operator=(const VmaTree &) = delete;
 
@@ -152,6 +154,7 @@ class VmaTree
     std::shared_ptr<const SharedVmaSet> shared_;
     std::vector<bool> sharedDead_;        ///< tombstones
     std::vector<bool> sharedMaterialized_;
+    Vma *cursor_ = nullptr; ///< Record findLocal found last, if still live.
     WorkCounters ownWork_;
     WorkCounters *work_;
 };

@@ -22,7 +22,7 @@ struct WorkCounters
     uint64_t ptWalksRoot = 0;   ///< Leaf walks that descended from the root.
     uint64_t ptWalksCached = 0; ///< Leaf walks the last-leaf cache served.
     uint64_t vmaDescents = 0;   ///< VmaTree::findLocal map descents.
-    uint64_t vmaCursorHits = 0; ///< VmaTree::findLocal answers from the cursor.
+    uint64_t vmaCursorHits = 0; ///< findLocal answers from its cursor.
     uint64_t criuPagesDecoded = 0; ///< CRIU page records decoded on restore.
 
     bool operator==(const WorkCounters &) const = default;

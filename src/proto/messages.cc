@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/log.hh"
+
 namespace cxlfork::proto {
 
 namespace {
@@ -105,15 +107,6 @@ PageMsg::encode(Encoder &e) const
     e.putU64(content);
 }
 
-PageMsg
-PageMsg::decode(Decoder &d)
-{
-    PageMsg m;
-    m.vpn = d.getU64();
-    m.content = d.getU64();
-    return m;
-}
-
 void
 GlobalStateMsg::encode(Encoder &e) const
 {
@@ -177,6 +170,17 @@ CriuImageMsg::encode(Encoder &e) const
 CriuImageMsg
 CriuImageMsg::decode(Decoder &d)
 {
+    CriuImageMsg m = decodeHeader(d);
+    const uint64_t np = d.getU64();
+    m.pages.reserve(std::min<uint64_t>(np, d.remaining() / kMinPageBytes));
+    for (uint64_t i = 0; i < np; ++i)
+        m.pages.push_back(PageMsg::decode(d));
+    return m;
+}
+
+CriuImageMsg
+CriuImageMsg::decodeHeader(Decoder &d)
+{
     CriuImageMsg m;
     m.global = GlobalStateMsg::decode(d);
     m.cpu = CpuMsg::decode(d);
@@ -187,11 +191,18 @@ CriuImageMsg::decode(Decoder &d)
     m.vmas.reserve(std::min<uint64_t>(nv, d.remaining() / kMinVmaBytes));
     for (uint64_t i = 0; i < nv; ++i)
         m.vmas.push_back(VmaMsg::decode(d));
-    const uint64_t np = d.getU64();
-    m.pages.reserve(std::min<uint64_t>(np, d.remaining() / kMinPageBytes));
-    for (uint64_t i = 0; i < np; ++i)
-        m.pages.push_back(PageMsg::decode(d));
     return m;
+}
+
+void
+PageReader::skim(Decoder d, uint64_t count)
+{
+    if (count > d.remaining() / kMinPageBytes)
+        sim::fatal("wire: page count %llu exceeds the %zu bytes left",
+                   (unsigned long long)count, d.remaining());
+    // The same varints next() reads, skipped: this throws exactly where
+    // decoding them would.
+    d.skipVarints(PageMsg::kVarints * count);
 }
 
 uint64_t

@@ -92,8 +92,19 @@ struct PageMsg
     uint64_t vpn = 0;
     uint64_t content = 0; ///< Token standing in for 4 KB of data.
 
+    /** Varints in one encoded record: vpn, content. */
+    static constexpr uint64_t kVarints = 2;
+
     void encode(Encoder &e) const;
-    static PageMsg decode(Decoder &d);
+
+    static PageMsg
+    decode(Decoder &d)
+    {
+        PageMsg m;
+        m.vpn = d.getU64();
+        m.content = d.getU64();
+        return m;
+    }
 
     /** A page costs its full 4 KB on the wire plus map entry. */
     static constexpr uint64_t simulatedBytes() { return 4096 + 16; }
@@ -133,10 +144,55 @@ struct CriuImageMsg
     void encode(Encoder &e) const;
     static CriuImageMsg decode(Decoder &d);
 
+    /**
+     * Decode all but the page section: global state, CPU and VMAs. The
+     * decoder is left at the page count, ready for a PageReader.
+     */
+    static CriuImageMsg decodeHeader(Decoder &d);
+
     uint64_t simulatedBytes() const;
     uint64_t recordCount() const;
 
     bool operator==(const CriuImageMsg &) const = default;
+};
+
+/**
+ * The page section of an encoded CRIU image, read one record at a
+ * time, so a restore can install each page as it decodes it instead of
+ * first collecting every page in a vector.
+ *
+ * Construction reads the record count and skims every record's varints
+ * without storing anything: a forged count, a truncated record or an
+ * overlong varint throws sim::FatalError there, before the caller has
+ * changed any state. next() then decodes the records already checked.
+ *
+ * The reader decodes from its own copy of the decoder, and everything
+ * but the skim is inline, so the copy's position can stay in a register
+ * across the calls an install loop makes between records.
+ */
+class PageReader
+{
+  public:
+    /** Start at d's page count; d itself does not move. */
+    explicit PageReader(const Decoder &d) : d_(d), count_(d_.getU64())
+    {
+        skim(d_, count_);
+    }
+
+    uint64_t size() const { return count_; }
+
+    /** The next record; call at most size() times. */
+    PageMsg next() { return PageMsg::decode(d_); }
+
+    /** Where the reader stands: past the section once all are read. */
+    const Decoder &decoder() const { return d_; }
+
+  private:
+    /** Throw unless `count` page records decode from d. */
+    static void skim(Decoder d, uint64_t count);
+
+    Decoder d_;
+    uint64_t count_;
 };
 
 } // namespace cxlfork::proto

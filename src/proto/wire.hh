@@ -39,11 +39,16 @@ class Encoder
     std::vector<uint8_t> buf_;
 };
 
-/** Sequential decoder over an encoded buffer. Throws on malformed input. */
+/**
+ * Sequential decoder over an encoded buffer, which must outlive it.
+ * Throws on malformed input. Copies decode on independently.
+ */
 class Decoder
 {
   public:
-    explicit Decoder(const std::vector<uint8_t> &buf) : buf_(buf) {}
+    explicit Decoder(const std::vector<uint8_t> &buf)
+        : data_(buf.data()), size_(buf.size())
+    {}
 
     /** Longest valid varint: ten 7-bit groups cover 64 bits. */
     static constexpr size_t kMaxVarintBytes = 10;
@@ -55,7 +60,7 @@ class Decoder
         // covers every byte; near the end the checked loop decides.
         if (remaining() < kMaxVarintBytes)
             return getVarintChecked();
-        const uint8_t *p = buf_.data() + pos_;
+        const uint8_t *p = data_ + pos_;
         uint64_t w;
         std::memcpy(&w, p, sizeof(w));
         if constexpr (std::endian::native == std::endian::big)
@@ -68,27 +73,34 @@ class Decoder
             pos_ += size_t(bits / 8);
             return packGroups(w & (~0ull >> (64 - bits)));
         }
-        // Nine or ten bytes: the first eight carry bits 0-55.
+        // Nine or ten bytes: the first eight carry bits 0-55. Random
+        // 64-bit values split about evenly between the two lengths, so
+        // pick without a branch. The tenth byte carries bit 63 alone:
+        // a higher bit or a continuation overflows 64 bits.
         const uint64_t low = packGroups(w);
-        const uint8_t b8 = p[8];
-        if (!(b8 & 0x80)) {
-            pos_ += 9;
-            return low | uint64_t(b8) << 56;
-        }
-        const uint8_t b9 = p[9];
-        pos_ += kMaxVarintBytes;
-        if (b9 & 0x80)
+        const uint64_t b8 = p[8];
+        const uint64_t tenth = b8 >> 7;
+        const uint64_t b9 = p[9] & (0 - tenth);
+        if (b9 > 1)
             overflow();
-        return low | uint64_t(b8 & 0x7f) << 56 | uint64_t(b9) << 63;
+        pos_ += 9 + tenth;
+        return low | (b8 & 0x7f) << 56 | b9 << 63;
     }
+
+    /**
+     * Step over n varints without decoding them, 64 bytes at a time.
+     * Throws sim::FatalError exactly when n getVarint() calls would,
+     * leaving the position undefined; otherwise ends where they would.
+     */
+    void skipVarints(uint64_t n);
 
     uint64_t getU64() { return getVarint(); }
     uint32_t getU32() { return uint32_t(getVarint()); }
     bool getBool() { return getVarint() != 0; }
     std::string getString();
 
-    bool atEnd() const { return pos_ == buf_.size(); }
-    size_t remaining() const { return buf_.size() - pos_; }
+    bool atEnd() const { return pos_ == size_; }
+    size_t remaining() const { return size_ - pos_; }
 
   private:
     /** Join the low 7 bits of each of w's 8 bytes, low byte first. */
@@ -104,7 +116,8 @@ class Decoder
     uint64_t getVarintChecked();
     [[noreturn]] static void overflow();
 
-    const std::vector<uint8_t> &buf_;
+    const uint8_t *data_;
+    size_t size_;
     size_t pos_ = 0;
 };
 

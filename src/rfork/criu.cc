@@ -70,6 +70,7 @@ CriuCxl::checkpoint(os::NodeOs &node, os::Task &parent,
     const cxl::CxlFsFile &file =
         fabric_.sharedFs().write(name, enc.take(), simBytes, clock,
                                  node.id());
+    const uint64_t cxlFrees = machine.cxl().freeCount();
     // The image file's cache frames (possibly shared with other images
     // through the page store) go on the STAGED manifest so a crash
     // between here and publish releases them exactly once.
@@ -80,7 +81,7 @@ CriuCxl::checkpoint(os::NodeOs &node, os::Task &parent,
         // observe the image bytes, not a stale zero token.
         machine.publishFrame(f, node.id(), clock);
     }
-    handle->setContents(simBytes, image.pages.size(), records);
+    handle->setContents(simBytes, image.pages.size(), records, cxlFrees);
     machine.faults().crashPoint("criu.commit");
     handle->markCommitted();
 
@@ -130,28 +131,39 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     // With the codec pipeline armed every image page pays its one-time
     // decompress on this bulk read (the checked read routes it through
     // the codec hook); off, the scan stays peek-only and free.
+    // With no layer armed and no poisoned frame on the device, the scan
+    // would do nothing but assert, in frame(), that each image frame is
+    // allocated. framesSurelyLive() proves that in constant time, so
+    // the scan is skipped; it runs, asserts included, whenever the
+    // proof fails.
     const bool compressed = fabric_.pageStore().compressEnabled();
-    for (mem::PhysAddr fr : file->frames) {
-        if (machine.frame(fr).poisoned || compressed) {
-            machine.readFrameChecked(fr, clock, "criu image read",
-                                     target.id());
-        } else if (mem::FabricQueue *q = machine.fabricQueue()) {
-            // Queue armed: the eager bulk read still occupies the
-            // device port page by page — this is precisely where an
-            // up-front copy loses to lazy faults under contention. The
-            // checked read above already routes through the queue; the
-            // clean-frame path charges the hook directly so it mints
-            // no crash site and stays free when the queue is off.
-            q->onTransaction(target.id(), fr, /*isRead=*/true,
-                             costs.pageSize, clock, "criu image read");
-        }
-        if (machine.coherence()) {
-            // Directory on: the bulk read is additionally a
-            // coherence-visible touch (sharer tracking + tax, nothing
-            // in the shared fabric counters), and the target drops
-            // its copy right after the one-shot parse.
-            machine.touchFrame(fr, target.id(), clock, "criu image read");
-            machine.evictFrame(fr, target.id(), clock);
+    const bool scan = compressed || machine.fabricQueue() ||
+                      machine.coherence() ||
+                      machine.cxl().poisonedFrames() != 0 ||
+                      !h->framesSurelyLive(machine.cxl());
+    if (scan) {
+        for (mem::PhysAddr fr : file->frames) {
+            if (machine.frame(fr).poisoned || compressed) {
+                machine.readFrameChecked(fr, clock, "criu image read",
+                                         target.id());
+            } else if (mem::FabricQueue *q = machine.fabricQueue()) {
+                // Queue armed: the eager bulk read still occupies the
+                // device port page by page — this is precisely where an
+                // up-front copy loses to lazy faults under contention. The
+                // checked read above already routes through the queue; the
+                // clean-frame path charges the hook directly so it mints
+                // no crash site and stays free when the queue is off.
+                q->onTransaction(target.id(), fr, /*isRead=*/true,
+                                 costs.pageSize, clock, "criu image read");
+            }
+            if (machine.coherence()) {
+                // Directory on: the bulk read is additionally a
+                // coherence-visible touch (sharer tracking + tax, nothing
+                // in the shared fabric counters), and the target drops
+                // its copy right after the one-shot parse.
+                machine.touchFrame(fr, target.id(), clock, "criu image read");
+                machine.evictFrame(fr, target.id(), clock);
+            }
         }
     }
     if (!fabric_.sharedFs().verify(h->fileName())) {
@@ -160,12 +172,15 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
             h->fileName().c_str()));
     }
 
-    // Deserialize the whole image. The page payload dominates; the
-    // deserialize bandwidth models the combined parse + copy-to-local
-    // pass CRIU performs.
+    // Deserialize the image: the header now, the page records one at
+    // a time in the install loop below. The reader skims the page
+    // section first, so a malformed image still fails here, before the
+    // task exists. The page payload dominates; the deserialize
+    // bandwidth models the combined parse + copy-to-local pass CRIU
+    // performs.
     proto::Decoder dec(file->data);
-    proto::CriuImageMsg image = proto::CriuImageMsg::decode(dec);
-    target.work().criuPagesDecoded += image.pages.size();
+    const proto::CriuImageMsg image = proto::CriuImageMsg::decodeHeader(dec);
+    proto::PageReader pages(dec);
     clock.advance(costs.deserializeCost(h->simulatedBytes()) +
                   costs.serializeRecord * double(h->records()));
     readSpan.attr("bytes", h->simulatedBytes()).finish();
@@ -193,15 +208,21 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     // image lists pages in ascending vpn order, so the VMA found for
     // one page usually covers the next; look up only on leaving it.
     const os::Vma *vma = nullptr;
-    for (const proto::PageMsg &pm : image.pages) {
+    os::VmaTree &vmas = task->mm().vmas();
+    os::PageTable &pt = task->mm().pageTable();
+    mem::FrameAllocator &dram = target.localDram();
+    os::WorkCounters &work = target.work();
+    for (uint64_t i = 0; i < pages.size(); ++i) {
+        const proto::PageMsg pm = pages.next();
+        ++work.criuPagesDecoded;
         const mem::VirtAddr va = mem::VirtAddr::fromPageNumber(pm.vpn);
         if (!vma || !vma->contains(va))
-            vma = task->mm().vmas().findLocal(va);
+            vma = vmas.findLocal(va);
         if (!vma)
             sim::fatal("CRIU image page outside any VMA");
         const mem::PhysAddr frame =
-            target.localDram().alloc(mem::FrameUse::Data, pm.content);
-        task->mm().pageTable().setPte(va, Pte::make(frame, vma->writable()));
+            dram.alloc(mem::FrameUse::Data, pm.content);
+        pt.setPte(va, Pte::make(frame, vma->writable()));
         ++rs.pagesCopied;
         if (machine.tracer().enabled()) {
             machine.tracer().instant(

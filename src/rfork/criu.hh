@@ -47,12 +47,18 @@ class CriuHandle : public CheckpointHandle
     CriuHandle(const CriuHandle &) = delete;
     CriuHandle &operator=(const CriuHandle &) = delete;
 
+    /**
+     * @param cxlFrees The CXL tier's freeCount() right after the image
+     *        file was written, when all its frames were allocated.
+     */
     void
-    setContents(uint64_t simBytes, uint64_t pages, uint64_t records)
+    setContents(uint64_t simBytes, uint64_t pages, uint64_t records,
+                uint64_t cxlFrees)
     {
         simBytes_ = simBytes;
         pages_ = pages;
         records_ = records;
+        cxlFreesAtWrite_ = cxlFrees;
     }
 
     /** The image file is fully on the device and its CRC is sealed. */
@@ -62,6 +68,16 @@ class CriuHandle : public CheckpointHandle
     uint64_t simulatedBytes() const { return simBytes_; }
     uint64_t pages() const { return pages_; }
     uint64_t records() const { return records_; }
+
+    /**
+     * True while no CXL frame has been freed since the image file was
+     * written, so every frame it lists is still allocated.
+     */
+    bool
+    framesSurelyLive(const mem::FrameAllocator &cxl) const
+    {
+        return cxl.freeCount() == cxlFreesAtWrite_;
+    }
 
     uint64_t cxlBytes() const override { return simBytes_; }
     uint64_t localBytes() const override { return 0; }
@@ -92,6 +108,7 @@ class CriuHandle : public CheckpointHandle
     uint64_t simBytes_ = 0;
     uint64_t pages_ = 0;
     uint64_t records_ = 0;
+    uint64_t cxlFreesAtWrite_ = 0;
 };
 
 /** The CRIU-CXL mechanism. */

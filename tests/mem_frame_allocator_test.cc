@@ -55,6 +55,29 @@ TEST(FrameAllocator, FreedFrameIsReusable)
     EXPECT_EQ(f, g);
 }
 
+TEST(FrameAllocator, PoisonedFrameCountIsExact)
+{
+    auto a = makeAlloc();
+    const PhysAddr f = a.alloc(FrameUse::Data);
+    const PhysAddr g = a.alloc(FrameUse::Data);
+    a.poison(f);
+    a.poison(f); // already poisoned: counted once
+    a.poison(g);
+    EXPECT_EQ(a.poisonedFrames(), 2u);
+    a.clearPoison(g);
+    a.clearPoison(g);
+    EXPECT_EQ(a.poisonedFrames(), 1u);
+    EXPECT_TRUE(a.auditLive().consistent);
+    a.decRef(f); // freeing a poisoned frame drops it from the count
+    EXPECT_EQ(a.poisonedFrames(), 0u);
+    EXPECT_TRUE(a.auditLive().consistent);
+    // A poison bit set behind the allocator's back fails the audit.
+    a.frame(g).poisoned = true;
+    const FrameAudit audit = a.auditLive();
+    EXPECT_FALSE(audit.consistent);
+    EXPECT_NE(audit.detail.find("poisoned"), std::string::npos);
+}
+
 TEST(FrameAllocator, ExhaustionIsFatal)
 {
     auto a = makeAlloc(2);

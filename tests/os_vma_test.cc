@@ -139,6 +139,23 @@ TEST(VmaTree, FindLocalMissesAJustRemovedVma)
     EXPECT_EQ(t.findLocal(VirtAddr{0x11000})->name, "c");
 }
 
+TEST(VmaTree, FindLocalServesRepeatsFromTheCursor)
+{
+    WorkCounters work;
+    VmaTree t(&work);
+    t.insert(makeVma(0x10000, 4, "a"));
+    t.insert(makeVma(0x20000, 2, "b"));
+    EXPECT_EQ(t.findLocal(VirtAddr{0x10000})->name, "a");
+    EXPECT_EQ(t.findLocal(VirtAddr{0x13000})->name, "a");
+    EXPECT_EQ(t.findLocal(VirtAddr{0x20000})->name, "b");
+    EXPECT_EQ(t.findLocal(VirtAddr{0x14000}), nullptr);
+    EXPECT_EQ(t.findLocal(VirtAddr{0x21000})->name, "b");
+    // Only the first lookup in each record descends the map; a miss
+    // descends and leaves the cursor where it was.
+    EXPECT_EQ(work.vmaDescents, 3u);
+    EXPECT_EQ(work.vmaCursorHits, 2u);
+}
+
 TEST(VmaTree, ForEachSeesLiveView)
 {
     auto set = std::make_shared<SharedVmaSet>(

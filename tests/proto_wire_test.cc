@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "proto/messages.hh"
@@ -101,6 +102,37 @@ TEST(Wire, VarintOfEveryLengthDecodesWithAnyTailLeft)
     }
 }
 
+TEST(Wire, TenthByteAboveOneOverflows)
+{
+    // The tenth byte carries bit 63 alone. Nine 0xff and then 0x02 once
+    // decoded to 0x7fffffffffffffff, dropping the high bits. The tail
+    // sizes give the varint ten or more bytes left after its start, and
+    // none beyond its end.
+    for (uint8_t last : {0x02, 0x03, 0x40, 0x7f}) {
+        for (size_t tail : {0, 1, 10}) {
+            std::vector<uint8_t> bad(9, 0xff);
+            bad.push_back(last);
+            bad.insert(bad.end(), tail, 0x01);
+            Decoder d(bad);
+            EXPECT_NE(fatalMessage([&] { d.getVarint(); }).find("overflow"),
+                      std::string::npos)
+                << "last byte " << int(last) << ", tail " << tail;
+        }
+    }
+    // At the boundary, 0 and 1 are bit 63 clear and set.
+    for (uint8_t last : {0x00, 0x01}) {
+        for (size_t tail : {0, 1, 10}) {
+            std::vector<uint8_t> ok(9, 0xff);
+            ok.push_back(last);
+            ok.insert(ok.end(), tail, 0x01);
+            Decoder d(ok);
+            EXPECT_EQ(d.getVarint(), (uint64_t(last) << 63) | (~0ull >> 1))
+                << "last byte " << int(last) << ", tail " << tail;
+            EXPECT_EQ(d.remaining(), tail);
+        }
+    }
+}
+
 TEST(Wire, CutTenByteVarintReportsTruncated)
 {
     Encoder e;
@@ -114,6 +146,66 @@ TEST(Wire, CutTenByteVarintReportsTruncated)
                   std::string::npos)
             << keep << " bytes kept";
     }
+}
+
+/** How n getVarint() calls end: bytes left after them, or -1 if fatal. */
+long
+afterGetVarints(const std::vector<uint8_t> &buf, uint64_t n)
+{
+    Decoder d(buf);
+    try {
+        for (uint64_t i = 0; i < n; ++i)
+            d.getVarint();
+    } catch (const sim::FatalError &) {
+        return -1;
+    }
+    return long(d.remaining());
+}
+
+/** The same for one skipVarints(n). */
+long
+afterSkipVarints(const std::vector<uint8_t> &buf, uint64_t n)
+{
+    Decoder d(buf);
+    try {
+        d.skipVarints(n);
+    } catch (const sim::FatalError &) {
+        return -1;
+    }
+    return long(d.remaining());
+}
+
+TEST(Wire, SkipVarintsAgreesWithGetVarint)
+{
+    // Byte soup rich in long continuation runs and in tenth bytes of 0,
+    // 1 and more, so overlong, boundary and truncated cases all occur
+    // at every offset within and across the skip's 64-byte blocks.
+    std::mt19937_64 rng(7);
+    const uint8_t ends[] = {0x00, 0x01, 0x02, 0x7f};
+    uint64_t failures = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        std::vector<uint8_t> buf(rng() % 200);
+        const uint64_t contPct = 50 + rng() % 50;
+        for (uint8_t &b : buf) {
+            b = rng() % 100 < contPct ? uint8_t(0x80 | rng())
+                                      : ends[rng() % 4];
+        }
+        // Every terminator count the buffer could end a skip at, and
+        // one past the last (truncated).
+        const uint64_t terminators = uint64_t(
+            std::count_if(buf.begin(), buf.end(),
+                          [](uint8_t b) { return b < 0x80; }));
+        std::vector<uint64_t> counts{0, 1, terminators, terminators + 1};
+        for (int i = 0; i < 4; ++i)
+            counts.push_back(rng() % (terminators + 1));
+        for (uint64_t n : counts) {
+            const long want = afterGetVarints(buf, n);
+            failures += want < 0;
+            ASSERT_EQ(afterSkipVarints(buf, n), want)
+                << "trial " << trial << ", n " << n;
+        }
+    }
+    EXPECT_GT(failures, 0u);
 }
 
 GlobalStateMsg
@@ -219,6 +311,50 @@ TEST(Messages, ForgedRecordCountsRaiseFatalError)
         EXPECT_NO_THROW(CriuImageMsg::decode(d));
         EXPECT_TRUE(d.atEnd());
     }
+}
+
+TEST(Messages, PageReaderStreamsWhatDecodeCollects)
+{
+    const std::vector<uint8_t> buf = forgedCountImage(false, 64);
+    Decoder whole(buf);
+    const CriuImageMsg img = CriuImageMsg::decode(whole);
+
+    Decoder d(buf);
+    const CriuImageMsg header = CriuImageMsg::decodeHeader(d);
+    EXPECT_EQ(header.global, img.global);
+    EXPECT_EQ(header.vmas, img.vmas);
+    EXPECT_TRUE(header.pages.empty());
+    PageReader pages(d);
+    ASSERT_EQ(pages.size(), img.pages.size());
+    for (const PageMsg &want : img.pages)
+        EXPECT_EQ(pages.next(), want);
+    EXPECT_TRUE(pages.decoder().atEnd());
+}
+
+TEST(Messages, PageReaderRejectsABadSectionBeforeAnyRecord)
+{
+    // A count past the records that follow, and one no buffer holds.
+    for (uint64_t count : {uint64_t(65), uint64_t(1) << 62}) {
+        const std::vector<uint8_t> buf = forgedCountImage(false, count);
+        Decoder d(buf);
+        CriuImageMsg::decodeHeader(d);
+        EXPECT_THROW(PageReader{d}, sim::FatalError) << count;
+    }
+    // The last record's content token overlong: nine 0xff, then 0x02.
+    std::vector<uint8_t> buf = forgedCountImage(false, 64);
+    Decoder probe(buf);
+    CriuImageMsg::decodeHeader(probe);
+    PageReader reader(probe);
+    for (uint64_t i = 0; i + 1 < reader.size(); ++i)
+        reader.next();
+    const size_t contentAt = buf.size() - reader.decoder().remaining() + 1;
+    buf.resize(contentAt);
+    buf.insert(buf.end(), 9, 0xff);
+    buf.push_back(0x02);
+    Decoder d(buf);
+    CriuImageMsg::decodeHeader(d);
+    EXPECT_NE(fatalMessage([&] { PageReader{d}; }).find("overflow"),
+              std::string::npos);
 }
 
 /** Property: random messages always round-trip bit-exactly. */

@@ -13,7 +13,9 @@
  * any machine. The counts touch no clock, RNG stream, metric or span.
  *
  * Also here: a forged or truncated CRIU page section, with a CRC that
- * matches it, must fail before the restore creates a task.
+ * matches it, must fail before the restore creates a task; and the
+ * CRIU image scan, skipped when no layer is armed, still catches a
+ * poisoned image frame.
  */
 
 #include <gtest/gtest.h>
@@ -148,26 +150,26 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Case{"CriuCxl", MechanismKind::CriuCxl, TieringPolicy::MigrateOnWrite,
              {{{132, 6015, 120, 0, 6147}, {6282, 0}, {0, 0}},
-              {{26, 1958, 0, 0, 0}, {0, 0}, {0, 0}},
+              {{26, 966, 0, 0, 0}, {0, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {6282, 0}}}},
         Case{"MitosisCxl", MechanismKind::MitosisCxl,
              TieringPolicy::MigrateOnWrite,
              {{{0, 0, 0, 0, 0}, {1, 0}, {0, 0}},
-              {{28, 3940, 992, 0, 0}, {1020, 0}, {0, 0}},
+              {{28, 3940, 25, 967, 0}, {1020, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {1021, 0}}}},
         Case{"CxlForkMoW", MechanismKind::CxlFork,
              TieringPolicy::MigrateOnWrite,
              {{{188, 3694, 0, 0, 0}, {3809, 0}, {0, 0}},
-              {{26, 1958, 0, 0, 0}, {0, 0}, {0, 0}},
+              {{26, 966, 0, 0, 0}, {0, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {3809, 0}}}},
         Case{"CxlForkHybrid", MechanismKind::CxlFork, TieringPolicy::Hybrid,
              {{{0, 0, 0, 0, 0}, {1, 0}, {0, 0}},
-              {{28, 3940, 992, 0, 0}, {1020, 0}, {0, 0}},
+              {{28, 3940, 50, 942, 0}, {1020, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {1021, 0}}}},
         Case{"LocalFork", MechanismKind::LocalFork,
              TieringPolicy::MigrateOnWrite,
              {{{132, 6015, 0, 0, 0}, {135, 0}, {0, 0}},
-              {{26, 2882, 308, 0, 0}, {308, 0}, {0, 0}},
+              {{26, 2198, 6, 302, 0}, {308, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {443, 0}}}}),
     [](const ::testing::TestParamInfo<Case> &info) {
         return std::string(info.param.label);
@@ -215,34 +217,46 @@ class CriuPageSection : public ::testing::TestWithParam<Forgery>
 {
 };
 
+/** A 64-page task on node 0 of a two-node world, CRIU-checkpointed. */
+struct CriuImage
+{
+    CriuImage() : world(test::smallConfig()), criu(*world.fabric)
+    {
+        os::NodeOs &home = world.node(0);
+        auto parent = home.createTask("fn");
+        const os::Vma &heap = home.mapAnon(
+            *parent, 64 * mem::kPageSize, os::kVmaRead | os::kVmaWrite, "h");
+        for (uint64_t i = 0; i < 64; ++i)
+            home.write(*parent, heap.start.plus(i * mem::kPageSize), 100 + i);
+        handle = criu.checkpoint(home, *parent);
+        h = std::dynamic_pointer_cast<CriuHandle>(handle);
+    }
+
+    test::World world;
+    CriuCxl criu;
+    std::shared_ptr<CheckpointHandle> handle;
+    std::shared_ptr<CriuHandle> h;
+};
+
 TEST_P(CriuPageSection, ForgedSectionFailsBeforeTheTask)
 {
-    test::World world(test::smallConfig());
-    os::NodeOs &home = world.node(0);
-    os::NodeOs &target = world.node(1);
-    auto parent = home.createTask("fn");
-    const os::Vma &heap = home.mapAnon(*parent, 64 * mem::kPageSize,
-                                       os::kVmaRead | os::kVmaWrite, "h");
-    for (uint64_t i = 0; i < 64; ++i)
-        home.write(*parent, heap.start.plus(i * mem::kPageSize), 100 + i);
-
-    CriuCxl criu(*world.fabric);
-    auto handle = criu.checkpoint(home, *parent);
-    auto h = std::dynamic_pointer_cast<CriuHandle>(handle);
-    ASSERT_NE(h, nullptr);
-    cxl::SharedFs &fs = world.fabric->sharedFs();
-    const cxl::CxlFsFile *file = fs.open(h->fileName());
+    CriuImage img;
+    ASSERT_NE(img.h, nullptr);
+    os::NodeOs &home = img.world.node(0);
+    os::NodeOs &target = img.world.node(1);
+    cxl::SharedFs &fs = img.world.fabric->sharedFs();
+    const cxl::CxlFsFile *file = fs.open(img.h->fileName());
     ASSERT_NE(file, nullptr);
-    fs.write(h->fileName(), forgePages(file->data, GetParam()),
+    fs.write(img.h->fileName(), forgePages(file->data, GetParam()),
              file->simulatedBytes, home.clock(), home.id());
-    ASSERT_TRUE(fs.verify(h->fileName()));
+    ASSERT_TRUE(fs.verify(img.h->fileName()));
 
     const sim::Counter &failed =
-        world.machine->metrics().counter("rfork.criu.restore_failed");
+        img.world.machine->metrics().counter("rfork.criu.restore_failed");
     const uint64_t failedBefore = failed.value();
     const size_t tasksBefore = target.taskCount();
     const sim::SimTime clockBefore = target.clock().now();
-    EXPECT_THROW(criu.restore(handle, target), sim::FatalError);
+    EXPECT_THROW(img.criu.restore(img.handle, target), sim::FatalError);
     // Rejected while decoding, before createTask: no task was made (or
     // left behind), so the failure counter, which counts tasks torn
     // down, and the target's clock did not move either.
@@ -255,6 +269,40 @@ INSTANTIATE_TEST_SUITE_P(Forgeries, CriuPageSection,
                          ::testing::Values(Forgery::CountPlusOne,
                                            Forgery::HugeCount,
                                            Forgery::LastRecordCut));
+
+TEST(CriuImageScan, PoisonedImageFrameStillFailsTheRestore)
+{
+    // With every layer off the image scan is skipped, unless a device
+    // frame is poisoned: then a poisoned image frame still fails the
+    // restore with the typed error, before any task exists.
+    CriuImage img;
+    ASSERT_NE(img.h, nullptr);
+    os::NodeOs &target = img.world.node(1);
+    mem::FrameAllocator &cxl = img.world.machine->cxl();
+    const cxl::CxlFsFile *file =
+        img.world.fabric->sharedFs().open(img.h->fileName());
+    ASSERT_NE(file, nullptr);
+    cxl.poison(file->frames.back());
+    EXPECT_THROW(img.criu.restore(img.handle, target),
+                 sim::PoisonedFrameError);
+    EXPECT_EQ(target.taskCount(), 0u);
+    cxl.clearPoison(file->frames.back());
+    EXPECT_NE(img.criu.restore(img.handle, target), nullptr);
+}
+
+TEST(CriuImageScan, AFreedDeviceFrameEndsTheLivenessProof)
+{
+    // The skipped scan's allocated-frame assertion stands on this: no
+    // device frame freed since the image was written.
+    CriuImage img;
+    ASSERT_NE(img.h, nullptr);
+    mem::FrameAllocator &cxl = img.world.machine->cxl();
+    EXPECT_TRUE(img.h->framesSurelyLive(cxl));
+    cxl.decRef(cxl.alloc(mem::FrameUse::Data));
+    EXPECT_FALSE(img.h->framesSurelyLive(cxl));
+    // The restore then scans, and its assertions hold.
+    EXPECT_NE(img.criu.restore(img.handle, img.world.node(1)), nullptr);
+}
 
 } // namespace
 } // namespace cxlfork::rfork
