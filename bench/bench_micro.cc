@@ -338,7 +338,12 @@ BM_WireEncodeDecode(benchmark::State &state)
         proto::Encoder e;
         img.encode(e);
         proto::Decoder d(e.buffer());
-        benchmark::DoNotOptimize(proto::CriuImageMsg::decode(d));
+        benchmark::DoNotOptimize(proto::CriuImageMsg::decodeHeader(d));
+        proto::PageReader pages(d);
+        uint64_t sum = 0;
+        for (uint64_t i = 0; i < pages.size(); ++i)
+            sum += pages.next().content;
+        benchmark::DoNotOptimize(sum);
     }
     state.SetBytesProcessed(int64_t(state.iterations()) * 10000 * 16);
 }
@@ -359,9 +364,14 @@ BM_CriuImageDecode(benchmark::State &state)
     size_t pages = 0;
     for (auto _ : state) {
         proto::Decoder d(file->data);
-        const proto::CriuImageMsg img = proto::CriuImageMsg::decode(d);
-        pages += img.pages.size();
+        const proto::CriuImageMsg img = proto::CriuImageMsg::decodeHeader(d);
+        proto::PageReader reader(d);
+        uint64_t sum = 0;
+        for (uint64_t i = 0; i < reader.size(); ++i)
+            sum += reader.next().content;
+        pages += reader.size();
         benchmark::DoNotOptimize(img);
+        benchmark::DoNotOptimize(sum);
     }
     state.SetItemsProcessed(int64_t(pages));
     state.SetBytesProcessed(int64_t(state.iterations()) *

@@ -202,6 +202,12 @@ parseTraceCsv(const std::string &csvText)
             sim::fatal("trace csv line %zu: bad timestamp '%s'", lineNo,
                        tsField.c_str());
         }
+        // stod accepts "inf" and "nan": an infinite arrival never
+        // comes, and a NaN key breaks the sort's strict weak order.
+        if (!std::isfinite(ts)) {
+            sim::fatal("trace csv line %zu: non-finite timestamp '%s'",
+                       lineNo, tsField.c_str());
+        }
         if (ts < 0)
             sim::fatal("trace csv line %zu: negative timestamp", lineNo);
         Request r;

@@ -168,17 +168,6 @@ CriuImageMsg::encode(Encoder &e) const
 }
 
 CriuImageMsg
-CriuImageMsg::decode(Decoder &d)
-{
-    CriuImageMsg m = decodeHeader(d);
-    const uint64_t np = d.getU64();
-    m.pages.reserve(std::min<uint64_t>(np, d.remaining() / kMinPageBytes));
-    for (uint64_t i = 0; i < np; ++i)
-        m.pages.push_back(PageMsg::decode(d));
-    return m;
-}
-
-CriuImageMsg
 CriuImageMsg::decodeHeader(Decoder &d)
 {
     CriuImageMsg m;

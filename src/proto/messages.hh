@@ -142,11 +142,11 @@ struct CriuImageMsg
     std::vector<PageMsg> pages;
 
     void encode(Encoder &e) const;
-    static CriuImageMsg decode(Decoder &d);
 
     /**
      * Decode all but the page section: global state, CPU and VMAs. The
-     * decoder is left at the page count, ready for a PageReader.
+     * decoder is left at the page count, ready for a PageReader, which
+     * streams the page records (the header's `pages` stays empty).
      */
     static CriuImageMsg decodeHeader(Decoder &d);
 

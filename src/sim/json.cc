@@ -117,15 +117,30 @@ class Parser
         }
     }
 
+    /**
+     * Open one container level. The parser recurses once per level, so
+     * an unbounded nesting depth would overflow the stack before the
+     * input ran out; past kMaxDepth the document is rejected instead.
+     */
+    void
+    enter()
+    {
+        if (++depth_ > kMaxDepth)
+            fail("nesting deeper than 256 levels");
+    }
+
     Value
     objectValue()
     {
         expect('{');
+        enter();
         Value v;
         v.kind = Value::Kind::Object;
         skipWs();
-        if (consume('}'))
+        if (consume('}')) {
+            --depth_;
             return v;
+        }
         while (true) {
             skipWs();
             Value key = stringValue();
@@ -133,8 +148,10 @@ class Parser
             expect(':');
             v.object.emplace_back(std::move(key.str), value());
             skipWs();
-            if (consume('}'))
+            if (consume('}')) {
+                --depth_;
                 return v;
+            }
             expect(',');
         }
     }
@@ -143,16 +160,21 @@ class Parser
     arrayValue()
     {
         expect('[');
+        enter();
         Value v;
         v.kind = Value::Kind::Array;
         skipWs();
-        if (consume(']'))
+        if (consume(']')) {
+            --depth_;
             return v;
+        }
         while (true) {
             v.array.push_back(value());
             skipWs();
-            if (consume(']'))
+            if (consume(']')) {
+                --depth_;
                 return v;
+            }
             expect(',');
         }
     }
@@ -263,8 +285,11 @@ class Parser
         return v;
     }
 
+    static constexpr uint32_t kMaxDepth = 256;
+
     std::string_view text_;
     size_t pos_ = 0;
+    uint32_t depth_ = 0; ///< Open objects and arrays around pos_.
 };
 
 } // namespace

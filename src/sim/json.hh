@@ -46,7 +46,9 @@ struct Value
 
 /**
  * Parse a complete JSON document. Throws sim::FatalError on malformed
- * input (tests assert on the round trip, so errors must be loud).
+ * input (tests assert on the round trip, so errors must be loud),
+ * including objects and arrays nested more than 256 deep; the message
+ * names the byte offset where parsing stopped.
  */
 Value parse(std::string_view text);
 

@@ -203,6 +203,28 @@ TEST(TraceCsv, RejectsMalformedRows)
     EXPECT_THROW(parseTraceCsv("1.0,Json\n2.0x,Fn\n"), sim::FatalError);
 }
 
+// stod parses "inf" and "nan". An infinite arrival never comes, so a
+// porter run over it never ended; a NaN arrival broke the sort and the
+// run reported a NaN P99. Both must fail on their own line.
+TEST(TraceCsv, RejectsNonFiniteTimestamps)
+{
+    for (const char *bad : {"inf", "nan", "-nan", "infinity", "+inf"}) {
+        const std::string csv =
+            std::string("1.0,Json\n") + bad + ",Json\n";
+        try {
+            parseTraceCsv(csv);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("non-finite"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(TraceCsv, MissingFileIsFatal)
 {
     EXPECT_THROW(loadTraceCsv("/no/such/trace.csv"), sim::FatalError);

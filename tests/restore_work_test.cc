@@ -192,21 +192,22 @@ std::vector<uint8_t>
 forgePages(const std::vector<uint8_t> &data, Forgery how)
 {
     proto::Decoder d(data);
-    const proto::CriuImageMsg img = proto::CriuImageMsg::decode(d);
+    const proto::CriuImageMsg img = proto::CriuImageMsg::decodeHeader(d);
+    proto::PageReader pages(d);
     proto::Encoder e;
     img.global.encode(e);
     img.cpu.encode(e);
     e.putU64(img.vmas.size());
     for (const proto::VmaMsg &v : img.vmas)
         v.encode(e);
-    uint64_t count = img.pages.size();
+    uint64_t count = pages.size();
     if (how == Forgery::CountPlusOne)
         count += 1;
     else if (how == Forgery::HugeCount)
         count = 1ull << 62;
     e.putU64(count);
-    for (const proto::PageMsg &p : img.pages)
-        p.encode(e);
+    for (uint64_t i = 0; i < pages.size(); ++i)
+        pages.next().encode(e);
     std::vector<uint8_t> out = e.take();
     if (how == Forgery::LastRecordCut)
         out.pop_back();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/json.hh"
+#include "sim/log.hh"
 #include "sim/metrics.hh"
 
 namespace cxlfork::sim {
@@ -265,6 +266,36 @@ TEST(MetricsRegistry, ToTableListsEveryFlatEntry)
     // Two counters, two rows; rendering is covered by sim_table_test.
     EXPECT_EQ(reg.flatten().size(), 2u);
     (void)t;
+}
+
+// The parser recurses once per nesting level: 200,000 '[' used to
+// overflow the stack. Past 256 levels the document is a FatalError
+// that names the offset; 256 levels still parse.
+TEST(JsonParse, NestingDepthIsCapped)
+{
+    const std::string ok = std::string(256, '[') + std::string(256, ']');
+    EXPECT_EQ(json::parse(ok).kind, json::Value::Kind::Array);
+    const std::string over = std::string(257, '[') + std::string(257, ']');
+    EXPECT_THROW(json::parse(over), FatalError);
+    std::string objects;
+    for (int i = 0; i < 257; ++i)
+        objects += "{\"k\":";
+    objects += "1" + std::string(257, '}');
+    EXPECT_THROW(json::parse(objects), FatalError);
+    EXPECT_EQ(json::parse(objects.substr(5, objects.size() - 6)).kind,
+              json::Value::Kind::Object);
+
+    const std::string deep(200000, '[');
+    try {
+        json::parse(deep);
+        ADD_FAILURE() << "200000 open brackets parsed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("offset 257"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
