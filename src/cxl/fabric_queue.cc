@@ -126,6 +126,7 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
                                 sim::SimClock &clock, const char *site)
 {
     (void)site;
+    ++machine_.fabricWork().queueTxns;
     Lane &lane = laneFor(domainOf(addr), isRead);
     const sim::SimTime now = clock.now();
     retire(lane, now);

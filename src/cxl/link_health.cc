@@ -146,6 +146,7 @@ void
 LinkHealth::onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
                           sim::SimClock &clock, const char *site)
 {
+    ++machine_.fabricWork().linkTxns;
     if (n >= links_.size())
         return; // nodes beyond the machine (defensive; tests poke raw)
     const uint32_t dom = domainOf(addr);

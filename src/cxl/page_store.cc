@@ -217,6 +217,7 @@ PageStore::index(mem::PhysAddr addr, uint64_t hash)
     slot.next = kNoFrame;
     slot.indexed = true;
     ++uniquePages_;
+    ++machine_.fabricWork().indexProbes;
     auto [head, fresh] = index_.try_emplace(hash, idx);
     if (fresh)
         return;
@@ -233,6 +234,7 @@ PageStore::unindex(mem::PhysAddr addr)
     Slot *slot = slots_.find(idx);
     if (!slot || !slot->indexed)
         return;
+    ++machine_.fabricWork().indexProbes;
     auto head = index_.find(slot->hash);
     CXLF_ASSERT(head != index_.end());
     if (head->second == idx) {
@@ -285,6 +287,7 @@ PageStore::intern(uint64_t content, mem::FrameUse use, sim::SimClock &clock,
 
     mem::FrameAllocator &cxl = machine_.cxl();
     const uint64_t h = hashContent(content);
+    ++machine_.fabricWork().indexProbes;
     auto bucket = index_.find(h);
     if (bucket != index_.end()) {
         // The hash only nominates candidates; the byte compare (one

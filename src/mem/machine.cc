@@ -93,7 +93,11 @@ Machine::cxlTransaction(sim::SimClock &clock, const char *site,
     // With jitter and budget at their zero defaults the schedule draws
     // nothing extra and charges the exact pre-policy delay sequence.
     sim::BackoffSchedule sched(injector_.config().retryPolicy());
-    while (injector_.drawTransient()) {
+    const bool draws = injector_.config().cxlTransientRate > 0.0;
+    for (;;) {
+        fabricWork_.retryDraws += draws;
+        if (!injector_.drawTransient())
+            break;
         const std::optional<sim::SimTime> delay =
             sched.next(&injector_.backoffRng());
         if (!delay) {

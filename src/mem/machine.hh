@@ -203,6 +203,20 @@ class FabricQueue
                                const char *site) = 0;
 };
 
+/**
+ * Host work of the armed fabric layers: how many transactions each
+ * stage saw and how often the content index was probed. Plain tallies
+ * for the pinned work counts; no clock, RNG stream, metric or span
+ * reads them.
+ */
+struct FabricWork
+{
+    uint64_t linkTxns = 0;    ///< Transactions the link stage checked.
+    uint64_t queueTxns = 0;   ///< Transactions the port queue took.
+    uint64_t retryDraws = 0;  ///< Transient draws of the retry ladder.
+    uint64_t indexProbes = 0; ///< Content-index lookups and updates.
+};
+
 /** Machine construction parameters. */
 struct MachineConfig
 {
@@ -269,6 +283,9 @@ class Machine
 
     /** The machine-wide metrics registry (same const-ness rationale). */
     sim::MetricsRegistry &metrics() const { return metrics_; }
+
+    /** Host work tallies of the fabric layers (same rationale). */
+    FabricWork &fabricWork() const { return fabricWork_; }
 
     /** Reconfigure injection; re-arms the CXL allocator's poison hook. */
     void setFaultConfig(const sim::FaultConfig &cfg);
@@ -536,6 +553,7 @@ class Machine
     sim::FaultInjector injector_;
     mutable sim::Tracer tracer_;
     mutable sim::MetricsRegistry metrics_;
+    mutable FabricWork fabricWork_;
     std::vector<std::unique_ptr<FrameAllocator>> nodeDram_;
     std::unique_ptr<FrameAllocator> cxl_;
     std::vector<CacheModel> llc_;

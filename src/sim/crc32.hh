@@ -99,6 +99,13 @@ uint32_t crc32Clmul(uint32_t state, const uint8_t *p, size_t n);
 
 } // namespace detail
 
+/**
+ * Bytes this thread has fed to every CRC-32, for pinned work counts.
+ * Per thread, so parallel sweeps never race on it; nothing the
+ * simulator computes reads it.
+ */
+inline thread_local uint64_t crc32BytesThisThread = 0;
+
 /** Incremental CRC-32 over heterogeneous fields. */
 class Crc32
 {
@@ -106,6 +113,7 @@ class Crc32
     void
     update(const void *data, size_t n)
     {
+        crc32BytesThisThread += n;
         const auto *p = static_cast<const uint8_t *>(data);
         if (n >= detail::kCrc32FoldMin && detail::crc32ClmulSupported())
             state_ = detail::crc32Clmul(state_, p, n);
@@ -114,7 +122,12 @@ class Crc32
     }
 
     /** CRC of v's 8 bytes in little-endian order: one slicing step. */
-    void update64(uint64_t v) { state_ = detail::crc32Step64(state_, v); }
+    void
+    update64(uint64_t v)
+    {
+        crc32BytesThisThread += sizeof(v);
+        state_ = detail::crc32Step64(state_, v);
+    }
 
     /** Finalized digest; the accumulator keeps running. */
     uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }

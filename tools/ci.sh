@@ -64,6 +64,13 @@ echo "== Running restore-path work counters (ctest -L restore)"
 # host.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L restore
 
+echo "== Running armed-fabric work counters (ctest -L fabric_work)"
+# Pins the transactions each fabric stage sees, coherence messages,
+# content-index probes, bytes CRC'd and heap allocations of checkpoints,
+# restores and a reclaim with every opt-in layer armed: a layer that
+# starts doing extra per-page work fails it on any host.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L fabric_work
+
 echo "== Running fabric-contention suite (ctest -L contention)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L contention
 # The analytical anchor, run explicitly: the queue's measured mean wait
