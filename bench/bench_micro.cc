@@ -380,6 +380,88 @@ BM_CriuImageDecode(benchmark::State &state)
 BENCHMARK(BM_CriuImageDecode)->Unit(benchmark::kMicrosecond);
 
 /**
+ * Every opt-in layer armed as perfbench's checkpoint_churn arms them
+ * (dedup + codec, RAS K=2, HDM-H, link degradation and transients at
+ * 1e-4, the port queue), 8 nodes.
+ */
+porter::ClusterConfig
+armedClusterConfig()
+{
+    porter::ClusterConfig cc;
+    cc.machine.numNodes = 8;
+    cc.machine.dramPerNodeBytes = mem::gib(1);
+    cc.machine.cxlCapacityBytes = mem::gib(1);
+    cc.machine.llcBytes = mem::mib(64);
+    cc.machine.faults.seed = 1;
+    cc.machine.faults.cxlTransientRate = 1e-4;
+    cc.machine.faults.linkDegradeRate = 1e-4;
+    cc.pageStore.dedup = true;
+    cc.pageStore.compress = true;
+    cc.ras.enabled = true;
+    cc.ras.replicas = 2;
+    cc.coherence.mode = cxl::CoherenceMode::HdmH;
+    cc.link.enabled = true;
+    cc.contention.enabled = true;
+    return cc;
+}
+
+/**
+ * One addressed read transaction with every layer armed: the link,
+ * queue and retry work a checked CXL read pays. The issuing clock
+ * moves on between transactions so the port drains.
+ */
+void
+BM_ArmedCxlTransaction(benchmark::State &state)
+{
+    porter::Cluster cluster(armedClusterConfig());
+    mem::Machine &machine = cluster.machine();
+    std::vector<mem::PhysAddr> frames;
+    for (uint64_t i = 0; i < 4096; ++i)
+        frames.push_back(machine.cxl().alloc(mem::FrameUse::Data, i));
+    sim::SimClock &clock = cluster.node(1).clock();
+    size_t i = 0;
+    for (auto _ : state) {
+        machine.cxlTransaction(clock, "bm armed", 1,
+                               frames[i++ % frames.size()],
+                               /*isRead=*/true);
+        clock.advance(sim::SimTime::ns(500));
+    }
+}
+BENCHMARK(BM_ArmedCxlTransaction);
+
+/**
+ * A CRIU-style scan of a 6,000-frame image file with every layer
+ * armed: per frame a checked read, a directory touch and an evict, as
+ * each CRIU restore does. Items are frames.
+ */
+void
+BM_ArmedImageScan(benchmark::State &state)
+{
+    constexpr uint64_t kPages = 6000;
+    porter::Cluster cluster(armedClusterConfig());
+    mem::Machine &machine = cluster.machine();
+    sim::SimClock &writer = cluster.node(0).clock();
+    std::vector<uint8_t> bytes(kPages * 16);
+    for (size_t b = 0; b < bytes.size(); ++b)
+        bytes[b] = uint8_t(b * 37 + b / 251);
+    const cxl::CxlFsFile &file = cluster.fabric().sharedFs().write(
+        "bm/image", std::move(bytes), kPages * mem::kPageSize, writer, 0);
+    for (mem::PhysAddr f : file.frames)
+        machine.publishFrame(f, 0, writer);
+    sim::SimClock &clock = cluster.node(1).clock();
+    for (auto _ : state) {
+        for (mem::PhysAddr f : file.frames) {
+            machine.readFrameChecked(f, clock, "criu image read", 1);
+            machine.touchFrame(f, 1, clock, "criu image read");
+            machine.evictFrame(f, 1, clock);
+        }
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(file.frames.size()));
+}
+BENCHMARK(BM_ArmedImageScan)->Unit(benchmark::kMicrosecond);
+
+/**
  * Refcount churn on a 64k-frame tier: per iteration one decRef frees
  * a live frame and one alloc takes it back, over a half-full tier.
  */
