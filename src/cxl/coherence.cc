@@ -76,13 +76,13 @@ CoherenceDirectory::CoherenceDirectory(mem::Machine &machine,
     lineResets_ = &m.counter("cxl.coherence.line_resets");
     crashCleanups_ = &m.counter("cxl.coherence.crash_cleanups");
     taxNs_ = &m.counter("cxl.coherence.tax_ns");
-    machine_.setCoherence(this);
+    machine_.installCoherence(this);
 }
 
 CoherenceDirectory::~CoherenceDirectory()
 {
     if (machine_.coherence() == this)
-        machine_.setCoherence(nullptr);
+        machine_.installCoherence(nullptr);
 }
 
 uint64_t
@@ -94,14 +94,15 @@ CoherenceDirectory::lineIndexOf(mem::PhysAddr addr) const
 CoherenceDirectory::Line *
 CoherenceDirectory::liveLine(uint64_t idx)
 {
-    Line *line = lines_.find(idx);
+    // A never-touched line is default, not live: peek() suffices.
+    Line *line = lines_.peek(idx);
     return line && line->live ? line : nullptr;
 }
 
 const CoherenceDirectory::Line *
 CoherenceDirectory::liveLine(uint64_t idx) const
 {
-    const Line *line = lines_.find(idx);
+    const Line *line = lines_.peek(idx);
     return line && line->live ? line : nullptr;
 }
 
@@ -168,9 +169,7 @@ CoherenceDirectory::queueFabric(mem::PhysAddr addr, mem::NodeId issuer,
                                 uint64_t bytes, sim::SimClock &clock,
                                 const char *site)
 {
-    if (mem::FabricQueue *q = machine_.fabricQueue())
-        q->onTransaction(issuer, addr, /*isRead=*/false, bytes, clock,
-                         site);
+    machine_.chargePort(clock, site, issuer, addr, /*isRead=*/false, bytes);
 }
 
 void
@@ -205,7 +204,9 @@ CoherenceDirectory::settle(Line &line)
         // A clean sharer-set shrink never demotes a live owner's M.
         return;
     }
-    if (std::popcount(line.sharers) == 1) {
+    // One sharer, tested without a popcount: the build targets no
+    // POPCNT, so std::popcount is a library call.
+    if ((line.sharers & (line.sharers - 1)) == 0) {
         line.state = MesiState::Exclusive;
         line.owner = std::countr_zero(line.sharers);
     } else {
@@ -313,7 +314,7 @@ CoherenceDirectory::write(mem::PhysAddr addr, mem::NodeId n,
                         "coherence.write.wb");
         }
         const uint64_t others = line.sharers & ~bit;
-        const uint32_t k = uint32_t(std::popcount(others));
+        const uint32_t k = others ? uint32_t(std::popcount(others)) : 0;
         if (k) {
             invalidations_->inc(k);
             charge(clock, c.cohBackInvalidate * double(k));
@@ -425,6 +426,12 @@ CoherenceDirectory::evict(mem::PhysAddr addr, mem::NodeId n,
     dropSharer(idx, *line, n);
     if (line->droppable())
         forgetLine(idx, *line);
+}
+
+void
+CoherenceDirectory::prefetchLine(mem::PhysAddr addr) const
+{
+    lines_.prefetch(lineIndexOf(addr));
 }
 
 void

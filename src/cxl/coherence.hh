@@ -127,6 +127,7 @@ class CoherenceDirectory final : public mem::CoherenceModel
     void evict(mem::PhysAddr addr, mem::NodeId n,
                sim::SimClock &clock) override;
     void lineFreed(mem::PhysAddr addr) override;
+    void prefetchLine(mem::PhysAddr addr) const override;
 
     /**
      * A node crashed: drop it from every line. Its unflushed HDM-D
@@ -232,12 +233,12 @@ class CoherenceDirectory final : public mem::CoherenceModel
     void charge(sim::SimClock &clock, sim::SimTime t);
 
     /**
-     * Directory control traffic is fabric traffic: when a queue model
+     * Directory control traffic is fabric traffic: when a queue stage
      * is installed, writebacks (a page of data) and back-invalidations
      * (a cacheline-sized message) occupy the device port like any
-     * other transaction and queue behind whatever is in flight.
-     * Deliberately not routed through cxlTransaction — that would add
-     * crash sites and shift the deterministic site enumeration.
+     * other transaction and queue behind whatever is in flight. A
+     * direct port charge, not cxlTransaction: that would add crash
+     * sites and shift the deterministic site enumeration.
      */
     void queueFabric(mem::PhysAddr addr, mem::NodeId issuer,
                      uint64_t bytes, sim::SimClock &clock,

@@ -17,10 +17,16 @@
 #include "ras.hh"
 #include "shared_fs.hh"
 #include "sim/stats.hh"
+#include "topology.hh"
 
 namespace cxlfork::cxl {
 
-/** Fabric-wide shared state for a cluster of nodes. */
+/**
+ * Fabric-wide shared state for a cluster of nodes. Each opt-in layer
+ * installs itself as a stage of the machine's fabric pipeline (or, for
+ * the directory, as its coherence model) when its config enables it;
+ * RAS, link health and the port queue all read the one topology.
+ */
 class CxlFabric
 {
   public:
@@ -28,37 +34,27 @@ class CxlFabric
                        RasConfig rasCfg = {}, CoherenceConfig coherenceCfg = {},
                        LinkHealthConfig linkCfg = {},
                        FabricQueueConfig queueCfg = {})
-        : machine_(machine), pageStore_(machine, pageStoreCfg),
-          ras_(machine, pageStore_, rasCfg), sharedFs_(machine, pageStore_)
+        : machine_(machine),
+          topology_(machine.numNodes(), rasCfg.faultDomains),
+          pageStore_(machine, pageStoreCfg),
+          ras_(machine, pageStore_, topology_, rasCfg),
+          sharedFs_(machine, pageStore_)
     {
-        // The RAS ctor installs the machine-level poison repairer when
-        // enabled; the store hook makes interned pages flow through it.
+        // The store hook makes interned pages flow through RAS.
         pageStore_.attachRas(&ras_);
-        // The directory ctor installs the machine-level coherence
-        // model; with mode Off none is built and every access path
+        // With mode Off no directory is built and every access path
         // stays bit-identical to the pre-coherence tree.
         if (coherenceCfg.mode != CoherenceMode::Off) {
             coherence_ = std::make_unique<CoherenceDirectory>(machine,
                                                               coherenceCfg);
         }
-        // The link-health ctor installs the machine-level link model
-        // when enabled; reroutes consult the RAS replica placement, so
-        // keep the domain striping aligned with the RAS config.
         if (linkCfg.enabled) {
-            if (rasCfg.enabled)
-                linkCfg.domains = rasCfg.faultDomains;
-            linkHealth_ =
-                std::make_unique<LinkHealth>(machine, ras_, linkCfg);
+            linkHealth_ = std::make_unique<LinkHealth>(machine, ras_,
+                                                       topology_, linkCfg);
         }
-        // The queue-model ctor installs the machine-level fabric queue
-        // when enabled; its port striping follows the same domain
-        // alignment as the link/RAS layers so a rerouted replica read
-        // queues on the domain that actually serves it.
         if (queueCfg.enabled) {
-            if (rasCfg.enabled)
-                queueCfg.domains = rasCfg.faultDomains;
-            fabricQueue_ =
-                std::make_unique<FabricQueueModel>(machine, queueCfg);
+            fabricQueue_ = std::make_unique<FabricQueueModel>(
+                machine, topology_, queueCfg);
         }
     }
 
@@ -66,6 +62,7 @@ class CxlFabric
     CxlFabric &operator=(const CxlFabric &) = delete;
 
     mem::Machine &machine() { return machine_; }
+    const FabricTopology &topology() const { return topology_; }
     mem::FrameAllocator &device() { return machine_.cxl(); }
     PageStore &pageStore() { return pageStore_; }
     RasManager &ras() { return ras_; }
@@ -87,6 +84,7 @@ class CxlFabric
 
   private:
     mem::Machine &machine_;
+    FabricTopology topology_; ///< Before every layer that reads it.
     PageStore pageStore_; ///< Before sharedFs_: the FS writes through it.
     RasManager ras_;      ///< Before sharedFs_: FS pages may be protected.
     SharedFs sharedFs_;

@@ -8,59 +8,43 @@
 namespace cxlfork::cxl {
 
 FabricQueueModel::FabricQueueModel(mem::Machine &machine,
+                                   const FabricTopology &topology,
                                    FabricQueueConfig cfg)
-    : machine_(machine), cfg_(cfg)
+    : machine_(machine), topology_(topology), cfg_(cfg)
 {
     if (!cfg_.enabled)
         return;
-    if (cfg_.domains == 0)
-        sim::fatal("fabric queue needs at least one fault domain");
     if (cfg_.serviceReadGBs <= 0.0 || cfg_.serviceWriteGBs <= 0.0)
         sim::fatal("fabric queue service bandwidth must be positive");
     if (cfg_.backgroundUtilization < 0.0 ||
         cfg_.backgroundUtilization >= 1.0)
         sim::fatal("fabric queue background utilization must be in [0, 1)");
-    lanes_.assign(size_t(cfg_.domains) * 2, Lane{});
-    machine_.setFabricQueue(this);
+    lanes_.assign(topology_.ports(), Lane{});
+    pageBytes_ = machine_.costs().pageSize;
+    for (uint32_t d = 0; d < topology_.domains(); ++d) {
+        for (bool isRead : {true, false}) {
+            lanes_[topology_.port(d, isRead)].pageService =
+                serviceTime(isRead, pageBytes_);
+        }
+    }
     sim::MetricsRegistry &m = machine_.metrics();
     queuedCounter_ = &m.counter("cxl.contention.queued");
     delayNsCounter_ = &m.counter("cxl.contention.delay_ns");
     holBlocksCounter_ = &m.counter("cxl.contention.hol_blocks");
     peakInflightGauge_ = &m.gauge("cxl.contention.peak_inflight");
+    machine_.installStage(mem::StageKind::Queue, this, topology_.domains());
 }
 
 FabricQueueModel::~FabricQueueModel()
 {
-    if (cfg_.enabled && machine_.fabricQueue() == this)
-        machine_.setFabricQueue(nullptr);
-}
-
-uint32_t
-FabricQueueModel::domainOf(mem::PhysAddr addr) const
-{
-    if (addr.isNull())
-        return 0;
-    const uint64_t idx =
-        (addr.raw - machine_.cxl().base().raw) / mem::kPageSize;
-    return uint32_t(idx % cfg_.domains);
-}
-
-FabricQueueModel::Lane &
-FabricQueueModel::laneFor(uint32_t domain, bool isRead)
-{
-    return lanes_.at(size_t(domain) * 2 + (isRead ? 0 : 1));
-}
-
-const FabricQueueModel::Lane &
-FabricQueueModel::laneFor(uint32_t domain, bool isRead) const
-{
-    return lanes_.at(size_t(domain) * 2 + (isRead ? 0 : 1));
+    if (machine_.stage(mem::StageKind::Queue) == this)
+        machine_.installStage(mem::StageKind::Queue, nullptr);
 }
 
 sim::SimTime
 FabricQueueModel::busyUntil(uint32_t domain, bool isRead) const
 {
-    return laneFor(domain, isRead).busyUntil;
+    return lanes_.at(topology_.port(domain, isRead)).busyUntil;
 }
 
 void
@@ -69,35 +53,38 @@ FabricQueueModel::retire(Lane &lane, sim::SimTime now)
     // A transaction departs exactly once: when the issuing stream's
     // simulated time has caught up with its departure. FIFO order
     // guarantees the front departs first.
-    while (!lane.inflight.empty() && lane.inflight.front().depart <= now) {
-        const mem::NodeId issuer = lane.inflight.front().issuer;
+    const uint32_t mask = lane.mask;
+    while (lane.count != 0 && lane.ring[lane.head].depart <= now) {
+        const mem::NodeId issuer = lane.ring[lane.head].issuer;
         if (issuer != mem::kInvalidNode) {
             --lane.attributed;
             --lane.perIssuer[issuer];
         }
-        lane.inflight.pop_front();
+        lane.head = (lane.head + 1) & mask;
+        --lane.count;
         ++departed_;
     }
 }
 
 void
-FabricQueueModel::push(Lane &lane, Txn t)
+FabricQueueModel::grow(Lane &lane)
 {
-    if (t.issuer != mem::kInvalidNode) {
-        if (t.issuer >= lane.perIssuer.size())
-            lane.perIssuer.resize(size_t(t.issuer) + 1, 0);
-        ++lane.attributed;
-        ++lane.perIssuer[t.issuer];
-    }
-    lane.inflight.push_back(t);
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<InFlight> grown(lane.ring.empty() ? 16 : lane.ring.size() * 2);
+    for (uint32_t i = 0; i < lane.count; ++i)
+        grown[i] = lane.ring[(lane.head + i) & lane.mask];
+    lane.ring = std::move(grown);
+    lane.mask = uint32_t(lane.ring.size()) - 1;
+    lane.head = 0;
 }
 
 void
 FabricQueueModel::drain()
 {
     for (Lane &lane : lanes_) {
-        departed_ += lane.inflight.size();
-        lane.inflight.clear();
+        departed_ += lane.count;
+        lane.head = 0;
+        lane.count = 0;
         lane.attributed = 0;
         std::fill(lane.perIssuer.begin(), lane.perIssuer.end(), 0);
     }
@@ -121,14 +108,10 @@ FabricQueueModel::backgroundResidual(bool isRead, sim::SimTime now) const
 }
 
 void
-FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
-                                bool isRead, uint64_t bytes,
-                                sim::SimClock &clock, const char *site)
+FabricQueueModel::onTxn(mem::Txn &t)
 {
-    (void)site;
-    ++machine_.fabricWork().queueTxns;
-    Lane &lane = laneFor(domainOf(addr), isRead);
-    const sim::SimTime now = clock.now();
+    Lane &lane = lanes_[topology_.port(t.domain, t.isRead)];
+    const sim::SimTime now = t.clock.now();
     retire(lane, now);
 
     // After retiring, every in-flight entry departs strictly after
@@ -141,6 +124,7 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
     // single-node run diverge from the model-off baseline. Device
     // occupancy still lengthens the horizon, so it inflates the waits
     // attributed cross-streams do pay.
+    const mem::NodeId n = t.node;
     const bool foreign = n != mem::kInvalidNode && lane.hasForeign(n);
 
     const sim::SimTime start = std::max(now, lane.busyUntil);
@@ -151,14 +135,14 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
             queuedCounter_->inc();
         // Head-of-line: the transaction in service belongs to another
         // attributed issuer and the arbiter cannot preempt mid-transfer.
-        if (lane.inflight.front().issuer != n &&
-            lane.inflight.front().issuer != mem::kInvalidNode) {
+        const mem::NodeId head = lane.front().issuer;
+        if (head != n && head != mem::kInvalidNode) {
             charged += cfg_.holPenalty;
             if (holBlocksCounter_)
                 holBlocksCounter_->inc();
         }
     }
-    const sim::SimTime bg = backgroundResidual(isRead, now);
+    const sim::SimTime bg = backgroundResidual(t.isRead, now);
     if (!bg.isZero()) {
         charged += bg;
         if (queuedCounter_)
@@ -167,8 +151,19 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
 
     // Commit the occupancy. start >= busyUntil keeps the lane horizon
     // monotone: simulated time never runs backward on a lane.
-    push(lane, Txn{start + serviceTime(isRead, bytes), n});
-    lane.busyUntil = lane.inflight.back().depart;
+    lane.busyUntil =
+        start + (t.bytes == pageBytes_ ? lane.pageService
+                                       : serviceTime(t.isRead, t.bytes));
+    if (n != mem::kInvalidNode) {
+        if (n >= lane.perIssuer.size())
+            lane.perIssuer.resize(size_t(n) + 1, 0);
+        ++lane.attributed;
+        ++lane.perIssuer[n];
+    }
+    if (lane.count == lane.ring.size()) [[unlikely]]
+        grow(lane);
+    lane.ring[(lane.head + lane.count++) & lane.mask] =
+        InFlight{lane.busyUntil, n};
     ++enqueued_;
     const uint64_t inflightNow = enqueued_ - departed_;
     if (inflightNow > peakInflight_) {
@@ -180,7 +175,7 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
     if (!charged.isZero()) {
         if (delayNsCounter_)
             delayNsCounter_->inc(uint64_t(charged.toNs()));
-        clock.advance(charged);
+        t.clock.advance(charged);
     }
 }
 

@@ -40,7 +40,7 @@
  * interferer — no RNG, so sweeps stay bit-identical per point.
  *
  * Everything is off by default (FabricQueueConfig::enabled == false):
- * a disabled model installs no machine hook, registers no counters,
+ * a disabled model installs no pipeline stage, registers no counters,
  * and every bench stays bit-identical to a tree without the layer.
  *
  * The file also hosts contendedCosts(), the static steady-state
@@ -53,27 +53,19 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "mem/machine.hh"
 #include "sim/cost_model.hh"
+#include "topology.hh"
 
 namespace cxlfork::cxl {
 
 /** Queue-model tunables, CostParams-style: disabled by default. */
 struct FabricQueueConfig
 {
-    /** Master switch. Off: no hook, no counters, no behavior change. */
+    /** Master switch. Off: no stage, no counters, no behavior change. */
     bool enabled = false;
-
-    /**
-     * Device fault domains the port queues are striped across (should
-     * match RasConfig::faultDomains so a rerouted replica read queues
-     * on the domain that actually serves it; the cluster wiring keeps
-     * them aligned).
-     */
-    uint32_t domains = 4;
 
     /**
      * Service bandwidth of one domain's read / write lane. Defaults
@@ -101,16 +93,18 @@ struct FabricQueueConfig
 };
 
 /**
- * The per-fabric queuing model (mem::FabricQueue impl).
+ * The per-fabric queuing model: the pipeline's queue stage. One FIFO
+ * lane per topology port (a domain's read or write direction).
  *
  * All counters live in the machine registry and are registered only
  * when enabled, so a disabled model leaves the metrics export
  * byte-identical to a pre-contention tree.
  */
-class FabricQueueModel : public mem::FabricQueue
+class FabricQueueModel : public mem::FabricStage
 {
   public:
-    FabricQueueModel(mem::Machine &machine, FabricQueueConfig cfg);
+    FabricQueueModel(mem::Machine &machine, const FabricTopology &topology,
+                     FabricQueueConfig cfg);
     ~FabricQueueModel() override;
 
     FabricQueueModel(const FabricQueueModel &) = delete;
@@ -118,11 +112,14 @@ class FabricQueueModel : public mem::FabricQueue
 
     bool enabled() const { return cfg_.enabled; }
     const FabricQueueConfig &config() const { return cfg_; }
-    uint32_t domains() const { return cfg_.domains; }
+    uint32_t domains() const { return topology_.domains(); }
 
-    /** Fault domain of a device address (RAS striping; 0 for null —
-     *  control-plane traffic rides the first domain). */
-    uint32_t domainOf(mem::PhysAddr addr) const;
+    /** Fault domain of a device address (the topology's striping; 0
+     *  for null — control-plane traffic rides the first domain). */
+    uint32_t domainOf(mem::PhysAddr addr) const
+    {
+        return topology_.domainOf(addr);
+    }
 
     /** Service time of one transaction on the read or write lane. */
     sim::SimTime
@@ -152,28 +149,38 @@ class FabricQueueModel : public mem::FabricQueue
      *  After drain(), inFlight() == 0 on every lane. */
     void drain();
 
-    // --- mem::FabricQueue.
+    // --- mem::FabricStage: charge the queueing delay; never throws — a
+    // queued transaction is merely late, not lost.
 
-    void onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
-                       uint64_t bytes, sim::SimClock &clock,
-                       const char *site) override;
+    void onTxn(mem::Txn &t) override;
 
   private:
-    struct Txn
+    struct InFlight
     {
         sim::SimTime depart;
         mem::NodeId issuer;
     };
 
-    /** One FIFO service lane (a domain's read or write direction). */
+    /**
+     * One FIFO service lane (a domain's read or write direction): a
+     * ring of in-flight transactions whose power-of-two capacity
+     * doubles when full and never shrinks, so a warm lane allocates
+     * nothing.
+     */
     struct Lane
     {
-        std::deque<Txn> inflight;
+        std::vector<InFlight> ring;
+        uint32_t mask = 0;  ///< ring.size() - 1 once the ring exists.
+        uint32_t head = 0;  ///< Index of the oldest in-flight entry.
+        uint32_t count = 0; ///< Entries in flight.
+        sim::SimTime pageService; ///< serviceTime of pageBytes_ here.
         sim::SimTime busyUntil; ///< Last committed departure; monotone.
         /** In-flight transactions with an attributed issuer. */
         uint64_t attributed = 0;
         /** In-flight transactions per attributed issuer, by NodeId. */
         std::vector<uint32_t> perIssuer;
+
+        const InFlight &front() const { return ring[head]; }
 
         /** Some in-flight transaction belongs to another attributed
          *  issuer than n (n itself attributed). */
@@ -184,23 +191,22 @@ class FabricQueueModel : public mem::FabricQueue
         }
     };
 
-    Lane &laneFor(uint32_t domain, bool isRead);
-    const Lane &laneFor(uint32_t domain, bool isRead) const;
-
     /** Retire every transaction in `lane` that departed by `now`. */
     void retire(Lane &lane, sim::SimTime now);
 
-    /** Append a transaction to `lane`, keeping its issuer counts. */
-    static void push(Lane &lane, Txn t);
+    /** Double a full lane's ring. */
+    static void grow(Lane &lane);
 
     /** Residual service of the periodic background stream at `now`. */
     sim::SimTime backgroundResidual(bool isRead, sim::SimTime now) const;
 
     mem::Machine &machine_;
+    const FabricTopology &topology_;
     FabricQueueConfig cfg_;
 
-    /** lanes_[domain * 2 + (isRead ? 0 : 1)]; sized at construction. */
+    /** lanes_[topology_.port(domain, isRead)]; sized at construction. */
     std::vector<Lane> lanes_;
+    uint64_t pageBytes_ = 0; ///< The payload Lane::pageService is for.
 
     uint64_t enqueued_ = 0;
     uint64_t departed_ = 0;

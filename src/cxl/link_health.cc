@@ -19,16 +19,12 @@ linkStateName(LinkState s)
 }
 
 LinkHealth::LinkHealth(mem::Machine &machine, RasManager &ras,
-                       LinkHealthConfig cfg)
-    : machine_(machine), ras_(ras), cfg_(cfg)
+                       const FabricTopology &topology, LinkHealthConfig cfg)
+    : machine_(machine), ras_(ras), topology_(topology), cfg_(cfg)
 {
     if (!cfg_.enabled)
         return;
-    if (cfg_.domains == 0)
-        sim::fatal("link health needs at least one fault domain");
-    links_.assign(machine_.numNodes(),
-                  std::vector<Link>(cfg_.domains));
-    machine_.setLinkModel(this);
+    links_.assign(topology_.links(), Link{});
     sim::MetricsRegistry &m = machine_.metrics();
     severedTxnsCounter_ = &m.counter("cxl.partition.severed_txns");
     degradedTxnsCounter_ = &m.counter("cxl.partition.degraded_txns");
@@ -36,40 +32,33 @@ LinkHealth::LinkHealth(mem::Machine &machine, RasManager &ras,
     flapsCounter_ = &m.counter("cxl.partition.flaps");
     degradesCounter_ = &m.counter("cxl.partition.degrades");
     healsCounter_ = &m.counter("cxl.partition.heals");
+    machine_.installStage(mem::StageKind::Link, this, topology_.domains());
 }
 
 LinkHealth::~LinkHealth()
 {
-    if (cfg_.enabled && machine_.linkModel() == this)
-        machine_.setLinkModel(nullptr);
-}
-
-uint32_t
-LinkHealth::domainOf(mem::PhysAddr addr) const
-{
-    if (addr.isNull())
-        return 0;
-    const uint64_t idx =
-        (addr.raw - machine_.cxl().base().raw) / mem::kPageSize;
-    return uint32_t(idx % cfg_.domains);
+    if (machine_.stage(mem::StageKind::Link) == this)
+        machine_.installStage(mem::StageKind::Link, nullptr);
 }
 
 LinkHealth::Link &
 LinkHealth::linkFor(mem::NodeId n, uint32_t domain)
 {
-    return links_.at(n).at(domain);
+    if (n >= topology_.nodes() || domain >= topology_.domains())
+        sim::panic("link node%u->dom%u outside the topology", n, domain);
+    return links_[topology_.link(n, domain)];
 }
 
 const LinkHealth::Link &
 LinkHealth::linkFor(mem::NodeId n, uint32_t domain) const
 {
-    return links_.at(n).at(domain);
+    return const_cast<LinkHealth *>(this)->linkFor(n, domain);
 }
 
 void
 LinkHealth::sever(mem::NodeId n)
 {
-    for (uint32_t d = 0; d < cfg_.domains; ++d)
+    for (uint32_t d = 0; d < domains(); ++d)
         sever(n, d);
 }
 
@@ -84,7 +73,7 @@ LinkHealth::sever(mem::NodeId n, uint32_t domain)
 void
 LinkHealth::degrade(mem::NodeId n, double factor)
 {
-    for (uint32_t d = 0; d < cfg_.domains; ++d) {
+    for (uint32_t d = 0; d < domains(); ++d) {
         Link &l = linkFor(n, d);
         if (l.state == LinkState::Severed)
             continue;
@@ -96,7 +85,7 @@ LinkHealth::degrade(mem::NodeId n, double factor)
 void
 LinkHealth::heal(mem::NodeId n)
 {
-    for (uint32_t d = 0; d < cfg_.domains; ++d) {
+    for (uint32_t d = 0; d < domains(); ++d) {
         Link &l = linkFor(n, d);
         l.state = LinkState::Up;
         l.factor = 1.0;
@@ -113,7 +102,7 @@ LinkHealth::severAtSite(uint64_t k, mem::NodeId n)
 LinkState
 LinkHealth::state(mem::NodeId n, uint32_t domain) const
 {
-    if (!cfg_.enabled || n >= links_.size())
+    if (!cfg_.enabled || n >= topology_.nodes())
         return LinkState::Up;
     return linkFor(n, domain).state;
 }
@@ -121,9 +110,9 @@ LinkHealth::state(mem::NodeId n, uint32_t domain) const
 bool
 LinkHealth::nodeSevered(mem::NodeId n) const
 {
-    if (!cfg_.enabled || n >= links_.size())
+    if (!cfg_.enabled || n >= topology_.nodes())
         return false;
-    for (uint32_t d = 0; d < cfg_.domains; ++d) {
+    for (uint32_t d = 0; d < domains(); ++d) {
         if (linkFor(n, d).state != LinkState::Severed)
             return false;
     }
@@ -133,9 +122,9 @@ LinkHealth::nodeSevered(mem::NodeId n) const
 bool
 LinkHealth::anySevered(mem::NodeId n) const
 {
-    if (!cfg_.enabled || n >= links_.size())
+    if (!cfg_.enabled || n >= topology_.nodes())
         return false;
-    for (uint32_t d = 0; d < cfg_.domains; ++d) {
+    for (uint32_t d = 0; d < domains(); ++d) {
         if (linkFor(n, d).state == LinkState::Severed)
             return true;
     }
@@ -143,14 +132,18 @@ LinkHealth::anySevered(mem::NodeId n) const
 }
 
 void
-LinkHealth::onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
-                          sim::SimClock &clock, const char *site)
+LinkHealth::onTxn(mem::Txn &t)
 {
+    const mem::NodeId n = t.node;
+    if (n == mem::kInvalidNode)
+        return; // device-internal traffic crosses no node's link
     ++machine_.fabricWork().linkTxns;
-    if (n >= links_.size())
+    if (n >= topology_.nodes())
         return; // nodes beyond the machine (defensive; tests poke raw)
-    const uint32_t dom = domainOf(addr);
-    Link &l = linkFor(n, dom);
+    const uint32_t dom = t.domain;
+    Link &l = links_[topology_.link(n, dom)];
+    sim::SimClock &clock = t.clock;
+    const mem::PhysAddr addr = t.target;
 
     // Seeded Bernoulli weather: the injector's independent streams
     // decide whether THIS transaction's link flaps or degrades. Zero
@@ -194,7 +187,7 @@ LinkHealth::onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
     // replica on a domain this node can still reach is served from the
     // replica — byte-identical content (RAS replicas carry the page
     // token), one extra fabric hop plus the replica page read charged.
-    if (isRead && !addr.isNull()) {
+    if (t.isRead && !addr.isNull()) {
         const mem::PhysAddr rep = ras_.findReplicaOn(
             addr, [&](uint32_t d) {
                 return d != dom &&
@@ -226,7 +219,7 @@ LinkHealth::onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
     origin.link = dom;
     throw sim::FabricPartitionError(
         sim::format("fabric link node%u->dom%u severed at %s", n, dom,
-                    site),
+                    t.site),
         origin);
 }
 

@@ -29,7 +29,7 @@
  * enumeration composes with PR 4's crash enumeration.
  *
  * Everything is off by default (LinkHealthConfig::enabled == false): a
- * disabled manager installs no machine hook, registers no counters,
+ * disabled manager installs no pipeline stage, registers no counters,
  * and every bench stays bit-identical to a tree without the layer.
  */
 
@@ -40,21 +40,15 @@
 
 #include "mem/machine.hh"
 #include "ras.hh"
+#include "topology.hh"
 
 namespace cxlfork::cxl {
 
 /** Link-health tunables, CostParams-style: disabled by default. */
 struct LinkHealthConfig
 {
-    /** Master switch. Off: no hook, no counters, no behavior change. */
+    /** Master switch. Off: no stage, no counters, no behavior change. */
     bool enabled = false;
-
-    /**
-     * Device fault domains the link state is tracked per (should match
-     * RasConfig::faultDomains so reroute reachability and replica
-     * placement agree; the cluster wiring keeps them aligned).
-     */
-    uint32_t domains = 4;
 
     /** Latency multiplier for transactions over a Degraded link. */
     double degradeFactor = 4.0;
@@ -76,11 +70,15 @@ enum class LinkState : uint8_t {
 
 const char *linkStateName(LinkState s);
 
-/** The per-fabric link-health manager (mem::FabricLinkModel impl). */
-class LinkHealth : public mem::FabricLinkModel
+/**
+ * The per-fabric link-health manager: the pipeline's link stage, one
+ * link per topology node-domain pair.
+ */
+class LinkHealth : public mem::FabricStage
 {
   public:
-    LinkHealth(mem::Machine &machine, RasManager &ras, LinkHealthConfig cfg);
+    LinkHealth(mem::Machine &machine, RasManager &ras,
+               const FabricTopology &topology, LinkHealthConfig cfg);
     ~LinkHealth() override;
 
     LinkHealth(const LinkHealth &) = delete;
@@ -88,11 +86,14 @@ class LinkHealth : public mem::FabricLinkModel
 
     bool enabled() const { return cfg_.enabled; }
     const LinkHealthConfig &config() const { return cfg_; }
-    uint32_t domains() const { return cfg_.domains; }
+    uint32_t domains() const { return topology_.domains(); }
 
-    /** Fault domain of a device address (RAS striping; 0 for null —
-     *  control-plane traffic rides the first domain). */
-    uint32_t domainOf(mem::PhysAddr addr) const;
+    /** Fault domain of a device address (the topology's striping; 0
+     *  for null — control-plane traffic rides the first domain). */
+    uint32_t domainOf(mem::PhysAddr addr) const
+    {
+        return topology_.domainOf(addr);
+    }
 
     // --- One-shot schedule (harness-driven link weather).
 
@@ -133,10 +134,14 @@ class LinkHealth : public mem::FabricLinkModel
         return state(n, domain) != LinkState::Severed;
     }
 
-    // --- mem::FabricLinkModel.
+    // --- mem::FabricStage. Only node-attributed transactions cross a
+    // node's link: device-internal traffic (kInvalidNode) passes. A
+    // degraded link charges extra latency to the issuing clock; a
+    // severed one reroutes a read to a RAS replica on a reachable
+    // domain or throws sim::FabricPartitionError. A write through a
+    // severed path is never silently redirected.
 
-    void onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
-                       sim::SimClock &clock, const char *site) override;
+    void onTxn(mem::Txn &t) override;
 
   private:
     struct Link
@@ -152,10 +157,11 @@ class LinkHealth : public mem::FabricLinkModel
 
     mem::Machine &machine_;
     RasManager &ras_;
+    const FabricTopology &topology_;
     LinkHealthConfig cfg_;
 
-    /** links_[node][domain]; sized at construction. */
-    std::vector<std::vector<Link>> links_;
+    /** links_[topology_.link(node, domain)]; sized at construction. */
+    std::vector<Link> links_;
 
     // Counters are registered only when enabled, so a disabled manager
     // leaves the metrics export byte-identical to a pre-partition tree.

@@ -32,11 +32,6 @@ PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
     }
     if (machine_.cxl().capacityBytes() / mem::kPageSize > kNoFrame)
         sim::fatal("PageStore: slot links hold 32-bit frame numbers");
-    // Armed codec ⟺ installed hook: the machine then routes checked
-    // CXL reads and frame frees back through this store, so decompress
-    // charging and metadata cleanup cannot be forgotten by a caller.
-    if (cfg_.compress)
-        machine_.setPageCodec(this);
     sim::MetricsRegistry &m = machine_.metrics();
     hitsCounter_ = &m.counter("cxl.dedup.hits");
     uniqueCounter_ = &m.counter("cxl.dedup.unique");
@@ -51,14 +46,17 @@ PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
     compressRawCounter_ = &m.counter("cxl.compress.raw");
     decompressCounter_ = &m.counter("cxl.compress.decompressions");
     decompressNsCounter_ = &m.counter("cxl.compress.decompress_ns");
+    // Armed codec <=> installed stage: the machine then routes checked
+    // CXL reads and frame frees back through this store, so decompress
+    // charging and metadata cleanup cannot be forgotten by a caller.
+    if (cfg_.compress)
+        machine_.installStage(mem::StageKind::Codec, this);
 }
 
 PageStore::~PageStore()
 {
-    // The fabric installs the store as the machine's codec hook when
-    // the pipeline is armed; never leave a dangling hook behind.
-    if (machine_.pageCodec() == this)
-        machine_.setPageCodec(nullptr);
+    if (machine_.stage(mem::StageKind::Codec) == this)
+        machine_.installStage(mem::StageKind::Codec, nullptr);
 }
 
 void
@@ -153,16 +151,17 @@ PageStore::recordCompressed(mem::PhysAddr addr, uint64_t content,
 CodecClass
 PageStore::codecClassOf(mem::PhysAddr addr) const
 {
-    const Slot *slot = slots_.find(slotIndexOf(addr));
+    const Slot *slot = slots_.peek(slotIndexOf(addr));
     return slot && slot->codec ? slot->cls : CodecClass::Raw;
 }
 
 void
-PageStore::onMaterialize(mem::PhysAddr addr, sim::SimClock &clock)
+PageStore::onTxn(mem::Txn &t)
 {
-    Slot *slot = slots_.find(slotIndexOf(addr));
+    Slot *slot = slots_.peek(t.frame);
     if (!slot || !slot->pendingDecompress)
         return;
+    sim::SimClock &clock = t.clock;
     // Charge the one-time decompress before any recursive parent read:
     // the parent fetch re-enters this hook, and clearing the flag first
     // keeps a (hypothetical) cycle from recursing forever.
@@ -185,11 +184,17 @@ PageStore::onMaterialize(mem::PhysAddr addr, sim::SimClock &clock)
 }
 
 void
-PageStore::frameFreed(mem::PhysAddr addr)
+PageStore::prefetch(uint32_t frame) const
 {
-    if (deltaAnchor_.raw == addr.raw)
+    slots_.prefetch(frame);
+}
+
+void
+PageStore::frameFreed(uint32_t frame)
+{
+    if (deltaAnchor_.raw != 0 && slotIndexOf(deltaAnchor_) == frame)
         deltaAnchor_ = mem::PhysAddr{0};
-    Slot *slot = slots_.find(slotIndexOf(addr));
+    Slot *slot = slots_.peek(frame);
     if (!slot || !slot->codec)
         return;
     const uint32_t parent = slot->parent;
@@ -218,10 +223,10 @@ PageStore::index(mem::PhysAddr addr, uint64_t hash)
     slot.indexed = true;
     ++uniquePages_;
     ++machine_.fabricWork().indexProbes;
-    auto [head, fresh] = index_.try_emplace(hash, idx);
+    auto [head, fresh] = index_.tryEmplace(hash, idx);
     if (fresh)
         return;
-    uint32_t tail = head->second;
+    uint32_t tail = head->head;
     while (slots_.at(tail).next != kNoFrame)
         tail = slots_.at(tail).next;
     slots_.at(tail).next = idx;
@@ -231,19 +236,19 @@ void
 PageStore::unindex(mem::PhysAddr addr)
 {
     const auto idx = uint32_t(slotIndexOf(addr));
-    Slot *slot = slots_.find(idx);
+    Slot *slot = slots_.peek(idx);
     if (!slot || !slot->indexed)
         return;
     ++machine_.fabricWork().indexProbes;
-    auto head = index_.find(slot->hash);
-    CXLF_ASSERT(head != index_.end());
-    if (head->second == idx) {
+    ContentIndex::Entry *head = index_.find(slot->hash);
+    CXLF_ASSERT(head);
+    if (head->head == idx) {
         if (slot->next == kNoFrame)
             index_.erase(head);
         else
-            head->second = slot->next;
+            head->head = slot->next;
     } else {
-        uint32_t prev = head->second;
+        uint32_t prev = head->head;
         while (slots_.at(prev).next != idx) {
             prev = slots_.at(prev).next;
             CXLF_ASSERT(prev != kNoFrame);
@@ -288,16 +293,15 @@ PageStore::intern(uint64_t content, mem::FrameUse use, sim::SimClock &clock,
     mem::FrameAllocator &cxl = machine_.cxl();
     const uint64_t h = hashContent(content);
     ++machine_.fabricWork().indexProbes;
-    auto bucket = index_.find(h);
-    if (bucket != index_.end()) {
+    if (const ContentIndex::Entry *bucket = index_.find(h)) {
         // The hash only nominates candidates; the byte compare (one
         // mapped read of the candidate frame) decides. A same-hash,
         // different-bytes candidate is a recorded collision, never a
         // false share. Candidates compare oldest first, and the
         // collision-check read targets the oldest.
-        const mem::PhysAddr oldest = cxl.frameAddress(bucket->second);
+        const mem::PhysAddr oldest = cxl.frameAddress(bucket->head);
         mem::PhysAddr match{0};
-        for (uint32_t i = bucket->second; i != kNoFrame;
+        for (uint32_t i = bucket->head; i != kNoFrame;
              i = slots_.at(i).next) {
             const mem::PhysAddr cand = cxl.frameAddress(i);
             if (cxl.frame(cand).content == content) {
@@ -381,6 +385,39 @@ PageStore::release(mem::PhysAddr addr)
     return freed;
 }
 
+void
+PageStore::prefetchIntern(uint64_t content) const
+{
+    if (cfg_.dedup)
+        index_.prefetch(hashContent(content));
+}
+
+void
+PageStore::releaseAll(const std::vector<mem::PhysAddr> &frames)
+{
+    // Two distances: a frame's state (Frame, slot, directory line)
+    // 2 * kLookahead ahead, then, once its slot has had time to
+    // arrive, the index entry the slot's hash is filed under.
+    constexpr size_t k = mem::kLookahead;
+    const size_t n = frames.size();
+    for (size_t i = 0; i < n; ++i) {
+        // As in Machine::forEachFrameAhead, adjacent frames are left
+        // to the hardware prefetcher.
+        if (i + 2 * k < n && frames[i + 2 * k].raw !=
+                                 frames[i + 2 * k - 1].raw + mem::kPageSize) {
+            machine_.prefetchFrameState(frames[i + 2 * k]);
+            if (cfg_.dedup && !cfg_.compress)
+                prefetch(uint32_t(slotIndexOf(frames[i + 2 * k])));
+        }
+        if (cfg_.dedup && i + k < n) {
+            const Slot *slot = slots_.peek(slotIndexOf(frames[i + k]));
+            if (slot && slot->indexed)
+                index_.prefetch(slot->hash);
+        }
+        release(frames[i]);
+    }
+}
+
 PageStoreAudit
 PageStore::audit() const
 {
@@ -395,15 +432,12 @@ PageStore::audit() const
         }
     };
     uint64_t chained = 0;
-    for (const auto &[h, head] : index_) {
-        if (head == kNoFrame)
-            fail(sim::format("empty bucket %#llx retained",
-                             (unsigned long long)h));
+    index_.forEach([&](uint64_t h, uint32_t head) {
         // A chain longer than the census has a cycle: stop there.
         for (uint32_t i = head; i != kNoFrame && chained <= uniquePages_;) {
             ++chained;
             const mem::PhysAddr f = cxl.frameAddress(i);
-            const Slot *slot = slots_.find(i);
+            const Slot *slot = slots_.peek(i);
             if (!slot || !slot->indexed) {
                 fail(sim::format("frame %#llx chained but not indexed",
                                  (unsigned long long)f.raw));
@@ -429,7 +463,7 @@ PageStore::audit() const
                                  (unsigned long long)f.raw));
             i = slot->next;
         }
-    }
+    });
     uint64_t indexed = 0;
     uint64_t codec = 0;
     slots_.forEach([&](uint64_t idx, const Slot &slot) {

@@ -25,8 +25,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "content_index.hh"
 #include "mem/frame_table.hh"
 #include "mem/machine.hh"
 #include "sim/clock.hh"
@@ -113,12 +114,12 @@ struct PageStoreAudit
 
 /**
  * The content-addressed page pool of one CXL device. With the codec
- * pipeline armed the store doubles as the machine's PageCodec hook:
- * checked reads of compressed pages charge their one-time decompress
- * latency through it, and the allocator's free notification drops
- * codec metadata (and delta parent references) when a frame dies.
+ * pipeline armed the store is also the machine's codec stage: checked
+ * reads of compressed pages charge their one-time decompress latency
+ * through it, and the allocator's free notification drops codec
+ * metadata (and delta parent references) when a frame dies.
  */
-class PageStore : public mem::PageCodec
+class PageStore : public mem::FabricStage
 {
   public:
     explicit PageStore(mem::Machine &machine, PageStoreConfig cfg = {});
@@ -170,7 +171,7 @@ class PageStore : public mem::PageCodec
     /** True if the store's content index owns this frame. */
     bool owns(mem::PhysAddr addr) const
     {
-        const Slot *slot = slots_.find(slotIndexOf(addr));
+        const Slot *slot = slots_.peek(slotIndexOf(addr));
         return slot && slot->indexed;
     }
 
@@ -186,10 +187,24 @@ class PageStore : public mem::PageCodec
     /** Live codec-tracked pages (drains to zero with the refcounts). */
     uint64_t codecPages() const { return codecPages_; }
 
-    // mem::PageCodec — the machine calls these on checked CXL reads
-    // and on frame frees; both are no-ops for untracked frames.
-    void onMaterialize(mem::PhysAddr addr, sim::SimClock &clock) override;
-    void frameFreed(mem::PhysAddr addr) override;
+    /**
+     * A batched pass will intern `content` soon: start loading the
+     * index entry its lookup begins at.
+     */
+    void prefetchIntern(uint64_t content) const;
+
+    /**
+     * release() each frame in order: the batched pass, warming the
+     * state each free touches mem::kLookahead frames ahead.
+     */
+    void releaseAll(const std::vector<mem::PhysAddr> &frames);
+
+    // mem::FabricStage — the machine calls these on checked CXL reads
+    // (charge a pending decompress), ahead of batched passes and on
+    // frame frees; all are no-ops for untracked frames.
+    void onTxn(mem::Txn &t) override;
+    void prefetch(uint32_t frame) const override;
+    void frameFreed(uint32_t frame) override;
 
   private:
     /** Slot link/parent value meaning "no frame". */
@@ -238,8 +253,12 @@ class PageStore : public mem::PageCodec
      * younger ones follow through Slot::next, so candidates compare
      * oldest first.
      */
-    std::unordered_map<uint64_t, uint32_t> index_;
-    /** Per-frame slots. The pass-through store never touches them. */
+    ContentIndex index_;
+    /**
+     * Per-frame slots. The pass-through store never touches them; a
+     * default slot is neither indexed nor codec-tracked, so lookups
+     * peek() and write only to slots at() touched.
+     */
     mem::FrameTable<Slot> slots_;
     uint64_t uniquePages_ = 0;
     uint64_t codecPages_ = 0;

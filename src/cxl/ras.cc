@@ -1,6 +1,7 @@
 #include "ras.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "page_store.hh"
 #include "sim/crc32.hh"
@@ -10,13 +11,12 @@ namespace cxlfork::cxl {
 
 using mem::kPageSize;
 
-RasManager::RasManager(mem::Machine &machine, PageStore &store, RasConfig cfg)
-    : machine_(machine), store_(store), cfg_(cfg)
+RasManager::RasManager(mem::Machine &machine, PageStore &store,
+                       const FabricTopology &topology, RasConfig cfg)
+    : machine_(machine), store_(store), topology_(topology), cfg_(cfg)
 {
     if (!cfg_.enabled)
         return;
-    if (cfg_.faultDomains == 0)
-        sim::fatal("RasManager: faultDomains must be >= 1");
     // Counters exist only when the layer is on: a disabled manager
     // leaves the metrics export byte-identical to a pre-RAS tree.
     sim::MetricsRegistry &m = machine_.metrics();
@@ -26,7 +26,7 @@ RasManager::RasManager(mem::Machine &machine, PageStore &store, RasConfig cfg)
     lostCounter_ = &m.counter("cxl.ras.pages_lost");
     scrubbedCounter_ = &m.counter("cxl.ras.pages_scrubbed");
     writeVerifyCounter_ = &m.counter("cxl.ras.write_verify_failures");
-    machine_.setPoisonRepairer(this);
+    machine_.installStage(mem::StageKind::Repair, this);
 }
 
 RasManager::~RasManager()
@@ -38,16 +38,8 @@ RasManager::~RasManager()
         }
         rec.replicas.clear();
     }
-    if (machine_.poisonRepairer() == this)
-        machine_.setPoisonRepairer(nullptr);
-}
-
-uint32_t
-RasManager::domainOf(mem::PhysAddr addr) const
-{
-    const uint64_t idx =
-        (addr.raw - machine_.cxl().base().raw) / kPageSize;
-    return uint32_t(idx % cfg_.faultDomains);
+    if (machine_.stage(mem::StageKind::Repair) == this)
+        machine_.installStage(mem::StageKind::Repair, nullptr);
 }
 
 mem::PhysAddr
@@ -138,17 +130,20 @@ RasManager::ensureReplicas(mem::PhysAddr primary, ReplicaSet &rec,
     mem::FrameAllocator &cxl = machine_.cxl();
 
     // Drop replicas that died: a poisoned replica protects nothing.
-    std::vector<mem::PhysAddr> healthy;
-    std::set<uint32_t> usedDomains{domainOf(primary)};
+    // Domains holding a live copy are bits of a mask (the topology has
+    // at most 64).
+    auto bit = [&](mem::PhysAddr a) { return uint64_t(1) << domainOf(a); };
+    uint64_t usedDomains = bit(primary);
+    size_t kept = 0;
     for (mem::PhysAddr r : rec.replicas) {
         if (cxl.frame(r).poisoned) {
             dropReplica(r);
         } else {
-            usedDomains.insert(domainOf(r));
-            healthy.push_back(r);
+            usedDomains |= bit(r);
+            rec.replicas[kept++] = r;
         }
     }
-    rec.replicas = std::move(healthy);
+    rec.replicas.resize(kept);
 
     // Place replacements on domains distinct from every live copy.
     // Candidates on an already-used domain are parked (so the
@@ -158,8 +153,8 @@ RasManager::ensureReplicas(mem::PhysAddr primary, ReplicaSet &rec,
     // domain rather than spinning.
     uint64_t written = 0;
     std::vector<mem::PhysAddr> rejects;
-    const uint32_t maxCandidates =
-        cfg_.faultDomains * (cfg_.replicas + 2) + 4;
+    const uint32_t domains = topology_.domains();
+    const uint32_t maxCandidates = domains * (cfg_.replicas + 2) + 4;
     uint32_t tried = 0;
     try {
         while (rec.replicas.size() < cfg_.replicas &&
@@ -168,8 +163,8 @@ RasManager::ensureReplicas(mem::PhysAddr primary, ReplicaSet &rec,
                 cxl.alloc(mem::FrameUse::Replica, rec.content);
             ++tried;
             const bool domainOk =
-                usedDomains.count(domainOf(cand)) == 0 ||
-                usedDomains.size() >= cfg_.faultDomains;
+                !(usedDomains & bit(cand)) ||
+                uint32_t(std::popcount(usedDomains)) >= domains;
             if (!domainOk || cxl.frame(cand).poisoned) {
                 rejects.push_back(cand);
                 continue;
@@ -186,7 +181,7 @@ RasManager::ensureReplicas(mem::PhysAddr primary, ReplicaSet &rec,
                 throw;
             }
             clock.advance(costs.cxlWrite(kPageSize));
-            usedDomains.insert(domainOf(cand));
+            usedDomains |= bit(cand);
             rec.replicas.push_back(cand);
             ++replicaFrames_;
             peakReplicaFrames_ =
@@ -383,7 +378,7 @@ RasManager::audit() const
                                  (unsigned long long)r.raw));
             // Distinctness is only provable while domains outnumber
             // copies; past that the placer legitimately doubles up.
-            if (domains.size() < cfg_.faultDomains &&
+            if (domains.size() < topology_.domains() &&
                 !domains.insert(domainOf(r)).second) {
                 fail(sim::format("replica %#llx shares a fault domain",
                                  (unsigned long long)r.raw));

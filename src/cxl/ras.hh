@@ -17,7 +17,7 @@
  * a cold start instead of serving corrupt restores.
  *
  * Everything is off by default (RasConfig::enabled == false): a
- * disabled manager registers no counters, installs no hooks, and every
+ * disabled manager registers no counters, installs no stage, and every
  * bench stays bit-identical to a tree without the RAS layer.
  */
 
@@ -32,6 +32,7 @@
 
 #include "mem/machine.hh"
 #include "sim/clock.hh"
+#include "topology.hh"
 
 namespace cxlfork::cxl {
 
@@ -55,9 +56,10 @@ struct RasConfig
 
     /**
      * Simulated fault domains the device is striped over (frame index
-     * modulo domains). Replicas are placed on domains distinct from
-     * the primary's and each other's, so one domain failure never
-     * takes out every copy.
+     * modulo domains): the fabric topology's domain count, which link
+     * health and the port queue read too. Replicas are placed on
+     * domains distinct from the primary's and each other's, so one
+     * domain failure never takes out every copy.
      */
     uint32_t faultDomains = 4;
 
@@ -91,11 +93,12 @@ struct RasAudit
     std::string detail;
 };
 
-/** The per-fabric RAS manager. */
-class RasManager : public mem::PoisonRepairer
+/** The per-fabric RAS manager: the pipeline's repair stage. */
+class RasManager : public mem::FabricStage
 {
   public:
-    RasManager(mem::Machine &machine, PageStore &store, RasConfig cfg);
+    RasManager(mem::Machine &machine, PageStore &store,
+               const FabricTopology &topology, RasConfig cfg);
     ~RasManager() override;
 
     RasManager(const RasManager &) = delete;
@@ -104,8 +107,11 @@ class RasManager : public mem::PoisonRepairer
     bool enabled() const { return cfg_.enabled; }
     const RasConfig &config() const { return cfg_; }
 
-    /** Fault domain of a device frame (frame index mod domains). */
-    uint32_t domainOf(mem::PhysAddr addr) const;
+    /** Fault domain of a device frame (the topology's striping). */
+    uint32_t domainOf(mem::PhysAddr addr) const
+    {
+        return topology_.domainOf(addr);
+    }
 
     // --- PageStore hooks (no-ops unless enabled).
 
@@ -128,7 +134,7 @@ class RasManager : public mem::PoisonRepairer
     /** A store-owned page was freed; drop its replicas and records. */
     void notePrimaryFreed(mem::PhysAddr addr);
 
-    // --- The repair ladder (mem::PoisonRepairer).
+    // --- The repair ladder (the repair stage).
 
     /**
      * Rung 1-2: rebuild the poisoned primary from a healthy replica
@@ -137,7 +143,14 @@ class RasManager : public mem::PoisonRepairer
      * reclaim referencing checkpoints, degrade to cold start).
      */
     bool repairPoisoned(mem::PhysAddr addr, sim::SimClock &clock,
-                        const char *site) override;
+                        const char *site);
+
+    /** A checked read found t.target poisoned: try the ladder. */
+    void
+    onTxn(mem::Txn &t) override
+    {
+        repairPoisoned(t.target, t.clock, t.site);
+    }
 
     // --- The background scrubber.
 
@@ -214,6 +227,7 @@ class RasManager : public mem::PoisonRepairer
 
     mem::Machine &machine_;
     PageStore &store_;
+    const FabricTopology &topology_;
     RasConfig cfg_;
 
     /** Primary frame -> its replica set; std::map for deterministic

@@ -57,14 +57,21 @@ SharedFs::write(const std::string &name, std::vector<uint8_t> encoded,
     uint64_t freshStoredBytes = 0;
     try {
         if (pageStore_.dedupEnabled() || pageStore_.compressEnabled()) {
-            for (uint64_t i = 0; i < pages; ++i) {
-                const InternResult r = pageStore_.intern(
-                    filePageToken(file.data, i, pages),
-                    mem::FrameUse::FileCache, clock, node);
-                file.frames.push_back(r.addr);
-                sharedPages += r.shared;
-                freshStoredBytes += r.storedBytes;
-            }
+            // The batched pass: every page's token first, then the
+            // interns in order, each index lookup started ahead.
+            std::vector<uint64_t> tokens(pages);
+            for (uint64_t i = 0; i < pages; ++i)
+                tokens[i] = filePageToken(file.data, i, pages);
+            mem::forEachAhead(
+                pages,
+                [&](size_t i) { pageStore_.prefetchIntern(tokens[i]); },
+                [&](size_t i) {
+                    const InternResult r = pageStore_.intern(
+                        tokens[i], mem::FrameUse::FileCache, clock, node);
+                    file.frames.push_back(r.addr);
+                    sharedPages += r.shared;
+                    freshStoredBytes += r.storedBytes;
+                });
         } else {
             for (uint64_t i = 0; i < pages; ++i) {
                 file.frames.push_back(
@@ -183,8 +190,7 @@ SharedFs::orphanFrameCount() const
 void
 SharedFs::releaseFrames(CxlFsFile &file)
 {
-    for (mem::PhysAddr f : file.frames)
-        pageStore_.release(f);
+    pageStore_.releaseAll(file.frames);
     usedBytes_ -= file.frames.size() * mem::kPageSize;
     file.frames.clear();
 }

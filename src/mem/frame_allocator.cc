@@ -112,7 +112,7 @@ FrameAllocator::release(PhysAddr addr, uint64_t idx)
     if (coherence_)
         coherence_->lineFreed(addr);
     if (codec_)
-        codec_->frameFreed(addr);
+        codec_->frameFreed(uint32_t(idx));
 }
 
 FrameAudit

@@ -21,7 +21,7 @@ class FaultInjector;
 namespace cxlfork::mem {
 
 class CoherenceModel;
-class PageCodec;
+class FabricStage;
 
 /**
  * Result of FrameAllocator::auditLive(): bookkeeping cross-check used
@@ -71,19 +71,19 @@ class FrameAllocator
     void setFaultInjector(sim::FaultInjector *inj) { injector_ = inj; }
 
     /**
-     * Attach the fabric coherence model: frames freed by decRef then
-     * notify it via lineFreed so directory state never outlives the
-     * frame (the shootdown-before-reuse guarantee). Nullptr detaches.
-     * Installed by Machine::setCoherence on the CXL tier only.
+     * Attach the fabric layers that keep per-frame state: frames freed
+     * by decRef notify the coherence model (lineFreed, so directory
+     * state never outlives the frame: the shootdown-before-reuse
+     * guarantee) and the codec stage (frameFreed, so codec metadata
+     * does not either). Nullptr detaches. Installed by the machine on
+     * the CXL tier only.
      */
-    void setCoherence(CoherenceModel *c) { coherence_ = c; }
-
-    /**
-     * Attach the compressed-page codec: frames freed by decRef then
-     * notify it so codec metadata never outlives the frame. Nullptr
-     * detaches. Installed by Machine::setPageCodec on the CXL tier.
-     */
-    void setCodec(PageCodec *c) { codec_ = c; }
+    void
+    setFreeHooks(CoherenceModel *coherence, FabricStage *codec)
+    {
+        coherence_ = coherence;
+        codec_ = codec;
+    }
 
     /** Mark an allocated frame poisoned (tests / targeted injection). */
     void poison(PhysAddr addr) { setPoisoned(frame(addr), true); }
@@ -167,6 +167,15 @@ class FrameAllocator
         if (offset >= capacity_) [[unlikely]]
             badAddress(addr);
         return offset / kPageSize;
+    }
+
+    /** Start loading the metadata of the frame at addr, if it has any. */
+    void
+    prefetch(PhysAddr addr) const
+    {
+        const uint64_t idx = (addr.raw - base_.raw) / kPageSize;
+        if (idx < frames_.size())
+            __builtin_prefetch(&frames_[idx]);
     }
 
     /** Address of frame number i: the inverse of frameNumber(). */
@@ -273,7 +282,7 @@ class FrameAllocator
     std::vector<uint64_t> freeList_;
     sim::FaultInjector *injector_ = nullptr;
     CoherenceModel *coherence_ = nullptr;
-    PageCodec *codec_ = nullptr;
+    FabricStage *codec_ = nullptr;
 };
 
 } // namespace cxlfork::mem

@@ -46,6 +46,41 @@ class FrameTable
         return const_cast<FrameTable *>(this)->find(i);
     }
 
+    /**
+     * The entry at index i, touched or not, or null if its chunk does
+     * not exist: one load fewer than find(), for tables whose default
+     * entry already reads as "nothing here" and whose callers write
+     * only to entries they know were touched.
+     */
+    T *
+    peek(uint64_t i)
+    {
+        Chunk *c = chunkOf(i);
+        return c ? &c->entries[i & kMask] : nullptr;
+    }
+
+    const T *
+    peek(uint64_t i) const
+    {
+        return const_cast<FrameTable *>(this)->peek(i);
+    }
+
+    /**
+     * Start loading the entry at index i, both ends of it (an entry
+     * may straddle two cache lines), and its touched bit.
+     */
+    void
+    prefetch(uint64_t i) const
+    {
+        if (const Chunk *c = chunkOf(i)) {
+            const uint64_t j = i & kMask;
+            const char *e = reinterpret_cast<const char *>(&c->entries[j]);
+            __builtin_prefetch(e);
+            __builtin_prefetch(e + sizeof(T) - 1);
+            __builtin_prefetch(&c->touched[j / 64]);
+        }
+    }
+
     /** The entry at index i, default-constructed on first touch. */
     T &
     at(uint64_t i)

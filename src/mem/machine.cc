@@ -45,59 +45,63 @@ Machine::setFaultConfig(const sim::FaultConfig &cfg)
 }
 
 void
-Machine::setCoherence(CoherenceModel *c)
+Machine::installStage(StageKind kind, FabricStage *stage, uint32_t domains)
+{
+    if (stage && (kind == StageKind::Link || kind == StageKind::Queue)) {
+        const StageKind other =
+            kind == StageKind::Link ? StageKind::Queue : StageKind::Link;
+        if (domains == 0)
+            sim::fatal("fabric stages need at least one fault domain");
+        if (stages_[size_t(other)] && striping_.domains() != domains)
+            sim::fatal("fabric link and queue stages disagree on the "
+                       "fault domains (%u vs %u)",
+                       striping_.domains(), domains);
+        striping_ = DomainStriping(domains);
+    }
+    stages_[size_t(kind)] = stage;
+    // The transaction list, in pipeline order. A severed link never
+    // reaches the device port, and a degraded link's extra wire latency
+    // is charged before the port sees the arrival.
+    txnStages_ = 0;
+    for (StageKind k : {StageKind::Link, StageKind::Queue}) {
+        if (FabricStage *s = stages_[size_t(k)])
+            txnList_[txnStages_++] = s;
+    }
+    // The allocator tells the codec about frees directly so a reused
+    // CXL frame can never inherit a previous tenant's codec metadata.
+    cxl_->setFreeHooks(coherence_, stages_[size_t(StageKind::Codec)]);
+}
+
+void
+Machine::installCoherence(CoherenceModel *c)
 {
     coherence_ = c;
     // The allocator tells the directory about frees directly so a
     // reused CXL frame can never serve the previous tenant's tokens.
-    cxl_->setCoherence(c);
+    cxl_->setFreeHooks(coherence_, stages_[size_t(StageKind::Codec)]);
 }
 
 void
-Machine::setPageCodec(PageCodec *c)
+Machine::runTransaction(Txn &t)
 {
-    codec_ = c;
-    // The allocator tells the codec about frees directly so a reused
-    // CXL frame can never inherit a previous tenant's codec metadata.
-    cxl_->setCodec(c);
-}
-
-void
-Machine::cxlTransaction(sim::SimClock &clock, const char *site,
-                        NodeId node, PhysAddr target, bool isRead)
-{
-    cxlTxnCounter_->inc();
-    // Every fabric transaction is a crash site: the issuing node can
-    // die before the transaction commits. Free when crash mode is off.
-    injector_.crashPoint(site);
-    // Link health before the transient ladder: a severed path cannot
-    // carry the transaction at all, so transient retries over it would
-    // be fiction. Only node-attributed traffic crosses a node's link.
-    if (link_ && node != kInvalidNode)
-        link_->onTransaction(node, target, isRead, clock, site);
-    // Queue behind the link model: a transaction a severed link cannot
-    // carry never occupies the device port, and a degraded link's extra
-    // wire latency is charged before the port sees the arrival. Null
-    // targets are control-plane messages (cacheline-sized); addressed
-    // traffic moves a page.
-    if (queue_) {
-        queue_->onTransaction(node, target, isRead,
-                              target.isNull() ? costs_.cachelineSize
-                                              : costs_.pageSize,
-                              clock, site);
-    }
+    for (uint32_t i = 0; i < txnStages_; ++i)
+        txnList_[i]->onTxn(t);
     if (!injector_.armed())
         return;
+    fabricWork_.retryDraws += injector_.config().cxlTransientRate > 0.0;
+    if (injector_.drawTransient()) [[unlikely]]
+        retryLadder(t);
+}
+
+void
+Machine::retryLadder(Txn &t)
+{
     // The generic retry policy: bounded attempts with exponential
     // backoff, optional seeded jitter, optional per-op time budget.
     // With jitter and budget at their zero defaults the schedule draws
     // nothing extra and charges the exact pre-policy delay sequence.
     sim::BackoffSchedule sched(injector_.config().retryPolicy());
-    const bool draws = injector_.config().cxlTransientRate > 0.0;
-    for (;;) {
-        fabricWork_.retryDraws += draws;
-        if (!injector_.drawTransient())
-            break;
+    do {
         const std::optional<sim::SimTime> delay =
             sched.next(&injector_.backoffRng());
         if (!delay) {
@@ -107,19 +111,38 @@ Machine::cxlTransaction(sim::SimClock &clock, const char *site,
                 throw sim::TransientFaultError(sim::format(
                     "CXL transaction at %s failed %u times; op budget "
                     "%s exhausted after %s of backoff",
-                    site, sched.retries() + 1,
+                    t.site, sched.retries() + 1,
                     injector_.config().opBudget.toString().c_str(),
                     sched.spent().toString().c_str()));
             }
             throw sim::TransientFaultError(sim::format(
-                "CXL transaction at %s failed %u times (budget %u)", site,
-                sched.retries() + 1, injector_.config().maxRetries));
+                "CXL transaction at %s failed %u times (budget %u)",
+                t.site, sched.retries() + 1,
+                injector_.config().maxRetries));
         }
         // Retry after backoff, in simulated time; the next draw decides
         // whether the retry itself fails.
-        clock.advance(*delay);
+        t.clock.advance(*delay);
         injector_.noteTransientRetried();
         cxlRetryCounter_->inc();
+        ++fabricWork_.retryDraws;
+    } while (injector_.drawTransient());
+}
+
+void
+Machine::repairOrThrow(Txn &t, const Frame &f)
+{
+    // The repair ladder's first rung: a repair stage, when installed,
+    // gets one chance to rebuild a CXL frame from a replica before the
+    // loss escalates. DRAM frames are outside the RAS domain.
+    FabricStage *repair = stages_[size_t(StageKind::Repair)];
+    if (repair && tierOf(t.target) == Tier::Cxl)
+        repair->onTxn(t);
+    if (f.poisoned) {
+        throw sim::PoisonedFrameError(
+            sim::format("poisoned frame %#llx read at %s (data lost)",
+                        (unsigned long long)t.target.raw, t.site),
+            originOf(t.target));
     }
 }
 
@@ -128,26 +151,24 @@ Machine::readFrameChecked(PhysAddr addr, sim::SimClock &clock,
                           const char *site, NodeId node)
 {
     const Frame &f = frame(addr);
-    if (f.poisoned) {
-        // The repair ladder's first rung: a RAS manager, when
-        // installed, gets one chance to rebuild the frame from a
-        // replica before the loss escalates.
-        if (!repairer_ || !repairer_->repairPoisoned(addr, clock, site)) {
-            throw sim::PoisonedFrameError(
-                sim::format("poisoned frame %#llx read at %s (data lost)",
-                            (unsigned long long)addr.raw, site),
-                originOf(addr));
+    if (tierOf(addr) != Tier::Cxl) {
+        if (f.poisoned) [[unlikely]] {
+            Txn t = makeTxn(clock, site, node, addr, true, true);
+            repairOrThrow(t, f);
         }
-        CXLF_ASSERT(!f.poisoned);
-    }
-    if (tierOf(addr) == Tier::Cxl) {
-        cxlFrameReadCounter_->inc();
-        cxlTransaction(clock, site, node, addr, /*isRead=*/true);
-        if (codec_)
-            codec_->onMaterialize(addr, clock);
-    } else {
         dramFrameReadCounter_->inc();
+        return f.content;
     }
+    Txn t = makeTxn(clock, site, node, addr, /*isRead=*/true, true);
+    if (f.poisoned) [[unlikely]]
+        repairOrThrow(t, f);
+    cxlFrameReadCounter_->inc();
+    cxlTxnCounter_->inc();
+    injector_.crashPoint(site);
+    if (txnStages_ != 0 || injector_.armed())
+        runTransaction(t);
+    if (FabricStage *codec = stages_[size_t(StageKind::Codec)])
+        codec->onTxn(t);
     return f.content;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cache.hh"
+#include "fabric_stage.hh"
 #include "frame_allocator.hh"
 #include "sim/clock.hh"
 #include "sim/cost_model.hh"
@@ -28,36 +29,16 @@
 namespace cxlfork::mem {
 
 /**
- * Restore-time poison repair hook. The machine's readFrameChecked is
- * the single chokepoint every mechanism's fault and prefetch paths
- * read checkpoint frames through; when a repairer is installed (by the
- * CXL fabric's RAS manager) a poisoned read gets one chance to be
- * repaired in place before the PoisonedFrameError escalates. Defined
- * here — not in cxl — because mem cannot depend on the cxl layer.
- */
-class PoisonRepairer
-{
-  public:
-    virtual ~PoisonRepairer() = default;
-
-    /**
-     * Try to repair the poisoned frame at `addr` in place, charging
-     * repair traffic to `clock`. @return true when the frame is clean
-     * and the read may proceed; false when the data is truly lost.
-     */
-    virtual bool repairPoisoned(PhysAddr addr, sim::SimClock &clock,
-                                const char *site) = 0;
-};
-
-/**
  * Fabric coherence hook. When installed (by the CXL fabric's
  * CoherenceDirectory) every CXL-tier frame access routed through
  * Machine::readFrame/writeFrame consults the directory, which tracks
  * per-line MESI state, charges coherence traffic to the accessing
  * node's clock, and — in software-coherency (HDM-D) mode — decides
  * which content token the reader actually observes. Defined here — not
- * in cxl — because mem cannot depend on the cxl layer (the same
- * pattern as PoisonRepairer above).
+ * in cxl — because mem cannot depend on the cxl layer. Unlike the
+ * pipeline's stages (fabric_stage.hh) the directory is consulted by
+ * node reads and writes, not by transactions, so it keeps its own
+ * interface.
  *
  * Null by default: with no model installed the fabric is magically
  * coherent and every access behaves exactly as before this hook
@@ -103,118 +84,9 @@ class CoherenceModel
      * tokens — the shootdown-before-reuse guarantee.
      */
     virtual void lineFreed(PhysAddr addr) = 0;
-};
 
-/**
- * Compressed-page codec hook. When installed (by the CXL fabric's
- * PageStore with its codec pipeline armed) every checked read of a
- * CXL-tier frame gives the codec a chance to charge the one-time
- * decompress cost of a compressed checkpoint page ("decompress on
- * first materialization"), and the CXL allocator notifies it when a
- * frame frees so codec metadata never outlives the frame. Defined here
- * — not in cxl — because mem cannot depend on the cxl layer (the same
- * pattern as PoisonRepairer above).
- *
- * Null by default: with no codec installed every read path is
- * bit-identical to the uncompressed tree.
- */
-class PageCodec
-{
-  public:
-    virtual ~PageCodec() = default;
-
-    /**
-     * A checked read is materializing the frame at `addr`; charge any
-     * pending decompress latency to `clock`.
-     */
-    virtual void onMaterialize(PhysAddr addr, sim::SimClock &clock) = 0;
-
-    /** The frame was freed; drop any codec metadata for it. */
-    virtual void frameFreed(PhysAddr addr) = 0;
-};
-
-/**
- * Fabric link-health hook. When installed (by the CXL fabric's
- * LinkHealth manager) every *node-attributed* fabric transaction routed
- * through Machine::cxlTransaction consults the model, which tracks the
- * per-(node, fault-domain) link state: a degraded link charges extra
- * latency to the issuing node's clock, and a severed link either
- * reroutes the access to a RAS replica on a reachable domain (reads
- * only — the page content is replicated byte-identically) or raises
- * sim::FabricPartitionError. Defined here — not in cxl — because mem
- * cannot depend on the cxl layer (the same pattern as PoisonRepairer).
- *
- * Null by default: with no model installed the fabric is always
- * reachable and every path is bit-identical to the pre-partition tree.
- * Transactions with no issuing node (kInvalidNode — device-internal RAS
- * traffic, tests poking the machine directly) bypass the model: only
- * node-attributed traffic crosses a node's link.
- */
-class FabricLinkModel
-{
-  public:
-    virtual ~FabricLinkModel() = default;
-
-    /**
-     * Node `n` issues one fabric transaction toward the device domain
-     * holding `addr` (a null addr is control-plane traffic — journal
-     * records, heartbeat probes — which rides domain 0). Charges
-     * degraded-link latency to `clock`; throws
-     * sim::FabricPartitionError when the path is severed and, for
-     * addressed reads, no replica on a reachable domain can serve it.
-     * `isRead` gates the replica-reroute rung: a write through a
-     * severed path can never be silently redirected.
-     */
-    virtual void onTransaction(NodeId n, PhysAddr addr, bool isRead,
-                               sim::SimClock &clock, const char *site) = 0;
-};
-
-/**
- * Fabric queuing hook. When installed (by the CXL fabric's
- * FabricQueueModel) every transaction routed through
- * Machine::cxlTransaction — and the coherence directory's own control
- * traffic — is enqueued on a simulated-time device-port queue, which
- * charges the issuing clock whatever queueing delay the port's current
- * occupancy implies. Defined here — not in cxl — because mem cannot
- * depend on the cxl layer (the same pattern as PoisonRepairer above).
- *
- * Unlike FabricLinkModel this hook also sees transactions with no
- * issuing node (kInvalidNode): device-internal traffic occupies the
- * shared port like anyone else's, it just rides a distinct issuer so
- * the cross-stream interference accounting stays honest.
- *
- * Null by default: with no queue installed the fabric port has
- * infinite service capacity and every path is bit-identical to the
- * pre-contention tree.
- */
-class FabricQueue
-{
-  public:
-    virtual ~FabricQueue() = default;
-
-    /**
-     * One fabric transaction of `bytes` payload from node `n` (or
-     * kInvalidNode for device-internal traffic) toward `addr` (null =
-     * control-plane, domain 0). Charges any queueing delay to `clock`;
-     * never throws — a queued transaction is merely late, not lost.
-     */
-    virtual void onTransaction(NodeId n, PhysAddr addr, bool isRead,
-                               uint64_t bytes, sim::SimClock &clock,
-                               const char *site) = 0;
-};
-
-/**
- * Host work of the armed fabric layers: how many transactions each
- * stage saw and how often the content index was probed. Plain tallies
- * for the pinned work counts; no clock, RNG stream, metric or span
- * reads them.
- */
-struct FabricWork
-{
-    uint64_t linkTxns = 0;    ///< Transactions the link stage checked.
-    uint64_t queueTxns = 0;   ///< Transactions the port queue took.
-    uint64_t retryDraws = 0;  ///< Transient draws of the retry ladder.
-    uint64_t indexProbes = 0; ///< Content-index lookups and updates.
+    /** A batched pass reaches the line at `addr` soon: warm its state. */
+    virtual void prefetchLine(PhysAddr addr) const { (void)addr; }
 };
 
 /** Machine construction parameters. */
@@ -291,53 +163,29 @@ class Machine
     void setFaultConfig(const sim::FaultConfig &cfg);
 
     /**
-     * Install (or clear, with nullptr) the poison repair hook that
-     * readFrameChecked consults before escalating a poisoned read.
-     * Null by default: without a repairer the poisoned path throws
-     * exactly as before the RAS layer existed.
+     * Arm (or, with nullptr, disarm) the pipeline stage of one kind and
+     * rebuild the stage lists (fabric_stage.hh). `domains` is the
+     * fabric topology's fault-domain count; the machine computes each
+     * transaction's domain from it once, so the link and queue stages
+     * must be installed with the same count. Nothing is installed by
+     * default: the lists are empty and every path is bit-identical to
+     * a machine without fabric layers.
      */
-    void setPoisonRepairer(PoisonRepairer *r) { repairer_ = r; }
-    PoisonRepairer *poisonRepairer() const { return repairer_; }
+    void installStage(StageKind kind, FabricStage *stage,
+                      uint32_t domains = 1);
+    FabricStage *stage(StageKind kind) const
+    {
+        return stages_[size_t(kind)];
+    }
 
     /**
      * Install (or clear, with nullptr) the fabric coherence model that
-     * readFrame/writeFrame consult on CXL-tier accesses. Also arms the
-     * CXL allocator's free-notification hook so frame reuse resets
-     * directory lines. Null by default: the fabric stays magically
-     * coherent and every access path is bit-identical to the pre-
-     * coherence tree.
+     * readFrame/writeFrame consult on CXL-tier accesses. Null by
+     * default: the fabric stays magically coherent and every access
+     * path is bit-identical to the pre-coherence tree.
      */
-    void setCoherence(CoherenceModel *c);
+    void installCoherence(CoherenceModel *c);
     CoherenceModel *coherence() const { return coherence_; }
-
-    /**
-     * Install (or clear, with nullptr) the compressed-page codec that
-     * readFrameChecked consults on CXL-tier reads. Also arms the CXL
-     * allocator's free notification so codec metadata is dropped on
-     * frame reuse. Null by default: reads stay bit-identical to the
-     * uncompressed tree.
-     */
-    void setPageCodec(PageCodec *c);
-    PageCodec *pageCodec() const { return codec_; }
-
-    /**
-     * Install (or clear, with nullptr) the fabric link-health model
-     * that node-attributed cxlTransaction calls consult. Null by
-     * default: every link is permanently Up and each path is
-     * bit-identical to the pre-partition tree.
-     */
-    void setLinkModel(FabricLinkModel *m) { link_ = m; }
-    FabricLinkModel *linkModel() const { return link_; }
-
-    /**
-     * Install (or clear, with nullptr) the fabric queuing model that
-     * cxlTransaction consults after the link model (a severed path
-     * never reaches the device port) and before the transient retry
-     * ladder. Null by default: infinite service capacity, every path
-     * bit-identical to the pre-contention tree.
-     */
-    void setFabricQueue(FabricQueue *q) { queue_ = q; }
-    FabricQueue *fabricQueue() const { return queue_; }
 
     /**
      * Node-attributed read of a frame's content token: the failure
@@ -449,35 +297,101 @@ class Machine
     }
 
     /**
-     * Model one CXL transaction (a page copy or bulk store) under
-     * injection: transient errors are retried up to the configured
-     * budget with exponential backoff charged to `clock`. Throws
-     * sim::TransientFaultError once the budget is exhausted. A no-op
-     * when injection is disarmed.
-     *
-     * `node` attributes the transaction to the issuing node so an
-     * installed FabricLinkModel can apply that node's link state
-     * (degraded latency, severed → sim::FabricPartitionError); the
-     * default kInvalidNode bypasses the link model (device-internal
-     * traffic never crosses a node's link). `target` names the device
-     * address the transaction is headed for — it selects the fault
-     * domain, and for reads (`isRead`) it enables the replica-reroute
-     * rung; a null target is control-plane traffic on domain 0.
+     * Model one CXL transaction (a page copy or bulk store): mint a
+     * crash site, then run the pipeline's transaction list: link ->
+     * queue -> retry. The link stage applies node `node`'s link state
+     * (degraded latency, severed -> sim::FabricPartitionError);
+     * kInvalidNode bypasses it, as device-internal traffic crosses no
+     * node's link. The queue charges the port's queueing delay. The
+     * retry ladder, whenever injection is armed, retries transient
+     * errors with exponential backoff charged to `clock` and throws
+     * sim::TransientFaultError once the budget is exhausted. `target`
+     * names the device address the transaction is headed for: it
+     * selects the fault domain, and for reads (`isRead`) it enables
+     * the link's replica-reroute rung; a null target is control-plane
+     * traffic on domain 0. With no stage installed and injection
+     * disarmed, nothing but the crash site and the count happens.
      */
-    void cxlTransaction(sim::SimClock &clock, const char *site,
-                        NodeId node = kInvalidNode,
-                        PhysAddr target = PhysAddr{},
-                        bool isRead = false);
+    void
+    cxlTransaction(sim::SimClock &clock, const char *site,
+                   NodeId node = kInvalidNode, PhysAddr target = PhysAddr{},
+                   bool isRead = false)
+    {
+        cxlTxnCounter_->inc();
+        injector_.crashPoint(site);
+        if (txnStages_ != 0 || injector_.armed()) {
+            Txn t = makeTxn(clock, site, node, target, isRead, true);
+            runTransaction(t);
+        }
+    }
 
     /**
-     * Read a frame's content token through the failure model: poisoned
-     * frames machine-check (sim::PoisonedFrameError); CXL-tier reads
-     * additionally pass through cxlTransaction, node-attributed when
-     * the caller knows the issuing node.
+     * Charge one transaction's port occupancy and nothing else: the
+     * pipeline's port list (the queue stage) runs with no crash site,
+     * no link check and no transient draw. For traffic already counted
+     * by another path that still occupies the device port: the
+     * coherence directory's control messages, the CRIU bulk image read
+     * and a checkpoint page migration. A no-op without a queue.
+     */
+    void
+    chargePort(sim::SimClock &clock, const char *site, NodeId node,
+               PhysAddr target, bool isRead, uint64_t bytes)
+    {
+        if (FabricStage *q = stages_[size_t(StageKind::Queue)]) {
+            Txn t = makeTxn(clock, site, node, target, isRead, false);
+            t.bytes = uint32_t(bytes);
+            q->onTxn(t);
+        }
+    }
+
+    /**
+     * Read a frame's content token through the failure model, as the
+     * pipeline's checked-read list: repair -> transaction -> codec. A
+     * poisoned frame gets the repair stage's one chance to be rebuilt,
+     * then machine-checks (sim::PoisonedFrameError) if still poisoned;
+     * a CXL-tier read is a transaction, node-attributed when the
+     * caller knows the issuing node, and then lets the codec charge a
+     * pending decompress.
      */
     uint64_t readFrameChecked(PhysAddr addr, sim::SimClock &clock,
                               const char *site,
                               NodeId node = kInvalidNode);
+
+    /**
+     * Start loading what a checked read and a directory touch of CXL
+     * frame `addr` will need: its Frame, the codec stage's state for
+     * it and the directory's line.
+     */
+    void
+    prefetchFrameState(PhysAddr addr) const
+    {
+        cxl_->prefetch(addr);
+        if (FabricStage *codec = stages_[size_t(StageKind::Codec)])
+            codec->prefetch(cxlFrameOf(addr));
+        if (coherence_)
+            coherence_->prefetchLine(addr);
+    }
+
+    /**
+     * The batched pass (forEachAhead) over a known list of CXL frames:
+     * fn(frame) for each in order, prefetchFrameState() kLookahead
+     * frames ahead wherever the list jumps. A frame right after its
+     * predecessor is left to the hardware prefetcher: every per-frame
+     * table is indexed by frame number, so a run of adjacent frames is
+     * a sequential walk, and prefetching it by hand measured slower.
+     */
+    template <typename Fn>
+    void
+    forEachFrameAhead(const std::vector<PhysAddr> &frames, Fn &&fn)
+    {
+        forEachAhead(
+            frames.size(),
+            [&](size_t i) {
+                if (frames[i].raw != frames[i - 1].raw + kPageSize)
+                    prefetchFrameState(frames[i]);
+            },
+            [&](size_t i) { fn(frames[i]); });
+    }
 
     /**
      * Which tier an address lives on. Pure window arithmetic: anything
@@ -549,6 +463,42 @@ class Machine
     /** ownerOf's panic for an address in no tier's window. */
     [[noreturn]] static void noOwner(PhysAddr addr);
 
+    /** CXL frame number of a device address (no range check). */
+    static uint32_t
+    cxlFrameOf(PhysAddr addr)
+    {
+        return uint32_t((addr.raw - kCxlBase) / kPageSize);
+    }
+
+    /** The record every stage of one transaction sees. */
+    Txn
+    makeTxn(sim::SimClock &clock, const char *site, NodeId node,
+            PhysAddr target, bool isRead, bool mayCrash) const
+    {
+        const bool addressed = !target.isNull();
+        const uint32_t frame = addressed ? cxlFrameOf(target) : 0;
+        return Txn{clock,
+                   site,
+                   target,
+                   frame,
+                   addressed ? striping_.domainOf(frame) : 0,
+                   node,
+                   uint32_t(addressed ? costs_.pageSize
+                                      : costs_.cachelineSize),
+                   isRead,
+                   mayCrash};
+    }
+
+    /** The transaction list past the crash site: stages, then retry. */
+    void runTransaction(Txn &t);
+
+    /** The retry ladder past a first transient: backoff and redraw
+     *  until a draw succeeds or the budget is exhausted. */
+    void retryLadder(Txn &t);
+
+    /** A poisoned checked read: the repair stage's chance, or throw. */
+    void repairOrThrow(Txn &t, const Frame &f);
+
     sim::CostParams costs_;
     sim::FaultInjector injector_;
     mutable sim::Tracer tracer_;
@@ -558,11 +508,13 @@ class Machine
     std::unique_ptr<FrameAllocator> cxl_;
     std::vector<CacheModel> llc_;
     uint64_t cxlCapacity_ = 0;
-    PoisonRepairer *repairer_ = nullptr;
     CoherenceModel *coherence_ = nullptr;
-    PageCodec *codec_ = nullptr;
-    FabricLinkModel *link_ = nullptr;
-    FabricQueue *queue_ = nullptr;
+    /** Installed stages by kind; the lists below are built from them. */
+    FabricStage *stages_[kStageKinds] = {};
+    /** The transaction list: link, then queue, whichever are armed. */
+    FabricStage *txnList_[2] = {};
+    uint32_t txnStages_ = 0;
+    DomainStriping striping_;
 
     // Hot-path metric handles, resolved once at construction so the
     // per-transaction cost is a pointer bump instead of a string-keyed

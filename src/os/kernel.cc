@@ -390,14 +390,11 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
                            "checkpoint migrate");
     // The page pull crosses the shared device port: with the fabric
     // queue armed it occupies the read lane like any demand read. The
-    // hook is charged directly rather than via cxlTransaction so the
-    // migration mints no new crash site and pays the link model only
+    // port is charged directly rather than via cxlTransaction so the
+    // migration mints no new crash site and pays the link stage only
     // once (readFrame's checked twin already covers both).
-    if (mem::FabricQueue *q = machine_.fabricQueue()) {
-        q->onTransaction(id_, ckptPte.frame(), /*isRead=*/true,
-                         machine_.costs().pageSize, clock_,
-                         "checkpoint migrate");
-    }
+    machine_.chargePort(clock_, "checkpoint migrate", id_, ckptPte.frame(),
+                        /*isRead=*/true, machine_.costs().pageSize);
     const mem::PhysAddr frame = localDram().alloc(
         mem::FrameUse::Data, isWrite ? contentOnWrite : content);
     FrameGuard guard(localDram(), frame);

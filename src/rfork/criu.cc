@@ -130,41 +130,45 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     // nothing and touches no counters.
     // With the codec pipeline armed every image page pays its one-time
     // decompress on this bulk read (the checked read routes it through
-    // the codec hook); off, the scan stays peek-only and free.
+    // the codec stage); off, the scan stays peek-only and free.
     // With no layer armed and no poisoned frame on the device, the scan
     // would do nothing but assert, in frame(), that each image frame is
     // allocated. framesSurelyLive() proves that in constant time, so
     // the scan is skipped; it runs, asserts included, whenever the
     // proof fails.
     const bool compressed = fabric_.pageStore().compressEnabled();
-    const bool scan = compressed || machine.fabricQueue() ||
-                      machine.coherence() ||
+    const bool queued = machine.stage(mem::StageKind::Queue) != nullptr;
+    mem::CoherenceModel *const coherence = machine.coherence();
+    const bool scan = compressed || queued || coherence ||
                       machine.cxl().poisonedFrames() != 0 ||
                       !h->framesSurelyLive(machine.cxl());
     if (scan) {
-        for (mem::PhysAddr fr : file->frames) {
-            if (machine.frame(fr).poisoned || compressed) {
+        // The batched pass over the image's known frame list: each
+        // frame's state is loaded kLookahead frames ahead.
+        machine.forEachFrameAhead(file->frames, [&](mem::PhysAddr fr) {
+            if (compressed || machine.frame(fr).poisoned) {
                 machine.readFrameChecked(fr, clock, "criu image read",
                                          target.id());
-            } else if (mem::FabricQueue *q = machine.fabricQueue()) {
+            } else if (queued) {
                 // Queue armed: the eager bulk read still occupies the
                 // device port page by page — this is precisely where an
-                // up-front copy loses to lazy faults under contention. The
-                // checked read above already routes through the queue; the
-                // clean-frame path charges the hook directly so it mints
-                // no crash site and stays free when the queue is off.
-                q->onTransaction(target.id(), fr, /*isRead=*/true,
-                                 costs.pageSize, clock, "criu image read");
+                // up-front copy loses to lazy faults under contention.
+                // The checked read above already routes through the
+                // queue; the clean-frame path charges the port directly
+                // so it mints no crash site.
+                machine.chargePort(clock, "criu image read", target.id(),
+                                   fr, /*isRead=*/true, costs.pageSize);
             }
-            if (machine.coherence()) {
+            if (coherence) {
                 // Directory on: the bulk read is additionally a
-                // coherence-visible touch (sharer tracking + tax, nothing
-                // in the shared fabric counters), and the target drops
-                // its copy right after the one-shot parse.
-                machine.touchFrame(fr, target.id(), clock, "criu image read");
+                // coherence-visible touch (sharer tracking + tax,
+                // nothing in the shared fabric counters), and the
+                // target drops its copy right after the one-shot parse.
+                machine.touchFrame(fr, target.id(), clock,
+                                   "criu image read");
                 machine.evictFrame(fr, target.id(), clock);
             }
-        }
+        });
     }
     if (!fabric_.sharedFs().verify(h->fileName())) {
         throw sim::CorruptImageError(sim::format(

@@ -5,11 +5,9 @@
 namespace cxlfork::sim {
 
 void
-SimClock::advance(SimTime d)
+SimClock::negativeCharge(SimTime d)
 {
-    if (d < SimTime::zero())
-        panic("SimClock::advance with negative duration %f ns", d.toNs());
-    now_ += d;
+    panic("SimClock::advance with negative duration %f ns", d.toNs());
 }
 
 void

@@ -22,7 +22,13 @@ class SimClock
     SimTime now() const { return now_; }
 
     /** Charge a duration. Negative charges are a caller bug. */
-    void advance(SimTime d);
+    void
+    advance(SimTime d)
+    {
+        if (d < SimTime::zero()) [[unlikely]]
+            negativeCharge(d);
+        now_ += d;
+    }
 
     /** Jump to an absolute point >= now (event-driven use). */
     void advanceTo(SimTime t);
@@ -30,6 +36,9 @@ class SimClock
     void reset() { now_ = SimTime::zero(); }
 
   private:
+    /** advance()'s panic for a negative duration. */
+    [[noreturn]] static void negativeCharge(SimTime d);
+
     SimTime now_;
 };
 

@@ -209,17 +209,12 @@ FaultInjector::noteRecovery(uint64_t reclaimed, uint64_t completed)
         orphansCompletedCounter_->inc(completed);
 }
 
-bool
-FaultInjector::drawTransient()
+void
+FaultInjector::noteTransientInjected()
 {
-    if (cfg_.cxlTransientRate <= 0.0)
-        return false;
-    if (!transientRng_.chance(cfg_.cxlTransientRate))
-        return false;
     ++stats_.transientsInjected;
     if (injectedCounter_)
         injectedCounter_->inc();
-    return true;
 }
 
 bool
@@ -245,28 +240,6 @@ FaultInjector::drawTornWrite()
     ++stats_.tornWrites;
     if (tornCounter_)
         tornCounter_->inc();
-    return true;
-}
-
-bool
-FaultInjector::drawLinkSever()
-{
-    if (cfg_.linkSeverRate <= 0.0)
-        return false;
-    if (!linkSeverRng_.chance(cfg_.linkSeverRate))
-        return false;
-    ++stats_.linkSeversInjected;
-    return true;
-}
-
-bool
-FaultInjector::drawLinkDegrade()
-{
-    if (cfg_.linkDegradeRate <= 0.0)
-        return false;
-    if (!linkDegradeRng_.chance(cfg_.linkDegradeRate))
-        return false;
-    ++stats_.linkDegradesInjected;
     return true;
 }
 

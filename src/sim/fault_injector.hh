@@ -147,7 +147,15 @@ class FaultInjector
     void setConfig(const FaultConfig &cfg);
 
     /** Draw: does the next CXL transaction fail transiently? */
-    bool drawTransient();
+    bool
+    drawTransient()
+    {
+        if (cfg_.cxlTransientRate <= 0.0 ||
+            !transientRng_.chance(cfg_.cxlTransientRate))
+            return false;
+        noteTransientInjected();
+        return true;
+    }
 
     /** Draw: is the next allocated CXL frame poisoned? */
     bool drawPoison();
@@ -156,10 +164,26 @@ class FaultInjector
     bool drawTornWrite();
 
     /** Draw: does this transaction flap its link into Severed? */
-    bool drawLinkSever();
+    bool
+    drawLinkSever()
+    {
+        if (cfg_.linkSeverRate <= 0.0 ||
+            !linkSeverRng_.chance(cfg_.linkSeverRate))
+            return false;
+        ++stats_.linkSeversInjected;
+        return true;
+    }
 
     /** Draw: does this transaction degrade its link? */
-    bool drawLinkDegrade();
+    bool
+    drawLinkDegrade()
+    {
+        if (cfg_.linkDegradeRate <= 0.0 ||
+            !linkDegradeRng_.chance(cfg_.linkDegradeRate))
+            return false;
+        ++stats_.linkDegradesInjected;
+        return true;
+    }
 
     /**
      * Deterministic victim selection for a torn write: which of n
@@ -278,6 +302,9 @@ class FaultInjector
 
   private:
     void crashPointSlow(const char *site);
+
+    /** drawTransient's bookkeeping for an injected transient. */
+    void noteTransientInjected();
 
     FaultConfig cfg_;
     bool armed_ = false;

@@ -20,8 +20,25 @@ class Rng
   public:
     explicit Rng(uint64_t seed = 0x5eed'cafe'f00d'd00dULL) : eng_(seed) {}
 
-    /** Uniform in [0, 1). */
-    double uniform() { return unit_(eng_); }
+    /**
+     * Uniform in [0, 1): the draw std::uniform_real_distribution<double>
+     * makes over mt19937_64 in libstdc++ (one 64-bit draw, converted
+     * and scaled by 2^-64, kept below 1), bit for bit, without the
+     * conversion's branch on the draw's top bit. The two 32-bit halves
+     * convert exactly and one correctly rounded add gives the same
+     * double as the direct conversion.
+     */
+    double uniform() { return unitOf(eng_()); }
+
+    /** The uniform() value of one raw 64-bit draw. */
+    static double
+    unitOf(uint64_t x)
+    {
+        const double d =
+            double(uint32_t(x >> 32)) * 0x1p32 + double(uint32_t(x));
+        const double u = d * 0x1p-64;
+        return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+    }
 
     /** Uniform in [lo, hi). */
     double
@@ -82,7 +99,6 @@ class Rng
 
   private:
     std::mt19937_64 eng_;
-    std::uniform_real_distribution<double> unit_{0.0, 1.0};
 };
 
 } // namespace cxlfork::sim

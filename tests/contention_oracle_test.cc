@@ -57,12 +57,14 @@ bareMachine(uint32_t nodes = 2)
     return mc;
 }
 
+/** One fault domain: a single read lane and a single write lane. */
+const FabricTopology kOneLane(2, 1);
+
 FabricQueueConfig
 oneLaneConfig()
 {
     FabricQueueConfig qc;
     qc.enabled = true;
-    qc.domains = 1;
     qc.holPenalty = sim::SimTime::zero(); // isolate the pure wait
     return qc;
 }
@@ -85,7 +87,7 @@ measuredMeanWaitNs(double rho, uint64_t arrivals, uint64_t warmup,
                    uint64_t seed)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, oneLaneConfig());
+    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     const double s = q.serviceTime(true, kPageSize).toNs();
     const double meanInterarrival = s / rho;
@@ -101,8 +103,8 @@ measuredMeanWaitNs(double rho, uint64_t arrivals, uint64_t warmup,
         // arriving customer.
         sim::SimClock clock;
         clock.advance(sim::SimTime::ns(t));
-        q.onTransaction(NodeId(i % 2), addr, true, kPageSize, clock,
-                        "oracle");
+        machine.chargePort(clock, "oracle",
+                           NodeId(i % 2), addr, true, kPageSize);
         if (i >= warmup) {
             waitSum += clock.now().toNs() - t;
             ++measured;
@@ -144,9 +146,9 @@ TEST(FabricQueueUnit, DisabledInstallsNothing)
 {
     mem::Machine machine(bareMachine());
     FabricQueueConfig qc; // enabled defaults to false
-    FabricQueueModel q(machine, qc);
+    FabricQueueModel q(machine, kOneLane, qc);
     EXPECT_FALSE(q.enabled());
-    EXPECT_EQ(machine.fabricQueue(), nullptr);
+    EXPECT_EQ(machine.stage(mem::StageKind::Queue), nullptr);
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 0u);
 }
 
@@ -154,20 +156,20 @@ TEST(FabricQueueUnit, InstallsAndUninstallsHook)
 {
     mem::Machine machine(bareMachine());
     {
-        FabricQueueModel q(machine, oneLaneConfig());
-        EXPECT_EQ(machine.fabricQueue(), &q);
+        FabricQueueModel q(machine, kOneLane, oneLaneConfig());
+        EXPECT_EQ(machine.stage(mem::StageKind::Queue), &q);
     }
-    EXPECT_EQ(machine.fabricQueue(), nullptr);
+    EXPECT_EQ(machine.stage(mem::StageKind::Queue), nullptr);
 }
 
 TEST(FabricQueueUnit, SelfStreamNeverCharges)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, oneLaneConfig());
+    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock clock;
     for (int i = 0; i < 50; ++i)
-        q.onTransaction(0, addr, true, kPageSize, clock, "self");
+        machine.chargePort(clock, "self", 0, addr, true, kPageSize);
     EXPECT_TRUE(clock.now().isZero())
         << "a node queueing behind itself must not be charged";
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 0u);
@@ -177,19 +179,19 @@ TEST(FabricQueueUnit, SelfStreamNeverCharges)
 TEST(FabricQueueUnit, UnattributedTrafficNeitherChargesNorIsCharged)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, oneLaneConfig());
+    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock device;
-    q.onTransaction(mem::kInvalidNode, addr, true, kPageSize, device,
-                    "device");
+    machine.chargePort(device, "device",
+                       mem::kInvalidNode, addr, true, kPageSize);
     sim::SimClock n0;
-    q.onTransaction(0, addr, true, kPageSize, n0, "n0");
+    machine.chargePort(n0, "n0", 0, addr, true, kPageSize);
     EXPECT_TRUE(n0.now().isZero())
         << "device-internal occupancy must not charge an attributed "
            "stream on its own";
     sim::SimClock dev2;
-    q.onTransaction(mem::kInvalidNode, addr, true, kPageSize, dev2,
-                    "device2");
+    machine.chargePort(dev2, "device2",
+                       mem::kInvalidNode, addr, true, kPageSize);
     EXPECT_TRUE(dev2.now().isZero());
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 0u);
 }
@@ -199,18 +201,18 @@ TEST(FabricQueueUnit, CrossStreamChargesAndCountsHeadOfLine)
     mem::Machine machine(bareMachine());
     FabricQueueConfig qc = oneLaneConfig();
     qc.holPenalty = sim::SimTime::ns(120);
-    FabricQueueModel q(machine, qc);
+    FabricQueueModel q(machine, kOneLane, qc);
     const PhysAddr addr = machine.cxl().base();
     const double s = q.serviceTime(true, kPageSize).toNs();
 
     sim::SimClock n0;
-    q.onTransaction(0, addr, true, kPageSize, n0, "n0");
+    machine.chargePort(n0, "n0", 0, addr, true, kPageSize);
     EXPECT_TRUE(n0.now().isZero()); // empty lane: no wait
 
     // Node 1 arrives at t=0 while node 0's page is in service: waits
     // out the full residual service plus the HoL turnaround.
     sim::SimClock n1;
-    q.onTransaction(1, addr, true, kPageSize, n1, "n1");
+    machine.chargePort(n1, "n1", 1, addr, true, kPageSize);
     EXPECT_DOUBLE_EQ(n1.now().toNs(), s + 120.0);
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 1u);
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.hol_blocks"),
@@ -224,27 +226,26 @@ TEST(FabricQueueUnit, CrossStreamChargesAndCountsHeadOfLine)
 TEST(FabricQueueUnit, ReadAndWriteLanesAreIndependent)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, oneLaneConfig());
+    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
 
     sim::SimClock n0;
-    q.onTransaction(0, addr, /*isRead=*/true, kPageSize, n0, "n0.read");
+    machine.chargePort(n0, "n0.read", 0, addr, /*isRead=*/true, kPageSize);
     // Node 1 *writes*: different lane, no interference.
     sim::SimClock n1;
-    q.onTransaction(1, addr, /*isRead=*/false, kPageSize, n1, "n1.write");
+    machine.chargePort(n1, "n1.write", 1, addr, /*isRead=*/false, kPageSize);
     EXPECT_TRUE(n1.now().isZero());
     // But a read from node 1 queues behind node 0's read.
     sim::SimClock n1r;
-    q.onTransaction(1, addr, /*isRead=*/true, kPageSize, n1r, "n1.read");
+    machine.chargePort(n1r, "n1.read", 1, addr, /*isRead=*/true, kPageSize);
     EXPECT_GT(n1r.now().toNs(), 0.0);
 }
 
 TEST(FabricQueueUnit, DomainsStripeLikeRas)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueConfig qc = oneLaneConfig();
-    qc.domains = 4;
-    FabricQueueModel q(machine, qc);
+    const FabricTopology fourDomains(2, 4);
+    FabricQueueModel q(machine, fourDomains, oneLaneConfig());
     const uint64_t base = machine.cxl().base().raw;
     EXPECT_EQ(q.domainOf(PhysAddr{base}), 0u);
     EXPECT_EQ(q.domainOf(PhysAddr{base + kPageSize}), 1u);
@@ -253,10 +254,10 @@ TEST(FabricQueueUnit, DomainsStripeLikeRas)
 
     // Cross-node traffic on different domains never queues.
     sim::SimClock n0;
-    q.onTransaction(0, PhysAddr{base}, true, kPageSize, n0, "d0");
+    machine.chargePort(n0, "d0", 0, PhysAddr{base}, true, kPageSize);
     sim::SimClock n1;
-    q.onTransaction(1, PhysAddr{base + kPageSize}, true, kPageSize, n1,
-                    "d1");
+    machine.chargePort(n1, "d1",
+                       1, PhysAddr{base + kPageSize}, true, kPageSize);
     EXPECT_TRUE(n1.now().isZero());
 }
 
@@ -265,29 +266,29 @@ TEST(FabricQueueUnit, BackgroundResidualIsDeterministic)
     mem::Machine machine(bareMachine());
     FabricQueueConfig qc = oneLaneConfig();
     qc.backgroundUtilization = 0.5;
-    FabricQueueModel q(machine, qc);
+    FabricQueueModel q(machine, kOneLane, qc);
     const PhysAddr addr = machine.cxl().base();
     const double s = q.serviceTime(true, kPageSize).toNs();
     // Period = s / rho = 2s. An arrival at t=0 lands at the start of
     // the background's service window: full residual s.
     sim::SimClock c0;
-    q.onTransaction(0, addr, true, kPageSize, c0, "bg0");
+    machine.chargePort(c0, "bg0", 0, addr, true, kPageSize);
     EXPECT_DOUBLE_EQ(c0.now().toNs(), s);
     // An arrival in the idle half of the period is untouched.
     sim::SimClock c1;
     c1.advance(sim::SimTime::ns(1.5 * s));
-    q.onTransaction(0, addr, true, kPageSize, c1, "bg1");
+    machine.chargePort(c1, "bg1", 0, addr, true, kPageSize);
     EXPECT_DOUBLE_EQ(c1.now().toNs(), 1.5 * s);
 }
 
 TEST(FabricQueueUnit, DrainRetiresEverythingExactlyOnce)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, oneLaneConfig());
+    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock clock;
     for (int i = 0; i < 10; ++i)
-        q.onTransaction(0, addr, i % 2 == 0, kPageSize, clock, "drain");
+        machine.chargePort(clock, "drain", 0, addr, i % 2 == 0, kPageSize);
     EXPECT_EQ(q.enqueued(), 10u);
     EXPECT_GT(q.inFlight(), 0u);
     q.drain();

@@ -166,13 +166,13 @@ class WorkMeter
     WorkCounts
     now() const
     {
-        const mem::Machine &m = cluster_.machine();
+        mem::Machine &m = cluster_.machine();
         const sim::MetricsRegistry &r = m.metrics();
         const mem::FabricWork &w = m.fabricWork();
         WorkCounts c;
         c.transactions = r.counterValue("mem.cxl.transactions");
         c.linkTxns = w.linkTxns;
-        c.queueTxns = w.queueTxns;
+        c.queueTxns = cluster_.fabricQueue()->enqueued();
         c.retryDraws = w.retryDraws;
         for (const char *name :
              {"cxl.coherence.lookups", "cxl.coherence.evictions",
@@ -238,9 +238,9 @@ TEST(FabricWork, ArmedCountsPinned)
     // {transactions, link, queue, retry draws, coherence messages,
     //  index probes, CRC bytes, allocations}
     EXPECT_EQ(checkpoint, (WorkCounts{6468, 6154, 15664, 6468, 27588, 21381,
-                                      791549, 28212}));
+                                      791549, 2675}));
     EXPECT_EQ(restore, (WorkCounts{33066, 29784, 36042, 33070, 67137, 0,
-                                   2084058, 6705}));
+                                   2084058, 5587}));
     EXPECT_EQ(reclaim, (WorkCounts{0, 0, 0, 0, 0, 9059, 0, 28}));
 }
 

@@ -44,7 +44,7 @@ TEST(LinkHealth, DisabledByDefaultInstallsNoHook)
     porter::ClusterConfig cfg = linkClusterConfig();
     cfg.link.enabled = false;
     porter::Cluster cluster(cfg);
-    EXPECT_EQ(cluster.machine().linkModel(), nullptr);
+    EXPECT_EQ(cluster.machine().stage(mem::StageKind::Link), nullptr);
     // Disabled introspection answers "healthy" for everything.
     cxl::LinkHealth *lh = cluster.linkHealth();
     if (lh != nullptr) {
@@ -61,7 +61,7 @@ TEST(LinkHealth, SeveredLinkRaisesTypedErrorWithOrigin)
 {
     porter::Cluster cluster(linkClusterConfig());
     cxl::LinkHealth &lh = *cluster.linkHealth();
-    ASSERT_EQ(cluster.machine().linkModel(), &lh);
+    ASSERT_EQ(cluster.machine().stage(mem::StageKind::Link), &lh);
 
     lh.sever(1);
     EXPECT_TRUE(lh.nodeSevered(1));

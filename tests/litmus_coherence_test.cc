@@ -618,8 +618,9 @@ TEST(LitmusContention, BackInvalidationsQueueBehindDataTraffic)
         LitmusWorld w(cfgOf(CoherenceMode::HdmH));
         FabricQueueConfig qc;
         qc.enabled = armed;
-        qc.domains = 1; // one lane: the flood and the binvs collide
-        FabricQueueModel q(w.machine, qc);
+        // One domain, one lane: the flood and the binvs collide.
+        const FabricTopology oneDomain(w.machine.numNodes(), 1);
+        FabricQueueModel q(w.machine, oneDomain, qc);
 
         const PhysAddr a = w.line(kOld);
         w.ld(a, 0);
@@ -655,14 +656,13 @@ TEST(LitmusContention, BackInvalidationsQueueBehindDataTraffic)
 }
 
 /** Records the line address of every crash-cleanup message. */
-struct CrashCleanupRecorder final : mem::FabricQueue
+struct CrashCleanupRecorder final : mem::FabricStage
 {
     void
-    onTransaction(NodeId, PhysAddr addr, bool, uint64_t, sim::SimClock &,
-                  const char *site) override
+    onTxn(mem::Txn &t) override
     {
-        if (std::string_view(site) == "coherence.crash.binv")
-            addrs.push_back(addr);
+        if (std::string_view(t.site) == "coherence.crash.binv")
+            addrs.push_back(t.target);
     }
 
     std::vector<PhysAddr> addrs;
@@ -676,7 +676,7 @@ TEST(LitmusWalkOrder, WalksRunInAscendingAddressOrder)
     // address order, whatever container holds the lines.
     LitmusWorld w(cfgOf(CoherenceMode::HdmD));
     CrashCleanupRecorder rec;
-    w.machine.setFabricQueue(&rec);
+    w.machine.installStage(mem::StageKind::Queue, &rec);
     std::vector<PhysAddr> lines;
     for (int i = 0; i < 32; ++i)
         lines.push_back(w.line(kOld + i));
@@ -691,7 +691,7 @@ TEST(LitmusWalkOrder, WalksRunInAscendingAddressOrder)
     EXPECT_EQ(rec.addrs, lines)
         << "crash cleanup must charge and queue lines in address order";
     EXPECT_EQ(w.ctr("cxl.coherence.crash_cleanups"), lines.size());
-    w.machine.setFabricQueue(nullptr);
+    w.machine.installStage(mem::StageKind::Queue, nullptr);
     w.expectClean();
 }
 

@@ -56,10 +56,10 @@ constexpr uint32_t kNodes = 6;
 class ShadowQueue
 {
   public:
-    ShadowQueue(const FabricQueueConfig &cfg, double pageBytes)
-        : cfg_(cfg), pageBytes_(pageBytes),
-          lanes_(size_t(cfg.domains) * 2),
-          busyUntilNs_(size_t(cfg.domains) * 2, 0.0)
+    ShadowQueue(const FabricQueueConfig &cfg, uint32_t domains,
+                double pageBytes)
+        : cfg_(cfg), pageBytes_(pageBytes), lanes_(size_t(domains) * 2),
+          busyUntilNs_(size_t(domains) * 2, 0.0)
     {
     }
 
@@ -171,15 +171,16 @@ fuzzOneSeed(uint64_t seed)
 
     FabricQueueConfig qc;
     qc.enabled = true;
-    qc.domains = uint32_t(1 + rng.index(4));
+    const uint32_t domains = uint32_t(1 + rng.index(4));
     qc.serviceReadGBs = rng.uniform(2.0, 20.0);
     qc.serviceWriteGBs = rng.uniform(2.0, 20.0);
     qc.holPenalty = sim::SimTime::ns(rng.chance(0.5) ? 120.0 : 0.0);
     qc.backgroundUtilization = rng.chance(0.25) ? rng.uniform(0.1, 0.6) : 0.0;
 
     mem::Machine machine(fuzzMachine());
-    FabricQueueModel q(machine, qc);
-    ShadowQueue shadow(qc, double(machine.costs().pageSize));
+    const FabricTopology topology(machine.numNodes(), domains);
+    FabricQueueModel q(machine, topology, qc);
+    ShadowQueue shadow(qc, domains, double(machine.costs().pageSize));
     const sim::MetricsRegistry &m = machine.metrics();
     const uint64_t base = machine.cxl().base().raw;
 
@@ -189,7 +190,7 @@ fuzzOneSeed(uint64_t seed)
     std::vector<bool> severed(kNodes + 1, false);
 
     // Per-lane horizon history for the monotonicity invariant.
-    std::vector<double> lastBusyUntil(size_t(qc.domains) * 2, 0.0);
+    std::vector<double> lastBusyUntil(size_t(domains) * 2, 0.0);
 
     const double meanGapNs = 200.0;
     for (uint64_t step = 0; step < kSteps; ++step) {
@@ -241,7 +242,7 @@ fuzzOneSeed(uint64_t seed)
 
             sim::SimClock clock;
             clock.advance(sim::SimTime::ns(streamNowNs[si]));
-            q.onTransaction(n, addr, isRead, bytes, clock, "fuzz");
+            machine.chargePort(clock, "fuzz", n, addr, isRead, bytes);
             const double chargedNs =
                 clock.now().toNs() - streamNowNs[si];
 
@@ -277,7 +278,7 @@ fuzzOneSeed(uint64_t seed)
         }
 
         // Lane horizons are monotone non-decreasing.
-        for (uint32_t d = 0; d < qc.domains; ++d) {
+        for (uint32_t d = 0; d < domains; ++d) {
             for (bool isRead : {true, false}) {
                 const size_t li = size_t(d) * 2 + (isRead ? 0 : 1);
                 const double bu = q.busyUntil(d, isRead).toNs();

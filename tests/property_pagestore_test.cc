@@ -239,14 +239,13 @@ TEST(PageStoreCollision, ByteCompareRejectsHashAliases)
 }
 
 /** Records the target of every page-store collision-check read. */
-struct CollisionCheckRecorder final : mem::FabricQueue
+struct CollisionCheckRecorder final : mem::FabricStage
 {
     void
-    onTransaction(mem::NodeId, mem::PhysAddr addr, bool, uint64_t,
-                  sim::SimClock &, const char *site) override
+    onTxn(mem::Txn &t) override
     {
-        if (std::string_view(site) == "pagestore collision check")
-            targets.push_back(addr);
+        if (std::string_view(t.site) == "pagestore collision check")
+            targets.push_back(t.target);
     }
 
     std::vector<mem::PhysAddr> targets;
@@ -261,7 +260,7 @@ TEST(PageStoreChain, OldestFirstAndUnlinkAnywhere)
 {
     mem::Machine machine(test::smallConfig());
     CollisionCheckRecorder rec;
-    machine.setFabricQueue(&rec);
+    machine.installStage(mem::StageKind::Queue, &rec);
     PageStoreConfig cfg;
     cfg.dedup = true;
     cfg.hashBits = 4; // 16 buckets
@@ -356,7 +355,7 @@ TEST(PageStoreChain, OldestFirstAndUnlinkAnywhere)
     EXPECT_FALSE(fresh.shared);
     EXPECT_EQ(rec.targets.size(), checks);
     store.release(fresh.addr);
-    machine.setFabricQueue(nullptr);
+    machine.installStage(mem::StageKind::Queue, nullptr);
 }
 
 TEST(PageStoreSlotsDeathTest, AddressesOutsideTheDevicePanic)

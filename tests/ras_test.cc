@@ -199,8 +199,8 @@ TEST(RasManager, DisabledManagerTouchesNothing)
     // No cxl.ras.* counters registered: export is byte-identical.
     EXPECT_EQ(off.machine->metrics().toJson().find("cxl.ras"),
               std::string::npos);
-    // And the machine has no repairer wired in.
-    EXPECT_EQ(off.machine->poisonRepairer(), nullptr);
+    // And the machine has no repair stage wired in.
+    EXPECT_EQ(off.machine->stage(mem::StageKind::Repair), nullptr);
 }
 
 TEST(RasManager, ZeroReplicasProtectsNothing)

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <random>
 
 #include "sim/rng.hh"
 
@@ -35,6 +37,54 @@ TEST(Rng, UniformInUnitInterval)
         sum += v;
     }
     EXPECT_NEAR(sum / 10000, 0.5, 0.02);
+}
+
+/** Hands out one fixed 64-bit value: a URBG for edge draws. */
+struct FixedDraw
+{
+    using result_type = uint64_t;
+    static constexpr uint64_t min() { return 0; }
+    static constexpr uint64_t max() { return ~uint64_t(0); }
+    uint64_t operator()() { return value; }
+    uint64_t value;
+};
+
+// uniform() replaces std::uniform_real_distribution<double>(0, 1) over
+// mt19937_64 without changing a single draw: every seeded stream, and so
+// every digest and golden, depends on it.
+TEST(Rng, UniformMatchesTheStandardDistributionBitForBit)
+{
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const uint64_t top = uint64_t(1) << 63;
+    const uint64_t edges[] = {0,
+                              1,
+                              uint64_t(1) << 53,
+                              (uint64_t(1) << 53) + 1,
+                              top - 1,
+                              top,
+                              top + 1,
+                              top + 0x400, // a tie: rounds to even
+                              top + 0xc00, // a tie: rounds up
+                              0x7ffffffffffffe00ull,
+                              ~uint64_t(0) - 2047,
+                              ~uint64_t(0) - 1025,
+                              ~uint64_t(0) - 1024,
+                              ~uint64_t(0) - 1023, // rounds to 2^64: clamped
+                              ~uint64_t(0)};
+    for (uint64_t x : edges) {
+        FixedDraw g{x};
+        const double want = unit(g);
+        const double got = Rng::unitOf(x);
+        EXPECT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+            << std::hex << x << ": " << want << " vs " << got;
+    }
+    std::mt19937_64 eng(12345);
+    Rng rng(12345);
+    for (int i = 0; i < 1000000; ++i) {
+        const double want = unit(eng);
+        const double got = rng.uniform();
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof want), 0) << "draw " << i;
+    }
 }
 
 TEST(Rng, UniformRange)
