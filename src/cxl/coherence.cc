@@ -94,28 +94,26 @@ CoherenceDirectory::lineIndexOf(mem::PhysAddr addr) const
 CoherenceDirectory::Line *
 CoherenceDirectory::liveLine(uint64_t idx)
 {
-    // A never-touched line is default, not live: peek() suffices.
-    Line *line = lines_.peek(idx);
-    return line && line->live ? line : nullptr;
+    // Touched <=> tracked: the dense touched bits answer for a line
+    // with no state without loading the line.
+    return lines_.find(idx);
 }
 
 const CoherenceDirectory::Line *
 CoherenceDirectory::liveLine(uint64_t idx) const
 {
-    const Line *line = lines_.peek(idx);
-    return line && line->live ? line : nullptr;
+    return lines_.find(idx);
 }
 
 CoherenceDirectory::Line &
 CoherenceDirectory::lineAt(uint64_t idx, uint64_t initialVisible)
 {
+    if (Line *line = lines_.find(idx))
+        return *line;
     Line &line = lines_.at(idx);
-    if (!line.live) {
-        line.live = true;
-        line.visible = initialVisible;
-        line.device = initialVisible;
-        ++tracked_;
-    }
+    line.visible = initialVisible;
+    line.device = initialVisible;
+    ++tracked_;
     return line;
 }
 
@@ -127,6 +125,7 @@ CoherenceDirectory::forgetLine(uint64_t idx, Line &line)
             tokens_.erase(tokenKey(idx, mem::NodeId(std::countr_zero(m)), k));
     }
     line = Line{};
+    lines_.untouch(idx);
     --tracked_;
 }
 
@@ -452,8 +451,6 @@ CoherenceDirectory::onNodeCrash(mem::NodeId n, sim::SimClock &clock)
     const sim::CostParams &c = machine_.costs();
     const uint64_t bit = 1ull << n;
     lines_.forEach([&](uint64_t idx, Line &line) {
-        if (!line.live)
-            return;
         if ((line.sharers | line.pendingMask | line.cachedMask) & bit) {
             crashCleanups_->inc();
             // One back-invalidation round per line the crashed node
@@ -479,7 +476,7 @@ CoherenceDirectory::pendingLines(mem::NodeId n) const
 {
     std::vector<mem::PhysAddr> out;
     lines_.forEach([&](uint64_t idx, const Line &line) {
-        if (line.live && (line.pendingMask >> n & 1))
+        if (line.pendingMask >> n & 1)
             out.push_back(machine_.cxl().frameAddress(idx));
     });
     return out;
@@ -505,7 +502,7 @@ CoherenceDirectory::auditInvariants() const
     std::optional<std::string> bad;
     uint64_t maskBits = 0;
     lines_.forEach([&](uint64_t idx, const Line &line) {
-        if (bad || !line.live)
+        if (bad)
             return;
         auto fail = [&](const char *why) {
             bad = sim::format("coherence line %llu (%s, owner %d, "

@@ -192,7 +192,6 @@ class CoherenceDirectory final : public mem::CoherenceModel
         uint64_t device = 0;
         int32_t owner = -1;
         MesiState state = MesiState::Invalid;
-        bool live = false; ///< Tracked: the line holds directory state.
 
         /** Safe to forget: no state and nothing left to mask. */
         bool droppable() const
@@ -250,8 +249,9 @@ class CoherenceDirectory final : public mem::CoherenceModel
     mem::Machine &machine_;
     CoherenceConfig cfg_;
     /**
-     * Indexed by line (CXL frame number). The table walks in ascending
-     * line order, which keeps the onNodeCrash/pendingLines/audit walks
+     * Indexed by line (CXL frame number); a line is touched exactly
+     * while it is tracked. The table walks in ascending line order,
+     * which keeps the onNodeCrash/pendingLines/audit walks
      * deterministic (asserted by LitmusWalkOrder and the golden and
      * parallel-sweep suites).
      */

@@ -96,6 +96,19 @@ class FrameTable
         return c.entries[j];
     }
 
+    /**
+     * Forget entry i (the caller has reset it): find() and forEach()
+     * skip it until at() touches it again.
+     */
+    void
+    untouch(uint64_t i)
+    {
+        if (Chunk *c = chunkOf(i)) {
+            const uint64_t j = i & kMask;
+            c->touched[j / 64] &= ~(uint64_t(1) << (j % 64));
+        }
+    }
+
     /** Visit every touched entry as fn(index, entry), ascending. */
     template <typename Fn>
     void

@@ -151,24 +151,26 @@ Machine::readFrameChecked(PhysAddr addr, sim::SimClock &clock,
                           const char *site, NodeId node)
 {
     const Frame &f = frame(addr);
+    if (f.poisoned) [[unlikely]] {
+        Txn t = makeTxn(clock, site, node, addr, /*isRead=*/true, true);
+        repairOrThrow(t, f);
+    }
     if (tierOf(addr) != Tier::Cxl) {
-        if (f.poisoned) [[unlikely]] {
-            Txn t = makeTxn(clock, site, node, addr, true, true);
-            repairOrThrow(t, f);
-        }
         dramFrameReadCounter_->inc();
         return f.content;
     }
-    Txn t = makeTxn(clock, site, node, addr, /*isRead=*/true, true);
-    if (f.poisoned) [[unlikely]]
-        repairOrThrow(t, f);
     cxlFrameReadCounter_->inc();
     cxlTxnCounter_->inc();
     injector_.crashPoint(site);
-    if (txnStages_ != 0 || injector_.armed())
-        runTransaction(t);
-    if (FabricStage *codec = stages_[size_t(StageKind::Codec)])
-        codec->onTxn(t);
+    FabricStage *codec = stages_[size_t(StageKind::Codec)];
+    const bool transact = txnStages_ != 0 || injector_.armed();
+    if (transact || codec) {
+        Txn t = makeTxn(clock, site, node, addr, /*isRead=*/true, true);
+        if (transact)
+            runTransaction(t);
+        if (codec)
+            codec->onTxn(t);
+    }
     return f.content;
 }
 
