@@ -163,7 +163,7 @@ PageStore::onTxn(mem::Txn &t)
         return;
     sim::SimClock &clock = t.clock;
     // Charge the one-time decompress before any recursive parent read:
-    // the parent fetch re-enters this hook, and clearing the flag first
+    // the parent fetch re-enters this stage, and clearing the flag first
     // keeps a (hypothetical) cycle from recursing forever.
     slot->pendingDecompress = false;
     const sim::CostParams &costs = machine_.costs();
@@ -205,7 +205,7 @@ PageStore::frameFreed(uint32_t frame)
     slot->pendingDecompress = false;
     --codecPages_;
     // Dropping the delta's parent reference may free the parent in
-    // turn, re-entering this hook; the allocator's decRef bookkeeping
+    // turn, re-entering this stage; the allocator's decRef bookkeeping
     // is complete before it notifies, so the recursion is safe (and at
     // most one level deep — parents are never deltas).
     if (parent != kNoFrame)

@@ -87,11 +87,10 @@ RasManager::noteShared(mem::PhysAddr addr, sim::SimClock &clock)
 {
     if (!cfg_.enabled || cfg_.replicas == 0)
         return;
-    auto it = tracked_.find(addr.raw);
-    if (it != tracked_.end()) {
+    if (isTracked(addr)) {
         // Already protected: opportunistically top back up to K (a
         // replica may have died since).
-        ensureReplicas(addr, it->second, clock);
+        ensureReplicas(addr, tracked_.at(addr.raw), clock);
         return;
     }
     const mem::Frame &f = machine_.cxl().frame(addr);
@@ -107,19 +106,41 @@ RasManager::noteShared(mem::PhysAddr addr, sim::SimClock &clock)
     // by the tracked record instead of dying with a local temporary.
     auto [slot, inserted] = tracked_.emplace(addr.raw, std::move(rec));
     CXLF_ASSERT(inserted);
+    setTracked(addr, true);
     ensureReplicas(addr, slot->second, clock);
 }
 
 void
 RasManager::notePrimaryFreed(mem::PhysAddr addr)
 {
-    lost_.erase(addr.raw);
-    auto it = tracked_.find(addr.raw);
-    if (it == tracked_.end())
+    if (!lost_.empty())
+        lost_.erase(addr.raw);
+    if (!isTracked(addr))
         return;
+    auto it = tracked_.find(addr.raw);
     for (mem::PhysAddr r : it->second.replicas)
         dropReplica(r);
     tracked_.erase(it);
+    setTracked(addr, false);
+}
+
+bool
+RasManager::isTracked(mem::PhysAddr addr) const
+{
+    const uint64_t i = machine_.cxl().frameNumber(addr);
+    return i / 64 < trackedBits_.size() &&
+           (trackedBits_[i / 64] >> i % 64 & 1);
+}
+
+void
+RasManager::setTracked(mem::PhysAddr addr, bool on)
+{
+    const uint64_t i = machine_.cxl().frameNumber(addr);
+    if (i / 64 >= trackedBits_.size())
+        trackedBits_.resize(i / 64 + 1, 0);
+    const uint64_t bit = uint64_t(1) << i % 64;
+    trackedBits_[i / 64] = on ? trackedBits_[i / 64] | bit
+                              : trackedBits_[i / 64] & ~bit;
 }
 
 uint64_t

@@ -230,9 +230,16 @@ class RasManager : public mem::FabricStage
     const FabricTopology &topology_;
     RasConfig cfg_;
 
+    /** Is there a tracked_ record for this primary? */
+    bool isTracked(mem::PhysAddr addr) const;
+    void setTracked(mem::PhysAddr addr, bool on);
+
     /** Primary frame -> its replica set; std::map for deterministic
      *  scrub order. */
     std::map<uint64_t, ReplicaSet> tracked_;
+    /** A bit per device frame, set while tracked_ holds its record, so
+     *  frees and shares of unprotected pages skip the map. */
+    std::vector<uint64_t> trackedBits_;
     std::set<uint64_t> lost_;
     uint64_t scrubCursor_ = 0; ///< Resume key for scrubStep.
     uint64_t replicaFrames_ = 0;
