@@ -151,14 +151,14 @@ PageStore::recordCompressed(mem::PhysAddr addr, uint64_t content,
 CodecClass
 PageStore::codecClassOf(mem::PhysAddr addr) const
 {
-    const Slot *slot = slots_.peek(slotIndexOf(addr));
+    const Slot *slot = slots_.find(slotIndexOf(addr));
     return slot && slot->codec ? slot->cls : CodecClass::Raw;
 }
 
 void
 PageStore::onTxn(mem::Txn &t)
 {
-    Slot *slot = slots_.peek(t.frame);
+    Slot *slot = slots_.find(t.frame);
     if (!slot || !slot->pendingDecompress)
         return;
     sim::SimClock &clock = t.clock;
@@ -194,7 +194,7 @@ PageStore::frameFreed(uint32_t frame)
 {
     if (deltaAnchor_.raw != 0 && slotIndexOf(deltaAnchor_) == frame)
         deltaAnchor_ = mem::PhysAddr{0};
-    Slot *slot = slots_.peek(frame);
+    Slot *slot = slots_.find(frame);
     if (!slot || !slot->codec)
         return;
     const uint32_t parent = slot->parent;
@@ -236,7 +236,7 @@ void
 PageStore::unindex(mem::PhysAddr addr)
 {
     const auto idx = uint32_t(slotIndexOf(addr));
-    Slot *slot = slots_.peek(idx);
+    Slot *slot = slots_.find(idx);
     if (!slot || !slot->indexed)
         return;
     ++machine_.fabricWork().indexProbes;
@@ -410,7 +410,7 @@ PageStore::releaseAll(const std::vector<mem::PhysAddr> &frames)
                 prefetch(uint32_t(slotIndexOf(frames[i + 2 * k])));
         }
         if (cfg_.dedup && i + k < n) {
-            const Slot *slot = slots_.peek(slotIndexOf(frames[i + k]));
+            const Slot *slot = slots_.find(slotIndexOf(frames[i + k]));
             if (slot && slot->indexed)
                 index_.prefetch(slot->hash);
         }
@@ -437,7 +437,7 @@ PageStore::audit() const
         for (uint32_t i = head; i != kNoFrame && chained <= uniquePages_;) {
             ++chained;
             const mem::PhysAddr f = cxl.frameAddress(i);
-            const Slot *slot = slots_.peek(i);
+            const Slot *slot = slots_.find(i);
             if (!slot || !slot->indexed) {
                 fail(sim::format("frame %#llx chained but not indexed",
                                  (unsigned long long)f.raw));

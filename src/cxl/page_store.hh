@@ -171,7 +171,7 @@ class PageStore : public mem::FabricStage
     /** True if the store's content index owns this frame. */
     bool owns(mem::PhysAddr addr) const
     {
-        const Slot *slot = slots_.peek(slotIndexOf(addr));
+        const Slot *slot = slots_.find(slotIndexOf(addr));
         return slot && slot->indexed;
     }
 
@@ -254,11 +254,7 @@ class PageStore : public mem::FabricStage
      * oldest first.
      */
     ContentIndex index_;
-    /**
-     * Per-frame slots. The pass-through store never touches them; a
-     * default slot is neither indexed nor codec-tracked, so lookups
-     * peek() and write only to slots at() touched.
-     */
+    /** Per-frame slots. The pass-through store never touches them. */
     mem::FrameTable<Slot> slots_;
     uint64_t uniquePages_ = 0;
     uint64_t codecPages_ = 0;

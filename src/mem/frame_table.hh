@@ -47,25 +47,6 @@ class FrameTable
     }
 
     /**
-     * The entry at index i, touched or not, or null if its chunk does
-     * not exist: one load fewer than find(), for tables whose default
-     * entry already reads as "nothing here" and whose callers write
-     * only to entries they know were touched.
-     */
-    T *
-    peek(uint64_t i)
-    {
-        Chunk *c = chunkOf(i);
-        return c ? &c->entries[i & kMask] : nullptr;
-    }
-
-    const T *
-    peek(uint64_t i) const
-    {
-        return const_cast<FrameTable *>(this)->peek(i);
-    }
-
-    /**
      * Start loading the entry at index i, both ends of it (an entry
      * may straddle two cache lines), and its touched bit.
      */
