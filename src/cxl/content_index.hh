@@ -6,9 +6,8 @@
  *
  * A flat open-addressing table: linear probing from a Fibonacci hash
  * of the key, power-of-two capacity kept at most half full, deletion
- * by backward shift so no tombstones build up. A lookup is one or two
- * adjacent cache lines, where std::unordered_map paid a modulo, a
- * bucket load and a node load, plus a heap node per entry.
+ * by backward shift so no tombstones build up. A lookup touches one or
+ * two adjacent cache lines and an entry costs no heap node.
  */
 
 #pragma once
