@@ -203,9 +203,7 @@ CoherenceDirectory::settle(Line &line)
         // A clean sharer-set shrink never demotes a live owner's M.
         return;
     }
-    // One sharer, tested without a popcount: the build targets no
-    // POPCNT, so std::popcount is a library call.
-    if ((line.sharers & (line.sharers - 1)) == 0) {
+    if (std::popcount(line.sharers) == 1) {
         line.state = MesiState::Exclusive;
         line.owner = std::countr_zero(line.sharers);
     } else {
@@ -313,7 +311,7 @@ CoherenceDirectory::write(mem::PhysAddr addr, mem::NodeId n,
                         "coherence.write.wb");
         }
         const uint64_t others = line.sharers & ~bit;
-        const uint32_t k = others ? uint32_t(std::popcount(others)) : 0;
+        const uint32_t k = uint32_t(std::popcount(others));
         if (k) {
             invalidations_->inc(k);
             charge(clock, c.cohBackInvalidate * double(k));
@@ -425,12 +423,6 @@ CoherenceDirectory::evict(mem::PhysAddr addr, mem::NodeId n,
     dropSharer(idx, *line, n);
     if (line->droppable())
         forgetLine(idx, *line);
-}
-
-void
-CoherenceDirectory::prefetchLine(mem::PhysAddr addr) const
-{
-    lines_.prefetch(lineIndexOf(addr));
 }
 
 void

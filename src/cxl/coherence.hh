@@ -127,7 +127,6 @@ class CoherenceDirectory final : public mem::CoherenceModel
     void evict(mem::PhysAddr addr, mem::NodeId n,
                sim::SimClock &clock) override;
     void lineFreed(mem::PhysAddr addr) override;
-    void prefetchLine(mem::PhysAddr addr) const override;
 
     /**
      * A node crashed: drop it from every line. Its unflushed HDM-D

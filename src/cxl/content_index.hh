@@ -83,14 +83,6 @@ class ContentIndex
         --size_;
     }
 
-    /** Start loading the slot a lookup of `hash` begins at. */
-    void
-    prefetch(uint64_t hash) const
-    {
-        if (!table_.empty())
-            __builtin_prefetch(&table_[home(hash)]);
-    }
-
     size_t size() const { return size_; }
 
     /** Visit every entry as fn(hash, head), in table order. */

@@ -35,7 +35,8 @@ class CxlFabric
                        LinkHealthConfig linkCfg = {},
                        FabricQueueConfig queueCfg = {})
         : machine_(machine),
-          topology_(machine.numNodes(), rasCfg.faultDomains),
+          topology_(withFaultDomains(machine, rasCfg,
+                                     linkCfg.enabled || queueCfg.enabled)),
           pageStore_(machine, pageStoreCfg),
           ras_(machine, pageStore_, topology_, rasCfg),
           sharedFs_(machine, pageStore_)
@@ -83,6 +84,20 @@ class CxlFabric
     uint64_t freeBytes() const { return machine_.cxl().freeBytes(); }
 
   private:
+    /**
+     * Stripe the device over the RAS fault domains when a layer reads
+     * them (RAS, link health or the queue); with all three off the
+     * count is never read and is left unchecked.
+     */
+    static const mem::Machine &
+    withFaultDomains(mem::Machine &machine, const RasConfig &rasCfg,
+                     bool linkOrQueue)
+    {
+        if (rasCfg.enabled || linkOrQueue)
+            machine.setFaultDomains(rasCfg.faultDomains);
+        return machine;
+    }
+
     mem::Machine &machine_;
     FabricTopology topology_; ///< Before every layer that reads it.
     PageStore pageStore_; ///< Before sharedFs_: the FS writes through it.

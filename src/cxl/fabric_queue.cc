@@ -32,7 +32,7 @@ FabricQueueModel::FabricQueueModel(mem::Machine &machine,
     delayNsCounter_ = &m.counter("cxl.contention.delay_ns");
     holBlocksCounter_ = &m.counter("cxl.contention.hol_blocks");
     peakInflightGauge_ = &m.gauge("cxl.contention.peak_inflight");
-    machine_.installStage(mem::StageKind::Queue, this, topology_.domains());
+    machine_.installStage(mem::StageKind::Queue, this);
 }
 
 FabricQueueModel::~FabricQueueModel()

@@ -32,7 +32,7 @@ LinkHealth::LinkHealth(mem::Machine &machine, RasManager &ras,
     flapsCounter_ = &m.counter("cxl.partition.flaps");
     degradesCounter_ = &m.counter("cxl.partition.degrades");
     healsCounter_ = &m.counter("cxl.partition.heals");
-    machine_.installStage(mem::StageKind::Link, this, topology_.domains());
+    machine_.installStage(mem::StageKind::Link, this);
 }
 
 LinkHealth::~LinkHealth()

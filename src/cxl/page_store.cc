@@ -184,12 +184,6 @@ PageStore::onTxn(mem::Txn &t)
 }
 
 void
-PageStore::prefetch(uint32_t frame) const
-{
-    slots_.prefetch(frame);
-}
-
-void
 PageStore::frameFreed(uint32_t frame)
 {
     if (deltaAnchor_.raw != 0 && slotIndexOf(deltaAnchor_) == frame)
@@ -383,39 +377,6 @@ PageStore::release(mem::PhysAddr addr)
     if (freed && ras_)
         ras_->notePrimaryFreed(addr);
     return freed;
-}
-
-void
-PageStore::prefetchIntern(uint64_t content) const
-{
-    if (cfg_.dedup)
-        index_.prefetch(hashContent(content));
-}
-
-void
-PageStore::releaseAll(const std::vector<mem::PhysAddr> &frames)
-{
-    // Two distances: a frame's state (Frame, slot, directory line)
-    // 2 * kLookahead ahead, then, once its slot has had time to
-    // arrive, the index entry the slot's hash is filed under.
-    constexpr size_t k = mem::kLookahead;
-    const size_t n = frames.size();
-    for (size_t i = 0; i < n; ++i) {
-        // As in Machine::forEachFrameAhead, adjacent frames are left
-        // to the hardware prefetcher.
-        if (i + 2 * k < n && frames[i + 2 * k].raw !=
-                                 frames[i + 2 * k - 1].raw + mem::kPageSize) {
-            machine_.prefetchFrameState(frames[i + 2 * k]);
-            if (cfg_.dedup && !cfg_.compress)
-                prefetch(uint32_t(slotIndexOf(frames[i + 2 * k])));
-        }
-        if (cfg_.dedup && i + k < n) {
-            const Slot *slot = slots_.find(slotIndexOf(frames[i + k]));
-            if (slot && slot->indexed)
-                index_.prefetch(slot->hash);
-        }
-        release(frames[i]);
-    }
 }
 
 PageStoreAudit

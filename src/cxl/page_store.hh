@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "content_index.hh"
 #include "mem/frame_table.hh"
@@ -187,23 +186,10 @@ class PageStore : public mem::FabricStage
     /** Live codec-tracked pages (drains to zero with the refcounts). */
     uint64_t codecPages() const { return codecPages_; }
 
-    /**
-     * A batched pass will intern `content` soon: start loading the
-     * index entry its lookup begins at.
-     */
-    void prefetchIntern(uint64_t content) const;
-
-    /**
-     * release() each frame in order: the batched pass, warming the
-     * state each free touches mem::kLookahead frames ahead.
-     */
-    void releaseAll(const std::vector<mem::PhysAddr> &frames);
-
     // mem::FabricStage — the machine calls these on checked CXL reads
-    // (charge a pending decompress), ahead of batched passes and on
-    // frame frees; all are no-ops for untracked frames.
+    // (charge a pending decompress) and on frame frees; both are no-ops
+    // for untracked frames.
     void onTxn(mem::Txn &t) override;
-    void prefetch(uint32_t frame) const override;
     void frameFreed(uint32_t frame) override;
 
   private:

@@ -17,6 +17,10 @@ RasManager::RasManager(mem::Machine &machine, PageStore &store,
 {
     if (!cfg_.enabled)
         return;
+    // The domains holding a page's copies are tracked as one mask.
+    if (topology_.domains() > 64)
+        sim::fatal("RasManager: at most 64 fault domains (got %u)",
+                   topology_.domains());
     // Counters exist only when the layer is on: a disabled manager
     // leaves the metrics export byte-identical to a pre-RAS tree.
     sim::MetricsRegistry &m = machine_.metrics();

@@ -200,7 +200,6 @@ class RasManager : public mem::FabricStage
 
     uint64_t protectedPages() const { return tracked_.size(); }
     uint64_t replicaFrames() const { return replicaFrames_; }
-    uint64_t replicaBytes() const { return replicaFrames_ * mem::kPageSize; }
     uint64_t peakReplicaFrames() const { return peakReplicaFrames_; }
     uint64_t pagesLost() const { return lost_.size(); }
     uint64_t repairs() const { return repairs_; }

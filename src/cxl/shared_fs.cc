@@ -57,21 +57,14 @@ SharedFs::write(const std::string &name, std::vector<uint8_t> encoded,
     uint64_t freshStoredBytes = 0;
     try {
         if (pageStore_.dedupEnabled() || pageStore_.compressEnabled()) {
-            // The batched pass: every page's token first, then the
-            // interns in order, each index lookup started ahead.
-            std::vector<uint64_t> tokens(pages);
-            for (uint64_t i = 0; i < pages; ++i)
-                tokens[i] = filePageToken(file.data, i, pages);
-            mem::forEachAhead(
-                pages,
-                [&](size_t i) { pageStore_.prefetchIntern(tokens[i]); },
-                [&](size_t i) {
-                    const InternResult r = pageStore_.intern(
-                        tokens[i], mem::FrameUse::FileCache, clock, node);
-                    file.frames.push_back(r.addr);
-                    sharedPages += r.shared;
-                    freshStoredBytes += r.storedBytes;
-                });
+            for (uint64_t i = 0; i < pages; ++i) {
+                const InternResult r = pageStore_.intern(
+                    filePageToken(file.data, i, pages),
+                    mem::FrameUse::FileCache, clock, node);
+                file.frames.push_back(r.addr);
+                sharedPages += r.shared;
+                freshStoredBytes += r.storedBytes;
+            }
         } else {
             for (uint64_t i = 0; i < pages; ++i) {
                 file.frames.push_back(
@@ -190,7 +183,8 @@ SharedFs::orphanFrameCount() const
 void
 SharedFs::releaseFrames(CxlFsFile &file)
 {
-    pageStore_.releaseAll(file.frames);
+    for (mem::PhysAddr f : file.frames)
+        pageStore_.release(f);
     usedBytes_ -= file.frames.size() * mem::kPageSize;
     file.frames.clear();
 }

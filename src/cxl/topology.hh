@@ -3,22 +3,20 @@
  * The fabric's shape: the device's fault domains, the ports each
  * domain serves and the link from every node to every domain.
  *
- * CxlFabric owns the one instance. RAS replica placement, link health
- * and the port queue all read it, so they cannot disagree on which
- * domain a frame lives in: a rerouted replica read queues on the
- * domain that serves it, and a severed domain is the one RAS placed
- * no second copy on. A frame's domain is its frame number modulo the
- * domain count (the striping the machine computes each transaction's
- * domain with, once).
+ * A view of the machine: the domain count is the machine's own
+ * (Machine::setFaultDomains), the one the machine computes each
+ * transaction's domain with. RAS replica placement, link health and
+ * the port queue all read it through CxlFabric's instance, so they
+ * cannot disagree on which domain a frame lives in: a rerouted replica
+ * read queues on the domain that serves it, and a severed domain is
+ * the one RAS placed no second copy on.
  */
 
 #pragma once
 
 #include <cstdint>
 
-#include "mem/fabric_stage.hh"
 #include "mem/machine.hh"
-#include "sim/log.hh"
 
 namespace cxlfork::cxl {
 
@@ -28,23 +26,11 @@ class FabricTopology
     /** A read lane and a write lane per domain. */
     static constexpr uint32_t kPortsPerDomain = 2;
 
-    FabricTopology(uint32_t nodes, uint32_t domains)
-        : nodes_(nodes), striping_(domains ? domains : 1)
-    {
-        // RAS tracks the domains holding a page's copies as one mask.
-        if (domains == 0 || domains > 64)
-            sim::fatal("fabric topology needs 1 to 64 fault domains "
-                       "(got %u)", domains);
-    }
+    explicit FabricTopology(const mem::Machine &machine) : machine_(machine)
+    {}
 
-    uint32_t nodes() const { return nodes_; }
-    uint32_t domains() const { return striping_.domains(); }
-
-    /** Fault domain of a device frame number. */
-    uint32_t domainOfFrame(uint32_t frame) const
-    {
-        return striping_.domainOf(frame);
-    }
+    uint32_t nodes() const { return machine_.numNodes(); }
+    uint32_t domains() const { return machine_.faultDomains(); }
 
     /** Fault domain of a device address; 0 for null (control plane). */
     uint32_t
@@ -52,7 +38,7 @@ class FabricTopology
     {
         if (addr.isNull())
             return 0;
-        return domainOfFrame(
+        return machine_.domainOfFrame(
             uint32_t((addr.raw - mem::Machine::kCxlBase) / mem::kPageSize));
     }
 
@@ -67,7 +53,7 @@ class FabricTopology
     }
 
     /** Node-to-domain links. */
-    uint32_t links() const { return nodes_ * domains(); }
+    uint32_t links() const { return nodes() * domains(); }
 
     /** Index of node n's link to a domain in [0, links()). */
     uint32_t
@@ -77,8 +63,7 @@ class FabricTopology
     }
 
   private:
-    uint32_t nodes_;
-    mem::DomainStriping striping_;
+    const mem::Machine &machine_;
 };
 
 } // namespace cxlfork::cxl

@@ -19,7 +19,6 @@
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sim/clock.hh"
@@ -99,33 +98,9 @@ class FabricStage
      */
     virtual void onTxn(Txn &t) = 0;
 
-    /** A batched pass reaches CXL frame `frame` soon: warm its state. */
-    virtual void prefetch(uint32_t frame) const { (void)frame; }
-
     /** CXL frame `frame` was freed: drop whatever was kept for it. */
     virtual void frameFreed(uint32_t frame) { (void)frame; }
 };
-
-/** Items a batched pass warms ahead of the one it works on. */
-inline constexpr size_t kLookahead = 8;
-
-/**
- * The batched pass over a known list of n items: body(i) for each i in
- * order, after prefetch(i + kLookahead) has started loading what the
- * body will need for that later item. The body still calls the stages,
- * draws the RNG streams and charges the clocks item by item, exactly
- * as a plain loop would; only the loads start early.
- */
-template <typename Prefetch, typename Body>
-void
-forEachAhead(size_t n, Prefetch &&prefetch, Body &&body)
-{
-    for (size_t i = 0; i < n; ++i) {
-        if (i + kLookahead < n)
-            prefetch(i + kLookahead);
-        body(i);
-    }
-}
 
 /**
  * Host work of the fabric pipeline: how many transactions the link

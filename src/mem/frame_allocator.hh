@@ -169,15 +169,6 @@ class FrameAllocator
         return offset / kPageSize;
     }
 
-    /** Start loading the metadata of the frame at addr, if it has any. */
-    void
-    prefetch(PhysAddr addr) const
-    {
-        const uint64_t idx = (addr.raw - base_.raw) / kPageSize;
-        if (idx < frames_.size())
-            __builtin_prefetch(&frames_[idx]);
-    }
-
     /** Address of frame number i: the inverse of frameNumber(). */
     PhysAddr
     frameAddress(uint64_t i) const

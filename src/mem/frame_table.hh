@@ -46,22 +46,6 @@ class FrameTable
         return const_cast<FrameTable *>(this)->find(i);
     }
 
-    /**
-     * Start loading the entry at index i, both ends of it (an entry
-     * may straddle two cache lines), and its touched bit.
-     */
-    void
-    prefetch(uint64_t i) const
-    {
-        if (const Chunk *c = chunkOf(i)) {
-            const uint64_t j = i & kMask;
-            const char *e = reinterpret_cast<const char *>(&c->entries[j]);
-            __builtin_prefetch(e);
-            __builtin_prefetch(e + sizeof(T) - 1);
-            __builtin_prefetch(&c->touched[j / 64]);
-        }
-    }
-
     /** The entry at index i, default-constructed on first touch. */
     T &
     at(uint64_t i)

@@ -45,19 +45,22 @@ Machine::setFaultConfig(const sim::FaultConfig &cfg)
 }
 
 void
-Machine::installStage(StageKind kind, FabricStage *stage, uint32_t domains)
+Machine::setFaultDomains(uint32_t domains)
 {
-    if (stage && (kind == StageKind::Link || kind == StageKind::Queue)) {
-        const StageKind other =
-            kind == StageKind::Link ? StageKind::Queue : StageKind::Link;
-        if (domains == 0)
-            sim::fatal("fabric stages need at least one fault domain");
-        if (stages_[size_t(other)] && striping_.domains() != domains)
-            sim::fatal("fabric link and queue stages disagree on the "
-                       "fault domains (%u vs %u)",
-                       striping_.domains(), domains);
-        striping_ = DomainStriping(domains);
-    }
+    if (domains == 0)
+        sim::fatal("the CXL device needs at least one fault domain");
+    // A built repair, link or queue stage has sized its tables by the
+    // count it read.
+    CXLF_ASSERT(domains == striping_.domains() ||
+                (!stages_[size_t(StageKind::Repair)] &&
+                 !stages_[size_t(StageKind::Link)] &&
+                 !stages_[size_t(StageKind::Queue)]));
+    striping_ = DomainStriping(domains);
+}
+
+void
+Machine::installStage(StageKind kind, FabricStage *stage)
+{
     stages_[size_t(kind)] = stage;
     // The transaction list, in pipeline order. A severed link never
     // reaches the device port, and a degraded link's extra wire latency

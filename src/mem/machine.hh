@@ -84,9 +84,6 @@ class CoherenceModel
      * tokens — the shootdown-before-reuse guarantee.
      */
     virtual void lineFreed(PhysAddr addr) = 0;
-
-    /** A batched pass reaches the line at `addr` soon: warm its state. */
-    virtual void prefetchLine(PhysAddr addr) const { (void)addr; }
 };
 
 /** Machine construction parameters. */
@@ -140,7 +137,6 @@ class Machine
     const CacheModel &llc(NodeId n) const { return llc_.at(n); }
 
     const sim::CostParams &costs() const { return costs_; }
-    sim::CostParams &mutableCosts() { return costs_; }
 
     /** The machine-wide fault injector (device-level failure model). */
     sim::FaultInjector &faults() { return injector_; }
@@ -163,16 +159,28 @@ class Machine
     void setFaultConfig(const sim::FaultConfig &cfg);
 
     /**
-     * Arm (or, with nullptr, disarm) the pipeline stage of one kind and
-     * rebuild the stage lists (fabric_stage.hh). `domains` is the
-     * fabric topology's fault-domain count; the machine computes each
-     * transaction's domain from it once, so the link and queue stages
-     * must be installed with the same count. Nothing is installed by
-     * default: the lists are empty and every path is bit-identical to
-     * a machine without fabric layers.
+     * Stripe the CXL device over `domains` fault domains (one until
+     * set): frame i lives in domain i mod domains. The machine computes
+     * each transaction's domain from this once, and the fabric
+     * topology the layers read is a view of it, so it is set before
+     * any stage that reads domains (repair, link, queue) is built.
      */
-    void installStage(StageKind kind, FabricStage *stage,
-                      uint32_t domains = 1);
+    void setFaultDomains(uint32_t domains);
+    uint32_t faultDomains() const { return striping_.domains(); }
+
+    /** Fault domain of a CXL frame number. */
+    uint32_t domainOfFrame(uint32_t frame) const
+    {
+        return striping_.domainOf(frame);
+    }
+
+    /**
+     * Arm (or, with nullptr, disarm) the pipeline stage of one kind and
+     * rebuild the stage lists (fabric_stage.hh). Nothing is installed
+     * by default: the lists are empty and every path is bit-identical
+     * to a machine without fabric layers.
+     */
+    void installStage(StageKind kind, FabricStage *stage);
     FabricStage *stage(StageKind kind) const
     {
         return stages_[size_t(kind)];
@@ -358,42 +366,6 @@ class Machine
                               NodeId node = kInvalidNode);
 
     /**
-     * Start loading what a checked read and a directory touch of CXL
-     * frame `addr` will need: its Frame, the codec stage's state for
-     * it and the directory's line.
-     */
-    void
-    prefetchFrameState(PhysAddr addr) const
-    {
-        cxl_->prefetch(addr);
-        if (FabricStage *codec = stages_[size_t(StageKind::Codec)])
-            codec->prefetch(cxlFrameOf(addr));
-        if (coherence_)
-            coherence_->prefetchLine(addr);
-    }
-
-    /**
-     * The batched pass (forEachAhead) over a known list of CXL frames:
-     * fn(frame) for each in order, prefetchFrameState() kLookahead
-     * frames ahead wherever the list jumps. A frame right after its
-     * predecessor is left to the hardware prefetcher: every per-frame
-     * table is indexed by frame number, so a run of adjacent frames is
-     * a sequential walk, and prefetching it by hand measured slower.
-     */
-    template <typename Fn>
-    void
-    forEachFrameAhead(const std::vector<PhysAddr> &frames, Fn &&fn)
-    {
-        forEachAhead(
-            frames.size(),
-            [&](size_t i) {
-                if (frames[i].raw != frames[i - 1].raw + kPageSize)
-                    prefetchFrameState(frames[i]);
-            },
-            [&](size_t i) { fn(frames[i]); });
-    }
-
-    /**
      * Which tier an address lives on. Pure window arithmetic: anything
      * inside the CXL window is Tier::Cxl, everything else reads as
      * LocalDram (including unallocated addresses, which some callers
@@ -514,6 +486,7 @@ class Machine
     /** The transaction list: link, then queue, whichever are armed. */
     FabricStage *txnList_[2] = {};
     uint32_t txnStages_ = 0;
+    /** The device's fault domains: the one copy of their count. */
     DomainStriping striping_;
 
     // Hot-path metric handles, resolved once at construction so the

@@ -26,14 +26,17 @@ CheckpointImage::~CheckpointImage()
     // last owner lets go. Metadata frames, leaf backings included, are
     // never content-indexed (release falls through to the plain
     // allocator for them).
-    for (const std::vector<mem::PhysAddr> *frames :
-         {&dataFrames_, &metaFrames_}) {
-        if (pageStore_) {
-            pageStore_->releaseAll(*frames);
-        } else {
-            for (mem::PhysAddr f : *frames)
-                machine_.cxl().decRef(f);
-        }
+    for (mem::PhysAddr f : dataFrames_) {
+        if (pageStore_)
+            pageStore_->release(f);
+        else
+            machine_.cxl().decRef(f);
+    }
+    for (mem::PhysAddr f : metaFrames_) {
+        if (pageStore_)
+            pageStore_->release(f);
+        else
+            machine_.cxl().decRef(f);
     }
 }
 

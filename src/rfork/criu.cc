@@ -143,9 +143,7 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
                       machine.cxl().poisonedFrames() != 0 ||
                       !h->framesSurelyLive(machine.cxl());
     if (scan) {
-        // The batched pass over the image's known frame list: each
-        // frame's state is loaded kLookahead frames ahead.
-        machine.forEachFrameAhead(file->frames, [&](mem::PhysAddr fr) {
+        for (mem::PhysAddr fr : file->frames) {
             if (compressed || machine.frame(fr).poisoned) {
                 machine.readFrameChecked(fr, clock, "criu image read",
                                          target.id());
@@ -168,7 +166,7 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
                                    "criu image read");
                 machine.evictFrame(fr, target.id(), clock);
             }
-        });
+        }
     }
     if (!fabric_.sharedFs().verify(h->fileName())) {
         throw sim::CorruptImageError(sim::format(

@@ -56,14 +56,6 @@ class SimTime
 
     constexpr auto operator<=>(const SimTime &) const = default;
 
-    // Plain double compares, preferred over the rewritten <=> forms on
-    // hot paths; the same answers, NaN included (every one false).
-    constexpr bool operator==(const SimTime &o) const { return ns_ == o.ns_; }
-    constexpr bool operator<(const SimTime &o) const { return ns_ < o.ns_; }
-    constexpr bool operator<=(const SimTime &o) const { return ns_ <= o.ns_; }
-    constexpr bool operator>(const SimTime &o) const { return ns_ > o.ns_; }
-    constexpr bool operator>=(const SimTime &o) const { return ns_ >= o.ns_; }
-
     /** Render with an auto-selected unit, e.g. "2.5us" or "130ms". */
     std::string toString() const;
 

@@ -57,9 +57,6 @@ bareMachine(uint32_t nodes = 2)
     return mc;
 }
 
-/** One fault domain: a single read lane and a single write lane. */
-const FabricTopology kOneLane(2, 1);
-
 FabricQueueConfig
 oneLaneConfig()
 {
@@ -87,7 +84,8 @@ measuredMeanWaitNs(double rho, uint64_t arrivals, uint64_t warmup,
                    uint64_t seed)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     const double s = q.serviceTime(true, kPageSize).toNs();
     const double meanInterarrival = s / rho;
@@ -146,7 +144,8 @@ TEST(FabricQueueUnit, DisabledInstallsNothing)
 {
     mem::Machine machine(bareMachine());
     FabricQueueConfig qc; // enabled defaults to false
-    FabricQueueModel q(machine, kOneLane, qc);
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, qc);
     EXPECT_FALSE(q.enabled());
     EXPECT_EQ(machine.stage(mem::StageKind::Queue), nullptr);
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 0u);
@@ -156,7 +155,8 @@ TEST(FabricQueueUnit, InstallsAndUninstallsHook)
 {
     mem::Machine machine(bareMachine());
     {
-        FabricQueueModel q(machine, kOneLane, oneLaneConfig());
+        const FabricTopology oneLane(machine); // one fault domain
+        FabricQueueModel q(machine, oneLane, oneLaneConfig());
         EXPECT_EQ(machine.stage(mem::StageKind::Queue), &q);
     }
     EXPECT_EQ(machine.stage(mem::StageKind::Queue), nullptr);
@@ -165,7 +165,8 @@ TEST(FabricQueueUnit, InstallsAndUninstallsHook)
 TEST(FabricQueueUnit, SelfStreamNeverCharges)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock clock;
     for (int i = 0; i < 50; ++i)
@@ -179,7 +180,8 @@ TEST(FabricQueueUnit, SelfStreamNeverCharges)
 TEST(FabricQueueUnit, UnattributedTrafficNeitherChargesNorIsCharged)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock device;
     machine.chargePort(device, "device",
@@ -201,7 +203,8 @@ TEST(FabricQueueUnit, CrossStreamChargesAndCountsHeadOfLine)
     mem::Machine machine(bareMachine());
     FabricQueueConfig qc = oneLaneConfig();
     qc.holPenalty = sim::SimTime::ns(120);
-    FabricQueueModel q(machine, kOneLane, qc);
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, qc);
     const PhysAddr addr = machine.cxl().base();
     const double s = q.serviceTime(true, kPageSize).toNs();
 
@@ -226,7 +229,8 @@ TEST(FabricQueueUnit, CrossStreamChargesAndCountsHeadOfLine)
 TEST(FabricQueueUnit, ReadAndWriteLanesAreIndependent)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
 
     sim::SimClock n0;
@@ -244,7 +248,8 @@ TEST(FabricQueueUnit, ReadAndWriteLanesAreIndependent)
 TEST(FabricQueueUnit, DomainsStripeLikeRas)
 {
     mem::Machine machine(bareMachine());
-    const FabricTopology fourDomains(2, 4);
+    machine.setFaultDomains(4);
+    const FabricTopology fourDomains(machine);
     FabricQueueModel q(machine, fourDomains, oneLaneConfig());
     const uint64_t base = machine.cxl().base().raw;
     EXPECT_EQ(q.domainOf(PhysAddr{base}), 0u);
@@ -266,7 +271,8 @@ TEST(FabricQueueUnit, BackgroundResidualIsDeterministic)
     mem::Machine machine(bareMachine());
     FabricQueueConfig qc = oneLaneConfig();
     qc.backgroundUtilization = 0.5;
-    FabricQueueModel q(machine, kOneLane, qc);
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, qc);
     const PhysAddr addr = machine.cxl().base();
     const double s = q.serviceTime(true, kPageSize).toNs();
     // Period = s / rho = 2s. An arrival at t=0 lands at the start of
@@ -284,7 +290,8 @@ TEST(FabricQueueUnit, BackgroundResidualIsDeterministic)
 TEST(FabricQueueUnit, DrainRetiresEverythingExactlyOnce)
 {
     mem::Machine machine(bareMachine());
-    FabricQueueModel q(machine, kOneLane, oneLaneConfig());
+    const FabricTopology oneLane(machine); // one fault domain
+    FabricQueueModel q(machine, oneLane, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock clock;
     for (int i = 0; i < 10; ++i)

@@ -238,7 +238,7 @@ TEST(FabricWork, ArmedCountsPinned)
     // {transactions, link, queue, retry draws, coherence messages,
     //  index probes, CRC bytes, allocations}
     EXPECT_EQ(checkpoint, (WorkCounts{6468, 6154, 15664, 6468, 27588, 21381,
-                                      791549, 2677}));
+                                      791549, 2676}));
     EXPECT_EQ(restore, (WorkCounts{33066, 29784, 36042, 33070, 67137, 0,
                                    2084058, 5587}));
     EXPECT_EQ(reclaim, (WorkCounts{0, 0, 0, 0, 0, 9059, 0, 28}));

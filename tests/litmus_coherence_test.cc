@@ -619,7 +619,7 @@ TEST(LitmusContention, BackInvalidationsQueueBehindDataTraffic)
         FabricQueueConfig qc;
         qc.enabled = armed;
         // One domain, one lane: the flood and the binvs collide.
-        const FabricTopology oneDomain(w.machine.numNodes(), 1);
+        const FabricTopology oneDomain(w.machine);
         FabricQueueModel q(w.machine, oneDomain, qc);
 
         const PhysAddr a = w.line(kOld);

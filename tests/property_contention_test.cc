@@ -178,7 +178,8 @@ fuzzOneSeed(uint64_t seed)
     qc.backgroundUtilization = rng.chance(0.25) ? rng.uniform(0.1, 0.6) : 0.0;
 
     mem::Machine machine(fuzzMachine());
-    const FabricTopology topology(machine.numNodes(), domains);
+    machine.setFaultDomains(domains);
+    const FabricTopology topology(machine);
     FabricQueueModel q(machine, topology, qc);
     ShadowQueue shadow(qc, domains, double(machine.costs().pageSize));
     const sim::MetricsRegistry &m = machine.metrics();

@@ -214,5 +214,33 @@ TEST(RasManager, ZeroReplicasProtectsNothing)
     EXPECT_EQ(w.cxl().usedFrames(), 1u);
 }
 
+TEST(RasManager, FaultDomainCountIsCheckedOnlyWhereItIsRead)
+{
+    cxl::RasConfig rc = onConfig();
+    // RAS tracks the domains holding a page's copies as one 64-bit mask.
+    rc.faultDomains = 65;
+    EXPECT_THROW(RasWorld{rc}, sim::FatalError);
+    rc.faultDomains = 0;
+    EXPECT_THROW(RasWorld{rc}, sim::FatalError);
+    rc.faultDomains = 64;
+    EXPECT_EQ(RasWorld{rc}.machine->faultDomains(), 64u);
+
+    // With RAS, link health and the queue all off nothing reads the
+    // count: any value is accepted and the device stays one domain.
+    rc.enabled = false;
+    for (uint32_t domains : {0u, 65u}) {
+        rc.faultDomains = domains;
+        EXPECT_EQ(RasWorld{rc}.machine->faultDomains(), 1u);
+    }
+
+    // Link health alone stripes by the count, with no 64-domain cap.
+    mem::Machine machine(test::smallConfig());
+    cxl::LinkHealthConfig lc;
+    lc.enabled = true;
+    cxl::CxlFabric fabric(machine, {}, rc, {}, lc);
+    EXPECT_EQ(machine.faultDomains(), 65u);
+    EXPECT_EQ(fabric.linkHealth()->domains(), 65u);
+}
+
 } // namespace
 } // namespace cxlfork
