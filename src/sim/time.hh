@@ -56,6 +56,14 @@ class SimTime
 
     constexpr auto operator<=>(const SimTime &) const = default;
 
+    // Plain double compares, the same answers (NaN included). The
+    // rewritten <=> forms go through std::partial_ordering, which the
+    // armed fabric's hot compares measurably paid for (DESIGN.md §8).
+    constexpr bool operator<(const SimTime &o) const { return ns_ < o.ns_; }
+    constexpr bool operator<=(const SimTime &o) const { return ns_ <= o.ns_; }
+    constexpr bool operator>(const SimTime &o) const { return ns_ > o.ns_; }
+    constexpr bool operator>=(const SimTime &o) const { return ns_ >= o.ns_; }
+
     /** Render with an auto-selected unit, e.g. "2.5us" or "130ms". */
     std::string toString() const;
 
