@@ -8,7 +8,8 @@
  * Sweeps the read-write fraction of a synthetic 128 MB function and
  * reports restore latency (stays near-constant), local memory after
  * 1 and 8 invocations (grows with the write fraction), and the CoW
- * fault volume.
+ * fault volume. Each point's row is also recorded as
+ * `writeheavy.<fn>.*` bench metrics for the golden suite.
  */
 
 #include "bench_util.hh"
@@ -57,6 +58,12 @@ main()
         const uint64_t cow =
             cluster.node(1).stats().counterValue("fault.cow_cxl");
 
+        const std::string key = "writeheavy." + spec.name;
+        bench::recordValue(key + ".restore_ms", rs.latency.toMs());
+        bench::recordValue(key + ".local_mb_1inv", mbAfter1);
+        bench::recordValue(key + ".local_mb_8inv", mbAfter8);
+        bench::recordValue(key + ".cow_faults", double(cow));
+
         t.addRow({sim::Table::num(rw, 2),
                   sim::Table::num(rs.latency.toMs(), 2),
                   sim::Table::num(mbAfter1, 1),
@@ -67,5 +74,6 @@ main()
               "(instant cloning for availability); memory savings shrink "
               "as writes migrate the footprint locally (Sec. 8).");
     t.print();
+    bench::finishBench("ext_writeheavy");
     return 0;
 }
