@@ -109,7 +109,7 @@ ablationPrefetch()
         const auto inv = child->invoke();
         results[i].ms = (rs.latency + inv.latency).toMs();
         results[i].cow =
-            cluster.node(1).stats().counterValue("fault.cow_cxl");
+            cluster.machine().metrics().counterValue("os.fault.cow_cxl");
     });
 
     for (size_t f = 0; f < names.size(); ++f) {

@@ -56,7 +56,7 @@ main()
             child->invoke();
         const double mbAfter8 = double(child->localBytes()) / (1 << 20);
         const uint64_t cow =
-            cluster.node(1).stats().counterValue("fault.cow_cxl");
+            cluster.machine().metrics().counterValue("os.fault.cow_cxl");
 
         const std::string key = "writeheavy." + spec.name;
         bench::recordValue(key + ".restore_ms", rs.latency.toMs());

@@ -1,8 +1,7 @@
 /**
  * @file
  * The CXL fabric context: the shared device plus fabric-level services
- * (the content-addressed page pool, the in-CXL shared filesystem) and
- * accounting.
+ * (the content-addressed page pool, the in-CXL shared filesystem).
  */
 
 #pragma once
@@ -16,7 +15,6 @@
 #include "page_store.hh"
 #include "ras.hh"
 #include "shared_fs.hh"
-#include "sim/stats.hh"
 #include "topology.hh"
 
 namespace cxlfork::cxl {
@@ -77,7 +75,6 @@ class CxlFabric
 
     /** The fabric queuing model, or nullptr when disabled. */
     FabricQueueModel *fabricQueue() { return fabricQueue_.get(); }
-    sim::StatSet &stats() { return stats_; }
 
     /** Device capacity consumed, across checkpoints and files. */
     uint64_t usedBytes() const { return machine_.cxl().usedBytes(); }
@@ -107,7 +104,6 @@ class CxlFabric
     std::unique_ptr<LinkHealth> linkHealth_; ///< After ras_: reroutes
                                              ///< read its replica map.
     std::unique_ptr<FabricQueueModel> fabricQueue_;
-    sim::StatSet stats_;
 };
 
 } // namespace cxlfork::cxl

@@ -4,6 +4,16 @@
 
 namespace cxlfork::faas {
 
+ContainerManager::ContainerManager(os::NodeOs &node)
+    : node_(node),
+      createdCounter_(
+          &node.machine().metrics().counter("faas.container.created")),
+      ghostProvisionedCounter_(&node.machine().metrics().counter(
+          "faas.container.ghost_provisioned")),
+      ghostTriggeredCounter_(&node.machine().metrics().counter(
+          "faas.container.ghost_triggered"))
+{}
+
 std::shared_ptr<Container>
 ContainerManager::makeShell(const std::string &name)
 {
@@ -24,7 +34,7 @@ std::shared_ptr<Container>
 ContainerManager::create(const std::string &name)
 {
     node_.clock().advance(node_.machine().costs().containerCreate);
-    node_.stats().counter("container.created").inc();
+    createdCounter_->inc();
     auto c = makeShell(name);
     c->state_ = Container::State::Active;
     return c;
@@ -34,7 +44,7 @@ std::shared_ptr<Container>
 ContainerManager::provisionGhost(const std::string &name)
 {
     node_.clock().advance(node_.machine().costs().containerCreate);
-    node_.stats().counter("container.ghost_provisioned").inc();
+    ghostProvisionedCounter_->inc();
     auto c = makeShell(name);
     c->state_ = Container::State::Ghost;
     return c;
@@ -46,7 +56,7 @@ ContainerManager::trigger(Container &c)
     if (c.state_ != Container::State::Ghost)
         sim::fatal("trigger on non-ghost container %s", c.id().c_str());
     node_.clock().advance(node_.machine().costs().ghostTrigger);
-    node_.stats().counter("container.ghost_triggered").inc();
+    ghostTriggeredCounter_->inc();
     c.state_ = Container::State::Active;
 }
 

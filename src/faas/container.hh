@@ -46,7 +46,7 @@ class Container
 class ContainerManager
 {
   public:
-    explicit ContainerManager(os::NodeOs &node) : node_(node) {}
+    explicit ContainerManager(os::NodeOs &node);
 
     /**
      * Full container creation (network + namespaces + cgroups):
@@ -77,6 +77,9 @@ class ContainerManager
     os::NodeOs &node_;
     uint64_t nextId_ = 1;
     uint64_t liveCount_ = 0;
+    sim::Counter *createdCounter_;
+    sim::Counter *ghostProvisionedCounter_;
+    sim::Counter *ghostTriggeredCounter_;
 };
 
 } // namespace cxlfork::faas

@@ -103,41 +103,30 @@ NodeOs::NodeOs(mem::NodeId id, mem::Machine &machine,
 {
     if (id_ >= machine_.numNodes())
         sim::fatal("NodeOs id %u beyond machine nodes", id_);
-    // Resolve every fault-path metric handle up front; the fault loop
-    // then never touches a string-keyed map.
+    // Resolve every metric handle up front; the fault loop and the
+    // syscalls then never touch a string-keyed map.
+    sim::MetricsRegistry &m = machine_.metrics();
     for (size_t k = 0; k < kFaultKindCount; ++k) {
-        const FaultKind kind = FaultKind(k);
-        faultKindCounters_[k] = &machine_.metrics().counter(
-            std::string("os.fault.") + faultMetricName(kind));
-        if (kind != FaultKind::None) {
-            faultKindStats_[k] = &stats_.counter(
-                std::string("fault.") + faultMetricName(kind));
-        }
+        faultKindCounters_[k] = &m.counter(
+            std::string("os.fault.") + faultMetricName(FaultKind(k)));
     }
-    faultFailedCounter_ = &machine_.metrics().counter("os.fault.failed");
-    leafCowStat_ = &stats_.counter("fault.leaf_cow");
-    tlbShootdownCounter_ = &machine_.metrics().counter("os.tlb.shootdowns");
-    pagesFromCxlCounter_ =
-        &machine_.metrics().counter("os.pages.copied_from_cxl");
-    faultLatency_ = &machine_.metrics().latency("os.fault.ns");
-    taskCreatedStat_ = &stats_.counter("task.created");
-    taskExitedStat_ = &stats_.counter("task.exited");
-    munmapStat_ = &stats_.counter("syscall.munmap");
-    mprotectStat_ = &stats_.counter("syscall.mprotect");
-    vmaMaterializedStat_ = &stats_.counter("vma.materialized");
-    forkLocalStat_ = &stats_.counter("fork.local");
-    prefetchBatchCounter_ =
-        &machine_.metrics().counter("cxl.prefetch.batches");
-    prefetchIssuedCounter_ =
-        &machine_.metrics().counter("cxl.prefetch.issued");
-    prefetchMappedCounter_ =
-        &machine_.metrics().counter("cxl.prefetch.mapped");
-    prefetchCopiedCounter_ =
-        &machine_.metrics().counter("cxl.prefetch.copied");
-    prefetchSkippedCounter_ =
-        &machine_.metrics().counter("cxl.prefetch.skipped");
-    prefetchBytesCounter_ =
-        &machine_.metrics().counter("cxl.prefetch.bytes_copied");
+    faultFailedCounter_ = &m.counter("os.fault.failed");
+    leafCowCounter_ = &m.counter("os.fault.leaf_cow");
+    tlbShootdownCounter_ = &m.counter("os.tlb.shootdowns");
+    pagesFromCxlCounter_ = &m.counter("os.pages.copied_from_cxl");
+    faultLatency_ = &m.latency("os.fault.ns");
+    taskCreatedCounter_ = &m.counter("os.task.created");
+    taskExitedCounter_ = &m.counter("os.task.exited");
+    munmapCounter_ = &m.counter("os.syscall.munmap");
+    mprotectCounter_ = &m.counter("os.syscall.mprotect");
+    vmaMaterializedCounter_ = &m.counter("os.vma.materialized");
+    forkLocalCounter_ = &m.counter("os.fork.local");
+    prefetchBatchCounter_ = &m.counter("cxl.prefetch.batches");
+    prefetchIssuedCounter_ = &m.counter("cxl.prefetch.issued");
+    prefetchMappedCounter_ = &m.counter("cxl.prefetch.mapped");
+    prefetchCopiedCounter_ = &m.counter("cxl.prefetch.copied");
+    prefetchSkippedCounter_ = &m.counter("cxl.prefetch.skipped");
+    prefetchBytesCounter_ = &m.counter("cxl.prefetch.bytes_copied");
 }
 
 NodeWorkCounts
@@ -164,7 +153,7 @@ NodeOs::createTask(const std::string &name, const NamespaceSet *ns)
     auto task = std::make_shared<Task>(pid, name, id_, std::move(mm), set);
     tasks_[pid] = task;
     clock_.advance(machine_.costs().taskCreate);
-    taskCreatedStat_->inc();
+    taskCreatedCounter_->inc();
     return task;
 }
 
@@ -173,7 +162,7 @@ NodeOs::exitTask(const std::shared_ptr<Task> &task)
 {
     task->setState(TaskState::Zombie);
     tasks_.erase(task->pid());
-    taskExitedStat_->inc();
+    taskExitedCounter_->inc();
 }
 
 std::shared_ptr<Task>
@@ -238,7 +227,7 @@ NodeOs::munmap(Task &task, mem::VirtAddr lo, mem::VirtAddr hi)
     // One invalidation round covers the whole range (batched).
     clock_.advance(machine_.costs().tlbShootdown +
                    machine_.costs().vmaSetup);
-    munmapStat_->inc();
+    munmapCounter_->inc();
     tlbShootdownCounter_->inc();
 }
 
@@ -255,7 +244,7 @@ NodeOs::mprotect(Task &task, mem::VirtAddr lo, mem::VirtAddr hi,
         if (auto idx = tree.findShared(va)) {
             tree.materialize(*idx);
             clock_.advance(machine_.costs().vmaSetup);
-            vmaMaterializedStat_->inc();
+            vmaMaterializedCounter_->inc();
         }
     }
     bool any = false;
@@ -303,7 +292,7 @@ NodeOs::mprotect(Task &task, mem::VirtAddr lo, mem::VirtAddr hi,
         clock_.advance(machine_.costs().tlbShootdown);
         tlbShootdownCounter_->inc();
     }
-    mprotectStat_->inc();
+    mprotectCounter_->inc();
 }
 
 Vma *
@@ -323,7 +312,7 @@ NodeOs::resolveVma(Task &task, mem::VirtAddr va)
         if (rec.kind == VmaKind::FilePrivate)
             cost += machine_.costs().fileOpen;
         clock_.advance(cost);
-        vmaMaterializedStat_->inc();
+        vmaMaterializedCounter_->inc();
         return &tree.materialize(*idx);
     }
     return nullptr;
@@ -408,7 +397,6 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
     // the device page.
     machine_.evictFrame(ckptPte.frame(), id_, clock_);
     clock_.advance(task.mm().backing()->migrateCost(machine_.costs()));
-    faultKindStats_[size_t(FaultKind::CxlMigrate)]->inc();
     pagesFromCxlCounter_->inc();
     if (machine_.tracer().enabled()) {
         machine_.tracer().instant(
@@ -464,7 +452,6 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
                         mapped.set(Pte::kSoftHot);
                     const auto setRes = pt.setPte(va, mapped);
                     clock_.advance(costs.faultTrap);
-                    faultKindStats_[size_t(FaultKind::CxlMapThrough)]->inc();
                     if (!isWrite) {
                         return {FaultKind::CxlMapThrough, mem::Tier::Cxl,
                                 setRes.leafCow};
@@ -488,7 +475,6 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             pt.setPte(va, newPte);
             guard.release();
             clock_.advance(costs.minorFault);
-            faultKindStats_[size_t(FaultKind::Minor)]->inc();
             return {FaultKind::Minor, mem::Tier::LocalDram};
         } else {
             // Private file mapping: read the page through the FS into
@@ -509,7 +495,6 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             pt.setPte(va, newPte);
             guard.release();
             clock_.advance(costs.majorFaultFs);
-            faultKindStats_[size_t(FaultKind::Major)]->inc();
             if (!isWrite)
                 return {FaultKind::Major, mem::Tier::LocalDram};
             // Write to a fresh file page: CoW it right away (below).
@@ -541,7 +526,6 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
         // the directory's sharer set.
         machine_.evictFrame(cur.frame(), id_, clock_);
         clock_.advance(costs.cxlCowFault());
-        faultKindStats_[size_t(FaultKind::CowCxl)]->inc();
         pagesFromCxlCounter_->inc();
         tlbShootdownCounter_->inc();
         if (machine_.tracer().enabled()) {
@@ -551,7 +535,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
                  {"reason", sim::TraceValue::of("cow_cxl")}});
         }
         if (setRes.leafCow)
-            leafCowStat_->inc();
+            leafCowCounter_->inc();
         return {FaultKind::CowCxl, mem::Tier::LocalDram, setRes.leafCow};
     }
 
@@ -578,7 +562,6 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             clock_.advance(costs.localCowFault());
             tlbShootdownCounter_->inc();
         }
-        faultKindStats_[size_t(FaultKind::CowLocal)]->inc();
         return {FaultKind::CowLocal, mem::Tier::LocalDram};
     }
 
@@ -827,7 +810,7 @@ NodeOs::localFork(Task &parent, const std::string &childName)
     // ranges must keep resolving against the image).
     if (auto backing = parent.mm().backingPtr())
         child->mm().setBacking(std::move(backing), parent.mm().policy());
-    forkLocalStat_->inc();
+    forkLocalCounter_->inc();
     return child;
 }
 

@@ -117,7 +117,6 @@ class NodeOs
     mem::Machine &machine() { return machine_; }
     sim::SimClock &clock() { return clock_; }
     Vfs &vfs() { return *vfs_; }
-    sim::StatSet &stats() { return stats_; }
     NamespaceRegistry &nsRegistry() { return nsRegistry_; }
 
     mem::FrameAllocator &localDram() { return machine_.nodeDram(id_); }
@@ -244,32 +243,30 @@ class NodeOs
     std::shared_ptr<Vfs> vfs_;
     NamespaceRegistry &nsRegistry_;
     NamespaceSet hostNs_;
-    sim::StatSet stats_;
     sim::SimTime faultTime_;
     WorkCounters work_;
     std::map<int, std::shared_ptr<Task>> tasks_;
 
     // Fault-path metric handles, resolved once at construction so each
     // fault charges a pointer bump instead of building a key string and
-    // walking two map lookups. FaultKind indexes the per-kind arrays;
+    // doing a map lookup. FaultKind indexes the per-kind array;
     // map storage keeps the pointers stable for the NodeOs lifetime.
     std::array<sim::Counter *, kFaultKindCount> faultKindCounters_{};
-    std::array<sim::Counter *, kFaultKindCount> faultKindStats_{};
     sim::Counter *faultFailedCounter_ = nullptr;
-    sim::Counter *leafCowStat_ = nullptr;
+    sim::Counter *leafCowCounter_ = nullptr;
     sim::Counter *tlbShootdownCounter_ = nullptr;
     sim::Counter *pagesFromCxlCounter_ = nullptr;
     sim::LatencyHistogram *faultLatency_ = nullptr;
 
-    // Syscall / lifecycle stat handles, same policy as the fault-path
+    // Syscall / lifecycle metric handles, same policy as the fault-path
     // handles above: resolve the string-keyed lookup once, bump a
     // pointer afterwards.
-    sim::Counter *taskCreatedStat_ = nullptr;
-    sim::Counter *taskExitedStat_ = nullptr;
-    sim::Counter *munmapStat_ = nullptr;
-    sim::Counter *mprotectStat_ = nullptr;
-    sim::Counter *vmaMaterializedStat_ = nullptr;
-    sim::Counter *forkLocalStat_ = nullptr;
+    sim::Counter *taskCreatedCounter_ = nullptr;
+    sim::Counter *taskExitedCounter_ = nullptr;
+    sim::Counter *munmapCounter_ = nullptr;
+    sim::Counter *mprotectCounter_ = nullptr;
+    sim::Counter *vmaMaterializedCounter_ = nullptr;
+    sim::Counter *forkLocalCounter_ = nullptr;
 
     sim::Counter *prefetchBatchCounter_ = nullptr;
     sim::Counter *prefetchIssuedCounter_ = nullptr;

@@ -90,11 +90,10 @@ CriuCxl::checkpoint(os::NodeOs &node, os::Task &parent,
     cs.vmas = image.vmas.size();
     cs.bytesToCxl = simBytes;
     ckptSpan.attr("pages", cs.pages).attr("bytes_to_cxl", cs.bytesToCxl);
-    checkpointsCounter_->inc();
-    checkpointLatency_->record(cs.latency);
+    metrics_.checkpoints->inc();
+    metrics_.checkpointNs->record(cs.latency);
     if (stats)
         *stats = cs;
-    ckptNodeStat_.on(node).inc();
     return handle;
 }
 
@@ -257,17 +256,16 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
 
     } catch (...) {
         target.exitTask(task);
-        restoreFailedCounter_->inc();
+        metrics_.restoreFailed->inc();
         throw;
     }
 
     rs.latency = clock.now() - start;
     restoreSpan.attr("pages_copied", rs.pagesCopied).finish();
-    restoresCounter_->inc();
-    restoreLatency_->record(rs.latency);
+    metrics_.restores->inc();
+    metrics_.restoreNs->record(rs.latency);
     if (stats)
         *stats = rs;
-    restoreNodeStat_.on(target).inc();
     return task;
 }
 

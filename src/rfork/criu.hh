@@ -115,17 +115,9 @@ class CriuHandle : public CheckpointHandle
 class CriuCxl : public RemoteForkMechanism
 {
   public:
-    explicit CriuCxl(cxl::CxlFabric &fabric) : fabric_(fabric)
-    {
-        // Resolve metric handles once; the registry's map storage keeps
-        // them stable for the fabric's lifetime.
-        sim::MetricsRegistry &m = fabric_.machine().metrics();
-        checkpointsCounter_ = &m.counter("rfork.criu.checkpoints");
-        checkpointLatency_ = &m.latency("rfork.criu.checkpoint_ns");
-        restoresCounter_ = &m.counter("rfork.criu.restores");
-        restoreFailedCounter_ = &m.counter("rfork.criu.restore_failed");
-        restoreLatency_ = &m.latency("rfork.criu.restore_ns");
-    }
+    explicit CriuCxl(cxl::CxlFabric &fabric)
+        : fabric_(fabric), metrics_(fabric.machine().metrics(), "criu")
+    {}
 
     const char *name() const override { return "CRIU-CXL"; }
 
@@ -141,13 +133,7 @@ class CriuCxl : public RemoteForkMechanism
   private:
     cxl::CxlFabric &fabric_;
     uint64_t nextImageId_ = 1;
-    sim::Counter *checkpointsCounter_ = nullptr;
-    sim::LatencyHistogram *checkpointLatency_ = nullptr;
-    sim::Counter *restoresCounter_ = nullptr;
-    sim::Counter *restoreFailedCounter_ = nullptr;
-    sim::LatencyHistogram *restoreLatency_ = nullptr;
-    NodeStatHandle ckptNodeStat_{"criu.checkpoint"};
-    NodeStatHandle restoreNodeStat_{"criu.restore"};
+    MechanismMetrics metrics_;
 };
 
 } // namespace cxlfork::rfork

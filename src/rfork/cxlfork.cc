@@ -211,13 +211,12 @@ CxlFork::checkpoint(os::NodeOs &node, os::Task &parent,
         .attr("leaves", cs.leaves)
         .attr("bytes_to_cxl", cs.bytesToCxl)
         .finish();
-    checkpointsCounter_->inc();
+    metrics_.checkpoints->inc();
     pagesCkptCounter_->inc(cs.pages);
     bytesToCxlCounter_->inc(cs.bytesToCxl);
-    checkpointLatency_->record(cs.latency);
+    metrics_.checkpointNs->record(cs.latency);
     if (stats)
         *stats = cs;
-    ckptNodeStat_.on(node).inc();
     return img;
 }
 
@@ -376,7 +375,7 @@ CxlFork::restore(const std::shared_ptr<CheckpointHandle> &handle,
 
     } catch (...) {
         target.exitTask(task);
-        restoreFailedCounter_->inc();
+        metrics_.restoreFailed->inc();
         throw;
     }
 
@@ -384,12 +383,11 @@ CxlFork::restore(const std::shared_ptr<CheckpointHandle> &handle,
     restoreSpan.attr("pages_copied", rs.pagesCopied)
         .attr("leaves_attached", rs.leavesAttached)
         .finish();
-    restoresCounter_->inc();
+    metrics_.restores->inc();
     pagesPrefetchedCounter_->inc(rs.pagesCopied);
-    restoreLatency_->record(rs.latency);
+    metrics_.restoreNs->record(rs.latency);
     if (stats)
         *stats = rs;
-    restoreNodeStat_.on(target).inc();
     return task;
 }
 

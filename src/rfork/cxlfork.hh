@@ -49,19 +49,15 @@ class CxlFork : public RemoteForkMechanism
 {
   public:
     explicit CxlFork(cxl::CxlFabric &fabric, CxlForkConfig cfg = {})
-        : fabric_(fabric), cfg_(cfg)
+        : fabric_(fabric), cfg_(cfg),
+          metrics_(fabric.machine().metrics(), "cxlfork")
     {
         sim::MetricsRegistry &m = fabric_.machine().metrics();
-        checkpointsCounter_ = &m.counter("rfork.cxlfork.checkpoints");
         pagesCkptCounter_ = &m.counter("rfork.cxlfork.pages_checkpointed");
         bytesToCxlCounter_ = &m.counter("rfork.cxlfork.bytes_to_cxl");
-        checkpointLatency_ = &m.latency("rfork.cxlfork.checkpoint_ns");
         crcRejectCounter_ = &m.counter("rfork.cxlfork.crc_rejects");
-        restoresCounter_ = &m.counter("rfork.cxlfork.restores");
-        restoreFailedCounter_ = &m.counter("rfork.cxlfork.restore_failed");
         pagesPrefetchedCounter_ =
             &m.counter("rfork.cxlfork.pages_prefetched");
-        restoreLatency_ = &m.latency("rfork.cxlfork.restore_ns");
     }
 
     const char *name() const override { return "CXLfork"; }
@@ -82,17 +78,11 @@ class CxlFork : public RemoteForkMechanism
   private:
     cxl::CxlFabric &fabric_;
     CxlForkConfig cfg_;
-    sim::Counter *checkpointsCounter_ = nullptr;
+    MechanismMetrics metrics_;
     sim::Counter *pagesCkptCounter_ = nullptr;
     sim::Counter *bytesToCxlCounter_ = nullptr;
-    sim::LatencyHistogram *checkpointLatency_ = nullptr;
     sim::Counter *crcRejectCounter_ = nullptr;
-    sim::Counter *restoresCounter_ = nullptr;
-    sim::Counter *restoreFailedCounter_ = nullptr;
     sim::Counter *pagesPrefetchedCounter_ = nullptr;
-    sim::LatencyHistogram *restoreLatency_ = nullptr;
-    NodeStatHandle ckptNodeStat_{"cxlfork.checkpoint"};
-    NodeStatHandle restoreNodeStat_{"cxlfork.restore"};
 };
 
 } // namespace cxlfork::rfork

@@ -40,10 +40,7 @@ LocalFork::restore(const std::shared_ptr<CheckpointHandle> &handle,
     mem::Machine &machine = target.machine();
     if (handleMachine_ != &machine) {
         handleMachine_ = &machine;
-        restoresCounter_ =
-            &machine.metrics().counter("rfork.localfork.restores");
-        restoreLatency_ =
-            &machine.metrics().latency("rfork.localfork.restore_ns");
+        metrics_ = MechanismMetrics(machine.metrics(), "localfork");
     }
     const sim::SimTime start = target.clock().now();
     sim::SpanScope restoreSpan = machine.tracer().span(
@@ -60,10 +57,10 @@ LocalFork::restore(const std::shared_ptr<CheckpointHandle> &handle,
     if (opts.prefetch)
         runSpeculativePrefetch(target, *child, *opts.prefetch, &rs);
     restoreSpan.finish();
-    restoresCounter_->inc();
+    metrics_.restores->inc();
     rs.latency = target.clock().now() - start;
     rs.memoryState = rs.latency - rs.prefetchTime;
-    restoreLatency_->record(rs.latency);
+    metrics_.restoreNs->record(rs.latency);
     if (stats)
         *stats = rs;
     return child;

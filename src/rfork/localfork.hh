@@ -66,8 +66,7 @@ class LocalFork : public RemoteForkMechanism
     // metric handles resolve lazily on first restore, keyed by machine:
     // benches reuse one LocalFork across per-point machines.
     mem::Machine *handleMachine_ = nullptr;
-    sim::Counter *restoresCounter_ = nullptr;
-    sim::LatencyHistogram *restoreLatency_ = nullptr;
+    MechanismMetrics metrics_;
 };
 
 } // namespace cxlfork::rfork

@@ -177,11 +177,10 @@ MitosisCxl::checkpoint(os::NodeOs &node, os::Task &parent,
 
     cs.latency = clock.now() - start;
     ckptSpan.attr("pages", cs.pages).attr("bytes_local", cs.bytesLocal);
-    checkpointsCounter_->inc();
-    checkpointLatency_->record(cs.latency);
+    metrics_.checkpoints->inc();
+    metrics_.checkpointNs->record(cs.latency);
     if (stats)
         *stats = cs;
-    ckptNodeStat_.on(node).inc();
     return handle;
 }
 
@@ -260,17 +259,16 @@ MitosisCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
 
     } catch (...) {
         target.exitTask(task);
-        restoreFailedCounter_->inc();
+        metrics_.restoreFailed->inc();
         throw;
     }
 
     rs.latency = clock.now() - start;
     restoreSpan.finish();
-    restoresCounter_->inc();
-    restoreLatency_->record(rs.latency);
+    metrics_.restores->inc();
+    metrics_.restoreNs->record(rs.latency);
     if (stats)
         *stats = rs;
-    restoreNodeStat_.on(target).inc();
     return task;
 }
 

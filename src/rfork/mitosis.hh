@@ -143,15 +143,9 @@ class MitosisHandle : public CheckpointHandle, public os::CheckpointBacking
 class MitosisCxl : public RemoteForkMechanism
 {
   public:
-    explicit MitosisCxl(cxl::CxlFabric &fabric) : fabric_(fabric)
-    {
-        sim::MetricsRegistry &m = fabric_.machine().metrics();
-        checkpointsCounter_ = &m.counter("rfork.mitosis.checkpoints");
-        checkpointLatency_ = &m.latency("rfork.mitosis.checkpoint_ns");
-        restoresCounter_ = &m.counter("rfork.mitosis.restores");
-        restoreFailedCounter_ = &m.counter("rfork.mitosis.restore_failed");
-        restoreLatency_ = &m.latency("rfork.mitosis.restore_ns");
-    }
+    explicit MitosisCxl(cxl::CxlFabric &fabric)
+        : fabric_(fabric), metrics_(fabric.machine().metrics(), "mitosis")
+    {}
 
     const char *name() const override { return "Mitosis-CXL"; }
 
@@ -166,13 +160,7 @@ class MitosisCxl : public RemoteForkMechanism
 
   private:
     cxl::CxlFabric &fabric_;
-    sim::Counter *checkpointsCounter_ = nullptr;
-    sim::LatencyHistogram *checkpointLatency_ = nullptr;
-    sim::Counter *restoresCounter_ = nullptr;
-    sim::Counter *restoreFailedCounter_ = nullptr;
-    sim::LatencyHistogram *restoreLatency_ = nullptr;
-    NodeStatHandle ckptNodeStat_{"mitosis.checkpoint"};
-    NodeStatHandle restoreNodeStat_{"mitosis.restore"};
+    MechanismMetrics metrics_;
 };
 
 } // namespace cxlfork::rfork

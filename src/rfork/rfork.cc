@@ -47,6 +47,15 @@ classify(const sim::SimError &e)
 
 } // namespace
 
+MechanismMetrics::MechanismMetrics(sim::MetricsRegistry &m,
+                                   const std::string &key)
+    : checkpoints(&m.counter("rfork." + key + ".checkpoints")),
+      checkpointNs(&m.latency("rfork." + key + ".checkpoint_ns")),
+      restores(&m.counter("rfork." + key + ".restores")),
+      restoreFailed(&m.counter("rfork." + key + ".restore_failed")),
+      restoreNs(&m.latency("rfork." + key + ".restore_ns"))
+{}
+
 void
 RemoteForkMechanism::stageHandle(
     const std::shared_ptr<CheckpointHandle> &handle, os::NodeOs &node)

@@ -27,31 +27,20 @@ namespace cxlfork::rfork {
 struct PrefetchSchedule;
 
 /**
- * Single-entry cache for a per-node StatSet counter. Machine-registry
- * handles resolve once at mechanism construction, but StatSets live
- * per node, so this handle re-resolves only when the acting node
- * changes (the LocalFork lazy-handle pattern) instead of walking the
- * string-keyed map on every checkpoint/restore.
+ * The machine-registry handles every mechanism records its checkpoints
+ * and restores under, `rfork.<key>.*`, resolved once from the key. The
+ * registry's map storage keeps them stable for the machine's lifetime.
  */
-class NodeStatHandle
+struct MechanismMetrics
 {
-  public:
-    explicit NodeStatHandle(const char *key) : key_(key) {}
+    MechanismMetrics() = default;
+    MechanismMetrics(sim::MetricsRegistry &m, const std::string &key);
 
-    sim::Counter &
-    on(os::NodeOs &node)
-    {
-        if (node_ != &node) {
-            node_ = &node;
-            counter_ = &node.stats().counter(key_);
-        }
-        return *counter_;
-    }
-
-  private:
-    const char *key_;
-    os::NodeOs *node_ = nullptr;
-    sim::Counter *counter_ = nullptr;
+    sim::Counter *checkpoints = nullptr;
+    sim::LatencyHistogram *checkpointNs = nullptr;
+    sim::Counter *restores = nullptr;
+    sim::Counter *restoreFailed = nullptr;
+    sim::LatencyHistogram *restoreNs = nullptr;
 };
 
 /** Opaque mechanism-specific checkpoint handle. */

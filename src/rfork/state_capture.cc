@@ -95,7 +95,6 @@ redoGlobalState(os::NodeOs &node, os::Task &task,
         task.namespaces().mount->mounts = msg.mounts;
         node.clock().advance(costs.namespaceSetup);
     }
-    node.stats().counter("restore.global_redo").inc();
 }
 
 } // namespace cxlfork::rfork

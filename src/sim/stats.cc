@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "log.hh"
 
@@ -92,26 +91,6 @@ Histogram::ensureSorted() const
         std::sort(sorted_.begin(), sorted_.end());
         dirty_ = false;
     }
-}
-
-void
-StatSet::reset()
-{
-    counters_.clear();
-    summaries_.clear();
-}
-
-std::string
-StatSet::toString() const
-{
-    std::ostringstream os;
-    for (const auto &[name, c] : counters_)
-        os << name << " = " << c.value() << "\n";
-    for (const auto &[name, s] : summaries_) {
-        os << name << " = mean " << s.mean() << " min " << s.min()
-           << " max " << s.max() << " (n=" << s.count() << ")\n";
-    }
-    return os.str();
 }
 
 } // namespace cxlfork::sim

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "time.hh"
@@ -83,36 +81,6 @@ class Histogram
     std::vector<double> samples_;
     mutable std::vector<double> sorted_;
     mutable bool dirty_ = false;
-};
-
-/**
- * A named bag of stats, used by subsystems to publish what they measured
- * (fault counts, bytes copied, restore phases, ...).
- */
-class StatSet
-{
-  public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    Summary &summary(const std::string &name) { return summaries_[name]; }
-
-    const std::map<std::string, Counter> &counters() const { return counters_; }
-    const std::map<std::string, Summary> &summaries() const { return summaries_; }
-
-    uint64_t
-    counterValue(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second.value();
-    }
-
-    void reset();
-
-    /** Render "name = value" lines for humans. */
-    std::string toString() const;
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Summary> summaries_;
 };
 
 } // namespace cxlfork::sim

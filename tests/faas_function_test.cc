@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "faas/container.hh"
 #include "faas/workloads.hh"
 #include "rfork/cxlfork.hh"
@@ -208,6 +210,28 @@ TEST_F(InstanceTest, ContainerLifecycle)
 
     cm.retire(*ghost);
     EXPECT_EQ(cm.liveCount(), 0u);
+}
+
+TEST_F(InstanceTest, ContainerOpsCountOnceInMachineMetrics)
+{
+    const sim::MetricsRegistry &m = world.machine->metrics();
+    const auto counts = [&m] {
+        return std::array<uint64_t, 3>{
+            m.counterValue("faas.container.created"),
+            m.counterValue("faas.container.ghost_provisioned"),
+            m.counterValue("faas.container.ghost_triggered")};
+    };
+    ContainerManager cm(world.node(0));
+    EXPECT_EQ(counts(), (std::array<uint64_t, 3>{0, 0, 0}));
+    auto active = cm.create("a");
+    EXPECT_EQ(counts(), (std::array<uint64_t, 3>{1, 0, 0}));
+    auto ghost = cm.provisionGhost("b");
+    EXPECT_EQ(counts(), (std::array<uint64_t, 3>{1, 1, 0}));
+    cm.trigger(*ghost);
+    EXPECT_EQ(counts(), (std::array<uint64_t, 3>{1, 1, 1}));
+    // A rejected trigger counts nothing.
+    EXPECT_THROW(cm.trigger(*active), sim::FatalError);
+    EXPECT_EQ(counts(), (std::array<uint64_t, 3>{1, 1, 1}));
 }
 
 TEST_F(InstanceTest, DeployIntoGhostContainer)

@@ -26,7 +26,7 @@ TEST_F(FaultTest, MinorFaultPopulatesAnon)
     EXPECT_EQ(r.fault, FaultKind::Minor);
     EXPECT_EQ(r.tier, mem::Tier::LocalDram);
     EXPECT_EQ(node.read(*task, vma.start), 0xfeedu);
-    EXPECT_EQ(node.stats().counterValue("fault.minor"), 1u);
+    EXPECT_EQ(world.machine->metrics().counterValue("os.fault.minor"), 1u);
 }
 
 TEST_F(FaultTest, SecondAccessHits)
@@ -60,7 +60,7 @@ TEST_F(FaultTest, MajorFaultReadsFileContent)
     EXPECT_EQ(r.fault, FaultKind::Major);
     EXPECT_EQ(node.read(*task, vma.start.plus(kPageSize)),
               inode->pageContent(1));
-    EXPECT_EQ(node.stats().counterValue("fault.major"), 1u);
+    EXPECT_EQ(world.machine->metrics().counterValue("os.fault.major"), 1u);
 }
 
 TEST_F(FaultTest, WriteToReadOnlyVmaIsFatal)
@@ -80,7 +80,8 @@ TEST_F(FaultTest, WritableFileMappingCowsOnWrite)
     EXPECT_EQ(node.read(*task, vma.start), inode->pageContent(0));
     node.write(*task, vma.start, 0xd00d);
     EXPECT_EQ(node.read(*task, vma.start), 0xd00du);
-    EXPECT_GE(node.stats().counterValue("fault.cow_local"), 1u);
+    EXPECT_GE(world.machine->metrics().counterValue("os.fault.cow_local"),
+              1u);
 }
 
 TEST_F(FaultTest, SegfaultOutsideAnyVma)

@@ -72,10 +72,11 @@ TEST_F(ForkTest, CowFaultCountsAndCosts)
 {
     auto parent = makeParent(8);
     auto child = node.localFork(*parent, "child");
-    const uint64_t cowBefore = node.stats().counterValue("fault.cow_local");
+    const sim::MetricsRegistry &m = world.machine->metrics();
+    const uint64_t cowBefore = m.counterValue("os.fault.cow_local");
     for (uint64_t i = 0; i < 8; ++i)
         node.write(*child, heapStart.plus(i * kPageSize), i);
-    EXPECT_EQ(node.stats().counterValue("fault.cow_local"), cowBefore + 8);
+    EXPECT_EQ(m.counterValue("os.fault.cow_local"), cowBefore + 8);
 }
 
 TEST_F(ForkTest, FdsAreDuplicated)

@@ -1,7 +1,7 @@
 /**
  * @file
  * NodeOs surface tests: task lifecycle, mapping entry points, fault
- * time accounting, stats, and error handling not covered by the
+ * time accounting, metrics, and error handling not covered by the
  * fault/fork suites.
  */
 
@@ -95,20 +95,18 @@ TEST_F(KernelTest, StatsCountersNameFaultKinds)
     auto task = node.createTask("t");
     Vma &vma = node.mapAnon(*task, kPageSize, kVmaRead | kVmaWrite, "h");
     node.access(*task, vma.start, true, 1);
-    EXPECT_EQ(node.stats().counterValue("fault.minor"), 1u);
-    EXPECT_EQ(node.stats().counterValue("task.created"), 1u);
-    EXPECT_NE(node.stats().toString().find("fault.minor"),
-              std::string::npos);
+    const sim::MetricsRegistry &m = world.machine->metrics();
+    EXPECT_EQ(m.counterValue("os.fault.minor"), 1u);
+    EXPECT_EQ(m.counterValue("os.task.created"), 1u);
 }
 
-TEST_F(KernelTest, NodesHaveIndependentClocksAndStats)
+TEST_F(KernelTest, NodesHaveIndependentClocks)
 {
     NodeOs &other = world.node(1);
     auto task = node.createTask("t");
     (void)task;
     EXPECT_GT(node.clock().now().toNs(), 0.0);
     EXPECT_EQ(other.clock().now().toNs(), 0.0);
-    EXPECT_EQ(other.stats().counterValue("task.created"), 0u);
 }
 
 TEST_F(KernelTest, FaultKindNamesAreStable)

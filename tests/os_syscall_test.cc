@@ -42,7 +42,7 @@ TEST_F(SyscallTest, MunmapReleasesRangeAndMemory)
     EXPECT_EQ(task->mm().vmas().localCount(), 0u);
     // Accessing the hole is a segfault.
     EXPECT_THROW(node.access(*task, start, false), sim::FatalError);
-    EXPECT_EQ(node.stats().counterValue("syscall.munmap"), 1u);
+    EXPECT_EQ(world.machine->metrics().counterValue("os.syscall.munmap"), 1u);
 }
 
 TEST_F(SyscallTest, MunmapThenRemapReusesRange)

@@ -128,12 +128,11 @@ TEST_F(BaselineTest, MitosisFaultsCopyPagesLocally)
     auto child = mitosis.restore(handle, node1, {}, &rs);
     // Restore itself copies no data pages...
     EXPECT_EQ(rs.pagesCopied, 0u);
-    const uint64_t migrBefore =
-        node1.stats().counterValue("fault.cxl_migrate");
+    const sim::MetricsRegistry &m = world.machine->metrics();
+    const uint64_t migrBefore = m.counterValue("os.fault.cxl_migrate");
     node1.read(*child, heapStart);
     // ...every first touch migrates the page to local memory.
-    EXPECT_EQ(node1.stats().counterValue("fault.cxl_migrate"),
-              migrBefore + 1);
+    EXPECT_EQ(m.counterValue("os.fault.cxl_migrate"), migrBefore + 1);
     EXPECT_GT(child->mm().localFootprintBytes(), 0u);
     EXPECT_EQ(child->mm().cxlMappedBytes(), 0u);
 }

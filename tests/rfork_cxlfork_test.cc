@@ -123,9 +123,11 @@ TEST_F(CxlForkTest, WritesCowAndKeepCheckpointPristine)
     opts.prefetchDirty = false;
     auto c1 = fork.restore(handle, node1, opts);
 
+    const sim::MetricsRegistry &m = world.machine->metrics();
+    const uint64_t cowBefore = m.counterValue("os.fault.cow_cxl");
     node1.write(*c1, heapStart, 0xbeef);
     EXPECT_EQ(node1.read(*c1, heapStart), 0xbeefu);
-    EXPECT_GE(node1.stats().counterValue("fault.cow_cxl"), 1u);
+    EXPECT_GE(m.counterValue("os.fault.cow_cxl"), cowBefore + 1);
 
     // A second clone still sees the original data.
     auto c2 = fork.restore(handle, node0, opts);
@@ -172,9 +174,10 @@ TEST_F(CxlForkTest, DirtyPrefetchPullsParentWrittenPages)
     EXPECT_EQ(rs.pagesCopied, kHeapPages);
     EXPECT_GT(rs.dataCopy.toNs(), 0.0);
     // Prefetched pages are local and writable: no CoW faults on write.
-    const uint64_t cowBefore = node1.stats().counterValue("fault.cow_cxl");
+    const sim::MetricsRegistry &m = world.machine->metrics();
+    const uint64_t cowBefore = m.counterValue("os.fault.cow_cxl");
     node1.write(*child, heapStart, 1);
-    EXPECT_EQ(node1.stats().counterValue("fault.cow_cxl"), cowBefore);
+    EXPECT_EQ(m.counterValue("os.fault.cow_cxl"), cowBefore);
 }
 
 TEST_F(CxlForkTest, RestoreBreakdownIsPopulated)

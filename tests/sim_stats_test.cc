@@ -111,18 +111,5 @@ TEST(Summary, MergeFoldsCountTotalAndExtrema)
     EXPECT_EQ(c.max(), 10.0);
 }
 
-TEST(StatSet, NamedCountersAndSummaries)
-{
-    StatSet s;
-    s.counter("faults").inc(3);
-    s.summary("latency").add(5.0);
-    EXPECT_EQ(s.counterValue("faults"), 3u);
-    EXPECT_EQ(s.counterValue("missing"), 0u);
-    EXPECT_EQ(s.summaries().at("latency").count(), 1u);
-    EXPECT_NE(s.toString().find("faults = 3"), std::string::npos);
-    s.reset();
-    EXPECT_EQ(s.counterValue("faults"), 0u);
-}
-
 } // namespace
 } // namespace cxlfork::sim
