@@ -9,7 +9,8 @@
  * only defence against cold starts, so shrinking them hurts; with
  * CXLfork's near-constant restore, short windows reclaim memory almost
  * for free — exactly why CXLporter dares to drop to 10 s under
- * pressure.
+ * pressure. Each point is also recorded as
+ * `keepalive.<window>s.<mech>.*` bench metrics for the golden suite.
  */
 
 #include "porter/autoscaler.hh"
@@ -53,6 +54,21 @@ main()
             cfg.coresPerNode = 32;
             porter::PorterSim sim(cfg, functions, perf);
             res[mech] = sim.run(trace);
+
+            const porter::PorterMetrics &m = res[mech];
+            const std::string key =
+                "keepalive." + sim::Table::num(windowS, 0) + "s." +
+                (mech == porter::Mechanism::CriuCxl ? "criu" : "cxlfork");
+            bench::recordValue(key + ".p50_ms", m.p50Ms());
+            bench::recordValue(key + ".p99_ms", m.p99Ms());
+            bench::recordValue(key + ".restores", double(m.restores));
+            bench::recordValue(key + ".cold_starts", double(m.coldStarts));
+            bench::recordValue(key + ".warm_hits", double(m.warmHits));
+            bench::recordValue(key + ".evictions", double(m.evictions));
+            bench::recordValue(key + ".queued_for_memory",
+                               double(m.queuedForMemory));
+            bench::recordValue(key + ".peak_mem_mb",
+                               double(m.peakMemBytes) / (1 << 20));
         }
         const auto &criu = res[porter::Mechanism::CriuCxl];
         const auto &cxlf = res[porter::Mechanism::CxlFork];
@@ -67,5 +83,6 @@ main()
     t.addNote("Short windows multiply restores; only a fast rfork keeps "
               "that cheap, letting memory be reclaimed aggressively.");
     t.print();
+    bench::finishBench("ext_keepalive");
     return 0;
 }
