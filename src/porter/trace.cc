@@ -174,6 +174,7 @@ parseTraceCsv(const std::string &csvText)
     std::istringstream in(csvText);
     std::string line;
     size_t lineNo = 0;
+    bool firstRow = true; // the only row that may be a header
     while (std::getline(in, line)) {
         ++lineNo;
         const std::string t = trim(line);
@@ -186,10 +187,12 @@ parseTraceCsv(const std::string &csvText)
         }
         const std::string tsField = trim(t.substr(0, comma));
         const std::string fn = trim(t.substr(comma + 1));
-        if (lineNo == 1 && !tsField.empty() &&
-            !std::isdigit(uint8_t(tsField[0])) && tsField[0] != '.') {
-            continue; // header row
-        }
+        const bool header = firstRow && !tsField.empty() &&
+                            !std::isdigit(uint8_t(tsField[0])) &&
+                            tsField[0] != '.';
+        firstRow = false;
+        if (header)
+            continue;
         if (fn.empty())
             sim::fatal("trace csv line %zu: empty function name", lineNo);
         double ts = 0.0;

@@ -194,6 +194,24 @@ TEST(TraceCsv, SkipsHeaderRow)
     EXPECT_EQ(reqs[0].function, "Json");
 }
 
+// The header is the first row that is neither blank nor a comment,
+// wherever it sits in the file; a header-like row after data is still
+// a malformed row.
+TEST(TraceCsv, HeaderAfterCommentsOrBlankLinesIsSkipped)
+{
+    for (const char *csv :
+         {"# exported trace\ntimestamp,function\n1.0,Json\n",
+          "\n\ntimestamp,function\n1.0,Json\n",
+          "# a\n\n  # b\ntimestamp,function\n1.0,Json\n"}) {
+        const auto reqs = parseTraceCsv(csv);
+        ASSERT_EQ(reqs.size(), 1u) << csv;
+        EXPECT_EQ(reqs[0].function, "Json");
+        EXPECT_EQ(reqs[0].arrival, SimTime::sec(1.0));
+    }
+    EXPECT_THROW(parseTraceCsv("# a\n1.0,Json\ntimestamp,function\n"),
+                 sim::FatalError);
+}
+
 TEST(TraceCsv, RejectsMalformedRows)
 {
     EXPECT_THROW(parseTraceCsv("1.0,Json\nnot-a-row\n"), sim::FatalError);
