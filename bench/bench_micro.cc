@@ -251,11 +251,12 @@ BM_EventQueueChurn(benchmark::State &state)
     sim::Rng rng(0xc4u);
     uint64_t fired = 0;
     auto delay = [&] { return sim::SimTime::us(double(rng.index(1000000))); };
+    auto count = [&fired](sim::EventQueue::Event ev) { fired += ev.b; };
     for (int i = 0; i < kPending; ++i)
-        q.schedule(delay(), [&fired] { ++fired; });
+        q.schedule(delay(), {0, 0, 1});
     for (auto _ : state) {
-        q.scheduleAfter(delay(), [&fired] { ++fired; });
-        q.step();
+        q.scheduleAfter(delay(), {0, 0, 1});
+        q.step(count);
     }
     benchmark::DoNotOptimize(fired);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 
 #include "sim/log.hh"
 
@@ -150,26 +151,24 @@ PorterSim::run(const std::vector<Request> &trace)
 
     // Arrivals take the sorted lane in (arrival, trace position) order:
     // the order the heap would dispatch them in.
-    std::vector<const Request *> arrivals(trace.size());
-    for (size_t i = 0; i < trace.size(); ++i)
-        arrivals[i] = &trace[i];
-    const auto byArrival = [](const Request *a, const Request *b) {
-        return a->arrival < b->arrival;
+    std::vector<uint64_t> arrivals(trace.size());
+    std::iota(arrivals.begin(), arrivals.end(), uint64_t(0));
+    const auto byArrival = [&trace](uint64_t a, uint64_t b) {
+        return trace[a].arrival < trace[b].arrival;
     };
     if (!std::is_sorted(arrivals.begin(), arrivals.end(), byArrival))
         std::stable_sort(arrivals.begin(), arrivals.end(), byArrival);
     events_.reserveSorted(kArrivalLane, arrivals.size());
-    for (const Request *req : arrivals) {
-        events_.scheduleSorted(req->arrival, [this, req] { arrive(*req); },
+    for (uint64_t i : arrivals) {
+        events_.scheduleSorted(trace[i].arrival, {kArrive, 0, i},
                                kArrivalLane);
     }
     if (!trace.empty()) {
         events_.scheduleSorted(trace.front().arrival + cfg_.controllerPeriod,
-                               [this] { controllerTick(); },
-                               kControllerLane);
+                               {kControllerTick, 0, 0}, kControllerLane);
     }
     scheduleCrashes(trace);
-    events_.run();
+    events_.run([this](sim::EventQueue::Event ev) { handle(ev); });
 
     if (!trace.empty()) {
         const double span =
@@ -180,6 +179,35 @@ PorterSim::run(const std::vector<Request> &trace)
     for (const NodeState &n : nodes_)
         metrics_.peakMemBytes = std::max(metrics_.peakMemBytes, n.memUsed);
     return metrics_;
+}
+
+void
+PorterSim::handle(sim::EventQueue::Event ev)
+{
+    switch (EventKind(ev.kind)) {
+    case kArrive:
+        dispatch(traceBase_[ev.b], events_.now());
+        return;
+    case kComplete:
+        complete(ev.b);
+        return;
+    case kEvictIfIdle:
+        evictIfIdle(ev.b, ev.a);
+        return;
+    case kGhostRefill:
+        ++fnStates_[ev.a].ghostsAvailable;
+        return;
+    case kControllerTick:
+        controllerTick();
+        return;
+    case kCrash:
+        crashNode(ev.a);
+        return;
+    case kRecover:
+        recoverNode(ev.a);
+        return;
+    }
+    sim::panic("PorterSim: unknown event kind %u", ev.kind);
 }
 
 void
@@ -203,9 +231,9 @@ PorterSim::scheduleCrashes(const std::vector<Request> &trace)
     for (uint32_t i = 0; i < nodes_.size(); ++i) {
         SimTime t = begin + expDraw();
         while (t < horizon) {
-            events_.schedule(t, [this, i] { crashNode(i); });
+            events_.schedule(t, {kCrash, i, 0});
             const SimTime rec = t + cfg_.faults.nodeRecovery;
-            events_.schedule(rec, [this, i] { recoverNode(i); });
+            events_.schedule(rec, {kRecover, i, 0});
             t = rec + expDraw();
         }
     }
@@ -242,7 +270,8 @@ PorterSim::crashNode(uint32_t node)
     ns.memUsed = 0;
     ns.idleBytes = 0;
     ns.busyCores = 0;
-    ns.idleByAge.clear();
+    // The dead instances keep their stale links; nothing reads them.
+    ns.ageHead = ns.ageTail = ns.ageCount = 0;
     for (FnState &fn : fnStates_)
         fn.idleOnNode[node].clear();
 
@@ -271,12 +300,6 @@ PorterSim::recoverNode(uint32_t node)
     note("node_recover", node);
     // Fresh capacity: requests stuck waiting for memory can place now.
     drainMemQueue();
-}
-
-void
-PorterSim::arrive(const Request &req)
-{
-    dispatch(req, events_.now());
 }
 
 void
@@ -312,7 +335,7 @@ PorterSim::tryWarmHit(const Request &req, SimTime arrival)
         return false;
 
     Instance &inst = instances_[bestId];
-    removeIdle(bestId, inst);
+    removeIdle(bestId);
     inst.busy = true;
     ++inst.generation;
     ++metrics_.warmHits;
@@ -347,11 +370,8 @@ PorterSim::startOnCore(uint64_t instanceId)
     Instance &inst = instances_[instanceId];
     inst.waiting = false;
     ++nodes_[inst.node].busyCores;
-    // The request lives in the slot, so the closure stays small enough
-    // for std::function to store inline: no allocation per event.
-    auto done = [this, instanceId] { complete(instanceId); };
-    static_assert(sizeof(done) <= 16);
-    events_.scheduleAfter(inst.duration, done);
+    // The request lives in the slot, so the event carries only the id.
+    events_.scheduleAfter(inst.duration, {kComplete, 0, instanceId});
 }
 
 void
@@ -437,17 +457,16 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
             note("ghost_hit", node);
             // Background re-provisioning refills the pool off the
             // critical path.
-            events_.scheduleSorted(
-                events_.now() + cfg_.containerCreate,
-                [this, fnIdx] { ++fnStates_[fnIdx].ghostsAvailable; },
-                kGhostRefillLane);
+            events_.scheduleSorted(events_.now() + cfg_.containerCreate,
+                                   {kGhostRefill, fnIdx, 0},
+                                   kGhostRefillLane);
         }
     } else {
         ++metrics_.coldStarts;
         note("cold_start", node);
     }
 
-    // Eviction timers carry the id in 32 bits.
+    // The idle-age list links ids in 32 bits.
     const uint64_t id = instances_.size();
     if (id > UINT32_MAX)
         sim::fatal("PorterSim: more than 2^32 instances in one run");
@@ -498,7 +517,7 @@ PorterSim::complete(uint64_t instanceId)
 
     inst.busy = false;
     inst.idleSince = events_.now();
-    addIdle(instanceId, inst);
+    addIdle(instanceId);
     ++inst.generation;
     scheduleEviction(instanceId);
 
@@ -625,13 +644,10 @@ PorterSim::scheduleEviction(uint64_t instanceId)
     const size_t lane = window == cfg_.keepAlivePressured
                             ? kPressuredKeepAliveLane
                             : kKeepAliveLane;
-    // The id and generation take 32 bits each, so the closure is as
-    // small as completion's and std::function stores it inline.
-    const auto id = uint32_t(instanceId);
-    const uint32_t gen = instances_[instanceId].generation;
-    auto timer = [this, id, gen] { evictIfIdle(id, gen); };
-    static_assert(sizeof(timer) <= 16);
-    events_.scheduleSorted(events_.now() + window, timer, lane);
+    events_.scheduleSorted(
+        events_.now() + window,
+        {kEvictIfIdle, instances_[instanceId].generation, instanceId},
+        lane);
 }
 
 void
@@ -654,7 +670,7 @@ PorterSim::evict(uint64_t instanceId, bool drainQueue)
     Instance &inst = instances_[instanceId];
     CXLF_ASSERT(inst.live && !inst.busy);
     const uint32_t nodeIdx = inst.node;
-    removeIdle(instanceId, inst);
+    removeIdle(instanceId);
     nodes_[nodeIdx].memUsed -= inst.memBytes;
     inst.live = false;
     ++metrics_.evictions;
@@ -665,20 +681,27 @@ PorterSim::evict(uint64_t instanceId, bool drainQueue)
         drainMemQueue();
 }
 
-// The idle indexes are sorted vectors. An instance goes idle at now,
-// which is the latest idleSince, so it usually lands at the end of
-// idleByAge; warm hits take the lowest id, kept at the end of
-// idleOnNode.
+// An instance goes idle at now, the latest idleSince, so it usually
+// joins the idle-age list at its tail; on a tie it goes before the
+// higher ids idle since the same time. Warm hits take the lowest id,
+// kept at the end of the small sorted idleOnNode vector.
 
 void
-PorterSim::addIdle(uint64_t id, const Instance &inst)
+PorterSim::addIdle(uint64_t id)
 {
+    Instance &inst = instances_[id];
     NodeState &ns = nodes_[inst.node];
     ns.idleBytes += inst.memBytes;
-    const IdleKey key{inst.idleSince, id};
-    ns.idleByAge.insert(
-        std::upper_bound(ns.idleByAge.begin(), ns.idleByAge.end(), key),
-        key);
+    // Walk back from the tail past the entries ordered after this one.
+    uint32_t prev = ns.ageTail;
+    while (prev != 0 && !idleBefore(prev, id))
+        prev = instances_[prev].agePrev;
+    const uint32_t next = prev ? instances_[prev].ageNext : ns.ageHead;
+    inst.agePrev = prev;
+    inst.ageNext = next;
+    (prev ? instances_[prev].ageNext : ns.ageHead) = uint32_t(id);
+    (next ? instances_[next].agePrev : ns.ageTail) = uint32_t(id);
+    ++ns.ageCount;
     IdleIds &ids = fnStates_[inst.fnIdx].idleOnNode[inst.node];
     ids.insert(std::upper_bound(ids.begin(), ids.end(), id,
                                 std::greater<>()),
@@ -686,13 +709,17 @@ PorterSim::addIdle(uint64_t id, const Instance &inst)
 }
 
 void
-PorterSim::removeIdle(uint64_t id, const Instance &inst)
+PorterSim::removeIdle(uint64_t id)
 {
+    Instance &inst = instances_[id];
     NodeState &ns = nodes_[inst.node];
     ns.idleBytes -= inst.memBytes;
-    ns.idleByAge.erase(std::lower_bound(ns.idleByAge.begin(),
-                                        ns.idleByAge.end(),
-                                        IdleKey{inst.idleSince, id}));
+    (inst.agePrev ? instances_[inst.agePrev].ageNext : ns.ageHead) =
+        inst.ageNext;
+    (inst.ageNext ? instances_[inst.ageNext].agePrev : ns.ageTail) =
+        inst.agePrev;
+    inst.agePrev = inst.ageNext = 0;
+    --ns.ageCount;
     IdleIds &ids = fnStates_[inst.fnIdx].idleOnNode[inst.node];
     ids.erase(std::lower_bound(ids.begin(), ids.end(), id,
                                std::greater<>()));
@@ -705,9 +732,9 @@ PorterSim::reclaimOnNode(uint32_t node, uint64_t needBytes)
     while (freeBytes(ns) < needBytes) {
         // Evict the longest-idle instance on this node (lowest id on
         // ties).
-        if (ns.idleByAge.empty())
+        if (ns.ageHead == 0)
             return false;
-        evict(ns.idleByAge.front().second, /*drainQueue=*/false);
+        evict(ns.ageHead, /*drainQueue=*/false);
     }
     return true;
 }
@@ -789,8 +816,7 @@ PorterSim::controllerTick()
     // Keep ticking while there is work left.
     if (!events_.empty()) {
         events_.scheduleSorted(events_.now() + cfg_.controllerPeriod,
-                               [this] { controllerTick(); },
-                               kControllerLane);
+                               {kControllerTick, 0, 0}, kControllerLane);
     }
 }
 
@@ -850,11 +876,6 @@ PorterSim::auditAccounting() const
         t.idleBytes += inst.memBytes;
         ++t.idle;
         ++idlePerFnNode[inst.fnIdx * nodes_.size() + inst.node];
-        const std::vector<IdleKey> &age = nodes_[inst.node].idleByAge;
-        if (!std::binary_search(age.begin(), age.end(),
-                                IdleKey{inst.idleSince, id})) {
-            return fail("idle instance missing from idleByAge", id, 0, 1);
-        }
         const IdleIds &ids = fnStates_[inst.fnIdx].idleOnNode[inst.node];
         if (!std::binary_search(ids.begin(), ids.end(), id,
                                 std::greater<>())) {
@@ -875,8 +896,28 @@ PorterSim::auditAccounting() const
             return fail("memUsed", n, ns.memUsed, t.mem);
         if (ns.idleBytes != t.idleBytes)
             return fail("idleBytes", n, ns.idleBytes, t.idleBytes);
-        if (ns.idleByAge.size() != t.idle)
-            return fail("idleByAge size", n, ns.idleByAge.size(), t.idle);
+        // The idle-age list, head to tail: strictly ascending
+        // (idleSince, id), every entry a live idle instance of this
+        // node, back-links consistent. With the count equal to the idle
+        // tally, every idle instance is on it exactly once.
+        uint64_t listed = 0;
+        uint32_t prev = 0;
+        for (uint32_t id = ns.ageHead; id != 0;
+             prev = id, id = instances_[id].ageNext) {
+            if (id >= instances_.size() || ++listed > t.idle)
+                return fail("idle-age list length", n, listed, t.idle);
+            const Instance &inst = instances_[id];
+            if (!inst.live || inst.busy || inst.node != n)
+                return fail("idle-age list entry not idle here", n, id, 0);
+            if (inst.agePrev != prev)
+                return fail("idle-age back-link of", id, inst.agePrev, prev);
+            if (prev != 0 && !idleBefore(prev, id))
+                return fail("idle-age order after", prev, id, 0);
+        }
+        if (ns.ageTail != prev)
+            return fail("idle-age tail", n, ns.ageTail, prev);
+        if (listed != t.idle || ns.ageCount != t.idle)
+            return fail("idle-age count", n, ns.ageCount, t.idle);
         if (ns.busyCores != t.running || ns.busyCores > cfg_.coresPerNode)
             return fail("busyCores", n, ns.busyCores, t.running);
         for (uint32_t f = 0; f < fnStates_.size(); ++f) {

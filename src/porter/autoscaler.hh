@@ -205,11 +205,23 @@ class PorterSim
                              sim::MetricsRegistry *metrics);
 
   private:
+    /** What an event-queue payload asks the simulation to do. */
+    enum EventKind : uint32_t {
+        kArrive,         ///< b: the request's index in the trace.
+        kComplete,       ///< b: instance id.
+        kEvictIfIdle,    ///< a: generation, b: instance id.
+        kGhostRefill,    ///< a: function index.
+        kControllerTick,
+        kCrash,          ///< a: node.
+        kRecover,        ///< a: node.
+    };
+
     /**
      * One slot of the dense instance table, indexed by instance id.
      * Ids run from 1 and are never reused, so a dead instance's slot
      * keeps the request it was serving for the completion event that
-     * finds it gone.
+     * finds it gone. Ids fit in 32 bits (spawnAndRun checks), and so
+     * do the idle-age links.
      */
     struct Instance
     {
@@ -224,6 +236,9 @@ class PorterSim
         uint32_t generation = 0; ///< Guards stale eviction timers.
                                  ///< (2^32 runs to wrap, not one
                                  ///< keep-alive window.)
+        /** Neighbours in the node's idle-age list (0: none). */
+        uint32_t agePrev = 0;
+        uint32_t ageNext = 0;
         os::TieringPolicy policy = os::TieringPolicy::MigrateOnWrite;
         bool live = false;
         bool busy = false;
@@ -233,8 +248,6 @@ class PorterSim
     static constexpr size_t kTieringPolicies =
         size_t(os::TieringPolicy::Hybrid) + 1;
 
-    /** Idle instance on a node, ordered longest-idle first. */
-    using IdleKey = std::pair<sim::SimTime, uint64_t>; // (idleSince, id)
     /** Idle instance ids, highest first: the lowest is at back(). */
     using IdleIds = std::vector<uint64_t>;
 
@@ -246,8 +259,14 @@ class PorterSim
         uint32_t busyCores = 0;
         bool up = true;
         std::deque<uint64_t> coreQueue; ///< reserved instance ids
-        /** reclaimOnNode's victim order; sorted ascending. */
-        std::vector<IdleKey> idleByAge;
+        /**
+         * The idle-age list, reclaimOnNode's victim order: this node's
+         * idle instances linked through Instance::agePrev/ageNext in
+         * ascending (idleSince, id) order. Ids; 0 ends the list.
+         */
+        uint32_t ageHead = 0;
+        uint32_t ageTail = 0;
+        uint32_t ageCount = 0;
     };
 
     struct PendingRequest
@@ -281,7 +300,8 @@ class PorterSim
         sim::Histogram *latency = nullptr; ///< metrics_.perFunction entry.
     };
 
-    void arrive(const Request &req);
+    /** Run one dispatched event. */
+    void handle(sim::EventQueue::Event ev);
     void dispatch(const Request &req, sim::SimTime arrival);
     bool tryWarmHit(const Request &req, sim::SimTime arrival);
     void spawnAndRun(const Request &req, sim::SimTime arrival);
@@ -292,11 +312,18 @@ class PorterSim
     void evictIfIdle(uint64_t instanceId, uint32_t generation);
     void evict(uint64_t instanceId, bool drainQueue = true);
     /**
-     * Enter / leave the idle indexes (idleOnNode, idleByAge, idleBytes),
-     * which hold exactly the instances with busy == false.
+     * Enter / leave the idle indexes (idleOnNode, the idle-age list,
+     * idleBytes), which hold exactly the instances with busy == false.
      */
-    void addIdle(uint64_t id, const Instance &inst);
-    void removeIdle(uint64_t id, const Instance &inst);
+    void addIdle(uint64_t id);
+    void removeIdle(uint64_t id);
+    /** Whether instance a precedes b in idle-age order (idleSince, id). */
+    bool idleBefore(uint64_t a, uint64_t b) const
+    {
+        const sim::SimTime ta = instances_[a].idleSince;
+        const sim::SimTime tb = instances_[b].idleSince;
+        return ta < tb || (ta == tb && a < b);
+    }
     /** Reserve id for the request, or start it if a core is free. */
     void runOrQueue(uint64_t id, const Request &req, sim::SimTime arrival,
                     sim::SimTime duration);

@@ -2,19 +2,24 @@
  * @file
  * A discrete event queue for the cluster-level (CXLporter) simulation.
  *
- * Events are (time, sequence, callback) triples; ties break by insertion
+ * Events are (time, sequence, payload) triples; ties break by insertion
  * order so runs are deterministic. (time, sequence) is a strict total
  * order, so the dispatch order does not depend on how the queue is laid
  * out internally.
  *
+ * A payload is a 16-byte trivially copyable Event that the owner
+ * interprets: a kind and two operands. step() and run() take the
+ * handler as a callable and call it inline with each dispatched Event,
+ * so scheduling and dispatching allocate nothing and call through no
+ * type-erased wrapper.
+ *
  * One binary heap and kLanes sorted FIFO lanes share one sequence
- * counter. schedule() pushes a 24-byte key onto the heap, whose
- * callbacks live in a slab with a free list, so sifting never moves a
- * std::function. scheduleSorted() appends to one of the lanes, each a
- * ring buffer for a stream whose times never decrease (a trace's
- * arrivals, timers with one fixed delay), which then costs nothing to
- * order. step() dispatches the earliest of the heap front and the lane
- * heads by (time, sequence).
+ * counter. schedule() pushes a 32-byte key onto the heap.
+ * scheduleSorted() appends to one of the lanes, each a ring buffer for
+ * a stream whose times never decrease (a trace's arrivals, timers with
+ * one fixed delay), which then costs nothing to order. step()
+ * dispatches the earliest of the heap front and the lane heads by
+ * (time, sequence).
  *
  * The queue also counts its own work (heap pushes, pushes per lane,
  * dispatches) in plain integers that no clock or RNG touches, so a
@@ -23,9 +28,11 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "time.hh"
@@ -36,7 +43,18 @@ namespace cxlfork::sim {
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * An event's payload: a kind and two operands, all the owner's to
+     * interpret. Aggregate-initialise it: Event{kind, a, b}.
+     */
+    struct Event
+    {
+        uint32_t kind;
+        uint32_t a;
+        uint64_t b;
+    };
+    static_assert(sizeof(Event) == 16 &&
+                  std::is_trivially_copyable_v<Event>);
 
     /** Number of sorted lanes scheduleSorted() can address. */
     static constexpr size_t kLanes = 8;
@@ -49,18 +67,18 @@ class EventQueue
         uint64_t dispatches = 0;
     };
 
-    /** Schedule a callback at absolute simulated time t (>= now). */
-    void schedule(SimTime t, Callback cb);
+    /** Schedule an event at absolute simulated time t (>= now). */
+    void schedule(SimTime t, Event ev);
 
-    /** Schedule a callback after a delay relative to now. */
-    void scheduleAfter(SimTime delay, Callback cb) { schedule(now_ + delay, std::move(cb)); }
+    /** Schedule an event after a delay relative to now. */
+    void scheduleAfter(SimTime delay, Event ev) { schedule(now_ + delay, ev); }
 
     /**
-     * Schedule a callback at t (>= now) on sorted lane `lane`. t must
+     * Schedule an event at t (>= now) on sorted lane `lane`. t must
      * not be earlier than the previous time scheduled on that lane;
      * dispatch order is the same as if schedule() had been called.
      */
-    void scheduleSorted(SimTime t, Callback cb, size_t lane = 0);
+    void scheduleSorted(SimTime t, Event ev, size_t lane = 0);
 
     /**
      * Make room for n more events on sorted lane `lane`, so that
@@ -76,20 +94,49 @@ class EventQueue
 
     const Counters &counters() const { return counters_; }
 
-    /** Dispatch the single earliest event. Returns false if none. */
-    bool step();
+    /**
+     * Dispatch the single earliest event: handle(Event) runs with now()
+     * at its time, and may schedule more. Returns false if none.
+     */
+    template <typename Handler>
+    bool
+    step(Handler &&handle)
+    {
+        if (empty())
+            return false;
+        handle(take(earliest()));
+        return true;
+    }
 
-    /** Run until the queue drains or time exceeds the horizon. */
-    void run(SimTime horizon = SimTime::sec(1e18));
+    /**
+     * Dispatch events in order through handle(Event) until the queue
+     * drains or the next event's time exceeds the horizon.
+     */
+    template <typename Handler>
+    void
+    run(Handler &&handle, SimTime horizon = SimTime::sec(1e18))
+    {
+        while (!empty()) {
+            const size_t source = earliest();
+            if (head(source).when > horizon.toNs())
+                break;
+            handle(take(source));
+        }
+    }
 
   private:
-    /** Heap and lane entry; the callback lives in slots_[slot]. */
+    /**
+     * Heap and lane entry. The time is kept as its nanosecond count so
+     * that the key is trivial: a lane's ring is allocated without being
+     * initialised.
+     */
     struct Key
     {
-        SimTime when;
+        double when; ///< SimTime::toNs() of the event's time.
         uint64_t seq;
-        uint32_t slot;
+        Event ev;
     };
+    static_assert(std::is_trivial_v<Key>);
 
     /** A FIFO ring of keys; the capacity is a power of two. */
     class Lane
@@ -103,7 +150,7 @@ class EventQueue
         void
         push(const Key &k)
         {
-            if (size_ == ring_.size())
+            if (size_ == capacity_)
                 reserve(1);
             ring_[(head_ + size_) & mask()] = k;
             ++size_;
@@ -116,9 +163,10 @@ class EventQueue
         }
 
       private:
-        size_t mask() const { return ring_.size() - 1; }
+        size_t mask() const { return capacity_ - 1; }
 
-        std::vector<Key> ring_;
+        std::unique_ptr<Key[]> ring_;
+        size_t capacity_ = 0;
         size_t head_ = 0;
         size_t size_ = 0;
     };
@@ -131,17 +179,57 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** std heap comparator: heap_.front() is the earliest key. */
-    static bool later(const Key &a, const Key &b) { return before(b, a); }
+    /**
+     * std heap comparator: heap_.front() is the earliest key. A type,
+     * not a function pointer, so the sifts inline it.
+     */
+    struct Later
+    {
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            return before(b, a);
+        }
+    };
 
     /** Where the earliest pending event waits (kHeap: on the heap). */
     static constexpr size_t kHeap = kLanes;
 
-    Key makeKey(SimTime t, Callback cb);
+    Key makeKey(SimTime t, Event ev);
+
     /** Source of the earliest pending event; the queue is non-empty. */
-    size_t earliest() const;
-    /** Pop the head of `source` and run its callback. */
-    void dispatch(size_t source);
+    size_t
+    earliest() const
+    {
+        size_t best = kHeap;
+        const Key *bestKey = heap_.empty() ? nullptr : &heap_.front();
+        for (size_t i = 0; i < lanesUsed_; ++i) {
+            const Lane &l = lanes_[i];
+            if (!l.empty() && (!bestKey || before(l.front(), *bestKey))) {
+                best = i;
+                bestKey = &l.front();
+            }
+        }
+        return best;
+    }
+
+    /** Pop the head of `source`, advance the clock to it, return it. */
+    Event
+    take(size_t source)
+    {
+        const Key key = head(source);
+        if (source == kHeap) {
+            std::pop_heap(heap_.begin(), heap_.end(), Later{});
+            heap_.pop_back();
+        } else {
+            lanes_[source].pop();
+        }
+        --pending_;
+        ++counters_.dispatches;
+        now_ = SimTime::ns(key.when);
+        return key.ev;
+    }
+
     const Key &head(size_t source) const
     {
         return source == kHeap ? heap_.front() : lanes_[source].front();
@@ -150,8 +238,6 @@ class EventQueue
     std::vector<Key> heap_; ///< Min-heap by before().
     std::array<Lane, kLanes> lanes_; ///< Each sorted by construction.
     size_t lanesUsed_ = 0;  ///< 1 + the highest lane ever scheduled on.
-    std::vector<Callback> slots_;
-    std::vector<uint32_t> freeSlots_;
     SimTime now_;
     uint64_t nextSeq_ = 0;
     size_t pending_ = 0;

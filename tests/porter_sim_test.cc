@@ -257,6 +257,62 @@ TEST_F(PorterSimTest, EventCountersPinned)
 }
 
 /**
+ * Instances idle since the same simulated time are reclaimed lowest id
+ * first, whatever order they went idle in. Instances 1 (function b)
+ * and 2 (function a) cold-start together. At 10 s the warm hit on 2 is
+ * dispatched before the one on 1, so 2 goes idle first, at the same
+ * time as 1. At 20 s function c's cold start must reclaim one of them:
+ * it has to be 1, which leaves 2 for a's warm hit at 30 s.
+ */
+TEST_F(PorterSimTest, ReclaimEvictsTheLowerIdAmongEquallyIdle)
+{
+    // Same-seed, same-size specs under equal-length names measure the
+    // same profile, so their runs take equally long.
+    std::vector<FunctionSpec> fns;
+    for (const char *name : {"a", "b", "c"}) {
+        FunctionSpec s = tinySpec("twin");
+        s.name = name;
+        fns.push_back(s);
+    }
+    PorterConfig cfg;
+    cfg.mechanism = Mechanism::CriuCxl;
+    cfg.numNodes = 1;
+    cfg.checkpointAfterInvocations = 100; // cold starts and warm hits only
+    const auto policy = os::TieringPolicy::MigrateOnAccess;
+    const PerfProfile &prof = perf.profile(fns[0], cfg.mechanism, policy);
+    for (const FunctionSpec &s : fns) {
+        const PerfProfile &p = perf.profile(s, cfg.mechanism, policy);
+        ASSERT_EQ(p.coldStartLatency, prof.coldStartLatency);
+        ASSERT_EQ(p.coldStartExec, prof.coldStartExec);
+        ASSERT_EQ(p.warmExecLatency, prof.warmExecLatency);
+        ASSERT_EQ(p.coldLocalBytes, prof.coldLocalBytes);
+    }
+    // Room for two and a half instances (each adds a 512 KiB shell):
+    // c fits only once one of the others is evicted.
+    cfg.memPerNodeBytes = (prof.coldLocalBytes + mem::kib(512)) * 5 / 2;
+
+    auto request = [](uint64_t id, double sec, const char *fn) {
+        Request r;
+        r.id = id;
+        r.arrival = SimTime::sec(sec);
+        r.function = fn;
+        return r;
+    };
+    const std::vector<Request> trace{
+        request(0, 0, "b"),  request(1, 0, "a"),  request(2, 10, "a"),
+        request(3, 10, "b"), request(4, 20, "c"), request(5, 30, "a")};
+    PorterSim sim(cfg, fns, perf);
+    const auto m = runAudited(sim, trace);
+    // Reclaiming 2 instead would cold-start a again at 30 s, reclaiming
+    // 1 on the way. Either way the keep-alive timers evict the two
+    // instances left once the trace ends.
+    EXPECT_EQ(m.coldStarts, 3u);
+    EXPECT_EQ(m.warmHits, 3u);
+    EXPECT_EQ(m.evictions, 1u + 2u);
+    EXPECT_EQ(m.queuedForMemory, 0u);
+}
+
+/**
  * Mitosis pins each checkpoint's shadow copy in its parent node's
  * DRAM. A torn restore releases the checkpoint, and with it the
  * shadow; the node's memory must come back, or the leaked bytes pile

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -14,38 +13,79 @@ namespace cxlfork::sim {
 namespace {
 
 using namespace time_literals;
+using Event = EventQueue::Event;
+
+/** An event whose payload is just an id. */
+Event
+ev(uint64_t id)
+{
+    return Event{0, 0, id};
+}
+
+/** A handler that records the id of every event it is handed. */
+struct Recorder
+{
+    std::vector<uint64_t> ids;
+    void operator()(Event e) { ids.push_back(e.b); }
+};
+
+/** A handler that does nothing. */
+void
+ignore(Event)
+{
+}
 
 TEST(EventQueue, DispatchesInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(3_ms, [&] { order.push_back(3); });
-    q.schedule(1_ms, [&] { order.push_back(1); });
-    q.schedule(2_ms, [&] { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    Recorder rec;
+    q.schedule(3_ms, ev(3));
+    q.schedule(1_ms, ev(1));
+    q.schedule(2_ms, ev(2));
+    q.run(rec);
+    EXPECT_EQ(rec.ids, (std::vector<uint64_t>{1, 2, 3}));
     EXPECT_EQ(q.now(), 3_ms);
 }
 
 TEST(EventQueue, TieBreaksByInsertionOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(1_ms, [&order, i] { order.push_back(i); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    Recorder rec;
+    for (uint64_t i = 0; i < 5; ++i)
+        q.schedule(1_ms, ev(i));
+    q.run(rec);
+    EXPECT_EQ(rec.ids, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, PayloadReachesTheHandlerUnchanged)
+{
+    EventQueue q;
+    const Event onHeap{0xffff'ffffu, 7, 0x8000'0000'0000'0001ull};
+    const Event onLane{3, 0xffff'fffeu, ~0ull};
+    q.schedule(2_ms, onHeap);
+    q.scheduleSorted(1_ms, onLane, 5);
+    std::vector<Event> got;
+    while (q.step([&](Event e) { got.push_back(e); })) {
+    }
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].kind, onLane.kind);
+    EXPECT_EQ(got[0].a, onLane.a);
+    EXPECT_EQ(got[0].b, onLane.b);
+    EXPECT_EQ(got[1].kind, onHeap.kind);
+    EXPECT_EQ(got[1].a, onHeap.a);
+    EXPECT_EQ(got[1].b, onHeap.b);
 }
 
 TEST(EventQueue, EventsMayScheduleEvents)
 {
     EventQueue q;
     int fired = 0;
-    q.schedule(1_ms, [&] {
+    q.schedule(1_ms, ev(1));
+    q.run([&](Event e) {
         ++fired;
-        q.scheduleAfter(1_ms, [&] { ++fired; });
+        if (e.b == 1)
+            q.scheduleAfter(1_ms, ev(2));
     });
-    q.run();
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.now(), 2_ms);
 }
@@ -54,9 +94,9 @@ TEST(EventQueue, HorizonStopsDispatch)
 {
     EventQueue q;
     int fired = 0;
-    q.schedule(1_ms, [&] { ++fired; });
-    q.schedule(10_ms, [&] { ++fired; });
-    q.run(5_ms);
+    q.schedule(1_ms, ev(0));
+    q.schedule(10_ms, ev(0));
+    q.run([&](Event) { ++fired; }, 5_ms);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.pending(), 1u);
 }
@@ -64,80 +104,80 @@ TEST(EventQueue, HorizonStopsDispatch)
 TEST(EventQueue, StepReturnsFalseWhenEmpty)
 {
     EventQueue q;
-    EXPECT_FALSE(q.step());
+    EXPECT_FALSE(q.step(ignore));
     EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, SchedulingInThePastPanics)
 {
     EventQueue q;
-    q.schedule(5_ms, [] {});
-    q.run();
-    EXPECT_DEATH(q.schedule(1_ms, [] {}), "past");
+    q.schedule(5_ms, ev(0));
+    q.run(ignore);
+    EXPECT_DEATH(q.schedule(1_ms, ev(0)), "past");
 }
 
 TEST(EventQueue, SortedLaneTiesBreakByInsertionOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(1_ms, [&] { order.push_back(0); });
-    q.scheduleSorted(1_ms, [&] { order.push_back(1); });
-    q.schedule(1_ms, [&] { order.push_back(2); });
-    q.scheduleSorted(1_ms, [&] { order.push_back(3); });
-    q.scheduleSorted(2_ms, [&] { order.push_back(5); });
-    q.schedule(2_ms, [&] { order.push_back(6); });
-    q.schedule(1_ms, [&] { order.push_back(4); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+    Recorder rec;
+    q.schedule(1_ms, ev(0));
+    q.scheduleSorted(1_ms, ev(1));
+    q.schedule(1_ms, ev(2));
+    q.scheduleSorted(1_ms, ev(3));
+    q.scheduleSorted(2_ms, ev(5));
+    q.schedule(2_ms, ev(6));
+    q.schedule(1_ms, ev(4));
+    q.run(rec);
+    EXPECT_EQ(rec.ids, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5, 6}));
 }
 
 TEST(EventQueue, SortedLaneOutOfOrderPanics)
 {
     EventQueue q;
-    q.scheduleSorted(5_ms, [] {});
-    EXPECT_DEATH(q.scheduleSorted(4_ms, [] {}), "out of order");
+    q.scheduleSorted(5_ms, ev(0));
+    EXPECT_DEATH(q.scheduleSorted(4_ms, ev(0)), "out of order");
 }
 
 TEST(EventQueue, SortedLaneInThePastPanics)
 {
     EventQueue q;
-    q.schedule(5_ms, [] {});
-    q.run();
-    EXPECT_DEATH(q.scheduleSorted(1_ms, [] {}), "past");
+    q.schedule(5_ms, ev(0));
+    q.run(ignore);
+    EXPECT_DEATH(q.scheduleSorted(1_ms, ev(0)), "past");
 }
 
 TEST(EventQueue, HorizonStopsBothLanes)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.scheduleSorted(1_ms, [&] { order.push_back(1); });
-    q.schedule(2_ms, [&] { order.push_back(2); });
-    q.scheduleSorted(6_ms, [&] { order.push_back(6); });
-    q.schedule(7_ms, [&] { order.push_back(7); });
-    q.run(5_ms);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    Recorder rec;
+    q.scheduleSorted(1_ms, ev(1));
+    q.schedule(2_ms, ev(2));
+    q.scheduleSorted(6_ms, ev(6));
+    q.schedule(7_ms, ev(7));
+    q.run(rec, 5_ms);
+    EXPECT_EQ(rec.ids, (std::vector<uint64_t>{1, 2}));
     EXPECT_EQ(q.now(), 2_ms);
     EXPECT_EQ(q.pending(), 2u);
-    q.run(6_ms);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 6}));
+    q.run(rec, 6_ms);
+    EXPECT_EQ(rec.ids, (std::vector<uint64_t>{1, 2, 6}));
     EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(EventQueue, PendingAndEmptyCountBothLanes)
 {
     EventQueue q;
-    q.scheduleSorted(1_ms, [] {});
+    q.scheduleSorted(1_ms, ev(0));
     EXPECT_FALSE(q.empty());
     EXPECT_EQ(q.pending(), 1u);
-    q.schedule(2_ms, [] {});
+    q.schedule(2_ms, ev(0));
     EXPECT_EQ(q.pending(), 2u);
-    EXPECT_TRUE(q.step());
+    EXPECT_TRUE(q.step(ignore));
     EXPECT_EQ(q.pending(), 1u);
     EXPECT_FALSE(q.empty());
-    EXPECT_TRUE(q.step());
+    EXPECT_TRUE(q.step(ignore));
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.pending(), 0u);
-    EXPECT_FALSE(q.step());
+    EXPECT_FALSE(q.step(ignore));
 }
 
 /**
@@ -161,19 +201,19 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomOps)
     auto drawWhen = [&](double floor) {
         return floor + double(rng.index(8)) * 250.0;
     };
-    // Every fourth event schedules a follow-up on the heap when it runs.
-    std::function<void(bool, double)> add = [&](bool sorted, double when) {
+    auto add = [&](bool sorted, double when) {
         const uint64_t id = nextId++;
         ref.emplace(RefKey{when, seq++}, id);
-        auto cb = [&, id] {
-            fired.push_back(id);
-            if (id % 4 == 0)
-                add(false, drawWhen(q.now().toNs()));
-        };
         if (sorted)
-            q.scheduleSorted(SimTime::ns(when), cb);
+            q.scheduleSorted(SimTime::ns(when), ev(id));
         else
-            q.schedule(SimTime::ns(when), cb);
+            q.schedule(SimTime::ns(when), ev(id));
+    };
+    // Every fourth event schedules a follow-up on the heap when it runs.
+    auto handle = [&](Event e) {
+        fired.push_back(e.b);
+        if (e.b % 4 == 0)
+            add(false, drawWhen(q.now().toNs()));
     };
 
     for (int op = 0; op < 10000; ++op) {
@@ -185,7 +225,7 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomOps)
             laneLast = drawWhen(std::max(laneLast, now));
             add(true, laneLast);
         } else if (!ref.empty()) {
-            ASSERT_TRUE(q.step());
+            ASSERT_TRUE(q.step(handle));
             ++dispatched;
             ASSERT_EQ(fired.size(), dispatched);
             const auto head = ref.begin();
@@ -193,12 +233,12 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomOps)
             ASSERT_EQ(q.now().toNs(), head->first.first);
             ref.erase(head);
         } else {
-            ASSERT_FALSE(q.step());
+            ASSERT_FALSE(q.step(handle));
         }
         ASSERT_EQ(q.pending(), ref.size());
     }
     while (!ref.empty()) {
-        ASSERT_TRUE(q.step());
+        ASSERT_TRUE(q.step(handle));
         ASSERT_EQ(fired.back(), ref.begin()->second);
         ref.erase(ref.begin());
     }
@@ -208,53 +248,55 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomOps)
 TEST(EventQueue, LanesAreSortedIndependently)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.scheduleSorted(5_ms, [&] { order.push_back(3); }, 1);
-    q.scheduleSorted(1_ms, [&] { order.push_back(0); }, 2);
-    q.scheduleSorted(5_ms, [&] { order.push_back(4); }, 2);
-    q.scheduleSorted(2_ms, [&] { order.push_back(1); }, 0);
-    q.schedule(3_ms, [&] { order.push_back(2); });
-    EXPECT_DEATH(q.scheduleSorted(4_ms, [] {}, 1), "out of order on lane 1");
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    Recorder rec;
+    q.scheduleSorted(5_ms, ev(3), 1);
+    q.scheduleSorted(1_ms, ev(0), 2);
+    q.scheduleSorted(5_ms, ev(4), 2);
+    q.scheduleSorted(2_ms, ev(1), 0);
+    q.schedule(3_ms, ev(2));
+    EXPECT_DEATH(q.scheduleSorted(4_ms, ev(0), 1), "out of order on lane 1");
+    q.run(rec);
+    EXPECT_EQ(rec.ids, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, ReservedLaneKeepsOrderAcrossItsWrap)
 {
     EventQueue q;
-    std::vector<int> order;
-    auto add = [&](int i) {
-        q.scheduleSorted(SimTime::ms(i), [&order, i] { order.push_back(i); },
-                         2);
+    Recorder rec;
+    auto add = [&](uint64_t i) {
+        q.scheduleSorted(SimTime::ms(double(i)), ev(i), 2);
     };
     q.reserveSorted(2, 20);
-    for (int i = 0; i < 12; ++i)
+    for (uint64_t i = 0; i < 12; ++i)
         add(i);
-    q.run(5_ms); // the ring's head moves to slot 6
-    for (int i = 12; i < 40; ++i)
+    q.run(rec, 5_ms); // the ring's head moves to slot 6
+    for (uint64_t i = 12; i < 40; ++i)
         add(i);
-    q.run();
-    ASSERT_EQ(order.size(), 40u);
-    for (int i = 0; i < 40; ++i)
-        EXPECT_EQ(order[i], i);
+    q.run(rec);
+    ASSERT_EQ(rec.ids.size(), 40u);
+    for (uint64_t i = 0; i < 40; ++i)
+        EXPECT_EQ(rec.ids[i], i);
 }
 
 TEST(EventQueue, LaneOutOfRangePanics)
 {
     EventQueue q;
-    EXPECT_DEATH(q.scheduleSorted(1_ms, [] {}, EventQueue::kLanes), "lane");
+    EXPECT_DEATH(q.scheduleSorted(1_ms, ev(0), EventQueue::kLanes), "lane");
 }
 
 TEST(EventQueue, CountersCountPushesPerLaneAndDispatches)
 {
     EventQueue q;
-    q.schedule(1_ms, [&] { q.scheduleAfter(1_ms, [] {}); });
-    q.scheduleSorted(1_ms, [] {}, 0);
-    q.scheduleSorted(2_ms, [] {}, 3);
-    q.scheduleSorted(3_ms, [] {}, 3);
+    q.schedule(1_ms, ev(1)); // schedules a follow-up on the heap
+    q.scheduleSorted(1_ms, ev(0), 0);
+    q.scheduleSorted(2_ms, ev(0), 3);
+    q.scheduleSorted(3_ms, ev(0), 3);
     EXPECT_EQ(q.counters().heapPushes, 1u);
     EXPECT_EQ(q.counters().dispatches, 0u);
-    q.run();
+    q.run([&](Event e) {
+        if (e.b == 1)
+            q.scheduleAfter(1_ms, ev(0));
+    });
     const EventQueue::Counters &c = q.counters();
     EXPECT_EQ(c.heapPushes, 2u);
     EXPECT_EQ(c.lanePushes[0], 1u);
@@ -278,7 +320,7 @@ TEST(EventQueue, MultiLaneMatchesReferenceOrder)
     uint64_t seq = 0;
     uint64_t nextId = 0;
     std::array<double, kUsed> laneLast{};
-    std::vector<uint64_t> fired;
+    Recorder fired;
 
     auto drawWhen = [&](double floor) {
         return floor + double(rng.index(8)) * 250.0;
@@ -286,11 +328,10 @@ TEST(EventQueue, MultiLaneMatchesReferenceOrder)
     auto add = [&](size_t lane, double when) {
         const uint64_t id = nextId++;
         ref.emplace(RefKey{when, seq++}, id);
-        auto cb = [&fired, id] { fired.push_back(id); };
         if (lane == kUsed)
-            q.schedule(SimTime::ns(when), cb);
+            q.schedule(SimTime::ns(when), ev(id));
         else
-            q.scheduleSorted(SimTime::ns(when), cb, lane);
+            q.scheduleSorted(SimTime::ns(when), ev(id), lane);
     };
 
     for (int op = 0; op < 20000; ++op) {
@@ -302,17 +343,17 @@ TEST(EventQueue, MultiLaneMatchesReferenceOrder)
             laneLast[kind] = drawWhen(std::max(laneLast[kind], now));
             add(kind, laneLast[kind]);
         } else if (!ref.empty()) {
-            ASSERT_TRUE(q.step());
+            ASSERT_TRUE(q.step(fired));
             const auto head = ref.begin();
-            ASSERT_EQ(fired.back(), head->second) << "op " << op;
+            ASSERT_EQ(fired.ids.back(), head->second) << "op " << op;
             ASSERT_EQ(q.now().toNs(), head->first.first);
             ref.erase(head);
         }
         ASSERT_EQ(q.pending(), ref.size());
     }
     while (!ref.empty()) {
-        ASSERT_TRUE(q.step());
-        ASSERT_EQ(fired.back(), ref.begin()->second);
+        ASSERT_TRUE(q.step(fired));
+        ASSERT_EQ(fired.ids.back(), ref.begin()->second);
         ref.erase(ref.begin());
     }
     EXPECT_TRUE(q.empty());
