@@ -10,6 +10,8 @@
 #include "bench_util.hh"
 #include "cxl/coherence.hh"
 #include "cxl/page_store.hh"
+#include "faas/workloads.hh"
+#include "porter/trace.hh"
 #include "proto/messages.hh"
 #include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
@@ -261,6 +263,29 @@ BM_EventQueueChurn(benchmark::State &state)
     benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventQueueChurn);
+
+// --- Porter trace generation alone: one of the traces the porter
+// workload replays, eleven streams (the ten Table-1 functions and a
+// second Float) at 150 RPS for 900 s, about 135k requests.
+
+void
+BM_TraceGenerate(benchmark::State &state)
+{
+    std::vector<std::string> streams{"Float"};
+    for (const faas::WorkloadEntry &e : faas::table1Workloads())
+        streams.push_back(e.spec.name);
+    porter::TraceConfig tc;
+    tc.totalRps = 150.0;
+    tc.duration = sim::SimTime::sec(900);
+    uint64_t requests = 0;
+    for (auto _ : state) {
+        const auto trace = porter::TraceGenerator(streams, tc).generate();
+        requests += trace.size();
+        benchmark::DoNotOptimize(trace.data());
+    }
+    state.SetItemsProcessed(int64_t(requests));
+}
+BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMillisecond);
 
 // --- Hot-path micro-optimizations, measured A/B (DESIGN.md Sec. 8).
 

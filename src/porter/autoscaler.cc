@@ -65,7 +65,12 @@ PorterSim::PorterSim(PorterConfig cfg,
             f.ghostsAvailable = cfg_.ghostsPerFunction;
         f.contentGroup = contentKey(functions_[i]);
         f.idleOnNode.resize(nodes_.size());
-        fnIndex_.emplace(functions_[i].name, uint32_t(i));
+        // The first of two functions with one name takes its requests.
+        const uint32_t idx = FunctionId::intern(functions_[i].name).index();
+        if (idx >= fnOfId_.size())
+            fnOfId_.resize(idx + 1, kNoFunction);
+        if (fnOfId_[idx] == kNoFunction)
+            fnOfId_[idx] = uint32_t(i);
     }
 }
 
@@ -128,20 +133,22 @@ PorterSim::run(const std::vector<Request> &trace)
     if (ran_)
         sim::fatal("PorterSim::run called twice; use a fresh PorterSim "
                    "per trace");
-    // Resolve every request's function before scheduling anything, so
+    // Check every request's function before scheduling anything, so
     // a trace naming an unknown function is an input error, not a
     // simulator fault midway through the run.
-    traceBase_ = trace.data();
-    traceFn_.resize(trace.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const auto it = fnIndex_.find(trace[i].function);
-        if (it == fnIndex_.end()) {
-            sim::fatal("trace request %llu names unknown function '%s'",
-                       (unsigned long long)trace[i].id,
-                       trace[i].function.c_str());
+    for (const Request &req : trace) {
+        if (!req.function.valid()) {
+            sim::fatal("trace request %llu names no function",
+                       (unsigned long long)req.id);
         }
-        traceFn_[i] = it->second;
+        const uint32_t idx = req.function.index();
+        if (idx >= fnOfId_.size() || fnOfId_[idx] == kNoFunction) {
+            sim::fatal("trace request %llu names unknown function '%s'",
+                       (unsigned long long)req.id,
+                       req.function.name().c_str());
+        }
     }
+    traceBase_ = trace.data();
     ran_ = true;
 
     metrics_ = PorterMetrics{};
@@ -506,7 +513,7 @@ PorterSim::complete(uint64_t instanceId)
     metrics_.latency.add(latency);
     FnState &fn = fnStates_[inst.fnIdx];
     if (!fn.latency)
-        fn.latency = &metrics_.perFunction[req.function];
+        fn.latency = &metrics_.perFunction[functions_[inst.fnIdx].name];
     fn.latency->add(latency);
     fn.recentLatencyMs.add(latency.toMs());
     ++fn.invocations;
@@ -537,26 +544,33 @@ PorterSim::complete(uint64_t instanceId)
 }
 
 uint64_t
-PorterSim::checkpointNeedBytes(const FnState &fn,
+PorterSim::sharedCheckpointBytes(uint32_t fnIdx,
+                                 const PerfProfile &prof) const
+{
+    return std::min(perf_.sharedCxlBytes(functions_[fnIdx], cfg_.mechanism),
+                    prof.checkpointCxlBytes);
+}
+
+uint64_t
+PorterSim::checkpointNeedBytes(uint32_t fnIdx,
                                const PerfProfile &prof) const
 {
     if (!cfg_.dedupCapacity)
         return prof.checkpointCxlBytes;
-    const uint64_t shared =
-        std::min(prof.checkpointSharedCxlBytes, prof.checkpointCxlBytes);
-    const auto it = groupRefs_.find(fn.contentGroup);
-    const bool resident = it != groupRefs_.end() && it->second > 0;
-    return prof.checkpointCxlBytes - (resident ? shared : 0);
+    const auto it = groupRefs_.find(fnStates_[fnIdx].contentGroup);
+    if (it == groupRefs_.end() || it->second == 0)
+        return prof.checkpointCxlBytes;
+    return prof.checkpointCxlBytes - sharedCheckpointBytes(fnIdx, prof);
 }
 
 void
-PorterSim::chargeCheckpoint(FnState &fn, const PerfProfile &prof)
+PorterSim::chargeCheckpoint(uint32_t fnIdx, const PerfProfile &prof)
 {
+    FnState &fn = fnStates_[fnIdx];
     uint64_t unique = prof.checkpointCxlBytes;
     fn.sharedBytes = 0;
     if (cfg_.dedupCapacity) {
-        const uint64_t shared = std::min(prof.checkpointSharedCxlBytes,
-                                         prof.checkpointCxlBytes);
+        const uint64_t shared = sharedCheckpointBytes(fnIdx, prof);
         if (shared > 0) {
             unique -= shared;
             fn.sharedBytes = shared;
@@ -599,7 +613,7 @@ PorterSim::takeCheckpoint(uint32_t fnIdx, uint32_t node)
     // checkpoints under CXL memory pressure"). The need is re-derived
     // per iteration: evicting the last other member of this content
     // group makes the shared layer chargeable again.
-    while (cxlUsed_ + checkpointNeedBytes(fn, prof) >
+    while (cxlUsed_ + checkpointNeedBytes(fnIdx, prof) >
            cfg_.cxlCapacityBytes) {
         uint32_t victim = ~0u;
         sim::SimTime oldest = events_.now() + sim::SimTime::sec(1);
@@ -621,7 +635,7 @@ PorterSim::takeCheckpoint(uint32_t fnIdx, uint32_t node)
 
     // Checkpoint taken now, off the request critical path. Mitosis
     // pins a shadow copy in the parent node's local memory as well.
-    chargeCheckpoint(fn, prof);
+    chargeCheckpoint(fnIdx, prof);
     fn.lastRestore = events_.now();
     metrics_.peakCxlBytes = std::max(metrics_.peakCxlBytes, cxlUsed_);
     ++metrics_.checkpointsTaken;

@@ -21,7 +21,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "perf_model.hh"
@@ -101,11 +100,12 @@ struct PorterConfig
 
     /**
      * Account checkpoint residency content-deduplicated: the measured
-     * shared portion of a checkpoint (PerfProfile's
-     * checkpointSharedCxlBytes — the runtime layers tenants have in
-     * common) is charged against cxlCapacityBytes once per content
-     * group while any member checkpoint is resident, not once per
-     * checkpoint. Feeds the Fig. 10c memory-constrained comparison.
+     * shared portion of a checkpoint (PerfModel::sharedCxlBytes — the
+     * runtime layers tenants have in common) is charged against
+     * cxlCapacityBytes once per content group while any member
+     * checkpoint is resident, not once per checkpoint. Feeds the
+     * Fig. 10c memory-constrained comparison. Only this setting makes
+     * the porter measure shared bytes.
      */
     bool dedupCapacity = false;
 
@@ -172,8 +172,9 @@ class PorterSim
      * Run a trace to completion and return the metrics. Events refer
      * to the trace's requests, so it must not change during the run.
      * A PorterSim runs one trace.
-     * @throws sim::FatalError if a request names an unknown function,
-     *         or if an earlier run() got past that check.
+     * @throws sim::FatalError if a request names no function or one
+     *         this PorterSim was not built with, or if an earlier
+     *         run() got past that check.
      */
     PorterMetrics run(const std::vector<Request> &trace);
 
@@ -336,9 +337,12 @@ class PorterSim
     void controllerTick();
     void drainMemQueue();
     void takeCheckpoint(uint32_t fnIdx, uint32_t node);
-    uint64_t checkpointNeedBytes(const FnState &fn,
+    uint64_t checkpointNeedBytes(uint32_t fnIdx,
                                  const PerfProfile &prof) const;
-    void chargeCheckpoint(FnState &fn, const PerfProfile &prof);
+    void chargeCheckpoint(uint32_t fnIdx, const PerfProfile &prof);
+    /** The part of fnIdx's checkpoint a content group shares. */
+    uint64_t sharedCheckpointBytes(uint32_t fnIdx,
+                                   const PerfProfile &prof) const;
     void releaseCheckpoint(FnState &fn);
     void scheduleCrashes(const std::vector<Request> &trace);
     void crashNode(uint32_t node);
@@ -347,10 +351,10 @@ class PorterSim
     sim::SimTime keepAliveNow() const;
     void note(const char *event, uint32_t track);
 
-    /** Function index of a request of the trace being run. */
+    /** Function index of a request run() has checked. */
     uint32_t fnOf(const Request &req) const
     {
-        return traceFn_[size_t(&req - traceBase_)];
+        return fnOfId_[req.function.index()];
     }
     const PerfProfile &profileFor(uint32_t fnIdx, os::TieringPolicy policy);
 
@@ -361,10 +365,14 @@ class PorterSim
     sim::EventQueue events_;
     std::vector<NodeState> nodes_;
     std::vector<FnState> fnStates_;
-    std::unordered_map<std::string, uint32_t> fnIndex_; ///< name -> index
-    /** The running trace and each of its requests' function index. */
-    const Request *traceBase_ = nullptr;
-    std::vector<uint32_t> traceFn_;
+    static constexpr uint32_t kNoFunction = ~0u;
+    /**
+     * Function index by FunctionId::index(), kNoFunction for names
+     * this simulation does not run. Ids interned after construction
+     * fall past its end.
+     */
+    std::vector<uint32_t> fnOfId_;
+    const Request *traceBase_ = nullptr; ///< The running trace.
     /** Dense instance table; slot 0 is never live. */
     std::vector<Instance> instances_{1};
     std::deque<PendingRequest> memQueue_;

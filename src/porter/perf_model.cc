@@ -78,9 +78,6 @@ PerfModel::measure(const FunctionSpec &spec, Mechanism mech,
     p.coldExecLatency = child->invoke().latency;
     p.localBytesAfterExec = child->localBytes();
     p.warmExecLatency = child->invoke().latency;
-
-    p.checkpointSharedCxlBytes = sharedCxlBytes(spec, mech);
-
     return p;
 }
 
@@ -102,7 +99,7 @@ PerfModel::sharedCxlBytes(const FunctionSpec &spec, Mechanism mech)
 
 uint64_t
 PerfModel::measureSharedCxlBytes(const FunctionSpec &spec,
-                                 Mechanism mech) const
+                                 Mechanism mech)
 {
     // Mitosis keeps page content in the parent node's DRAM; its device
     // footprint is metadata only, so cross-tenant dedup saves nothing.
@@ -120,6 +117,7 @@ PerfModel::measureSharedCxlBytes(const FunctionSpec &spec,
     cfg.machine.costs = costs_;
     cfg.pageStore.dedup = true;
     Cluster cluster(cfg);
+    ++dedupWorlds_;
     os::NodeOs &node0 = cluster.node(0);
 
     std::unique_ptr<rfork::RemoteForkMechanism> rf =

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -62,16 +63,6 @@ struct PerfProfile
     uint64_t checkpointCxlBytes = 0;  ///< Device footprint (shared).
     uint64_t checkpointLocalBytes = 0; ///< Pinned on the parent node
                                        ///< (Mitosis shadow copies).
-
-    /**
-     * Of checkpointCxlBytes, the bytes a second checkpoint of the same
-     * function content (another tenant on the shared runtime layers)
-     * finds already resident when content dedup is on. Measured, not
-     * derived: two same-content parents are checkpointed into a
-     * dedup-enabled scratch cluster and the device-usage deltas are
-     * compared. Zero for mechanisms that keep no content on the device.
-     */
-    uint64_t checkpointSharedCxlBytes = 0;
     sim::SimTime checkpointLatency;
     sim::SimTime coldStartLatency; ///< Full from-scratch deployment.
     sim::SimTime coldStartExec;    ///< First invocation after cold start.
@@ -104,15 +95,29 @@ class PerfModel
     const PerfProfile &profile(const faas::FunctionSpec &spec,
                                Mechanism mech, os::TieringPolicy policy);
 
+    /**
+     * Of a profile's checkpointCxlBytes, the bytes a second checkpoint
+     * of the same function content (another tenant on the shared
+     * runtime layers) finds already resident when content dedup is on.
+     * Measured, not derived: two same-content parents are checkpointed
+     * into a dedup-enabled scratch cluster and the device-usage deltas
+     * are compared. Zero for mechanisms that keep no content on the
+     * device. Measured on first use, cached per (function, mechanism):
+     * profile() never measures it.
+     */
+    uint64_t sharedCxlBytes(const faas::FunctionSpec &spec, Mechanism mech);
+
+    /** Dedup scratch clusters built so far by sharedCxlBytes(). */
+    uint64_t dedupWorldsBuilt() const { return dedupWorlds_.load(); }
+
   private:
     PerfProfile measure(const faas::FunctionSpec &spec, Mechanism mech,
                         os::TieringPolicy policy);
-    /** measureSharedCxlBytes(), cached: it ignores the policy. */
-    uint64_t sharedCxlBytes(const faas::FunctionSpec &spec, Mechanism mech);
     uint64_t measureSharedCxlBytes(const faas::FunctionSpec &spec,
-                                   Mechanism mech) const;
+                                   Mechanism mech);
 
     sim::CostParams costs_;
+    std::atomic<uint64_t> dedupWorlds_{0};
     std::mutex mu_;
     std::map<ProfileKey, PerfProfile> cache_;
     std::map<std::pair<std::string, Mechanism>, uint64_t> sharedCache_;

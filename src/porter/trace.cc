@@ -3,14 +3,43 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <deque>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include "sim/log.hh"
 
 namespace cxlfork::porter {
 
 using sim::SimTime;
+
+FunctionId
+FunctionId::intern(std::string_view name)
+{
+    // Entries never move or die, so an id stays valid after the lock
+    // is released, and the index keys view their entries' names.
+    static std::mutex mu;
+    static std::deque<Entry> entries;
+    static std::unordered_map<std::string_view, const Entry *> byName;
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = byName.find(name);
+    if (it != byName.end())
+        return FunctionId(it->second);
+    const Entry &e =
+        entries.emplace_back(Entry{std::string(name),
+                                   uint32_t(entries.size())});
+    byName.emplace(e.name, &e);
+    return FunctionId(&e);
+}
+
+const std::string &
+FunctionId::name() const
+{
+    static const std::string none;
+    return entry_ ? entry_->name : none;
+}
 
 TraceGenerator::TraceGenerator(std::vector<std::string> functions,
                                TraceConfig cfg)
@@ -32,6 +61,9 @@ TraceGenerator::TraceGenerator(std::vector<std::string> functions,
                    "(got %s, %s)", cfg_.meanBurstGap.toString().c_str(),
                    cfg_.meanBurstLength.toString().c_str());
     }
+    ids_.reserve(functions_.size());
+    for (const std::string &fn : functions_)
+        ids_.push_back(FunctionId::intern(fn));
 }
 
 std::vector<Request>
@@ -39,34 +71,39 @@ TraceGenerator::generate() const
 {
     sim::Rng rng(cfg_.seed);
     // One arrival stream per function, each in arrival order.
-    std::vector<std::vector<Request>> streams(functions_.size());
+    std::vector<std::vector<SimTime>> streams(functions_.size());
     // Scale the baseline so the burst-inflated expectation matches the
     // requested aggregate rate.
-    const double burstFrac =
-        cfg_.meanBurstLength.toSec() /
-        (cfg_.meanBurstLength.toSec() + cfg_.meanBurstGap.toSec());
+    const double duration = cfg_.duration.toSec();
+    const double meanGap = cfg_.meanBurstGap.toSec();
+    const double meanLength = cfg_.meanBurstLength.toSec();
+    const double burstFrac = meanLength / (meanLength + meanGap);
     const double inflation =
         (1.0 - burstFrac) + cfg_.burstRateMultiplier * burstFrac;
     const double perFnRps =
         cfg_.totalRps / (double(functions_.size()) * inflation);
+    // Thinning keeps a candidate with probability rate / maxRate: 1 in
+    // a burst, perFnRps / maxRate outside one.
+    const double maxRate = perFnRps * cfg_.burstRateMultiplier;
+    const double meanCandidateGap = 1.0 / maxRate;
+    const double quietKeep = perFnRps / maxRate;
 
-    for (size_t s = 0; s < functions_.size(); ++s) {
-        const std::string &fn = functions_[s];
+    struct Burst
+    {
+        double start, end;
+    };
+    std::vector<Burst> bursts;
+    for (std::vector<SimTime> &stream : streams) {
         sim::Rng fnRng = rng.split();
 
         // Burst schedule for this function: alternating quiet/burst
         // windows, exponential lengths.
-        struct Burst
-        {
-            double start, end;
-        };
-        std::vector<Burst> bursts;
-        double t = fnRng.exponential(cfg_.meanBurstGap.toSec());
-        while (t < cfg_.duration.toSec()) {
-            const double len =
-                fnRng.exponential(cfg_.meanBurstLength.toSec());
+        bursts.clear();
+        double t = fnRng.exponential(meanGap);
+        while (t < duration) {
+            const double len = fnRng.exponential(meanLength);
             bursts.push_back({t, t + len});
-            t += len + fnRng.exponential(cfg_.meanBurstGap.toSec());
+            t += len + fnRng.exponential(meanGap);
         }
         // Bursts are disjoint and ordered, and candidate arrivals only
         // move forward, so one cursor finds the burst (if any) holding
@@ -79,24 +116,18 @@ TraceGenerator::generate() const
         };
 
         // Thinned non-homogeneous Poisson arrivals.
-        const double maxRate = perFnRps * cfg_.burstRateMultiplier;
         double at = 0.0;
         while (true) {
-            at += fnRng.exponential(1.0 / maxRate);
-            if (at >= cfg_.duration.toSec())
+            at += fnRng.exponential(meanCandidateGap);
+            if (at >= duration)
                 break;
-            const double rate =
-                inBurst(at) ? maxRate : perFnRps;
-            if (fnRng.uniform() < rate / maxRate) {
-                Request r;
-                r.arrival = SimTime::sec(at);
-                r.function = fn;
-                streams[s].push_back(std::move(r));
-            }
+            const double keep = inBurst(at) ? 1.0 : quietKeep;
+            if (fnRng.uniform() < keep)
+                stream.push_back(SimTime::sec(at));
         }
     }
 
-    // k-way merge by (arrival, function), the order a sort of the
+    // k-way merge by (arrival, function name), the order a sort of the
     // whole trace gives. Each head carries its stream's rank among the
     // function names, so ties compare two integers. Two streams of one
     // name tie only on equal requests, so which goes first changes
@@ -121,7 +152,7 @@ TraceGenerator::generate() const
         size_t rank = 0;
         for (const std::string &other : functions_)
             rank += other < functions_[s];
-        heads.push_back({streams[s].front().arrival, rank, s});
+        heads.push_back({streams[s].front(), rank, s});
     }
     std::make_heap(heads.begin(), heads.end(), after);
     std::vector<size_t> cursor(streams.size());
@@ -130,11 +161,10 @@ TraceGenerator::generate() const
     while (!heads.empty()) {
         std::pop_heap(heads.begin(), heads.end(), after);
         Head &h = heads.back();
-        std::vector<Request> &st = streams[h.stream];
-        out.push_back(std::move(st[cursor[h.stream]]));
-        out.back().id = out.size() - 1;
+        const std::vector<SimTime> &st = streams[h.stream];
+        out.push_back({out.size(), h.arrival, ids_[h.stream]});
         if (++cursor[h.stream] < st.size()) {
-            h.arrival = st[cursor[h.stream]].arrival;
+            h.arrival = st[cursor[h.stream]];
             std::push_heap(heads.begin(), heads.end(), after);
         } else {
             heads.pop_back();
@@ -171,6 +201,8 @@ std::vector<Request>
 parseTraceCsv(const std::string &csvText)
 {
     std::vector<Request> out;
+    // Each name takes the table's lock once per call, not once a row.
+    std::unordered_map<std::string, FunctionId> ids;
     std::istringstream in(csvText);
     std::string line;
     size_t lineNo = 0;
@@ -213,16 +245,17 @@ parseTraceCsv(const std::string &csvText)
         }
         if (ts < 0)
             sim::fatal("trace csv line %zu: negative timestamp", lineNo);
-        Request r;
-        r.arrival = SimTime::sec(ts);
-        r.function = fn;
-        out.push_back(std::move(r));
+        auto [it, fresh] = ids.try_emplace(fn);
+        if (fresh)
+            it->second = FunctionId::intern(fn);
+        out.push_back({0, SimTime::sec(ts), it->second});
     }
     std::sort(out.begin(), out.end(),
               [](const Request &a, const Request &b) {
                   if (a.arrival != b.arrival)
                       return a.arrival < b.arrival;
-                  return a.function < b.function;
+                  return a.function != b.function &&
+                         a.function.name() < b.function.name();
               });
     for (uint64_t i = 0; i < out.size(); ++i)
         out[i].id = i;

@@ -110,10 +110,58 @@ TEST_F(PorterFeatureTest, DedupCapacityChargesSharedLayersOnce)
     const PerfProfile &prof = perf.profile(
         spec("tenant0", 24), Mechanism::CxlFork,
         os::TieringPolicy::MigrateOnWrite);
-    ASSERT_GT(prof.checkpointSharedCxlBytes, 0u);
-    ASSERT_LE(prof.checkpointSharedCxlBytes, prof.checkpointCxlBytes);
-    EXPECT_EQ(off.peakCxlBytes - on.peakCxlBytes,
-              2 * prof.checkpointSharedCxlBytes);
+    const uint64_t shared =
+        perf.sharedCxlBytes(spec("tenant0", 24), Mechanism::CxlFork);
+    ASSERT_GT(shared, 0u);
+    ASSERT_LE(shared, prof.checkpointCxlBytes);
+    EXPECT_EQ(off.peakCxlBytes - on.peakCxlBytes, 2 * shared);
+}
+
+// Only dedupCapacity reads the shared bytes, so profiling alone must
+// not pay for the dedup scratch cluster that measures them.
+TEST_F(PorterFeatureTest, ProfileBuildsNoDedupWorld)
+{
+    for (Mechanism mech : {Mechanism::CriuCxl, Mechanism::MitosisCxl,
+                           Mechanism::CxlFork}) {
+        perf.profile(spec("a", 8), mech, os::TieringPolicy::MigrateOnWrite);
+    }
+    EXPECT_EQ(perf.dedupWorldsBuilt(), 0u);
+
+    // A porter run without dedupCapacity checkpoints, and still none.
+    PorterConfig cfg;
+    cfg.checkpointAfterInvocations = 2;
+    const auto m = runAudited(PorterSim(cfg, {spec("a", 8)}, perf),
+                              trace({"a"}, 20, 5));
+    ASSERT_GT(m.checkpointsTaken, 0u);
+    EXPECT_EQ(perf.dedupWorldsBuilt(), 0u);
+
+    // Mitosis keeps no content on the device: no world to build.
+    EXPECT_EQ(perf.sharedCxlBytes(spec("a", 8), Mechanism::MitosisCxl), 0u);
+    EXPECT_EQ(perf.dedupWorldsBuilt(), 0u);
+}
+
+// Under dedupCapacity, every (function, mechanism) is measured once,
+// however many checkpoints, reclaims and policies the run goes through.
+TEST_F(PorterFeatureTest, DedupCapacityMeasuresEachFunctionOnce)
+{
+    PorterConfig cfg;
+    cfg.mechanism = Mechanism::CxlFork;
+    cfg.checkpointAfterInvocations = 2;
+    cfg.cxlCapacityBytes = mem::mib(40); // reclaims, then re-checkpoints
+    cfg.dedupCapacity = true;
+    FunctionSpec a = spec("tenant0", 24);
+    FunctionSpec b = a;
+    b.name = "tenant1";
+    const auto m =
+        runAudited(PorterSim(cfg, {a, b, spec("other", 24)}, perf),
+                   trace({"tenant0", "tenant1", "other"}, 30, 15));
+    ASSERT_GT(m.checkpointsTaken, 3u);
+    EXPECT_EQ(perf.dedupWorldsBuilt(), 3u);
+
+    // A second simulation on the same model measures nothing again.
+    runAudited(PorterSim(cfg, {a, b, spec("other", 24)}, perf),
+               trace({"tenant0", "tenant1", "other"}, 30, 15, 12));
+    EXPECT_EQ(perf.dedupWorldsBuilt(), 3u);
 }
 
 TEST_F(PorterFeatureTest, DedupCapacityReleaseIsBalanced)

@@ -180,19 +180,35 @@ TEST_F(PorterSimTest, PerFunctionHistogramsPopulated)
 
 TEST_F(PorterSimTest, UnknownFunctionIsFatalBeforeAnythingRuns)
 {
+    // Interned before the simulation is built, and so inside its id
+    // table, but not one of its functions.
+    const FunctionId early = FunctionId::intern("unknown-before-sim");
     PorterConfig cfg;
-    PorterSim sim(cfg, {tinySpec("a")}, perf);
-    auto trace = steadyTrace({"a"}, 20, 5);
-    ASSERT_GT(trace.size(), 2u);
-    trace[trace.size() / 2].function = "nope";
-    EXPECT_THROW(sim.run(trace), sim::FatalError);
+    PorterSim sim(cfg, {tinySpec("known-fn")}, perf);
+    const auto good = steadyTrace({"known-fn"}, 20, 5);
+    ASSERT_GT(good.size(), 2u);
+    // Past the end of the id table, inside it, and no name at all.
+    for (const FunctionId bad :
+         {FunctionId::intern("nope"), early, FunctionId{}}) {
+        auto trace = good;
+        Request &req = trace[trace.size() / 2];
+        req.function = bad;
+        try {
+            sim.run(trace);
+            ADD_FAILURE() << "'" << bad.name() << "' was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "request " + std::to_string(req.id) + " "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 
-    // Nothing of the rejected trace was scheduled: a good trace on the
-    // same simulator runs exactly as on a fresh one.
-    const auto good = steadyTrace({"a"}, 20, 5);
+    // Nothing of the rejected traces was scheduled: a good trace on
+    // the same simulator runs exactly as on a fresh one.
     const auto m = runAudited(sim, good);
     const auto fresh =
-        runAudited(PorterSim(cfg, {tinySpec("a")}, perf), good);
+        runAudited(PorterSim(cfg, {tinySpec("known-fn")}, perf), good);
     EXPECT_EQ(m.latency.count(), good.size());
     EXPECT_EQ(m.p99Ms(), fresh.p99Ms());
     EXPECT_EQ(m.warmHits, fresh.warmHits);
@@ -295,7 +311,7 @@ TEST_F(PorterSimTest, ReclaimEvictsTheLowerIdAmongEquallyIdle)
         Request r;
         r.id = id;
         r.arrival = SimTime::sec(sec);
-        r.function = fn;
+        r.function = FunctionId::intern(fn);
         return r;
     };
     const std::vector<Request> trace{

@@ -2,15 +2,24 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <set>
+#include <type_traits>
 
 #include "porter/trace.hh"
 #include "sim/log.hh"
+#include "sim/thread_pool.hh"
 
 namespace cxlfork::porter {
 namespace {
 
 using sim::SimTime;
+
+// Millions of requests per porter sweep: an id, an arrival and an
+// interned name, copied as plain bytes.
+static_assert(sizeof(Request) == 24);
+static_assert(std::is_trivially_copyable_v<Request>);
 
 TraceConfig
 cfg(double rps = 150.0, double secs = 30.0, uint64_t seed = 1)
@@ -71,7 +80,7 @@ TEST(Trace, AllFunctionsAppear)
     const auto reqs = TraceGenerator(fns(), cfg()).generate();
     std::map<std::string, int> counts;
     for (const auto &r : reqs)
-        ++counts[r.function];
+        ++counts[r.function.name()];
     for (const auto &f : fns())
         EXPECT_GT(counts[f], 0) << f;
 }
@@ -153,7 +162,7 @@ TEST(Trace, FingerprintPinned)
         const uint64_t bits = std::bit_cast<uint64_t>(r.arrival.toNs());
         for (int i = 0; i < 64; i += 8)
             mix((bits >> i) & 0xff);
-        for (char c : r.function)
+        for (char c : r.function.name())
             mix(uint8_t(c));
         mix(0);
     }
@@ -180,9 +189,9 @@ TEST(TraceCsv, ParsesWellFormedRows)
         "1.75,Bert\n";
     const auto reqs = parseTraceCsv(csv);
     ASSERT_EQ(reqs.size(), 3u);
-    EXPECT_EQ(reqs[0].function, "Float");
+    EXPECT_EQ(reqs[0].function.name(), "Float");
     EXPECT_EQ(reqs[0].arrival, SimTime::sec(0.25));
-    EXPECT_EQ(reqs[1].function, "Bert");
+    EXPECT_EQ(reqs[1].function.name(), "Bert");
     EXPECT_EQ(reqs[2].arrival, SimTime::sec(1.75));
     EXPECT_EQ(reqs[2].id, 2u);
 }
@@ -191,7 +200,7 @@ TEST(TraceCsv, SkipsHeaderRow)
 {
     const auto reqs = parseTraceCsv("timestamp,function\n1.0,Json\n");
     ASSERT_EQ(reqs.size(), 1u);
-    EXPECT_EQ(reqs[0].function, "Json");
+    EXPECT_EQ(reqs[0].function.name(), "Json");
 }
 
 // The header is the first row that is neither blank nor a comment,
@@ -205,7 +214,7 @@ TEST(TraceCsv, HeaderAfterCommentsOrBlankLinesIsSkipped)
           "# a\n\n  # b\ntimestamp,function\n1.0,Json\n"}) {
         const auto reqs = parseTraceCsv(csv);
         ASSERT_EQ(reqs.size(), 1u) << csv;
-        EXPECT_EQ(reqs[0].function, "Json");
+        EXPECT_EQ(reqs[0].function.name(), "Json");
         EXPECT_EQ(reqs[0].arrival, SimTime::sec(1.0));
     }
     EXPECT_THROW(parseTraceCsv("# a\n1.0,Json\ntimestamp,function\n"),
@@ -253,7 +262,8 @@ TEST(TraceCsv, RoundTripsAGeneratedTrace)
     const auto gen = TraceGenerator(fns(), cfg(40, 10, 3)).generate();
     std::string csv = "timestamp,function\n";
     for (const auto &r : gen) {
-        csv += std::to_string(r.arrival.toSec()) + "," + r.function + "\n";
+        csv += std::to_string(r.arrival.toSec()) + "," + r.function.name() +
+               "\n";
     }
     const auto parsed = parseTraceCsv(csv);
     ASSERT_EQ(parsed.size(), gen.size());
@@ -261,6 +271,108 @@ TEST(TraceCsv, RoundTripsAGeneratedTrace)
         EXPECT_EQ(parsed[i].function, gen[i].function);
         EXPECT_NEAR(parsed[i].arrival.toSec(), gen[i].arrival.toSec(),
                     1e-5);
+    }
+}
+
+/** A 64-hex-char name, as Azure traces hash function names. */
+std::string
+hashName(uint64_t seed)
+{
+    std::string out;
+    for (uint64_t i = 0; i < 4; ++i) {
+        char word[17];
+        std::snprintf(word, sizeof(word), "%016llx",
+                      (unsigned long long)((seed + i) *
+                                           0x9e3779b97f4a7c15ull));
+        out += word;
+    }
+    return out;
+}
+
+TEST(TraceCsv, RoundTripsLongHashedNames)
+{
+    std::vector<std::string> names;
+    for (uint64_t i = 1; i <= 4; ++i)
+        names.push_back(hashName(i));
+    ASSERT_EQ(names[0].size(), 64u);
+    const auto gen = TraceGenerator(names, cfg(40, 10, 5)).generate();
+    std::string csv = "timestamp,function\n";
+    for (const auto &r : gen) {
+        csv += std::to_string(r.arrival.toSec()) + "," + r.function.name() +
+               "\n";
+    }
+    const auto parsed = parseTraceCsv(csv);
+    ASSERT_EQ(parsed.size(), gen.size());
+    for (size_t i = 0; i < gen.size(); ++i) {
+        EXPECT_EQ(parsed[i].function, gen[i].function);
+        EXPECT_EQ(parsed[i].function.name().size(), 64u);
+    }
+}
+
+// Requests at one time sort by name, whatever order the names were
+// interned in: ids never order a trace.
+TEST(TraceCsv, TiesSortByNameNotByInternOrder)
+{
+    const std::string lo = "00" + hashName(7).substr(2);
+    const std::string hi = "ff" + hashName(7).substr(2);
+    const FunctionId hiId = FunctionId::intern(hi);
+    const FunctionId loId = FunctionId::intern(lo);
+    ASSERT_LT(hiId.index(), loId.index());
+    const auto reqs = parseTraceCsv("2.0," + hi + "\n2.0," + lo +
+                                    "\n1.0," + hi + "\n");
+    ASSERT_EQ(reqs.size(), 3u);
+    EXPECT_EQ(reqs[0].function, hiId);
+    EXPECT_EQ(reqs[1].function, loId);
+    EXPECT_EQ(reqs[2].function, hiId);
+    EXPECT_EQ(reqs[1].arrival, reqs[2].arrival);
+}
+
+TEST(FunctionId, InternsEachNameOnce)
+{
+    const FunctionId a = FunctionId::intern("intern-once-a");
+    EXPECT_TRUE(a.valid());
+    EXPECT_EQ(a.name(), "intern-once-a");
+    EXPECT_EQ(FunctionId::intern(std::string("intern-once-a")), a);
+    EXPECT_NE(FunctionId::intern("intern-once-b"), a);
+
+    const FunctionId none;
+    EXPECT_FALSE(none.valid());
+    EXPECT_EQ(none.name(), "");
+    EXPECT_EQ(Request{}.function, none);
+}
+
+// Workers intern overlapping name sets in different orders; every one
+// must get the same id for a name, and distinct names distinct ids.
+TEST(FunctionId, ConcurrentInternGivesOneIdPerName)
+{
+    constexpr size_t kTasks = 8;
+    constexpr size_t kNames = 64;
+    std::vector<std::vector<FunctionId>> seen(
+        kTasks, std::vector<FunctionId>(kNames));
+    sim::ThreadPool pool(4);
+    pool.parallelIndexed(kTasks, [&](size_t t) {
+        // Each task covers a window of the names, from its own start.
+        for (size_t k = 0; k < kNames; ++k) {
+            const size_t n = (t * 13 + k) % kNames;
+            if (n % kTasks == t % 3)
+                continue; // not every task sees every name
+            seen[t][n] =
+                FunctionId::intern("concurrent-" + std::to_string(n));
+        }
+    });
+    std::set<uint32_t> indexes;
+    for (size_t n = 0; n < kNames; ++n) {
+        FunctionId id;
+        for (size_t t = 0; t < kTasks; ++t) {
+            if (!seen[t][n].valid())
+                continue;
+            if (!id.valid())
+                id = seen[t][n];
+            EXPECT_EQ(seen[t][n], id) << "name " << n << " task " << t;
+        }
+        ASSERT_TRUE(id.valid()) << n;
+        EXPECT_EQ(id.name(), "concurrent-" + std::to_string(n));
+        EXPECT_TRUE(indexes.insert(id.index()).second) << n;
     }
 }
 

@@ -2,25 +2,30 @@
 # Interleaved parent/change pairs of one perfbench workload: the paired
 # procedure behind every host-time claim (DESIGN.md Sec. 8).
 #
-# Usage: perf_pairs.sh <parent-tree> <change-tree> <workload> [pairs]
+# Usage: perf_pairs.sh <parent-tree> <change-tree> <workload> [pairs] [metric]
 #
 # Pair i (1..pairs, default 10) runs
 #   python3 perfbench/run.py --workload <workload> --seed i --seconds 10 --trace 0
 # once in each tree. Odd pairs run the parent first, even pairs the
 # change first, so a slow spell on a shared host hits both sides alike.
+# The pair count must be even, so each side leads equally often: on a
+# busy host the side that runs first is often the faster one, and an
+# extra parent-first pair biases the median ratio.
 # Each tree builds into its own .bench_build/; build output and the
 # runs' stderr go to a log whose path is printed at the end.
 #
-# Prints, per pair, both sides' host_ops_per_s, the ratio change/parent
-# and whether the two digests match; then each side's median and
-# quartiles (linear interpolation), the number of pairs the change won
-# (ties count for neither side) and whether every digest matched.
+# The metric (default host_ops_per_s) is any end-to-end metric of the
+# change tree's BENCHMARK.json; its `better` field says which way wins.
+# Prints, per pair, both sides' metric, the ratio change/parent and
+# whether the two digests match; then each side's median and quartiles
+# (linear interpolation), the number of pairs the change won (ties count
+# for neither side) and whether every digest matched.
 # Exits 1 if a run fails or any digest differs.
 
 set -euo pipefail
 
-if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <parent-tree> <change-tree> <workload> [pairs]" >&2
+if [ $# -lt 3 ] || [ $# -gt 5 ]; then
+    echo "usage: $0 <parent-tree> <change-tree> <workload> [pairs] [metric]" >&2
     exit 2
 fi
 
@@ -28,6 +33,27 @@ parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 workload=$3
 pairs=${4:-10}
+metric=${5:-host_ops_per_s}
+
+if ! [[ $pairs =~ ^[0-9]+$ ]] || ((pairs == 0 || pairs % 2)); then
+    echo "perf_pairs: pairs must be a positive even count (got $pairs)" >&2
+    exit 2
+fi
+
+# The direction that wins, from the change tree's benchmark declaration.
+better=$(python3 - "$change/BENCHMARK.json" "$metric" <<'EOF'
+import json
+import sys
+
+path, metric = sys.argv[1:]
+with open(path) as f:
+    for m in json.load(f)["end_to_end"]:
+        if m["name"] == metric:
+            print(m["better"])
+            sys.exit(0)
+sys.exit(f"perf_pairs: {metric} is no end-to-end metric of {path}")
+EOF
+) || exit 2
 
 out=$(mktemp -d)
 log="$out/runs.log"
@@ -55,28 +81,32 @@ for ((seed = 1; seed <= pairs; ++seed)); do
 done
 
 status=0
-python3 - "$out" "$pairs" <<'EOF' || status=$?
+python3 - "$out" "$pairs" "$metric" "$better" <<'EOF' || status=$?
 import json
 import statistics
 import sys
 
-out, pairs = sys.argv[1], int(sys.argv[2])
+out, pairs, metric, better = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
 
 
 def load(side, seed):
     with open(f"{out}/{side}-{seed}") as f:
         digest, result = f.read().splitlines()
-    rate = json.loads(result)["metrics"]["host_ops_per_s"]["value"]
-    return digest.split()[-1], rate
+    value = json.loads(result)["metrics"][metric]["value"]
+    return digest.split()[-1], value
+
+
+def fmt(x):
+    return f"{x:.1f}" if abs(x) >= 100 else f"{x:.4f}"
 
 
 def summary(xs):
-    if len(xs) < 2:
-        return f"median {xs[0]:.1f}"
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return f"median {med:.1f}  q1 {q1:.1f}  q3 {q3:.1f}  spread {q3 - q1:.1f}"
+    return (f"median {fmt(med)}  q1 {fmt(q1)}  q3 {fmt(q3)}  "
+            f"spread {fmt(q3 - q1)}")
 
 
+print(f"{metric} ({better} is better)")
 print(f"{'seed':>4} {'parent':>12} {'change':>12} {'ratio':>7}  digest")
 parent, change, wins, same = [], [], 0, True
 for seed in range(1, pairs + 1):
@@ -84,9 +114,9 @@ for seed in range(1, pairs + 1):
     cd, c = load("change", seed)
     parent.append(p)
     change.append(c)
-    wins += c > p
+    wins += c < p if better == "lower" else c > p
     same &= pd == cd
-    print(f"{seed:>4} {p:>12.1f} {c:>12.1f} {c / p:>7.3f}  "
+    print(f"{seed:>4} {fmt(p):>12} {fmt(c):>12} {c / p:>7.3f}  "
           f"{'same' if pd == cd else 'DIFFERS'}")
 print(f"parent: {summary(parent)}")
 print(f"change: {summary(change)}")

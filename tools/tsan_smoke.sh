@@ -15,7 +15,8 @@ BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build-tsan}"
 JOBS="${JOBS:-$(nproc)}"
 SWEEP_JOBS="${SWEEP_JOBS:-4}"
 
-# fig10 exercises the shared (mutex-protected) porter::PerfModel cache;
+# fig10 exercises the shared (mutex-protected) porter::PerfModel cache
+# and interns function names from the PorterSims its workers build;
 # ext_coherence runs directory-armed clusters on every worker thread;
 # ext_speculative trains predictors and decompresses codec pages on
 # every worker thread; ext_partition runs link-model-armed soaks (the
@@ -33,13 +34,16 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target "${BENCHES[@]}" \
     sim_threadpool_test property_pagestore_test \
     litmus_coherence_test property_coherence_test \
     speculative_determinism_test link_health_test partition_soak_test \
-    property_contention_test
+    property_contention_test porter_trace_test
 
 echo "== ThreadPool unit test under TSan"
 "$BUILD_DIR/tests/sim_threadpool_test"
 
 echo "== PageStore property fuzz under TSan"
 "$BUILD_DIR/tests/property_pagestore_test"
+
+echo "== Function-name interning from pool workers under TSan"
+"$BUILD_DIR/tests/porter_trace_test" --gtest_filter='FunctionId.*'
 
 echo "== Coherence litmus + property fuzz under TSan"
 "$BUILD_DIR/tests/litmus_coherence_test"
