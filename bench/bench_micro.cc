@@ -287,6 +287,29 @@ BM_TraceGenerate(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMillisecond);
 
+// --- The two draws trace generation makes: a raw 64-bit draw, and an
+// exponential at the mean candidate gap of one such stream (0.022 s).
+
+void
+BM_RngRaw(benchmark::State &state)
+{
+    sim::Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.raw());
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_RngRaw);
+
+void
+BM_RngExponential(benchmark::State &state)
+{
+    sim::Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.exponential(0.022));
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_RngExponential);
+
 // --- Hot-path micro-optimizations, measured A/B (DESIGN.md Sec. 8).
 
 /** VPN-order PTE writes with the last-leaf walk cache on vs off. */

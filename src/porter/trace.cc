@@ -52,6 +52,12 @@ TraceGenerator::TraceGenerator(std::vector<std::string> functions,
     if (!(cfg_.totalRps > 0 && std::isfinite(cfg_.totalRps)))
         sim::fatal("trace rate must be finite and > 0 (got %g rps)",
                    cfg_.totalRps);
+    // A NaN duration never ends the arrival loop, and an infinite one
+    // never ends the burst loop.
+    const double duration = cfg_.duration.toSec();
+    if (!(duration >= 0 && std::isfinite(duration)))
+        sim::fatal("trace duration must be finite and >= 0 (got %g s)",
+                   duration);
     if (!(cfg_.burstRateMultiplier >= 1.0))
         sim::fatal("trace burst rate multiplier must be >= 1 (got %g)",
                    cfg_.burstRateMultiplier);
@@ -88,6 +94,12 @@ TraceGenerator::generate() const
     const double meanCandidateGap = 1.0 / maxRate;
     const double quietKeep = perFnRps / maxRate;
 
+    // Each stream's expected count, with headroom for a stream whose
+    // bursts cover more than their share, so a stream rarely regrows.
+    const size_t expected =
+        size_t(cfg_.totalRps / double(functions_.size()) * duration);
+    const size_t presize = expected + expected / 4 + 16;
+
     struct Burst
     {
         double start, end;
@@ -95,6 +107,7 @@ TraceGenerator::generate() const
     std::vector<Burst> bursts;
     for (std::vector<SimTime> &stream : streams) {
         sim::Rng fnRng = rng.split();
+        stream.reserve(presize);
 
         // Burst schedule for this function: alternating quiet/burst
         // windows, exponential lengths.
@@ -135,13 +148,13 @@ TraceGenerator::generate() const
     struct Head
     {
         SimTime arrival;
-        size_t rank;
-        size_t stream;
+        uint32_t rank;
+        uint32_t stream;
     };
-    auto after = [](const Head &a, const Head &b) {
+    auto before = [](const Head &a, const Head &b) {
         if (a.arrival != b.arrival)
-            return b.arrival < a.arrival;
-        return b.rank < a.rank;
+            return a.arrival < b.arrival;
+        return a.rank < b.rank;
     };
     std::vector<Head> heads; // min-heap by (arrival, rank)
     size_t total = 0;
@@ -149,26 +162,40 @@ TraceGenerator::generate() const
         total += streams[s].size();
         if (streams[s].empty())
             continue;
-        size_t rank = 0;
+        uint32_t rank = 0;
         for (const std::string &other : functions_)
             rank += other < functions_[s];
-        heads.push_back({streams[s].front(), rank, s});
+        heads.push_back({streams[s].front(), rank, uint32_t(s)});
     }
-    std::make_heap(heads.begin(), heads.end(), after);
+    // Sorted is a valid heap.
+    std::sort(heads.begin(), heads.end(), before);
     std::vector<size_t> cursor(streams.size());
     std::vector<Request> out;
     out.reserve(total);
     while (!heads.empty()) {
-        std::pop_heap(heads.begin(), heads.end(), after);
-        Head &h = heads.back();
-        const std::vector<SimTime> &st = streams[h.stream];
+        // Emit the root, put its stream's next arrival in its place (or
+        // the last head, once the stream is done), and sift that down.
+        Head h = heads.front();
         out.push_back({out.size(), h.arrival, ids_[h.stream]});
+        const std::vector<SimTime> &st = streams[h.stream];
         if (++cursor[h.stream] < st.size()) {
             h.arrival = st[cursor[h.stream]];
-            std::push_heap(heads.begin(), heads.end(), after);
         } else {
+            h = heads.back();
             heads.pop_back();
         }
+        const size_t n = heads.size();
+        size_t i = 0;
+        for (size_t c = 1; c < n; c = 2 * i + 1) {
+            if (c + 1 < n && before(heads[c + 1], heads[c]))
+                ++c;
+            if (!before(heads[c], h))
+                break;
+            heads[i] = heads[c];
+            i = c;
+        }
+        if (n)
+            heads[i] = h;
     }
     return out;
 }

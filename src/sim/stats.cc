@@ -48,15 +48,17 @@ Histogram::mean() const
 double
 Histogram::min() const
 {
-    ensureSorted();
-    return sorted_.empty() ? 0.0 : sorted_.front();
+    return samples_.empty()
+               ? 0.0
+               : *std::min_element(samples_.begin(), samples_.end());
 }
 
 double
 Histogram::max() const
 {
-    ensureSorted();
-    return sorted_.empty() ? 0.0 : sorted_.back();
+    return samples_.empty()
+               ? 0.0
+               : *std::max_element(samples_.begin(), samples_.end());
 }
 
 double
@@ -64,33 +66,31 @@ Histogram::percentile(double q) const
 {
     if (q < 0.0 || q > 1.0)
         panic("percentile q=%f out of [0,1]", q);
-    ensureSorted();
-    if (sorted_.empty())
+    if (samples_.empty())
         return 0.0;
     // Nearest-rank: the smallest sample with cumulative frequency >= q.
-    const size_t n = sorted_.size();
+    // Selection puts that sample where a full sort would, in linear
+    // time; the copy stays a permutation of the samples, so later
+    // queries select from it again.
+    const size_t n = samples_.size();
     size_t rank = size_t(std::ceil(q * double(n)));
     if (rank == 0)
         rank = 1;
-    return sorted_[rank - 1];
+    if (dirty_) {
+        selected_ = samples_;
+        dirty_ = false;
+    }
+    const auto nth = selected_.begin() + std::ptrdiff_t(rank - 1);
+    std::nth_element(selected_.begin(), nth, selected_.end());
+    return *nth;
 }
 
 void
 Histogram::clear()
 {
     samples_.clear();
-    sorted_.clear();
+    selected_.clear();
     dirty_ = false;
-}
-
-void
-Histogram::ensureSorted() const
-{
-    if (dirty_ || sorted_.size() != samples_.size()) {
-        sorted_ = samples_;
-        std::sort(sorted_.begin(), sorted_.end());
-        dirty_ = false;
-    }
 }
 
 } // namespace cxlfork::sim

@@ -76,10 +76,9 @@ class Histogram
     void clear();
 
   private:
-    void ensureSorted() const;
-
     std::vector<double> samples_;
-    mutable std::vector<double> sorted_;
+    /** A copy of samples_ that percentile() partitions in place. */
+    mutable std::vector<double> selected_;
     mutable bool dirty_ = false;
 };
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "porter/trace.hh"
 #include "sim/log.hh"
@@ -144,6 +148,113 @@ TEST(Trace, RejectsNonPositiveBurstWindows)
     c = cfg();
     c.meanBurstGap = SimTime::sec(-1);
     EXPECT_THROW(TraceGenerator(fns(), c), sim::FatalError);
+}
+
+// A NaN duration never ended the arrival loop and an infinite one never
+// ended the burst loop; both grew memory until killed.
+TEST(Trace, RejectsNegativeOrNonFiniteDuration)
+{
+    const std::pair<double, const char *> bad[] = {
+        {-1.0, "-1 s"},
+        {-std::numeric_limits<double>::infinity(), "-inf"},
+        {std::numeric_limits<double>::infinity(), "inf"},
+        {std::nan(""), "nan"},
+    };
+    for (const auto &[secs, named] : bad) {
+        try {
+            TraceGenerator(fns(), cfg(150, secs, 1));
+            ADD_FAILURE() << "duration " << secs << " s was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("duration"),
+                      std::string::npos) << e.what();
+            EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_NO_THROW(TraceGenerator(fns(), cfg(150, 0, 1)));
+}
+
+/**
+ * The arrivals each function's stream draws, written out plainly: the
+ * s-th split of the seed's stream draws the s-th function's burst
+ * windows, then its thinned candidates, each tested against every
+ * window. Times in seconds, in draw order.
+ */
+std::vector<std::vector<double>>
+referenceStreams(size_t functions, const TraceConfig &c)
+{
+    const double duration = c.duration.toSec();
+    const double meanGap = c.meanBurstGap.toSec();
+    const double meanLength = c.meanBurstLength.toSec();
+    const double burstFrac = meanLength / (meanLength + meanGap);
+    const double inflation =
+        (1.0 - burstFrac) + c.burstRateMultiplier * burstFrac;
+    const double perFnRps = c.totalRps / (double(functions) * inflation);
+    const double maxRate = perFnRps * c.burstRateMultiplier;
+    sim::Rng rng(c.seed);
+    std::vector<std::vector<double>> streams(functions);
+    for (std::vector<double> &stream : streams) {
+        sim::Rng fnRng = rng.split();
+        std::vector<std::pair<double, double>> bursts;
+        for (double t = fnRng.exponential(meanGap); t < duration;) {
+            const double len = fnRng.exponential(meanLength);
+            bursts.push_back({t, t + len});
+            t += len + fnRng.exponential(meanGap);
+        }
+        for (double at = fnRng.exponential(1.0 / maxRate); at < duration;
+             at += fnRng.exponential(1.0 / maxRate)) {
+            bool inBurst = false;
+            for (const auto &[start, end] : bursts)
+                inBurst |= at >= start && at < end;
+            if (fnRng.uniform() < (inBurst ? 1.0 : perFnRps / maxRate))
+                stream.push_back(at);
+        }
+    }
+    return streams;
+}
+
+// The k-way merge emits every stream's arrivals, in (arrival, name)
+// order, with ids 0..n-1: a stable sort of all the streams' arrivals,
+// across seeds, short durations, a repeated name and empty streams.
+TEST(Trace, MergeEqualsASortOfTheDrawnStreams)
+{
+    const std::vector<std::vector<std::string>> lists = {
+        fns(),
+        {"Float", "Json", "Float", "BFS", "Json"},
+        {"Solo"},
+        {"k", "j", "i", "h", "g", "f", "e", "d", "c", "b", "a", "Float"},
+    };
+    size_t emptyStreams = 0, cases = 0;
+    for (const std::vector<std::string> &names : lists) {
+        for (uint64_t seed : {1ull, 2ull, 0x5eedull, 0xfeedull}) {
+            for (double secs : {0.05, 0.7, 3.0, 20.0}) {
+                for (double rps : {4.0, 150.0}) {
+                    const TraceConfig c = cfg(rps, secs, seed);
+                    const auto drawn = referenceStreams(names.size(), c);
+                    std::vector<std::pair<SimTime, std::string>> want;
+                    for (size_t s = 0; s < names.size(); ++s) {
+                        emptyStreams += drawn[s].empty();
+                        for (double at : drawn[s])
+                            want.push_back({SimTime::sec(at), names[s]});
+                    }
+                    std::stable_sort(want.begin(), want.end());
+                    const auto got = TraceGenerator(names, c).generate();
+                    ++cases;
+                    ASSERT_EQ(got.size(), want.size())
+                        << "seed " << seed << " secs " << secs;
+                    for (size_t i = 0; i < got.size(); ++i) {
+                        ASSERT_EQ(got[i].id, i);
+                        ASSERT_EQ(got[i].arrival, want[i].first)
+                            << "request " << i << " seed " << seed;
+                        ASSERT_EQ(got[i].function.name(), want[i].second)
+                            << "request " << i << " seed " << seed;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 128u);
+    EXPECT_GT(emptyStreams, 0u) << "no case covers an empty stream";
 }
 
 /**

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 namespace cxlfork::sim {
@@ -75,6 +80,61 @@ TEST(Histogram, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(h.p99(), 20.0);
     h.clear();
     EXPECT_EQ(h.count(), 0u);
+}
+
+// percentile(), min() and max() select instead of sorting every sample;
+// each must equal what a fully sorted copy gives, query after query.
+TEST(Histogram, SelectionMatchesAFullySortedReference)
+{
+    const double qs[] = {0.99, 0.0, 0.5, 1.0, 0.25, 0.999, 0.5, 0.01, 0.75};
+    auto check = [&](const std::vector<double> &samples) {
+        Histogram h;
+        for (double v : samples)
+            h.add(v);
+        std::vector<double> sorted = samples;
+        std::sort(sorted.begin(), sorted.end());
+        const size_t n = sorted.size();
+        for (double q : qs) {
+            size_t rank = size_t(std::ceil(q * double(n)));
+            rank = std::max<size_t>(rank, 1);
+            EXPECT_EQ(h.percentile(q), n ? sorted[rank - 1] : 0.0)
+                << "q " << q << " over " << n << " samples";
+        }
+        EXPECT_EQ(h.min(), n ? sorted.front() : 0.0);
+        EXPECT_EQ(h.max(), n ? sorted.back() : 0.0);
+    };
+
+    Rng rng(31);
+    std::vector<double> random(10007);
+    for (double &v : random)
+        v = rng.exponential(1e6);
+    check(random);
+
+    std::vector<double> duplicates(5000);
+    for (double &v : duplicates)
+        v = double(rng.index(4));
+    check(duplicates);
+
+    check({42.0});
+    check({});
+
+    // A query between adds sees the later samples too.
+    Histogram h;
+    std::vector<double> seen;
+    for (int i = 0; i < 300; ++i) {
+        const double v = rng.uniform(-5.0, 5.0);
+        h.add(v);
+        seen.push_back(v);
+        if (i % 37 == 0) {
+            std::vector<double> sorted = seen;
+            std::sort(sorted.begin(), sorted.end());
+            const size_t rank = std::max<size_t>(
+                size_t(std::ceil(0.9 * double(sorted.size()))), 1);
+            ASSERT_EQ(h.percentile(0.9), sorted[rank - 1]) << "add " << i;
+            ASSERT_EQ(h.min(), sorted.front());
+            ASSERT_EQ(h.max(), sorted.back());
+        }
+    }
 }
 
 TEST(Histogram, PercentileOutOfRangePanics)
