@@ -15,6 +15,7 @@
 #include "proto/messages.hh"
 #include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
+#include "rfork/mechanism.hh"
 #include "sim/crc32.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -204,6 +205,48 @@ BM_RestoreAttach(benchmark::State &state)
 }
 BENCHMARK(BM_RestoreAttach)->Unit(benchmark::kMicrosecond)->Iterations(50);
 
+/**
+ * One mechanism's restore of a warm function's checkpoint onto another
+ * node, every iteration from scratch: with `teardown` false it times
+ * the restore (a CXLfork image's verify, attach and dirty prefetch; a
+ * CRIU image's decode and install loop), with `teardown` true the
+ * exit that frees the clone's page table and frames.
+ */
+void
+BM_MechanismRestore(benchmark::State &state, rfork::MechanismKind kind,
+                    const char *function, bool teardown)
+{
+    const auto spec = *faas::findWorkload(function);
+    porter::Cluster cluster(bench::benchClusterConfig());
+    auto parent = bench::deployWarmParent(cluster, spec, 1);
+    auto mech = rfork::makeMechanism(kind, cluster.fabric());
+    auto handle = mech->checkpoint(cluster.node(0), parent->task());
+    os::NodeOs &target = cluster.node(1);
+    for (auto _ : state) {
+        if (teardown)
+            state.PauseTiming();
+        auto task = mech->restore(handle, target);
+        benchmark::DoNotOptimize(task);
+        if (teardown)
+            state.ResumeTiming();
+        else
+            state.PauseTiming();
+        target.exitTask(task);
+        task.reset();
+        if (!teardown)
+            state.ResumeTiming();
+    }
+}
+BENCHMARK_CAPTURE(BM_MechanismRestore, cxlfork_rnn,
+                  rfork::MechanismKind::CxlFork, "Rnn", false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MechanismRestore, criu_json,
+                  rfork::MechanismKind::CriuCxl, "Json", false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MechanismRestore, criu_json_teardown,
+                  rfork::MechanismKind::CriuCxl, "Json", true)
+    ->Unit(benchmark::kMicrosecond);
+
 // --- Per-restore integrity cost: every restore re-CRCs its image.
 
 /** One page (a leaf block's size), and 64 KiB (a CRIU image's bulk). */
@@ -383,15 +426,16 @@ BM_WireEncodeDecode(benchmark::State &state)
     img.global.taskName = "bm";
     for (uint64_t i = 0; i < 10000; ++i)
         img.pages.push_back({i, i * 3});
+    proto::PageBuffer pages;
     for (auto _ : state) {
         proto::Encoder e;
         img.encode(e);
         proto::Decoder d(e.buffer());
         benchmark::DoNotOptimize(proto::CriuImageMsg::decodeHeader(d));
-        proto::PageReader pages(d);
+        pages.decode(d);
         uint64_t sum = 0;
-        for (uint64_t i = 0; i < pages.size(); ++i)
-            sum += pages.next().content;
+        for (const proto::PageMsg &p : pages)
+            sum += p.content;
         benchmark::DoNotOptimize(sum);
     }
     state.SetBytesProcessed(int64_t(state.iterations()) * 10000 * 16);
@@ -411,14 +455,15 @@ BM_CriuImageDecode(benchmark::State &state)
     const cxl::CxlFsFile *file =
         cluster.fabric().sharedFs().open(handle->fileName());
     size_t pages = 0;
+    proto::PageBuffer buffer;
     for (auto _ : state) {
         proto::Decoder d(file->data);
         const proto::CriuImageMsg img = proto::CriuImageMsg::decodeHeader(d);
-        proto::PageReader reader(d);
+        buffer.decode(d);
         uint64_t sum = 0;
-        for (uint64_t i = 0; i < reader.size(); ++i)
-            sum += reader.next().content;
-        pages += reader.size();
+        for (const proto::PageMsg &p : buffer)
+            sum += p.content;
+        pages += buffer.size();
         benchmark::DoNotOptimize(img);
         benchmark::DoNotOptimize(sum);
     }

@@ -133,67 +133,6 @@ FunctionLayout::pagesOf(SegClass seg) const
 }
 
 void
-FunctionLayout::forEachPage(
-    SegClass seg, uint64_t maxPages,
-    const std::function<void(mem::VirtAddr, uint64_t)> &fn) const
-{
-    uint64_t emitted = 0;
-    for (const Segment &s : segments) {
-        if (s.seg != seg)
-            continue;
-        for (uint64_t i = 0; i < s.pages && emitted < maxPages;
-             ++i, ++emitted) {
-            fn(s.start.plus(i * kPageSize), emitted);
-        }
-        if (emitted >= maxPages)
-            return;
-    }
-}
-
-void
-FunctionLayout::forEachPageWrapped(
-    SegClass seg, uint64_t startPage, uint64_t count,
-    const std::function<void(mem::VirtAddr, uint64_t)> &fn) const
-{
-    const uint64_t total = pagesOf(seg);
-    if (total == 0 || count == 0)
-        return;
-    count = std::min(count, total);
-    startPage %= total;
-
-    // Collect segment ranges once, then emit [start, start+count) with
-    // wrap-around, by absolute page index within the class.
-    uint64_t emitted = 0;
-    uint64_t classBase = 0;
-    auto emitRange = [&](uint64_t lo, uint64_t hi) {
-        // Emit class-page indices in [lo, hi).
-        uint64_t base = 0;
-        for (const Segment &s : segments) {
-            if (s.seg != seg)
-                continue;
-            const uint64_t segLo = base;
-            const uint64_t segHi = base + s.pages;
-            const uint64_t from = std::max(lo, segLo);
-            const uint64_t to = std::min(hi, segHi);
-            for (uint64_t idx = from; idx < to; ++idx) {
-                fn(s.start.plus((idx - segLo) * kPageSize), idx);
-                ++emitted;
-            }
-            base = segHi;
-        }
-    };
-    (void)classBase;
-    const uint64_t end = startPage + count;
-    if (end <= total) {
-        emitRange(startPage, end);
-    } else {
-        emitRange(startPage, total);
-        emitRange(0, end - total);
-    }
-    (void)emitted;
-}
-
-void
 installFunctionFiles(os::Vfs &vfs, const FunctionSpec &spec)
 {
     const FunctionLayout layout = FunctionLayout::compute(spec);

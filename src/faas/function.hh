@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -99,20 +100,70 @@ struct FunctionLayout
     /** Sum of pages across segments of a class. */
     uint64_t pagesOf(os::SegClass seg) const;
 
-    /** Visit pages of a class in deterministic order, up to maxPages. */
-    void forEachPage(os::SegClass seg, uint64_t maxPages,
-                     const std::function<void(mem::VirtAddr,
-                                              uint64_t pageIdx)> &fn) const;
+    /**
+     * Visit pages of a class in deterministic order, up to maxPages:
+     * fn(va, pageIdx) with pageIdx counting from 0.
+     */
+    template <typename Fn>
+    void
+    forEachPage(os::SegClass seg, uint64_t maxPages, Fn &&fn) const
+    {
+        uint64_t emitted = 0;
+        for (const Segment &s : segments) {
+            if (s.seg != seg)
+                continue;
+            for (uint64_t i = 0; i < s.pages && emitted < maxPages;
+                 ++i, ++emitted) {
+                fn(s.start.plus(i * mem::kPageSize), emitted);
+            }
+            if (emitted >= maxPages)
+                return;
+        }
+    }
 
     /**
      * Visit `count` pages of a class starting at page `startPage`,
-     * wrapping around the segment end (the input-dependent window).
+     * wrapping around the segment end (the input-dependent window):
+     * fn(va, pageIdx) with pageIdx the page's index within the class.
      */
-    void forEachPageWrapped(os::SegClass seg, uint64_t startPage,
-                            uint64_t count,
-                            const std::function<void(mem::VirtAddr,
-                                                     uint64_t pageIdx)> &fn)
-        const;
+    template <typename Fn>
+    void
+    forEachPageWrapped(os::SegClass seg, uint64_t startPage, uint64_t count,
+                       Fn &&fn) const
+    {
+        const uint64_t total = pagesOf(seg);
+        if (total == 0 || count == 0)
+            return;
+        count = std::min(count, total);
+        startPage %= total;
+        const uint64_t end = startPage + count;
+        if (end <= total) {
+            forEachInRange(seg, startPage, end, fn);
+        } else {
+            forEachInRange(seg, startPage, total, fn);
+            forEachInRange(seg, 0, end - total, fn);
+        }
+    }
+
+  private:
+    /** Visit the class pages with indices in [lo, hi). */
+    template <typename Fn>
+    void
+    forEachInRange(os::SegClass seg, uint64_t lo, uint64_t hi, Fn &fn) const
+    {
+        uint64_t base = 0;
+        for (const Segment &s : segments) {
+            if (s.seg != seg)
+                continue;
+            const uint64_t segLo = base;
+            const uint64_t segHi = base + s.pages;
+            const uint64_t from = std::max(lo, segLo);
+            const uint64_t to = std::min(hi, segHi);
+            for (uint64_t idx = from; idx < to; ++idx)
+                fn(s.start.plus((idx - segLo) * mem::kPageSize), idx);
+            base = segHi;
+        }
+    }
 };
 
 /** Create the function's library files in the shared root FS. */

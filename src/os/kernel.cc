@@ -324,8 +324,8 @@ NodeOs::access(Task &task, mem::VirtAddr va, bool isWrite,
 {
     PageTable &pt = task.mm().pageTable();
     AccessResult res;
-    if (Pte *pte = pt.findPte(va);
-        pte && pte->present() && (!isWrite || pte->writable())) {
+    Pte *pte = pt.findPte(va);
+    if (pte && pte->present() && (!isWrite || pte->writable())) {
         // Translation hit: no fault. Record the serving tier and let
         // the hardware walker maintain A/D, through the same walk.
         res.tier = machine_.tierOf(pte->frame());
@@ -345,7 +345,8 @@ NodeOs::access(Task &task, mem::VirtAddr va, bool isWrite,
         machine_.tracer().span(clock_, id_, "os.fault", "os.fault");
     span.attr("vpn", va.pageNumber()).attr("pid", uint64_t(task.pid()));
     try {
-        res = handleFault(task, va, isWrite, contentOnWrite);
+        res = handleFault(task, va, pte ? *pte : Pte(), isWrite,
+                          contentOnWrite);
     } catch (...) {
         // A failed fault (poisoned frame, dead Mitosis parent, transient
         // escalation, exhaustion) still spent its handler time; account
@@ -360,7 +361,6 @@ NodeOs::access(Task &task, mem::VirtAddr va, bool isWrite,
     span.attr("kind", faultKindName(res.fault));
     faultKindCounters_[size_t(res.fault)]->inc();
     faultLatency_->record(clock_.now() - faultStart);
-    pt.hwSetAccessedDirty(va, isWrite);
     if (faultSink_)
         faultSink_->recordFault(va, res.fault, isWrite, clock_.now());
     return res;
@@ -388,8 +388,7 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
         mem::FrameUse::Data, isWrite ? contentOnWrite : content);
     FrameGuard guard(localDram(), frame);
     Pte pte = Pte::make(frame, vma.writable());
-    if (isWrite)
-        pte.set(Pte::kDirty);
+    pte.set(isWrite ? Pte::kAccessed | Pte::kDirty : Pte::kAccessed);
     const auto setRes = task.mm().pageTable().setPte(va, pte);
     guard.release();
     // The node keeps only its private copy: leave the checkpoint
@@ -408,7 +407,7 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
 }
 
 AccessResult
-NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
+NodeOs::handleFault(Task &task, mem::VirtAddr va, Pte pte, bool isWrite,
                     uint64_t contentOnWrite)
 {
     // Each return builds its result right there: a result kept in a
@@ -424,45 +423,53 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
         sim::fatal("write to read-only VMA %s", vma->name.c_str());
 
     PageTable &pt = task.mm().pageTable();
-    const Pte pte = pt.lookup(va);
     const sim::CostParams &costs = machine_.costs();
+    // What the access sets in the PTE it ends up using: each install
+    // below stores it with the rest, so no walk follows the fault.
+    const uint64_t hwBits =
+        isWrite ? Pte::kAccessed | Pte::kDirty : Pte::kAccessed;
 
     if (!pte.present()) {
         // Not-present fault: checkpoint-backed, anonymous, or file.
         if (const CheckpointBacking *backing = task.mm().backing()) {
-            if (auto ckpt = backing->checkpointPte(va)) {
+            if (const Pte ckpt = backing->checkpointPte(va);
+                ckpt.present()) {
                 switch (task.mm().policy()) {
                   case TieringPolicy::MigrateOnAccess:
-                    return migrateFromCheckpoint(task, va, *vma, *ckpt,
+                    return migrateFromCheckpoint(task, va, *vma, ckpt,
                                                  isWrite, contentOnWrite);
                   case TieringPolicy::Hybrid:
                     // A-bit set => estimated hot => bring it local.
                     // Writes always need a private copy.
-                    if (isWrite || ckpt->accessed()) {
-                        return migrateFromCheckpoint(task, va, *vma, *ckpt,
+                    if (isWrite || ckpt.accessed()) {
+                        return migrateFromCheckpoint(task, va, *vma, ckpt,
                                                      isWrite,
                                                      contentOnWrite);
                     }
                     [[fallthrough]];
                   case TieringPolicy::MigrateOnWrite: {
                     // Map the CXL frame in place, read-only.
-                    Pte mapped = Pte::make(ckpt->frame(), false);
+                    Pte mapped = Pte::make(ckpt.frame(), false);
                     mapped.set(Pte::kSoftCxl);
-                    if (ckpt->userHot())
+                    if (ckpt.userHot())
                         mapped.set(Pte::kSoftHot);
+                    if (!isWrite)
+                        mapped.set(Pte::kAccessed);
                     const auto setRes = pt.setPte(va, mapped);
                     clock_.advance(costs.faultTrap);
                     if (!isWrite) {
                         return {FaultKind::CxlMapThrough, mem::Tier::Cxl,
                                 setRes.leafCow};
                     }
-                    // A write immediately takes the CoW path below.
+                    // A write immediately takes the CoW path below,
+                    // which replaces this translation.
+                    pte = mapped;
                     break;
                   }
                 }
             }
         }
-        if (pt.lookup(va).present()) {
+        if (pte.present()) {
             // Fall-through from hybrid/MoW map + write: handled below.
         } else if (vma->kind == VmaKind::Anon ||
                    vma->kind == VmaKind::SharedAnon) {
@@ -470,8 +477,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
                 localDram().alloc(mem::FrameUse::Data, contentOnWrite);
             FrameGuard guard(localDram(), frame);
             Pte newPte = Pte::make(frame, vma->writable());
-            if (isWrite)
-                newPte.set(Pte::kDirty);
+            newPte.set(hwBits);
             pt.setPte(va, newPte);
             guard.release();
             clock_.advance(costs.minorFault);
@@ -492,12 +498,15 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             newPte.set(Pte::kSoftFile);
             if (vma->writable())
                 newPte.set(Pte::kSoftCow);
+            if (!isWrite)
+                newPte.set(Pte::kAccessed);
             pt.setPte(va, newPte);
             guard.release();
             clock_.advance(costs.majorFaultFs);
             if (!isWrite)
                 return {FaultKind::Major, mem::Tier::LocalDram};
             // Write to a fresh file page: CoW it right away (below).
+            pte = newPte;
         }
     }
 
@@ -505,7 +514,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
     // above that did not return left exactly that: access() faults on a
     // present page only for a write it does not allow, and the map-in-
     // place and file paths install read-only translations.
-    const Pte cur = pt.lookup(va);
+    const Pte cur = pte;
     CXLF_ASSERT(cur.present() && isWrite && !cur.writable());
 
     if (cur.cxlCheckpoint()) {
@@ -518,7 +527,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
             localDram().alloc(mem::FrameUse::Data, contentOnWrite);
         FrameGuard guard(localDram(), frame);
         Pte newPte = Pte::make(frame, true);
-        newPte.set(Pte::kDirty);
+        newPte.set(hwBits);
         const auto setRes = pt.setPte(va, newPte);
         guard.release();
         // The CoW break replaced the CXL mapping with the private
@@ -545,7 +554,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
         if (owner.frame(cur.frame()).refcount == 1 &&
             owner.frame(cur.frame()).use != mem::FrameUse::FileCache) {
             // Sole owner: re-arm the mapping writable in place.
-            newPte.set(Pte::kWrite | Pte::kDirty);
+            newPte.set(Pte::kWrite | hwBits);
             newPte.clear(Pte::kSoftCow);
             machine_.writeFrame(cur.frame(), id_, contentOnWrite, clock_);
             pt.setPte(va, newPte);
@@ -555,7 +564,7 @@ NodeOs::handleFault(Task &task, mem::VirtAddr va, bool isWrite,
                 localDram().alloc(mem::FrameUse::Data, contentOnWrite);
             FrameGuard guard(localDram(), frame);
             newPte = Pte::make(frame, true);
-            newPte.set(Pte::kDirty);
+            newPte.set(hwBits);
             // setPte drops our reference on the shared source frame.
             pt.setPte(va, newPte);
             guard.release();
@@ -618,14 +627,13 @@ NodeOs::prefetchPages(Task &task, const std::vector<PrefetchRequest> &reqs)
 
         if (!pte.present()) {
             const CheckpointBacking *backing = task.mm().backing();
-            std::optional<Pte> ckpt =
-                backing ? backing->checkpointPte(va) : std::nullopt;
-            if (ckpt) {
+            const Pte ckpt = backing ? backing->checkpointPte(va) : Pte();
+            if (ckpt.present()) {
                 const TieringPolicy policy = task.mm().policy();
                 const bool copyLocal =
                     req.wantWrite ||
                     policy == TieringPolicy::MigrateOnAccess ||
-                    (policy == TieringPolicy::Hybrid && ckpt->accessed());
+                    (policy == TieringPolicy::Hybrid && ckpt.accessed());
                 if (copyLocal) {
                     // Pre-copy with the *checkpointed* content. The
                     // mapping comes up writable (per the VMA) but
@@ -633,13 +641,13 @@ NodeOs::prefetchPages(Task &task, const std::vector<PrefetchRequest> &reqs)
                     // that writes its own token, so a mispredict here
                     // costs time, never bytes.
                     const uint64_t content = machine_.readFrame(
-                        ckpt->frame(), id_, clock_, "prefetch copy");
+                        ckpt.frame(), id_, clock_, "prefetch copy");
                     const mem::PhysAddr frame = localDram().alloc(
                         mem::FrameUse::Data, content);
                     FrameGuard guard(localDram(), frame);
                     pt.setPte(va, Pte::make(frame, vma->writable()));
                     guard.release();
-                    machine_.evictFrame(ckpt->frame(), id_, clock_);
+                    machine_.evictFrame(ckpt.frame(), id_, clock_);
                     clock_.advance(backing->prefetchPageCost(costs));
                     ++out.copied;
                     out.bytesCopied += kPageSize;
@@ -648,9 +656,9 @@ NodeOs::prefetchPages(Task &task, const std::vector<PrefetchRequest> &reqs)
                 } else {
                     // Read-predicted under map-through policies: install
                     // the device mapping now, skipping the later trap.
-                    Pte mapped = Pte::make(ckpt->frame(), false);
+                    Pte mapped = Pte::make(ckpt.frame(), false);
                     mapped.set(Pte::kSoftCxl);
-                    if (ckpt->userHot())
+                    if (ckpt.userHot())
                         mapped.set(Pte::kSoftHot);
                     pt.setPte(va, mapped);
                     clock_.advance(costs.pteWrite);

@@ -230,8 +230,13 @@ class NodeOs
     std::shared_ptr<Task> localFork(Task &parent, const std::string &childName);
 
   private:
-    AccessResult handleFault(Task &task, mem::VirtAddr va, bool isWrite,
-                             uint64_t contentOnWrite);
+    /**
+     * Resolve a fault at va, whose translation access() found as `pte`
+     * (zero when none). Every path installs its PTE with the hardware
+     * A/D bits the faulting access sets already in it.
+     */
+    AccessResult handleFault(Task &task, mem::VirtAddr va, Pte pte,
+                             bool isWrite, uint64_t contentOnWrite);
     Vma *resolveVma(Task &task, mem::VirtAddr va);
     AccessResult migrateFromCheckpoint(Task &task, mem::VirtAddr va,
                                        const Vma &vma, Pte ckptPte,

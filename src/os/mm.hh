@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "page_table.hh"
 #include "vma.hh"
@@ -38,11 +37,14 @@ class CheckpointBacking
     virtual ~CheckpointBacking() = default;
 
     /**
-     * The checkpointed PTE for a virtual address, if the checkpoint
-     * maps it. Frame addresses are on the CXL device; A/D bits are the
-     * parent's access pattern (paper Sec. 4.1).
+     * The checkpointed PTE for a virtual address, or a zero (not
+     * present) Pte when the checkpoint does not map it. Frame addresses
+     * are on the CXL device; A/D bits are the parent's access pattern
+     * (paper Sec. 4.1). A plain Pte, not an optional: the fault path
+     * reads it in registers, where an optional's flag byte is stored
+     * and reloaded wider, a store-forwarding stall on every lazy fault.
      */
-    virtual std::optional<Pte> checkpointPte(mem::VirtAddr va) const = 0;
+    virtual Pte checkpointPte(mem::VirtAddr va) const = 0;
 
     /**
      * Cost of migrating one checkpointed page into local memory. The

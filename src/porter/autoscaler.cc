@@ -46,15 +46,28 @@ PorterSim::PorterSim(PorterConfig cfg,
 {
     if (functions_.empty())
         sim::fatal("PorterSim needs at least one function");
+    if (cfg_.numNodes == 0)
+        sim::fatal("PorterSim needs at least one node");
+    if (!std::isfinite(cfg_.memoryScale) || !(cfg_.memoryScale > 0.0)) {
+        sim::fatal("PorterSim: memory scale %g is not a positive number",
+                   cfg_.memoryScale);
+    }
+    // The budget is a whole number of bytes below 2^64; a product at or
+    // past that would not convert.
+    const double capacity = double(cfg_.memPerNodeBytes) * cfg_.memoryScale;
+    if (!(capacity >= 1.0) || capacity >= 0x1p64) {
+        sim::fatal("PorterSim: node memory %llu B x %g leaves no usable "
+                   "budget",
+                   (unsigned long long)cfg_.memPerNodeBytes,
+                   cfg_.memoryScale);
+    }
     if (cfg_.faults.nodeMtbf > SimTime::zero() &&
         !(cfg_.faults.nodeRecovery > SimTime::zero())) {
         sim::fatal("node crashes need a positive recovery time");
     }
     nodes_.resize(cfg_.numNodes);
-    for (NodeState &n : nodes_) {
-        n.memCapacity =
-            uint64_t(double(cfg_.memPerNodeBytes) * cfg_.memoryScale);
-    }
+    for (NodeState &n : nodes_)
+        n.memCapacity = uint64_t(capacity);
     fnStates_.resize(functions_.size());
     for (size_t i = 0; i < fnStates_.size(); ++i) {
         FnState &f = fnStates_[i];

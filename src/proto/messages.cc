@@ -184,14 +184,19 @@ CriuImageMsg::decodeHeader(Decoder &d)
 }
 
 void
-PageReader::skim(Decoder d, uint64_t count)
+PageBuffer::decode(Decoder &d)
 {
+    size_ = 0;
+    const uint64_t count = d.getU64();
     if (count > d.remaining() / kMinPageBytes)
         sim::fatal("wire: page count %llu exceeds the %zu bytes left",
                    (unsigned long long)count, d.remaining());
-    // The same varints next() reads, skipped: this throws exactly where
-    // decoding them would.
-    d.skipVarints(PageMsg::kVarints * count);
+    if (pages_.size() < count)
+        pages_.resize(count);
+    PageMsg *const out = pages_.data();
+    for (uint64_t i = 0; i < count; ++i)
+        out[i] = PageMsg::decode(d);
+    size_ = count;
 }
 
 uint64_t

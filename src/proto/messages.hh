@@ -92,9 +92,6 @@ struct PageMsg
     uint64_t vpn = 0;
     uint64_t content = 0; ///< Token standing in for 4 KB of data.
 
-    /** Varints in one encoded record: vpn, content. */
-    static constexpr uint64_t kVarints = 2;
-
     void encode(Encoder &e) const;
 
     static PageMsg
@@ -145,8 +142,8 @@ struct CriuImageMsg
 
     /**
      * Decode all but the page section: global state, CPU and VMAs. The
-     * decoder is left at the page count, ready for a PageReader, which
-     * streams the page records (the header's `pages` stays empty).
+     * decoder is left at the page count, ready for a PageBuffer, which
+     * decodes the page records (the header's `pages` stays empty).
      */
     static CriuImageMsg decodeHeader(Decoder &d);
 
@@ -157,42 +154,33 @@ struct CriuImageMsg
 };
 
 /**
- * The page section of an encoded CRIU image, read one record at a
- * time, so a restore can install each page as it decodes it instead of
- * first collecting every page in a vector.
+ * The page section of an encoded CRIU image, decoded in one pass into
+ * a buffer its owner keeps across images (a restore decodes every page
+ * before it changes any state, then installs from here).
  *
- * Construction reads the record count and skims every record's varints
- * without storing anything: a forged count, a truncated record or an
- * overlong varint throws sim::FatalError there, before the caller has
- * changed any state. next() then decodes the records already checked.
- *
- * The reader decodes from its own copy of the decoder, and everything
- * but the skim is inline, so the copy's position can stay in a register
- * across the calls an install loop makes between records.
+ * The buffer only grows: slots past the largest section so far are
+ * value-initialized once, when first needed, and later sections of
+ * that size or less allocate and clear nothing.
  */
-class PageReader
+class PageBuffer
 {
   public:
-    /** Start at d's page count; d itself does not move. */
-    explicit PageReader(const Decoder &d) : d_(d), count_(d_.getU64())
-    {
-        skim(d_, count_);
-    }
+    /**
+     * Decode the page section at d (its count, then the records) and
+     * leave d past it. A forged count, a truncated record or an
+     * overlong varint throws sim::FatalError, with no record left in
+     * the buffer; a count the bytes left could not encode throws
+     * before anything is allocated.
+     */
+    void decode(Decoder &d);
 
-    uint64_t size() const { return count_; }
-
-    /** The next record; call at most size() times. */
-    PageMsg next() { return PageMsg::decode(d_); }
-
-    /** Where the reader stands: past the section once all are read. */
-    const Decoder &decoder() const { return d_; }
+    size_t size() const { return size_; }
+    const PageMsg *begin() const { return pages_.data(); }
+    const PageMsg *end() const { return pages_.data() + size_; }
 
   private:
-    /** Throw unless `count` page records decode from d. */
-    static void skim(Decoder d, uint64_t count);
-
-    Decoder d_;
-    uint64_t count_;
+    std::vector<PageMsg> pages_;
+    size_t size_ = 0;
 };
 
 } // namespace cxlfork::proto

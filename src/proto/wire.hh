@@ -87,13 +87,6 @@ class Decoder
         return low | (b8 & 0x7f) << 56 | b9 << 63;
     }
 
-    /**
-     * Step over n varints without decoding them, 64 bytes at a time.
-     * Throws sim::FatalError exactly when n getVarint() calls would,
-     * leaving the position undefined; otherwise ends where they would.
-     */
-    void skipVarints(uint64_t n);
-
     uint64_t getU64() { return getVarint(); }
     uint32_t getU32() { return uint32_t(getVarint()); }
     bool getBool() { return getVarint() != 0; }

@@ -63,7 +63,7 @@ CheckpointImage::activate()
 }
 
 ImageCrcs
-CheckpointImage::computeCrcs() const
+CheckpointImage::computeCrcs(std::vector<DirtyPage> *dirty) const
 {
     // Bits that legitimately mutate on a sealed leaf after checkpoint:
     // hardware A-bit updates and the user-hot hint (paper Sec. 4.3).
@@ -104,6 +104,22 @@ CheckpointImage::computeCrcs() const
         leaves.update(block.data(), sizeof(block));
     }
     out.leaves = leaves.value();
+    if (dirty) {
+        // Sealing also collects the prefetch set: counted first, so the
+        // set takes one allocation.
+        const auto isDirty = [](const Pte &p) {
+            return p.present() && p.dirty();
+        };
+        size_t n = 0;
+        for (const auto &[base, leaf] : leaves_)
+            for (uint32_t i = 0; i < TablePage::kEntries; ++i)
+                n += isDirty(leaf->pte(i));
+        dirty->reserve(n);
+        for (const auto &[base, leaf] : leaves_)
+            for (uint32_t i = 0; i < TablePage::kEntries; ++i)
+                if (isDirty(leaf->pte(i)))
+                    dirty->push_back({base + i, &leaf->pte(i)});
+    }
 
     sim::Crc32 vmas;
     if (vmaSet_) {
@@ -136,7 +152,7 @@ CheckpointImage::sealIntegrity()
 {
     CXLF_ASSERT(activated_);
     CXLF_ASSERT(!crcs_.sealed);
-    crcs_ = computeCrcs();
+    crcs_ = computeCrcs(&dirty_);
     crcs_.sealed = true;
 }
 
@@ -183,7 +199,7 @@ CheckpointImage::corruptDataBit(uint64_t victimBit)
     f.content ^= 1ull << (victimBit % 64);
 }
 
-std::optional<Pte>
+Pte
 CheckpointImage::checkpointPte(mem::VirtAddr va) const
 {
     CXLF_ASSERT(activated_);
@@ -191,25 +207,9 @@ CheckpointImage::checkpointPte(mem::VirtAddr va) const
     const uint64_t base = vpn & ~uint64_t(TablePage::kEntries - 1);
     auto it = leaves_.find(base);
     if (it == leaves_.end())
-        return std::nullopt;
-    const Pte &p = it->second->pte(uint32_t(vpn - base));
-    if (!p.present())
-        return std::nullopt;
-    return p;
-}
-
-void
-CheckpointImage::forEachDirty(
-    const std::function<void(mem::VirtAddr, const Pte &)> &fn) const
-{
-    CXLF_ASSERT(activated_);
-    for (const auto &[base, leaf] : leaves_) {
-        for (uint32_t i = 0; i < TablePage::kEntries; ++i) {
-            const Pte &p = leaf->pte(i);
-            if (p.present() && p.dirty())
-                fn(mem::VirtAddr::fromPageNumber(base + i), p);
-        }
-    }
+        return Pte();
+    const Pte p = it->second->pte(uint32_t(vpn - base));
+    return p.present() ? p : Pte();
 }
 
 void

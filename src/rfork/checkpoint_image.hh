@@ -124,7 +124,7 @@ class CheckpointImage : public os::CheckpointBacking, public CheckpointHandle
 
     // --- Consumption (restore, fault handling, tiering control).
 
-    std::optional<os::Pte> checkpointPte(mem::VirtAddr va) const override;
+    os::Pte checkpointPte(mem::VirtAddr va) const override;
 
     const std::map<uint64_t, std::shared_ptr<os::TablePage>> &
     leaves() const
@@ -140,9 +140,20 @@ class CheckpointImage : public os::CheckpointBacking, public CheckpointHandle
 
     const os::CpuContext &cpu() const { return cpu_; }
 
-    /** Visit checkpointed PTEs whose Dirty bit is set (prefetch set). */
-    void forEachDirty(
-        const std::function<void(mem::VirtAddr, const os::Pte &)> &fn) const;
+    /**
+     * Visit checkpointed PTEs whose Dirty bit is set (the prefetch
+     * set), in VPN order. The set is built once, by sealIntegrity();
+     * Present and Dirty are covered by the leaf CRC, so a sealed image
+     * that still verifies has exactly this set.
+     */
+    template <typename Fn>
+    void
+    forEachDirty(Fn &&fn) const
+    {
+        CXLF_ASSERT(crcs_.sealed);
+        for (const DirtyPage &d : dirty_)
+            fn(mem::VirtAddr::fromPageNumber(d.vpn), *d.pte);
+    }
 
     /**
      * Reset all Accessed bits in the checkpointed page tables — the
@@ -174,6 +185,13 @@ class CheckpointImage : public os::CheckpointBacking, public CheckpointHandle
     bool referencesFrame(mem::PhysAddr addr) const override;
 
   private:
+    /** One page of the prefetch set: a slot of a sealed leaf. */
+    struct DirtyPage
+    {
+        uint64_t vpn;
+        const os::Pte *pte;
+    };
+
     mem::Machine &machine_;
     std::string name_;
     cxl::PageStore *pageStore_ = nullptr;
@@ -187,8 +205,14 @@ class CheckpointImage : public os::CheckpointBacking, public CheckpointHandle
     uint64_t globalRecords_ = 0;
     os::CpuContext cpu_;
     ImageCrcs crcs_;
+    /**
+     * Present, dirty PTEs in VPN order, pointing into the sealed
+     * leaves, which the image keeps alive and never moves.
+     */
+    std::vector<DirtyPage> dirty_;
 
-    ImageCrcs computeCrcs() const;
+    /** With `dirty` given, also collect the prefetch set into it. */
+    ImageCrcs computeCrcs(std::vector<DirtyPage> *dirty = nullptr) const;
 };
 
 } // namespace cxlfork::rfork

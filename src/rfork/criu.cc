@@ -173,15 +173,15 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
             h->fileName().c_str()));
     }
 
-    // Deserialize the image: the header now, the page records one at
-    // a time in the install loop below. The reader skims the page
-    // section first, so a malformed image still fails here, before the
-    // task exists. The page payload dominates; the deserialize
+    // Deserialize the image: the header, then every page record into
+    // the mechanism's page buffer, so a malformed image fails here,
+    // before the task exists, and the install loop below reads each
+    // record once. The page payload dominates; the deserialize
     // bandwidth models the combined parse + copy-to-local pass CRIU
     // performs.
     proto::Decoder dec(file->data);
     const proto::CriuImageMsg image = proto::CriuImageMsg::decodeHeader(dec);
-    proto::PageReader pages(dec);
+    pages_.decode(dec);
     clock.advance(costs.deserializeCost(h->simulatedBytes()) +
                   costs.serializeRecord * double(h->records()));
     readSpan.attr("bytes", h->simulatedBytes()).finish();
@@ -213,8 +213,7 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     os::PageTable &pt = task->mm().pageTable();
     mem::FrameAllocator &dram = target.localDram();
     os::WorkCounters &work = target.work();
-    for (uint64_t i = 0; i < pages.size(); ++i) {
-        const proto::PageMsg pm = pages.next();
+    for (const proto::PageMsg &pm : pages_) {
         ++work.criuPagesDecoded;
         const mem::VirtAddr va = mem::VirtAddr::fromPageNumber(pm.vpn);
         if (!vma || !vma->contains(va))

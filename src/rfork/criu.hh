@@ -16,6 +16,7 @@
 
 #include "cxl/fabric.hh"
 #include "cxl/shared_fs.hh"
+#include "proto/messages.hh"
 #include "rfork.hh"
 
 namespace cxlfork::rfork {
@@ -134,6 +135,8 @@ class CriuCxl : public RemoteForkMechanism
     cxl::CxlFabric &fabric_;
     uint64_t nextImageId_ = 1;
     MechanismMetrics metrics_;
+    /** Each restore's page records, decoded before its task exists. */
+    proto::PageBuffer pages_;
 };
 
 } // namespace cxlfork::rfork

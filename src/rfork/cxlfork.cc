@@ -134,6 +134,7 @@ CxlFork::checkpoint(os::NodeOs &node, os::Task &parent,
     // (Sec. 4.1): their pages belong to several processes at once and
     // cannot be decoupled with this process's checkpoint.
     std::vector<os::Vma> vmaRecords;
+    vmaRecords.reserve(parent.mm().vmas().liveCount());
     parent.mm().vmas().forEach([&](const os::Vma &v) {
         if (v.kind == os::VmaKind::SharedAnon) {
             sim::fatal("CXLfork: shared anonymous mapping %s is not "

@@ -39,7 +39,7 @@ MitosisHandle::addLeaf(uint64_t baseVpn, std::shared_ptr<TablePage> leaf)
     CXLF_ASSERT(ok);
 }
 
-std::optional<Pte>
+Pte
 MitosisHandle::checkpointPte(mem::VirtAddr va) const
 {
     if (parentFailed_) {
@@ -52,14 +52,12 @@ MitosisHandle::checkpointPte(mem::VirtAddr va) const
     if (!cursorLeaf_ || cursorBase_ != base) {
         auto it = leaves_.find(base);
         if (it == leaves_.end())
-            return std::nullopt;
+            return Pte();
         cursorBase_ = base;
         cursorLeaf_ = it->second.get();
     }
-    const Pte &p = cursorLeaf_->pte(uint32_t(vpn - base));
-    if (!p.present())
-        return std::nullopt;
-    return p;
+    const Pte p = cursorLeaf_->pte(uint32_t(vpn - base));
+    return p.present() ? p : Pte();
 }
 
 sim::SimTime

@@ -55,7 +55,7 @@ class MitosisHandle : public CheckpointHandle, public os::CheckpointBacking
     bool parentFailed() const { return parentFailed_; }
 
     // --- CheckpointBacking: serve lazy remote faults.
-    std::optional<os::Pte> checkpointPte(mem::VirtAddr va) const override;
+    os::Pte checkpointPte(mem::VirtAddr va) const override;
 
     /** Remote page fault over CXL: parent stores, child fetches. */
     sim::SimTime migrateCost(const sim::CostParams &c) const override;

@@ -174,7 +174,7 @@ TEST_F(CheckpointedSyscallTest, MprotectOnAttachedStateIsPrivate)
     EXPECT_EQ(node0.read(*sibling, heapStart), 1u);
     EXPECT_EQ(rfork::CxlFork::image(handle)
                   ->checkpointPte(heapStart)
-                  ->writable(),
+                  .writable(),
               false);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "porter/autoscaler.hh"
 #include "porter/trace.hh"
@@ -38,6 +39,19 @@ steadyTrace(const std::vector<std::string> &fns, double rps, double secs)
     c.duration = SimTime::sec(secs);
     c.seed = 99;
     return TraceGenerator(fns, c).generate();
+}
+
+/** The FatalError message fn throws, or "" if it returns. */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 class PorterSimTest : public ::testing::Test
@@ -232,6 +246,40 @@ TEST_F(PorterSimTest, SecondRunIsFatal)
     const auto trace = steadyTrace({"a"}, 20, 5);
     runAudited(sim, trace);
     EXPECT_THROW(sim.run(trace), sim::FatalError);
+}
+
+TEST_F(PorterSimTest, ClusterWithoutNodesOrMemoryIsFatal)
+{
+    // Each of these once built a cluster that served nothing and still
+    // reported a throughput, or cast a NaN or negative budget to an
+    // integer.
+    const auto refused = [&](auto edit) {
+        PorterConfig cfg;
+        edit(cfg);
+        return fatalMessage(
+            [&] { PorterSim sim(cfg, {tinySpec("a")}, perf); });
+    };
+    EXPECT_NE(refused([](PorterConfig &c) { c.numNodes = 0; })
+                  .find("at least one node"),
+              std::string::npos);
+    EXPECT_NE(refused([](PorterConfig &c) { c.memPerNodeBytes = 0; })
+                  .find("no usable budget"),
+              std::string::npos);
+    for (double scale : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+        EXPECT_NE(refused([&](PorterConfig &c) { c.memoryScale = scale; })
+                      .find("not a positive number"),
+                  std::string::npos)
+            << scale;
+    }
+    EXPECT_NE(refused([](PorterConfig &c) { c.memoryScale = 1e300; })
+                  .find("no usable budget"),
+              std::string::npos);
+    // The smallest budget that is still a byte is accepted.
+    EXPECT_EQ(refused([](PorterConfig &c) {
+                  c.memPerNodeBytes = 1;
+                  c.memoryScale = 1.0;
+              }),
+              "");
 }
 
 /**

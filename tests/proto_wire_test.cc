@@ -148,66 +148,6 @@ TEST(Wire, CutTenByteVarintReportsTruncated)
     }
 }
 
-/** How n getVarint() calls end: bytes left after them, or -1 if fatal. */
-long
-afterGetVarints(const std::vector<uint8_t> &buf, uint64_t n)
-{
-    Decoder d(buf);
-    try {
-        for (uint64_t i = 0; i < n; ++i)
-            d.getVarint();
-    } catch (const sim::FatalError &) {
-        return -1;
-    }
-    return long(d.remaining());
-}
-
-/** The same for one skipVarints(n). */
-long
-afterSkipVarints(const std::vector<uint8_t> &buf, uint64_t n)
-{
-    Decoder d(buf);
-    try {
-        d.skipVarints(n);
-    } catch (const sim::FatalError &) {
-        return -1;
-    }
-    return long(d.remaining());
-}
-
-TEST(Wire, SkipVarintsAgreesWithGetVarint)
-{
-    // Byte soup rich in long continuation runs and in tenth bytes of 0,
-    // 1 and more, so overlong, boundary and truncated cases all occur
-    // at every offset within and across the skip's 64-byte blocks.
-    std::mt19937_64 rng(7);
-    const uint8_t ends[] = {0x00, 0x01, 0x02, 0x7f};
-    uint64_t failures = 0;
-    for (int trial = 0; trial < 3000; ++trial) {
-        std::vector<uint8_t> buf(rng() % 200);
-        const uint64_t contPct = 50 + rng() % 50;
-        for (uint8_t &b : buf) {
-            b = rng() % 100 < contPct ? uint8_t(0x80 | rng())
-                                      : ends[rng() % 4];
-        }
-        // Every terminator count the buffer could end a skip at, and
-        // one past the last (truncated).
-        const uint64_t terminators = uint64_t(
-            std::count_if(buf.begin(), buf.end(),
-                          [](uint8_t b) { return b < 0x80; }));
-        std::vector<uint64_t> counts{0, 1, terminators, terminators + 1};
-        for (int i = 0; i < 4; ++i)
-            counts.push_back(rng() % (terminators + 1));
-        for (uint64_t n : counts) {
-            const long want = afterGetVarints(buf, n);
-            failures += want < 0;
-            ASSERT_EQ(afterSkipVarints(buf, n), want)
-                << "trial " << trial << ", n " << n;
-        }
-    }
-    EXPECT_GT(failures, 0u);
-}
-
 GlobalStateMsg
 sampleGlobal()
 {
@@ -232,17 +172,15 @@ TEST(Messages, GlobalStateRoundTrip)
 
 /**
  * Decode a whole CRIU image the way a restore does, header first and
- * then the page section through a PageReader, and leave `d` past it.
+ * then the page section into a PageBuffer, and leave `d` past it.
  */
 CriuImageMsg
 decodeImage(Decoder &d)
 {
     CriuImageMsg img = CriuImageMsg::decodeHeader(d);
-    PageReader pages(d);
-    img.pages.reserve(pages.size());
-    for (uint64_t i = 0; i < pages.size(); ++i)
-        img.pages.push_back(pages.next());
-    d = pages.decoder();
+    PageBuffer pages;
+    pages.decode(d);
+    img.pages.assign(pages.begin(), pages.end());
     return img;
 }
 
@@ -329,7 +267,7 @@ TEST(Messages, ForgedRecordCountsRaiseFatalError)
     }
 }
 
-TEST(Messages, PageReaderStreamsEveryEncodedRecord)
+TEST(Messages, PageBufferDecodesEveryEncodedRecord)
 {
     const std::vector<uint8_t> buf = forgedCountImage(false, 64);
     Decoder d(buf);
@@ -338,36 +276,66 @@ TEST(Messages, PageReaderStreamsEveryEncodedRecord)
     ASSERT_EQ(header.vmas.size(), 1u);
     EXPECT_EQ(header.vmas[0].name, "[heap]");
     EXPECT_TRUE(header.pages.empty());
-    PageReader pages(d);
+    PageBuffer pages;
+    pages.decode(d);
     ASSERT_EQ(pages.size(), 64u);
     for (uint64_t i = 0; i < 64; ++i)
-        EXPECT_EQ(pages.next(), (PageMsg{i + 1, i * 31}));
-    EXPECT_TRUE(pages.decoder().atEnd());
+        EXPECT_EQ(pages.begin()[i], (PageMsg{i + 1, i * 31}));
+    EXPECT_TRUE(d.atEnd());
 }
 
-TEST(Messages, PageReaderRejectsABadSectionBeforeAnyRecord)
+TEST(Messages, PageBufferReusedForASmallerSectionHoldsOnlyIt)
+{
+    CriuImageMsg big;
+    for (uint64_t i = 0; i < 100; ++i)
+        big.pages.push_back({i, ~i});
+    CriuImageMsg small;
+    small.pages = {{7, 70}, {8, 80}};
+    PageBuffer pages;
+    for (const CriuImageMsg *img : {&big, &small}) {
+        Encoder e;
+        img->encode(e);
+        Decoder d(e.buffer());
+        CriuImageMsg::decodeHeader(d);
+        pages.decode(d);
+        EXPECT_EQ(std::vector<PageMsg>(pages.begin(), pages.end()),
+                  img->pages);
+        EXPECT_TRUE(d.atEnd());
+    }
+}
+
+TEST(Messages, PageBufferRejectsABadSection)
 {
     // A count past the records that follow, and one no buffer holds.
+    // A section rejected after a good one leaves no record behind.
+    const std::vector<uint8_t> good = forgedCountImage(false, 64);
     for (uint64_t count : {uint64_t(65), uint64_t(1) << 62}) {
+        PageBuffer pages;
+        Decoder ok(good);
+        CriuImageMsg::decodeHeader(ok);
+        pages.decode(ok);
+        ASSERT_EQ(pages.size(), 64u);
         const std::vector<uint8_t> buf = forgedCountImage(false, count);
         Decoder d(buf);
         CriuImageMsg::decodeHeader(d);
-        EXPECT_THROW(PageReader{d}, sim::FatalError) << count;
+        EXPECT_THROW(pages.decode(d), sim::FatalError) << count;
+        EXPECT_EQ(pages.size(), 0u) << count;
     }
     // The last record's content token overlong: nine 0xff, then 0x02.
     std::vector<uint8_t> buf = forgedCountImage(false, 64);
     Decoder probe(buf);
     CriuImageMsg::decodeHeader(probe);
-    PageReader reader(probe);
-    for (uint64_t i = 0; i + 1 < reader.size(); ++i)
-        reader.next();
-    const size_t contentAt = buf.size() - reader.decoder().remaining() + 1;
-    buf.resize(contentAt);
+    const uint64_t count = probe.getU64();
+    for (uint64_t i = 0; i + 1 < count; ++i)
+        PageMsg::decode(probe);
+    probe.getU64(); // the last record's vpn
+    buf.resize(buf.size() - probe.remaining());
     buf.insert(buf.end(), 9, 0xff);
     buf.push_back(0x02);
     Decoder d(buf);
     CriuImageMsg::decodeHeader(d);
-    EXPECT_NE(fatalMessage([&] { PageReader{d}; }).find("overflow"),
+    PageBuffer pages;
+    EXPECT_NE(fatalMessage([&] { pages.decode(d); }).find("overflow"),
               std::string::npos);
 }
 

@@ -12,10 +12,10 @@
  * translation hit, a VMA lookup the cursor should serve) fails here on
  * any machine. The counts touch no clock, RNG stream, metric or span.
  *
- * Also here: a forged or truncated CRIU page section, with a CRC that
- * matches it, must fail before the restore creates a task; and the
- * CRIU image scan, skipped when no layer is armed, still catches a
- * poisoned image frame.
+ * Also here: each fault kind's page-table walks, pinned per fault; a
+ * forged or truncated CRIU page section, with a CRC that matches it,
+ * must fail before the restore creates a task; and the CRIU image scan,
+ * skipped when no layer is armed, still catches a poisoned image frame.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "faas/workloads.hh"
 #include "proto/messages.hh"
 #include "rfork/criu.hh"
+#include "rfork/cxlfork.hh"
 #include "rfork/mechanism.hh"
 #include "sim/error.hh"
 #include "test_util.hh"
@@ -155,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"MitosisCxl", MechanismKind::MitosisCxl,
              TieringPolicy::MigrateOnWrite,
              {{{0, 0, 0, 0, 0}, {1, 0}, {0, 0}},
-              {{28, 3940, 25, 967, 0}, {1020, 0}, {0, 0}},
+              {{27, 1957, 25, 967, 0}, {1020, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {1021, 0}}}},
         Case{"CxlForkMoW", MechanismKind::CxlFork,
              TieringPolicy::MigrateOnWrite,
@@ -164,16 +165,129 @@ INSTANTIATE_TEST_SUITE_P(
               {{0, 0, 0, 0, 0}, {0, 0}, {3809, 0}}}},
         Case{"CxlForkHybrid", MechanismKind::CxlFork, TieringPolicy::Hybrid,
              {{{0, 0, 0, 0, 0}, {1, 0}, {0, 0}},
-              {{28, 3940, 50, 942, 0}, {1020, 0}, {0, 0}},
+              {{27, 1957, 50, 942, 0}, {1020, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {1021, 0}}}},
         Case{"LocalFork", MechanismKind::LocalFork,
              TieringPolicy::MigrateOnWrite,
              {{{132, 6015, 0, 0, 0}, {135, 0}, {0, 0}},
-              {{26, 2198, 6, 302, 0}, {308, 0}, {0, 0}},
+              {{26, 1274, 6, 302, 0}, {308, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {443, 0}}}}),
     [](const ::testing::TestParamInfo<Case> &info) {
         return std::string(info.param.label);
     });
+
+/** Page-table walks, from the root and from the walk cache. */
+uint64_t
+walks(const os::NodeOs &node)
+{
+    const os::WorkCounters &w = const_cast<os::NodeOs &>(node).work();
+    return w.ptWalksRoot + w.ptWalksCached;
+}
+
+/**
+ * A 64-page anonymous task on node 0, every page written, checkpointed
+ * by CXLfork, with a restore of it on node 1 under `policy`.
+ */
+struct RestoredHeap
+{
+    static constexpr uint64_t kPages = 64;
+
+    explicit RestoredHeap(os::TieringPolicy policy, bool resetAccessed)
+        : world(test::smallConfig()), cxlf(*world.fabric)
+    {
+        os::NodeOs &home = world.node(0);
+        parent = home.createTask("fn");
+        heap = home.mapAnon(*parent, kPages * mem::kPageSize,
+                            os::kVmaRead | os::kVmaWrite, "h")
+                   .start;
+        for (uint64_t i = 0; i < kPages; ++i)
+            home.write(*parent, page(i), 100 + i);
+        auto handle = cxlf.checkpoint(home, *parent);
+        if (resetAccessed)
+            CxlFork::image(handle)->resetAccessedBits();
+        RestoreOptions opts;
+        opts.policy = policy;
+        child = cxlf.restore(handle, world.node(1), opts);
+    }
+
+    mem::VirtAddr page(uint64_t i) const
+    {
+        return heap.plus(i * mem::kPageSize);
+    }
+
+    test::World world;
+    CxlFork cxlf;
+    std::shared_ptr<os::Task> parent;
+    mem::VirtAddr heap{0};
+    std::shared_ptr<os::Task> child;
+};
+
+/**
+ * Fault every page of [start, start + pages) once and check that each
+ * fault was `kind`, took exactly two page-table walks (one to find the
+ * translation on the access, one to store the new one) and left the
+ * hardware A/D bits of the access in the PTE it installed.
+ */
+void
+expectTwoWalksPerFault(os::NodeOs &node, os::Task &task, mem::VirtAddr start,
+                       uint64_t pages, bool isWrite, os::FaultKind kind)
+{
+    for (uint64_t i = 0; i < pages; ++i) {
+        const mem::VirtAddr va = start.plus(i * mem::kPageSize);
+        const uint64_t before = walks(node);
+        const os::AccessResult r = node.access(task, va, isWrite, 7);
+        ASSERT_EQ(r.fault, kind) << "page " << i;
+        EXPECT_EQ(walks(node) - before, 2u)
+            << os::faultKindName(kind) << " page " << i;
+        const os::Pte pte = task.mm().pageTable().lookup(va);
+        EXPECT_TRUE(pte.accessed()) << "page " << i;
+        EXPECT_EQ(pte.dirty(), isWrite) << "page " << i;
+    }
+}
+
+TEST(FaultWalks, MinorFaultsWalkTwice)
+{
+    for (bool isWrite : {false, true}) {
+        test::World world(test::smallConfig());
+        os::NodeOs &node = world.node(0);
+        auto task = node.createTask("t");
+        const os::Vma &vma = node.mapAnon(*task, 1024 * mem::kPageSize,
+                                          os::kVmaRead | os::kVmaWrite, "h");
+        expectTwoWalksPerFault(node, *task, vma.start, 1024, isWrite,
+                               os::FaultKind::Minor);
+    }
+}
+
+TEST(FaultWalks, MajorFaultsWalkTwice)
+{
+    test::World world(test::smallConfig());
+    world.vfs->create("/lib/x.so", 1024 * mem::kPageSize, 42);
+    os::NodeOs &node = world.node(0);
+    auto task = node.createTask("t");
+    const os::Vma &vma =
+        node.mapFilePrivate(*task, "/lib/x.so", os::kVmaRead | os::kVmaExec);
+    expectTwoWalksPerFault(node, *task, vma.start, 1024, false,
+                           os::FaultKind::Major);
+}
+
+TEST(FaultWalks, CheckpointMigrationsWalkTwice)
+{
+    for (bool isWrite : {false, true}) {
+        RestoredHeap r(os::TieringPolicy::MigrateOnAccess, false);
+        expectTwoWalksPerFault(r.world.node(1), *r.child, r.heap,
+                               RestoredHeap::kPages, isWrite,
+                               os::FaultKind::CxlMigrate);
+    }
+}
+
+TEST(FaultWalks, MapThroughsWalkTwice)
+{
+    // Hybrid maps a page in place when its checkpoint A bit is clear.
+    RestoredHeap r(os::TieringPolicy::Hybrid, true);
+    expectTwoWalksPerFault(r.world.node(1), *r.child, r.heap,
+                           RestoredHeap::kPages, false,
+                           os::FaultKind::CxlMapThrough);
+}
 
 /** How the page section of a CRIU image is forged. */
 enum class Forgery
@@ -193,7 +307,8 @@ forgePages(const std::vector<uint8_t> &data, Forgery how)
 {
     proto::Decoder d(data);
     const proto::CriuImageMsg img = proto::CriuImageMsg::decodeHeader(d);
-    proto::PageReader pages(d);
+    proto::PageBuffer pages;
+    pages.decode(d);
     proto::Encoder e;
     img.global.encode(e);
     img.cpu.encode(e);
@@ -206,8 +321,8 @@ forgePages(const std::vector<uint8_t> &data, Forgery how)
     else if (how == Forgery::HugeCount)
         count = 1ull << 62;
     e.putU64(count);
-    for (uint64_t i = 0; i < pages.size(); ++i)
-        pages.next().encode(e);
+    for (const proto::PageMsg &p : pages)
+        p.encode(e);
     std::vector<uint8_t> out = e.take();
     if (how == Forgery::LastRecordCut)
         out.pop_back();

@@ -237,7 +237,7 @@ TEST_F(CxlForkTest, UserHotMarking)
     auto handle = fork.checkpoint(node0, *parent);
     auto img = CxlFork::image(handle);
     img->markUserHot(heapStart);
-    EXPECT_TRUE(img->checkpointPte(heapStart)->userHot());
+    EXPECT_TRUE(img->checkpointPte(heapStart).userHot());
     EXPECT_THROW(img->markUserHot(VirtAddr{0x1}), sim::FatalError);
 }
 

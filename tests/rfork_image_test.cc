@@ -14,6 +14,7 @@
 #include "rfork/checkpoint_image.hh"
 #include "rfork/cxlfork.hh"
 #include "rfork/state_capture.hh"
+#include "sim/error.hh"
 #include "test_util.hh"
 
 namespace cxlfork::rfork {
@@ -72,10 +73,10 @@ TEST_F(ImageTest, ActivateDerebasesExactlyOnce)
     img.activate();
     EXPECT_TRUE(img.activated());
     // PTEs now hold absolute CXL addresses.
-    auto pte = img.checkpointPte(VirtAddr::fromPageNumber(0));
-    ASSERT_TRUE(pte.has_value());
-    EXPECT_TRUE(world.machine->cxl().contains(pte->frame()));
-    EXPECT_FALSE(pte->rebased());
+    const Pte pte = img.checkpointPte(VirtAddr::fromPageNumber(0));
+    ASSERT_TRUE(pte.present());
+    EXPECT_TRUE(world.machine->cxl().contains(pte.frame()));
+    EXPECT_FALSE(pte.rebased());
     EXPECT_DEATH(img.activate(), "activated");
 }
 
@@ -85,11 +86,10 @@ TEST_F(ImageTest, CheckpointPteMissesOutsideLeaves)
     img.addLeaf(512 * 3, makeImageLeaf(2));
     img.activate();
     EXPECT_TRUE(img.checkpointPte(VirtAddr::fromPageNumber(512 * 3))
-                    .has_value());
+                    .present());
     EXPECT_FALSE(img.checkpointPte(VirtAddr::fromPageNumber(512 * 3 + 2))
-                     .has_value());
-    EXPECT_FALSE(
-        img.checkpointPte(VirtAddr::fromPageNumber(77)).has_value());
+                     .present());
+    EXPECT_FALSE(img.checkpointPte(VirtAddr::fromPageNumber(77)).present());
 }
 
 TEST_F(ImageTest, ForEachDirtyVisitsExactlyDirtyPages)
@@ -97,6 +97,7 @@ TEST_F(ImageTest, ForEachDirtyVisitsExactlyDirtyPages)
     CheckpointImage img(*world.machine, "t");
     img.addLeaf(0, makeImageLeaf(8, /*dirtyOdd=*/true));
     img.activate();
+    img.sealIntegrity(); // the set is built at seal
     std::vector<uint64_t> vpns;
     img.forEachDirty([&](VirtAddr va, const Pte &p) {
         EXPECT_TRUE(p.dirty());
@@ -240,6 +241,97 @@ TEST(ImageCrc, FingerprintPinned)
     EXPECT_EQ(crcs.global, 0xbbcc3921u);
     EXPECT_EQ(image->verifyIntegrity(), std::nullopt);
 }
+
+/**
+ * The prefetch set sealIntegrity() collects, against the scan it
+ * replaced: every slot of every leaf. On each Table-1 function's
+ * CXLfork image, after three warm invocations, as the benches take it.
+ */
+class DirtySetOracle : public ::testing::TestWithParam<faas::WorkloadEntry>
+{
+  protected:
+    DirtySetOracle()
+    {
+        porter::ClusterConfig cfg;
+        cfg.machine.numNodes = 2;
+        cfg.machine.dramPerNodeBytes = mem::gib(2);
+        cfg.machine.cxlCapacityBytes = mem::gib(2);
+        cluster = std::make_unique<porter::Cluster>(cfg);
+        parent = faas::FunctionInstance::deployCold(cluster->node(0),
+                                                    GetParam().spec);
+        for (int i = 0; i < 3; ++i)
+            parent->invoke();
+        fork = std::make_unique<CxlFork>(cluster->fabric());
+        handle = fork->checkpoint(cluster->node(0), parent->task());
+        image = CxlFork::image(handle);
+    }
+
+    std::unique_ptr<porter::Cluster> cluster;
+    std::unique_ptr<faas::FunctionInstance> parent;
+    std::unique_ptr<CxlFork> fork;
+    std::shared_ptr<CheckpointHandle> handle;
+    std::shared_ptr<CheckpointImage> image;
+};
+
+TEST_P(DirtySetOracle, SealTimeSetIsTheLeafScan)
+{
+    std::vector<std::pair<uint64_t, uint64_t>> scan;
+    for (const auto &[base, leaf] : image->leaves()) {
+        for (uint32_t i = 0; i < TablePage::kEntries; ++i) {
+            const Pte &p = leaf->pte(i);
+            if (p.present() && p.dirty())
+                scan.emplace_back(base + i, p.raw());
+        }
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> set;
+    image->forEachDirty([&](VirtAddr va, const Pte &p) {
+        set.emplace_back(va.pageNumber(), p.raw());
+    });
+    EXPECT_FALSE(scan.empty());
+    EXPECT_EQ(set, scan);
+}
+
+TEST_P(DirtySetOracle, FlippedDirtyBitFailsTheRestoreFirst)
+{
+    // Flip Dirty on the first present PTE of the last leaf: set on a
+    // clean page, cleared on a dirty one. The seal-time set no longer
+    // matches the leaves, and the leaf CRC covers Dirty, so the
+    // restore must reject the image before it allocates anything.
+    const auto &[base, leaf] = *image->leaves().rbegin();
+    Pte *victim = nullptr;
+    for (uint32_t i = 0; i < TablePage::kEntries && !victim; ++i) {
+        if (leaf->pte(i).present())
+            victim = &leaf->pte(i);
+    }
+    ASSERT_NE(victim, nullptr);
+    const Pte sealed = *victim;
+    *victim = Pte(sealed.raw() ^ Pte::kDirty);
+
+    os::NodeOs &target = cluster->node(1);
+    const uint64_t allocsBefore = target.localDram().allocCount();
+    const uint64_t cxlAllocsBefore = cluster->machine().cxl().allocCount();
+    try {
+        fork->restore(handle, target);
+        ADD_FAILURE() << "restore accepted a flipped Dirty bit";
+    } catch (const sim::CorruptImageError &e) {
+        EXPECT_NE(std::string(e.what()).find("leaves segment"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(target.taskCount(), 0u);
+    EXPECT_EQ(target.localDram().allocCount(), allocsBefore);
+    EXPECT_EQ(cluster->machine().cxl().allocCount(), cxlAllocsBefore);
+
+    // Put back, the image restores again.
+    *victim = sealed;
+    EXPECT_NE(fork->restore(handle, target), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1, DirtySetOracle, ::testing::ValuesIn(faas::table1Workloads()),
+    [](const ::testing::TestParamInfo<faas::WorkloadEntry> &info) {
+        return info.param.spec.name;
+    });
 
 } // namespace
 } // namespace cxlfork::rfork

@@ -69,10 +69,10 @@ TEST_F(TieringTest, CheckpointPreservesParentAccessPattern)
     EXPECT_EQ(img->accessedPageCount(), kHotPages);
     for (uint64_t i = 0; i < kHotPages; ++i)
         EXPECT_TRUE(
-            img->checkpointPte(heapStart.plus(i * kPageSize))->accessed());
+            img->checkpointPte(heapStart.plus(i * kPageSize)).accessed());
     for (uint64_t i = kHotPages; i < kHotPages + kColdPages; ++i)
         EXPECT_FALSE(
-            img->checkpointPte(heapStart.plus(i * kPageSize))->accessed());
+            img->checkpointPte(heapStart.plus(i * kPageSize)).accessed());
 }
 
 TEST_F(TieringTest, MigrateOnWriteReadsStayRemoteWritesComeLocal)

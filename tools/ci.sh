@@ -60,9 +60,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L porter
 echo "== Running restore-path work counters (ctest -L restore)"
 # Pins the exact page-table walks, VMA lookups, CRIU records decoded
 # and frames per tier of one restore, invoke and destroy under every
-# mechanism: a second walk on the translation-hit path fails it on any
-# host.
+# mechanism, and two walks per fault of each kind: a second walk on the
+# translation-hit path, or a lookup re-added to the fault path, fails
+# it on any host.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L restore
+
+echo "== Running cxlfork CLI strictness (ctest -L cli)"
+# A malformed number, a missing value or an unknown flag exits 2 with
+# the usage line; a cluster the porter refuses exits 1; --cxl-latency
+# reaches the porter's profiles.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L cli
 
 echo "== Running armed-fabric work counters (ctest -L fabric_work)"
 # Pins the transactions each fabric stage sees, coherence messages,

@@ -9,14 +9,16 @@
  *   porter  [flags]            Run a CXLporter cluster simulation.
  *
  * Common flags:
- *   --function NAME            Workload (default Bert).
  *   --mechanism M              cxlfork | criu | mitosis (default cxlfork).
- *   --policy P                 mow | moa | hybrid (default mow).
- *   --cxl-latency NS           CXL round-trip latency (default 391).
- *   --nodes N                  Cluster nodes (default 2).
+ *   --cxl-latency NS           CXL round-trip latency (default 391); the
+ *                              porter measures its profiles under it.
+ *   --nodes N                  Cluster nodes, 1-1024 (default 2).
  *
  * rfork flags:
+ *   --function NAME            Workload (default Bert).
+ *   --policy P                 mow | moa | hybrid (default mow).
  *   --invocations K            Invocations after restore (default 1).
+ *   --target-node N            Restore node, modulo --nodes (default 1).
  *   --no-prefetch              Disable dirty-page prefetch.
  *
  * porter flags:
@@ -27,15 +29,19 @@
  *   --mem-gb G --mem-scale F   Node memory budget (default 8 GB, 1.0).
  *   --static-mow               Disable dynamic tiering control.
  *   --seed N                   Trace seed (default 0xa2).
+ *
+ * Numbers are plain decimals: an unknown flag, a missing value or a
+ * malformed, negative or non-finite number prints the usage line and
+ * exits 2. A bad function, mechanism or policy name, or a cluster the
+ * simulator refuses (no memory, say), prints the error and exits 1.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <optional>
 #include <string>
 
 #include "faas/workloads.hh"
+#include "flags.hh"
 #include "porter/autoscaler.hh"
 #include "porter/cluster.hh"
 #include "porter/trace.hh"
@@ -46,47 +52,88 @@ namespace {
 
 using namespace cxlfork;
 
-struct Args
+/** Every flag of every subcommand, at its default. */
+struct Options
 {
-    std::map<std::string, std::string> values;
-    std::map<std::string, bool> flags;
+    std::string function = "Bert";
+    std::string mechanism = "cxlfork";
+    std::string policy = "mow";
+    /** Unset: rfork charges 391 ns and porter its default costs. */
+    std::optional<double> cxlLatencyNs;
+    uint32_t nodes = 2;
 
-    bool has(const std::string &k) const { return flags.count(k) > 0; }
+    // rfork
+    uint64_t invocations = 1;
+    uint64_t targetNode = 1;
+    bool prefetch = true;
 
-    std::string
-    get(const std::string &k, const std::string &dflt) const
-    {
-        auto it = values.find(k);
-        return it == values.end() ? dflt : it->second;
-    }
-
-    double
-    num(const std::string &k, double dflt) const
-    {
-        auto it = values.find(k);
-        return it == values.end() ? dflt : std::stod(it->second);
-    }
+    // porter
+    std::string trace;
+    double rps = 150;
+    double durationS = 30;
+    uint64_t memGb = 8;
+    double memScale = 1.0;
+    bool staticMow = false;
+    uint64_t seed = 0xa2;
 };
 
-Args
-parse(int argc, char **argv, int start)
+/**
+ * The flags after the subcommand, strictly: a flag the subcommand does
+ * not take, a missing value or a malformed number prints the usage line
+ * and exits 2 (tools/flags.hh). Range checks that need the simulator
+ * (an empty node, say) are left to it, which throws sim::FatalError.
+ */
+Options
+parseOptions(const std::string &cmd, int argc, char **argv)
 {
-    Args args;
-    for (int i = start; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--", 0) != 0)
-            sim::fatal("unexpected argument: %s", a.c_str());
-        a = a.substr(2);
-        const bool boolean = a == "no-prefetch" || a == "static-mow";
-        if (boolean) {
-            args.flags[a] = true;
-        } else {
+    const tools::Flags flags(argv[0],
+                             "<list|rfork|porter> [--flags] (see the "
+                             "header of tools/cxlfork_cli.cc)");
+    const bool rfork = cmd == "rfork";
+    const bool porter = cmd == "porter";
+    Options o;
+    for (int i = 2; i < argc; ++i) {
+        const std::string a = argv[i];
+        const auto value = [&]() -> const char * {
             if (i + 1 >= argc)
-                sim::fatal("--%s needs a value", a.c_str());
-            args.values[a] = argv[++i];
+                flags.usage();
+            return argv[++i];
+        };
+        if ((rfork || porter) && a == "--mechanism") {
+            o.mechanism = value();
+        } else if ((rfork || porter) && a == "--cxl-latency") {
+            o.cxlLatencyNs = flags.number(value(), /*positive=*/true);
+        } else if ((rfork || porter) && a == "--nodes") {
+            o.nodes = uint32_t(flags.count(value(), 1, 1024));
+        } else if (rfork && a == "--function") {
+            o.function = value();
+        } else if (rfork && a == "--policy") {
+            o.policy = value();
+        } else if (rfork && a == "--invocations") {
+            o.invocations = flags.count(value(), 0, 1u << 20);
+        } else if (rfork && a == "--target-node") {
+            o.targetNode = flags.count(value());
+        } else if (rfork && a == "--no-prefetch") {
+            o.prefetch = false;
+        } else if (porter && a == "--trace") {
+            o.trace = value();
+        } else if (porter && a == "--rps") {
+            o.rps = flags.number(value(), /*positive=*/true);
+        } else if (porter && a == "--duration") {
+            o.durationS = flags.number(value(), /*positive=*/true);
+        } else if (porter && a == "--mem-gb") {
+            o.memGb = flags.count(value(), 0, 1u << 20);
+        } else if (porter && a == "--mem-scale") {
+            o.memScale = flags.number(value(), /*positive=*/true);
+        } else if (porter && a == "--static-mow") {
+            o.staticMow = true;
+        } else if (porter && a == "--seed") {
+            o.seed = flags.count(value());
+        } else {
+            flags.usage();
         }
     }
-    return args;
+    return o;
 }
 
 os::TieringPolicy
@@ -103,14 +150,16 @@ policyOf(const std::string &p)
 
 /** The --mechanism flag: one of the porter's three mechanisms. */
 porter::Mechanism
-mechanismArg(const Args &args)
+mechanismArg(const Options &o)
 {
-    const std::string m = args.get("mechanism", "cxlfork");
-    const std::optional<rfork::MechanismKind> kind = rfork::parseMechanism(m);
+    const std::optional<rfork::MechanismKind> kind =
+        rfork::parseMechanism(o.mechanism);
     const std::optional<porter::Mechanism> mech =
         kind ? porter::porterMechanism(*kind) : std::nullopt;
-    if (!mech)
-        sim::fatal("unknown mechanism %s (cxlfork|criu|mitosis)", m.c_str());
+    if (!mech) {
+        sim::fatal("unknown mechanism %s (cxlfork|criu|mitosis)",
+                   o.mechanism.c_str());
+    }
     return *mech;
 }
 
@@ -129,18 +178,17 @@ cmdList()
 }
 
 int
-cmdRfork(const Args &args)
+cmdRfork(const Options &o)
 {
-    const std::string fnName = args.get("function", "Bert");
-    auto spec = faas::findWorkload(fnName);
+    auto spec = faas::findWorkload(o.function);
     if (!spec)
         sim::fatal("unknown function %s (try `cxlfork list`)",
-                   fnName.c_str());
+                   o.function.c_str());
 
     sim::CostParams costs;
-    costs.cxlLatency = sim::SimTime::ns(args.num("cxl-latency", 391));
+    costs.cxlLatency = sim::SimTime::ns(o.cxlLatencyNs.value_or(391));
     porter::ClusterConfig cfg;
-    cfg.machine.numNodes = uint32_t(args.num("nodes", 2));
+    cfg.machine.numNodes = o.nodes;
     cfg.machine.dramPerNodeBytes = mem::gib(4);
     cfg.machine.cxlCapacityBytes = mem::gib(4);
     cfg.machine.costs = costs;
@@ -151,7 +199,7 @@ cmdRfork(const Args &args)
     parent->task().mm().pageTable().clearAccessedBits(true);
     parent->invoke();
 
-    auto mech = rfork::makeMechanism(porter::kindOf(mechanismArg(args)),
+    auto mech = rfork::makeMechanism(porter::kindOf(mechanismArg(o)),
                                      cluster.fabric());
     rfork::CheckpointStats cs;
     auto handle = mech->checkpoint(cluster.node(0), parent->task(), &cs);
@@ -161,11 +209,10 @@ cmdRfork(const Args &args)
                 double(cs.bytesToCxl) / (1 << 20),
                 double(cs.bytesLocal) / (1 << 20));
 
-    const mem::NodeId target =
-        mem::NodeId(args.num("target-node", 1)) % cluster.numNodes();
+    const mem::NodeId target = mem::NodeId(o.targetNode % cluster.numNodes());
     rfork::RestoreOptions opts;
-    opts.policy = policyOf(args.get("policy", "mow"));
-    opts.prefetchDirty = !args.has("no-prefetch");
+    opts.policy = policyOf(o.policy);
+    opts.prefetchDirty = o.prefetch;
     rfork::RestoreStats rs;
     auto task = mech->restore(handle, cluster.node(target), opts, &rs);
     std::printf("restore on node %u: %s  (memory state %s, global %s, "
@@ -177,13 +224,12 @@ cmdRfork(const Args &args)
 
     auto child = faas::FunctionInstance::adoptRestored(cluster.node(target),
                                                        *spec, task);
-    const int invocations = int(args.num("invocations", 1));
-    for (int i = 0; i < invocations; ++i) {
+    for (uint64_t i = 0; i < o.invocations; ++i) {
         const sim::SimTime faultsBefore = cluster.node(target).faultTime();
         const auto r = child->invoke();
         std::printf("invocation %d: %s  (faults %llu taking %s, misses "
                     "local/cxl %llu/%llu)\n",
-                    i + 1, r.latency.toString().c_str(),
+                    int(i + 1), r.latency.toString().c_str(),
                     (unsigned long long)r.faults,
                     (cluster.node(target).faultTime() - faultsBefore)
                         .toString()
@@ -198,7 +244,7 @@ cmdRfork(const Args &args)
 }
 
 int
-cmdPorter(const Args &args)
+cmdPorter(const Options &o)
 {
     std::vector<faas::FunctionSpec> functions;
     std::vector<std::string> names;
@@ -207,25 +253,30 @@ cmdPorter(const Args &args)
         names.push_back(w.spec.name);
     }
     std::vector<porter::Request> trace;
-    if (args.values.count("trace")) {
+    if (!o.trace.empty()) {
         // Real trace import: CSV rows of `timestamp_seconds,function`.
-        trace = porter::loadTraceCsv(args.get("trace", ""));
+        trace = porter::loadTraceCsv(o.trace);
     } else {
         porter::TraceConfig tc;
-        tc.totalRps = args.num("rps", 150);
-        tc.duration = sim::SimTime::sec(args.num("duration", 30));
-        tc.seed = uint64_t(args.num("seed", 0xa2));
+        tc.totalRps = o.rps;
+        tc.duration = sim::SimTime::sec(o.durationS);
+        tc.seed = o.seed;
         trace = porter::TraceGenerator(names, tc).generate();
     }
 
     porter::PorterConfig cfg;
-    cfg.mechanism = mechanismArg(args);
-    cfg.dynamicTiering = !args.has("static-mow");
-    cfg.memPerNodeBytes = mem::gib(uint64_t(args.num("mem-gb", 8)));
-    cfg.memoryScale = args.num("mem-scale", 1.0);
-    cfg.numNodes = uint32_t(args.num("nodes", 2));
+    cfg.mechanism = mechanismArg(o);
+    cfg.dynamicTiering = !o.staticMow;
+    cfg.memPerNodeBytes = mem::gib(o.memGb);
+    cfg.memoryScale = o.memScale;
+    cfg.numNodes = o.nodes;
     cfg.coresPerNode = 32;
-    porter::PerfModel perf;
+    // The profiles the porter replays are measured under the same
+    // costs as the cluster it models.
+    sim::CostParams costs;
+    if (o.cxlLatencyNs)
+        costs.cxlLatency = sim::SimTime::ns(*o.cxlLatencyNs);
+    porter::PerfModel perf(costs);
     porter::PorterSim sim(cfg, functions, perf);
 
     std::printf("running %zu requests (%.1f rps) against %s...\n",
@@ -267,14 +318,14 @@ main(int argc, char **argv)
     }
     try {
         const std::string cmd = argv[1];
-        const Args args = parse(argc, argv, 2);
+        if (cmd != "list" && cmd != "rfork" && cmd != "porter")
+            sim::fatal("unknown command %s", cmd.c_str());
+        const Options o = parseOptions(cmd, argc, argv);
         if (cmd == "list")
             return cmdList();
         if (cmd == "rfork")
-            return cmdRfork(args);
-        if (cmd == "porter")
-            return cmdPorter(args);
-        sim::fatal("unknown command %s", cmd.c_str());
+            return cmdRfork(o);
+        return cmdPorter(o);
     } catch (const sim::FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

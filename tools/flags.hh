@@ -1,10 +1,10 @@
 /**
  * @file
- * Strict flag parsing shared by crash_sweep, chaos_soak and
- * partition_soak. A number is plain decimal: no sign, no trailing
- * characters, no overflow, and finite. A bad number, a missing value,
- * an unknown flag or an unknown mechanism prints the tool's usage line
- * and exits 2.
+ * Strict flag parsing shared by the cxlfork CLI, crash_sweep,
+ * chaos_soak and partition_soak. A number is plain decimal: no sign, no
+ * trailing characters, no overflow, and finite. A bad number, a missing
+ * value, an unknown flag or an unknown mechanism prints the tool's
+ * usage line and exits 2.
  */
 
 #pragma once
@@ -50,15 +50,25 @@ class Flags
         return v;
     }
 
-    /** A number in [0, 1]. */
+    /** A finite number, at least 0; with `positive`, above 0. */
     double
-    fraction(const char *text) const
+    number(const char *text, bool positive = false) const
     {
         double v = 0.0;
         const char *end = text + std::strlen(text);
         const auto [ptr, ec] = std::from_chars(text, end, v);
         if (*text == '-' || ptr == text || ec != std::errc() || ptr != end ||
-            !std::isfinite(v) || v > 1.0)
+            !std::isfinite(v) || (positive && !(v > 0.0)))
+            usage();
+        return v;
+    }
+
+    /** A number in [0, 1]. */
+    double
+    fraction(const char *text) const
+    {
+        const double v = number(text);
+        if (v > 1.0)
             usage();
         return v;
     }
