@@ -43,12 +43,6 @@ main()
             auto parent = bench::deployWarmParent(cluster, w.spec);
             row.local = bench::runLocalForkScenario(cluster, *parent);
         }
-        // With CXLFORK_PREFETCH set, every restore below additionally
-        // runs a trace-trained speculative prefetch schedule (trained
-        // on sacrificial lazy restores before the measured one).
-        rfork::RestoreOptions opts;
-        rfork::PrefetchSchedule sched;
-
         // The remote mechanisms; CXLfork runs its default
         // migrate-on-write + dirty prefetch.
         auto remote = [&](rfork::MechanismKind kind) {
@@ -56,12 +50,8 @@ main()
             auto parent = bench::deployWarmParent(cluster, w.spec);
             auto mech = rfork::makeMechanism(kind, cluster.fabric());
             auto h = mech->checkpoint(cluster.node(0), parent->task());
-            if (bench::prefetchEnabled()) {
-                sched = bench::trainSchedule(cluster, *mech, h, w.spec, 1);
-                opts.prefetch = &sched;
-            }
             const RforkRun run =
-                bench::runRestoreScenario(cluster, *mech, h, w.spec, 1, opts);
+                bench::runRestoreScenario(cluster, *mech, h, w.spec, 1);
             const std::string key = rfork::mechanismKey(kind);
             bench::collectRestorePhases(cluster.machine(),
                                         "fig7.phase." + key);

@@ -1,12 +1,14 @@
 #include "bench_util.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <utility>
 
-#include "cxl/coherence.hh"
 #include "sim/log.hh"
 #include "sim/thread_pool.hh"
 
@@ -21,95 +23,29 @@ benchClusterConfig(sim::CostParams costs)
 {
     // The golden-regression perturbation hook: a changed CXL latency
     // must move the per-phase metrics, which the golden diff catches.
-    if (const char *ns = std::getenv("CXLFORK_CXL_LATENCY_NS"))
-        costs.cxlLatency = SimTime::ns(std::atof(ns));
+    if (const char *ns = std::getenv("CXLFORK_CXL_LATENCY_NS")) {
+        double v = 0.0;
+        const char *end = ns + std::strlen(ns);
+        const auto [ptr, ec] = std::from_chars(ns, end, v);
+        if (ptr == ns || ec != std::errc() || ptr != end ||
+            !std::isfinite(v) || !(v > 0.0)) {
+            sim::fatal("CXLFORK_CXL_LATENCY_NS=%s: expected a finite "
+                       "number above 0",
+                       ns);
+        }
+        costs.cxlLatency = SimTime::ns(v);
+    }
     porter::ClusterConfig cfg;
     cfg.machine.numNodes = 2;
     cfg.machine.dramPerNodeBytes = mem::gib(4);
     cfg.machine.cxlCapacityBytes = mem::gib(4);
     cfg.machine.llcBytes = mem::mib(64);
     cfg.machine.costs = costs;
-    // RAS opt-in: replication is off by default so every bench stays
-    // bit-identical to the pre-RAS tree; setting a replica count turns
-    // the whole layer on (write-verify, replication, repair ladder).
-    if (const char *replicas = std::getenv("CXLFORK_RAS_REPLICAS")) {
-        cfg.ras.replicas = uint32_t(std::atoi(replicas));
-        cfg.ras.enabled = cfg.ras.replicas > 0;
-    }
-    if (const char *threshold = std::getenv("CXLFORK_RAS_THRESHOLD"))
-        cfg.ras.replicaThreshold = uint64_t(std::atoll(threshold));
-    // Coherence opt-in, same contract as RAS: unset or "off" means no
-    // directory is built and every bench output stays bit-identical to
-    // the pre-coherence tree.
-    if (const char *mode = std::getenv("CXLFORK_COHERENCE_MODE")) {
-        const auto parsed = cxl::coherenceModeFromName(mode);
-        if (!parsed) {
-            sim::fatal("CXLFORK_COHERENCE_MODE=%s: expected off, hdm-h "
-                       "or hdm-d",
-                       mode);
-        }
-        cfg.coherence.mode = *parsed;
-    }
-    // Codec opt-in, same contract again: unset (or "0") stores every
-    // checkpoint page raw and the exports stay bit-identical.
-    if (const char *compress = std::getenv("CXLFORK_COMPRESS"))
-        cfg.pageStore.compress = std::atoi(compress) != 0;
-    // Partition opt-in, same contract: unset (or 0) builds no
-    // link-health model, no fabric transaction consults it, and every
-    // bench output stays bit-identical to the pre-partition tree.
-    // The env knob arms *degradation* weather only: generic figure
-    // benches neither walk the restore ladder nor run journal
-    // recovery, so a checkpoint-time severance would be an unhandled
-    // abort. Severance sweeps live in bench_ext_partition and
-    // tools/partition_soak, which arm it programmatically and own
-    // the recovery protocol.
-    if (const char *rate = std::getenv("CXLFORK_PARTITION_RATE")) {
-        const double r = std::atof(rate);
-        cfg.machine.faults.linkDegradeRate = r;
-        cfg.link.enabled = r > 0.0;
-    }
-    if (const char *factor = std::getenv("CXLFORK_DEGRADE_FACTOR"))
-        cfg.link.degradeFactor = std::atof(factor);
-    if (const char *k = std::getenv("CXLFORK_HEARTBEAT_K"))
-        cfg.heartbeatK = uint32_t(std::atoi(k));
-    // Contention opt-in, same contract: unset (or 0) installs no queue
-    // model, no transaction consults it, and every bench output stays
-    // bit-identical to the pre-queue tree. The rate is the background
-    // utilization other tenants soak out of the device port, capped
-    // below saturation (an M/D/1 queue at rho >= 1 never drains).
-    if (const char *rate = std::getenv("CXLFORK_CONTENTION_RATE")) {
-        const double u = std::atof(rate);
-        cfg.contention.backgroundUtilization = std::min(u, 0.95);
-        cfg.contention.enabled = u > 0.0;
-    }
-    if (const char *gbs = std::getenv("CXLFORK_SERVICE_GBS")) {
-        const double g = std::atof(gbs);
-        if (g > 0.0) {
-            cfg.contention.serviceReadGBs = g;
-            cfg.contention.serviceWriteGBs = 0.8 * g;
-        }
-    }
     return cfg;
 }
 
-bool
-prefetchEnabled()
-{
-    const char *env = std::getenv("CXLFORK_PREFETCH");
-    return env && std::string(env) != "0";
-}
-
-unsigned
-predictorWindow()
-{
-    if (const char *env = std::getenv("CXLFORK_PREDICTOR_WINDOW")) {
-        const long v = std::atol(env);
-        if (v >= 1)
-            return unsigned(v);
-        CXLF_WARN("ignoring CXLFORK_PREDICTOR_WINDOW=%s (want >= 1)", env);
-    }
-    return 3;
-}
+/** Training restores per predictor in trainSchedule(). */
+constexpr unsigned kPredictorWindow = 3;
 
 rfork::PrefetchSchedule
 trainSchedule(porter::Cluster &cluster, rfork::RemoteForkMechanism &mech,
@@ -124,7 +60,7 @@ trainSchedule(porter::Cluster &cluster, rfork::RemoteForkMechanism &mech,
     // faulting, leaving nothing to train on.
     rfork::RestoreOptions lazyOpts;
     lazyOpts.prefetchDirty = false;
-    for (unsigned i = 0; i < predictorWindow(); ++i) {
+    for (unsigned i = 0; i < kPredictorWindow; ++i) {
         auto task = mech.restore(handle, node, lazyOpts);
         auto child = FunctionInstance::adoptRestored(node, spec, task);
         recorder.clear();
@@ -308,13 +244,15 @@ benchMetrics()
 unsigned
 sweepJobs()
 {
-    if (const char *env = std::getenv("CXLFORK_JOBS")) {
-        const long v = std::atol(env);
-        if (v >= 1)
-            return unsigned(v);
-        CXLF_WARN("ignoring CXLFORK_JOBS=%s (want an integer >= 1)", env);
-    }
-    return sim::ThreadPool::hardwareConcurrency();
+    const char *env = std::getenv("CXLFORK_JOBS");
+    if (!env)
+        return sim::ThreadPool::hardwareConcurrency();
+    unsigned v = 0;
+    const char *end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ptr == env || ec != std::errc() || ptr != end || v == 0)
+        sim::fatal("CXLFORK_JOBS=%s: expected an integer above 0", env);
+    return v;
 }
 
 void

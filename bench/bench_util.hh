@@ -6,8 +6,8 @@
  * shares (env-gated tracing, a process-global metrics registry, and
  * the flat-JSON export the golden regression suite consumes).
  *
- * Environment knobs (all off by default; with all of them unset every
- * bench's output is bit-identical to the untraced build):
+ * Environment variables (with all of them unset every bench's output
+ * is bit-identical to the untraced build):
  *  - CXLFORK_TRACE: arm span tracing on every bench cluster and print
  *    per-phase restore breakdowns plus the bench metrics table.
  *  - CXLFORK_TRACE_JSON=<prefix>: also write Chrome trace_event JSON
@@ -15,54 +15,19 @@
  *  - CXLFORK_METRICS_JSON=<path>: write the bench metrics registry as
  *    flat JSON on finishBench() (the golden-file format).
  *  - CXLFORK_CXL_LATENCY_NS=<ns>: override the CXL access latency in
- *    benchClusterConfig() — the documented perturbation hook that the
- *    golden suite uses to prove it catches cost regressions.
+ *    benchClusterConfig() — the perturbation hook the golden suite
+ *    uses to prove it catches cost regressions. A value that is not a
+ *    finite number above 0 is fatal.
  *  - CXLFORK_JOBS=<n>: host worker threads for runSweep() (default:
  *    hardware concurrency). Simulated results are identical at any
- *    value; only host wall-clock changes.
+ *    value; only host wall-clock changes. A value that is not an
+ *    integer above 0 is fatal.
  *  - CXLFORK_WALLCLOCK_JSON=<path>: append host wall-clock entries
  *    (JSON lines) on finishBench() — the perfcmp input format.
- *  - CXLFORK_RAS_REPLICAS=<K>: enable the CXL RAS layer on every bench
- *    cluster with K replicas per protected page (0 or unset: RAS off,
- *    output bit-identical to the pre-RAS tree).
- *  - CXLFORK_RAS_THRESHOLD=<n>: intern refcount at which a page earns
- *    replicas (default 2; only meaningful with RAS on).
- *  - CXLFORK_COHERENCE_MODE=off|hdm-h|hdm-d: arm the fabric MESI
- *    coherence directory on every bench cluster (default off: no
- *    directory, output bit-identical to the pre-coherence tree). With
- *    a directory armed, restore scenarios additionally report their
- *    coherence tax as `<scenario>.coh_tax_ms`.
- *  - CXLFORK_COMPRESS=1: arm the page store's codec pipeline on every
- *    bench cluster (default off: checkpoint pages stored raw, output
- *    bit-identical to the pre-codec tree). Armed, restore scenarios
- *    that materialized compressed pages additionally report
- *    `<scenario>.decompress_ms`.
- *  - CXLFORK_PREFETCH=1: benches that own a warm parent train a
- *    working-set predictor on traced invocations and restore with a
- *    speculative prefetch schedule (default off: lazy restores only,
- *    output bit-identical). Armed, those scenarios additionally
- *    report `<scenario>.prefetch_hit_pct`.
- *  - CXLFORK_PREDICTOR_WINDOW=<n>: traced training invocations per
- *    predictor (default 3; only meaningful with CXLFORK_PREFETCH).
- *  - CXLFORK_PARTITION_RATE=<p>: arm the fabric link-health model on
- *    every bench cluster with per-transaction Bernoulli link
- *    *degradation* probability p (0 or unset: no link model is built,
- *    output bit-identical to the pre-partition tree). Severance is
- *    deliberately not armed here — generic benches own no restore
- *    ladder or recovery protocol; severance sweeps live in
- *    bench_ext_partition and tools/partition_soak.
- *  - CXLFORK_DEGRADE_FACTOR=<f>: latency multiplier a degraded link
- *    charges (default 4; only meaningful with a partition rate set).
- *  - CXLFORK_HEARTBEAT_K=<n>: consecutive missed heartbeat probes
- *    before a node is quarantined (default 3; only meaningful with a
- *    partition rate set).
- *  - CXLFORK_CONTENTION_RATE=<u>: arm the per-link fabric queue model
- *    on every bench cluster with background utilization u in (0, 0.95]
- *    soaking up device-port service capacity (0 or unset: no queue
- *    model is installed, output bit-identical to the pre-queue tree).
- *  - CXLFORK_SERVICE_GBS=<g>: device-port read-lane service rate in
- *    GB/s; the write lane gets 0.8x (defaults 10/8; only meaningful
- *    with the queue armed — this knob alone does not arm it).
+ *
+ * The opt-in CXL layers (RAS, coherence, codec, link health, fabric
+ * queue, speculative prefetch) are armed in code by the benches that
+ * sweep them, never through the environment.
  */
 
 #pragma once
@@ -151,17 +116,11 @@ RforkRun runLocalForkScenario(porter::Cluster &cluster,
                               faas::FunctionInstance &parent,
                               const rfork::RestoreOptions &opts = {});
 
-// --- Speculative-restore knobs (see file comment).
-
-/** True when CXLFORK_PREFETCH is set to anything but "0". */
-bool prefetchEnabled();
-
-/** Traced training invocations per predictor: CXLFORK_PREDICTOR_WINDOW. */
-unsigned predictorWindow();
+// --- Speculative restore.
 
 /**
  * Train a fresh working-set predictor the way a deployed system would:
- * run predictorWindow() sacrificial *lazy* restores of `handle` on
+ * run three sacrificial *lazy* restores of `handle` on
  * `targetNode`, trace the demand faults each restored child takes
  * during its first invocation, train on those traces, and return the
  * resulting schedule. The children are destroyed again; call this

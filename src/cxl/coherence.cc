@@ -21,18 +21,6 @@ coherenceModeName(CoherenceMode m)
     return "?";
 }
 
-std::optional<CoherenceMode>
-coherenceModeFromName(const std::string &s)
-{
-    if (s == "off")
-        return CoherenceMode::Off;
-    if (s == "hdm-h" || s == "hdmh")
-        return CoherenceMode::HdmH;
-    if (s == "hdm-d" || s == "hdmd")
-        return CoherenceMode::HdmD;
-    return std::nullopt;
-}
-
 const char *
 mesiStateName(MesiState s)
 {

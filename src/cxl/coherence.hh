@@ -55,9 +55,6 @@ enum class CoherenceMode : uint8_t
 
 const char *coherenceModeName(CoherenceMode m);
 
-/** Parse "off" / "hdm-h" / "hdm-d" (the CXLFORK_COHERENCE_MODE values). */
-std::optional<CoherenceMode> coherenceModeFromName(const std::string &s);
-
 /** Directory tunables. Off by default: no behavior change anywhere. */
 struct CoherenceConfig
 {

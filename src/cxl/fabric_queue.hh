@@ -85,9 +85,8 @@ struct FabricQueueConfig
 
     /**
      * Deterministic foreign background utilization per lane, in
-     * [0, 1). Zero: no background stream. Used by the env-knob path
-     * (CXLFORK_CONTENTION_RATE) so single-cluster benches can see
-     * contention without simulating the other tenants.
+     * [0, 1). Zero: no background stream. Lets a single-cluster
+     * test see contention without simulating the other tenants.
      */
     double backgroundUtilization = 0.0;
 };

@@ -55,18 +55,6 @@ enum class JournalState : uint8_t {
     Published, ///< The tuple's lookup entry may point here.
 };
 
-inline const char *
-journalStateName(JournalState s)
-{
-    switch (s) {
-      case JournalState::Staged:
-        return "staged";
-      case JournalState::Published:
-        return "published";
-    }
-    return "?";
-}
-
 /** One journal record: who staged what, and how far it got. */
 struct JournalRecord
 {

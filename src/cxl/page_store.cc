@@ -8,6 +8,17 @@ namespace cxlfork::cxl {
 
 namespace {
 
+/**
+ * Fraction of nonzero pages the modeled codec classifier finds
+ * delta-compressible against a recently stored parent page, and
+ * fraction it finds run-length-compressible. The remainder is stored
+ * raw. Classification is a deterministic draw on the page's content
+ * hash; the per-class stored ratios live in CostParams (deltaRatio /
+ * rleRatio) so sweeps can move them.
+ */
+constexpr double kDeltaFrac = 0.50;
+constexpr double kRleFrac = 0.30;
+
 /** splitmix64 finalizer: the 64-bit content hash. */
 uint64_t
 mix64(uint64_t x)
@@ -25,11 +36,6 @@ PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
 {
     if (cfg_.hashBits == 0 || cfg_.hashBits > 64)
         sim::fatal("PageStore: hashBits must be in [1, 64]");
-    if (cfg_.deltaFrac < 0.0 || cfg_.rleFrac < 0.0 ||
-        cfg_.deltaFrac + cfg_.rleFrac > 1.0) {
-        sim::fatal("PageStore: deltaFrac/rleFrac must be nonnegative and "
-                   "sum to at most 1");
-    }
     if (machine_.cxl().capacityBytes() / mem::kPageSize > kNoFrame)
         sim::fatal("PageStore: slot links hold 32-bit frame numbers");
     sim::MetricsRegistry &m = machine_.metrics();
@@ -94,13 +100,13 @@ PageStore::classify(uint64_t content, Slot &slot) const
     constexpr uint64_t kCodecSalt = 0xc0dec0dec0dec0deull;
     const double u =
         double(mix64(content ^ kCodecSalt) >> 11) * 0x1.0p-53;
-    if (u < cfg_.deltaFrac && deltaAnchor_.raw != 0) {
+    if (u < kDeltaFrac && deltaAnchor_.raw != 0) {
         slot.cls = CodecClass::Delta;
         slot.storedBytes =
             uint32_t(double(mem::kPageSize) * costs.deltaRatio);
         slot.parent = uint32_t(slotIndexOf(deltaAnchor_));
         slot.pendingDecompress = true;
-    } else if (u < cfg_.deltaFrac + cfg_.rleFrac) {
+    } else if (u < kDeltaFrac + kRleFrac) {
         slot.cls = CodecClass::Rle;
         slot.storedBytes =
             uint32_t(double(mem::kPageSize) * costs.rleRatio);

@@ -64,17 +64,6 @@ struct PageStoreConfig
      * or compressed.
      */
     bool compress = false;
-
-    /**
-     * Fraction of nonzero pages the modeled classifier finds
-     * delta-compressible against a recently stored parent page, and
-     * fraction it finds run-length-compressible. The remainder is
-     * stored raw. Classification is a deterministic draw on the page's
-     * content hash; the per-class stored ratios live in CostParams
-     * (deltaRatio / rleRatio) so sweeps can move them.
-     */
-    double deltaFrac = 0.50;
-    double rleFrac = 0.30;
 };
 
 /** How the codec pipeline stored one page. */

@@ -11,6 +11,21 @@ namespace cxlfork::cxl {
 
 using mem::kPageSize;
 
+namespace {
+
+/**
+ * Write-verify retries: an interned page found poisoned right at
+ * allocation (the device latched poison on the store) is re-allocated
+ * and re-written up to this many times before the RAS layer gives up
+ * and leaves the poisoned frame to the scrubber.
+ */
+constexpr uint32_t kWriteVerifyRetries = 4;
+
+/** Pages one scrubStep() visits when the caller names no budget. */
+constexpr uint64_t kScrubBatchPages = 256;
+
+} // namespace
+
 RasManager::RasManager(mem::Machine &machine, PageStore &store,
                        const FabricTopology &topology, RasConfig cfg)
     : machine_(machine), store_(store), topology_(topology), cfg_(cfg)
@@ -54,7 +69,7 @@ RasManager::verifiedAlloc(mem::PhysAddr addr, mem::FrameUse use,
         return addr;
     const sim::CostParams &costs = machine_.costs();
     mem::FrameAllocator &cxl = machine_.cxl();
-    for (uint32_t attempt = 0; attempt < cfg_.writeVerifyRetries; ++attempt) {
+    for (uint32_t attempt = 0; attempt < kWriteVerifyRetries; ++attempt) {
         // The post-write verify read of the just-stored page.
         clock.advance(costs.cxlRead(kPageSize));
         if (!cxl.frame(addr).poisoned)
@@ -299,7 +314,7 @@ RasManager::scrubStep(sim::SimClock &clock, uint64_t maxPages)
         return rep;
     const sim::CostParams &costs = machine_.costs();
     const uint64_t budget =
-        std::min<uint64_t>(maxPages ? maxPages : cfg_.scrubBatchPages,
+        std::min<uint64_t>(maxPages ? maxPages : kScrubBatchPages,
                            tracked_.size());
     auto it = tracked_.lower_bound(scrubCursor_);
     for (uint64_t n = 0; n < budget; ++n) {

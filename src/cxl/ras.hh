@@ -62,17 +62,6 @@ struct RasConfig
      * domain failure never takes out every copy.
      */
     uint32_t faultDomains = 4;
-
-    /**
-     * Write-verify retries: an interned page found poisoned right at
-     * allocation (the device latched poison on the store) is re-
-     * allocated and re-written up to this many times before the RAS
-     * layer gives up and leaves the poisoned frame to the scrubber.
-     */
-    uint32_t writeVerifyRetries = 4;
-
-    /** Pages one scrubStep() visits. */
-    uint64_t scrubBatchPages = 256;
 };
 
 /** What one scrub pass found and did. */

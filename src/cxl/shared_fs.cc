@@ -171,15 +171,6 @@ SharedFs::reclaimOrphans()
     return reclaimed;
 }
 
-uint64_t
-SharedFs::orphanFrameCount() const
-{
-    uint64_t n = 0;
-    for (const std::vector<mem::PhysAddr> &frames : orphans_)
-        n += frames.size();
-    return n;
-}
-
 void
 SharedFs::releaseFrames(CxlFsFile &file)
 {

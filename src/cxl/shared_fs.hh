@@ -88,8 +88,6 @@ class SharedFs
      */
     uint64_t reclaimOrphans();
 
-    uint64_t orphanFrameCount() const;
-
     uint64_t fileCount() const { return files_.size(); }
     uint64_t usedBytes() const { return usedBytes_; }
 

@@ -209,7 +209,6 @@ class FunctionInstance
     InvocationResult invokeTraced(os::FaultTraceSink &sink);
 
     os::Task &task() { return *task_; }
-    std::shared_ptr<os::Task> taskPtr() const { return task_; }
     os::NodeOs &node() { return node_; }
     const FunctionSpec &spec() const { return spec_; }
     const FunctionLayout &layout() const { return layout_; }

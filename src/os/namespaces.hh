@@ -41,12 +41,10 @@ struct NetNamespace
     std::string bridge;
 };
 
-/** Control-group resource configuration. */
+/** Control-group identity (resource limits are out of scope). */
 struct CgroupConfig
 {
     std::string name = "/";
-    uint64_t memLimitBytes = ~0ull;
-    uint32_t cpuShares = 1024;
 };
 
 /** The namespace bundle a task runs in. */

@@ -58,10 +58,6 @@ class Task
     TaskState state() const { return state_; }
     void setState(TaskState s) { state_ = s; }
 
-    /** CPU/NUMA affinity — reconfigurable state, reset on remote fork. */
-    uint64_t cpuAffinity() const { return cpuAffinity_; }
-    void setCpuAffinity(uint64_t mask) { cpuAffinity_ = mask; }
-
   private:
     int pid_;
     std::string name_;
@@ -71,7 +67,6 @@ class Task
     CpuContext cpu_;
     NamespaceSet ns_;
     TaskState state_ = TaskState::Running;
-    uint64_t cpuAffinity_ = ~0ull;
 };
 
 } // namespace cxlfork::os

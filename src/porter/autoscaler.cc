@@ -15,6 +15,17 @@ namespace {
 
 constexpr uint64_t kShellBytes = 512ull << 10; // bare container shell
 
+/** Memory pressure at which the porter goes frugal (Sec. 5 HighMem). */
+constexpr double kHighMemFrac = 0.9;
+
+/**
+ * Transient restore faults: attempts retried before the request
+ * degrades to a cold start, the first backoff, and its growth factor.
+ */
+constexpr uint32_t kMaxRestoreRetries = 2;
+constexpr SimTime kRestoreRetryBackoff = SimTime::ms(1);
+constexpr double kRetryBackoffMultiplier = 2.0;
+
 /**
  * Functions whose specs agree on everything that determines page
  * content produce identical checkpoint pages (pageToken is independent
@@ -71,9 +82,6 @@ PorterSim::PorterSim(PorterConfig cfg,
     fnStates_.resize(functions_.size());
     for (size_t i = 0; i < fnStates_.size(); ++i) {
         FnState &f = fnStates_[i];
-        f.restorePolicy = cfg_.dynamicTiering
-                              ? os::TieringPolicy::MigrateOnWrite
-                              : cfg_.staticPolicy;
         if (cfg_.mechanism != Mechanism::CriuCxl)
             f.ghostsAvailable = cfg_.ghostsPerFunction;
         f.contentGroup = contentKey(functions_[i]);
@@ -134,8 +142,8 @@ PorterSim::memPressure() const
 SimTime
 PorterSim::keepAliveNow() const
 {
-    return memPressure() >= cfg_.highMemFrac ? cfg_.keepAlivePressured
-                                             : cfg_.keepAlive;
+    return memPressure() >= kHighMemFrac ? cfg_.keepAlivePressured
+                                         : cfg_.keepAlive;
 }
 
 PorterMetrics
@@ -404,7 +412,7 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
     // memory-frugal MoW under memory pressure (Sec. 5 HighMem).
     os::TieringPolicy policy = fn.restorePolicy;
     if (cfg_.mechanism == Mechanism::CxlFork && cfg_.dynamicTiering &&
-        memPressure() >= cfg_.highMemFrac) {
+        memPressure() >= kHighMemFrac) {
         policy = os::TieringPolicy::MigrateOnWrite;
     }
     const PerfProfile &prof = profileFor(fnIdx, policy);
@@ -426,10 +434,10 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
     }
     bool viaGhost = viaRestore && fn.ghostsAvailable > 0;
     if (viaRestore && cfg_.faults.transientRestoreRate > 0.0) {
-        SimTime backoff = cfg_.faults.restoreRetryBackoff;
+        SimTime backoff = kRestoreRetryBackoff;
         uint32_t attempt = 0;
         while (faultRng_.chance(cfg_.faults.transientRestoreRate)) {
-            if (attempt >= cfg_.faults.maxRestoreRetries) {
+            if (attempt >= kMaxRestoreRetries) {
                 // Budget spent; the checkpoint itself is intact, so
                 // only this request falls back to a cold start.
                 ++metrics_.degradedColdStarts;
@@ -442,18 +450,19 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
             ++metrics_.restoreRetries;
             note("restore_retry", 0);
             retryTime += backoff;
-            backoff = backoff * cfg_.faults.retryBackoffMultiplier;
+            backoff = backoff * kRetryBackoffMultiplier;
         }
     }
 
+    const sim::CostParams &costs = perf_.costs();
     SimTime spawnCost = retryTime;
     uint64_t memNeed = 0;
     if (viaRestore) {
-        spawnCost += viaGhost ? cfg_.ghostTrigger : cfg_.containerCreate;
+        spawnCost += viaGhost ? costs.ghostTrigger : costs.containerCreate;
         spawnCost += prof.restoreLatency + prof.coldExecLatency;
         memNeed = prof.localBytesAfterExec + kShellBytes;
     } else {
-        spawnCost += cfg_.containerCreate + prof.coldStartLatency +
+        spawnCost += costs.containerCreate + prof.coldStartLatency +
                      prof.coldStartExec;
         memNeed = prof.coldLocalBytes + kShellBytes;
     }
@@ -477,7 +486,7 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
             note("ghost_hit", node);
             // Background re-provisioning refills the pool off the
             // critical path.
-            events_.scheduleSorted(events_.now() + cfg_.containerCreate,
+            events_.scheduleSorted(events_.now() + costs.containerCreate,
                                    {kGhostRefill, fnIdx, 0},
                                    kGhostRefillLane);
         }
@@ -791,7 +800,7 @@ PorterSim::controllerTick()
 {
     // Dynamic tiering control (CXLfork variants only).
     if (cfg_.mechanism == Mechanism::CxlFork && cfg_.dynamicTiering) {
-        const bool pressured = memPressure() >= cfg_.highMemFrac;
+        const bool pressured = memPressure() >= kHighMemFrac;
         for (uint32_t i = 0; i < functions_.size(); ++i) {
             FnState &fn = fnStates_[i];
             if (fn.recentLatencyMs.count() == 0)

@@ -50,9 +50,6 @@ struct PorterFaults
     sim::SimTime nodeRecovery = sim::SimTime::sec(30);
     double corruptRestoreRate = 0.0;  ///< P(restore finds image torn).
     double transientRestoreRate = 0.0;///< P(restore attempt transient).
-    uint32_t maxRestoreRetries = 2;
-    sim::SimTime restoreRetryBackoff = sim::SimTime::ms(1);
-    double retryBackoffMultiplier = 2.0;
 
     bool anyEnabled() const
     {
@@ -69,11 +66,10 @@ struct PorterConfig
     /**
      * CXLfork only: dynamically manage tiering (the paper's "CXLporter
      * adjusts the policy based on past performance and memory
-     * pressure"). When false, the static policy below is always used
+     * pressure"). When false, every restore uses migrate-on-write
      * (the CXLfork-MoW bars of Fig. 10).
      */
     bool dynamicTiering = true;
-    os::TieringPolicy staticPolicy = os::TieringPolicy::MigrateOnWrite;
 
     uint32_t numNodes = 2;
     uint32_t coresPerNode = 8;
@@ -82,14 +78,11 @@ struct PorterConfig
 
     sim::SimTime keepAlive = sim::SimTime::sec(600);
     sim::SimTime keepAlivePressured = sim::SimTime::sec(10);
-    double highMemFrac = 0.9;
     double sloFactor = 1.25; ///< SLO = factor x warm local exec.
     uint32_t ghostsPerFunction = 2;
     uint32_t checkpointAfterInvocations = 16;
     sim::SimTime controllerPeriod = sim::SimTime::sec(5);
     sim::SimTime abitResetPeriod = sim::SimTime::sec(30);
-    sim::SimTime containerCreate = sim::SimTime::ms(130);
-    sim::SimTime ghostTrigger = sim::SimTime::us(300);
 
     /**
      * Shared CXL device capacity available for checkpoints. CXLporter

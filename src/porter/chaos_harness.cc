@@ -14,6 +14,12 @@ namespace {
 using harness::kUser;
 constexpr const char *kFunction = "chaosfn";
 
+/** Post-birth poison strike probability per round. */
+constexpr double kStrikeRate = 0.5;
+
+/** Restore invocations per soak round. */
+constexpr uint64_t kRestoresPerRound = 2;
+
 ClusterConfig
 soakCluster(const ChaosConfig &cfg)
 {
@@ -84,7 +90,7 @@ struct ChaosSoak : harness::Soak
     void
     maybeStrike()
     {
-        if (!rng.chance(cfg.strikeRate))
+        if (!rng.chance(kStrikeRate))
             return;
         mem::FrameAllocator &cxl = cluster.machine().cxl();
         const uint64_t used = cxl.usedFrames();
@@ -249,7 +255,7 @@ runChaosSoak(const ChaosConfig &cfg)
             soak.publishGeneration(round / std::max<uint64_t>(
                                                cfg.republishEvery, 1));
         soak.maybeStrike();
-        for (uint64_t r = 0; r < cfg.restoresPerRound; ++r)
+        for (uint64_t r = 0; r < kRestoresPerRound; ++r)
             soak.invokeOnce();
         if (cfg.scrubEveryRounds != 0 && ras.enabled() &&
             (round + 1) % cfg.scrubEveryRounds == 0) {

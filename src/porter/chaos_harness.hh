@@ -41,12 +41,11 @@ struct ChaosConfig
 {
     rfork::MechanismKind mechanism = rfork::MechanismKind::CxlFork;
     uint64_t heapPages = 12;   ///< Parent heap footprint, in pages.
-    uint64_t rounds = 250;     ///< Soak rounds (restores per round below).
+    uint64_t rounds = 250;     ///< Soak rounds, two restores each.
     uint64_t seed = 0xc4a0'5011ULL; ///< Drives every random choice.
 
     // --- Injection mix.
     double poisonRate = 0.02;     ///< Birth poison on CXL allocations.
-    double strikeRate = 0.5;      ///< Post-birth strike prob. per round.
     double transientRate = 0.02;  ///< Per-transaction transient prob.
     double crashProb = 0.25;      ///< Prob. a publish round is crash-armed.
 
@@ -59,7 +58,6 @@ struct ChaosConfig
     bool dedup = true;            ///< Intern checkpoint pages.
     uint64_t tokenPeriod = 4;     ///< Intra-image sharing period.
     uint64_t republishEvery = 8;  ///< Rounds between new generations.
-    uint64_t restoresPerRound = 2;
 
     /**
      * Fabric coherence mode for the soak cluster. Off (the default)

@@ -74,6 +74,12 @@ namespace {
 using harness::kUser;
 constexpr const char *kFunction = "partfn";
 
+/** Rounds a scheduled whole-node cut lasts. */
+constexpr uint64_t kSeverHealRounds = 6;
+
+/** Restore invocations per soak round. */
+constexpr uint64_t kRestoresPerRound = 2;
+
 harness::PageTokens
 tokens(const PartitionConfig &cfg)
 {
@@ -267,7 +273,7 @@ struct PartitionSoak : harness::Soak
         if (severedUntil.count(victim))
             return;
         link().sever(victim);
-        severedUntil[victim] = round + cfg.severHealRounds;
+        severedUntil[victim] = round + kSeverHealRounds;
     }
 
     /** Heal every scheduled cutoff whose time is up. */
@@ -533,7 +539,7 @@ runPartitionSoak(const PartitionConfig &cfg)
         const HeartbeatReport hb = soak.cluster.heartbeatTick();
         soak.rep.heartbeatMisses += hb.misses;
         soak.rep.quarantines += hb.newlyQuarantined.size();
-        for (uint64_t r = 0; r < cfg.restoresPerRound; ++r)
+        for (uint64_t r = 0; r < kRestoresPerRound; ++r)
             soak.invokeOnce();
         if (cfg.splitBrainEvery != 0 &&
             (round + 1) % cfg.splitBrainEvery == 0)

@@ -87,7 +87,7 @@ struct PartitionConfig
 {
     rfork::MechanismKind mechanism = rfork::MechanismKind::CxlFork;
     uint64_t heapPages = 12;   ///< Parent heap footprint, in pages.
-    uint64_t rounds = 200;     ///< Soak rounds (restores per round below).
+    uint64_t rounds = 200;     ///< Soak rounds, two restores each.
     uint64_t seed = 0x11aa'facab1eULL; ///< Drives every random choice.
 
     // --- Link chaos mix.
@@ -96,7 +96,6 @@ struct PartitionConfig
     double degradeFactor = 4.0; ///< Latency multiplier while degraded.
     uint64_t flapTxns = 6;      ///< Failed attempts before a flap heals.
     double scheduledSeverProb = 0.08; ///< Per-round whole-node cutoff.
-    uint64_t severHealRounds = 6;     ///< Rounds a scheduled cut lasts.
     double midPublishSeverProb = 0.2; ///< Publish rounds with a sever
                                       ///< armed at a transaction site.
 
@@ -114,7 +113,6 @@ struct PartitionConfig
     bool dedup = true;
     uint64_t tokenPeriod = 4;
     uint64_t republishEvery = 8;
-    uint64_t restoresPerRound = 2;
 
     /**
      * Fabric queue model for the soak cluster. Off by default; armed,

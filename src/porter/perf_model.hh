@@ -91,6 +91,9 @@ class PerfModel
   public:
     explicit PerfModel(sim::CostParams costs = {}) : costs_(costs) {}
 
+    /** The costs profiles are measured under; the porter's spawn costs. */
+    const sim::CostParams &costs() const { return costs_; }
+
     /** Measure (or return cached) profile. */
     const PerfProfile &profile(const faas::FunctionSpec &spec,
                                Mechanism mech, os::TieringPolicy policy);

@@ -27,7 +27,6 @@ class Encoder
     void putVarint(uint64_t v);
     void putU64(uint64_t v) { putVarint(v); }
     void putU32(uint32_t v) { putVarint(v); }
-    void putBool(bool v) { putVarint(v ? 1 : 0); }
     void putString(const std::string &s);
     void putBytes(const uint8_t *data, size_t n);
 
@@ -89,7 +88,6 @@ class Decoder
 
     uint64_t getU64() { return getVarint(); }
     uint32_t getU32() { return uint32_t(getVarint()); }
-    bool getBool() { return getVarint() != 0; }
     std::string getString();
 
     bool atEnd() const { return pos_ == size_; }

@@ -16,6 +16,19 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/**
+ * Exponential decay applied to every page's score per trained
+ * invocation; a page refaulted every invocation converges to score
+ * 1/(1-decay), one never seen again decays toward zero.
+ */
+constexpr double kDecay = 0.5;
+
+/**
+ * Hot-set admission threshold as a fraction of the maximum possible
+ * score: pages below it (stale one-off faults) are not scheduled.
+ */
+constexpr double kMinScoreFrac = 0.25;
+
 } // namespace
 
 void
@@ -49,10 +62,10 @@ WorkingSetPredictor::train(const std::vector<FaultTraceEntry> &trace)
     // refaults of the same page within one run carry no extra signal
     // for a restore-time prefetch.
     for (auto &[vpn, s] : pages_) {
-        s.score *= cfg_.decay;
-        s.orderSum *= cfg_.decay;
-        s.writeScore *= cfg_.decay;
-        s.readScore *= cfg_.decay;
+        s.score *= kDecay;
+        s.orderSum *= kDecay;
+        s.writeScore *= kDecay;
+        s.readScore *= kDecay;
     }
     std::map<uint64_t, const FaultTraceEntry *> firstFault;
     std::map<uint64_t, bool> wrote;
@@ -93,9 +106,9 @@ WorkingSetPredictor::schedule() const
     double w = 1.0;
     for (uint64_t i = 0; i < invocations_ && i < 64; ++i) {
         maxScore += w;
-        w *= cfg_.decay;
+        w *= kDecay;
     }
-    const double admit = cfg_.minScoreFrac * maxScore;
+    const double admit = kMinScoreFrac * maxScore;
 
     struct Ranked
     {
@@ -117,28 +130,10 @@ WorkingSetPredictor::schedule() const
             return a.meanOrder < b.meanOrder;
         return a.vpn < b.vpn;
     });
-    if (cfg_.maxPages && ranked.size() > cfg_.maxPages)
-        ranked.resize(cfg_.maxPages);
     out.pages.reserve(ranked.size());
     for (const Ranked &r : ranked)
         out.pages.push_back({r.vpn, r.wantWrite});
     return out;
-}
-
-WorkingSetPredictor &
-PredictorRegistry::forFunction(const std::string &name)
-{
-    auto it = predictors_.find(name);
-    if (it == predictors_.end())
-        it = predictors_.emplace(name, WorkingSetPredictor(cfg_)).first;
-    return it->second;
-}
-
-const WorkingSetPredictor *
-PredictorRegistry::find(const std::string &name) const
-{
-    auto it = predictors_.find(name);
-    return it == predictors_.end() ? nullptr : &it->second;
 }
 
 PrefetchSchedule

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "os/kernel.hh"
@@ -59,27 +58,6 @@ class FaultTraceRecorder : public os::FaultTraceSink
     bool any_ = false;
 };
 
-/** Working-set predictor tunables. */
-struct PredictorConfig
-{
-    /**
-     * Exponential decay applied to every page's score per trained
-     * invocation; a page refaulted every invocation converges to score
-     * 1/(1-decay), one never seen again decays toward zero.
-     */
-    double decay = 0.5;
-
-    /**
-     * Hot-set admission threshold as a fraction of the maximum
-     * possible score: pages below it (stale one-off faults) are not
-     * scheduled.
-     */
-    double minScoreFrac = 0.25;
-
-    /** Hard cap on scheduled pages (0: unlimited). */
-    uint64_t maxPages = 0;
-};
-
 /** The pages a restore should pre-fault, in issue order. */
 struct PrefetchSchedule
 {
@@ -104,8 +82,6 @@ struct PrefetchSchedule
 class WorkingSetPredictor
 {
   public:
-    explicit WorkingSetPredictor(PredictorConfig cfg = {}) : cfg_(cfg) {}
-
     /** Fold one invocation's recorded fault stream into the hot-set. */
     void train(const std::vector<FaultTraceEntry> &trace);
 
@@ -116,9 +92,6 @@ class WorkingSetPredictor
      */
     PrefetchSchedule schedule() const;
 
-    uint64_t invocationsTrained() const { return invocations_; }
-    size_t trackedPages() const { return pages_.size(); }
-
   private:
     struct PageScore
     {
@@ -128,27 +101,8 @@ class WorkingSetPredictor
         double readScore = 0.0;
     };
 
-    PredictorConfig cfg_;
     uint64_t invocations_ = 0;
     std::map<uint64_t, PageScore> pages_; ///< Ordered: determinism.
-};
-
-/**
- * Per-function predictor table, keyed by function name. The FaaS
- * driver trains the entry after each traced invocation and asks for
- * its schedule before the next restore of the same function.
- */
-class PredictorRegistry
-{
-  public:
-    explicit PredictorRegistry(PredictorConfig cfg = {}) : cfg_(cfg) {}
-
-    WorkingSetPredictor &forFunction(const std::string &name);
-    const WorkingSetPredictor *find(const std::string &name) const;
-
-  private:
-    PredictorConfig cfg_;
-    std::map<std::string, WorkingSetPredictor> predictors_;
 };
 
 /**

@@ -34,7 +34,6 @@ struct Value
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
     bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
 
     /** Object member lookup; nullptr when absent or not an object. */
     const Value *find(std::string_view key) const;

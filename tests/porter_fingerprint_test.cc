@@ -125,7 +125,6 @@ configFor(Mechanism mech, Variant v)
         break;
     case Variant::StaticMow:
         cfg.dynamicTiering = false;
-        cfg.staticPolicy = os::TieringPolicy::MigrateOnWrite;
         break;
     case Variant::MemScaleQuarter:
         cfg.memoryScale = 0.25;

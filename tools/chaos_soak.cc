@@ -8,8 +8,7 @@
  * transaction errors, and seeded mid-publish node crashes. Exits 1
  * if any audited invariant is violated — a restore that is neither
  * byte-identical nor provably reclaimed, a leaked frame, or a failed
- * teardown audit. A malformed flag or CXLFORK_CHAOS_ROUNDS prints the
- * usage line and exits 2.
+ * teardown audit. A malformed flag prints the usage line and exits 2.
  *
  * Usage:
  *   chaos_soak [--mechanism cxlfork|criu|mitosis|localfork]
@@ -23,9 +22,6 @@
  *                fail if any mechanism's checkpoint-survival fraction
  *                falls below F (default 0.9; ignored in --negative
  *                mode, where losses are the point)
- *
- * Environment:
- *   CXLFORK_CHAOS_ROUNDS  overrides --rounds (CI scales soak length).
  */
 
 #include <cstdio>
@@ -42,7 +38,7 @@ main(int argc, char **argv)
 {
     const tools::SoakFlags f = tools::parseSoakFlags(
         argc, argv, {.rounds = 250, .seed = 0xc4a0'5011ULL},
-        "CXLFORK_CHAOS_ROUNDS", /*negativeZeroesReplicas=*/true);
+        /*negativeZeroesReplicas=*/true);
 
     sim::Table t(f.negative
                      ? "Chaos soak, negative control (replicas=0): losses "

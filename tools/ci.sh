@@ -8,6 +8,22 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build}"
 JOBS="${JOBS:-$(nproc)}"
 
+echo "== Checking the environment variables the code reads"
+# Programs read only these; a layer, harness or tool setting belongs in
+# a config field or a flag. A read whose name is not a string literal
+# fails too, since it cannot be checked.
+allowed='CXLFORK_(JOBS|TRACE|TRACE_JSON|METRICS_JSON|WALLCLOCK_JSON|CXL_LATENCY_NS)'
+allowed="$allowed|CXLF_PROF_OUT|GOLDEN_[A-Z_]+"
+stray=$(grep -rnoE 'getenv[[:space:]]*\([^)]*\)' \
+            "$REPO_ROOT/src" "$REPO_ROOT/bench" "$REPO_ROOT/tools" \
+            --include='*.cc' --include='*.hh' --include='*.h' |
+        grep -vE "getenv[[:space:]]*\(\"($allowed)\"\)\$" || true)
+if [ -n "$stray" ]; then
+    echo "ci: environment reads outside the documented set:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 echo "== Configuring $BUILD_DIR"
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
 cmake --build "$BUILD_DIR" -j "$JOBS"

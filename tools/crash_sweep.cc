@@ -6,27 +6,24 @@
  * each mechanism, crashes there, recovers, and audits the machine-wide
  * invariants (no leaked frames, no torn image visible, no surviving
  * STAGED journal record). Exits 1 if any site violates them; a
- * malformed flag or CXLFORK_CRASH_SITE prints the usage line and
- * exits 2.
+ * malformed flag prints the usage line and exits 2.
  *
  * Usage:
  *   crash_sweep [--mechanism cxlfork|criu|mitosis|localfork]
- *               [--pages N] [--unsafe]
+ *               [--pages N] [--unsafe] [--site K]
  *
  *   --mechanism  restrict the sweep to one mechanism (default: all four)
  *   --pages      parent heap footprint in pages (default: 16)
  *   --unsafe     publish with PublishPolicy::DirectPutUnsafe; the sweep
  *                is expected to FAIL, demonstrating why the two-phase
  *                journal exists
- *
- * Environment:
- *   CXLFORK_CRASH_SITE=<k>  run only site k per mechanism instead of
- *                           the full enumeration (k past the counted
- *                           range runs the crash-free control).
+ *   --site       run only site K per mechanism instead of the full
+ *                enumeration (K past the counted range runs the
+ *                crash-free control) — the replay for one failing site
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,11 +54,12 @@ main(int argc, char **argv)
 {
     const tools::Flags flags(
         argv[0], "[--mechanism cxlfork|criu|mitosis|localfork] "
-                 "[--pages N] [--unsafe]");
+                 "[--pages N] [--unsafe] [--site K]");
     std::vector<rfork::MechanismKind> mechanisms(rfork::kAllMechanisms.begin(),
                                                  rfork::kAllMechanisms.end());
     uint64_t pages = 16;
     rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase;
+    std::optional<uint64_t> site;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -71,20 +69,18 @@ main(int argc, char **argv)
             pages = flags.count(argv[++i], 1, UINT64_MAX / mem::kPageSize);
         } else if (arg == "--unsafe") {
             policy = rfork::PublishPolicy::DirectPutUnsafe;
+        } else if (arg == "--site" && i + 1 < argc) {
+            site = flags.count(argv[++i]);
         } else {
             flags.usage();
         }
     }
 
-    // CXLFORK_CRASH_SITE pins the sweep to one site per mechanism —
-    // the replay knob for debugging a single failing k.
-    const char *siteEnv = std::getenv("CXLFORK_CRASH_SITE");
     bool violated = false;
 
-    if (siteEnv) {
-        const uint64_t site = flags.count(siteEnv);
-        sim::Table t("Single crash site (CXLFORK_CRASH_SITE=" +
-                     std::string(siteEnv) + ")");
+    if (site) {
+        sim::Table t("Single crash site (--site " + std::to_string(*site) +
+                     ")");
         t.setHeader({"Mechanism", "Site", "Crashed", "Image", "Restored",
                      "Frames recl", "Recovery (us)", "Verdict"});
         for (rfork::MechanismKind mech : mechanisms) {
@@ -93,7 +89,7 @@ main(int argc, char **argv)
             cfg.heapPages = pages;
             cfg.policy = policy;
             const porter::CrashSiteResult r =
-                porter::runCrashAtSite(cfg, site);
+                porter::runCrashAtSite(cfg, *site);
             violated |= r.violation;
             addSiteRow(t, mech, r);
         }

@@ -100,13 +100,12 @@ struct SoakFlags
 };
 
 /**
- * Parse the soak flags over the defaults in `f`; the environment
- * variable `roundsEnv` then overrides --rounds. When
+ * Parse the soak flags over the defaults in `f`. When
  * `negativeZeroesReplicas`, --negative also sets replicas to 0 (a later
  * --replicas still wins).
  */
 inline SoakFlags
-parseSoakFlags(int argc, char **argv, SoakFlags f, const char *roundsEnv,
+parseSoakFlags(int argc, char **argv, SoakFlags f,
                bool negativeZeroesReplicas)
 {
     const Flags flags(argv[0],
@@ -133,8 +132,6 @@ parseSoakFlags(int argc, char **argv, SoakFlags f, const char *roundsEnv,
             flags.usage();
         }
     }
-    if (const char *env = std::getenv(roundsEnv))
-        f.rounds = flags.count(env, 1);
     return f;
 }
 

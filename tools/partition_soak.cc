@@ -10,8 +10,8 @@
  * every few rounds. Exits 1 if any audited invariant is violated — a
  * restore that is neither byte-identical nor provably degraded, a
  * zombie publish the fence let through, a leaked frame, or a survival
- * fraction below the threshold. A malformed flag or
- * CXLFORK_PARTITION_ROUNDS prints the usage line and exits 2.
+ * fraction below the threshold. A malformed flag prints the usage line
+ * and exits 2.
  *
  * Usage:
  *   partition_soak [--mechanism cxlfork|criu|mitosis|localfork]
@@ -26,9 +26,6 @@
  *                fail if any mechanism's restore-survival fraction
  *                falls below F (default 0.9; ignored in --negative
  *                mode)
- *
- * Environment:
- *   CXLFORK_PARTITION_ROUNDS  overrides --rounds (CI scales length).
  */
 
 #include <cstdio>
@@ -45,7 +42,7 @@ main(int argc, char **argv)
 {
     const tools::SoakFlags f = tools::parseSoakFlags(
         argc, argv, {.rounds = 200, .seed = 0x11aa'facab1eULL},
-        "CXLFORK_PARTITION_ROUNDS", /*negativeZeroesReplicas=*/false);
+        /*negativeZeroesReplicas=*/false);
 
     sim::Table t(f.negative
                      ? "Partition soak, negative control (epoch fence "
