@@ -389,8 +389,8 @@ ablationCrossTenant()
     t.print();
 }
 
-int
-main()
+static int
+benchMain()
 {
     ablationAttach();
     ablationPrefetch();
@@ -406,4 +406,10 @@ main()
                                "cost");
     bench::finishBench("ablation");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ablation", benchMain);
 }

@@ -9,8 +9,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -61,4 +61,10 @@ main()
     table.print();
     bench::finishBench("ckpt");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_checkpoint", benchMain);
 }

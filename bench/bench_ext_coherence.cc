@@ -27,8 +27,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -152,4 +152,10 @@ main()
     t.print();
     bench::finishBench("ext_coherence");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_coherence", benchMain);
 }

@@ -29,8 +29,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -156,4 +156,10 @@ main()
 
     bench::finishBench("ext_contention");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_contention", benchMain);
 }

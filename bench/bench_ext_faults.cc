@@ -22,8 +22,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
     using porter::PorterConfig;
@@ -288,4 +288,10 @@ main()
     }
     bench::finishBench("ext_faults");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_faults", benchMain);
 }

@@ -18,8 +18,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -85,4 +85,10 @@ main()
     t.print();
     bench::finishBench("ext_keepalive");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_keepalive", benchMain);
 }

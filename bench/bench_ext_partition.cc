@@ -18,8 +18,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -117,4 +117,10 @@ main()
 
     bench::finishBench("ext_partition");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_partition", benchMain);
 }

@@ -22,8 +22,8 @@
 #include "bench_util.hh"
 #include "cxl/fabric_queue.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -185,4 +185,10 @@ main()
     m.print();
     bench::finishBench("ext_scaling");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_scaling", benchMain);
 }

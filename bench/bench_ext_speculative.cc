@@ -63,8 +63,8 @@ decoysFor(const rfork::PrefetchSchedule &sched)
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     const std::vector<faas::FunctionSpec> workloads =
         faas::representativeWorkloads();
@@ -296,4 +296,10 @@ main()
 
     bench::finishBench("ext_speculative");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_speculative", benchMain);
 }

@@ -14,8 +14,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -76,4 +76,10 @@ main()
     t.print();
     bench::finishBench("ext_writeheavy");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_ext_writeheavy", benchMain);
 }

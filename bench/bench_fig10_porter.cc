@@ -16,8 +16,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
     using porter::Mechanism;
@@ -175,4 +175,10 @@ main()
     }
     bench::finishBench("fig10");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_fig10_porter", benchMain);
 }

@@ -9,8 +9,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
     using os::Pte;
@@ -74,4 +74,10 @@ main()
     table.print();
     bench::finishBench("fig1");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_fig1_footprint", benchMain);
 }

@@ -11,8 +11,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
     using bench::RforkRun;
@@ -78,4 +78,10 @@ main()
                                "Mitosis-CXL restore: per-phase cost");
     bench::finishBench("fig3");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_fig3_motivation", benchMain);
 }

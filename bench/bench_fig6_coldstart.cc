@@ -9,8 +9,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -53,4 +53,10 @@ main()
     table.print();
     bench::finishBench("fig6");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_fig6_coldstart", benchMain);
 }

@@ -15,8 +15,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
     using bench::RforkRun;
@@ -172,4 +172,10 @@ main()
                                "Mitosis-CXL restore: per-phase cost");
     bench::finishBench("fig7");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_fig7_rfork", benchMain);
 }

@@ -12,8 +12,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
     using os::TieringPolicy;
@@ -137,4 +137,10 @@ main()
                                "CXLfork HT restore: per-phase cost");
     bench::finishBench("fig8");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_fig8_tiering", benchMain);
 }

@@ -15,8 +15,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -134,4 +134,10 @@ main()
     }
     bench::finishBench("fig9");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_fig9_latency", benchMain);
 }

@@ -11,6 +11,7 @@
 #include "cxl/coherence.hh"
 #include "cxl/page_store.hh"
 #include "faas/workloads.hh"
+#include "porter/autoscaler.hh"
 #include "porter/trace.hh"
 #include "proto/messages.hh"
 #include "rfork/criu.hh"
@@ -329,6 +330,52 @@ BM_TraceGenerate(benchmark::State &state)
     state.SetItemsProcessed(int64_t(requests));
 }
 BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMillisecond);
+
+// --- The porter event loop alone: PorterSim::run over one such trace,
+// on the porter_trace cluster (CXLfork with dynamic tiering, two
+// 32-core nodes at memory scale 0.5). The trace and every profile are
+// built once, outside the timed loop; each iteration runs a fresh
+// PorterSim.
+
+void
+BM_PorterRun(benchmark::State &state)
+{
+    std::vector<std::string> streams{"Float"};
+    std::vector<faas::FunctionSpec> functions;
+    for (const faas::WorkloadEntry &e : faas::table1Workloads()) {
+        streams.push_back(e.spec.name);
+        functions.push_back(e.spec);
+    }
+    porter::TraceConfig tc;
+    tc.totalRps = 150.0;
+    tc.duration = sim::SimTime::sec(900);
+    const auto trace = porter::TraceGenerator(streams, tc).generate();
+
+    porter::PorterConfig pc;
+    pc.mechanism = porter::Mechanism::CxlFork;
+    pc.dynamicTiering = true;
+    pc.numNodes = 2;
+    pc.coresPerNode = 32;
+    pc.memPerNodeBytes = mem::gib(8);
+    pc.memoryScale = 0.5;
+    pc.cxlCapacityBytes = mem::gib(16);
+    pc.dedupCapacity = false;
+    porter::PerfModel perf;
+    for (const faas::FunctionSpec &spec : functions) {
+        for (os::TieringPolicy p : {os::TieringPolicy::MigrateOnWrite,
+                                    os::TieringPolicy::Hybrid})
+            perf.profile(spec, pc.mechanism, p);
+    }
+
+    uint64_t requests = 0;
+    for (auto _ : state) {
+        porter::PorterSim sim(pc, functions, perf);
+        benchmark::DoNotOptimize(sim.run(trace).warmHits);
+        requests += trace.size();
+    }
+    state.SetItemsProcessed(int64_t(requests));
+}
+BENCHMARK(BM_PorterRun)->Unit(benchmark::kMillisecond);
 
 // --- The two draws trace generation makes: a raw 64-bit draw, and an
 // exponential at the mean candidate gap of one such stream (0.022 s).
@@ -704,7 +751,9 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    WallClockReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    return 0;
+    return bench::guardedMain("bench_micro", [] {
+        WallClockReporter reporter;
+        benchmark::RunSpecifiedBenchmarks(&reporter);
+        return 0;
+    });
 }

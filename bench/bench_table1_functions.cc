@@ -7,8 +7,8 @@
 
 #include "bench_util.hh"
 
-int
-main()
+static int
+benchMain()
 {
     using namespace cxlfork;
 
@@ -39,4 +39,10 @@ main()
     table.print();
     bench::finishBench("table1");
     return 0;
+}
+
+int
+main()
+{
+    return cxlfork::bench::guardedMain("bench_table1_functions", benchMain);
 }

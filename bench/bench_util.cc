@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -432,6 +433,17 @@ finishBench(const std::string &benchName)
     appendWallClock(
         benchName,
         std::chrono::duration<double, std::milli>(elapsed).count(), "ms");
+}
+
+int
+guardedMain(const char *bench, const std::function<int()> &body)
+{
+    try {
+        return body();
+    } catch (const sim::FatalError &e) {
+        std::fprintf(stderr, "%s: %s\n", bench, e.what());
+        return 1;
+    }
 }
 
 } // namespace cxlfork::bench

@@ -227,4 +227,12 @@ void appendWallClock(const std::string &name, double value,
  */
 void finishBench(const std::string &benchName);
 
+/**
+ * A bench's main(): run body and return its exit status. A
+ * sim::FatalError (a malformed environment variable, an unwritable
+ * output path) prints "<bench>: <message>" to stderr and returns 1,
+ * instead of aborting the process.
+ */
+int guardedMain(const char *bench, const std::function<int()> &body);
+
 } // namespace cxlfork::bench

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numeric>
 
 #include "sim/log.hh"
 
@@ -169,7 +168,6 @@ PorterSim::run(const std::vector<Request> &trace)
                        req.function.name().c_str());
         }
     }
-    traceBase_ = trace.data();
     ran_ = true;
 
     metrics_ = PorterMetrics{};
@@ -177,26 +175,21 @@ PorterSim::run(const std::vector<Request> &trace)
     for (FnState &f : fnStates_)
         f.latency = nullptr;
 
-    // Arrivals take the sorted lane in (arrival, trace position) order:
-    // the order the heap would dispatch them in.
-    std::vector<uint64_t> arrivals(trace.size());
-    std::iota(arrivals.begin(), arrivals.end(), uint64_t(0));
-    const auto byArrival = [&trace](uint64_t a, uint64_t b) {
-        return trace[a].arrival < trace[b].arrival;
-    };
-    if (!std::is_sorted(arrivals.begin(), arrivals.end(), byArrival))
-        std::stable_sort(arrivals.begin(), arrivals.end(), byArrival);
-    events_.reserveSorted(kArrivalLane, arrivals.size());
-    for (uint64_t i : arrivals) {
-        events_.scheduleSorted(trace[i].arrival, {kArrive, 0, i},
-                               kArrivalLane);
-    }
     if (!trace.empty()) {
         events_.scheduleSorted(trace.front().arrival + cfg_.controllerPeriod,
                                {kControllerTick, 0, 0}, kControllerLane);
     }
     scheduleCrashes(trace);
-    events_.run([this](sim::EventQueue::Event ev) { handle(ev); });
+    // Arrivals are read from the trace in place; each goes before
+    // every queued event at its time.
+    arrivalsLeft_ = trace.size();
+    events_.runMerged(
+        trace.size(), [&trace](size_t i) { return trace[i].arrival; },
+        [this, &trace](size_t i) {
+            --arrivalsLeft_;
+            dispatch(trace[i], events_.now());
+        },
+        [this](sim::EventQueue::Event ev) { handle(ev); });
 
     if (!trace.empty()) {
         const double span =
@@ -213,9 +206,6 @@ void
 PorterSim::handle(sim::EventQueue::Event ev)
 {
     switch (EventKind(ev.kind)) {
-    case kArrive:
-        dispatch(traceBase_[ev.b], events_.now());
-        return;
     case kComplete:
         complete(ev.b);
         return;
@@ -849,8 +839,9 @@ PorterSim::controllerTick()
         ++metrics_.abitResets;
     }
 
-    // Keep ticking while there is work left.
-    if (!events_.empty()) {
+    // Keep ticking while there is work left: queued events, or
+    // requests still to arrive.
+    if (!events_.empty() || arrivalsLeft_ > 0) {
         events_.scheduleSorted(events_.now() + cfg_.controllerPeriod,
                                {kControllerTick, 0, 0}, kControllerLane);
     }

@@ -148,12 +148,12 @@ class PorterSim
               PerfModel &perf);
 
     /**
-     * The event queue's sorted lanes. Each carries one stream whose
-     * times never decrease: the trace's arrivals, and timers whose
-     * delay is one fixed config value.
+     * The event queue's sorted lanes, one per timer whose delay is one
+     * fixed config value, so each lane's times never decrease. The
+     * trace's arrivals are not queued: run() merges them in from the
+     * trace, and completions and crash events take the heap.
      */
     enum Lane : size_t {
-        kArrivalLane,
         kKeepAliveLane,          ///< Timers of cfg.keepAlive.
         kPressuredKeepAliveLane, ///< Of cfg.keepAlivePressured, if it
                                  ///< differs from cfg.keepAlive.
@@ -201,7 +201,6 @@ class PorterSim
   private:
     /** What an event-queue payload asks the simulation to do. */
     enum EventKind : uint32_t {
-        kArrive,         ///< b: the request's index in the trace.
         kComplete,       ///< b: instance id.
         kEvictIfIdle,    ///< a: generation, b: instance id.
         kGhostRefill,    ///< a: function index.
@@ -365,7 +364,7 @@ class PorterSim
      * fall past its end.
      */
     std::vector<uint32_t> fnOfId_;
-    const Request *traceBase_ = nullptr; ///< The running trace.
+    size_t arrivalsLeft_ = 0; ///< Trace requests not yet dispatched.
     /** Dense instance table; slot 0 is never live. */
     std::vector<Instance> instances_{1};
     std::deque<PendingRequest> memQueue_;

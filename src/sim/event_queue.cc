@@ -5,13 +5,9 @@
 namespace cxlfork::sim {
 
 void
-EventQueue::Lane::reserve(size_t n)
+EventQueue::Lane::grow()
 {
-    size_t capacity = std::max<size_t>(16, capacity_);
-    while (capacity < size_ + n)
-        capacity *= 2;
-    if (capacity == capacity_)
-        return;
+    const size_t capacity = capacity_ ? capacity_ * 2 : 16;
     // Keys are trivial, so the new ring is left uninitialised: only the
     // live keys are copied, and push() writes each slot before front()
     // can read it.
@@ -56,11 +52,13 @@ EventQueue::scheduleSorted(SimTime t, Event ev, size_t lane)
 }
 
 void
-EventQueue::reserveSorted(size_t lane, size_t n)
+EventQueue::advanceTo(SimTime t)
 {
-    if (lane >= kLanes)
-        panic("EventQueue::reserveSorted lane %zu of %zu", lane, kLanes);
-    lanes_[lane].reserve(n);
+    if (t < now_)
+        panic("EventQueue::runMerged arrival in the past (%f < %f ns)",
+              t.toNs(), now_.toNs());
+    now_ = t;
+    ++counters_.dispatches;
 }
 
 } // namespace cxlfork::sim

@@ -8,22 +8,26 @@
  * out internally.
  *
  * A payload is a 16-byte trivially copyable Event that the owner
- * interprets: a kind and two operands. step() and run() take the
- * handler as a callable and call it inline with each dispatched Event,
- * so scheduling and dispatching allocate nothing and call through no
- * type-erased wrapper.
+ * interprets: a kind and two operands. step(), run() and runMerged()
+ * take the handler as a callable and call it inline with each
+ * dispatched Event, so scheduling and dispatching allocate nothing and
+ * call through no type-erased wrapper.
  *
  * One binary heap and kLanes sorted FIFO lanes share one sequence
  * counter. schedule() pushes a 32-byte key onto the heap.
  * scheduleSorted() appends to one of the lanes, each a ring buffer for
- * a stream whose times never decrease (a trace's arrivals, timers with
- * one fixed delay), which then costs nothing to order. step()
- * dispatches the earliest of the heap front and the lane heads by
- * (time, sequence).
+ * a stream whose times never decrease (timers with one fixed delay),
+ * which then costs nothing to order. step() dispatches the earliest of
+ * the heap front and the lane heads by (time, sequence).
+ *
+ * A stream the owner already holds, such as a trace's arrivals, is not
+ * copied into the queue: runMerged() reads it in place and dispatches
+ * each arrival before every queued event at the same time, the order
+ * it would have had if every arrival were scheduled before the run.
  *
  * The queue also counts its own work (heap pushes, pushes per lane,
- * dispatches) in plain integers that no clock or RNG touches, so a
- * test can pin them exactly on any host.
+ * dispatches, merged arrivals included) in plain integers that no
+ * clock or RNG touches, so a test can pin them exactly on any host.
  */
 
 #pragma once
@@ -32,6 +36,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <type_traits>
 #include <vector>
 
@@ -80,12 +85,6 @@ class EventQueue
      */
     void scheduleSorted(SimTime t, Event ev, size_t lane = 0);
 
-    /**
-     * Make room for n more events on sorted lane `lane`, so that
-     * scheduling them does not reallocate.
-     */
-    void reserveSorted(size_t lane, size_t n);
-
     /** Current simulated time (time of the last dispatched event). */
     SimTime now() const { return now_; }
 
@@ -124,6 +123,51 @@ class EventQueue
         }
     }
 
+    /**
+     * Dispatch n arrivals the caller holds itself merged with the
+     * queued events, then drain the queue as run() does. Arrival i is
+     * at arrivalAt(i) (>= now), and arrive(i) dispatches it with now()
+     * at that time. Arrivals go in (time, i) order, read in index
+     * order without a copy when their times never decrease. An arrival
+     * goes whenever no queued event is strictly earlier, so it goes
+     * before every queued event at its time, however and whenever that
+     * event was scheduled. Each arrival counts as a dispatch, and each
+     * dispatch scans the queue's heads once.
+     */
+    template <typename ArrivalAt, typename Arrive, typename Handler>
+    void
+    runMerged(size_t n, ArrivalAt &&arrivalAt, Arrive &&arrive,
+              Handler &&handle)
+    {
+        std::vector<size_t> order; // empty: index order
+        for (size_t i = 1; i < n; ++i) {
+            if (arrivalAt(i) < arrivalAt(i - 1)) {
+                order.resize(n);
+                std::iota(order.begin(), order.end(), size_t(0));
+                std::stable_sort(order.begin(), order.end(),
+                                 [&](size_t a, size_t b) {
+                                     return arrivalAt(a) < arrivalAt(b);
+                                 });
+                break;
+            }
+        }
+        for (size_t k = 0; k < n;) {
+            const size_t i = order.empty() ? k : order[k];
+            const SimTime t = arrivalAt(i);
+            if (!empty()) {
+                const size_t source = earliest();
+                if (head(source).when < t.toNs()) {
+                    handle(take(source));
+                    continue;
+                }
+            }
+            advanceTo(t);
+            ++k;
+            arrive(i);
+        }
+        run(handle);
+    }
+
   private:
     /**
      * Heap and lane entry. The time is kept as its nanosecond count so
@@ -145,13 +189,13 @@ class EventQueue
         bool empty() const { return size_ == 0; }
         const Key &front() const { return ring_[head_]; }
         const Key &back() const { return ring_[(head_ + size_ - 1) & mask()]; }
-        /** Grow the ring to hold at least n more keys. */
-        void reserve(size_t n);
+        /** Double the ring (to 16 keys if it has none). */
+        void grow();
         void
         push(const Key &k)
         {
             if (size_ == capacity_)
-                reserve(1);
+                grow();
             ring_[(head_ + size_) & mask()] = k;
             ++size_;
         }
@@ -196,6 +240,9 @@ class EventQueue
     static constexpr size_t kHeap = kLanes;
 
     Key makeKey(SimTime t, Event ev);
+
+    /** Move the clock to t (>= now) for a merged arrival. */
+    void advanceTo(SimTime t);
 
     /** Source of the earliest pending event; the queue is non-empty. */
     size_t

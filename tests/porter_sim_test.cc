@@ -303,12 +303,12 @@ TEST_F(PorterSimTest, EventCountersPinned)
 
     const sim::EventQueue::Counters &c = sim.eventCounters();
     EXPECT_EQ(c.heapPushes, trace.size());
-    EXPECT_EQ(c.lanePushes[PorterSim::kArrivalLane], trace.size());
     EXPECT_EQ(c.lanePushes[PorterSim::kGhostRefillLane], m.ghostHits);
+    // Arrivals are dispatched straight from the trace, never queued.
     uint64_t pushes = c.heapPushes;
     for (uint64_t n : c.lanePushes)
         pushes += n;
-    EXPECT_EQ(c.dispatches, pushes);
+    EXPECT_EQ(c.dispatches, pushes + trace.size());
 
     // Both keep-alive windows run: memory pressure shortens some.
     EXPECT_EQ(c.heapPushes, 1100u);
@@ -318,6 +318,39 @@ TEST_F(PorterSimTest, EventCountersPinned)
     EXPECT_EQ(c.lanePushes[PorterSim::kGhostRefillLane], 6u);
     EXPECT_EQ(c.dispatches, 3438u);
     EXPECT_GT(m.evictions, 0u);
+}
+
+/**
+ * The controller keeps ticking while requests are still to arrive,
+ * even when nothing is queued or in flight. Two bursts are 100 s
+ * apart, much longer than the keep-alive window, so every instance of
+ * the first burst is evicted and its timers have all fired midway
+ * through the gap. The tick and A-bit reset counts are the values
+ * recorded when arrivals still waited in the event queue; a tick that
+ * stopped in the gap would never restart for the second burst.
+ */
+TEST_F(PorterSimTest, ControllerTicksAcrossAnIdleGap)
+{
+    PorterConfig cfg;
+    cfg.mechanism = Mechanism::CxlFork;
+    cfg.keepAlive = SimTime::sec(20);
+    cfg.keepAlivePressured = SimTime::sec(20);
+    PorterSim sim(cfg, {tinySpec("a"), tinySpec("b")}, perf);
+    std::vector<Request> trace;
+    for (double start : {0.0, 120.0}) {
+        for (int i = 0; i < 10; ++i) {
+            Request r;
+            r.id = trace.size();
+            r.arrival = SimTime::sec(start + 0.5 * i);
+            r.function = FunctionId::intern(i % 2 ? "b" : "a");
+            trace.push_back(r);
+        }
+    }
+    const auto m = runAudited(sim, trace);
+    EXPECT_EQ(m.latency.count(), trace.size());
+    EXPECT_EQ(sim.eventCounters().lanePushes[PorterSim::kControllerLane],
+              29u);
+    EXPECT_EQ(m.abitResets, 4u);
 }
 
 /**

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
+#include <numeric>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -259,17 +262,16 @@ TEST(EventQueue, LanesAreSortedIndependently)
     EXPECT_EQ(rec.ids, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, ReservedLaneKeepsOrderAcrossItsWrap)
+TEST(EventQueue, LaneKeepsOrderAcrossItsWrap)
 {
     EventQueue q;
     Recorder rec;
     auto add = [&](uint64_t i) {
         q.scheduleSorted(SimTime::ms(double(i)), ev(i), 2);
     };
-    q.reserveSorted(2, 20);
-    for (uint64_t i = 0; i < 12; ++i)
+    for (uint64_t i = 0; i < 12; ++i) // a 16-key ring
         add(i);
-    q.run(rec, 5_ms); // the ring's head moves to slot 6
+    q.run(rec, 5_ms); // its head moves to slot 6, so pushes wrap
     for (uint64_t i = 12; i < 40; ++i)
         add(i);
     q.run(rec);
@@ -358,6 +360,197 @@ TEST(EventQueue, MultiLaneMatchesReferenceOrder)
     }
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.counters().dispatches, nextId);
+}
+
+// --- runMerged: arrivals read from the caller's trace.
+
+/**
+ * runMerged over `arrivals`, recording in dispatch order each arrival's
+ * index and each queued event's id.
+ */
+void
+runMergedRecording(EventQueue &q, const std::vector<SimTime> &arrivals,
+                   std::vector<uint64_t> &order)
+{
+    q.runMerged(
+        arrivals.size(), [&](size_t i) { return arrivals[i]; },
+        [&](size_t i) {
+            EXPECT_EQ(q.now(), arrivals[i]);
+            order.push_back(i);
+        },
+        [&](Event e) { order.push_back(e.b); });
+}
+
+TEST(EventQueue, MergedArrivalGoesBeforeQueuedEventsAtItsTime)
+{
+    EventQueue q;
+    q.schedule(5_ms, ev(100));
+    q.scheduleSorted(5_ms, ev(101), 0);
+    q.schedule(4_ms, ev(102));
+    std::vector<uint64_t> order;
+    runMergedRecording(q, {5_ms}, order);
+    EXPECT_EQ(order, (std::vector<uint64_t>{102, 0, 100, 101}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, MergedArrivalGoesBeforeAnEventScheduledAtItsTime)
+{
+    // The first arrival schedules events at now on the heap and on a
+    // lane; the second arrival, at the same time, still goes first.
+    EventQueue q;
+    const std::vector<SimTime> arrivals{1_ms, 1_ms, 2_ms};
+    std::vector<uint64_t> order;
+    q.runMerged(
+        arrivals.size(), [&](size_t i) { return arrivals[i]; },
+        [&](size_t i) {
+            order.push_back(i);
+            if (i == 0) {
+                q.schedule(q.now(), ev(100));
+                q.scheduleSorted(q.now(), ev(101), 1);
+            }
+        },
+        [&](Event e) { order.push_back(e.b); });
+    EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 100, 101, 2}));
+}
+
+TEST(EventQueue, UnsortedMergedArrivalsGoInArrivalThenPositionOrder)
+{
+    EventQueue q;
+    q.schedule(2_ms, ev(100));
+    std::vector<uint64_t> order;
+    runMergedRecording(q, {3_ms, 1_ms, 2_ms, 1_ms, 3_ms}, order);
+    EXPECT_EQ(order, (std::vector<uint64_t>{1, 3, 2, 100, 0, 4}));
+    EXPECT_EQ(q.now(), 3_ms);
+}
+
+TEST(EventQueue, EmptyMergedTraceDrainsTheQueue)
+{
+    EventQueue q;
+    q.schedule(2_ms, ev(100));
+    q.scheduleSorted(1_ms, ev(101));
+    std::vector<uint64_t> order;
+    runMergedRecording(q, {}, order);
+    EXPECT_EQ(order, (std::vector<uint64_t>{101, 100}));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.counters().dispatches, 2u);
+}
+
+TEST(EventQueue, MergedArrivalsCountAsDispatches)
+{
+    EventQueue q;
+    q.schedule(1_ms, ev(100));
+    q.scheduleSorted(3_ms, ev(101), 2);
+    std::vector<uint64_t> order;
+    runMergedRecording(q, {0_ms, 2_ms, 2_ms, 4_ms}, order);
+    const EventQueue::Counters &c = q.counters();
+    EXPECT_EQ(c.heapPushes, 1u);
+    EXPECT_EQ(c.lanePushes[2], 1u);
+    EXPECT_EQ(c.dispatches, 2u + 4u);
+    EXPECT_EQ(order.size(), 6u);
+}
+
+TEST(EventQueue, MergedArrivalInThePastPanics)
+{
+    EventQueue q;
+    q.schedule(5_ms, ev(0));
+    q.run(ignore);
+    std::vector<uint64_t> order;
+    EXPECT_DEATH(runMergedRecording(q, {1_ms}, order), "past");
+}
+
+/** A dispatch as the handler saw it: (time ns, kind, operand). */
+using Dispatch = std::tuple<double, uint32_t, uint64_t>;
+
+enum : uint32_t {
+    kArrival,
+    kOnHeap,
+    kAtNowOnLane0,
+    kLaterOnLane1,
+    kFirstTimer,
+};
+
+/**
+ * A handler standing in for a simulation. It records every dispatch,
+ * and an event less than two follow-ups deep (operand a) schedules
+ * follow-ups picked by a hash of its operand: on the heap up to 0.75 ms
+ * later (possibly at now), on lane 0 at now, on lane 1 0.5 ms later.
+ */
+struct FollowUps
+{
+    EventQueue &q;
+    std::vector<Dispatch> seen;
+
+    void
+    operator()(Event e)
+    {
+        seen.emplace_back(q.now().toNs(), e.kind, e.b);
+        if (e.a >= 2)
+            return;
+        const uint64_t h = (e.b + 1) * 0x9e3779b97f4a7c15ull >> 59;
+        const uint32_t depth = e.a + 1;
+        if (h & 1) {
+            q.scheduleAfter(SimTime::us(250.0 * double((h >> 1) & 3)),
+                            {kOnHeap, depth, e.b * 4 + 1});
+        }
+        if (h & 8)
+            q.scheduleSorted(q.now(), {kAtNowOnLane0, depth, e.b * 4 + 2}, 0);
+        if (h & 16) {
+            q.scheduleSorted(q.now() + 500_us,
+                             {kLaterOnLane1, depth, e.b * 4 + 3}, 1);
+        }
+    }
+};
+
+/** Events queued before the run, as a simulation's first timers are. */
+void
+scheduleFirstTimers(EventQueue &q)
+{
+    q.schedule(1_ms, {kFirstTimer, 1, 1'000'000});
+    q.scheduleSorted(1_ms, {kFirstTimer, 1, 1'000'001}, 3);
+}
+
+/**
+ * The merge against the scheme it replaces: every arrival scheduled on
+ * a lane of its own, in (arrival, trace position) order, before any
+ * other event. Over seeded traces, sorted and not, with times on a
+ * 0.25 ms grid so that arrivals tie follow-ups of every kind, the
+ * handler must see the same (time, kind, operand) sequence.
+ */
+TEST(EventQueue, MergedArrivalsKeepTheOrderOfQueuedArrivals)
+{
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        std::vector<SimTime> arrivals(300);
+        for (SimTime &t : arrivals)
+            t = SimTime::us(250.0 * double(rng.index(400)));
+        if (seed % 2 == 0)
+            std::sort(arrivals.begin(), arrivals.end());
+
+        EventQueue queued;
+        FollowUps viaLane{queued, {}};
+        std::vector<size_t> order(arrivals.size());
+        std::iota(order.begin(), order.end(), size_t(0));
+        std::stable_sort(order.begin(), order.end(),
+                         [&](size_t a, size_t b) {
+                             return arrivals[a] < arrivals[b];
+                         });
+        for (size_t i : order)
+            queued.scheduleSorted(arrivals[i], {kArrival, 0, i}, 2);
+        scheduleFirstTimers(queued);
+        queued.run(viaLane);
+
+        EventQueue merged;
+        FollowUps viaMerge{merged, {}};
+        scheduleFirstTimers(merged);
+        merged.runMerged(
+            arrivals.size(), [&](size_t i) { return arrivals[i]; },
+            [&](size_t i) { viaMerge({kArrival, 0, i}); }, viaMerge);
+
+        ASSERT_GT(viaLane.seen.size(), 2 * arrivals.size()) << seed;
+        EXPECT_TRUE(viaLane.seen == viaMerge.seen) << "seed " << seed;
+        EXPECT_EQ(merged.counters().dispatches, viaMerge.seen.size());
+        EXPECT_EQ(queued.counters().dispatches, viaLane.seen.size());
+    }
 }
 
 } // namespace
