@@ -210,7 +210,8 @@ BENCHMARK(BM_RestoreAttach)->Unit(benchmark::kMicrosecond)->Iterations(50);
  * One mechanism's restore of a warm function's checkpoint onto another
  * node, every iteration from scratch: with `teardown` false it times
  * the restore (a CXLfork image's verify, attach and dirty prefetch; a
- * CRIU image's decode and install loop), with `teardown` true the
+ * CRIU image's CRC and install loop, its decode paid by the first
+ * iteration only), with `teardown` true the
  * exit that frees the clone's page table and frames.
  */
 void
@@ -243,6 +244,9 @@ BENCHMARK_CAPTURE(BM_MechanismRestore, cxlfork_rnn,
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_MechanismRestore, criu_json,
                   rfork::MechanismKind::CriuCxl, "Json", false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MechanismRestore, criu_rnn,
+                  rfork::MechanismKind::CriuCxl, "Rnn", false)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_MechanismRestore, criu_json_teardown,
                   rfork::MechanismKind::CriuCxl, "Json", true)
@@ -473,23 +477,25 @@ BM_WireEncodeDecode(benchmark::State &state)
     img.global.taskName = "bm";
     for (uint64_t i = 0; i < 10000; ++i)
         img.pages.push_back({i, i * 3});
-    proto::PageBuffer pages;
     for (auto _ : state) {
         proto::Encoder e;
         img.encode(e);
         proto::Decoder d(e.buffer());
         benchmark::DoNotOptimize(proto::CriuImageMsg::decodeHeader(d));
-        pages.decode(d);
+        const uint64_t count = proto::decodePageCount(d);
         uint64_t sum = 0;
-        for (const proto::PageMsg &p : pages)
-            sum += p.content;
+        for (uint64_t i = 0; i < count; ++i)
+            sum += proto::PageMsg::decode(d).content;
         benchmark::DoNotOptimize(sum);
     }
     state.SetBytesProcessed(int64_t(state.iterations()) * 10000 * 16);
 }
 BENCHMARK(BM_WireEncodeDecode);
 
-/** Decode of a real Json CRIU-CXL image, as every CRIU restore does. */
+/**
+ * Decode of a real Json CRIU-CXL image into runs checked against its
+ * VMAs, as the first restore after each write of the image does.
+ */
 void
 BM_CriuImageDecode(benchmark::State &state)
 {
@@ -502,17 +508,11 @@ BM_CriuImageDecode(benchmark::State &state)
     const cxl::CxlFsFile *file =
         cluster.fabric().sharedFs().open(handle->fileName());
     size_t pages = 0;
-    proto::PageBuffer buffer;
+    rfork::CriuRecords records;
     for (auto _ : state) {
-        proto::Decoder d(file->data);
-        const proto::CriuImageMsg img = proto::CriuImageMsg::decodeHeader(d);
-        buffer.decode(d);
-        uint64_t sum = 0;
-        for (const proto::PageMsg &p : buffer)
-            sum += p.content;
-        pages += buffer.size();
-        benchmark::DoNotOptimize(img);
-        benchmark::DoNotOptimize(sum);
+        records.decode(file->data);
+        pages += records.contents().size();
+        benchmark::DoNotOptimize(records.runs().data());
     }
     state.SetItemsProcessed(int64_t(pages));
     state.SetBytesProcessed(int64_t(state.iterations()) *

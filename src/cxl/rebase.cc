@@ -7,8 +7,16 @@ namespace cxlfork::cxl {
 using os::Pte;
 using os::TablePage;
 
+LeafRebaser::LeafRebaser(const mem::Machine &machine)
+    : machine_(machine),
+      rebaseLeaves_(machine.metrics(), "cxl.rebase.leaves"),
+      rebasePtes_(machine.metrics(), "cxl.rebase.ptes"),
+      derebaseLeaves_(machine.metrics(), "cxl.derebase.leaves"),
+      derebasePtes_(machine.metrics(), "cxl.derebase.ptes")
+{}
+
 void
-rebaseLeaf(TablePage &leaf, const mem::Machine &machine)
+LeafRebaser::rebase(TablePage &leaf)
 {
     CXLF_ASSERT(leaf.level() == 0);
     uint32_t rebased = 0;
@@ -17,18 +25,18 @@ rebaseLeaf(TablePage &leaf, const mem::Machine &machine)
         if (!p.present())
             continue;
         if (p.rebased())
-            sim::panic("rebaseLeaf: PTE %u already rebased", i);
-        const uint64_t offset = machine.cxlOffsetOf(p.frame());
+            sim::panic("rebase: PTE %u already rebased", i);
+        const uint64_t offset = machine_.cxlOffsetOf(p.frame());
         p.setFrame(mem::PhysAddr{offset});
         p.set(Pte::kSoftRebased);
         ++rebased;
     }
-    machine.metrics().counter("cxl.rebase.leaves").inc();
-    machine.metrics().counter("cxl.rebase.ptes").inc(rebased);
+    rebaseLeaves_.inc();
+    rebasePtes_.inc(rebased);
 }
 
 void
-derebaseLeaf(TablePage &leaf, const mem::Machine &machine)
+LeafRebaser::derebase(TablePage &leaf)
 {
     CXLF_ASSERT(leaf.level() == 0);
     uint32_t derebased = 0;
@@ -37,13 +45,13 @@ derebaseLeaf(TablePage &leaf, const mem::Machine &machine)
         if (!p.present())
             continue;
         if (!p.rebased())
-            sim::panic("derebaseLeaf: PTE %u not in rebased form", i);
-        p.setFrame(machine.cxlAddrOf(p.frame().raw));
+            sim::panic("derebase: PTE %u not in rebased form", i);
+        p.setFrame(machine_.cxlAddrOf(p.frame().raw));
         p.clear(Pte::kSoftRebased);
         ++derebased;
     }
-    machine.metrics().counter("cxl.derebase.leaves").inc();
-    machine.metrics().counter("cxl.derebase.ptes").inc(derebased);
+    derebaseLeaves_.inc();
+    derebasePtes_.inc(derebased);
 }
 
 bool

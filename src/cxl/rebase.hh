@@ -16,14 +16,33 @@
 namespace cxlfork::cxl {
 
 /**
- * Rewrite every present PTE in a checkpointed leaf from absolute CXL
- * physical addresses to device offsets. All frames must live on the
- * CXL device (the checkpoint copied them there first).
+ * Rewrites checkpointed leaves between absolute CXL addresses and
+ * device offsets. It counts the leaves and PTEs of each direction into
+ * the machine's registry (`cxl.rebase.*`, `cxl.derebase.*`) through
+ * handles it looks up once, not twice per leaf.
  */
-void rebaseLeaf(os::TablePage &leaf, const mem::Machine &machine);
+class LeafRebaser
+{
+  public:
+    explicit LeafRebaser(const mem::Machine &machine);
 
-/** Inverse of rebaseLeaf for the local device mapping. */
-void derebaseLeaf(os::TablePage &leaf, const mem::Machine &machine);
+    /**
+     * Rewrite every present PTE in a checkpointed leaf from absolute
+     * CXL physical addresses to device offsets. All frames must live on
+     * the CXL device (the checkpoint copied them there first).
+     */
+    void rebase(os::TablePage &leaf);
+
+    /** Inverse of rebase() for the local device mapping. */
+    void derebase(os::TablePage &leaf);
+
+  private:
+    const mem::Machine &machine_;
+    sim::LazyCounter rebaseLeaves_;
+    sim::LazyCounter rebasePtes_;
+    sim::LazyCounter derebaseLeaves_;
+    sim::LazyCounter derebasePtes_;
+};
 
 /** True if every present PTE in the leaf is in rebased (offset) form. */
 bool leafIsRebased(const os::TablePage &leaf);

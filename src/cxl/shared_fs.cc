@@ -96,8 +96,8 @@ SharedFs::write(const std::string &name, std::vector<uint8_t> encoded,
         writeBytes = std::min(writeBytes, freshStoredBytes);
     clock.advance(machine_.costs().cxlWrite(writeBytes));
     usedBytes_ += pages * mem::kPageSize;
-    machine_.metrics().counter("cxl.fs.writes").inc();
-    machine_.metrics().counter("cxl.fs.bytes_written").inc(simulatedBytes);
+    writes_.inc();
+    bytesWritten_.inc(simulatedBytes);
 
     // Injected torn write: the stores raced a failure and one byte of
     // the on-device image differs from what the CRC was computed over.
@@ -107,6 +107,7 @@ SharedFs::write(const std::string &name, std::vector<uint8_t> encoded,
         file.data[victim / 8] ^= uint8_t(1u << (victim % 8));
     }
 
+    file.generation = ++lastGeneration_;
     remove(name);
     auto [it, ok] = files_.emplace(name, std::move(file));
     CXLF_ASSERT(ok);
@@ -126,11 +127,11 @@ SharedFs::verify(const std::string &name) const
     const CxlFsFile *file = open(name);
     if (!file)
         return false;
-    machine_.metrics().counter("cxl.fs.crc_checks").inc();
+    crcChecks_.inc();
     const bool ok =
         sim::crc32(file->data.data(), file->data.size()) == file->crc;
     if (!ok)
-        machine_.metrics().counter("cxl.fs.crc_failures").inc();
+        crcFailures_.inc();
     return ok;
 }
 
@@ -143,6 +144,7 @@ SharedFs::corruptBit(const std::string &name, uint64_t bit)
     std::vector<uint8_t> &d = it->second.data;
     bit %= d.size() * 8;
     d[bit / 8] ^= uint8_t(1u << (bit % 8));
+    it->second.generation = ++lastGeneration_;
 }
 
 void

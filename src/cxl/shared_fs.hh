@@ -31,6 +31,13 @@ struct CxlFsFile
     uint64_t simulatedBytes = 0; ///< Size the file would have for real.
     std::vector<mem::PhysAddr> frames; ///< CXL frames backing it.
     uint32_t crc = 0;           ///< CRC-32 of data, sealed at write time.
+    /**
+     * Changes whenever data does: each write and each corruptBit draws
+     * a new value from the filesystem's counter, never reused, so a
+     * reader holding a decoded form of the bytes knows when to decode
+     * them again.
+     */
+    uint64_t generation = 0;
 };
 
 /** The shared checkpoint-file store. */
@@ -44,7 +51,11 @@ class SharedFs
      * checkpointed by different tenants) share frames when dedup is on.
      */
     SharedFs(mem::Machine &machine, PageStore &pageStore)
-        : machine_(machine), pageStore_(pageStore)
+        : machine_(machine), pageStore_(pageStore),
+          writes_(machine.metrics(), "cxl.fs.writes"),
+          bytesWritten_(machine.metrics(), "cxl.fs.bytes_written"),
+          crcChecks_(machine.metrics(), "cxl.fs.crc_checks"),
+          crcFailures_(machine.metrics(), "cxl.fs.crc_failures")
     {}
 
     ~SharedFs();
@@ -74,7 +85,10 @@ class SharedFs
     /** Recompute the CRC of a stored file against its sealed value. */
     bool verify(const std::string &name) const;
 
-    /** Flip one payload bit of a stored file (torn-write test hook). */
+    /**
+     * Flip one payload bit of a stored file (torn-write test hook); the
+     * file takes a new generation.
+     */
     void corruptBit(const std::string &name, uint64_t bit);
 
     /** Remove a file, releasing its CXL frames. */
@@ -99,6 +113,11 @@ class SharedFs
     std::map<std::string, CxlFsFile> files_;
     std::vector<std::vector<mem::PhysAddr>> orphans_;
     uint64_t usedBytes_ = 0;
+    uint64_t lastGeneration_ = 0;
+    sim::LazyCounter writes_;
+    sim::LazyCounter bytesWritten_;
+    mutable sim::LazyCounter crcChecks_;
+    mutable sim::LazyCounter crcFailures_;
 };
 
 } // namespace cxlfork::cxl

@@ -4,17 +4,9 @@
 
 #include "machine.hh"
 #include "sim/error.hh"
-#include "sim/fault_injector.hh"
 #include "sim/log.hh"
 
 namespace cxlfork::mem {
-
-namespace {
-
-/** How many free-list pops ahead alloc() prefetches frame metadata. */
-constexpr size_t kAllocLookahead = 16;
-
-} // namespace
 
 const char *
 tierName(Tier t)
@@ -46,47 +38,12 @@ FrameAllocator::FrameAllocator(std::string name, Tier tier, PhysAddr base,
     frames_.reserve(totalFrames_);
 }
 
-PhysAddr
-FrameAllocator::alloc(FrameUse use, uint64_t content)
+void
+FrameAllocator::outOfMemory() const
 {
-    if (use == FrameUse::Free)
-        sim::panic("allocating a frame as Free");
-    // Crash site *before* any state mutation: a crash here leaves the
-    // allocator untouched, so an unregistered frame can never leak.
-    if (injector_)
-        injector_->crashPoint("frame.alloc");
-    if (usedFrames_ == totalFrames_) {
-        throw sim::CapacityError(sim::format(
-            "tier %s out of memory (%llu frames in use)", name_.c_str(),
-            (unsigned long long)usedFrames_));
-    }
-    uint64_t idx;
-    if (!freeList_.empty()) {
-        idx = freeList_.back();
-        freeList_.pop_back();
-        // LIFO reuse tells which frames the next allocations hand out:
-        // start loading the metadata of the one kAllocLookahead pops
-        // ahead, so the stores below it then find it in cache. A hint
-        // only; the order is unchanged.
-        if (freeList_.size() >= kAllocLookahead) {
-            __builtin_prefetch(
-                &frames_[freeList_[freeList_.size() - kAllocLookahead]],
-                /*rw=*/1);
-        }
-    } else {
-        idx = frames_.size();
-        frames_.emplace_back();
-    }
-    Frame &f = frames_[idx];
-    f.use = use;
-    f.refcount = 1;
-    f.content = content;
-    setPoisoned(f, tier_ == Tier::Cxl && injector_ && injector_->drawPoison());
-    ++usedFrames_;
-    ++totalRefs_;
-    ++allocCount_;
-    peakUsedFrames_ = std::max(peakUsedFrames_, usedFrames_);
-    return PhysAddr{base_.raw + idx * kPageSize};
+    throw sim::CapacityError(sim::format(
+        "tier %s out of memory (%llu frames in use)", name_.c_str(),
+        (unsigned long long)usedFrames_));
 }
 
 void

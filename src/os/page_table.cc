@@ -59,12 +59,6 @@ PageTable::setWalkCacheEnabled(bool on)
     invalidateWalkCache();
 }
 
-uint32_t
-PageTable::indexAt(uint64_t vpn, int level)
-{
-    return uint32_t((vpn >> (9 * uint32_t(level))) & (TablePage::kEntries - 1));
-}
-
 std::unique_ptr<TablePage>
 PageTable::makeTablePage(int level)
 {
@@ -169,27 +163,11 @@ PageTable::cowSealedLeaf(TablePage *parent, uint32_t idx)
     return copy;
 }
 
-void
-PageTable::storePte(TablePage &leaf, uint64_t vpn, Pte pte)
-{
-    Pte &slot = leaf.pte(indexAt(vpn, 0));
-    // Overwriting a live translation releases the process-owned frame
-    // it mapped (checkpoint-owned frames belong to their image).
-    if (slot.present() && !slot.cxlCheckpoint() &&
-        slot.frame() != pte.frame()) {
-        machine_.putFrame(slot.frame());
-    }
-    slot = pte;
-    clock_.advance(machine_.costs().pteWrite);
-}
-
 SetPteResult
 PageTable::setPte(mem::VirtAddr va, Pte pte)
 {
     const uint64_t vpn = va.pageNumber();
-    const uint64_t leafIdx = leafIndexOf(vpn);
-    if (cachedParent_ && cachedLeafIdx_ == leafIdx && cachedLeaf_ &&
-        !cachedLeaf_->sealed()) {
+    if (cachedStoreLeaf(vpn)) {
         // Sequential stores into one 2 MB leaf skip the root walk. The
         // result is a constant here: a result variable shared with the
         // slow path below gets spilled byte by byte and reloaded wider,
@@ -199,6 +177,25 @@ PageTable::setPte(mem::VirtAddr va, Pte pte)
         return {};
     }
     SetPteResult res;
+    TablePage &leaf = walkForStore(vpn, res);
+    storePte(leaf, vpn, pte);
+    return res;
+}
+
+TablePage &
+PageTable::leafForStore(uint64_t vpn)
+{
+    if (cachedStoreLeaf(vpn)) {
+        ++work_->ptWalksCached;
+        return *cachedLeaf_;
+    }
+    SetPteResult res;
+    return walkForStore(vpn, res);
+}
+
+TablePage &
+PageTable::walkForStore(uint64_t vpn, SetPteResult &res)
+{
     const uint64_t before = ownedTablePages_;
     TablePage *parent = walkToParentOfLeaf(vpn, true);
     const uint32_t leafSlot = indexAt(vpn, 1);
@@ -211,9 +208,8 @@ PageTable::setPte(mem::VirtAddr va, Pte pte)
         res.leafCow = true;
     }
     res.created = ownedTablePages_ != before;
-    rememberWalk(leafIdx, parent, leafSp.get());
-    storePte(*leafSp, vpn, pte);
-    return res;
+    rememberWalk(leafIndexOf(vpn), parent, leafSp.get());
+    return *leafSp;
 }
 
 void

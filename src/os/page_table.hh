@@ -122,6 +122,34 @@ class PageTable
     SetPteResult setPte(mem::VirtAddr va, Pte pte);
 
     /**
+     * The leaf setPte(vpn) would store into, found by one walk: created
+     * if absent, a sealed one cloned first. A run of stores into the
+     * one leaf then goes through storePte() with no further walk. The
+     * reference is void after the next setPte, attachLeaf or
+     * unmapRange.
+     */
+    TablePage &leafForStore(uint64_t vpn);
+
+    /**
+     * setPte's store into the leaf leafForStore(vpn) returned: releases
+     * the process-owned frame it replaces and charges one PTE write.
+     */
+    void
+    storePte(TablePage &leaf, uint64_t vpn, Pte pte)
+    {
+        Pte &slot = leaf.pte(indexAt(vpn, 0));
+        // Overwriting a live translation releases the process-owned
+        // frame it mapped (checkpoint-owned frames belong to their
+        // image).
+        if (slot.present() && !slot.cxlCheckpoint() &&
+            slot.frame() != pte.frame()) {
+            machine_.putFrame(slot.frame());
+        }
+        slot = pte;
+        clock_.advance(machine_.costs().pteWrite);
+    }
+
+    /**
      * Remove translations in [lo, hi) and release process-owned frames
      * (present PTEs without the SoftCxl checkpoint-ownership bit).
      * Sealed leaves are detached wholesale, never modified.
@@ -190,8 +218,28 @@ class PageTable
     TablePage &root() { return *root_; }
 
   private:
-    static uint32_t indexAt(uint64_t vpn, int level);
+    static uint32_t
+    indexAt(uint64_t vpn, int level)
+    {
+        return uint32_t((vpn >> (9 * uint32_t(level))) &
+                        (TablePage::kEntries - 1));
+    }
+
     static uint64_t leafIndexOf(uint64_t vpn) { return vpn >> 9; }
+
+    /** True if the walk cache holds vpn's leaf, present and unsealed. */
+    bool
+    cachedStoreLeaf(uint64_t vpn) const
+    {
+        return cachedParent_ && cachedLeafIdx_ == leafIndexOf(vpn) &&
+               cachedLeaf_ && !cachedLeaf_->sealed();
+    }
+
+    /**
+     * setPte's walk when the cache cannot serve it: create or clone the
+     * leaf as needed, remember it, and say which in res.
+     */
+    TablePage &walkForStore(uint64_t vpn, SetPteResult &res);
 
     /** Walk to the leaf for vpn, optionally creating intermediate pages. */
     TablePage *walk(uint64_t vpn, bool create);
@@ -200,8 +248,6 @@ class PageTable
     TablePage *walkToParentOfLeaf(uint64_t vpn, bool create);
 
     std::unique_ptr<TablePage> makeTablePage(int level);
-    /** Store pte into its slot of leaf, releasing the frame it replaces. */
-    void storePte(TablePage &leaf, uint64_t vpn, Pte pte);
     std::shared_ptr<TablePage> cowSealedLeaf(TablePage *parent, uint32_t idx);
     void releaseSubtree(TablePage &page);
 

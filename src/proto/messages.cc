@@ -183,20 +183,14 @@ CriuImageMsg::decodeHeader(Decoder &d)
     return m;
 }
 
-void
-PageBuffer::decode(Decoder &d)
+uint64_t
+decodePageCount(Decoder &d)
 {
-    size_ = 0;
     const uint64_t count = d.getU64();
     if (count > d.remaining() / kMinPageBytes)
         sim::fatal("wire: page count %llu exceeds the %zu bytes left",
                    (unsigned long long)count, d.remaining());
-    if (pages_.size() < count)
-        pages_.resize(count);
-    PageMsg *const out = pages_.data();
-    for (uint64_t i = 0; i < count; ++i)
-        out[i] = PageMsg::decode(d);
-    size_ = count;
+    return count;
 }
 
 uint64_t

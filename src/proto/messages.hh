@@ -142,8 +142,8 @@ struct CriuImageMsg
 
     /**
      * Decode all but the page section: global state, CPU and VMAs. The
-     * decoder is left at the page count, ready for a PageBuffer, which
-     * decodes the page records (the header's `pages` stays empty).
+     * decoder is left at the page count (decodePageCount), and the
+     * header's `pages` stays empty.
      */
     static CriuImageMsg decodeHeader(Decoder &d);
 
@@ -154,33 +154,11 @@ struct CriuImageMsg
 };
 
 /**
- * The page section of an encoded CRIU image, decoded in one pass into
- * a buffer its owner keeps across images (a restore decodes every page
- * before it changes any state, then installs from here).
- *
- * The buffer only grows: slots past the largest section so far are
- * value-initialized once, when first needed, and later sections of
- * that size or less allocate and clear nothing.
+ * Read the page count that opens the page section of an encoded CRIU
+ * image; the records follow, each read with PageMsg::decode. A count
+ * the bytes left could not encode throws sim::FatalError, so a caller
+ * may size its storage by the count before reading any record.
  */
-class PageBuffer
-{
-  public:
-    /**
-     * Decode the page section at d (its count, then the records) and
-     * leave d past it. A forged count, a truncated record or an
-     * overlong varint throws sim::FatalError, with no record left in
-     * the buffer; a count the bytes left could not encode throws
-     * before anything is allocated.
-     */
-    void decode(Decoder &d);
-
-    size_t size() const { return size_; }
-    const PageMsg *begin() const { return pages_.data(); }
-    const PageMsg *end() const { return pages_.data() + size_; }
-
-  private:
-    std::vector<PageMsg> pages_;
-    size_t size_ = 0;
-};
+uint64_t decodePageCount(Decoder &d);
 
 } // namespace cxlfork::proto

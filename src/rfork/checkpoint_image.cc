@@ -15,7 +15,8 @@ using os::TablePage;
 
 CheckpointImage::CheckpointImage(mem::Machine &machine, std::string name,
                                  cxl::PageStore *pageStore)
-    : machine_(machine), name_(std::move(name)), pageStore_(pageStore)
+    : machine_(machine), name_(std::move(name)), pageStore_(pageStore),
+      crcChecks_(machine.metrics(), "cxl.image.crc_checks")
 {
 }
 
@@ -57,8 +58,9 @@ void
 CheckpointImage::activate()
 {
     CXLF_ASSERT(!activated_);
+    cxl::LeafRebaser rebaser(machine_);
     for (auto &[base, leaf] : leaves_)
-        cxl::derebaseLeaf(*leaf, machine_);
+        rebaser.derebase(*leaf);
     activated_ = true;
 }
 
@@ -159,7 +161,7 @@ CheckpointImage::sealIntegrity()
 std::optional<std::string>
 CheckpointImage::verifyIntegrity() const
 {
-    machine_.metrics().counter("cxl.image.crc_checks").inc();
+    crcChecks_.inc();
     if (!crcs_.sealed)
         return "unsealed";
     const ImageCrcs now = computeCrcs();

@@ -205,6 +205,7 @@ class CheckpointImage : public os::CheckpointBacking, public CheckpointHandle
     uint64_t globalRecords_ = 0;
     os::CpuContext cpu_;
     ImageCrcs crcs_;
+    mutable sim::LazyCounter crcChecks_;
     /**
      * Present, dirty PTEs in VPN order, pointing into the sealed
      * leaves, which the image keeps alive and never moves.

@@ -11,6 +11,72 @@ using mem::kPageSize;
 using os::Pte;
 using sim::SimTime;
 
+namespace {
+
+/** Pages from 0 up to the byte address a: the first VPN at or past a. */
+uint64_t
+pagesUpTo(uint64_t a)
+{
+    return a / kPageSize + (a % kPageSize != 0);
+}
+
+} // namespace
+
+void
+CriuRecords::decode(const std::vector<uint8_t> &data)
+{
+    proto::Decoder d(data);
+    header_ = proto::CriuImageMsg::decodeHeader(d);
+
+    // The VPNs each VMA covers, [first, end), ordered by first page.
+    struct Span
+    {
+        uint64_t first;
+        uint64_t end;
+    };
+    std::vector<Span> spans;
+    spans.reserve(header_.vmas.size());
+    for (const proto::VmaMsg &v : header_.vmas) {
+        const Span sp{pagesUpTo(v.start), pagesUpTo(v.end)};
+        if (sp.first < sp.end)
+            spans.push_back(sp);
+    }
+    std::sort(spans.begin(), spans.end(),
+              [](const Span &a, const Span &b) { return a.first < b.first; });
+
+    // Records come in ascending VPN order, so a cursor over the spans
+    // finds each page's VMA: a span ending at or before one page ends
+    // before every later page too.
+    const uint64_t count = proto::decodePageCount(d);
+    contents_.resize(count);
+    runs_.clear();
+    size_t span = 0;
+    uint64_t next = 0;   // the page that would extend the last run
+    uint64_t runEnd = 0; // where the last run must stop
+    for (uint64_t i = 0; i < count; ++i) {
+        const proto::PageMsg p = proto::PageMsg::decode(d);
+        contents_[i] = p.content;
+        if (i != 0 && p.vpn == next && next < runEnd) {
+            ++runs_.back().pages;
+            ++next;
+            continue;
+        }
+        if (i != 0 && p.vpn < next)
+            sim::fatal("CRIU image page %#llx out of ascending VPN order",
+                       (unsigned long long)p.vpn);
+        while (span < spans.size() && spans[span].end <= p.vpn)
+            ++span;
+        if (span == spans.size() || spans[span].first > p.vpn)
+            sim::fatal("CRIU image page %#llx outside any VMA",
+                       (unsigned long long)p.vpn);
+        const uint64_t leafEnd =
+            (p.vpn / os::TablePage::kEntries + 1) * os::TablePage::kEntries;
+        runEnd = std::min(spans[span].end, leafEnd);
+        runs_.push_back({p.vpn, 1});
+        next = p.vpn + 1;
+    }
+}
+
 std::shared_ptr<CheckpointHandle>
 CriuCxl::checkpoint(os::NodeOs &node, os::Task &parent,
                     CheckpointStats *stats)
@@ -173,22 +239,23 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
             h->fileName().c_str()));
     }
 
-    // Deserialize the image: the header, then every page record into
-    // the mechanism's page buffer, so a malformed image fails here,
-    // before the task exists, and the install loop below reads each
-    // record once. The page payload dominates; the deserialize
+    // Deserialize the image: the header, then every page record, each
+    // checked against the image's VMAs, so a malformed image fails
+    // here, before the task exists. The handle keeps what it decoded
+    // until the file is written again, so the host parses each image
+    // once; the simulated restore still pays the full deserialize on
+    // every restore. The page payload dominates; the deserialize
     // bandwidth models the combined parse + copy-to-local pass CRIU
     // performs.
-    proto::Decoder dec(file->data);
-    const proto::CriuImageMsg image = proto::CriuImageMsg::decodeHeader(dec);
-    pages_.decode(dec);
+    const CriuRecords &image = h->decoded(*file);
+    const proto::CriuImageMsg &header = image.header();
     clock.advance(costs.deserializeCost(h->simulatedBytes()) +
                   costs.serializeRecord * double(h->records()));
     readSpan.attr("bytes", h->simulatedBytes()).finish();
 
     sim::SpanScope createSpan = machine.tracer().span(
         clock, target.id(), "restore.task_create", "rfork.phase");
-    auto task = target.createTask(image.global.taskName + "+criu",
+    auto task = target.createTask(header.global.taskName + "+criu",
                                   opts.container);
     createSpan.finish();
 
@@ -198,38 +265,49 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     const SimTime memStart = clock.now();
     sim::SpanScope memSpan = machine.tracer().span(
         clock, target.id(), "restore.memory_state", "rfork.phase");
-    for (const proto::VmaMsg &vm : image.vmas) {
+    for (const proto::VmaMsg &vm : header.vmas) {
         task->mm().vmas().insert(fromMsg(vm));
         clock.advance(costs.vmaSetup);
         if (os::VmaKind(vm.kind) == os::VmaKind::FilePrivate)
             clock.advance(costs.fileOpen);
     }
 
-    // Copy every checkpointed page into local memory and map it. The
-    // image lists pages in ascending vpn order, so the VMA found for
-    // one page usually covers the next; look up only on leaving it.
+    // Copy every checkpointed page into local memory and map it, a run
+    // at a time: one VMA check and one page-table walk per run (a run
+    // stays inside one VMA and one leaf), then for each page its frame
+    // allocation (crash point first) and its PTE store, in page order.
+    // Runs come in ascending VPN order, so the VMA found for one run
+    // usually covers the next; look up only on leaving it.
     const os::Vma *vma = nullptr;
     os::VmaTree &vmas = task->mm().vmas();
     os::PageTable &pt = task->mm().pageTable();
     mem::FrameAllocator &dram = target.localDram();
     os::WorkCounters &work = target.work();
-    for (const proto::PageMsg &pm : pages_) {
-        ++work.criuPagesDecoded;
-        const mem::VirtAddr va = mem::VirtAddr::fromPageNumber(pm.vpn);
+    sim::Tracer &tracer = machine.tracer();
+    const uint64_t *content = image.contents().data();
+    for (const CriuRecords::Run &run : image.runs()) {
+        const mem::VirtAddr va = mem::VirtAddr::fromPageNumber(run.vpn);
         if (!vma || !vma->contains(va))
             vma = vmas.findLocal(va);
-        if (!vma)
-            sim::fatal("CRIU image page outside any VMA");
-        const mem::PhysAddr frame =
-            dram.alloc(mem::FrameUse::Data, pm.content);
-        pt.setPte(va, Pte::make(frame, vma->writable()));
-        ++rs.pagesCopied;
-        if (machine.tracer().enabled()) {
-            machine.tracer().instant(
-                clock, target.id(), "page_copy", "rfork",
-                {{"vpn", sim::TraceValue::of(pm.vpn)},
-                 {"reason", sim::TraceValue::of("criu_copy")}});
+        // Decoding checked the run against the image's VMAs, and the
+        // tree holds exactly those.
+        CXLF_ASSERT(vma &&
+                    vma->contains(va.plus((run.pages - 1) * kPageSize)));
+        const bool writable = vma->writable();
+        os::TablePage &leaf = pt.leafForStore(run.vpn);
+        for (uint32_t i = 0; i < run.pages; ++i) {
+            ++work.criuPagesDecoded;
+            const mem::PhysAddr frame =
+                dram.alloc(mem::FrameUse::Data, *content++);
+            pt.storePte(leaf, run.vpn + i, Pte::make(frame, writable));
+            if (tracer.enabled()) {
+                tracer.instant(
+                    clock, target.id(), "page_copy", "rfork",
+                    {{"vpn", sim::TraceValue::of(run.vpn + i)},
+                     {"reason", sim::TraceValue::of("criu_copy")}});
+            }
         }
+        rs.pagesCopied += run.pages;
     }
     rs.memoryState = clock.now() - memStart;
     memSpan.attr("pages_copied", rs.pagesCopied).finish();
@@ -238,12 +316,12 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     const SimTime globalStart = clock.now();
     sim::SpanScope globalSpan = machine.tracer().span(
         clock, target.id(), "restore.global_state", "rfork.phase");
-    redoGlobalState(target, *task, image.global);
+    redoGlobalState(target, *task, header.global);
     rs.globalState = clock.now() - globalStart;
-    task->cpu().gpr = image.cpu.gpr;
-    task->cpu().rip = image.cpu.rip;
-    task->cpu().rsp = image.cpu.rsp;
-    task->cpu().fpstate = image.cpu.fpstate;
+    task->cpu().gpr = header.cpu.gpr;
+    task->cpu().rip = header.cpu.rip;
+    task->cpu().rsp = header.cpu.rsp;
+    task->cpu().fpstate = header.cpu.fpstate;
     globalSpan.finish();
 
     // Speculative prefetch: CRIU restores eagerly, so most requests

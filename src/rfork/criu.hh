@@ -22,6 +22,42 @@
 namespace cxlfork::rfork {
 
 /**
+ * A CRIU image decoded: its header (global state, CPU and VMAs) and its
+ * page records, held as runs of consecutive VPNs over one array of
+ * content tokens. A run never leaves the VMA its first page is in, nor
+ * the page-table leaf, so the restore installs each run with one walk
+ * and one VMA check.
+ */
+class CriuRecords
+{
+  public:
+    struct Run
+    {
+        uint64_t vpn = 0;   ///< The run's first page.
+        uint32_t pages = 0; ///< Consecutive pages from vpn.
+    };
+
+    /**
+     * Decode an encoded image, replacing what was held. A forged count,
+     * a truncated record, an overlong varint, a page outside every VMA
+     * of the image or a page not above the one before it throws
+     * sim::FatalError.
+     */
+    void decode(const std::vector<uint8_t> &data);
+
+    const proto::CriuImageMsg &header() const { return header_; }
+    const std::vector<Run> &runs() const { return runs_; }
+
+    /** One token per page, in record order: run by run. */
+    const std::vector<uint64_t> &contents() const { return contents_; }
+
+  private:
+    proto::CriuImageMsg header_;
+    std::vector<Run> runs_;
+    std::vector<uint64_t> contents_;
+};
+
+/**
  * Handle to a CRIU image file set on the shared CXL filesystem. Owns
  * its file: the handle's destruction (or its reclaim from the
  * checkpoint store) removes the file, returning its CXL frames — so a
@@ -90,6 +126,23 @@ class CriuHandle : public CheckpointHandle
                fs_->verify(fileName_);
     }
 
+    /**
+     * The image in `file`, this handle's image file, decoded on the
+     * first call after each change of its bytes (a new generation) and
+     * kept until the next, so repeated restores of one image parse it
+     * once. A malformed image throws sim::FatalError on every call.
+     */
+    const CriuRecords &
+    decoded(const cxl::CxlFsFile &file)
+    {
+        if (decodedGeneration_ != file.generation) {
+            decodedGeneration_ = 0;
+            decoded_.decode(file.data);
+            decodedGeneration_ = file.generation;
+        }
+        return decoded_;
+    }
+
     bool
     referencesFrame(mem::PhysAddr addr) const override
     {
@@ -110,6 +163,9 @@ class CriuHandle : public CheckpointHandle
     uint64_t pages_ = 0;
     uint64_t records_ = 0;
     uint64_t cxlFreesAtWrite_ = 0;
+    CriuRecords decoded_;
+    /** The file generation decoded_ holds; 0 (no file's) when none. */
+    uint64_t decodedGeneration_ = 0;
 };
 
 /** The CRIU-CXL mechanism. */
@@ -135,8 +191,6 @@ class CriuCxl : public RemoteForkMechanism
     cxl::CxlFabric &fabric_;
     uint64_t nextImageId_ = 1;
     MechanismMetrics metrics_;
-    /** Each restore's page records, decoded before its task exists. */
-    proto::PageBuffer pages_;
 };
 
 } // namespace cxlfork::rfork

@@ -1,6 +1,5 @@
 #include "cxlfork.hh"
 
-#include "cxl/rebase.hh"
 #include "prefetch.hh"
 #include "sim/error.hh"
 #include "sim/log.hh"
@@ -122,7 +121,7 @@ CxlFork::checkpoint(os::NodeOs &node, os::Task &parent,
         // ...then rebased: internal pointers become device offsets
         // (Sec. 4.1 step 7), and the leaf is sealed against in-place
         // OS modification.
-        cxl::rebaseLeaf(*ckptLeaf, machine);
+        rebaser_.rebase(*ckptLeaf);
         clock.advance(costs.pteWrite * present);
         machine.publishFrame(leafBacking, node.id(), clock);
         ckptLeaf->seal();

@@ -21,6 +21,7 @@
 
 #include "checkpoint_image.hh"
 #include "cxl/fabric.hh"
+#include "cxl/rebase.hh"
 #include "rfork.hh"
 
 namespace cxlfork::rfork {
@@ -50,7 +51,8 @@ class CxlFork : public RemoteForkMechanism
   public:
     explicit CxlFork(cxl::CxlFabric &fabric, CxlForkConfig cfg = {})
         : fabric_(fabric), cfg_(cfg),
-          metrics_(fabric.machine().metrics(), "cxlfork")
+          metrics_(fabric.machine().metrics(), "cxlfork"),
+          rebaser_(fabric.machine())
     {
         sim::MetricsRegistry &m = fabric_.machine().metrics();
         pagesCkptCounter_ = &m.counter("rfork.cxlfork.pages_checkpointed");
@@ -79,6 +81,7 @@ class CxlFork : public RemoteForkMechanism
     cxl::CxlFabric &fabric_;
     CxlForkConfig cfg_;
     MechanismMetrics metrics_;
+    cxl::LeafRebaser rebaser_;
     sim::Counter *pagesCkptCounter_ = nullptr;
     sim::Counter *bytesToCxlCounter_ = nullptr;
     sim::Counter *crcRejectCounter_ = nullptr;

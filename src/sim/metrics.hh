@@ -170,4 +170,31 @@ class MetricsRegistry
     std::map<std::string, LatencyHistogram> latencies_;
 };
 
+/**
+ * A counter looked up by name on its first bump and held from then on,
+ * for a site that counts on every call: counter(name) builds a string
+ * and searches the registry each time. As with counter(name), a
+ * counter that is never bumped never appears in an export.
+ */
+class LazyCounter
+{
+  public:
+    LazyCounter(MetricsRegistry &registry, const char *name)
+        : registry_(&registry), name_(name)
+    {}
+
+    void
+    inc(uint64_t by = 1)
+    {
+        if (!counter_) [[unlikely]]
+            counter_ = &registry_->counter(name_);
+        counter_->inc(by);
+    }
+
+  private:
+    MetricsRegistry *registry_;
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
 } // namespace cxlfork::sim

@@ -45,9 +45,9 @@ TEST_F(RebaseTest, RoundTripPreservesEverything)
     for (uint32_t i = 0; i < TablePage::kEntries; ++i)
         original[i] = leaf->pte(i);
 
-    rebaseLeaf(*leaf, machine);
+    LeafRebaser(machine).rebase(*leaf);
     EXPECT_TRUE(leafIsRebased(*leaf));
-    derebaseLeaf(*leaf, machine);
+    LeafRebaser(machine).derebase(*leaf);
     EXPECT_TRUE(leafIsAbsolute(*leaf));
 
     for (uint32_t i = 0; i < TablePage::kEntries; ++i)
@@ -58,7 +58,7 @@ TEST_F(RebaseTest, RebasedFormHoldsOffsetsNotAddresses)
 {
     auto leaf = makeCxlLeaf({7});
     const mem::PhysAddr abs = leaf->pte(7).frame();
-    rebaseLeaf(*leaf, machine);
+    LeafRebaser(machine).rebase(*leaf);
     const uint64_t off = leaf->pte(7).frame().raw;
     EXPECT_EQ(off, machine.cxlOffsetOf(abs));
     EXPECT_LT(off, machine.cxl().capacityBytes());
@@ -70,14 +70,14 @@ TEST_F(RebaseTest, RebasedFormHoldsOffsetsNotAddresses)
 TEST_F(RebaseTest, DoubleRebaseIsABug)
 {
     auto leaf = makeCxlLeaf({1});
-    rebaseLeaf(*leaf, machine);
-    EXPECT_DEATH(rebaseLeaf(*leaf, machine), "already rebased");
+    LeafRebaser(machine).rebase(*leaf);
+    EXPECT_DEATH(LeafRebaser(machine).rebase(*leaf), "already rebased");
 }
 
 TEST_F(RebaseTest, DerebaseOfAbsoluteIsABug)
 {
     auto leaf = makeCxlLeaf({1});
-    EXPECT_DEATH(derebaseLeaf(*leaf, machine), "not in rebased form");
+    EXPECT_DEATH(LeafRebaser(machine).derebase(*leaf), "not in rebased form");
 }
 
 TEST_F(RebaseTest, EmptyLeafIsTriviallyBothForms)
@@ -86,8 +86,8 @@ TEST_F(RebaseTest, EmptyLeafIsTriviallyBothForms)
         0, machine.cxl().alloc(mem::FrameUse::PageTable), false);
     EXPECT_TRUE(leafIsRebased(*leaf));
     EXPECT_TRUE(leafIsAbsolute(*leaf));
-    rebaseLeaf(*leaf, machine);
-    derebaseLeaf(*leaf, machine);
+    LeafRebaser(machine).rebase(*leaf);
+    LeafRebaser(machine).derebase(*leaf);
 }
 
 /** Property: random leaves round-trip under rebase/derebase. */
@@ -121,8 +121,8 @@ TEST_P(RebaseFuzz, RandomLeafRoundTrips)
     for (uint32_t i = 0; i < TablePage::kEntries; ++i)
         before[i] = leaf->pte(i).raw();
 
-    rebaseLeaf(*leaf, machine);
-    derebaseLeaf(*leaf, machine);
+    LeafRebaser(machine).rebase(*leaf);
+    LeafRebaser(machine).derebase(*leaf);
 
     for (uint32_t i = 0; i < TablePage::kEntries; ++i)
         EXPECT_EQ(leaf->pte(i).raw(), before[i]);

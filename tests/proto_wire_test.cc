@@ -172,15 +172,15 @@ TEST(Messages, GlobalStateRoundTrip)
 
 /**
  * Decode a whole CRIU image the way a restore does, header first and
- * then the page section into a PageBuffer, and leave `d` past it.
+ * then the page section, and leave `d` past it.
  */
 CriuImageMsg
 decodeImage(Decoder &d)
 {
     CriuImageMsg img = CriuImageMsg::decodeHeader(d);
-    PageBuffer pages;
-    pages.decode(d);
-    img.pages.assign(pages.begin(), pages.end());
+    const uint64_t count = decodePageCount(d);
+    for (uint64_t i = 0; i < count; ++i)
+        img.pages.push_back(PageMsg::decode(d));
     return img;
 }
 
@@ -267,7 +267,7 @@ TEST(Messages, ForgedRecordCountsRaiseFatalError)
     }
 }
 
-TEST(Messages, PageBufferDecodesEveryEncodedRecord)
+TEST(Messages, PageSectionDecodesEveryEncodedRecord)
 {
     const std::vector<uint8_t> buf = forgedCountImage(false, 64);
     Decoder d(buf);
@@ -276,50 +276,32 @@ TEST(Messages, PageBufferDecodesEveryEncodedRecord)
     ASSERT_EQ(header.vmas.size(), 1u);
     EXPECT_EQ(header.vmas[0].name, "[heap]");
     EXPECT_TRUE(header.pages.empty());
-    PageBuffer pages;
-    pages.decode(d);
-    ASSERT_EQ(pages.size(), 64u);
+    ASSERT_EQ(decodePageCount(d), 64u);
     for (uint64_t i = 0; i < 64; ++i)
-        EXPECT_EQ(pages.begin()[i], (PageMsg{i + 1, i * 31}));
+        EXPECT_EQ(PageMsg::decode(d), (PageMsg{i + 1, i * 31}));
     EXPECT_TRUE(d.atEnd());
 }
 
-TEST(Messages, PageBufferReusedForASmallerSectionHoldsOnlyIt)
+TEST(Messages, PageSectionRejectsABadSection)
 {
-    CriuImageMsg big;
-    for (uint64_t i = 0; i < 100; ++i)
-        big.pages.push_back({i, ~i});
-    CriuImageMsg small;
-    small.pages = {{7, 70}, {8, 80}};
-    PageBuffer pages;
-    for (const CriuImageMsg *img : {&big, &small}) {
-        Encoder e;
-        img->encode(e);
-        Decoder d(e.buffer());
-        CriuImageMsg::decodeHeader(d);
-        pages.decode(d);
-        EXPECT_EQ(std::vector<PageMsg>(pages.begin(), pages.end()),
-                  img->pages);
-        EXPECT_TRUE(d.atEnd());
-    }
-}
-
-TEST(Messages, PageBufferRejectsABadSection)
-{
-    // A count past the records that follow, and one no buffer holds.
-    // A section rejected after a good one leaves no record behind.
-    const std::vector<uint8_t> good = forgedCountImage(false, 64);
-    for (uint64_t count : {uint64_t(65), uint64_t(1) << 62}) {
-        PageBuffer pages;
-        Decoder ok(good);
-        CriuImageMsg::decodeHeader(ok);
-        pages.decode(ok);
-        ASSERT_EQ(pages.size(), 64u);
-        const std::vector<uint8_t> buf = forgedCountImage(false, count);
+    // A count no bytes left could hold fails before any record is read;
+    // one past the records that follow runs out of input at the last.
+    {
+        const std::vector<uint8_t> buf = forgedCountImage(false, 1ull << 62);
         Decoder d(buf);
         CriuImageMsg::decodeHeader(d);
-        EXPECT_THROW(pages.decode(d), sim::FatalError) << count;
-        EXPECT_EQ(pages.size(), 0u) << count;
+        EXPECT_NE(fatalMessage([&] { decodePageCount(d); })
+                      .find("exceeds the"),
+                  std::string::npos);
+    }
+    {
+        const std::vector<uint8_t> buf = forgedCountImage(false, 65);
+        Decoder d(buf);
+        CriuImageMsg::decodeHeader(d);
+        ASSERT_EQ(decodePageCount(d), 65u);
+        for (uint64_t i = 0; i < 64; ++i)
+            PageMsg::decode(d);
+        EXPECT_THROW(PageMsg::decode(d), sim::FatalError);
     }
     // The last record's content token overlong: nine 0xff, then 0x02.
     std::vector<uint8_t> buf = forgedCountImage(false, 64);
@@ -333,9 +315,7 @@ TEST(Messages, PageBufferRejectsABadSection)
     buf.insert(buf.end(), 9, 0xff);
     buf.push_back(0x02);
     Decoder d(buf);
-    CriuImageMsg::decodeHeader(d);
-    PageBuffer pages;
-    EXPECT_NE(fatalMessage([&] { pages.decode(d); }).find("overflow"),
+    EXPECT_NE(fatalMessage([&] { decodeImage(d); }).find("overflow"),
               std::string::npos);
 }
 

@@ -14,13 +14,17 @@
  *
  * Also here: each fault kind's page-table walks, pinned per fault; a
  * forged or truncated CRIU page section, with a CRC that matches it,
- * must fail before the restore creates a task; and the CRIU image scan,
- * skipped when no layer is armed, still catches a poisoned image frame.
+ * must fail before the restore creates a task; a CRIU image rewritten
+ * or corrupted after a restore is decoded (or rejected) anew; and the
+ * CRIU image scan, skipped when no layer is armed, still catches a
+ * poisoned image frame.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "faas/function.hh"
 #include "faas/workloads.hh"
@@ -150,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
     Mechanisms, RestoreWork,
     ::testing::Values(
         Case{"CriuCxl", MechanismKind::CriuCxl, TieringPolicy::MigrateOnWrite,
-             {{{132, 6015, 120, 0, 6147}, {6282, 0}, {0, 0}},
+             {{{132, 0, 120, 0, 6147}, {6282, 0}, {0, 0}},
               {{26, 966, 0, 0, 0}, {0, 0}, {0, 0}},
               {{0, 0, 0, 0, 0}, {0, 0}, {6282, 0}}}},
         Case{"MitosisCxl", MechanismKind::MitosisCxl,
@@ -292,38 +296,73 @@ TEST(FaultWalks, MapThroughsWalkTwice)
 /** How the page section of a CRIU image is forged. */
 enum class Forgery
 {
-    CountPlusOne,   ///< One more page than the records that follow.
-    HugeCount,      ///< A count no buffer could hold.
-    LastRecordCut,  ///< The final record's last byte is missing.
+    CountPlusOne,    ///< One more page than the records that follow.
+    HugeCount,       ///< A count no buffer could hold.
+    LastRecordCut,   ///< The final record's last byte is missing.
+    PageOutsideVmas, ///< The final page moved past every VMA.
+    PagesOutOfOrder, ///< The first two pages swapped.
 };
 
 /**
- * Re-encode an image's header with the page section forged as asked.
- * The caller rewrites the image file with it, so its sealed CRC
- * matches and only the decoder can reject it.
+ * Decode an image, let `edit(pages, count, header)` change its page
+ * records and the page count written before them, and encode it again
+ * with the same header.
  */
+template <typename Edit>
 std::vector<uint8_t>
-forgePages(const std::vector<uint8_t> &data, Forgery how)
+reencodePages(const std::vector<uint8_t> &data, Edit &&edit)
 {
     proto::Decoder d(data);
     const proto::CriuImageMsg img = proto::CriuImageMsg::decodeHeader(d);
-    proto::PageBuffer pages;
-    pages.decode(d);
+    std::vector<proto::PageMsg> pages(proto::decodePageCount(d));
+    for (proto::PageMsg &p : pages)
+        p = proto::PageMsg::decode(d);
+    uint64_t count = pages.size();
+    edit(pages, count, img);
     proto::Encoder e;
     img.global.encode(e);
     img.cpu.encode(e);
     e.putU64(img.vmas.size());
     for (const proto::VmaMsg &v : img.vmas)
         v.encode(e);
-    uint64_t count = pages.size();
-    if (how == Forgery::CountPlusOne)
-        count += 1;
-    else if (how == Forgery::HugeCount)
-        count = 1ull << 62;
     e.putU64(count);
     for (const proto::PageMsg &p : pages)
         p.encode(e);
-    std::vector<uint8_t> out = e.take();
+    return e.take();
+}
+
+/**
+ * Re-encode an image with the page section forged as asked. The caller
+ * rewrites the image file with it, so its sealed CRC matches and only
+ * the decoder can reject it.
+ */
+std::vector<uint8_t>
+forgePages(const std::vector<uint8_t> &data, Forgery how)
+{
+    std::vector<uint8_t> out = reencodePages(
+        data, [how](std::vector<proto::PageMsg> &pages, uint64_t &count,
+                    const proto::CriuImageMsg &img) {
+            switch (how) {
+              case Forgery::CountPlusOne:
+                count += 1;
+                break;
+              case Forgery::HugeCount:
+                count = 1ull << 62;
+                break;
+              case Forgery::LastRecordCut:
+                break;
+              case Forgery::PageOutsideVmas: {
+                uint64_t end = 0;
+                for (const proto::VmaMsg &v : img.vmas)
+                    end = std::max(end, v.end);
+                pages.back().vpn = end / mem::kPageSize + 16;
+                break;
+              }
+              case Forgery::PagesOutOfOrder:
+                std::swap(pages[0], pages[1]);
+                break;
+            }
+        });
     if (how == Forgery::LastRecordCut)
         out.pop_back();
     return out;
@@ -333,58 +372,132 @@ class CriuPageSection : public ::testing::TestWithParam<Forgery>
 {
 };
 
-/** A 64-page task on node 0 of a two-node world, CRIU-checkpointed. */
+/**
+ * A 64-page task on node 0 of a two-node world, page i holding token
+ * 100 + i, CRIU-checkpointed.
+ */
 struct CriuImage
 {
     CriuImage() : world(test::smallConfig()), criu(*world.fabric)
     {
         os::NodeOs &home = world.node(0);
         auto parent = home.createTask("fn");
-        const os::Vma &heap = home.mapAnon(
-            *parent, 64 * mem::kPageSize, os::kVmaRead | os::kVmaWrite, "h");
+        heap = home.mapAnon(*parent, 64 * mem::kPageSize,
+                            os::kVmaRead | os::kVmaWrite, "h")
+                   .start;
         for (uint64_t i = 0; i < 64; ++i)
-            home.write(*parent, heap.start.plus(i * mem::kPageSize), 100 + i);
+            home.write(*parent, heap.plus(i * mem::kPageSize), 100 + i);
         handle = criu.checkpoint(home, *parent);
         h = std::dynamic_pointer_cast<CriuHandle>(handle);
     }
 
+    /** Replace the image file's bytes, as a new write of it would. */
+    void
+    rewrite(std::vector<uint8_t> bytes)
+    {
+        cxl::SharedFs &fs = world.fabric->sharedFs();
+        const uint64_t simBytes = fs.open(h->fileName())->simulatedBytes;
+        os::NodeOs &home = world.node(0);
+        fs.write(h->fileName(), std::move(bytes), simBytes, home.clock(),
+                 home.id());
+        ASSERT_TRUE(fs.verify(h->fileName()));
+    }
+
+    const std::vector<uint8_t> &
+    bytes()
+    {
+        return world.fabric->sharedFs().open(h->fileName())->data;
+    }
+
+    /** Restore onto node 1 and tear the child down again. */
+    void
+    restoreAndDrop()
+    {
+        os::NodeOs &target = world.node(1);
+        target.exitTask(criu.restore(handle, target));
+    }
+
     test::World world;
     CriuCxl criu;
+    mem::VirtAddr heap{0};
     std::shared_ptr<CheckpointHandle> handle;
     std::shared_ptr<CriuHandle> h;
 };
 
-TEST_P(CriuPageSection, ForgedSectionFailsBeforeTheTask)
+/**
+ * The restore must throw `Error` before it creates a task: no task was
+ * made (or left behind), so the failure counter, which counts tasks
+ * torn down, and the target's clock did not move either.
+ */
+template <typename Error>
+void
+expectFailsBeforeTheTask(CriuImage &img)
 {
-    CriuImage img;
-    ASSERT_NE(img.h, nullptr);
-    os::NodeOs &home = img.world.node(0);
     os::NodeOs &target = img.world.node(1);
-    cxl::SharedFs &fs = img.world.fabric->sharedFs();
-    const cxl::CxlFsFile *file = fs.open(img.h->fileName());
-    ASSERT_NE(file, nullptr);
-    fs.write(img.h->fileName(), forgePages(file->data, GetParam()),
-             file->simulatedBytes, home.clock(), home.id());
-    ASSERT_TRUE(fs.verify(img.h->fileName()));
-
     const sim::Counter &failed =
         img.world.machine->metrics().counter("rfork.criu.restore_failed");
     const uint64_t failedBefore = failed.value();
     const size_t tasksBefore = target.taskCount();
     const sim::SimTime clockBefore = target.clock().now();
-    EXPECT_THROW(img.criu.restore(img.handle, target), sim::FatalError);
-    // Rejected while decoding, before createTask: no task was made (or
-    // left behind), so the failure counter, which counts tasks torn
-    // down, and the target's clock did not move either.
+    EXPECT_THROW(img.criu.restore(img.handle, target), Error);
     EXPECT_EQ(target.taskCount(), tasksBefore);
     EXPECT_EQ(failed.value(), failedBefore);
     EXPECT_EQ(target.clock().now(), clockBefore);
 }
 
+TEST_P(CriuPageSection, ForgedSectionFailsBeforeTheTask)
+{
+    CriuImage img;
+    ASSERT_NE(img.h, nullptr);
+    img.rewrite(forgePages(img.bytes(), GetParam()));
+    expectFailsBeforeTheTask<sim::FatalError>(img);
+}
+
 INSTANTIATE_TEST_SUITE_P(Forgeries, CriuPageSection,
                          ::testing::Values(Forgery::CountPlusOne,
                                            Forgery::HugeCount,
-                                           Forgery::LastRecordCut));
+                                           Forgery::LastRecordCut,
+                                           Forgery::PageOutsideVmas,
+                                           Forgery::PagesOutOfOrder));
+
+// The handle keeps its decoded image across restores, keyed to the
+// file's generation: each case restores once, so the handle holds the
+// decoded image, then changes the file's bytes.
+
+TEST(CriuDecodeCache, AForgedRewriteFailsBeforeTheTask)
+{
+    CriuImage img;
+    img.restoreAndDrop();
+    img.rewrite(forgePages(img.bytes(), Forgery::CountPlusOne));
+    expectFailsBeforeTheTask<sim::FatalError>(img);
+}
+
+TEST(CriuDecodeCache, AFlippedBitFailsTheCrc)
+{
+    CriuImage img;
+    img.restoreAndDrop();
+    img.world.fabric->sharedFs().corruptBit(img.h->fileName(), 77);
+    expectFailsBeforeTheTask<sim::CorruptImageError>(img);
+}
+
+TEST(CriuDecodeCache, AValidRewriteRestoresItsTokens)
+{
+    CriuImage img;
+    img.restoreAndDrop();
+    img.rewrite(reencodePages(
+        img.bytes(), [](std::vector<proto::PageMsg> &pages, uint64_t &,
+                        const proto::CriuImageMsg &) {
+            for (proto::PageMsg &p : pages)
+                p.content += 1000;
+        }));
+    os::NodeOs &target = img.world.node(1);
+    auto child = img.criu.restore(img.handle, target);
+    for (uint64_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(target.read(*child, img.heap.plus(i * mem::kPageSize)),
+                  1100 + i)
+            << "page " << i;
+    }
+}
 
 TEST(CriuImageScan, PoisonedImageFrameStillFailsTheRestore)
 {

@@ -99,7 +99,7 @@ TEST_F(FailureTest, CxlDeviceExhaustionFailsCheckpointCleanly)
     EXPECT_THROW(fork.checkpoint(tiny.node(0), *task), sim::FatalError);
 }
 
-TEST_F(FailureTest, LocalDramExhaustionFailsRestoreCleanly)
+TEST_F(FailureTest, LocalDramExhaustionFailsFaultIn)
 {
     mem::MachineConfig cfg = test::smallConfig();
     cfg.dramPerNodeBytes = mem::mib(1); // 256 frames
@@ -109,6 +109,37 @@ TEST_F(FailureTest, LocalDramExhaustionFailsRestoreCleanly)
         *task, 512 * kPageSize, os::kVmaRead | os::kVmaWrite, "h");
     EXPECT_THROW(tiny.node(0).touchRange(*task, heap.start, heap.end, true),
                  sim::FatalError);
+}
+
+TEST_F(FailureTest, LocalDramExhaustionFailsCriuRestoreCleanly)
+{
+    // The target runs out of DRAM partway through the install of one
+    // run of pages: the restore fails typed, leaves no task, and every
+    // frame it took (pages and page-table pages) goes back.
+    CriuCxl criu(*world.fabric);
+    auto handle = criu.checkpoint(world.node(0), *parent);
+    os::NodeOs &target = world.node(1);
+    mem::FrameAllocator &dram = target.localDram();
+    std::vector<mem::PhysAddr> filler;
+    while (dram.freeFrames() > 20)
+        filler.push_back(dram.alloc(mem::FrameUse::Data));
+    const uint64_t used = dram.usedFrames();
+    const uint64_t refs = dram.totalRefs();
+
+    const RestoreOutcome out = criu.tryRestore(handle, target);
+    EXPECT_FALSE(out);
+    EXPECT_EQ(out.error, RestoreError::CapacityExhausted);
+    EXPECT_EQ(target.taskCount(), 0u);
+    EXPECT_EQ(dram.usedFrames(), used);
+    EXPECT_EQ(dram.totalRefs(), refs);
+    const mem::FrameAudit audit = dram.auditLive();
+    EXPECT_TRUE(audit.consistent) << audit.detail;
+
+    // With the filler gone the same image restores.
+    for (mem::PhysAddr f : filler)
+        dram.decRef(f);
+    auto child = criu.restore(handle, target);
+    EXPECT_EQ(target.read(*child, heapStart.plus(31 * kPageSize)), 32u);
 }
 
 TEST_F(FailureTest, RestoreOfMissingCriuImageFails)

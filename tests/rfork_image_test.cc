@@ -46,7 +46,7 @@ class ImageTest : public ::testing::Test
                 p.set(Pte::kDirty);
             leaf->pte(i) = p;
         }
-        cxl::rebaseLeaf(*leaf, *world.machine);
+        cxl::LeafRebaser(*world.machine).rebase(*leaf);
         leaf->seal();
         return leaf;
     }
