@@ -15,8 +15,7 @@
  */
 
 #include "porter/autoscaler.hh"
-#include "porter/chaos_harness.hh"
-#include "porter/crash_harness.hh"
+#include "porter/scenario.hh"
 #include "porter/trace.hh"
 #include "sim/log.hh"
 
@@ -152,17 +151,17 @@ benchMain()
     struct CrashRow
     {
         uint64_t sites = 0;
-        porter::CrashSiteResult res;
+        porter::SiteResult res;
     };
     std::vector<CrashRow> crashRows(crashPoints.size());
     bench::runSweep(crashPoints, [&](const CrashPoint &p, size_t i) {
-        porter::CrashEnumConfig cc;
-        cc.mechanism = p.mech;
-        cc.heapPages = p.pages;
-        const uint64_t sites = porter::countCrashSites(cc);
+        porter::Scenario s = porter::Scenario::crash();
+        s.mechanism = p.mech;
+        s.heapPages = p.pages;
+        const uint64_t sites = porter::countSites(s, porter::Fault::Crash);
         const uint64_t site = uint64_t(p.frac * double(sites - 1));
         crashRows[i].sites = sites;
-        crashRows[i].res = porter::runCrashAtSite(cc, site);
+        crashRows[i].res = porter::runAtSite(s, porter::Fault::Crash, site);
         bench::recordValue(
             sim::format("crash_recovery.%s.f%02.0f.p%llu.recovery_us",
                         rfork::mechanismName(p.mech), p.frac * 100,
@@ -217,20 +216,19 @@ benchMain()
     for (double poison : {0.02, 0.1})
         for (uint32_t k : {0u, 1u, 2u})
             rasPoints.push_back({poison, k});
-    std::vector<porter::ChaosReport> rasRows(rasPoints.size());
+    std::vector<porter::Report> rasRows(rasPoints.size());
     bench::runSweep(rasPoints, [&](const RasPoint &p, size_t i) {
-        porter::ChaosConfig cc;
-        cc.mechanism = rfork::MechanismKind::CxlFork;
-        cc.rounds = 60;
-        cc.poisonRate = p.poison;
-        cc.replicas = p.replicas;
-        cc.transientRate = 0.0;
-        cc.crashProb = 0.0;
-        rasRows[i] = porter::runChaosSoak(cc);
+        porter::Scenario s = porter::Scenario::chaos();
+        s.rounds = 60;
+        s.cluster.machine.faults.framePoisonRate = p.poison;
+        s.cluster.machine.faults.cxlTransientRate = 0.0;
+        s.setReplicas(p.replicas);
+        s.publishFaultProb = 0.0;
+        rasRows[i] = porter::run(s);
         const std::string tag = sim::format("ras.p%02.0f.k%u",
                                             p.poison * 100, p.replicas);
         bench::recordValue(tag + ".survival",
-                           rasRows[i].survivalFraction());
+                           rasRows[i].checkpointSurvival());
         bench::recordValue(tag + ".replica_peak_kb",
                            double(rasRows[i].peakReplicaBytes) / 1024.0);
         bench::recordValue(tag + ".repairs", double(rasRows[i].repairs));
@@ -243,13 +241,13 @@ benchMain()
     bool rasViolation = false;
     for (size_t i = 0; i < rasPoints.size(); ++i) {
         const RasPoint &p = rasPoints[i];
-        const porter::ChaosReport &r = rasRows[i];
+        const porter::Report &r = rasRows[i];
         rasViolation |= !r.pass;
         t4.addRow({sim::Table::num(p.poison, 2),
                    std::to_string(p.replicas),
                    std::to_string(r.checkpointsPublished),
                    std::to_string(r.checkpointsLost),
-                   sim::Table::num(r.survivalFraction(), 4),
+                   sim::Table::num(r.checkpointSurvival(), 4),
                    std::to_string(r.repairs),
                    std::to_string(r.replicasWritten),
                    sim::Table::num(double(r.peakReplicaBytes) / 1024.0,

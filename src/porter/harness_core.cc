@@ -109,12 +109,6 @@ Rig::Rig(const ClusterConfig &cc, rfork::MechanismKind k,
 {
 }
 
-os::NodeOs &
-Rig::restoreNode()
-{
-    return cluster.node(kind == rfork::MechanismKind::LocalFork ? 0 : 1);
-}
-
 Soak::Soak(const ClusterConfig &cc, rfork::MechanismKind k,
            const char *function, uint64_t heapPages, PageTokens tokens,
            uint64_t seed)

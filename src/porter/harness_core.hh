@@ -129,9 +129,6 @@ struct Rig
     Rig(const ClusterConfig &cc, rfork::MechanismKind kind,
         const char *function, uint64_t heapPages, PageTokens tokens);
 
-    /** LocalFork forks on the parent's node 0; the rest cross to 1. */
-    os::NodeOs &restoreNode();
-
     /**
      * The teardown audit (see the file comment) into `v`.
      * @return the frames in use above the baseline.

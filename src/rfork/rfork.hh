@@ -187,6 +187,9 @@ enum class RestoreError : uint8_t
 
 const char *restoreErrorName(RestoreError e);
 
+/** The restore error a typed sim fault stands for. */
+RestoreError restoreErrorOf(const sim::SimError &e);
+
 /** How tryRestore() retries transient failures, in simulated time. */
 struct RestoreRetryPolicy
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * The chaos soak (porter/chaos_harness.hh) as a ctest: thousands of
+ * The chaos preset of porter::Scenario (porter/scenario.hh) as a ctest: thousands of
  * invocations per mechanism under combined poison/transient/crash
  * injection, the negative control that proves losses are visible, and
  * report-level determinism. Labeled `chaos` so CI runs the suite
@@ -12,19 +12,19 @@
 #include <algorithm>
 #include <cctype>
 
-#include "porter/chaos_harness.hh"
+#include "porter/scenario.hh"
 
 namespace cxlfork {
 namespace {
 
-using porter::ChaosConfig;
-using porter::ChaosReport;
+using porter::Report;
+using porter::Scenario;
 using rfork::MechanismKind;
 
-ChaosConfig
+Scenario
 soakConfig(MechanismKind mech, uint64_t rounds = 600)
 {
-    ChaosConfig cfg;
+    Scenario cfg = Scenario::chaos();
     cfg.mechanism = mech;
     cfg.rounds = rounds;
     return cfg;
@@ -37,13 +37,13 @@ class ChaosSoakAllMechanisms
 
 TEST_P(ChaosSoakAllMechanisms, HoldsEveryInvariant)
 {
-    const ChaosReport rep = porter::runChaosSoak(soakConfig(GetParam()));
+    const Report rep = porter::run(soakConfig(GetParam()));
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.invocations, 1000u) << "soak too short to mean much";
     EXPECT_GT(rep.checkpointsPublished, 0u);
     EXPECT_GT(rep.crashesInjected, 0u) << "crash arm never fired";
     EXPECT_EQ(rep.framesLeaked, 0u);
-    EXPECT_GE(rep.survivalFraction(), 0.9)
+    EXPECT_GE(rep.checkpointSurvival(), 0.9)
         << "replication should keep nearly every checkpoint restorable";
 }
 
@@ -66,8 +66,8 @@ TEST(ChaosSoak, RepairLadderActuallyExercised)
     // CXLfork keeps its checkpoints on the device, so the strike
     // injector must hit live frames and the ladder must repair them —
     // a soak where nothing ever breaks proves nothing.
-    const ChaosReport rep =
-        porter::runChaosSoak(soakConfig(MechanismKind::CxlFork));
+    const Report rep =
+        porter::run(soakConfig(MechanismKind::CxlFork));
     EXPECT_GT(rep.strikes, 0u);
     EXPECT_GT(rep.repairs, 0u);
     EXPECT_GT(rep.replicasWritten, 0u);
@@ -79,32 +79,32 @@ TEST(ChaosSoak, NegativeControlLosesCheckpoints)
 {
     // Replication off: the same storm must now destroy checkpoints —
     // and every loss must still be provable (reclaimed, not corrupt).
-    ChaosConfig cfg = soakConfig(MechanismKind::CxlFork);
-    cfg.replicas = 0;
-    const ChaosReport rep = porter::runChaosSoak(cfg);
+    Scenario cfg = soakConfig(MechanismKind::CxlFork);
+    cfg.setReplicas(0);
+    const Report rep = porter::run(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.checkpointsLost, 0u)
         << "the harness cannot see losses at all";
     EXPECT_EQ(rep.repairs, 0u);
     EXPECT_EQ(rep.framesLeaked, 0u);
-    EXPECT_LT(rep.survivalFraction(), 0.9);
+    EXPECT_LT(rep.checkpointSurvival(), 0.9);
 }
 
 TEST(ChaosSoak, ReplicationBeatsNoReplication)
 {
-    ChaosConfig with = soakConfig(MechanismKind::CxlFork);
-    ChaosConfig without = with;
-    without.replicas = 0;
-    const ChaosReport r2 = porter::runChaosSoak(with);
-    const ChaosReport r0 = porter::runChaosSoak(without);
-    EXPECT_GT(r2.survivalFraction(), r0.survivalFraction());
+    Scenario with = soakConfig(MechanismKind::CxlFork);
+    Scenario without = with;
+    without.setReplicas(0);
+    const Report r2 = porter::run(with);
+    const Report r0 = porter::run(without);
+    EXPECT_GT(r2.checkpointSurvival(), r0.checkpointSurvival());
 }
 
 TEST(ChaosSoak, ReportIsDeterministic)
 {
-    const ChaosConfig cfg = soakConfig(MechanismKind::CriuCxl, 200);
-    const ChaosReport a = porter::runChaosSoak(cfg);
-    const ChaosReport b = porter::runChaosSoak(cfg);
+    const Scenario cfg = soakConfig(MechanismKind::CriuCxl, 200);
+    const Report a = porter::run(cfg);
+    const Report b = porter::run(cfg);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.checkpointsPublished, b.checkpointsPublished);
     EXPECT_EQ(a.restoresOk, b.restoresOk);
@@ -137,9 +137,9 @@ class ChaosSoakCoherence
 
 TEST_P(ChaosSoakCoherence, HoldsEveryInvariantWithDirectoryArmed)
 {
-    ChaosConfig cfg = soakConfig(MechanismKind::CxlFork, 250);
-    cfg.coherence = GetParam();
-    const ChaosReport rep = porter::runChaosSoak(cfg);
+    Scenario cfg = soakConfig(MechanismKind::CxlFork, 250);
+    cfg.cluster.coherence.mode = GetParam();
+    const Report rep = porter::run(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.checkpointsPublished, 0u);
     EXPECT_GT(rep.crashesInjected, 0u) << "crash arm never fired";
@@ -161,11 +161,11 @@ TEST(ChaosSoakCoherence, DirectoryOffReportMatchesPreCoherenceSoak)
     // The coherence knob at Off must reproduce the directory-free soak
     // bit-identically — same storm, same counts, no directory in the
     // loop.
-    const ChaosConfig off = soakConfig(MechanismKind::CriuCxl, 200);
-    ChaosConfig offExplicit = off;
-    offExplicit.coherence = cxl::CoherenceMode::Off;
-    const ChaosReport a = porter::runChaosSoak(off);
-    const ChaosReport b = porter::runChaosSoak(offExplicit);
+    const Scenario off = soakConfig(MechanismKind::CriuCxl, 200);
+    Scenario offExplicit = off;
+    offExplicit.cluster.coherence.mode = cxl::CoherenceMode::Off;
+    const Report a = porter::run(off);
+    const Report b = porter::run(offExplicit);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.restoresOk, b.restoresOk);
     EXPECT_EQ(a.checkpointsLost, b.checkpointsLost);
@@ -176,10 +176,10 @@ TEST(ChaosSoakCoherence, DirectoryOffReportMatchesPreCoherenceSoak)
 
 TEST(ChaosSoak, SeedChangesTheStorm)
 {
-    ChaosConfig cfg = soakConfig(MechanismKind::CxlFork, 200);
-    const ChaosReport a = porter::runChaosSoak(cfg);
+    Scenario cfg = soakConfig(MechanismKind::CxlFork, 200);
+    const Report a = porter::run(cfg);
     cfg.seed ^= 0x5eedULL;
-    const ChaosReport b = porter::runChaosSoak(cfg);
+    const Report b = porter::run(cfg);
     EXPECT_TRUE(a.pass && b.pass);
     // Different seed, different schedule — at least one observable
     // differs (all equal would suggest the seed is ignored).

@@ -1,6 +1,7 @@
 /**
  * @file
- * Deterministic crash-point enumeration: for every mechanism, run
+ * Deterministic crash-point enumeration (porter::sweep with
+ * Fault::Crash over the crash preset): for every mechanism, run
  * checkpoint-publish with a crash injected at every site k, recover
  * the node, and audit the machine-wide invariants (no leaked frames,
  * consistent allocators, lookup restorable-or-absent). Also proves the
@@ -10,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "porter/crash_harness.hh"
+#include "porter/scenario.hh"
 #include "sim/error.hh"
 
 namespace cxlfork::porter {
@@ -21,19 +22,31 @@ using rfork::MechanismKind;
 /** Small footprint keeps the per-site cluster rebuild cheap. */
 constexpr uint64_t kHeapPages = 8;
 
-CrashEnumConfig
+Scenario
 configFor(MechanismKind m,
           rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase)
 {
-    CrashEnumConfig cfg;
+    Scenario cfg = Scenario::crash();
     cfg.mechanism = m;
     cfg.heapPages = kHeapPages;
     cfg.policy = policy;
     return cfg;
 }
 
+SweepReport
+sweepCrash(const Scenario &cfg)
+{
+    return sweep(cfg, Fault::Crash);
+}
+
+uint64_t
+countCrash(const Scenario &cfg)
+{
+    return countSites(cfg, Fault::Crash);
+}
+
 std::string
-describe(const CrashEnumReport &rep)
+describe(const SweepReport &rep)
 {
     if (rep.pass)
         return "pass";
@@ -42,9 +55,9 @@ describe(const CrashEnumReport &rep)
 
 TEST(CrashEnum, SiteCountIsDeterministic)
 {
-    const CrashEnumConfig cfg = configFor(MechanismKind::CxlFork);
-    const uint64_t a = countCrashSites(cfg);
-    const uint64_t b = countCrashSites(cfg);
+    const Scenario cfg = configFor(MechanismKind::CxlFork);
+    const uint64_t a = countCrash(cfg);
+    const uint64_t b = countCrash(cfg);
     EXPECT_EQ(a, b);
     // A checkpoint that allocates frames and journals must pass through
     // a meaningful number of crash sites: at least stage, one
@@ -54,29 +67,29 @@ TEST(CrashEnum, SiteCountIsDeterministic)
 
 TEST(CrashEnum, EverySiteRecoversCxlFork)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(MechanismKind::CxlFork));
+    const SweepReport rep =
+        sweepCrash(configFor(MechanismKind::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     // The crash-free control must publish a restorable image.
-    const CrashSiteResult &control = rep.results.back();
-    EXPECT_FALSE(control.crashed);
+    const SiteResult &control = rep.results.back();
+    EXPECT_FALSE(control.fired);
     EXPECT_TRUE(control.imageAvailable);
     EXPECT_TRUE(control.restored);
 }
 
 TEST(CrashEnum, EverySiteRecoversCriu)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(MechanismKind::CriuCxl));
+    const SweepReport rep =
+        sweepCrash(configFor(MechanismKind::CriuCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
 
 TEST(CrashEnum, EverySiteRecoversMitosis)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(MechanismKind::MitosisCxl));
+    const SweepReport rep =
+        sweepCrash(configFor(MechanismKind::MitosisCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     // A Mitosis checkpoint dies with its node: no crashed run may
@@ -88,8 +101,8 @@ TEST(CrashEnum, EverySiteRecoversMitosis)
 
 TEST(CrashEnum, EverySiteRecoversLocalFork)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(MechanismKind::LocalFork));
+    const SweepReport rep =
+        sweepCrash(configFor(MechanismKind::LocalFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     for (uint64_t k = 0; k < rep.sites; ++k)
@@ -104,11 +117,11 @@ TEST(CrashEnum, LatePublishCrashesLeaveRestorableImage)
     // the CXL-persistence property the paper's Sec. 5 store relies on.
     for (MechanismKind m :
          {MechanismKind::CxlFork, MechanismKind::CriuCxl}) {
-        const CrashEnumConfig cfg = configFor(m);
-        const uint64_t sites = countCrashSites(cfg);
+        const Scenario cfg = configFor(m);
+        const uint64_t sites = countCrash(cfg);
         ASSERT_GT(sites, 0u);
-        const CrashSiteResult last = runCrashAtSite(cfg, sites - 1);
-        EXPECT_TRUE(last.crashed) << rfork::mechanismName(m);
+        const SiteResult last = runAtSite(cfg, Fault::Crash, sites - 1);
+        EXPECT_TRUE(last.fired) << rfork::mechanismName(m);
         EXPECT_FALSE(last.violation)
             << rfork::mechanismName(m) << ": " << last.detail;
         EXPECT_TRUE(last.imageAvailable) << rfork::mechanismName(m);
@@ -121,13 +134,13 @@ TEST(CrashEnum, SomeMidBuildCrashIsCompletedOrReclaimed)
     // Across the sweep, recovery must exercise both verdicts for
     // CXLfork: early crashes reclaim (incomplete image), while the
     // crash at the publish-step site completes the fully-built orphan.
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(MechanismKind::CxlFork));
+    const SweepReport rep =
+        sweepCrash(configFor(MechanismKind::CxlFork));
     ASSERT_TRUE(rep.pass) << describe(rep);
     bool sawReclaimed = false;
     bool sawCompleted = false;
     for (uint64_t k = 0; k < rep.sites; ++k) {
-        if (!rep.results[k].crashed)
+        if (!rep.results[k].fired)
             continue;
         if (rep.results[k].imageAvailable)
             sawCompleted = true;
@@ -144,12 +157,12 @@ TEST(CrashEnum, DirectPutUnsafeFailsTheEnumeration)
     // lookup() exposes half-built images and the invariant audit must
     // catch at least one site. If this test ever "passes" the sweep,
     // the harness lost its teeth.
-    const CrashEnumReport rep = enumerateCrashSites(configFor(
+    const SweepReport rep = sweepCrash(configFor(
         MechanismKind::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
     EXPECT_FALSE(rep.pass);
     uint64_t violations = 0;
     bool sawTornExposure = false;
-    for (const CrashSiteResult &r : rep.results) {
+    for (const SiteResult &r : rep.results) {
         violations += r.violation;
         if (r.detail.find("half-built") != std::string::npos)
             sawTornExposure = true;
@@ -168,40 +181,40 @@ TEST(CrashEnum, DirectPutUnsafeFailsTheEnumeration)
 // trips the census check (frames still held after reclamation), and
 // auditAll() additionally cross-checks the store's content index.
 
-CrashEnumConfig
+Scenario
 dedupConfigFor(MechanismKind m,
                rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase)
 {
-    CrashEnumConfig cfg = configFor(m, policy);
-    cfg.pageStore.dedup = true;
-    cfg.tokenPeriod = 4;
+    Scenario cfg = configFor(m, policy);
+    cfg.cluster.pageStore.dedup = true;
+    cfg.tokens.period = 4;
     return cfg;
 }
 
 TEST(CrashEnumDedup, SiteCountIsDeterministic)
 {
-    const CrashEnumConfig cfg = dedupConfigFor(MechanismKind::CxlFork);
-    const uint64_t a = countCrashSites(cfg);
-    EXPECT_EQ(a, countCrashSites(cfg));
+    const Scenario cfg = dedupConfigFor(MechanismKind::CxlFork);
+    const uint64_t a = countCrash(cfg);
+    EXPECT_EQ(a, countCrash(cfg));
     EXPECT_GE(a, kHeapPages + 4);
 }
 
 TEST(CrashEnumDedup, EverySiteRecoversCxlFork)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(dedupConfigFor(MechanismKind::CxlFork));
+    const SweepReport rep =
+        sweepCrash(dedupConfigFor(MechanismKind::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
-    const CrashSiteResult &control = rep.results.back();
-    EXPECT_FALSE(control.crashed);
+    const SiteResult &control = rep.results.back();
+    EXPECT_FALSE(control.fired);
     EXPECT_TRUE(control.imageAvailable);
     EXPECT_TRUE(control.restored);
 }
 
 TEST(CrashEnumDedup, EverySiteRecoversCriu)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(dedupConfigFor(MechanismKind::CriuCxl));
+    const SweepReport rep =
+        sweepCrash(dedupConfigFor(MechanismKind::CriuCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -210,9 +223,9 @@ TEST(CrashEnumDedup, SharedHeapStillRecoversWithoutDedup)
 {
     // Control: the same folded heap without the content index. Proves
     // any dedup-sweep failure is the store's, not the workload's.
-    CrashEnumConfig cfg = configFor(MechanismKind::CxlFork);
-    cfg.tokenPeriod = 4;
-    const CrashEnumReport rep = enumerateCrashSites(cfg);
+    Scenario cfg = configFor(MechanismKind::CxlFork);
+    cfg.tokens.period = 4;
+    const SweepReport rep = sweepCrash(cfg);
     EXPECT_TRUE(rep.pass) << describe(rep);
 }
 
@@ -220,7 +233,7 @@ TEST(CrashEnumDedup, DirectPutUnsafeStillFailsTheEnumeration)
 {
     // The harness keeps its teeth with dedup on: reverting two-phase
     // publication must still be caught.
-    const CrashEnumReport rep = enumerateCrashSites(dedupConfigFor(
+    const SweepReport rep = sweepCrash(dedupConfigFor(
         MechanismKind::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
     EXPECT_FALSE(rep.pass);
 }
@@ -233,31 +246,31 @@ TEST(CrashEnumDedup, DirectPutUnsafeStillFailsTheEnumeration)
 // coherence operation recovers as cleanly as every other site — no
 // leaked frames, no stale visibility, restorable-or-absent lookup.
 
-CrashEnumConfig
+Scenario
 coherenceConfigFor(MechanismKind m, cxl::CoherenceMode mode)
 {
-    CrashEnumConfig cfg = configFor(m);
-    cfg.coherence = mode;
+    Scenario cfg = configFor(m);
+    cfg.cluster.coherence.mode = mode;
     return cfg;
 }
 
 TEST(CrashEnumCoherence, DirectoryAddsCrashSites)
 {
-    const uint64_t off = countCrashSites(configFor(MechanismKind::CxlFork));
-    const uint64_t hdmh = countCrashSites(
+    const uint64_t off = countCrash(configFor(MechanismKind::CxlFork));
+    const uint64_t hdmh = countCrash(
         coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH));
     EXPECT_GT(hdmh, off)
         << "an armed directory must walk its own crash sites";
     // And the directory-off sweep is exactly the pre-coherence one.
-    EXPECT_EQ(off, countCrashSites(configFor(MechanismKind::CxlFork)));
+    EXPECT_EQ(off, countCrash(configFor(MechanismKind::CxlFork)));
 }
 
 TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmH)
 {
-    const CrashEnumReport rep = enumerateCrashSites(
+    const SweepReport rep = sweepCrash(
         coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH));
     EXPECT_TRUE(rep.pass) << describe(rep);
-    const CrashSiteResult &control = rep.results.back();
+    const SiteResult &control = rep.results.back();
     EXPECT_TRUE(control.restored);
 }
 
@@ -267,7 +280,7 @@ TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmD)
     // and its flush leaves unflushed pending stores that recovery must
     // discard — a restore that *succeeds with stale bytes* would fail
     // the page-token verification inside the harness.
-    const CrashEnumReport rep = enumerateCrashSites(
+    const SweepReport rep = sweepCrash(
         coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmD));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
@@ -275,7 +288,7 @@ TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmD)
 
 TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 {
-    const CrashEnumReport rep = enumerateCrashSites(
+    const SweepReport rep = sweepCrash(
         coherenceConfigFor(MechanismKind::CriuCxl, cxl::CoherenceMode::HdmD));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
@@ -289,19 +302,19 @@ TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 // and every site must still recover restorable-or-absent with zero
 // leaks while contention delays stretch the simulated timeline.
 
-CrashEnumConfig
+Scenario
 contentionConfigFor(MechanismKind m)
 {
-    CrashEnumConfig cfg = configFor(m);
-    cfg.contention.enabled = true;
+    Scenario cfg = configFor(m);
+    cfg.cluster.contention.enabled = true;
     return cfg;
 }
 
 TEST(CrashEnumContention, QueueAddsNoCrashSites)
 {
-    const uint64_t off = countCrashSites(configFor(MechanismKind::CxlFork));
+    const uint64_t off = countCrash(configFor(MechanismKind::CxlFork));
     const uint64_t armed =
-        countCrashSites(contentionConfigFor(MechanismKind::CxlFork));
+        countCrash(contentionConfigFor(MechanismKind::CxlFork));
     EXPECT_EQ(armed, off)
         << "the queue model is a latency hook, not a failure domain: "
            "arming it must not shift the deterministic site enumeration";
@@ -309,8 +322,8 @@ TEST(CrashEnumContention, QueueAddsNoCrashSites)
 
 TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(contentionConfigFor(MechanismKind::CxlFork));
+    const SweepReport rep =
+        sweepCrash(contentionConfigFor(MechanismKind::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     EXPECT_TRUE(rep.results.back().restored);
@@ -318,8 +331,8 @@ TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 
 TEST(CrashEnumContention, EverySiteRecoversCriuQueued)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(contentionConfigFor(MechanismKind::CriuCxl));
+    const SweepReport rep =
+        sweepCrash(contentionConfigFor(MechanismKind::CriuCxl));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }

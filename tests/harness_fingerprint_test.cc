@@ -1,15 +1,16 @@
 /**
  * @file
- * Pins the exact reports of the crash, chaos and partition harnesses.
+ * Pins the exact reports of the scenario presets.
  *
- * For each mechanism, every field of runChaosSoak, runPartitionSoak
- * (restore latencies included), enumerateCrashSites (every
- * CrashSiteResult) and enumeratePartitionSites (every
- * PartitionSiteResult) at the soak tools' default configs is folded
- * into an FNV-1a hash and compared with a recorded value. The other
- * harness tests check run-to-run determinism; this one pins the
- * reports across commits, so a refactor of the shared harness code
- * that moves one RNG draw, one site or one counter fails here.
+ * For each mechanism, the chaos and partition soak reports (restore
+ * latencies included) and every SiteResult of the crash and severance
+ * sweeps, at the tools' default presets, are folded into an FNV-1a
+ * hash and compared with a recorded value. Each hash folds the fields
+ * the crash, chaos and partition harnesses reported before they became
+ * one scenario, in their order. The other scenario tests check
+ * run-to-run determinism; this one pins the reports across commits, so
+ * a refactor that moves one RNG draw, one site or one counter fails
+ * here.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +20,7 @@
 #include <cstdint>
 #include <string>
 
-#include "porter/chaos_harness.hh"
-#include "porter/crash_harness.hh"
-#include "porter/partition_harness.hh"
+#include "porter/scenario.hh"
 
 namespace cxlfork {
 namespace {
@@ -57,9 +56,9 @@ class Fingerprint
 uint64_t
 chaosFingerprint(Kind k)
 {
-    porter::ChaosConfig cfg;
-    cfg.mechanism = k;
-    const porter::ChaosReport r = porter::runChaosSoak(cfg);
+    porter::Scenario s = porter::Scenario::chaos();
+    s.mechanism = k;
+    const porter::Report r = porter::run(s);
     Fingerprint f;
     for (uint64_t v :
          {r.rounds, r.invocations, r.checkpointsPublished, r.restoresOk,
@@ -75,9 +74,9 @@ chaosFingerprint(Kind k)
 uint64_t
 partitionSoakFingerprint(Kind k)
 {
-    porter::PartitionConfig cfg;
-    cfg.mechanism = k;
-    const porter::PartitionReport r = porter::runPartitionSoak(cfg);
+    porter::Scenario s = porter::Scenario::partition();
+    s.mechanism = k;
+    const porter::Report r = porter::run(s);
     Fingerprint f;
     for (uint64_t v :
          {r.rounds, r.invocations, r.checkpointsPublished, r.restoresOk,
@@ -98,15 +97,15 @@ partitionSoakFingerprint(Kind k)
 uint64_t
 crashEnumFingerprint(Kind k)
 {
-    porter::CrashEnumConfig cfg;
-    cfg.mechanism = k;
-    const porter::CrashEnumReport r = porter::enumerateCrashSites(cfg);
+    porter::Scenario s = porter::Scenario::crash();
+    s.mechanism = k;
+    const porter::SweepReport r = porter::sweep(s, porter::Fault::Crash);
     Fingerprint f;
     f.add(r.sites);
     f.add(uint64_t(r.results.size()));
-    for (const porter::CrashSiteResult &s : r.results) {
+    for (const porter::SiteResult &s : r.results) {
         f.add(s.site);
-        f.add(s.crashed);
+        f.add(s.fired);
         f.add(s.imageAvailable);
         f.add(s.restored);
         f.add(s.violation);
@@ -123,16 +122,15 @@ crashEnumFingerprint(Kind k)
 uint64_t
 partitionEnumFingerprint(Kind k)
 {
-    porter::PartitionConfig cfg;
-    cfg.mechanism = k;
-    const porter::PartitionEnumReport r =
-        porter::enumeratePartitionSites(cfg);
+    porter::Scenario s = porter::Scenario::partition();
+    s.mechanism = k;
+    const porter::SweepReport r = porter::sweep(s, porter::Fault::Sever);
     Fingerprint f;
     f.add(r.sites);
     f.add(uint64_t(r.results.size()));
-    for (const porter::PartitionSiteResult &s : r.results) {
+    for (const porter::SiteResult &s : r.results) {
         f.add(s.site);
-        f.add(s.severed);
+        f.add(s.fired);
         f.add(s.imageAvailable);
         f.add(s.restored);
         f.add(s.violation);
@@ -147,7 +145,8 @@ partitionEnumFingerprint(Kind k)
 
 /**
  * Values recorded by this test before the three harnesses moved onto
- * harness_core.hh; the move had to leave every report unchanged.
+ * harness_core.hh; that move, and the fold into one scenario, had to
+ * leave every report unchanged.
  */
 struct Pinned
 {

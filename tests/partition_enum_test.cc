@@ -1,6 +1,7 @@
 /**
  * @file
- * Partition-site enumeration: sever the restoring node's link at
+ * Partition-site enumeration (porter::sweep with Fault::Sever over the
+ * partition preset): sever the restoring node's link at
  * EVERY transaction site of the restore path (plus the sever-free
  * control), and audit restorable-or-absent after each episode — the
  * ladder serves the restore byte-identical from another rung, or the
@@ -15,19 +16,20 @@
 #include <algorithm>
 #include <cctype>
 
-#include "porter/partition_harness.hh"
+#include "porter/scenario.hh"
 
 namespace cxlfork {
 namespace {
 
 using rfork::MechanismKind;
-using porter::PartitionConfig;
-using porter::PartitionEnumReport;
+using porter::Fault;
+using porter::Scenario;
+using porter::SweepReport;
 
-PartitionConfig
+Scenario
 enumBaseConfig(MechanismKind mech)
 {
-    PartitionConfig cfg;
+    Scenario cfg = Scenario::partition();
     cfg.mechanism = mech;
     cfg.heapPages = 6; // small heap keeps the site count tractable
     return cfg;
@@ -40,9 +42,8 @@ class PartitionEnumAllMechanisms
 
 TEST_P(PartitionEnumAllMechanisms, RestorableOrAbsentAtEverySite)
 {
-    const PartitionConfig cfg = enumBaseConfig(GetParam());
-    const PartitionEnumReport rep =
-        porter::enumeratePartitionSites(cfg);
+    const Scenario cfg = enumBaseConfig(GetParam());
+    const SweepReport rep = porter::sweep(cfg, Fault::Sever);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.sites, 0u) << "no transaction sites to sever at all";
     // sites + 1: every severance point plus the sever-free control.
@@ -54,7 +55,7 @@ TEST_P(PartitionEnumAllMechanisms, RestorableOrAbsentAtEverySite)
     }
     // The control episode (no severance) must restore directly.
     const auto &control = rep.results.back();
-    EXPECT_FALSE(control.severed);
+    EXPECT_FALSE(control.fired);
     EXPECT_TRUE(control.restored) << control.detail;
     EXPECT_EQ(control.rung, porter::LadderRung::Direct);
 }
@@ -75,11 +76,11 @@ TEST(PartitionEnum, SeveranceActuallyLandsSomewhere)
 {
     // The sweep is vacuous if no armed site ever fires or the ladder
     // never gets pushed off the direct rung.
-    const PartitionEnumReport rep = porter::enumeratePartitionSites(
-        enumBaseConfig(MechanismKind::CxlFork));
+    const SweepReport rep =
+        porter::sweep(enumBaseConfig(MechanismKind::CxlFork), Fault::Sever);
     uint64_t fired = 0, offDirect = 0;
     for (const auto &r : rep.results) {
-        fired += r.severed;
+        fired += r.fired;
         offDirect += r.restored && r.rung != porter::LadderRung::Direct;
     }
     EXPECT_GT(fired, 0u) << "no armed severance ever fired";
@@ -89,12 +90,12 @@ TEST(PartitionEnum, SeveranceActuallyLandsSomewhere)
 
 TEST(PartitionEnum, SweepIsDeterministic)
 {
-    const PartitionConfig cfg = enumBaseConfig(MechanismKind::CriuCxl);
-    const PartitionEnumReport a = porter::enumeratePartitionSites(cfg);
-    const PartitionEnumReport b = porter::enumeratePartitionSites(cfg);
+    const Scenario cfg = enumBaseConfig(MechanismKind::CriuCxl);
+    const SweepReport a = porter::sweep(cfg, Fault::Sever);
+    const SweepReport b = porter::sweep(cfg, Fault::Sever);
     ASSERT_EQ(a.results.size(), b.results.size());
     for (size_t i = 0; i < a.results.size(); ++i) {
-        EXPECT_EQ(a.results[i].severed, b.results[i].severed) << i;
+        EXPECT_EQ(a.results[i].fired, b.results[i].fired) << i;
         EXPECT_EQ(a.results[i].restored, b.results[i].restored) << i;
         EXPECT_EQ(int(a.results[i].rung), int(b.results[i].rung)) << i;
         EXPECT_EQ(a.results[i].imageAvailable,

@@ -1,6 +1,7 @@
 /**
  * @file
- * The partition soak (porter/partition_harness.hh) as a ctest: all
+ * The partition preset of porter::Scenario (porter/scenario.hh) as a
+ * ctest: all
  * four mechanisms under sustained link chaos with quarantines and
  * split-brain replays, the fence-off negative control that must
  * demonstrably double-publish, and report-level determinism. Labeled
@@ -13,19 +14,19 @@
 #include <algorithm>
 #include <cctype>
 
-#include "porter/partition_harness.hh"
+#include "porter/scenario.hh"
 
 namespace cxlfork {
 namespace {
 
 using rfork::MechanismKind;
-using porter::PartitionConfig;
-using porter::PartitionReport;
+using porter::Report;
+using porter::Scenario;
 
-PartitionConfig
+Scenario
 soakConfig(MechanismKind mech, uint64_t rounds = 200)
 {
-    PartitionConfig cfg;
+    Scenario cfg = Scenario::partition();
     cfg.mechanism = mech;
     cfg.rounds = rounds;
     return cfg;
@@ -38,15 +39,15 @@ class PartitionSoakAllMechanisms
 
 TEST_P(PartitionSoakAllMechanisms, HoldsEveryInvariant)
 {
-    const PartitionReport rep =
-        porter::runPartitionSoak(soakConfig(GetParam()));
+    const Report rep =
+        porter::run(soakConfig(GetParam()));
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.invocations, 200u) << "soak too short to mean much";
     EXPECT_GT(rep.checkpointsPublished, 0u);
     EXPECT_EQ(rep.framesLeaked, 0u);
     EXPECT_EQ(rep.doublePublishes, 0u)
         << "with the fence on, no zombie publish may ever win";
-    EXPECT_GE(rep.survivalFraction(), 0.9)
+    EXPECT_GE(rep.restoreSurvival(), 0.9)
         << "the ladder should keep nearly every restore byte-identical";
 }
 
@@ -67,8 +68,8 @@ TEST(PartitionSoak, LadderAndFenceActuallyExercised)
     // A soak where no link ever fails proves nothing: the weather must
     // push restores off the direct rung, the heartbeat must quarantine
     // cut-off nodes, and the replayed zombie must be fenced.
-    const PartitionReport rep =
-        porter::runPartitionSoak(soakConfig(MechanismKind::CxlFork));
+    const Report rep =
+        porter::run(soakConfig(MechanismKind::CxlFork));
     EXPECT_GT(rep.severedTxns, 0u);
     EXPECT_GT(rep.degradedTxns, 0u);
     EXPECT_GT(rep.retriedRestores, 0u);
@@ -89,9 +90,9 @@ TEST(PartitionSoak, NegativeControlDoublePublishes)
     // once, flipping the tuple the survivors published — the split
     // brain the fence exists to prevent. Every other invariant still
     // holds (the harness knows the flip was "allowed").
-    PartitionConfig cfg = soakConfig(MechanismKind::CxlFork);
+    Scenario cfg = soakConfig(MechanismKind::CxlFork);
     cfg.epochFencing = false;
-    const PartitionReport rep = porter::runPartitionSoak(cfg);
+    const Report rep = porter::run(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.doublePublishes, 0u)
         << "without the fence the zombie never won: the fence is not "
@@ -104,45 +105,45 @@ TEST(PartitionSoak, ReplicasFeedTheRerouteRung)
 {
     // Same weather, with and without RAS replicas: the reroute rung
     // only exists with replicas, and it must buy survival.
-    PartitionConfig with = soakConfig(MechanismKind::CxlFork, 120);
+    Scenario with = soakConfig(MechanismKind::CxlFork, 120);
     with.scheduledSeverProb = 0.0;
-    with.midPublishSeverProb = 0.0;
-    with.splitBrainEvery = 0;
-    with.severRate = 0.05;
-    with.degradeRate = 0.05;
-    PartitionConfig without = with;
-    without.replicas = 0;
-    const PartitionReport rWith = porter::runPartitionSoak(with);
-    const PartitionReport rWithout = porter::runPartitionSoak(without);
+    with.publishFaultProb = 0.0;
+    with.steps &= ~Scenario::kSplitBrain;
+    with.cluster.machine.faults.linkSeverRate = 0.05;
+    with.cluster.machine.faults.linkDegradeRate = 0.05;
+    Scenario without = with;
+    without.setReplicas(0);
+    const Report rWith = porter::run(with);
+    const Report rWithout = porter::run(without);
     EXPECT_TRUE(rWith.pass) << rWith.firstViolation;
     EXPECT_TRUE(rWithout.pass) << rWithout.firstViolation;
     EXPECT_GT(rWith.reroutes, 0u);
     EXPECT_EQ(rWithout.reroutes, 0u);
-    EXPECT_GT(rWith.survivalFraction(), rWithout.survivalFraction());
+    EXPECT_GT(rWith.restoreSurvival(), rWithout.restoreSurvival());
 }
 
 TEST(PartitionSoak, CalmWeatherIsAllDirect)
 {
-    PartitionConfig cfg = soakConfig(MechanismKind::CriuCxl, 60);
-    cfg.severRate = 0.0;
-    cfg.degradeRate = 0.0;
+    Scenario cfg = soakConfig(MechanismKind::CriuCxl, 60);
+    cfg.cluster.machine.faults.linkSeverRate = 0.0;
+    cfg.cluster.machine.faults.linkDegradeRate = 0.0;
     cfg.scheduledSeverProb = 0.0;
-    cfg.midPublishSeverProb = 0.0;
-    cfg.splitBrainEvery = 0;
-    const PartitionReport rep = porter::runPartitionSoak(cfg);
+    cfg.publishFaultProb = 0.0;
+    cfg.steps &= ~Scenario::kSplitBrain;
+    const Report rep = porter::run(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_EQ(rep.invocations, rep.directRestores);
     EXPECT_EQ(rep.failovers, 0u);
     EXPECT_EQ(rep.coldStarts, 0u);
     EXPECT_EQ(rep.quarantines, 0u);
-    EXPECT_DOUBLE_EQ(rep.survivalFraction(), 1.0);
+    EXPECT_DOUBLE_EQ(rep.restoreSurvival(), 1.0);
 }
 
 TEST(PartitionSoak, ReportIsDeterministic)
 {
-    const PartitionConfig cfg = soakConfig(MechanismKind::MitosisCxl, 120);
-    const PartitionReport a = porter::runPartitionSoak(cfg);
-    const PartitionReport b = porter::runPartitionSoak(cfg);
+    const Scenario cfg = soakConfig(MechanismKind::MitosisCxl, 120);
+    const Report a = porter::run(cfg);
+    const Report b = porter::run(cfg);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.checkpointsPublished, b.checkpointsPublished);
     EXPECT_EQ(a.restoresOk, b.restoresOk);
@@ -171,22 +172,22 @@ TEST(PartitionSoak, QueueArmedSoakHoldsEveryInvariant)
     // correctness (leaks, fencing, byte-identical survivors) must be
     // exactly as solid as the queue-off soak, and the contention must
     // actually have been exercised, not silently disabled.
-    PartitionConfig cfg = soakConfig(MechanismKind::CxlFork);
-    cfg.contention.enabled = true;
-    const PartitionReport rep = porter::runPartitionSoak(cfg);
+    Scenario cfg = soakConfig(MechanismKind::CxlFork);
+    cfg.cluster.contention.enabled = true;
+    const Report rep = porter::run(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_EQ(rep.framesLeaked, 0u);
     EXPECT_EQ(rep.doublePublishes, 0u);
-    EXPECT_GE(rep.survivalFraction(), 0.9);
+    EXPECT_GE(rep.restoreSurvival(), 0.9);
     EXPECT_GT(rep.severedTxns, 0u) << "the weather must still blow";
 }
 
 TEST(PartitionSoak, SeedChangesTheWeather)
 {
-    PartitionConfig cfg = soakConfig(MechanismKind::CxlFork, 120);
-    const PartitionReport a = porter::runPartitionSoak(cfg);
+    Scenario cfg = soakConfig(MechanismKind::CxlFork, 120);
+    const Report a = porter::run(cfg);
     cfg.seed ^= 0x5eedULL;
-    const PartitionReport b = porter::runPartitionSoak(cfg);
+    const Report b = porter::run(cfg);
     EXPECT_TRUE(a.pass && b.pass);
     EXPECT_TRUE(a.severedTxns != b.severedTxns ||
                 a.quarantines != b.quarantines ||

@@ -2,8 +2,8 @@
  * @file
  * Chaos soak CLI: the RAS layer under sustained mixed fault injection.
  *
- * Runs the long-lived soak harness (porter/chaos_harness.hh) for each
- * mechanism: hundreds of rounds of publish / restore / scrub under
+ * Runs the chaos preset of porter::Scenario (porter/scenario.hh) for
+ * each mechanism: hundreds of rounds of publish / restore / scrub under
  * combined birth poison, post-birth poison strikes, transient
  * transaction errors, and seeded mid-publish node crashes. Exits 1
  * if any audited invariant is violated — a restore that is neither
@@ -15,9 +15,10 @@
  *              [--rounds N] [--replicas K] [--seed S] [--negative]
  *              [--min-survival F]
  *
- *   --negative   run with replicas == 0 (RAS off); checkpoints are
- *                EXPECTED to be lost, and the run fails if none are —
- *                the control that proves the harness can see losses
+ *   --negative   run with replicas == 0 (RAS off) unless --replicas
+ *                says otherwise; checkpoints are EXPECTED to be lost,
+ *                and the run fails if none are — the control that
+ *                proves the harness can see losses
  *   --min-survival F
  *                fail if any mechanism's checkpoint-survival fraction
  *                falls below F (default 0.9; ignored in --negative
@@ -28,7 +29,6 @@
 #include <string>
 
 #include "flags.hh"
-#include "porter/chaos_harness.hh"
 #include "sim/table.hh"
 
 using namespace cxlfork;
@@ -36,9 +36,8 @@ using namespace cxlfork;
 int
 main(int argc, char **argv)
 {
-    const tools::SoakFlags f = tools::parseSoakFlags(
-        argc, argv, {.rounds = 250, .seed = 0xc4a0'5011ULL},
-        /*negativeZeroesReplicas=*/true);
+    const tools::SoakFlags f =
+        tools::parseSoakFlags(argc, argv, porter::Scenario::chaos);
 
     sim::Table t(f.negative
                      ? "Chaos soak, negative control (replicas=0): losses "
@@ -53,15 +52,12 @@ main(int argc, char **argv)
     bool anyLost = false;
     bool belowThreshold = false;
     for (rfork::MechanismKind mech : f.mechanisms) {
-        porter::ChaosConfig cfg;
-        cfg.mechanism = mech;
-        cfg.rounds = f.rounds;
-        cfg.replicas = f.replicas;
-        cfg.seed = f.seed;
-        const porter::ChaosReport rep = porter::runChaosSoak(cfg);
+        porter::Scenario s = f.scenario;
+        s.mechanism = mech;
+        const porter::Report rep = porter::run(s);
         violated |= !rep.pass;
         anyLost |= rep.checkpointsLost > 0;
-        belowThreshold |= rep.survivalFraction() < f.minSurvival;
+        belowThreshold |= rep.checkpointSurvival() < f.minSurvival;
         t.addRow({rfork::mechanismName(mech),
                   std::to_string(rep.rounds),
                   std::to_string(rep.invocations),
@@ -72,7 +68,7 @@ main(int argc, char **argv)
                   std::to_string(rep.repairs),
                   std::to_string(rep.strikes),
                   std::to_string(rep.crashesInjected),
-                  sim::Table::num(rep.survivalFraction(), 4),
+                  sim::Table::num(rep.checkpointSurvival(), 4),
                   rep.pass ? "ok" : rep.firstViolation});
     }
     t.addNote("Every restore must be byte-identical or end in a provable "

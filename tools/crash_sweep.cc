@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "flags.hh"
-#include "porter/crash_harness.hh"
+#include "porter/scenario.hh"
 #include "sim/table.hh"
 
 using namespace cxlfork;
@@ -37,10 +37,10 @@ namespace {
 
 void
 addSiteRow(sim::Table &t, rfork::MechanismKind mech,
-           const porter::CrashSiteResult &r)
+           const porter::SiteResult &r)
 {
     t.addRow({rfork::mechanismName(mech), std::to_string(r.site),
-              r.crashed ? "yes" : "no", r.imageAvailable ? "yes" : "no",
+              r.fired ? "yes" : "no", r.imageAvailable ? "yes" : "no",
               r.restored ? "yes" : "no",
               std::to_string(r.framesReclaimed),
               sim::Table::num(r.recoveryTime.toUs(), 2),
@@ -57,8 +57,7 @@ main(int argc, char **argv)
                  "[--pages N] [--unsafe] [--site K]");
     std::vector<rfork::MechanismKind> mechanisms(rfork::kAllMechanisms.begin(),
                                                  rfork::kAllMechanisms.end());
-    uint64_t pages = 16;
-    rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase;
+    porter::Scenario s = porter::Scenario::crash();
     std::optional<uint64_t> site;
 
     for (int i = 1; i < argc; ++i) {
@@ -66,9 +65,10 @@ main(int argc, char **argv)
         if (arg == "--mechanism" && i + 1 < argc) {
             mechanisms = {flags.mechanism(argv[++i])};
         } else if (arg == "--pages" && i + 1 < argc) {
-            pages = flags.count(argv[++i], 1, UINT64_MAX / mem::kPageSize);
+            s.heapPages =
+                flags.count(argv[++i], 1, UINT64_MAX / mem::kPageSize);
         } else if (arg == "--unsafe") {
-            policy = rfork::PublishPolicy::DirectPutUnsafe;
+            s.policy = rfork::PublishPolicy::DirectPutUnsafe;
         } else if (arg == "--site" && i + 1 < argc) {
             site = flags.count(argv[++i]);
         } else {
@@ -84,12 +84,9 @@ main(int argc, char **argv)
         t.setHeader({"Mechanism", "Site", "Crashed", "Image", "Restored",
                      "Frames recl", "Recovery (us)", "Verdict"});
         for (rfork::MechanismKind mech : mechanisms) {
-            porter::CrashEnumConfig cfg;
-            cfg.mechanism = mech;
-            cfg.heapPages = pages;
-            cfg.policy = policy;
-            const porter::CrashSiteResult r =
-                porter::runCrashAtSite(cfg, *site);
+            s.mechanism = mech;
+            const porter::SiteResult r =
+                porter::runAtSite(s, porter::Fault::Crash, *site);
             violated |= r.violation;
             addSiteRow(t, mech, r);
         }
@@ -103,16 +100,12 @@ main(int argc, char **argv)
                        "Violations", "First violation"});
 
     for (rfork::MechanismKind mech : mechanisms) {
-        porter::CrashEnumConfig cfg;
-        cfg.mechanism = mech;
-        cfg.heapPages = pages;
-        cfg.policy = policy;
-        const porter::CrashEnumReport rep =
-            porter::enumerateCrashSites(cfg);
+        s.mechanism = mech;
+        const porter::SweepReport rep = porter::sweep(s, porter::Fault::Crash);
 
         uint64_t crashed = 0, kept = 0, violations = 0;
-        for (const porter::CrashSiteResult &r : rep.results) {
-            crashed += r.crashed;
+        for (const porter::SiteResult &r : rep.results) {
+            crashed += r.fired;
             kept += r.imageAvailable;
             violations += r.violation;
         }
@@ -130,7 +123,7 @@ main(int argc, char **argv)
             detail.setHeader({"Mechanism", "Site", "Crashed", "Image",
                               "Restored", "Frames recl", "Recovery (us)",
                               "Verdict"});
-            for (const porter::CrashSiteResult &r : rep.results) {
+            for (const porter::SiteResult &r : rep.results) {
                 if (r.violation)
                     addSiteRow(detail, mech, r);
             }

@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "porter/scenario.hh"
 #include "rfork/mechanism.hh"
 
 namespace cxlfork::tools {
@@ -92,46 +94,49 @@ struct SoakFlags
 {
     std::vector<rfork::MechanismKind> mechanisms{rfork::kAllMechanisms.begin(),
                                                  rfork::kAllMechanisms.end()};
-    uint64_t rounds = 0;
-    uint32_t replicas = 2;
-    uint64_t seed = 0;
+    porter::Scenario scenario;
     bool negative = false;
     double minSurvival = 0.9;
 };
 
 /**
- * Parse the soak flags over the defaults in `f`. When
- * `negativeZeroesReplicas`, --negative also sets replicas to 0 (a later
- * --replicas still wins).
+ * Parse the soak flags over `preset`: --negative picks the preset's
+ * negative control, and --rounds, --replicas and --seed override it,
+ * in whatever order they come.
  */
 inline SoakFlags
-parseSoakFlags(int argc, char **argv, SoakFlags f,
-               bool negativeZeroesReplicas)
+parseSoakFlags(int argc, char **argv, porter::Scenario (*preset)(bool))
 {
     const Flags flags(argv[0],
                       "[--mechanism cxlfork|criu|mitosis|localfork] "
                       "[--rounds N] [--replicas K] [--seed S] [--negative] "
                       "[--min-survival F]");
+    SoakFlags f;
+    std::optional<uint64_t> rounds, seed;
+    std::optional<uint32_t> replicas;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--mechanism" && i + 1 < argc) {
             f.mechanisms = {flags.mechanism(argv[++i])};
         } else if (arg == "--rounds" && i + 1 < argc) {
-            f.rounds = flags.count(argv[++i], 1);
+            rounds = flags.count(argv[++i], 1);
         } else if (arg == "--replicas" && i + 1 < argc) {
-            f.replicas = uint32_t(flags.count(argv[++i], 0, UINT32_MAX));
+            replicas = uint32_t(flags.count(argv[++i], 0, UINT32_MAX));
         } else if (arg == "--seed" && i + 1 < argc) {
-            f.seed = flags.count(argv[++i]);
+            seed = flags.count(argv[++i]);
         } else if (arg == "--negative") {
             f.negative = true;
-            if (negativeZeroesReplicas)
-                f.replicas = 0;
         } else if (arg == "--min-survival" && i + 1 < argc) {
             f.minSurvival = flags.fraction(argv[++i]);
         } else {
             flags.usage();
         }
     }
+    f.scenario = preset(f.negative);
+    f.scenario.rounds = rounds.value_or(f.scenario.rounds);
+    f.scenario.seed = seed.value_or(f.scenario.seed);
+    if (replicas)
+        f.scenario.setReplicas(*replicas);
     return f;
 }
 

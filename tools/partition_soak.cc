@@ -3,7 +3,7 @@
  * Partition soak CLI: the link-health / heartbeat / epoch-fence /
  * restore-ladder stack under sustained link chaos.
  *
- * Runs the long-lived partition harness (porter/partition_harness.hh)
+ * Runs the partition preset of porter::Scenario (porter/scenario.hh)
  * for each mechanism: hundreds of rounds of publish / restore while
  * links flap, whole nodes are cut off and quarantined, publishes are
  * severed mid-flight, and the split-brain zombie scenario is replayed
@@ -32,7 +32,6 @@
 #include <string>
 
 #include "flags.hh"
-#include "porter/partition_harness.hh"
 #include "sim/table.hh"
 
 using namespace cxlfork;
@@ -40,9 +39,8 @@ using namespace cxlfork;
 int
 main(int argc, char **argv)
 {
-    const tools::SoakFlags f = tools::parseSoakFlags(
-        argc, argv, {.rounds = 200, .seed = 0x11aa'facab1eULL},
-        /*negativeZeroesReplicas=*/false);
+    const tools::SoakFlags f =
+        tools::parseSoakFlags(argc, argv, porter::Scenario::partition);
 
     sim::Table t(f.negative
                      ? "Partition soak, negative control (epoch fence "
@@ -57,16 +55,12 @@ main(int argc, char **argv)
     bool anyDouble = false;
     bool belowThreshold = false;
     for (rfork::MechanismKind mech : f.mechanisms) {
-        porter::PartitionConfig cfg;
-        cfg.mechanism = mech;
-        cfg.rounds = f.rounds;
-        cfg.replicas = f.replicas;
-        cfg.seed = f.seed;
-        cfg.epochFencing = !f.negative;
-        const porter::PartitionReport rep = porter::runPartitionSoak(cfg);
+        porter::Scenario s = f.scenario;
+        s.mechanism = mech;
+        const porter::Report rep = porter::run(s);
         violated |= !rep.pass;
         anyDouble |= rep.doublePublishes > 0;
-        belowThreshold |= rep.survivalFraction() < f.minSurvival;
+        belowThreshold |= rep.restoreSurvival() < f.minSurvival;
         t.addRow({rfork::mechanismName(mech),
                   std::to_string(rep.rounds),
                   std::to_string(rep.invocations),
@@ -79,7 +73,7 @@ main(int argc, char **argv)
                   std::to_string(rep.quarantines),
                   std::to_string(rep.stalePublishesRejected),
                   std::to_string(rep.doublePublishes),
-                  sim::Table::num(rep.survivalFraction(), 4),
+                  sim::Table::num(rep.restoreSurvival(), 4),
                   rep.pass ? "ok" : rep.firstViolation});
     }
     t.addNote("Every restore must land on a ladder rung byte-identical "

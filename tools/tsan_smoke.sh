@@ -34,7 +34,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target "${BENCHES[@]}" \
     sim_threadpool_test property_pagestore_test \
     litmus_coherence_test property_coherence_test \
     speculative_determinism_test link_health_test partition_soak_test \
-    property_contention_test porter_trace_test
+    scenario_combined_test property_contention_test porter_trace_test
 
 echo "== ThreadPool unit test under TSan"
 "$BUILD_DIR/tests/sim_threadpool_test"
@@ -52,9 +52,10 @@ echo "== Coherence litmus + property fuzz under TSan"
 echo "== Predictor determinism (threaded training) under TSan"
 "$BUILD_DIR/tests/speculative_determinism_test"
 
-echo "== Link-health units + partition soak under TSan"
+echo "== Link-health units + partition and combined soaks under TSan"
 "$BUILD_DIR/tests/link_health_test"
 "$BUILD_DIR/tests/partition_soak_test"
+"$BUILD_DIR/tests/scenario_combined_test"
 
 echo "== Fabric-queue shadow fuzz under TSan"
 "$BUILD_DIR/tests/property_contention_test"
