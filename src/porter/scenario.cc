@@ -732,8 +732,6 @@ struct Run : harness::Soak
         rep.repairs = ras.repairs();
         rep.peakReplicaBytes = ras.peakReplicaFrames() * mem::kPageSize;
         rep.replicasWritten = m.counter("cxl.ras.replicas_written").value();
-        if (ras.enabled())
-            rep.scrubRepairs = 0; // folded into repairs via the counter
         rep.reroutes = m.counter("cxl.partition.reroutes").value();
         rep.severedTxns = m.counter("cxl.partition.severed_txns").value();
         rep.degradedTxns = m.counter("cxl.partition.degraded_txns").value();

@@ -179,7 +179,7 @@ struct Report
     // --- RAS.
     uint64_t checkpointsLost = 0;  ///< Reclaimed via reclaimDamaged.
     uint64_t pagesLost = 0;        ///< Frames with no surviving copy.
-    uint64_t repairs = 0;          ///< Primaries rebuilt from replicas.
+    uint64_t repairs = 0;          ///< Primaries rebuilt, scrub's too.
     uint64_t replicasWritten = 0;  ///< Replica pages materialized.
     uint64_t peakReplicaBytes = 0; ///< Keepalive-memory overhead peak.
     uint64_t strikes = 0;          ///< Post-birth poison events.

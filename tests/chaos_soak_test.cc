@@ -75,6 +75,21 @@ TEST(ChaosSoak, RepairLadderActuallyExercised)
     EXPECT_GT(rep.recoveries, 0u);
 }
 
+TEST(ChaosSoak, ScrubberRepairsAreReported)
+{
+    // With no restores, nothing reads a struck primary before the
+    // scrubber does, so every repair is the scrubber's. The report used
+    // to zero this count whenever RAS was on, the only time the
+    // scrubber runs.
+    Scenario cfg = soakConfig(MechanismKind::CxlFork, 250);
+    cfg.steps = Scenario::kPublish | Scenario::kStrike | Scenario::kScrub;
+    const Report rep = porter::run(cfg);
+    EXPECT_TRUE(rep.pass) << rep.firstViolation;
+    EXPECT_GT(rep.strikes, 0u);
+    EXPECT_GT(rep.scrubRepairs, 0u);
+    EXPECT_EQ(rep.scrubRepairs, rep.repairs);
+}
+
 TEST(ChaosSoak, NegativeControlLosesCheckpoints)
 {
     // Replication off: the same storm must now destroy checkpoints —
