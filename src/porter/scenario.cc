@@ -145,7 +145,9 @@ using harness::kUser;
 /** Rounds a scheduled whole-node cut lasts. */
 constexpr uint64_t kSeverHealRounds = 6;
 
-/** Rounds between split-brain replays. */
+/** Rounds between generations, scrub steps and split-brain replays. */
+constexpr uint64_t kRepublishEvery = 8;
+constexpr uint64_t kScrubEvery = 16;
 constexpr uint64_t kSplitBrainEvery = 25;
 
 /** Post-birth poison strike probability per round. */
@@ -222,9 +224,10 @@ struct Run : harness::Soak
     std::vector<mem::NodeId>
     liveTargets()
     {
+        const mem::NodeId first = fabricMech() ? 1 : 0;
+        const mem::NodeId end = fabricMech() ? cluster.numNodes() : 1;
         std::vector<mem::NodeId> t;
-        for (mem::NodeId n = fabricMech() ? 1 : 0;
-             n < (fabricMech() ? cluster.numNodes() : 1); ++n) {
+        for (mem::NodeId n = first; n < end; ++n) {
             if (!cluster.quarantined(n))
                 t.push_back(n);
         }
@@ -750,7 +753,6 @@ run(const Scenario &s)
 {
     Run r(s, /*soak=*/true);
     cxl::RasManager &ras = r.cluster.fabric().ras();
-    const uint64_t every = std::max<uint64_t>(s.republishEvery, 1);
     auto on = [&](Scenario::Step step) { return (s.steps & step) != 0; };
 
     for (uint64_t round = 0; round < s.rounds; ++round) {
@@ -759,8 +761,8 @@ run(const Scenario &s)
             r.healDue(round);
             r.rejoinProbe();
         }
-        if (on(Scenario::kPublish) && round % every == 0)
-            r.publishStep(round / every);
+        if (on(Scenario::kPublish) && round % kRepublishEvery == 0)
+            r.publishStep(round / kRepublishEvery);
         if (on(Scenario::kScheduledSever))
             r.scheduleSever(round);
         if (on(Scenario::kHeartbeat))
@@ -770,8 +772,8 @@ run(const Scenario &s)
         for (uint64_t k = 0; on(Scenario::kRestore) && k < kRestoresPerRound;
              ++k)
             r.restore();
-        if (on(Scenario::kScrub) && s.scrubEvery != 0 && ras.enabled() &&
-            (round + 1) % s.scrubEvery == 0)
+        if (on(Scenario::kScrub) && ras.enabled() &&
+            (round + 1) % kScrubEvery == 0)
             r.rep.scrubRepairs +=
                 ras.scrubStep(r.cluster.node(0).clock()).repaired;
         if (on(Scenario::kSplitBrain) && (round + 1) % kSplitBrainEvery == 0)

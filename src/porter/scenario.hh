@@ -90,9 +90,9 @@ struct Scenario
         /** Heal the scheduled cuts that are due; readmit reachable
          *  quarantined nodes. */
         kHealRejoin = 1u << 0,
-        /** Every republishEvery rounds, publish the next generation;
-         *  with probability publishFaultProb, publishFault is armed at
-         *  a site drawn below publishSites. */
+        /** Every 8th round, publish the next generation; with
+         *  probability publishFaultProb, publishFault is armed at a
+         *  site drawn below publishSites. */
         kPublish = 1u << 1,
         /** With probability scheduledSeverProb, cut one restore-side
          *  node off for six rounds (fabric mechanisms only). */
@@ -103,7 +103,7 @@ struct Scenario
         kStrike = 1u << 4,
         /** Two restores through the ladder, each verified. */
         kRestore = 1u << 5,
-        /** Every scrubEvery rounds, one RAS scrub step (RAS on). */
+        /** Every 16th round, one RAS scrub step (RAS on). */
         kScrub = 1u << 6,
         /** Every 25th round, the split-brain zombie publish. */
         kSplitBrain = 1u << 7,
@@ -132,13 +132,11 @@ struct Scenario
     const char *function = "scenariofn";
     uint64_t heapPages = 16; ///< Parent heap footprint, in pages.
     harness::PageTokens tokens;
-    uint64_t republishEvery = 8; ///< Rounds between generations.
     uint64_t rounds = 0;
     uint64_t seed = 0; ///< Drives every draw of the soak.
 
     // --- The steps.
     uint32_t steps = 0; ///< A set of Step bits.
-    uint64_t scrubEvery = 16; ///< kScrub cadence in rounds; 0 = never.
     bool epochFencing = true; ///< false = split-brain negative control.
     rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase;
 

@@ -143,9 +143,7 @@ TEST(FaultReset, SweepPointsBackToBackAreIdentical)
     // builds all mutable state inside the point, so running the same
     // point twice back-to-back must reproduce the report exactly.
     porter::Scenario cc = porter::Scenario::chaos();
-    cc.rounds = 12;
-    cc.republishEvery = 4;
-    cc.scrubEvery = 4;
+    cc.rounds = 17; // three generations and one scrub step
     std::vector<porter::Report> reports(2);
     const std::vector<int> points = {0, 1};
     bench::runSweep(points,
