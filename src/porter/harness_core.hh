@@ -1,13 +1,13 @@
 /**
  * @file
- * The core the crash, chaos and partition harnesses share: a small
+ * The core under the fault scenario (scenario.hh): a small
  * cluster with one mechanism and a node-0 parent whose heap holds
  * seeded page tokens (Rig, TokenHeap), a long-lived soak's
  * published-CID bookkeeping (Soak), a first-violation recorder
  * (Verdict), one teardown audit, and one count -> replay-each-site ->
  * control sweep (sweepSites).
  *
- * The audit is the union of every harness's checks: the frame census
+ * The audit is the union of every preset's checks: the frame census
  * balances to the baseline (no leak, no double free); the CXL and
  * every DRAM allocator pass auditLive(); the page store passes its
  * audit; with RAS on, the RAS audit passes and no replica frame

@@ -245,7 +245,8 @@ struct Run : harness::Soak
             link().severAtSite(*w.site, node);
     }
 
-    /** End a fault window (a no-op with none open): note, disarm. */
+    /** End a fault window: note what it saw, disarm (harmless when
+     *  none is open). */
     void
     close()
     {
