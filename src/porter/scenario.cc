@@ -11,62 +11,6 @@
 
 namespace cxlfork::porter {
 
-const char *
-ladderRungName(LadderRung r)
-{
-    switch (r) {
-      case LadderRung::Direct:
-        return "direct";
-      case LadderRung::Retried:
-        return "retried";
-      case LadderRung::Failover:
-        return "failover";
-      case LadderRung::ColdStart:
-        return "cold-start";
-    }
-    return "?";
-}
-
-FailoverOutcome
-restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
-                    const std::shared_ptr<rfork::CheckpointHandle> &handle,
-                    const std::vector<mem::NodeId> &targets,
-                    const rfork::RestoreOptions &opts,
-                    const rfork::RestoreRetryPolicy &policy)
-{
-    FailoverOutcome out;
-    sim::MetricsRegistry &m = cluster.machine().metrics();
-    for (size_t i = 0; i < targets.size(); ++i) {
-        os::NodeOs &target = cluster.node(targets[i]);
-        const sim::SimTime before = target.clock().now();
-        out.outcome = mech.tryRestore(handle, target, opts, policy);
-        out.latency += target.clock().now() - before;
-        out.node = targets[i];
-        if (out.outcome) {
-            out.rung = i > 0                      ? LadderRung::Failover
-                       : out.outcome.retries > 0 ? LadderRung::Retried
-                                                 : LadderRung::Direct;
-            if (i > 0)
-                m.counter("cxl.partition.failovers").inc();
-            return out;
-        }
-        // Only a fabric partition moves the walk to the next warm
-        // node; every other failure has its own ladder (RAS repair,
-        // transient backoff) and surfaces unchanged.
-        if (out.outcome.error != rfork::RestoreError::FabricPartition)
-            return out;
-        if (i + 1 < targets.size()) {
-            // Shipping the restore request to the next warm node is
-            // one control-plane round trip on its clock.
-            cluster.node(targets[i + 1])
-                .clock()
-                .advance(cluster.machine().costs().cxlLatency);
-        }
-    }
-    m.counter("cxl.partition.ladder_exhausted").inc();
-    return out;
-}
-
 void
 Scenario::setReplicas(uint32_t k)
 {
@@ -104,7 +48,7 @@ Scenario::chaos(bool negative)
     s.tokens = {0xc0ffee, 4};
     s.rounds = 250;
     s.seed = 0xc4a0'5011ULL;
-    s.steps = kPublish | kStrike | kRestore | kScrub;
+    s.steps = kRas | kRestore;
     return s;
 }
 
@@ -132,8 +76,7 @@ Scenario::partition(bool negative)
     s.tokens = {0x5eaf, 4};
     s.rounds = 200;
     s.seed = 0x11aa'facab1eULL;
-    s.steps = kHealRejoin | kPublish | kScheduledSever | kHeartbeat |
-              kRestore | kSplitBrain;
+    s.steps = kPartition | kRestore | kSplitBrain;
     s.epochFencing = !negative;
     return s;
 }
@@ -155,6 +98,77 @@ constexpr double kStrikeRate = 0.5;
 
 /** Restores per soak round. */
 constexpr uint64_t kRestoresPerRound = 2;
+
+const char *
+ladderRungName(LadderRung r)
+{
+    switch (r) {
+      case LadderRung::Direct:
+        return "direct";
+      case LadderRung::Retried:
+        return "retried";
+      case LadderRung::Failover:
+        return "failover";
+      case LadderRung::ColdStart:
+        return "cold-start";
+    }
+    return "?";
+}
+
+/** One ladder traversal: the final outcome plus how far down it went. */
+struct FailoverOutcome
+{
+    rfork::RestoreOutcome outcome; ///< From the rung that ended the walk.
+    LadderRung rung = LadderRung::ColdStart;
+    mem::NodeId node = mem::kInvalidNode; ///< The target that ended it.
+    sim::SimTime latency; ///< Simulated time spent across every rung.
+};
+
+/**
+ * Walk the degraded-restore ladder for one handle: try each candidate
+ * target in order, advancing to the next only on a fabric-partition
+ * failure (after tryRestore's own backoff budget is spent). Non-
+ * partition failures (poison, transient exhaustion) stop the walk and
+ * surface unchanged — they have their own ladders. Partition rungs are
+ * counted under cxl.partition.{failovers,ladder_exhausted}.
+ */
+FailoverOutcome
+restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
+                    const std::shared_ptr<rfork::CheckpointHandle> &handle,
+                    const std::vector<mem::NodeId> &targets)
+{
+    FailoverOutcome out;
+    sim::MetricsRegistry &m = cluster.machine().metrics();
+    for (size_t i = 0; i < targets.size(); ++i) {
+        os::NodeOs &target = cluster.node(targets[i]);
+        const sim::SimTime before = target.clock().now();
+        out.outcome = mech.tryRestore(handle, target);
+        out.latency += target.clock().now() - before;
+        out.node = targets[i];
+        if (out.outcome) {
+            out.rung = i > 0                      ? LadderRung::Failover
+                       : out.outcome.retries > 0 ? LadderRung::Retried
+                                                 : LadderRung::Direct;
+            if (i > 0)
+                m.counter("cxl.partition.failovers").inc();
+            return out;
+        }
+        // Only a fabric partition moves the walk to the next warm
+        // node; every other failure has its own ladder (RAS repair,
+        // transient backoff) and surfaces unchanged.
+        if (out.outcome.error != rfork::RestoreError::FabricPartition)
+            return out;
+        if (i + 1 < targets.size()) {
+            // Shipping the restore request to the next warm node is
+            // one control-plane round trip on its clock.
+            cluster.node(targets[i + 1])
+                .clock()
+                .advance(cluster.machine().costs().cxlLatency);
+        }
+    }
+    m.counter("cxl.partition.ladder_exhausted").inc();
+    return out;
+}
 
 /** The layer set with every Bernoulli rate off. */
 ClusterConfig
@@ -179,8 +193,10 @@ struct Window
 struct Run : harness::Soak
 {
     const Scenario &s;
+    const bool soak; ///< false: a calm sweep replay, strict throughout.
     Report rep;
     sim::FaultInjector &faults;
+    BeforeVerify beforeVerify;
 
     /** Scheduled whole-node cuts: node -> round the link heals. */
     std::map<mem::NodeId, uint64_t> severedUntil;
@@ -194,7 +210,7 @@ struct Run : harness::Soak
     Run(const Scenario &sc, bool soak)
         : Soak(calm(sc), sc.mechanism, sc.function, sc.heapPages, sc.tokens,
                sc.seed),
-          s(sc), faults(cluster.machine().faults())
+          s(sc), soak(soak), faults(cluster.machine().faults())
     {
         cluster.checkpoints().setEpochFencing(s.epochFencing);
         if (soak) {
@@ -334,9 +350,10 @@ struct Run : harness::Soak
         rfork::CheckpointStore &store = cluster.checkpoints();
         if (w)
             open(*w, 0);
-        enum { Published, Crashed, Partitioned, Fenced, Failed } how =
+        enum { Published, Crashed, Partitioned, Fenced, Failed, Broken } how =
             Published;
         cxl::Cid cid = 0;
+        std::string why;
         try {
             cid = mech->checkpointPublished(store, {kUser, s.function},
                                             cluster.node(0), *parent.task,
@@ -344,12 +361,17 @@ struct Run : harness::Soak
                       .cid;
         } catch (const sim::NodeCrashError &) {
             how = Crashed;
-        } catch (const sim::FabricPartitionError &) {
+        } catch (const sim::FabricPartitionError &e) {
             how = Partitioned;
+            why = e.what();
         } catch (const sim::StaleEpochError &) {
             how = Fenced;
-        } catch (const sim::SimError &) {
+        } catch (const sim::TransientFaultError &e) {
             how = Failed; // retry budget exhausted mid-publish
+            why = e.what();
+        } catch (const sim::SimError &e) {
+            how = Broken;
+            why = e.what();
         }
         close();
         // Whether an armed severance fired early, late or never, node
@@ -358,6 +380,9 @@ struct Run : harness::Soak
         // severance covers those).
         if (cluster.linkHealth())
             link().heal(0);
+        // A replay runs calm: only its armed crash may stop a publish.
+        if (!soak && (how == Partitioned || how == Failed))
+            how = Broken;
 
         switch (how) {
           case Published:
@@ -388,6 +413,9 @@ struct Run : harness::Soak
             break;
           case Failed:
             ++rep.transientFailures;
+            break;
+          case Broken:
+            fail("publish failed: " + why);
             break;
         }
         // The failed publish left a STAGED orphan; the restart pass
@@ -426,9 +454,10 @@ struct Run : harness::Soak
     }
 
     /**
-     * The one outcome switch for a failed restore or verify read: a
-     * poisoned frame is reclaimed, a fabric partition is a cold start,
-     * a transient fault is retryable, anything else is a violation.
+     * The soak's one outcome switch for a failed restore or verify
+     * read: a poisoned frame is reclaimed, a fabric partition is a cold
+     * start, a transient fault is retryable, anything else is a
+     * violation.
      */
     void
     settle(rfork::RestoreError e, const sim::FaultOrigin &origin,
@@ -476,8 +505,18 @@ struct Run : harness::Soak
             restoreWithFailover(cluster, *mech, hit->handle, targets);
         close();
         if (!fo.outcome) {
-            settle(fo.outcome.error, fo.outcome.origin, hit->cid, fo.node,
-                   fo.outcome.message.c_str());
+            // A replay runs calm: its one degradation is the ladder
+            // exhausted under its armed sever, a cold start.
+            if (soak || (w && w->fault == Fault::Sever &&
+                         fo.outcome.error ==
+                             rfork::RestoreError::FabricPartition)) {
+                settle(fo.outcome.error, fo.outcome.origin, hit->cid,
+                       fo.node, fo.outcome.message.c_str());
+            } else {
+                fail(sim::format("restore failed (%s): %s",
+                                 rfork::restoreErrorName(fo.outcome.error),
+                                 fo.outcome.message.c_str()));
+            }
             return std::nullopt;
         }
         switch (fo.rung) {
@@ -497,9 +536,12 @@ struct Run : harness::Soak
         // Byte-identical or bust. The demand-fault reads ride the
         // fabric too.
         os::NodeOs &target = cluster.node(fo.node);
+        uint64_t page = 0;
         try {
+            if (beforeVerify)
+                beforeVerify(cluster, fo.node);
             if (auto bad = parent.verify(target, *fo.outcome.task,
-                                         hit->expected)) {
+                                         hit->expected, &page)) {
                 fail(sim::format("restored page %llu reads %#llx, want "
                                  "%#llx (silent corruption past rung %s)",
                                  (unsigned long long)bad->page,
@@ -511,12 +553,18 @@ struct Run : harness::Soak
                 rep.restoreLatenciesUs.push_back(fo.latency.toUs());
             }
         } catch (const sim::SimError &e) {
-            // A flap striking a read of a served restore heals on its
-            // own: retryable, not a cold start.
+            // A replay's reads run calm: any failure is a violation. In
+            // a soak, a flap striking a read of a served restore heals
+            // on its own: retryable, not a cold start.
             rfork::RestoreError err = rfork::restoreErrorOf(e);
             if (err == rfork::RestoreError::FabricPartition)
                 err = rfork::RestoreError::TransientFault;
-            settle(err, e.origin(), hit->cid, fo.node, e.what());
+            if (soak) {
+                settle(err, e.origin(), hit->cid, fo.node, e.what());
+            } else {
+                fail(sim::format("verify read failed at page %llu: %s",
+                                 (unsigned long long)page, e.what()));
+            }
         }
         target.exitTask(fo.outcome.task);
         return fo.rung;
@@ -758,22 +806,22 @@ run(const Scenario &s)
 
     for (uint64_t round = 0; round < s.rounds; ++round) {
         ++r.rep.rounds;
-        if (on(Scenario::kHealRejoin)) {
+        if (on(Scenario::kPartition)) {
             r.healDue(round);
             r.rejoinProbe();
         }
-        if (on(Scenario::kPublish) && round % kRepublishEvery == 0)
+        if (round % kRepublishEvery == 0)
             r.publishStep(round / kRepublishEvery);
-        if (on(Scenario::kScheduledSever))
+        if (on(Scenario::kPartition)) {
             r.scheduleSever(round);
-        if (on(Scenario::kHeartbeat))
             r.heartbeat();
-        if (on(Scenario::kStrike))
+        }
+        if (on(Scenario::kRas))
             r.strike();
         for (uint64_t k = 0; on(Scenario::kRestore) && k < kRestoresPerRound;
              ++k)
             r.restore();
-        if (on(Scenario::kScrub) && ras.enabled() &&
+        if (on(Scenario::kRas) && ras.enabled() &&
             (round + 1) % kScrubEvery == 0)
             r.rep.scrubRepairs +=
                 ras.scrubStep(r.cluster.node(0).clock()).repaired;
@@ -797,11 +845,13 @@ countSites(const Scenario &s, Fault f)
 }
 
 SiteResult
-runAtSite(const Scenario &s, Fault f, uint64_t site)
+runAtSite(const Scenario &s, Fault f, uint64_t site,
+          const BeforeVerify &beforeVerify)
 {
     SiteResult res;
     res.site = site;
     Run r(s, /*soak=*/false);
+    r.beforeVerify = beforeVerify;
     rfork::CheckpointStore &store = r.cluster.checkpoints();
 
     if (f == Fault::Crash) {

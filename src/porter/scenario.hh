@@ -18,7 +18,8 @@
  * node dies, recovers, and lookup() must stay restorable-or-absent) or
  * a sever of the restoring node's link at restore (the ladder serves
  * the restore byte-identical or degrades to a cold start, and the
- * epoch fence never misfires).
+ * epoch fence never misfires). A replay runs calm: any other failure
+ * of a publish, a restore or a verify read is a violation.
  *
  * The presets return the defaults of the crash sweep, the RAS chaos
  * soak and the partition soak; any of their parts combine.
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,32 +49,6 @@ enum class LadderRung : uint8_t
     ColdStart, ///< Every rung exhausted; the function restarts cold.
 };
 
-const char *ladderRungName(LadderRung r);
-
-/** One ladder traversal: the final outcome plus how far down it went. */
-struct FailoverOutcome
-{
-    rfork::RestoreOutcome outcome; ///< From the rung that ended the walk.
-    LadderRung rung = LadderRung::ColdStart;
-    mem::NodeId node = mem::kInvalidNode; ///< The target that ended it.
-    sim::SimTime latency; ///< Simulated time spent across every rung.
-};
-
-/**
- * Walk the degraded-restore ladder for one handle: try each candidate
- * target in order, advancing to the next only on a fabric-partition
- * failure (after tryRestore's own backoff budget is spent). Non-
- * partition failures (poison, transient exhaustion) stop the walk and
- * surface unchanged — they have their own ladders. Partition rungs are
- * counted under cxl.partition.{failovers,ladder_exhausted}.
- */
-FailoverOutcome
-restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
-                    const std::shared_ptr<rfork::CheckpointHandle> &handle,
-                    const std::vector<mem::NodeId> &targets,
-                    const rfork::RestoreOptions &opts = {},
-                    const rfork::RestoreRetryPolicy &policy = {});
-
 /** The fault a publish round arms, or a sweep replays at each site. */
 enum class Fault : uint8_t
 {
@@ -81,32 +57,33 @@ enum class Fault : uint8_t
            ///< restoring node, during the restore).
 };
 
-/** One scenario: defaults are a calm CXLfork run with no steps. */
+/** One scenario: defaults are a calm CXLfork run that only publishes. */
 struct Scenario
 {
-    /** The steps a soak round runs, in this order. */
+    /**
+     * The step groups a soak round runs besides its publish. A round
+     * runs, in this order: the partition group's heal/rejoin; every
+     * 8th round, the publish of the next generation (with probability
+     * publishFaultProb, publishFault armed at a site drawn below
+     * publishSites); the partition group's scheduled sever and
+     * heartbeat; the RAS group's strike; the restores; the RAS group's
+     * scrub; the split brain.
+     */
     enum Step : uint32_t
     {
-        /** Heal the scheduled cuts that are due; readmit reachable
-         *  quarantined nodes. */
-        kHealRejoin = 1u << 0,
-        /** Every 8th round, publish the next generation; with
-         *  probability publishFaultProb, publishFault is armed at a
-         *  site drawn below publishSites. */
-        kPublish = 1u << 1,
-        /** With probability scheduledSeverProb, cut one restore-side
-         *  node off for six rounds (fabric mechanisms only). */
-        kScheduledSever = 1u << 2,
-        /** One cluster heartbeat round (quarantine after heartbeatK). */
-        kHeartbeat = 1u << 3,
-        /** With probability 1/2, poison one allocated device frame. */
-        kStrike = 1u << 4,
+        /** Heal the scheduled cuts that are due and readmit reachable
+         *  quarantined nodes; with probability scheduledSeverProb, cut
+         *  one restore-side node off for six rounds (fabric mechanisms
+         *  only); one cluster heartbeat round (quarantine after
+         *  heartbeatK). */
+        kPartition = 1u << 0,
+        /** With probability 1/2, poison one allocated device frame;
+         *  every 16th round, one RAS scrub step (RAS on). */
+        kRas = 1u << 1,
         /** Two restores through the ladder, each verified. */
-        kRestore = 1u << 5,
-        /** Every 16th round, one RAS scrub step (RAS on). */
-        kScrub = 1u << 6,
+        kRestore = 1u << 2,
         /** Every 25th round, the split-brain zombie publish. */
-        kSplitBrain = 1u << 7,
+        kSplitBrain = 1u << 3,
     };
 
     rfork::MechanismKind mechanism = rfork::MechanismKind::CxlFork;
@@ -257,10 +234,18 @@ Report run(const Scenario &s);
 uint64_t countSites(const Scenario &s, Fault f);
 
 /**
+ * Replays run this on a served restore's cluster and node as its
+ * verify reads begin; what it throws is a verify-read failure (a test
+ * plants one there).
+ */
+using BeforeVerify = std::function<void(Cluster &, mem::NodeId)>;
+
+/**
  * Replay `f` at `site` on a fresh cluster and audit it. site >= the
  * counted total runs the fault-free control.
  */
-SiteResult runAtSite(const Scenario &s, Fault f, uint64_t site);
+SiteResult runAtSite(const Scenario &s, Fault f, uint64_t site,
+                     const BeforeVerify &beforeVerify = {});
 
 /** Every counted site, then the control. */
 SweepReport sweep(const Scenario &s, Fault f);

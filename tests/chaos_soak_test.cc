@@ -82,7 +82,7 @@ TEST(ChaosSoak, ScrubberRepairsAreReported)
     // to zero this count whenever RAS was on, the only time the
     // scrubber runs.
     Scenario cfg = soakConfig(MechanismKind::CxlFork, 250);
-    cfg.steps = Scenario::kPublish | Scenario::kStrike | Scenario::kScrub;
+    cfg.steps = Scenario::kRas;
     const Report rep = porter::run(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.strikes, 0u);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cxl/link_health.hh"
 #include "porter/scenario.hh"
 #include "sim/error.hh"
 
@@ -33,16 +34,17 @@ configFor(MechanismKind m,
     return cfg;
 }
 
-SweepReport
-sweepCrash(const Scenario &cfg)
+/**
+ * Cut the restoring node off and read over its link: the verify's
+ * first read fails with a fabric partition, which a soak counts as a
+ * retryable flap.
+ */
+void
+plantPartitionedRead(Cluster &cluster, mem::NodeId n)
 {
-    return sweep(cfg, Fault::Crash);
-}
-
-uint64_t
-countCrash(const Scenario &cfg)
-{
-    return countSites(cfg, Fault::Crash);
+    cluster.linkHealth()->sever(n);
+    cluster.machine().cxlTransaction(cluster.node(n).clock(),
+                                     "planted verify read", n);
 }
 
 std::string
@@ -56,8 +58,8 @@ describe(const SweepReport &rep)
 TEST(CrashEnum, SiteCountIsDeterministic)
 {
     const Scenario cfg = configFor(MechanismKind::CxlFork);
-    const uint64_t a = countCrash(cfg);
-    const uint64_t b = countCrash(cfg);
+    const uint64_t a = countSites(cfg, Fault::Crash);
+    const uint64_t b = countSites(cfg, Fault::Crash);
     EXPECT_EQ(a, b);
     // A checkpoint that allocates frames and journals must pass through
     // a meaningful number of crash sites: at least stage, one
@@ -68,7 +70,7 @@ TEST(CrashEnum, SiteCountIsDeterministic)
 TEST(CrashEnum, EverySiteRecoversCxlFork)
 {
     const SweepReport rep =
-        sweepCrash(configFor(MechanismKind::CxlFork));
+        sweep(configFor(MechanismKind::CxlFork), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     // The crash-free control must publish a restorable image.
@@ -81,7 +83,7 @@ TEST(CrashEnum, EverySiteRecoversCxlFork)
 TEST(CrashEnum, EverySiteRecoversCriu)
 {
     const SweepReport rep =
-        sweepCrash(configFor(MechanismKind::CriuCxl));
+        sweep(configFor(MechanismKind::CriuCxl), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -89,7 +91,7 @@ TEST(CrashEnum, EverySiteRecoversCriu)
 TEST(CrashEnum, EverySiteRecoversMitosis)
 {
     const SweepReport rep =
-        sweepCrash(configFor(MechanismKind::MitosisCxl));
+        sweep(configFor(MechanismKind::MitosisCxl), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     // A Mitosis checkpoint dies with its node: no crashed run may
@@ -102,7 +104,7 @@ TEST(CrashEnum, EverySiteRecoversMitosis)
 TEST(CrashEnum, EverySiteRecoversLocalFork)
 {
     const SweepReport rep =
-        sweepCrash(configFor(MechanismKind::LocalFork));
+        sweep(configFor(MechanismKind::LocalFork), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     for (uint64_t k = 0; k < rep.sites; ++k)
@@ -118,7 +120,7 @@ TEST(CrashEnum, LatePublishCrashesLeaveRestorableImage)
     for (MechanismKind m :
          {MechanismKind::CxlFork, MechanismKind::CriuCxl}) {
         const Scenario cfg = configFor(m);
-        const uint64_t sites = countCrash(cfg);
+        const uint64_t sites = countSites(cfg, Fault::Crash);
         ASSERT_GT(sites, 0u);
         const SiteResult last = runAtSite(cfg, Fault::Crash, sites - 1);
         EXPECT_TRUE(last.fired) << rfork::mechanismName(m);
@@ -129,13 +131,32 @@ TEST(CrashEnum, LatePublishCrashesLeaveRestorableImage)
     }
 }
 
+TEST(CrashEnum, ReadFailureAfterAServedRestoreIsAViolation)
+{
+    // A replay runs calm: a restore or verify read that fails is a
+    // violation, whatever its type. With the link model on, cut the
+    // restoring node off once the control's restore was served.
+    Scenario cfg = configFor(MechanismKind::CxlFork);
+    cfg.cluster.link.enabled = true;
+    const uint64_t control = countSites(cfg, Fault::Crash);
+    const SiteResult r =
+        runAtSite(cfg, Fault::Crash, control, plantPartitionedRead);
+    EXPECT_FALSE(r.fired);
+    EXPECT_TRUE(r.restored);
+    EXPECT_TRUE(r.violation);
+    EXPECT_NE(r.detail.find("verify read failed at page 0"),
+              std::string::npos)
+        << r.detail;
+    EXPECT_EQ(r.framesLeaked, 0u);
+}
+
 TEST(CrashEnum, SomeMidBuildCrashIsCompletedOrReclaimed)
 {
     // Across the sweep, recovery must exercise both verdicts for
     // CXLfork: early crashes reclaim (incomplete image), while the
     // crash at the publish-step site completes the fully-built orphan.
     const SweepReport rep =
-        sweepCrash(configFor(MechanismKind::CxlFork));
+        sweep(configFor(MechanismKind::CxlFork), Fault::Crash);
     ASSERT_TRUE(rep.pass) << describe(rep);
     bool sawReclaimed = false;
     bool sawCompleted = false;
@@ -157,8 +178,10 @@ TEST(CrashEnum, DirectPutUnsafeFailsTheEnumeration)
     // lookup() exposes half-built images and the invariant audit must
     // catch at least one site. If this test ever "passes" the sweep,
     // the harness lost its teeth.
-    const SweepReport rep = sweepCrash(configFor(
-        MechanismKind::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
+    const SweepReport rep = sweep(
+        configFor(MechanismKind::CxlFork,
+                  rfork::PublishPolicy::DirectPutUnsafe),
+        Fault::Crash);
     EXPECT_FALSE(rep.pass);
     uint64_t violations = 0;
     bool sawTornExposure = false;
@@ -194,15 +217,15 @@ dedupConfigFor(MechanismKind m,
 TEST(CrashEnumDedup, SiteCountIsDeterministic)
 {
     const Scenario cfg = dedupConfigFor(MechanismKind::CxlFork);
-    const uint64_t a = countCrash(cfg);
-    EXPECT_EQ(a, countCrash(cfg));
+    const uint64_t a = countSites(cfg, Fault::Crash);
+    EXPECT_EQ(a, countSites(cfg, Fault::Crash));
     EXPECT_GE(a, kHeapPages + 4);
 }
 
 TEST(CrashEnumDedup, EverySiteRecoversCxlFork)
 {
     const SweepReport rep =
-        sweepCrash(dedupConfigFor(MechanismKind::CxlFork));
+        sweep(dedupConfigFor(MechanismKind::CxlFork), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     const SiteResult &control = rep.results.back();
@@ -214,7 +237,7 @@ TEST(CrashEnumDedup, EverySiteRecoversCxlFork)
 TEST(CrashEnumDedup, EverySiteRecoversCriu)
 {
     const SweepReport rep =
-        sweepCrash(dedupConfigFor(MechanismKind::CriuCxl));
+        sweep(dedupConfigFor(MechanismKind::CriuCxl), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -225,7 +248,7 @@ TEST(CrashEnumDedup, SharedHeapStillRecoversWithoutDedup)
     // any dedup-sweep failure is the store's, not the workload's.
     Scenario cfg = configFor(MechanismKind::CxlFork);
     cfg.tokens.period = 4;
-    const SweepReport rep = sweepCrash(cfg);
+    const SweepReport rep = sweep(cfg, Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
 }
 
@@ -233,8 +256,10 @@ TEST(CrashEnumDedup, DirectPutUnsafeStillFailsTheEnumeration)
 {
     // The harness keeps its teeth with dedup on: reverting two-phase
     // publication must still be caught.
-    const SweepReport rep = sweepCrash(dedupConfigFor(
-        MechanismKind::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
+    const SweepReport rep = sweep(
+        dedupConfigFor(MechanismKind::CxlFork,
+                       rfork::PublishPolicy::DirectPutUnsafe),
+        Fault::Crash);
     EXPECT_FALSE(rep.pass);
 }
 
@@ -256,19 +281,23 @@ coherenceConfigFor(MechanismKind m, cxl::CoherenceMode mode)
 
 TEST(CrashEnumCoherence, DirectoryAddsCrashSites)
 {
-    const uint64_t off = countCrash(configFor(MechanismKind::CxlFork));
-    const uint64_t hdmh = countCrash(
-        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH));
+    const uint64_t off =
+        countSites(configFor(MechanismKind::CxlFork), Fault::Crash);
+    const uint64_t hdmh = countSites(
+        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH),
+        Fault::Crash);
     EXPECT_GT(hdmh, off)
         << "an armed directory must walk its own crash sites";
     // And the directory-off sweep is exactly the pre-coherence one.
-    EXPECT_EQ(off, countCrash(configFor(MechanismKind::CxlFork)));
+    EXPECT_EQ(off,
+              countSites(configFor(MechanismKind::CxlFork), Fault::Crash));
 }
 
 TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmH)
 {
-    const SweepReport rep = sweepCrash(
-        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH));
+    const SweepReport rep = sweep(
+        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmH),
+        Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     const SiteResult &control = rep.results.back();
     EXPECT_TRUE(control.restored);
@@ -280,16 +309,18 @@ TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmD)
     // and its flush leaves unflushed pending stores that recovery must
     // discard — a restore that *succeeds with stale bytes* would fail
     // the page-token verification inside the harness.
-    const SweepReport rep = sweepCrash(
-        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmD));
+    const SweepReport rep = sweep(
+        coherenceConfigFor(MechanismKind::CxlFork, cxl::CoherenceMode::HdmD),
+        Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
 
 TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 {
-    const SweepReport rep = sweepCrash(
-        coherenceConfigFor(MechanismKind::CriuCxl, cxl::CoherenceMode::HdmD));
+    const SweepReport rep = sweep(
+        coherenceConfigFor(MechanismKind::CriuCxl, cxl::CoherenceMode::HdmD),
+        Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -312,9 +343,10 @@ contentionConfigFor(MechanismKind m)
 
 TEST(CrashEnumContention, QueueAddsNoCrashSites)
 {
-    const uint64_t off = countCrash(configFor(MechanismKind::CxlFork));
+    const uint64_t off =
+        countSites(configFor(MechanismKind::CxlFork), Fault::Crash);
     const uint64_t armed =
-        countCrash(contentionConfigFor(MechanismKind::CxlFork));
+        countSites(contentionConfigFor(MechanismKind::CxlFork), Fault::Crash);
     EXPECT_EQ(armed, off)
         << "the queue model is a latency hook, not a failure domain: "
            "arming it must not shift the deterministic site enumeration";
@@ -323,7 +355,7 @@ TEST(CrashEnumContention, QueueAddsNoCrashSites)
 TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 {
     const SweepReport rep =
-        sweepCrash(contentionConfigFor(MechanismKind::CxlFork));
+        sweep(contentionConfigFor(MechanismKind::CxlFork), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     EXPECT_TRUE(rep.results.back().restored);
@@ -332,7 +364,7 @@ TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 TEST(CrashEnumContention, EverySiteRecoversCriuQueued)
 {
     const SweepReport rep =
-        sweepCrash(contentionConfigFor(MechanismKind::CriuCxl));
+        sweep(contentionConfigFor(MechanismKind::CriuCxl), Fault::Crash);
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "cxl/link_health.hh"
 #include "porter/scenario.hh"
 
 namespace cxlfork {
@@ -25,6 +26,19 @@ using rfork::MechanismKind;
 using porter::Fault;
 using porter::Scenario;
 using porter::SweepReport;
+
+/**
+ * Cut the restoring node off and read over its link: the verify's
+ * first read fails with a fabric partition, which a soak counts as a
+ * retryable flap.
+ */
+void
+plantPartitionedRead(porter::Cluster &cluster, mem::NodeId n)
+{
+    cluster.linkHealth()->sever(n);
+    cluster.machine().cxlTransaction(cluster.node(n).clock(),
+                                     "planted verify read", n);
+}
 
 Scenario
 enumBaseConfig(MechanismKind mech)
@@ -86,6 +100,23 @@ TEST(PartitionEnum, SeveranceActuallyLandsSomewhere)
     EXPECT_GT(fired, 0u) << "no armed severance ever fired";
     EXPECT_GT(offDirect, 0u)
         << "every severed restore still rode the direct rung";
+}
+
+TEST(PartitionEnum, ReadFailureAfterAServedRestoreIsAViolation)
+{
+    // A replay runs calm, so its one degradation is the ladder
+    // exhausted under the armed sever. A verify read that fails once
+    // the control's restore was served must fail the replay.
+    const Scenario cfg = enumBaseConfig(MechanismKind::CxlFork);
+    const uint64_t control = porter::countSites(cfg, Fault::Sever);
+    const porter::SiteResult r =
+        porter::runAtSite(cfg, Fault::Sever, control, plantPartitionedRead);
+    EXPECT_TRUE(r.restored);
+    EXPECT_TRUE(r.violation);
+    EXPECT_NE(r.detail.find("verify read failed at page 0"),
+              std::string::npos)
+        << r.detail;
+    EXPECT_EQ(r.framesLeaked, 0u);
 }
 
 TEST(PartitionEnum, SweepIsDeterministic)
