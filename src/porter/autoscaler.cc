@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 
+#include "sim/backoff.hh"
 #include "sim/log.hh"
 
 namespace cxlfork::porter {
@@ -424,10 +426,12 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
     }
     bool viaGhost = viaRestore && fn.ghostsAvailable > 0;
     if (viaRestore && cfg_.faults.transientRestoreRate > 0.0) {
-        SimTime backoff = kRestoreRetryBackoff;
-        uint32_t attempt = 0;
+        sim::BackoffSchedule backoff({kMaxRestoreRetries,
+                                      kRestoreRetryBackoff,
+                                      kRetryBackoffMultiplier});
         while (faultRng_.chance(cfg_.faults.transientRestoreRate)) {
-            if (attempt >= kMaxRestoreRetries) {
+            const std::optional<SimTime> delay = backoff.next();
+            if (!delay) {
                 // Budget spent; the checkpoint itself is intact, so
                 // only this request falls back to a cold start.
                 ++metrics_.degradedColdStarts;
@@ -436,11 +440,9 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
                 viaGhost = false;
                 break;
             }
-            ++attempt;
             ++metrics_.restoreRetries;
             note("restore_retry", 0);
-            retryTime += backoff;
-            backoff = backoff * kRetryBackoffMultiplier;
+            retryTime += *delay;
         }
     }
 

@@ -55,7 +55,7 @@ TokenHeap::verify(os::NodeOs &at, os::Task &child, const HeapImage &img,
 }
 
 uint64_t
-Rig::audit(Verdict &v)
+auditCluster(Cluster &cluster, uint64_t baselineFrames, Verdict &v)
 {
     mem::Machine &m = cluster.machine();
     const uint64_t usedNow = m.usedFrames();

@@ -119,6 +119,13 @@ struct Verdict
     }
 };
 
+/**
+ * The teardown audit (see the file comment) of `cluster` into `v`, its
+ * frame census against `baselineFrames`.
+ * @return the frames in use above the baseline.
+ */
+uint64_t auditCluster(Cluster &cluster, uint64_t baselineFrames, Verdict &v);
+
 /** A harness cluster, its mechanism and the node-0 parent. */
 struct Rig
 {
@@ -129,11 +136,12 @@ struct Rig
     Rig(const ClusterConfig &cc, rfork::MechanismKind kind,
         const char *function, uint64_t heapPages, PageTokens tokens);
 
-    /**
-     * The teardown audit (see the file comment) into `v`.
-     * @return the frames in use above the baseline.
-     */
-    uint64_t audit(Verdict &v);
+    /** auditCluster() of this rig's cluster and baseline. */
+    uint64_t
+    audit(Verdict &v)
+    {
+        return auditCluster(cluster, baselineFrames, v);
+    }
 
     Cluster cluster;
     rfork::MechanismKind kind;

@@ -128,6 +128,20 @@ CxlFork::checkpoint(os::NodeOs &node, os::Task &parent,
         img->addLeaf(baseVpn, std::move(ckptLeaf));
     });
 
+    // A metadata record of `bytes` on the device: one frame per page,
+    // each pinned in the publish manifest and published to remote
+    // readers.
+    auto writeMetadata = [&](uint64_t bytes) {
+        for (uint64_t i = 0; i < mem::pagesFor(bytes); ++i) {
+            const mem::PhysAddr f =
+                machine.cxl().alloc(mem::FrameUse::Metadata);
+            img->addMetaFrame(f);
+            manifestPage(node, f);
+            machine.publishFrame(f, node.id(), clock);
+        }
+        cs.bytesToCxl += bytes;
+    };
+
     // VMA records are checkpointed as-is (native memory copies).
     // Shared anonymous mappings are the documented unsupported case
     // (Sec. 4.1): their pages belong to several processes at once and
@@ -145,15 +159,8 @@ CxlFork::checkpoint(os::NodeOs &node, os::Task &parent,
     auto vmaSet = std::make_shared<os::SharedVmaSet>(std::move(vmaRecords));
     cs.vmas = vmaSet->size();
     const uint64_t vmaBytes = vmaSet->footprintBytes();
-    for (uint64_t i = 0; i < mem::pagesFor(vmaBytes); ++i) {
-        const mem::PhysAddr f =
-            machine.cxl().alloc(mem::FrameUse::Metadata);
-        img->addMetaFrame(f);
-        manifestPage(node, f);
-        machine.publishFrame(f, node.id(), clock);
-    }
+    writeMetadata(vmaBytes);
     clock.advance(costs.cxlWrite(vmaBytes));
-    cs.bytesToCxl += vmaBytes;
     img->setVmaSet(std::move(vmaSet));
 
     // Global state is the only part that is serialized (Sec. 4.1
@@ -162,31 +169,16 @@ CxlFork::checkpoint(os::NodeOs &node, os::Task &parent,
     proto::Encoder enc;
     global.encode(enc);
     const uint64_t globalBytes = global.simulatedBytes();
-    for (uint64_t i = 0; i < mem::pagesFor(globalBytes); ++i) {
-        const mem::PhysAddr f =
-            machine.cxl().alloc(mem::FrameUse::Metadata);
-        img->addMetaFrame(f);
-        manifestPage(node, f);
-        machine.publishFrame(f, node.id(), clock);
-    }
+    writeMetadata(globalBytes);
     clock.advance(costs.serializeCost(globalBytes) +
                   costs.serializeRecord * double(global.recordCount()) +
                   costs.cxlWrite(globalBytes));
-    cs.bytesToCxl += globalBytes;
     img->setGlobalState(enc.take(), globalBytes, global.recordCount());
 
     // CPU register context, copied as-is.
     img->setCpu(parent.cpu());
-    for (uint64_t i = 0; i < mem::pagesFor(proto::CpuMsg::simulatedBytes());
-         ++i) {
-        const mem::PhysAddr f =
-            machine.cxl().alloc(mem::FrameUse::Metadata);
-        img->addMetaFrame(f);
-        manifestPage(node, f);
-        machine.publishFrame(f, node.id(), clock);
-    }
+    writeMetadata(proto::CpuMsg::simulatedBytes());
     clock.advance(costs.cxlWrite(proto::CpuMsg::simulatedBytes()));
-    cs.bytesToCxl += proto::CpuMsg::simulatedBytes();
 
     // Make the image attachable on this fabric mapping, then seal
     // per-segment CRCs over the finished bits so restores can detect

@@ -282,16 +282,6 @@ class FaultInjector
     /** A recovery pass finished: orphans reclaimed / completed. */
     void noteRecovery(uint64_t reclaimed, uint64_t completed);
 
-    /** Backoff before retry number `attempt` (1-based), in sim time. */
-    SimTime
-    backoffFor(uint32_t attempt) const
-    {
-        SimTime b = cfg_.retryBackoff;
-        for (uint32_t i = 1; i < attempt; ++i)
-            b *= cfg_.backoffMultiplier;
-        return b;
-    }
-
     /**
      * The seeded jitter stream for backoff schedules. Like the fault
      * streams it is salted off the config seed and reset by setConfig,

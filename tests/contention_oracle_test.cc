@@ -13,12 +13,12 @@
  *    wait mischarged), the measured mean would not land on the closed
  *    form at three different utilizations simultaneously.
  *
- *  - An uncontended-limit differential: a queue-armed run whose
- *    attributed fabric traffic all comes from one node must be
- *    metric-identical (modulo cxl.contention.*) and clock-identical to
- *    the model-off run — the cross-stream-only charging rule made
- *    observable. The two-node contrast control proves the test can
- *    fail: overlapping restore traffic from a second node must charge.
+ *  - The contrast control of the uncontended-limit differential: a
+ *    queue-armed run whose attributed fabric traffic all comes from
+ *    one node is metric- and clock-identical to the model-off run (the
+ *    layer matrix's single-issuer cell, layer_matrix_test.cc), so
+ *    overlapping restore traffic from a second node must charge, or
+ *    that cell could never fail.
  *
  *  - Unit seams: domain striping, lane separation, HoL accounting, the
  *    deterministic background residual, and drain-to-idle.
@@ -26,9 +26,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
-#include <vector>
 
 #include "cxl/fabric_queue.hh"
 #include "faas/function.hh"
@@ -306,82 +304,8 @@ TEST(FabricQueueUnit, DrainRetiresEverythingExactlyOnce)
 }
 
 // ---------------------------------------------------------------------
-// The uncontended-limit differential.
+// The contrast control of the uncontended-limit differential.
 // ---------------------------------------------------------------------
-
-/** Everything one scenario run observes. */
-struct Observation
-{
-    std::vector<uint64_t> pageTokens;
-    std::map<std::string, double> flat; ///< Sans cxl.contention.*.
-    double node0ClockNs = 0.0;
-    double restoreClockNs = 0.0;
-    uint64_t contentionQueued = 0;
-    uint64_t contentionDelayNs = 0;
-};
-
-/**
- * One single-issuer scenario: deploy, checkpoint, restore, and verify
- * all on node 0, so every attributed fabric transaction comes from one
- * stream. `armed` switches the queue model on with defaults.
- */
-Observation
-runSingleNodeScenario(bool armed)
-{
-    porter::ClusterConfig cc;
-    cc.machine.numNodes = 2; // node 1 exists but never issues traffic
-    cc.machine.dramPerNodeBytes = mem::gib(1);
-    cc.machine.cxlCapacityBytes = mem::gib(1);
-    cc.machine.llcBytes = mem::mib(8);
-    cc.contention.enabled = armed;
-    porter::Cluster cluster(cc);
-    Observation obs;
-
-    const faas::FunctionSpec spec = *faas::findWorkload("Float");
-    auto parent =
-        faas::FunctionInstance::deployCold(cluster.node(0), spec);
-    parent->invoke();
-    rfork::CxlFork mech(cluster.fabric());
-    auto handle = mech.checkpoint(cluster.node(0), parent->task());
-    auto child = mech.restore(handle, cluster.node(0));
-
-    const faas::FunctionLayout layout = faas::FunctionLayout::compute(spec);
-    layout.forEachPage(os::SegClass::ReadWrite, 64,
-                       [&](mem::VirtAddr va, uint64_t) {
-                           obs.pageTokens.push_back(
-                               cluster.node(0).read(*child, va));
-                       });
-    cluster.node(0).exitTask(child);
-    parent->destroy();
-
-    const sim::MetricsRegistry &m = cluster.machine().metrics();
-    obs.contentionQueued = m.counterValue("cxl.contention.queued");
-    obs.contentionDelayNs = m.counterValue("cxl.contention.delay_ns");
-    for (const auto &[name, value] : m.flatten()) {
-        if (name.rfind("cxl.contention.", 0) == 0)
-            continue;
-        obs.flat.emplace(name, value);
-    }
-    obs.node0ClockNs = cluster.node(0).clock().now().toNs();
-    obs.restoreClockNs = obs.node0ClockNs;
-    return obs;
-}
-
-TEST(UncontendedDifferential, SingleIssuerRunIsMetricIdenticalToModelOff)
-{
-    const Observation off = runSingleNodeScenario(false);
-    const Observation on = runSingleNodeScenario(true);
-
-    EXPECT_EQ(on.contentionDelayNs, 0u)
-        << "a single attributed stream must never be charged";
-    EXPECT_EQ(on.contentionQueued, 0u);
-    ASSERT_EQ(on.pageTokens, off.pageTokens);
-    EXPECT_EQ(on.flat, off.flat)
-        << "queue-armed uncontended run diverged from model-off "
-           "(only cxl.contention.* may differ)";
-    EXPECT_DOUBLE_EQ(on.node0ClockNs, off.node0ClockNs)
-        << "uncontended simulated time must be bit-identical";
-}
 
 TEST(UncontendedDifferential, OverlappingRestorersDoCharge)
 {

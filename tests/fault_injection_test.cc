@@ -11,6 +11,7 @@
 #include "porter/trace.hh"
 #include "rfork/criu.hh"
 #include "rfork/cxlfork.hh"
+#include "sim/backoff.hh"
 #include "sim/crc32.hh"
 #include "sim/error.hh"
 #include "sim/fault_injector.hh"
@@ -93,10 +94,10 @@ TEST(FaultInjector, BackoffGrowsExponentially)
     sim::FaultConfig cfg;
     cfg.retryBackoff = SimTime::us(10);
     cfg.backoffMultiplier = 2.0;
-    sim::FaultInjector inj(cfg);
-    EXPECT_EQ(inj.backoffFor(1), SimTime::us(10));
-    EXPECT_EQ(inj.backoffFor(2), SimTime::us(20));
-    EXPECT_EQ(inj.backoffFor(3), SimTime::us(40));
+    sim::BackoffSchedule backoff(cfg.retryPolicy());
+    EXPECT_EQ(backoff.next(), SimTime::us(10));
+    EXPECT_EQ(backoff.next(), SimTime::us(20));
+    EXPECT_EQ(backoff.next(), SimTime::us(40));
 }
 
 TEST(FaultInjector, CrashSitesNeverPerturbBernoulliStreams)

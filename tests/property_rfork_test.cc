@@ -23,65 +23,9 @@ namespace {
 
 using mem::kPageSize;
 using mem::VirtAddr;
+using test::PageRec;
+using test::RandomProcess;
 using test::World;
-
-/** A randomly-shaped process: several VMAs, sparse population. */
-struct RandomProcess
-{
-    std::shared_ptr<os::Task> task;
-    // Every populated page and its expected content.
-    std::vector<std::pair<VirtAddr, uint64_t>> pages;
-};
-
-RandomProcess
-makeRandomProcess(World &world, sim::Rng &rng)
-{
-    os::NodeOs &node = world.node(0);
-    RandomProcess proc;
-    proc.task = node.createTask("fuzz");
-
-    const uint32_t nVmas = 2 + uint32_t(rng.index(6));
-    for (uint32_t v = 0; v < nVmas; ++v) {
-        const uint64_t pages = 1 + rng.index(96);
-        const bool fileBacked = rng.chance(0.3);
-        if (fileBacked) {
-            const std::string path =
-                sim::format("/fuzz/lib%llu_%llu.so",
-                            (unsigned long long)rng.raw() % 1000,
-                            (unsigned long long)v);
-            world.vfs->create(path, pages * kPageSize, rng.raw());
-            os::Vma &vma = node.mapFilePrivate(
-                *proc.task, path, os::kVmaRead | os::kVmaExec);
-            // Touch a random subset (clean file pages).
-            auto inode = world.vfs->lookup(path);
-            for (uint64_t i = 0; i < pages; ++i) {
-                if (!rng.chance(0.7))
-                    continue;
-                const VirtAddr va = vma.start.plus(i * kPageSize);
-                node.access(*proc.task, va, false);
-                proc.pages.emplace_back(va, inode->pageContent(i));
-            }
-        } else {
-            os::Vma &vma =
-                node.mapAnon(*proc.task, pages * kPageSize,
-                             os::kVmaRead | os::kVmaWrite, "fuzz-anon");
-            for (uint64_t i = 0; i < pages; ++i) {
-                if (!rng.chance(0.8))
-                    continue;
-                const VirtAddr va = vma.start.plus(i * kPageSize);
-                const uint64_t content = rng.raw();
-                node.write(*proc.task, va, content);
-                proc.pages.emplace_back(va, content);
-            }
-        }
-    }
-    // Random fds and registers.
-    proc.task->fds().installSocket(os::Socket{"fuzz:1"});
-    for (auto &r : proc.task->cpu().gpr)
-        r = rng.raw();
-    proc.task->cpu().rip = rng.raw();
-    return proc;
-}
 
 struct Combo
 {
@@ -100,7 +44,8 @@ TEST_P(RforkFuzz, CloneObservesParentImageExactly)
     const Combo combo = GetParam();
     World world(test::smallConfig());
     sim::Rng rng(combo.seed);
-    RandomProcess parent = makeRandomProcess(world, rng);
+    RandomProcess parent =
+        test::makeRandomProcess(world.node(0), *world.vfs, rng);
     auto mech = makeMechanism(*parseMechanism(combo.mech), *world.fabric);
 
     auto handle = mech->checkpoint(world.node(0), *parent.task);
@@ -112,7 +57,7 @@ TEST_P(RforkFuzz, CloneObservesParentImageExactly)
     // The clone reads exactly the parent's image, in random order.
     auto shuffled = parent.pages;
     rng.shuffle(shuffled);
-    for (const auto &[va, content] : shuffled) {
+    for (const auto &[va, content, writable] : shuffled) {
         ASSERT_EQ(world.node(1).read(*child, va), content)
             << combo.mech << " va=" << std::hex << va.raw;
     }
@@ -121,9 +66,7 @@ TEST_P(RforkFuzz, CloneObservesParentImageExactly)
 
     // Divergence is private in both directions.
     if (!parent.pages.empty()) {
-        const auto &[va, content] = parent.pages.front();
-        const os::Vma *vma = child->mm().vmas().findLocal(va);
-        const bool writable = vma && vma->writable();
+        const auto &[va, content, writable] = parent.pages.front();
         if (writable) {
             world.node(1).write(*child, va, 0xd1d1);
             EXPECT_EQ(world.node(0).read(*parent.task, va), content);
@@ -165,14 +108,15 @@ TEST_P(RechkptFuzz, CheckpointOfRestoredCloneIsFaithful)
 {
     World world(test::smallConfig());
     sim::Rng rng(GetParam());
-    RandomProcess gen0 = makeRandomProcess(world, rng);
+    RandomProcess gen0 =
+        test::makeRandomProcess(world.node(0), *world.vfs, rng);
     CxlFork fork(*world.fabric);
 
     auto h1 = fork.checkpoint(world.node(0), *gen0.task);
     auto gen1 = fork.restore(h1, world.node(1));
     // The clone mutates a few of its pages.
-    std::vector<std::pair<mem::VirtAddr, uint64_t>> expect = gen0.pages;
-    for (auto &[va, content] : expect) {
+    std::vector<PageRec> expect = gen0.pages;
+    for (auto &[va, content, writable] : expect) {
         const os::Vma *vma = gen1->mm().vmas().findLocal(va);
         if (!vma) {
             auto idx = gen1->mm().vmas().findShared(va);
@@ -190,7 +134,7 @@ TEST_P(RechkptFuzz, CheckpointOfRestoredCloneIsFaithful)
     // Second-generation checkpoint and restore back on node 0.
     auto h2 = fork.checkpoint(world.node(1), *gen1);
     auto gen2 = fork.restore(h2, world.node(0));
-    for (const auto &[va, content] : expect)
+    for (const auto &[va, content, writable] : expect)
         ASSERT_EQ(world.node(0).read(*gen2, va), content);
 }
 
@@ -212,7 +156,8 @@ TEST_P(TraceOracleFuzz, CopiedPlusSharedEqualsResidentPages)
     World world(test::smallConfig());
     world.machine->tracer().setEnabled(true);
     sim::Rng rng(GetParam());
-    RandomProcess parent = makeRandomProcess(world, rng);
+    RandomProcess parent =
+        test::makeRandomProcess(world.node(0), *world.vfs, rng);
     CxlFork fork(*world.fabric);
 
     CheckpointStats cs;
@@ -226,7 +171,7 @@ TEST_P(TraceOracleFuzz, CopiedPlusSharedEqualsResidentPages)
     // page is either a fresh local copy or still the checkpoint's CXL
     // frame (the attached, rebased PTE).
     uint64_t copied = 0, shared = 0, resident = 0;
-    for (const auto &[va, content] : parent.pages) {
+    for (const auto &[va, content, writable] : parent.pages) {
         const os::Pte p = child->mm().pageTable().lookup(va);
         if (!p.present())
             continue;
@@ -272,7 +217,8 @@ TEST(TraceOracleMonotone, RestoreTotalMonotoneInCxlLatency)
         World world(cfg);
         world.machine->tracer().setEnabled(true);
         sim::Rng rng(4242);
-        RandomProcess parent = makeRandomProcess(world, rng);
+        RandomProcess parent =
+            test::makeRandomProcess(world.node(0), *world.vfs, rng);
         CxlFork fork(*world.fabric);
         auto handle = fork.checkpoint(world.node(0), *parent.task);
         RestoreOptions opts;
