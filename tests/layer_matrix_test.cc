@@ -356,17 +356,9 @@ std::vector<Cell>
 cells()
 {
     std::vector<Cell> out;
-    std::set<std::string> seen; ///< Cells already in the list.
     auto add = [&](const std::string &group, MechanismKind k,
                    const std::string &fn, uint64_t seed, Layers l,
                    bool singleIssuer = false) {
-        std::string key = sim::format("%d/%s/%llu/%d", int(k), fn.c_str(),
-                                      (unsigned long long)seed,
-                                      int(singleIssuer));
-        for (int v : l.values())
-            key += char('0' + v);
-        if (!seen.insert(key).second)
-            return;
         const std::string what =
             fn.empty() ? sim::format("Random%llu", (unsigned long long)seed)
                        : fn;
@@ -382,7 +374,11 @@ cells()
         }
     }
     for (const faas::WorkloadEntry &w : faas::table1Workloads()) {
-        add("HdmH", MechanismKind::CxlFork, w.spec.name, 0, {.coherence = kH});
+        // Pairs0 is HDM-H alone, so it already runs Float and Json.
+        if (w.spec.name != "Float" && w.spec.name != "Json") {
+            add("HdmH", MechanismKind::CxlFork, w.spec.name, 0,
+                {.coherence = kH});
+        }
         add("HdmD", MechanismKind::CxlFork, w.spec.name, 0, {.coherence = kD});
     }
     for (uint64_t seed = kRandomSeed; seed < kRandomSeed + 3; ++seed) {

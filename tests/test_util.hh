@@ -70,13 +70,15 @@ struct RandomProcess
 };
 
 /**
- * A process on `node` with 2-6 VMAs, each either a private file mapping
- * (its file created in `vfs`) with a random subset of pages read in, or
- * anonymous memory with most pages written; plus one socket and random
- * registers. Deterministic given a fresh world and the seed, so twin
- * worlds built from one seed hold byte-identical parents at identical
- * addresses. Anonymous pages repeat a few values (palette + i % 7), so
- * a dedup-enabled checkpoint shares frames inside one image.
+ * A process on `node` with 2-7 VMAs of 1-96 pages, each either a
+ * private file mapping (its file created in `vfs`) with a random subset
+ * of pages read in, or anonymous memory with most pages written; plus
+ * one socket and random registers. Deterministic given a fresh world and
+ * the seed, so twin worlds built from one seed hold byte-identical
+ * parents at identical addresses. Even anonymous pages hold a unique
+ * token, so a clone served the wrong page of a VMA reads a wrong value;
+ * odd ones repeat a few values (palette + i % 7), so a dedup-enabled
+ * checkpoint shares frames inside one image.
  */
 inline RandomProcess
 makeRandomProcess(os::NodeOs &node, os::Vfs &vfs, sim::Rng &rng)
@@ -84,10 +86,10 @@ makeRandomProcess(os::NodeOs &node, os::Vfs &vfs, sim::Rng &rng)
     RandomProcess proc;
     proc.task = node.createTask("oracle");
 
-    const uint32_t nVmas = 2 + uint32_t(rng.index(5));
+    const uint32_t nVmas = 2 + uint32_t(rng.index(6));
     for (uint32_t v = 0; v < nVmas; ++v) {
-        const uint64_t pages = 4 + rng.index(64);
-        if (rng.chance(0.25)) {
+        const uint64_t pages = 1 + rng.index(96);
+        if (rng.chance(0.3)) {
             const std::string path =
                 sim::format("/oracle/lib%llu_%llu.so",
                             (unsigned long long)(rng.raw() % 1000),
@@ -112,7 +114,8 @@ makeRandomProcess(os::NodeOs &node, os::Vfs &vfs, sim::Rng &rng)
                 if (!rng.chance(0.85))
                     continue;
                 const mem::VirtAddr va = vma.start.plus(i * mem::kPageSize);
-                const uint64_t content = palette + (i % 7);
+                const uint64_t content =
+                    i % 2 == 0 ? rng.raw() : palette + (i % 7);
                 node.write(*proc.task, va, content);
                 proc.pages.push_back({va, content, true});
             }
